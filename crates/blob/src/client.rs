@@ -9,6 +9,19 @@
 //! against the published metadata (O(log n) reads) → store the new tree
 //! nodes on the metadata providers → commit to the version manager, which
 //! acknowledges once the version publishes in order.
+//!
+//! There is one write session and one read session. Both are *streams*: a
+//! long-lived session whose sub-operations (open, feed, commit, next)
+//! complete through a parked [`StreamWaiter`]. The whole-buffer
+//! [`ClientOp::Write`] and [`ClientOp::Read`] are the degenerate use of
+//! the same sessions — the operation itself is parked at open, a write
+//! enqueues every page the moment placements arrive and drains, a read
+//! fetches its whole resolved plan as one batch — so the simulator, the
+//! fault tests and the S3 gateway all execute the same protocol code.
+//!
+//! Deadlines are stated once: a parked (sub-)operation fails with
+//! `Timeout` `op_timeout` after it was parked, and a stream with nothing
+//! parked is reaped after `op_timeout` without activity.
 
 use std::collections::{HashMap, HashSet};
 
@@ -49,7 +62,11 @@ pub enum ClientOp {
         spec: BlobSpec,
     },
     /// Write (or append) data. Offsets and lengths must be multiples of
-    /// the BLOB page size.
+    /// the BLOB page size. The one-shot entry into the write session:
+    /// equivalent to [`ClientOp::OpenWriteStream`] + one feed of `data` +
+    /// [`ClientOp::CommitWriteStream`], in one hop into the client (the
+    /// pages are zero-copy slices of `data`) and one completion,
+    /// [`OpOutput::Written`].
     Write {
         /// Target BLOB.
         blob: BlobId,
@@ -59,6 +76,10 @@ pub enum ClientOp {
         data: Payload,
     },
     /// Read a byte range of a version (latest if `version` is `None`).
+    /// The one-shot entry into the read session: equivalent to
+    /// [`ClientOp::OpenReadStream`] + [`ClientOp::ReadStreamNext`] to eof,
+    /// except that the whole range is fetched (under `chunk_window`) and
+    /// assembled as a single batch, delivered as [`OpOutput::Read`].
     Read {
         /// Target BLOB.
         blob: BlobId,
@@ -84,10 +105,12 @@ pub enum ClientOp {
         /// Target BLOB.
         blob: BlobId,
     },
-    /// Open a streaming write of `len` bytes (declared up front: the
-    /// ticket pre-assigns the version and the page range). Completes with
-    /// [`OpOutput::WriteStreamOpened`] once ticket + placements are held;
-    /// the stream then accepts [`ClientOp::FeedWriteStream`] calls.
+    /// Open the write session as a stream of `len` bytes (declared up
+    /// front: the ticket pre-assigns the version and the page range).
+    /// Completes with [`OpOutput::WriteStreamOpened`] once ticket +
+    /// placements are held; the stream then accepts
+    /// [`ClientOp::FeedWriteStream`] calls. The same session, protocol
+    /// steps and fault handling as [`ClientOp::Write`].
     OpenWriteStream {
         /// Target BLOB.
         blob: BlobId,
@@ -121,10 +144,11 @@ pub enum ClientOp {
         /// Stream id.
         stream: u64,
     },
-    /// Open a streaming read of a byte range (latest version if `None`).
-    /// Completes with [`OpOutput::ReadStreamOpened`] once the metadata
-    /// descent resolved the chunk plan; data then arrives window-by-window
-    /// via [`ClientOp::ReadStreamNext`].
+    /// Open the read session as a stream over a byte range (latest
+    /// version if `None`). Completes with [`OpOutput::ReadStreamOpened`]
+    /// once the metadata descent resolved the chunk plan; data then
+    /// arrives window-by-window via [`ClientOp::ReadStreamNext`]. The same
+    /// session, protocol steps and failover as [`ClientOp::Read`].
     OpenReadStream {
         /// Target BLOB.
         blob: BlobId,
@@ -416,85 +440,22 @@ impl MetaCache {
     }
 }
 
-#[derive(Debug)]
-enum WritePhase {
-    Ticket,
-    Alloc,
-    Chunks,
-    MetaResolve,
-    MetaPut,
-    Commit,
-}
-
-#[derive(Debug)]
-struct WriteSess {
-    blob: BlobId,
-    data: Payload,
-    ticket: Option<WriteTicket>,
-    chunks: Vec<ChunkDescriptor>,
-    builder: Option<TreeBuilder>,
-    root: Option<crate::meta::NodeRef>,
-    phase: WritePhase,
-    /// Chunk stores not yet issued (kept reversed so `pop()` yields the
-    /// next job); the in-flight window refills from here.
-    pending_puts: Vec<(NodeId, Vec<(ChunkKey, Payload)>)>,
-    /// Replacement placements requested so far (bounded by
-    /// [`RetryPolicy::max_reallocs`]).
-    reallocs: u32,
-}
-
-#[derive(Debug)]
-enum ReadPhase {
-    Version,
-    Meta,
-    Chunks,
-}
-
-#[derive(Debug)]
-struct ReadSess {
-    blob: BlobId,
-    offset: u64,
-    len: u64,
-    info: Option<VersionInfo>,
-    reader: Option<TreeReader>,
-    page0: u64,
-    parts: Vec<Option<Payload>>,
-    phase: ReadPhase,
-    /// Per-provider chunk-fetch batches not yet issued (reversed; `pop()`
-    /// yields the next batch); the in-flight window refills from here.
-    pending_gets: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)>,
-    /// Whether this read already issued its one bulk `GetMetaRange`
-    /// broadcast (at most one per read; later descent gaps use the
-    /// per-node path).
-    range_used: bool,
-}
-
-impl ReadSess {
-    /// Version + page interval of this read's bulk range query. The tree
-    /// being descended is the one rooted at the version that *created*
-    /// the root node — equal to the read version except when a recovered
-    /// no-op version republished its predecessor's root.
-    fn range_query(&self) -> (VersionId, PageInterval) {
-        let info = self.info.as_ref().expect("info set");
-        let version = match info.root {
-            Some(crate::meta::NodeRef::Node { version, .. }) => version,
-            _ => info.version,
-        };
-        (version, PageInterval::new(self.page0, self.parts.len() as u64))
-    }
-}
-
-/// What a parked stream sub-operation is waiting for.
+/// What a parked (sub-)operation is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WaiterKind {
+    /// The operation as a whole, parked when the session opens: create,
+    /// snapshot, decommission, and the one-shot [`ClientOp::Write`] /
+    /// [`ClientOp::Read`], which run their session to its end without
+    /// further sub-operations.
+    Op,
     Open,
     Feed,
     Commit,
     Next,
 }
 
-/// The one stream sub-operation currently awaiting completion. Streams
-/// are strictly half-duplex per handle: at most one feed/commit/next is
+/// The one (sub-)operation currently awaiting completion. Streams are
+/// strictly half-duplex per handle: at most one feed/commit/next is
 /// outstanding at a time, which is exactly what gives the backpressure
 /// completion its meaning.
 #[derive(Debug)]
@@ -502,9 +463,14 @@ struct StreamWaiter {
     tag: u64,
     started: SimTime,
     kind: WaiterKind,
-    /// Payload bytes this sub-operation moves (a feed's accepted bytes,
-    /// a commit's declared length); stamped on its [`Completion`].
+    /// Payload bytes a parked feed accepted; stamped on its [`Completion`].
     bytes: u64,
+}
+
+impl StreamWaiter {
+    fn complete(self, result: Result<OpOutput, BlobError>, bytes: u64, now: SimTime) -> Completion {
+        Completion { tag: self.tag, result, started: self.started, finished: now, bytes }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -525,15 +491,20 @@ enum WStreamPhase {
     Commit,
 }
 
-/// A streaming write: the ticket/alloc handshake runs at open (the
+/// The write session: the ticket/alloc handshake runs at open (the
 /// declared length pins the version and page range), then feeds cut
-/// page-sized chunks that ship through the same pipelined put path as a
-/// whole-buffer write — but the client never holds more than
-/// `chunk_window × page_size` un-acknowledged bytes: a feed's completion
-/// is withheld until there is headroom for the next page.
+/// page-sized chunks that ship through the pipelined, per-provider
+/// batched put path — and the client never holds more than
+/// `chunk_window × page_size` un-acknowledged fed bytes: a feed's
+/// completion is withheld until there is headroom for the next page. A
+/// one-shot [`ClientOp::Write`] is the same session with its payload
+/// already in hand (`data`): every page is queued when placements arrive
+/// and the session goes straight to draining.
 #[derive(Debug)]
 struct WriteStreamSess {
     blob: BlobId,
+    /// The payload of a one-shot write, held until placements arrive.
+    data: Option<Payload>,
     ticket: Option<WriteTicket>,
     chunks: Vec<ChunkDescriptor>,
     builder: Option<TreeBuilder>,
@@ -563,17 +534,32 @@ struct WriteStreamSess {
     /// High-water mark of `buffered()`, exported as the
     /// `client.stream_buffered_bytes` gauge.
     peak_buffered: u64,
-    waiter: Option<StreamWaiter>,
-    /// A fatal error that arrived while no sub-op was parked; delivered
-    /// to (and ending the stream at) the next sub-op.
-    failed: Option<BlobError>,
     reallocs: u32,
-    /// Progress clock for the idle-timeout check: message arrivals and
-    /// waiter completions refresh it.
-    last_activity: SimTime,
 }
 
 impl WriteStreamSess {
+    fn new(blob: BlobId, data: Option<Payload>) -> Self {
+        WriteStreamSess {
+            blob,
+            data,
+            ticket: None,
+            chunks: Vec::new(),
+            builder: None,
+            root: None,
+            phase: WStreamPhase::Ticket,
+            acc: BytesMut::new(),
+            acc_sim: 0,
+            data_mode: None,
+            next_page: 0,
+            queued: std::collections::VecDeque::new(),
+            page_acks: HashMap::new(),
+            unacked_bytes: 0,
+            fed: 0,
+            peak_buffered: 0,
+            reallocs: 0,
+        }
+    }
+
     fn page_size(&self) -> u64 {
         self.ticket.as_ref().map(|t| t.page_size).unwrap_or(0)
     }
@@ -612,11 +598,12 @@ enum RStreamPhase {
     Fetching,
 }
 
-/// A streaming read: the version lookup and the (bulk, cache-warming)
+/// The read session: the version lookup and the (bulk, cache-warming)
 /// metadata descent run at open and resolve the whole chunk plan — an
 /// O(#pages) table of descriptors, not data — then each `next()` pulls
 /// at most `chunk_window` pages of actual bytes, so a multi-GB read
-/// runs in O(window) data memory.
+/// runs in O(window) data memory. A one-shot [`ClientOp::Read`] is the
+/// same session pulling the whole plan as its single batch.
 #[derive(Debug)]
 struct ReadStreamSess {
     blob: BlobId,
@@ -632,17 +619,43 @@ struct ReadStreamSess {
     cursor: usize,
     /// Plan index of `parts[0]` for the batch in flight.
     batch_base: usize,
-    /// The batch in flight (at most `chunk_window` entries).
+    /// The batch in flight (at most `chunk_window` entries for a stream
+    /// pull, the whole plan for a one-shot read).
     parts: Vec<Option<Payload>>,
-    waiter: Option<StreamWaiter>,
-    failed: Option<BlobError>,
+    /// Per-provider chunk-fetch groups of the batch not yet issued
+    /// (reversed; `pop()` yields the next group); each reply refills one
+    /// window slot from here. A stream batch has at most `chunk_window`
+    /// pages, so only a one-shot read ever queues.
+    pending_gets: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)>,
+    /// Whether this read already issued its one bulk `GetMetaRange`
+    /// broadcast (at most one per read; later descent gaps use the
+    /// per-node path).
     range_used: bool,
-    last_activity: SimTime,
 }
 
 impl ReadStreamSess {
-    /// Version + page interval of the open descent's bulk range query
-    /// (see [`ReadSess::range_query`] for the root-version subtlety).
+    fn new(blob: BlobId, offset: u64, len: u64) -> Self {
+        ReadStreamSess {
+            blob,
+            offset,
+            len,
+            info: None,
+            reader: None,
+            phase: RStreamPhase::Version,
+            page0: 0,
+            sources: Vec::new(),
+            cursor: 0,
+            batch_base: 0,
+            parts: Vec::new(),
+            pending_gets: Vec::new(),
+            range_used: false,
+        }
+    }
+
+    /// Version + page interval of the open descent's bulk range query.
+    /// The tree being descended is the one rooted at the version that
+    /// *created* the root node — equal to the read version except when a
+    /// recovered no-op version republished its predecessor's root.
     fn range_query(&self) -> (VersionId, PageInterval) {
         let info = self.info.as_ref().expect("info set");
         let version = match info.root {
@@ -658,15 +671,10 @@ impl ReadStreamSess {
 #[derive(Debug)]
 enum SessKind {
     Create,
-    // Boxed: write and read sessions embed builders, descriptor tables
-    // and pending queues, and are much larger than the other variants.
-    Write(Box<WriteSess>),
-    Read(Box<ReadSess>),
     Snapshot(BlobId),
     Decommission(BlobId),
-    // Long-lived streaming sessions: the session outlives each sub-op
-    // (open/feed/commit/next), which complete through the parked
-    // [`StreamWaiter`] instead of the session tag.
+    // Boxed: write and read sessions embed builders, descriptor tables
+    // and pending queues, and are much larger than the other variants.
     WriteStream(Box<WriteStreamSess>),
     ReadStream(Box<ReadStreamSess>),
 }
@@ -690,13 +698,36 @@ struct OpTrace {
 
 #[derive(Debug)]
 struct Session {
-    tag: u64,
     started: SimTime,
     kind: SessKind,
     /// Request ids awaited in the current phase.
     outstanding: HashSet<u64>,
     /// Span bookkeeping when tracing is on (`None` = zero trace work).
     trace: Option<OpTrace>,
+    /// The parked (sub-)operation. A session outlives its sub-operations;
+    /// completions go to whoever is parked here, never to the session.
+    waiter: Option<StreamWaiter>,
+    /// A fatal error that arrived while nothing was parked; delivered to
+    /// (and ending the stream at) the next sub-operation.
+    failed: Option<BlobError>,
+    /// Idle clock of a stream with nothing parked: sub-operations and
+    /// message arrivals refresh it.
+    last_activity: SimTime,
+}
+
+impl Session {
+    /// When this session times out: `op_timeout` after the parked
+    /// (sub-)operation was parked, or after the last activity of a stream
+    /// with nothing parked.
+    fn deadline(&self, op_timeout: SimDuration) -> SimTime {
+        self.waiter.as_ref().map_or(self.last_activity, |w| w.started) + op_timeout
+    }
+
+    /// Is the operation itself what is parked (a one-shot write or read),
+    /// rather than a sub-operation of a stream?
+    fn whole_op(&self) -> bool {
+        self.waiter.as_ref().is_some_and(|w| w.kind == WaiterKind::Op)
+    }
 }
 
 /// Which sub-protocol a pending request id belongs to, plus retry state
@@ -871,129 +902,67 @@ impl ClientCore {
             }
         });
         env.set_trace_ctx(trace.as_ref().map(|t| t.ctx));
-        let mut sess = Session {
-            tag,
-            started,
-            kind: SessKind::Create,
-            outstanding: HashSet::new(),
-            trace,
-        };
-        match op {
+        // Every operation opens with one request to the version manager
+        // and parks: the one-shot forms park the operation itself, the
+        // stream forms park their `open`.
+        let req = self.fresh_req(sid, ReqRole::Plain);
+        let client = self.id;
+        let (waiting, kind, msg) = match op {
             ClientOp::Create { spec } => {
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::CreateBlob { req, client: self.id, spec });
+                (WaiterKind::Op, SessKind::Create, Msg::CreateBlob { req, client, spec })
             }
+            ClientOp::Snapshot { blob, version } => (
+                WaiterKind::Op,
+                SessKind::Snapshot(blob),
+                Msg::SnapshotVersion { req, client, blob, version },
+            ),
+            ClientOp::Decommission { blob } => (
+                WaiterKind::Op,
+                SessKind::Decommission(blob),
+                Msg::DecommissionBlob { req, client, blob },
+            ),
             ClientOp::Write { blob, kind, data } => {
-                sess.kind = SessKind::Write(Box::new(WriteSess {
-                    blob,
-                    data,
-                    ticket: None,
-                    chunks: Vec::new(),
-                    builder: None,
-                    root: None,
-                    phase: WritePhase::Ticket,
-                    pending_puts: Vec::new(),
-                    reallocs: 0,
-                }));
-                let len = match &sess.kind {
-                    SessKind::Write(w) => w.data.len(),
-                    _ => unreachable!(),
-                };
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::Ticket { req, client: self.id, blob, kind, len });
+                let len = data.len();
+                (
+                    WaiterKind::Op,
+                    SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, Some(data)))),
+                    Msg::Ticket { req, client, blob, kind, len },
+                )
             }
-            ClientOp::Read { blob, version, offset, len } => {
-                sess.kind = SessKind::Read(Box::new(ReadSess {
-                    blob,
-                    offset,
-                    len,
-                    info: None,
-                    reader: None,
-                    page0: 0,
-                    parts: Vec::new(),
-                    phase: ReadPhase::Version,
-                    pending_gets: Vec::new(),
-                    range_used: false,
-                }));
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::GetVersion { req, client: self.id, blob, version });
-            }
-            ClientOp::Snapshot { blob, version } => {
-                sess.kind = SessKind::Snapshot(blob);
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::SnapshotVersion { req, client: self.id, blob, version });
-            }
-            ClientOp::Decommission { blob } => {
-                sess.kind = SessKind::Decommission(blob);
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::DecommissionBlob { req, client: self.id, blob });
-            }
-            ClientOp::OpenWriteStream { blob, kind, len } => {
-                sess.kind = SessKind::WriteStream(Box::new(WriteStreamSess {
-                    blob,
-                    ticket: None,
-                    chunks: Vec::new(),
-                    builder: None,
-                    root: None,
-                    phase: WStreamPhase::Ticket,
-                    acc: BytesMut::new(),
-                    acc_sim: 0,
-                    data_mode: None,
-                    next_page: 0,
-                    queued: std::collections::VecDeque::new(),
-                    page_acks: HashMap::new(),
-                    unacked_bytes: 0,
-                    fed: 0,
-                    peak_buffered: 0,
-                    waiter: Some(StreamWaiter { tag, started, kind: WaiterKind::Open, bytes: 0 }),
-                    failed: None,
-                    reallocs: 0,
-                    last_activity: started,
-                }));
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::Ticket { req, client: self.id, blob, kind, len });
-            }
-            ClientOp::OpenReadStream { blob, version, offset, len } => {
-                sess.kind = SessKind::ReadStream(Box::new(ReadStreamSess {
-                    blob,
-                    offset,
-                    len,
-                    info: None,
-                    reader: None,
-                    phase: RStreamPhase::Version,
-                    page0: 0,
-                    sources: Vec::new(),
-                    cursor: 0,
-                    batch_base: 0,
-                    parts: Vec::new(),
-                    waiter: Some(StreamWaiter { tag, started, kind: WaiterKind::Open, bytes: 0 }),
-                    failed: None,
-                    range_used: false,
-                    last_activity: started,
-                }));
-                let req = self.fresh_req(sid, ReqRole::Plain);
-                sess.outstanding.insert(req);
-                self.sessions.insert(sid, sess);
-                env.send(self.vman, Msg::GetVersion { req, client: self.id, blob, version });
-            }
+            ClientOp::OpenWriteStream { blob, kind, len } => (
+                WaiterKind::Open,
+                SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, None))),
+                Msg::Ticket { req, client, blob, kind, len },
+            ),
+            ClientOp::Read { blob, version, offset, len } => (
+                WaiterKind::Op,
+                SessKind::ReadStream(Box::new(ReadStreamSess::new(blob, offset, len))),
+                Msg::GetVersion { req, client, blob, version },
+            ),
+            ClientOp::OpenReadStream { blob, version, offset, len } => (
+                WaiterKind::Open,
+                SessKind::ReadStream(Box::new(ReadStreamSess::new(blob, offset, len))),
+                Msg::GetVersion { req, client, blob, version },
+            ),
             ClientOp::FeedWriteStream { .. }
             | ClientOp::CommitWriteStream { .. }
             | ClientOp::AbortWriteStream { .. }
             | ClientOp::ReadStreamNext { .. }
             | ClientOp::CloseReadStream { .. } => unreachable!("handled above"),
-        }
+        };
+        self.sessions.insert(
+            sid,
+            Session {
+                started,
+                kind,
+                outstanding: HashSet::from([req]),
+                trace,
+                waiter: Some(StreamWaiter { tag, started, kind: waiting, bytes: 0 }),
+                failed: None,
+                last_activity: started,
+            },
+        );
+        env.send(self.vman, msg);
         env.set_trace_ctx(None);
         vec![]
     }
@@ -1024,42 +993,18 @@ impl ClientCore {
             };
             return self.handle_msg(env, NodeId::EXTERNAL, msg);
         }
+        // The session deadline (see [`Session::deadline`]). A session
+        // outlives its sub-operations, so the deadline may have moved
+        // since this timer was armed: re-arm for the remainder then.
         let sid = token & !CLIENT_TIMER_BIT;
-        // Stream sessions are long-lived: their deadline is an *idle*
-        // timeout. If the stream made progress since the timer was
-        // armed, re-arm for the remainder instead of killing it.
-        let idle_since = match self.sessions.get(&sid).map(|s| &s.kind) {
-            Some(SessKind::WriteStream(w)) => Some(w.last_activity),
-            Some(SessKind::ReadStream(r)) => Some(r.last_activity),
-            _ => None,
-        };
-        if let Some(last) = idle_since {
-            let deadline = last + self.cfg.op_timeout;
-            let now = env.now();
-            if deadline > now {
-                env.set_timer(deadline.since(now), CLIENT_TIMER_BIT | sid);
-                return vec![];
-            }
-            return self.fail_stream(env, sid, BlobError::Timeout);
+        let Some(sess) = self.sessions.get(&sid) else { return vec![] };
+        let (deadline, now) = (sess.deadline(self.cfg.op_timeout), env.now());
+        if deadline > now {
+            env.set_timer(deadline.since(now), CLIENT_TIMER_BIT | sid);
+            return vec![];
         }
-        if let Some(sess) = self.sessions.remove(&sid) {
-            for req in &sess.outstanding {
-                self.req_index.remove(req);
-            }
-            if let Some(t) = &sess.trace {
-                let now = env.now();
-                Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-                Self::record_op(env, t, sess.started, now);
-            }
-            return vec![Completion {
-                tag: sess.tag,
-                result: Err(BlobError::Timeout),
-                started: sess.started,
-                finished: env.now(),
-                bytes: 0,
-            }];
-        }
-        vec![]
+        let parked = self.end_session(env, sid);
+        parked.map(|wt| wt.complete(Err(BlobError::Timeout), 0, now)).into_iter().collect()
     }
 
     /// Send the chunk store registered for a deferred (backed-off) resend
@@ -1093,67 +1038,45 @@ impl ClientCore {
         let Some(sess) = self.sessions.get_mut(&sid) else { return vec![] };
         sess.outstanding.remove(&req);
 
-        // Stream sessions complete sub-operations without ending the
-        // session, so they run their own state machines.
-        match &sess.kind {
-            SessKind::WriteStream(_) => return self.wstream_msg(env, sid, role, msg),
-            SessKind::ReadStream(_) => return self.rstream_msg(env, sid, role, msg),
-            _ => {}
-        }
+        sess.last_activity = env.now();
 
         // Restore this operation's causal context so every message sent
         // while advancing the protocol nests under its root span, and
         // remember the stage so a phase transition can close its span.
         let stage_before = Self::stage_of(&sess.kind);
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-
-        let verdict = Self::advance(
-            self.id,
-            self.vman,
-            self.pman,
-            &self.meta_providers,
-            self.cfg,
-            &mut self.meta_cache,
-            &mut self.next_req,
-            &mut self.req_index,
-            sid,
-            sess,
-            role,
-            msg,
-            env,
-        );
-        match verdict {
-            Step::Continue => {
-                if Self::stage_of(&sess.kind) != stage_before {
-                    if let Some(t) = sess.trace.as_mut() {
-                        let now = env.now();
-                        Self::record_stage(env, &*t, stage_before, now);
-                        t.stage_start = now;
-                    }
-                }
-                env.set_trace_ctx(None);
-                vec![]
-            }
-            Step::Done(result, bytes) => {
-                let sess = self.sessions.remove(&sid).expect("present");
-                for r in &sess.outstanding {
-                    self.req_index.remove(r);
-                }
-                if let Some(t) = &sess.trace {
-                    let now = env.now();
-                    Self::record_stage(env, t, stage_before, now);
-                    Self::record_op(env, t, sess.started, now);
-                }
-                env.set_trace_ctx(None);
-                vec![Completion {
-                    tag: sess.tag,
-                    result,
-                    started: sess.started,
-                    finished: env.now(),
-                    bytes,
-                }]
-            }
-        }
+        let step = match &sess.kind {
+            SessKind::WriteStream(_) => Self::wstream_step(
+                self.id,
+                self.vman,
+                self.pman,
+                &self.meta_providers,
+                self.cfg,
+                &mut self.meta_cache,
+                &mut self.next_req,
+                &mut self.req_index,
+                sid,
+                sess,
+                role,
+                msg,
+                env,
+            ),
+            SessKind::ReadStream(_) => Self::rstream_step(
+                self.id,
+                &self.meta_providers,
+                self.cfg,
+                &mut self.meta_cache,
+                &mut self.next_req,
+                &mut self.req_index,
+                sid,
+                sess,
+                role,
+                msg,
+                env,
+            ),
+            kind => Self::simple_step(kind, msg),
+        };
+        self.stream_epilogue(env, sid, stage_before, step)
     }
 
     /// Name of the protocol stage a session is currently in.
@@ -1162,24 +1085,11 @@ impl ClientCore {
             SessKind::Create => "create",
             SessKind::Snapshot(_) => "snapshot",
             SessKind::Decommission(_) => "decommission",
-            SessKind::Write(w) => match w.phase {
-                WritePhase::Ticket => "ticket",
-                WritePhase::Alloc => "alloc",
-                WritePhase::Chunks => "chunks",
-                WritePhase::MetaResolve => "meta_resolve",
-                WritePhase::MetaPut => "meta_put",
-                WritePhase::Commit => "commit",
-            },
-            SessKind::Read(r) => match r.phase {
-                ReadPhase::Version => "version",
-                ReadPhase::Meta => "meta",
-                ReadPhase::Chunks => "chunks",
-            },
             SessKind::WriteStream(w) => match w.phase {
                 WStreamPhase::Ticket => "ticket",
                 WStreamPhase::Alloc => "alloc",
                 WStreamPhase::Streaming => "stream",
-                WStreamPhase::Draining => "drain",
+                WStreamPhase::Draining => "chunks",
                 WStreamPhase::MetaResolve => "meta_resolve",
                 WStreamPhase::MetaPut => "meta_put",
                 WStreamPhase::Commit => "commit",
@@ -1234,808 +1144,28 @@ impl ClientCore {
         });
     }
 
-    /// One protocol step. Static to sidestep split borrows of `self`.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        client: ClientId,
-        vman: NodeId,
-        pman: NodeId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        next_req: &mut u64,
-        req_index: &mut HashMap<u64, (u64, ReqRole)>,
-        sid: u64,
-        sess: &mut Session,
-        role: ReqRole,
-        msg: Msg,
-        env: &mut dyn Env,
-    ) -> Step {
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
+    /// The reply to a one-round-trip metadata operation (create, snapshot,
+    /// decommission) completes it.
+    fn simple_step(kind: &SessKind, msg: Msg) -> StreamStep {
+        let result = match (kind, msg) {
+            (SessKind::Create, Msg::CreateBlobOk { blob, .. }) => Ok(OpOutput::Created(blob)),
+            (SessKind::Create, _) => Err(BlobError::Protocol("unexpected reply to create")),
+            (SessKind::Snapshot(blob), Msg::SnapshotVersionOk { version, .. }) => {
+                Ok(OpOutput::Snapshotted { blob: *blob, version })
+            }
+            (SessKind::Snapshot(_), Msg::SnapshotVersionErr { err, .. }) => Err(err),
+            (SessKind::Snapshot(_), _) => Err(BlobError::Protocol("unexpected reply to snapshot")),
+            (SessKind::Decommission(blob), Msg::DecommissionBlobOk { ok, .. }) => {
+                Ok(OpOutput::Decommissioned { blob: *blob, ok })
+            }
+            (SessKind::Decommission(_), _) => {
+                Err(BlobError::Protocol("unexpected reply to decommission"))
+            }
+            (SessKind::WriteStream(_) | SessKind::ReadStream(_), _) => {
+                unreachable!("write and read sessions run their own machines")
+            }
         };
-
-        match &mut sess.kind {
-            // Stream sessions are routed to their own machines in
-            // `handle_msg` before `advance` is ever reached.
-            SessKind::WriteStream(_) | SessKind::ReadStream(_) => {
-                unreachable!("stream sessions bypass advance")
-            }
-
-            SessKind::Create => match msg {
-                Msg::CreateBlobOk { blob, .. } => Step::Done(Ok(OpOutput::Created(blob)), 0),
-                _ => Step::Done(Err(BlobError::Protocol("unexpected reply to create")), 0),
-            },
-
-            SessKind::Snapshot(blob) => match msg {
-                Msg::SnapshotVersionOk { version, .. } => {
-                    Step::Done(Ok(OpOutput::Snapshotted { blob: *blob, version }), 0)
-                }
-                Msg::SnapshotVersionErr { err, .. } => Step::Done(Err(err), 0),
-                _ => Step::Done(Err(BlobError::Protocol("unexpected reply to snapshot")), 0),
-            },
-
-            SessKind::Decommission(blob) => match msg {
-                Msg::DecommissionBlobOk { ok, .. } => {
-                    Step::Done(Ok(OpOutput::Decommissioned { blob: *blob, ok }), 0)
-                }
-                _ => Step::Done(Err(BlobError::Protocol("unexpected reply to decommission")), 0),
-            },
-
-            SessKind::Write(w) => match (std::mem::replace(&mut w.phase, WritePhase::Ticket), msg)
-            {
-                (WritePhase::Ticket, Msg::TicketOk { ticket, .. }) => {
-                    let pages = ticket.interval().len;
-                    let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                    env.send(
-                        pman,
-                        Msg::Alloc {
-                            req,
-                            client,
-                            chunks: pages as u32,
-                            replication: ticket.replication,
-                            chunk_size: ticket.page_size,
-                        },
-                    );
-                    w.ticket = Some(ticket);
-                    w.phase = WritePhase::Alloc;
-                    Step::Continue
-                }
-                (WritePhase::Ticket, Msg::TicketErr { err, .. }) => Step::Done(Err(err), 0),
-
-                (WritePhase::Alloc, Msg::AllocOk { placement, .. }) => {
-                    let ticket = w.ticket.as_ref().expect("ticket set");
-                    let interval = ticket.interval();
-                    debug_assert_eq!(placement.len() as u64, interval.len);
-                    let page = ticket.page_size;
-                    w.chunks = placement
-                        .iter()
-                        .enumerate()
-                        .map(|(i, replicas)| ChunkDescriptor {
-                            key: ChunkKey {
-                                blob: w.blob,
-                                version: ticket.version,
-                                page: interval.start + i as u64,
-                            },
-                            replicas: replicas.clone(),
-                            size: page,
-                        })
-                        .collect();
-                    // Group replica stores by target provider (first-seen
-                    // order, so the schedule stays deterministic), then
-                    // open the in-flight window; each ack refills one
-                    // slot, so chunk I/O pipelines across providers while
-                    // the client's memory and the number of in-flight
-                    // requests stay bounded. A provider holding several of
-                    // this write's chunks gets them in one batched round
-                    // trip instead of one request per chunk.
-                    let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
-                    for (i, desc) in w.chunks.iter().enumerate() {
-                        let slice = w.data.slice(i as u64 * page, page);
-                        for replica in &desc.replicas {
-                            match jobs.iter_mut().find(|(t, _)| t == replica) {
-                                Some((_, items)) => items.push((desc.key, slice.clone())),
-                                None => jobs.push((*replica, vec![(desc.key, slice.clone())])),
-                            }
-                        }
-                    }
-                    jobs.reverse(); // pop() = next batch, in first-seen order
-                    w.pending_puts = jobs;
-                    let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-                    while sess.outstanding.len() < window {
-                        let Some((target, items)) = w.pending_puts.pop() else { break };
-                        Self::issue_chunk_put(
-                            client,
-                            cfg.retry,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            items,
-                            env,
-                        );
-                    }
-                    w.phase = WritePhase::Chunks;
-                    Step::Continue
-                }
-                (WritePhase::Alloc, Msg::AllocErr { available, .. }) => Step::Done(
-                    Err(BlobError::AllocationFailed {
-                        requested: w.data.len().div_ceil(
-                            w.ticket.as_ref().map(|t| t.page_size).unwrap_or(1).max(1),
-                        ) as u32,
-                        available,
-                    }),
-                    0,
-                ),
-
-                (WritePhase::Chunks, Msg::PutChunkOk { .. }) => {
-                    // A slot freed: issue the next queued batch, if any.
-                    if let Some((target, items)) = w.pending_puts.pop() {
-                        Self::issue_chunk_put(
-                            client,
-                            cfg.retry,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            items,
-                            env,
-                        );
-                    }
-                    if !sess.outstanding.is_empty() {
-                        w.phase = WritePhase::Chunks;
-                        return Step::Continue;
-                    }
-                    // All replicas stored: build metadata.
-                    let ticket = w.ticket.clone().expect("ticket set");
-                    let builder = TreeBuilder::new(
-                        w.blob,
-                        ticket.version,
-                        ticket.interval(),
-                        ticket.page_size,
-                        ticket.new_size,
-                        ticket.base,
-                        ticket.pending.clone(),
-                    );
-                    w.builder = Some(builder);
-                    Self::write_meta_step(client, meta_providers, meta_cache, &mut fresh, sess, env)
-                }
-                (WritePhase::Chunks, Msg::PutChunkErr { err, .. }) => {
-                    if err == ChunkErr::Blocked {
-                        return Step::Done(Err(BlobError::Blocked(client)), 0);
-                    }
-                    let ReqRole::ChunkPut { target, items, attempts } = role else {
-                        return Step::Done(Err(chunk_err(err, client)), 0);
-                    };
-                    if !cfg.retry.enabled() {
-                        return Step::Done(Err(chunk_err(err, client)), 0);
-                    }
-                    if err != ChunkErr::Full && attempts < cfg.retry.max_attempts {
-                        // Same-target retry: register the resend under a
-                        // fresh request id; the backoff timer sends it.
-                        env.incr("client.rpc_retries", 1);
-                        let delay = cfg.retry.backoff(attempts);
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::ChunkPut { target, items, attempts: attempts + 1 },
-                        );
-                        env.set_timer(delay, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
-                        w.phase = WritePhase::Chunks;
-                        return Step::Continue;
-                    }
-                    // Target exhausted (dead) or full: ask the provider
-                    // manager for a replacement placement for these chunks.
-                    if w.reallocs < cfg.retry.max_reallocs {
-                        w.reallocs += 1;
-                        env.incr("client.reallocs", 1);
-                        let page = w.ticket.as_ref().map(|t| t.page_size).unwrap_or(0);
-                        let chunks = items.len() as u32;
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::ReAlloc { failed: target, items },
-                        );
-                        env.send(
-                            pman,
-                            Msg::Alloc { req, client, chunks, replication: 1, chunk_size: page },
-                        );
-                        w.phase = WritePhase::Chunks;
-                        return Step::Continue;
-                    }
-                    match items.first() {
-                        Some((key, _)) => Step::Done(Err(BlobError::ChunkUnavailable(*key)), 0),
-                        None => Step::Done(Err(chunk_err(err, client)), 0),
-                    }
-                }
-
-                (WritePhase::Chunks, Msg::AllocOk { placement, .. }) => {
-                    // A replacement placement arrived for chunk stores
-                    // whose target died: patch the descriptor table so the
-                    // metadata tree records the replacement replica, then
-                    // re-send each chunk to its new home.
-                    let ReqRole::ReAlloc { failed, items } = role else {
-                        return Step::Done(Err(BlobError::Protocol("unexpected write reply")), 0);
-                    };
-                    debug_assert_eq!(placement.len(), items.len());
-                    let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
-                    for ((key, data), replicas) in items.into_iter().zip(placement) {
-                        let Some(&new_target) = replicas.first() else {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        };
-                        if let Some(desc) = w.chunks.iter_mut().find(|d| d.key == key) {
-                            for r in &mut desc.replicas {
-                                if *r == failed {
-                                    *r = new_target;
-                                }
-                            }
-                        }
-                        match jobs.iter_mut().find(|(t, _)| *t == new_target) {
-                            Some((_, batch)) => batch.push((key, data)),
-                            None => jobs.push((new_target, vec![(key, data)])),
-                        }
-                    }
-                    for (target, batch) in jobs {
-                        Self::issue_chunk_put(
-                            client,
-                            cfg.retry,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            batch,
-                            env,
-                        );
-                    }
-                    w.phase = WritePhase::Chunks;
-                    Step::Continue
-                }
-                (WritePhase::Chunks, Msg::AllocErr { available, .. }) => {
-                    // No replacement capacity anywhere: total unavailability.
-                    if let ReqRole::ReAlloc { items, .. } = role {
-                        if let Some((key, _)) = items.first() {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(*key)), 0);
-                        }
-                    }
-                    Step::Done(Err(BlobError::AllocationFailed { requested: 0, available }), 0)
-                }
-
-                (WritePhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
-                    let builder = w.builder.as_mut().expect("builder set");
-                    for (k, n) in nodes {
-                        match n {
-                            Some(node) => {
-                                builder.supply(k, &node);
-                                meta_cache.insert(k, node);
-                            }
-                            None => return Step::Done(Err(BlobError::MetaUnavailable), 0),
-                        }
-                    }
-                    if !sess.outstanding.is_empty() {
-                        w.phase = WritePhase::MetaResolve;
-                        return Step::Continue;
-                    }
-                    Self::write_meta_step(client, meta_providers, meta_cache, &mut fresh, sess, env)
-                }
-
-                (WritePhase::MetaPut, Msg::PutMetaOk { .. }) => {
-                    if !sess.outstanding.is_empty() {
-                        w.phase = WritePhase::MetaPut;
-                        return Step::Continue;
-                    }
-                    let ticket = w.ticket.as_ref().expect("ticket set");
-                    let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                    env.send(
-                        vman,
-                        Msg::Commit {
-                            req,
-                            client,
-                            blob: w.blob,
-                            version: ticket.version,
-                            root: w.root.expect("root set in meta phase"),
-                            size: ticket.new_size,
-                        },
-                    );
-                    w.phase = WritePhase::Commit;
-                    Step::Continue
-                }
-
-                (WritePhase::Commit, Msg::CommitOk { version, .. }) => {
-                    let ticket = w.ticket.as_ref().expect("ticket set");
-                    let bytes = ticket.len;
-                    Step::Done(
-                        Ok(OpOutput::Written {
-                            blob: w.blob,
-                            version,
-                            offset: ticket.offset,
-                            len: ticket.len,
-                        }),
-                        bytes,
-                    )
-                }
-                (WritePhase::Commit, Msg::TicketErr { err, .. }) => Step::Done(Err(err), 0),
-
-                (_, _) => Step::Done(Err(BlobError::Protocol("unexpected write reply")), 0),
-            },
-
-            SessKind::Read(r) => match (std::mem::replace(&mut r.phase, ReadPhase::Version), msg, role)
-            {
-                (ReadPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
-                    if r.len == 0 {
-                        let data = if cfg.materialize_zeros {
-                            Payload::Data(bytes::Bytes::new())
-                        } else {
-                            Payload::Sim(0)
-                        };
-                        return Step::Done(
-                            Ok(OpOutput::Read { data, version: info.version }),
-                            0,
-                        );
-                    }
-                    if r.offset >= info.size {
-                        return Step::Done(
-                            Err(BlobError::OutOfBounds {
-                                offset: r.offset,
-                                len: r.len,
-                                size: info.size,
-                            }),
-                            0,
-                        );
-                    }
-                    let eff_len = r.len.min(info.size - r.offset);
-                    r.len = eff_len;
-                    let page = info.page_size;
-                    r.page0 = r.offset / page;
-                    let last = (r.offset + eff_len - 1) / page;
-                    let interval = PageInterval::new(r.page0, last - r.page0 + 1);
-                    let reader = TreeReader::new(r.blob, info.root, interval);
-                    r.parts = (0..interval.len).map(|_| None).collect();
-                    r.info = Some(info);
-                    r.reader = Some(reader);
-                    Self::read_meta_step(client, meta_providers, cfg, meta_cache, &mut fresh, sess, env)
-                }
-                (ReadPhase::Version, Msg::GetVersionErr { err, .. }, _) => Step::Done(Err(err), 0),
-
-                (ReadPhase::Meta, Msg::GetMetaOk { nodes, .. }, _) => {
-                    let reader = r.reader.as_mut().expect("reader set");
-                    for (k, n) in nodes {
-                        match n {
-                            Some(node) => {
-                                reader.supply(k, &node);
-                                meta_cache.insert(k, node);
-                            }
-                            None => return Step::Done(Err(BlobError::MetaUnavailable), 0),
-                        }
-                    }
-                    if !sess.outstanding.is_empty() {
-                        r.phase = ReadPhase::Meta;
-                        return Step::Continue;
-                    }
-                    Self::read_meta_step(client, meta_providers, cfg, meta_cache, &mut fresh, sess, env)
-                }
-
-                (
-                    ReadPhase::Meta,
-                    Msg::GetMetaRangeOk { nodes, more, .. },
-                    ReqRole::MetaRange { target },
-                ) => {
-                    // Bulk reply from one provider's slice of the read
-                    // path: every node only warms the cache. Correctness
-                    // never depends on what the provider chose to send —
-                    // the descent re-runs cache-first below and anything
-                    // the bulk replies missed falls back to per-node
-                    // fetches.
-                    let mut last = None;
-                    for (k, n) in nodes {
-                        last = Some(k.range);
-                        meta_cache.insert(k, n);
-                    }
-                    if more {
-                        if let Some(after) = last {
-                            let (version, query) = r.range_query();
-                            let req =
-                                fresh(&mut sess.outstanding, ReqRole::MetaRange { target });
-                            env.send(
-                                target,
-                                Msg::GetMetaRange {
-                                    req,
-                                    blob: r.blob,
-                                    version,
-                                    query,
-                                    after: Some(after),
-                                    max_nodes: cfg.meta_range_max_nodes,
-                                },
-                            );
-                            r.phase = ReadPhase::Meta;
-                            return Step::Continue;
-                        }
-                    }
-                    if !sess.outstanding.is_empty() {
-                        r.phase = ReadPhase::Meta;
-                        return Step::Continue;
-                    }
-                    Self::read_meta_step(client, meta_providers, cfg, meta_cache, &mut fresh, sess, env)
-                }
-
-                (ReadPhase::Chunks, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
-                    r.parts[idx] = Some(data);
-                    // A slot freed: issue the next queued batch, if any.
-                    if let Some((target, items)) = r.pending_gets.pop() {
-                        Self::issue_chunk_get_batch(
-                            client,
-                            cfg.chunk_timeout,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            target,
-                            items,
-                            env,
-                        );
-                    }
-                    if sess.outstanding.is_empty() {
-                        return Self::assemble(sess, cfg.materialize_zeros);
-                    }
-                    r.phase = ReadPhase::Chunks;
-                    Step::Continue
-                }
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetChunkBatchOk { items, .. },
-                    ReqRole::ChunkGetBatch { target, items: req_items },
-                ) => {
-                    // Per-item results: store the hits, walk the misses.
-                    // This reply disarms the batch's shared deadline;
-                    // resubmitted items arm their own per-chunk deadlines.
-                    let mut failed: Vec<(usize, ChunkDescriptor)> = Vec::new();
-                    for (idx, desc) in req_items {
-                        match items.iter().find(|(k, _)| *k == desc.key) {
-                            Some((_, Ok(data))) => r.parts[idx] = Some(data.clone()),
-                            Some((_, Err(ChunkErr::Blocked))) => {
-                                return Step::Done(Err(BlobError::Blocked(client)), 0)
-                            }
-                            _ => failed.push((idx, desc)),
-                        }
-                    }
-                    for (idx, desc) in failed {
-                        let first =
-                            desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                        if let Err(key) = Self::failover_chunk_get(
-                            client,
-                            cfg,
-                            meta_providers,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            desc,
-                            first,
-                            1,
-                            env,
-                        ) {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        }
-                    }
-                    if let Some((t, items)) = r.pending_gets.pop() {
-                        Self::issue_chunk_get_batch(
-                            client,
-                            cfg.chunk_timeout,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            t,
-                            items,
-                            env,
-                        );
-                    }
-                    if sess.outstanding.is_empty() {
-                        return Self::assemble(sess, cfg.materialize_zeros);
-                    }
-                    r.phase = ReadPhase::Chunks;
-                    Step::Continue
-                }
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetChunkErr { err, .. },
-                    ReqRole::ChunkGetBatch { target, items },
-                ) => {
-                    // The whole batch failed: the provider refused it, or
-                    // its single shared deadline fired. Each item
-                    // independently re-enters the per-chunk replica walk
-                    // (retries occupy the batch's window slot, so no
-                    // refill here).
-                    if err == ChunkErr::Blocked {
-                        return Step::Done(Err(BlobError::Blocked(client)), 0);
-                    }
-                    for (idx, desc) in items {
-                        let first =
-                            desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                        if let Err(key) = Self::failover_chunk_get(
-                            client,
-                            cfg,
-                            meta_providers,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            desc,
-                            first,
-                            1,
-                            env,
-                        ) {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        }
-                    }
-                    r.phase = ReadPhase::Chunks;
-                    Step::Continue
-                }
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetChunkErr { err, .. },
-                    ReqRole::ChunkGet { idx, desc, first, attempts, refreshed },
-                ) => {
-                    if err == ChunkErr::Blocked {
-                        return Step::Done(Err(BlobError::Blocked(client)), 0);
-                    }
-                    if !refreshed {
-                        if let Err(key) = Self::failover_chunk_get(
-                            client,
-                            cfg,
-                            meta_providers,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            desc,
-                            first,
-                            attempts,
-                            env,
-                        ) {
-                            return Step::Done(Err(BlobError::ChunkUnavailable(key)), 0);
-                        }
-                        r.phase = ReadPhase::Chunks;
-                        return Step::Continue;
-                    }
-                    // Post-refresh walk: no second leaf refresh.
-                    if attempts < desc.replicas.len() {
-                        env.incr("client.replica_walks", 1);
-                        let target = desc.replicas[(first + attempts) % desc.replicas.len()];
-                        let key = desc.key;
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::ChunkGet {
-                                idx,
-                                desc,
-                                first,
-                                attempts: attempts + 1,
-                                refreshed,
-                            },
-                        );
-                        env.send(target, Msg::GetChunk { req, client, key });
-                        env.set_timer(
-                            cfg.chunk_timeout,
-                            CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req,
-                        );
-                        r.phase = ReadPhase::Chunks;
-                        return Step::Continue;
-                    }
-                    Step::Done(Err(BlobError::ChunkUnavailable(desc.key)), 0)
-                }
-
-                (
-                    ReadPhase::Chunks,
-                    Msg::GetMetaOk { nodes, .. },
-                    ReqRole::LeafRefresh { idx, desc },
-                ) => {
-                    // The refreshed leaf supersedes the stale cached copy.
-                    let mut fresh_desc = None;
-                    for (k, n) in nodes {
-                        if let Some(MetaNode::Leaf { chunk }) = &n {
-                            fresh_desc = Some(chunk.clone());
-                            meta_cache.insert(k, n.expect("checked Some"));
-                        }
-                    }
-                    match fresh_desc {
-                        Some(chunk) if !chunk.replicas.is_empty() => {
-                            Self::issue_chunk_get(
-                                client,
-                                cfg.chunk_timeout,
-                                &mut fresh,
-                                &mut sess.outstanding,
-                                idx,
-                                chunk,
-                                true,
-                                env,
-                            );
-                            r.phase = ReadPhase::Chunks;
-                            Step::Continue
-                        }
-                        _ => Step::Done(Err(BlobError::ChunkUnavailable(desc.key)), 0),
-                    }
-                }
-
-                (_, _, _) => Step::Done(Err(BlobError::Protocol("unexpected read reply")), 0),
-            },
-        }
-    }
-
-    /// Issue the next round of metadata work for a write session: either
-    /// more base-tree fetches, or (once resolved) the node stores.
-    fn write_meta_step(
-        client: ClientId,
-        meta_providers: &[NodeId],
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sess: &mut Session,
-        env: &mut dyn Env,
-    ) -> Step {
-        let SessKind::Write(w) = &mut sess.kind else { unreachable!() };
-        let builder = w.builder.as_mut().expect("builder set");
-        // Descend as far as the node cache carries us; only go remote for
-        // keys the cache cannot serve, and only once no descent advanced.
-        while !builder.is_ready() {
-            let fetches = builder.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        builder.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                for (target, keys) in group_by_partition(&missing, meta_providers) {
-                    let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
-                    env.send(target, Msg::GetMeta { req, keys });
-                }
-                w.phase = WritePhase::MetaResolve;
-                return Step::Continue;
-            }
-            // Some descent advanced; recompute the frontier before
-            // deciding what (if anything) must still be fetched.
-        }
-        // Resolved: emit nodes and store them.
-        let (nodes, root) = builder.build(&w.chunks);
-        w.root = Some(root);
-        let mut per_provider: HashMap<NodeId, Vec<(NodeKey, MetaNode)>> = HashMap::new();
-        for (k, n) in nodes {
-            // The writer will likely read (or extend) this version soon:
-            // warm the cache with the nodes we just built.
-            meta_cache.insert(k, n.clone());
-            let target = meta_providers[partition(&k, meta_providers.len())];
-            per_provider.entry(target).or_default().push((k, n));
-        }
-        let mut targets: Vec<NodeId> = per_provider.keys().copied().collect();
-        targets.sort();
-        for target in targets {
-            let nodes = per_provider.remove(&target).expect("present");
-            let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-            env.send(target, Msg::PutMeta { req, nodes });
-        }
-        let _ = client;
-        w.phase = WritePhase::MetaPut;
-        Step::Continue
-    }
-
-    /// Issue the next round of metadata fetches for a read session, or
-    /// start fetching chunks once the descent completes.
-    fn read_meta_step(
-        client: ClientId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sess: &mut Session,
-        env: &mut dyn Env,
-    ) -> Step {
-        let SessKind::Read(r) = &mut sess.kind else { unreachable!() };
-        let reader = r.reader.as_mut().expect("reader set");
-        // Descend through cached nodes without leaving the client; a warm
-        // cache turns the whole level-by-level descent into local work.
-        while !reader.is_done() {
-            let fetches = reader.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        reader.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                if cfg.meta_range_fetch && !r.range_used {
-                    // Cold cache: instead of walking the tree one level
-                    // per round trip, ask every metadata provider for its
-                    // slice of the read path in one bulk query. Nodes are
-                    // hash-partitioned, so no single provider holds a full
-                    // root-to-leaf path — the broadcast is still one
-                    // logical round trip, replacing O(depth) of them.
-                    r.range_used = true;
-                    let (version, query) = r.range_query();
-                    for target in meta_providers {
-                        let req = fresh(
-                            &mut sess.outstanding,
-                            ReqRole::MetaRange { target: *target },
-                        );
-                        env.send(
-                            *target,
-                            Msg::GetMetaRange {
-                                req,
-                                blob: r.blob,
-                                version,
-                                query,
-                                after: None,
-                                max_nodes: cfg.meta_range_max_nodes,
-                            },
-                        );
-                    }
-                } else {
-                    for (target, keys) in group_by_partition(&missing, meta_providers) {
-                        let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
-                        env.send(target, Msg::GetMeta { req, keys });
-                    }
-                }
-                r.phase = ReadPhase::Meta;
-                return Step::Continue;
-            }
-        }
-        let reader = r.reader.take().expect("reader set");
-        let info = r.info.as_ref().expect("info set");
-        let page = info.page_size;
-        let sources = reader.into_sources();
-        let mut jobs: Vec<(usize, ChunkDescriptor)> = Vec::new();
-        for (idx, src) in sources.into_iter().enumerate() {
-            match src {
-                PageSource::Hole { .. } => {
-                    // Holes are stored as size-only placeholders; assembly
-                    // turns them into real zero bytes when the read mixes
-                    // them with real-data chunks.
-                    r.parts[idx] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
-                    // A tombstone leaf written by stalled-write recovery:
-                    // the page was never stored, read it as zeros.
-                    r.parts[idx] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) => jobs.push((idx, desc)),
-            }
-        }
-        if jobs.is_empty() {
-            return Self::assemble(sess, cfg.materialize_zeros);
-        }
-        // Pick a replica per chunk (one RNG draw each, in page order),
-        // group fetches by chosen provider in first-seen order — the
-        // schedule stays deterministic — then open the in-flight window;
-        // each reply refills one slot. A provider serving several of this
-        // read's chunks gets them in one batched round trip instead of
-        // one request per chunk.
-        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
-        for (idx, desc) in jobs {
-            let pick = env.rng().random_range(0..desc.replicas.len());
-            let target = desc.replicas[pick];
-            match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, items)) => items.push((idx, desc)),
-                None => groups.push((target, vec![(idx, desc)])),
-            }
-        }
-        groups.reverse(); // pop() = next batch, in first-seen order
-        r.pending_gets = groups;
-        let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-        while sess.outstanding.len() < window {
-            let Some((target, items)) = r.pending_gets.pop() else { break };
-            Self::issue_chunk_get_batch(
-                client,
-                cfg.chunk_timeout,
-                fresh,
-                &mut sess.outstanding,
-                target,
-                items,
-                env,
-            );
-        }
-        r.phase = ReadPhase::Chunks;
-        Step::Continue
+        StreamStep::Finish(result, 0)
     }
 
     /// Send one provider's queued chunk stores: a lone chunk as a plain
@@ -2171,70 +1301,6 @@ impl ClientCore {
         Err(desc.key)
     }
 
-    /// All parts present: splice the requested byte range out of the page
-    /// row and complete the read.
-    fn assemble(sess: &mut Session, materialize_zeros: bool) -> Step {
-        let SessKind::Read(r) = &mut sess.kind else { unreachable!() };
-        let info = r.info.as_ref().expect("info set");
-        let page = info.page_size;
-        let skip = r.offset - r.page0 * page;
-        let total = r.len;
-        // Zero-copy fast path: a range inside a single real-data page is
-        // served as a refcounted sub-slice of the stored chunk — no copy
-        // from provider buffer to client buffer anywhere on the path.
-        if r.parts.len() == 1 {
-            if let Some(Payload::Data(b)) = &r.parts[0] {
-                if (skip + total) as usize <= b.len() {
-                    let data = Payload::Data(b.slice(skip as usize..(skip + total) as usize));
-                    return Step::Done(
-                        Ok(OpOutput::Read { data, version: info.version }),
-                        total,
-                    );
-                }
-            }
-        }
-        // Real bytes iff every non-hole part carries real bytes and the
-        // deployment stores real data; holes become zero bytes then.
-        let any_real = r.parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
-        let data = if any_real || materialize_zeros {
-            let mut buf = BytesMut::with_capacity(total as usize);
-            let mut remaining = total;
-            let mut offset_in_part = skip;
-            for part in r.parts.iter().flatten() {
-                if remaining == 0 {
-                    break;
-                }
-                let avail = page - offset_in_part;
-                let take = avail.min(remaining);
-                match part {
-                    Payload::Data(b) => {
-                        let s = offset_in_part as usize;
-                        let e = ((offset_in_part + take) as usize).min(b.len());
-                        if s < b.len() {
-                            buf.extend_from_slice(&b[s..e]);
-                        }
-                        // Chunks are always full pages; pad defensively.
-                        let got = e.saturating_sub(s) as u64;
-                        if got < take {
-                            buf.extend(std::iter::repeat_n(0u8, (take - got) as usize));
-                        }
-                    }
-                    Payload::Sim(_) => {
-                        buf.extend(std::iter::repeat_n(0u8, take as usize));
-                    }
-                }
-                remaining -= take;
-                offset_in_part = 0;
-            }
-            Payload::Data(buf.freeze())
-        } else {
-            Payload::Sim(total)
-        };
-        let version = info.version;
-        let bytes = total;
-        Step::Done(Ok(OpOutput::Read { data, version }), bytes)
-    }
-
     // ---- streaming sessions ------------------------------------------
 
     /// A zero-duration completion (sub-ops that finish synchronously).
@@ -2242,13 +1308,30 @@ impl ClientCore {
         Completion { tag, result, started: now, finished: now, bytes: 0 }
     }
 
+    /// The one way a session ends — publish acknowledged, eof delivered,
+    /// fatal error, deadline, abort/close: drop it and its pending
+    /// requests, close its spans, and hand back the parked (sub-)operation
+    /// for the caller to complete with the outcome.
+    fn end_session(&mut self, env: &mut dyn Env, sid: u64) -> Option<StreamWaiter> {
+        let mut sess = self.sessions.remove(&sid)?;
+        for req in &sess.outstanding {
+            self.req_index.remove(req);
+        }
+        let waiter = sess.waiter.take();
+        if let Some(t) = &sess.trace {
+            let now = env.now();
+            if let Some(wt) = &waiter {
+                Self::record_stream_span(env, t, wt.kind, wt.started, now);
+            }
+            Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
+            Self::record_op(env, t, sess.started, now);
+        }
+        waiter
+    }
+
     /// Take (and clear) a stored fatal error from a stream session.
     fn stream_take_failure(&mut self, sid: u64) -> Option<BlobError> {
-        match self.sessions.get_mut(&sid).map(|s| &mut s.kind) {
-            Some(SessKind::WriteStream(w)) => w.failed.take(),
-            Some(SessKind::ReadStream(r)) => r.failed.take(),
-            _ => None,
-        }
+        self.sessions.get_mut(&sid)?.failed.take()
     }
 
     /// Tear a stream session down and deliver `err` to the sub-operation
@@ -2261,46 +1344,8 @@ impl ClientCore {
         tag: u64,
         err: BlobError,
     ) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(sess) = self.sessions.remove(&sid) {
-            for req in &sess.outstanding {
-                self.req_index.remove(req);
-            }
-            if let Some(t) = &sess.trace {
-                Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-                Self::record_op(env, t, sess.started, now);
-            }
-        }
-        vec![Self::instant(tag, now, Err(err))]
-    }
-
-    /// Idle-timeout a stream session: the error goes to the parked
-    /// sub-operation if one is waiting, and the stream is torn down.
-    fn fail_stream(&mut self, env: &mut dyn Env, sid: u64, err: BlobError) -> Vec<Completion> {
-        let now = env.now();
-        let Some(mut sess) = self.sessions.remove(&sid) else { return vec![] };
-        for req in &sess.outstanding {
-            self.req_index.remove(req);
-        }
-        let waiter = match &mut sess.kind {
-            SessKind::WriteStream(w) => w.waiter.take(),
-            SessKind::ReadStream(r) => r.waiter.take(),
-            _ => None,
-        };
-        if let Some(t) = &sess.trace {
-            Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-            Self::record_op(env, t, sess.started, now);
-        }
-        match waiter {
-            Some(wt) => vec![Completion {
-                tag: wt.tag,
-                result: Err(err),
-                started: wt.started,
-                finished: now,
-                bytes: 0,
-            }],
-            None => vec![],
-        }
+        self.end_session(env, sid);
+        vec![Self::instant(tag, env.now(), Err(err))]
     }
 
     /// Close a stream (write-stream abort or read-stream close).
@@ -2308,41 +1353,18 @@ impl ClientCore {
     /// drop paths can race eof/timeout teardown safely.
     fn stream_close(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
         let now = env.now();
-        let is_stream = matches!(
-            self.sessions.get(&sid).map(|s| &s.kind),
-            Some(SessKind::WriteStream(_) | SessKind::ReadStream(_))
-        );
-        if !is_stream {
-            if self.sessions.contains_key(&sid) {
-                return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a stream")))];
-            }
-            return vec![Self::instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid }))];
+        if let Some(SessKind::Create | SessKind::Snapshot(_) | SessKind::Decommission(_)) =
+            self.sessions.get(&sid).map(|s| &s.kind)
+        {
+            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a stream")))];
         }
-        let mut sess = self.sessions.remove(&sid).expect("checked present");
-        for req in &sess.outstanding {
-            self.req_index.remove(req);
-        }
-        let waiter = match &mut sess.kind {
-            SessKind::WriteStream(w) => w.waiter.take(),
-            SessKind::ReadStream(r) => r.waiter.take(),
-            _ => None,
-        };
-        if let Some(t) = &sess.trace {
-            Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-            Self::record_op(env, t, sess.started, now);
-        }
-        let mut out = Vec::new();
         // Handles are half-duplex, so no sub-operation should be parked
         // here — but a racing caller gets a clean error, not silence.
-        if let Some(wt) = waiter {
-            out.push(Completion {
-                tag: wt.tag,
-                result: Err(BlobError::Protocol("stream closed")),
-                started: wt.started,
-                finished: now,
-                bytes: 0,
-            });
-        }
+        let parked = self.end_session(env, sid);
+        let mut out: Vec<Completion> = parked
+            .map(|wt| wt.complete(Err(BlobError::Protocol("stream closed")), 0, now))
+            .into_iter()
+            .collect();
         out.push(Self::instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid })));
         out
     }
@@ -2368,7 +1390,7 @@ impl ClientCore {
         let SessKind::WriteStream(w) = &mut sess.kind else {
             return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a write stream")))];
         };
-        if w.waiter.is_some() {
+        if sess.waiter.is_some() {
             return vec![Self::instant(
                 tag,
                 now,
@@ -2437,7 +1459,7 @@ impl ClientCore {
             }
         }
         w.fed += len;
-        w.last_activity = now;
+        sess.last_activity = now;
         Self::wstream_cut(w);
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
         let next_req = &mut self.next_req;
@@ -2465,7 +1487,7 @@ impl ClientCore {
                 bytes: len,
             }];
         }
-        w.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Feed, bytes: len });
+        sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Feed, bytes: len });
         vec![]
     }
 
@@ -2484,7 +1506,7 @@ impl ClientCore {
         let SessKind::WriteStream(w) = &mut sess.kind else {
             return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a write stream")))];
         };
-        if w.waiter.is_some() {
+        if sess.waiter.is_some() {
             return vec![Self::instant(
                 tag,
                 now,
@@ -2508,8 +1530,8 @@ impl ClientCore {
             );
         }
         w.phase = WStreamPhase::Draining;
-        w.last_activity = now;
-        w.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Commit, bytes: declared });
+        sess.last_activity = now;
+        sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Commit, bytes: 0 });
         if !sess.outstanding.is_empty() {
             return self.stream_epilogue(env, sid, stage_before, StreamStep::Park);
         }
@@ -2550,7 +1572,7 @@ impl ClientCore {
         let SessKind::ReadStream(r) = &mut sess.kind else {
             return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a read stream")))];
         };
-        if r.waiter.is_some() {
+        if sess.waiter.is_some() {
             return vec![Self::instant(
                 tag,
                 now,
@@ -2560,67 +1582,9 @@ impl ClientCore {
         if r.phase != RStreamPhase::Idle {
             return vec![Self::instant(tag, now, Err(BlobError::Protocol("stream is not open")))];
         }
-        r.last_activity = now;
-        // Past the last page: deliver eof, auto-closing the stream.
-        if r.cursor >= r.sources.len() {
-            let data = if self.cfg.materialize_zeros {
-                Payload::Data(bytes::Bytes::new())
-            } else {
-                Payload::Sim(0)
-            };
-            r.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
-            let out = OpOutput::ReadChunk { stream: sid, data, eof: true };
-            return self.stream_epilogue(env, sid, stage_before, StreamStep::Finish(Ok(out), 0));
-        }
-        let page = r.info.as_ref().expect("info set").page_size;
-        let remaining = r.sources.len() - r.cursor;
-        // Besides the pipelining window, cap one delivered batch below
-        // 32 MiB: glibc never raises its dynamic mmap threshold past that
-        // (`DEFAULT_MMAP_THRESHOLD_MAX`), so a ≥ 32 MiB assembly buffer is
-        // freshly mmap'd — and page-fault-zeroed — on every `next()`,
-        // which measures ~6× slower than reusable sub-threshold buffers
-        // (E15). The memory bound only tightens.
-        const BATCH_BYTES_CAP: u64 = 16 << 20;
-        let page_cap = ((BATCH_BYTES_CAP / page.max(1)) as usize).max(1);
-        let window = if self.cfg.chunk_window == 0 {
-            remaining.min(page_cap)
-        } else {
-            self.cfg.chunk_window.min(remaining).min(page_cap)
-        };
-        r.batch_base = r.cursor;
-        r.parts = (0..window).map(|_| None).collect();
-        r.cursor += window;
-        let mut jobs: Vec<(usize, ChunkDescriptor)> = Vec::new();
-        for i in 0..window {
-            match r.sources[r.batch_base + i].clone() {
-                PageSource::Hole { .. } => r.parts[i] = Some(Payload::Sim(page)),
-                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
-                    // Tombstone leaf from stalled-write recovery: zeros.
-                    r.parts[i] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) => jobs.push((i, desc)),
-            }
-        }
-        if jobs.is_empty() {
-            let (result, bytes, eof) = Self::rstream_assemble(sid, r, self.cfg.materialize_zeros);
-            r.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes });
-            let step = if eof {
-                StreamStep::Finish(result, bytes)
-            } else {
-                StreamStep::Complete(result, bytes)
-            };
-            return self.stream_epilogue(env, sid, stage_before, step);
-        }
+        sess.last_activity = now;
+        sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
-        for (idx, desc) in jobs {
-            let pick = env.rng().random_range(0..desc.replicas.len());
-            let target = desc.replicas[pick];
-            match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, items)) => items.push((idx, desc)),
-                None => groups.push((target, vec![(idx, desc)])),
-            }
-        }
         let next_req = &mut self.next_req;
         let req_index = &mut self.req_index;
         let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
@@ -2630,82 +1594,106 @@ impl ClientCore {
             outstanding.insert(req);
             req
         };
-        for (target, items) in groups {
+        let step = Self::rstream_fetch(self.id, self.cfg, &mut fresh, sid, sess, env);
+        self.stream_epilogue(env, sid, stage_before, step)
+    }
+
+    /// Start the next batch of a read session whose plan is resolved: at
+    /// most `chunk_window` pages for a stream pull, the whole plan for a
+    /// one-shot read (`whole`). Holes fill in locally; chunk fetches are
+    /// grouped per provider and issued under `chunk_window`, the rest
+    /// queueing for refill-on-reply.
+    fn rstream_fetch(
+        client: ClientId,
+        cfg: ClientConfig,
+        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
+        sid: u64,
+        sess: &mut Session,
+        env: &mut dyn Env,
+    ) -> StreamStep {
+        let whole = sess.whole_op();
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("read session") };
+        let outstanding = &mut sess.outstanding;
+        let info = r.info.as_ref().expect("info set");
+        let (page, version) = (info.page_size, info.version);
+        // Past the last page: deliver eof, auto-closing the stream.
+        if r.cursor >= r.sources.len() {
+            let data = if cfg.materialize_zeros {
+                Payload::Data(bytes::Bytes::new())
+            } else {
+                Payload::Sim(0)
+            };
+            return StreamStep::Finish(Ok(read_output(sid, whole, data, true, version)), 0);
+        }
+        let remaining = r.sources.len() - r.cursor;
+        // Besides the pipelining window, cap one streamed batch below
+        // 32 MiB: glibc never raises its dynamic mmap threshold past that
+        // (`DEFAULT_MMAP_THRESHOLD_MAX`), so a ≥ 32 MiB assembly buffer is
+        // freshly mmap'd — and page-fault-zeroed — on every `next()`,
+        // which measures ~6× slower than reusable sub-threshold buffers
+        // (E15). The memory bound only tightens.
+        const BATCH_BYTES_CAP: u64 = 16 << 20;
+        let page_cap = ((BATCH_BYTES_CAP / page.max(1)) as usize).max(1);
+        let batch = if whole {
+            remaining
+        } else if cfg.chunk_window == 0 {
+            remaining.min(page_cap)
+        } else {
+            cfg.chunk_window.min(remaining).min(page_cap)
+        };
+        r.batch_base = r.cursor;
+        r.parts = (0..batch).map(|_| None).collect();
+        r.cursor += batch;
+        // Pick a replica per chunk (one RNG draw each, in page order) and
+        // group the fetches by chosen provider in first-seen order, so the
+        // schedule stays deterministic. A provider serving several of the
+        // batch's chunks gets them in one batched round trip.
+        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
+        for i in 0..batch {
+            match r.sources[r.batch_base + i].clone() {
+                // Holes are size-only placeholders; assembly turns them
+                // into real zero bytes when mixed with real-data chunks.
+                PageSource::Hole { .. } => r.parts[i] = Some(Payload::Sim(page)),
+                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
+                    // Tombstone leaf from stalled-write recovery: zeros.
+                    r.parts[i] = Some(Payload::Sim(page));
+                }
+                PageSource::Chunk(desc) => {
+                    let pick = env.rng().random_range(0..desc.replicas.len());
+                    let target = desc.replicas[pick];
+                    match groups.iter_mut().find(|(t, _)| *t == target) {
+                        Some((_, items)) => items.push((i, desc)),
+                        None => groups.push((target, vec![(i, desc)])),
+                    }
+                }
+            }
+        }
+        if groups.is_empty() {
+            return Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, true, r);
+        }
+        groups.reverse(); // pop() = next group, in first-seen order
+        r.pending_gets = groups;
+        let slots = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
+        while outstanding.len() < slots {
+            let Some((target, items)) = r.pending_gets.pop() else { break };
             Self::issue_chunk_get_batch(
-                self.id,
-                self.cfg.chunk_timeout,
-                &mut fresh,
-                &mut sess.outstanding,
+                client,
+                cfg.chunk_timeout,
+                fresh,
+                outstanding,
                 target,
                 items,
                 env,
             );
         }
-        env.set_trace_ctx(None);
         r.phase = RStreamPhase::Fetching;
-        r.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
-        vec![]
+        StreamStep::Park
     }
 
-    /// Route a message to a write-stream session's state machine.
-    fn wstream_msg(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        role: ReqRole,
-        msg: Msg,
-    ) -> Vec<Completion> {
-        let sess = self.sessions.get_mut(&sid).expect("stream session present");
-        let stage_before = Self::stage_of(&sess.kind);
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let step = Self::wstream_step(
-            self.id,
-            self.vman,
-            self.pman,
-            &self.meta_providers,
-            self.cfg,
-            &mut self.meta_cache,
-            &mut self.next_req,
-            &mut self.req_index,
-            sid,
-            sess,
-            role,
-            msg,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Route a message to a read-stream session's state machine.
-    fn rstream_msg(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        role: ReqRole,
-        msg: Msg,
-    ) -> Vec<Completion> {
-        let sess = self.sessions.get_mut(&sid).expect("stream session present");
-        let stage_before = Self::stage_of(&sess.kind);
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let step = Self::rstream_step(
-            self.id,
-            &self.meta_providers,
-            self.cfg,
-            &mut self.meta_cache,
-            &mut self.next_req,
-            &mut self.req_index,
-            sid,
-            sess,
-            role,
-            msg,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Apply a [`StreamStep`] to the session: deliver waiter completions,
-    /// tear the stream down on [`StreamStep::Finish`], store fatal errors,
-    /// and keep the stage-span bookkeeping in line with the classic path.
+    /// Apply a [`StreamStep`] to the session: complete the parked
+    /// (sub-)operation, end the session on [`StreamStep::Finish`], store
+    /// fatal errors nobody is parked to receive, and close the stage span
+    /// when the step moved the session to another stage.
     fn stream_epilogue(
         &mut self,
         env: &mut dyn Env,
@@ -2717,86 +1705,35 @@ impl ClientCore {
         let out = match step {
             StreamStep::Park => {
                 self.stream_stage_note(env, sid, stage_before);
-                vec![]
+                None
             }
             StreamStep::Complete(result, bytes) => {
                 self.stream_stage_note(env, sid, stage_before);
-                let mut out = Vec::new();
-                if let Some(sess) = self.sessions.get_mut(&sid) {
-                    let waiter = match &mut sess.kind {
-                        SessKind::WriteStream(w) => {
-                            w.last_activity = now;
-                            w.waiter.take()
-                        }
-                        SessKind::ReadStream(r) => {
-                            r.last_activity = now;
-                            r.waiter.take()
-                        }
-                        _ => None,
-                    };
-                    if let Some(wt) = waiter {
-                        if let Some(t) = &sess.trace {
-                            Self::record_stream_span(env, t, sub_op_label(wt.kind), wt.started, now);
-                        }
-                        out.push(Completion {
-                            tag: wt.tag,
-                            result,
-                            started: wt.started,
-                            finished: now,
-                            bytes,
-                        });
+                self.sessions.get_mut(&sid).and_then(|sess| {
+                    sess.last_activity = now;
+                    let wt = sess.waiter.take()?;
+                    if let Some(t) = &sess.trace {
+                        Self::record_stream_span(env, t, wt.kind, wt.started, now);
                     }
-                }
-                out
+                    Some(wt.complete(result, bytes, now))
+                })
             }
             StreamStep::Finish(result, bytes) => {
-                let mut out = Vec::new();
-                if let Some(mut sess) = self.sessions.remove(&sid) {
-                    for req in &sess.outstanding {
-                        self.req_index.remove(req);
-                    }
-                    let waiter = match &mut sess.kind {
-                        SessKind::WriteStream(w) => w.waiter.take(),
-                        SessKind::ReadStream(r) => r.waiter.take(),
-                        _ => None,
-                    };
-                    if let Some(t) = &sess.trace {
-                        if let Some(wt) = &waiter {
-                            Self::record_stream_span(env, t, sub_op_label(wt.kind), wt.started, now);
-                        }
-                        Self::record_stage(env, t, stage_before, now);
-                        Self::record_op(env, t, sess.started, now);
-                    }
-                    if let Some(wt) = waiter {
-                        out.push(Completion {
-                            tag: wt.tag,
-                            result,
-                            started: wt.started,
-                            finished: now,
-                            bytes,
-                        });
-                    }
-                }
-                out
+                self.end_session(env, sid).map(|wt| wt.complete(result, bytes, now))
             }
             StreamStep::Fatal(err) => {
                 self.stream_stage_note(env, sid, stage_before);
                 if let Some(sess) = self.sessions.get_mut(&sid) {
-                    let reqs: Vec<u64> = sess.outstanding.drain().collect();
-                    for req in reqs {
+                    for req in sess.outstanding.drain() {
                         self.req_index.remove(&req);
                     }
-                    match &mut sess.kind {
-                        SessKind::WriteStream(w) => w.failed = Some(err),
-                        SessKind::ReadStream(r) => r.failed = Some(err),
-                        _ => {}
-                    }
+                    sess.failed = Some(err);
                 }
-                vec![]
+                None
             }
         };
         env.set_trace_ctx(None);
-        out
+        out.into_iter().collect()
     }
 
     /// Close the previous stage's span if the stream just moved stages.
@@ -2815,14 +1752,22 @@ impl ClientCore {
     /// Emit a Stage span for one stream sub-operation (the open
     /// handshake, a parked feed, the commit drain, a pull) with an
     /// explicit start time. Synchronous completions (start == end) carry
-    /// no latency information and are skipped.
+    /// no latency information and are skipped, and a parked whole
+    /// operation is already covered by its root `Op` span.
     fn record_stream_span(
         env: &mut dyn Env,
         t: &OpTrace,
-        label: &'static str,
+        kind: WaiterKind,
         start: SimTime,
         end: SimTime,
     ) {
+        let label = match kind {
+            WaiterKind::Op => return,
+            WaiterKind::Open => "stream_open",
+            WaiterKind::Feed => "stream_feed",
+            WaiterKind::Commit => "stream_commit",
+            WaiterKind::Next => "stream_next",
+        };
         if start == end {
             return;
         }
@@ -3000,7 +1945,7 @@ impl ClientCore {
         let SessKind::WriteStream(w) = &mut sess.kind else {
             unreachable!("write-stream session")
         };
-        w.last_activity = env.now();
+        let parked = sess.waiter.is_some();
         match (w.phase, msg) {
             (WStreamPhase::Ticket, Msg::TicketOk { ticket, .. }) => {
                 let pages = ticket.interval().len;
@@ -3039,6 +1984,18 @@ impl ClientCore {
                         size: page,
                     })
                     .collect();
+                if let Some(data) = w.data.take() {
+                    // One-shot write: the whole payload is in hand, so
+                    // every page is queued now (zero-copy slices) and the
+                    // session drains as if fed and committed in one go.
+                    w.fed = ticket.len;
+                    for i in 0..w.chunks.len() as u64 {
+                        Self::wstream_enqueue(w, data.slice(i * page, page));
+                    }
+                    w.phase = WStreamPhase::Draining;
+                    Self::wstream_pump(client, cfg, &mut fresh, &mut sess.outstanding, w, env);
+                    return StreamStep::Park;
+                }
                 w.phase = WStreamPhase::Streaming;
                 StreamStep::Complete(
                     Ok(OpOutput::WriteStreamOpened {
@@ -3080,7 +2037,7 @@ impl ClientCore {
                         env,
                     );
                 }
-                if let Some(waiter) = &w.waiter {
+                if let Some(waiter) = &sess.waiter {
                     if waiter.kind == WaiterKind::Feed && w.feed_ready(cfg.chunk_window) {
                         let bytes = waiter.bytes;
                         return StreamStep::Complete(Ok(OpOutput::Fed { stream: sid }), bytes);
@@ -3090,13 +2047,13 @@ impl ClientCore {
             }
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkErr { err, .. }) => {
                 if err == ChunkErr::Blocked {
-                    return wfail(w, BlobError::Blocked(client));
+                    return fail(parked, BlobError::Blocked(client));
                 }
                 let ReqRole::ChunkPut { target, items, attempts } = role else {
-                    return wfail(w, chunk_err(err, client));
+                    return fail(parked, chunk_err(err, client));
                 };
                 if !cfg.retry.enabled() {
-                    return wfail(w, chunk_err(err, client));
+                    return fail(parked, chunk_err(err, client));
                 }
                 if err != ChunkErr::Full && attempts < cfg.retry.max_attempts {
                     env.incr("client.rpc_retries", 1);
@@ -3124,21 +2081,21 @@ impl ClientCore {
                     return StreamStep::Park;
                 }
                 match items.first() {
-                    Some((key, _)) => wfail(w, BlobError::ChunkUnavailable(*key)),
-                    None => wfail(w, chunk_err(err, client)),
+                    Some((key, _)) => fail(parked, BlobError::ChunkUnavailable(*key)),
+                    None => fail(parked, chunk_err(err, client)),
                 }
             }
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::AllocOk { placement, .. }) => {
                 // Replacement placements for chunk stores whose target
                 // died: patch the descriptor table, re-send each chunk.
                 let ReqRole::ReAlloc { failed, items } = role else {
-                    return wfail(w, BlobError::Protocol("unexpected write-stream reply"));
+                    return fail(parked, BlobError::Protocol("unexpected write-stream reply"));
                 };
                 debug_assert_eq!(placement.len(), items.len());
                 let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
                 for ((key, data), replicas) in items.into_iter().zip(placement) {
                     let Some(&new_target) = replicas.first() else {
-                        return wfail(w, BlobError::ChunkUnavailable(key));
+                        return fail(parked, BlobError::ChunkUnavailable(key));
                     };
                     if let Some(desc) = w.chunks.iter_mut().find(|d| d.key == key) {
                         for r in &mut desc.replicas {
@@ -3168,10 +2125,10 @@ impl ClientCore {
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::AllocErr { available, .. }) => {
                 if let ReqRole::ReAlloc { items, .. } = role {
                     if let Some((key, _)) = items.first() {
-                        return wfail(w, BlobError::ChunkUnavailable(*key));
+                        return fail(parked, BlobError::ChunkUnavailable(*key));
                     }
                 }
-                wfail(w, BlobError::AllocationFailed { requested: 0, available })
+                fail(parked, BlobError::AllocationFailed { requested: 0, available })
             }
 
             (WStreamPhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
@@ -3231,24 +2188,27 @@ impl ClientCore {
             }
             (WStreamPhase::Commit, Msg::TicketErr { err, .. }) => StreamStep::Finish(Err(err), 0),
 
-            (_, _) => wfail(w, BlobError::Protocol("unexpected write-stream reply")),
+            (_, _) => fail(parked, BlobError::Protocol("unexpected write-stream reply")),
         }
     }
 
-    /// The open-time metadata descent of a read stream: resolve the whole
+    /// The open-time metadata descent of a read session: resolve the whole
     /// chunk plan (an O(#pages) descriptor table, no data), then open.
     #[allow(clippy::too_many_arguments)]
     fn rstream_meta_step(
+        client: ClientId,
         cfg: ClientConfig,
         meta_providers: &[NodeId],
         meta_cache: &mut MetaCache,
         fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
         sid: u64,
-        r: &mut ReadStreamSess,
+        sess: &mut Session,
         env: &mut dyn Env,
     ) -> StreamStep {
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("read session") };
         let reader = r.reader.as_mut().expect("reader set");
+        // Descend through cached nodes without leaving the client; a warm
+        // cache turns the whole level-by-level descent into local work.
         while !reader.is_done() {
             let fetches = reader.needed_fetches();
             debug_assert!(!fetches.is_empty());
@@ -3265,10 +2225,17 @@ impl ClientCore {
             }
             if hits == 0 {
                 if cfg.meta_range_fetch && !r.range_used {
+                    // Cold cache: instead of walking the tree one level
+                    // per round trip, ask every metadata provider for its
+                    // slice of the read path in one bulk query. Nodes are
+                    // hash-partitioned, so no single provider holds a full
+                    // root-to-leaf path — the broadcast is still one
+                    // logical round trip, replacing O(depth) of them.
                     r.range_used = true;
                     let (version, query) = r.range_query();
                     for target in meta_providers {
-                        let req = fresh(outstanding, ReqRole::MetaRange { target: *target });
+                        let req =
+                            fresh(&mut sess.outstanding, ReqRole::MetaRange { target: *target });
                         env.send(
                             *target,
                             Msg::GetMetaRange {
@@ -3283,7 +2250,7 @@ impl ClientCore {
                     }
                 } else {
                     for (target, keys) in group_by_partition(&missing, meta_providers) {
-                        let req = fresh(outstanding, ReqRole::MetaGet);
+                        let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
                         env.send(target, Msg::GetMeta { req, keys });
                     }
                 }
@@ -3293,6 +2260,24 @@ impl ClientCore {
         }
         let reader = r.reader.take().expect("reader set");
         r.sources = reader.into_sources();
+        Self::rstream_opened(client, cfg, fresh, sid, sess, env)
+    }
+
+    /// The chunk plan is resolved. A stream reports itself open and idles
+    /// until the first pull; a one-shot read — the operation itself is
+    /// what is parked — pulls its whole plan at once.
+    fn rstream_opened(
+        client: ClientId,
+        cfg: ClientConfig,
+        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
+        sid: u64,
+        sess: &mut Session,
+        env: &mut dyn Env,
+    ) -> StreamStep {
+        if sess.whole_op() {
+            return Self::rstream_fetch(client, cfg, fresh, sid, sess, env);
+        }
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("read session") };
         r.phase = RStreamPhase::Idle;
         let info = r.info.as_ref().expect("info set");
         StreamStep::Complete(
@@ -3306,15 +2291,21 @@ impl ClientCore {
         )
     }
 
-    /// Splice the current batch into one delivered chunk. Returns the
-    /// output, the delivered byte count, and whether this was the final
-    /// batch of the stream.
-    fn rstream_assemble(
+    /// After absorbing one chunk reply: once the batch is whole, splice
+    /// the requested byte range out of its page row and deliver it —
+    /// ending the session if this was the final batch.
+    fn rstream_batch_done(
         sid: u64,
-        r: &mut ReadStreamSess,
         materialize_zeros: bool,
-    ) -> (Result<OpOutput, BlobError>, u64, bool) {
-        let page = r.info.as_ref().expect("info set").page_size;
+        whole: bool,
+        outstanding_empty: bool,
+        r: &mut ReadStreamSess,
+    ) -> StreamStep {
+        if !outstanding_empty {
+            return StreamStep::Park;
+        }
+        let info = r.info.as_ref().expect("info set");
+        let (page, version) = (info.page_size, info.version);
         let base = (r.page0 + r.batch_base as u64) * page;
         let lo = r.offset.max(base);
         let hi = (r.offset + r.len).min(base + r.parts.len() as u64 * page);
@@ -3322,19 +2313,21 @@ impl ClientCore {
         let total = hi.saturating_sub(lo);
         let eof = r.batch_base + r.parts.len() >= r.sources.len();
         let parts = std::mem::take(&mut r.parts);
-        r.phase = RStreamPhase::Idle;
-        // Zero-copy fast path: one real-data page serves the delivered
-        // range as a refcounted sub-slice.
-        if parts.len() == 1 {
-            if let Some(Payload::Data(b)) = &parts[0] {
-                if (skip + total) as usize <= b.len() {
-                    let data = Payload::Data(b.slice(skip as usize..(skip + total) as usize));
-                    return (Ok(OpOutput::ReadChunk { stream: sid, data, eof }), total, eof);
-                }
+        // Zero-copy fast path: a range inside a single real-data page is
+        // served as a refcounted sub-slice of the stored chunk — no copy
+        // from provider buffer to client buffer anywhere on the path.
+        let single = match &parts[..] {
+            [Some(Payload::Data(b))] if (skip + total) as usize <= b.len() => {
+                Some(Payload::Data(b.slice(skip as usize..(skip + total) as usize)))
             }
-        }
+            _ => None,
+        };
+        // Real bytes iff some part carries real bytes or the deployment
+        // stores real data; holes become zero bytes then.
         let any_real = parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
-        let data = if any_real || materialize_zeros {
+        let data = if let Some(data) = single {
+            data
+        } else if any_real || materialize_zeros {
             let mut buf = BytesMut::with_capacity(total as usize);
             let mut remaining = total;
             let mut offset_in_part = skip;
@@ -3351,6 +2344,7 @@ impl ClientCore {
                         if s < b.len() {
                             buf.extend_from_slice(&b[s..e]);
                         }
+                        // Chunks are always full pages; pad defensively.
                         let got = e.saturating_sub(s) as u64;
                         if got < take {
                             buf.extend(std::iter::repeat_n(0u8, (take - got) as usize));
@@ -3367,7 +2361,13 @@ impl ClientCore {
         } else {
             Payload::Sim(total)
         };
-        (Ok(OpOutput::ReadChunk { stream: sid, data, eof }), total, eof)
+        let out = Ok(read_output(sid, whole, data, eof, version));
+        if eof {
+            StreamStep::Finish(out, total)
+        } else {
+            r.phase = RStreamPhase::Idle;
+            StreamStep::Complete(out, total)
+        }
     }
 
     /// One read-stream protocol step. Static to sidestep split borrows.
@@ -3392,20 +2392,16 @@ impl ClientCore {
             outstanding.insert(req);
             req
         };
+        let (parked, whole) = (sess.waiter.is_some(), sess.whole_op());
         let SessKind::ReadStream(r) = &mut sess.kind else {
             unreachable!("read-stream session")
         };
-        r.last_activity = env.now();
         match (r.phase, msg, role) {
             (RStreamPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
                 if r.len == 0 {
-                    let (version, page_size) = (info.version, info.page_size);
+                    // Nothing to resolve: the (empty) plan is complete.
                     r.info = Some(info);
-                    r.phase = RStreamPhase::Idle;
-                    return StreamStep::Complete(
-                        Ok(OpOutput::ReadStreamOpened { stream: sid, version, len: 0, page_size }),
-                        0,
-                    );
+                    return Self::rstream_opened(client, cfg, &mut fresh, sid, sess, env);
                 }
                 if r.offset >= info.size {
                     return StreamStep::Finish(
@@ -3427,13 +2423,13 @@ impl ClientCore {
                 r.info = Some(info);
                 r.reader = Some(reader);
                 Self::rstream_meta_step(
+                    client,
                     cfg,
                     meta_providers,
                     meta_cache,
                     &mut fresh,
-                    &mut sess.outstanding,
                     sid,
-                    r,
+                    sess,
                     env,
                 )
             }
@@ -3456,13 +2452,13 @@ impl ClientCore {
                     return StreamStep::Park;
                 }
                 Self::rstream_meta_step(
+                    client,
                     cfg,
                     meta_providers,
                     meta_cache,
                     &mut fresh,
-                    &mut sess.outstanding,
                     sid,
-                    r,
+                    sess,
                     env,
                 )
             }
@@ -3498,21 +2494,33 @@ impl ClientCore {
                     return StreamStep::Park;
                 }
                 Self::rstream_meta_step(
+                    client,
                     cfg,
                     meta_providers,
                     meta_cache,
                     &mut fresh,
-                    &mut sess.outstanding,
                     sid,
-                    r,
+                    sess,
                     env,
                 )
             }
 
             (RStreamPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
                 r.parts[idx] = Some(data);
+                // A slot freed: issue the next queued group, if any.
+                if let Some((target, items)) = r.pending_gets.pop() {
+                    Self::issue_chunk_get_batch(
+                        client,
+                        cfg.chunk_timeout,
+                        &mut fresh,
+                        &mut sess.outstanding,
+                        target,
+                        items,
+                        env,
+                    );
+                }
                 let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, done, r)
+                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r)
             }
             (
                 RStreamPhase::Fetching,
@@ -3524,7 +2532,7 @@ impl ClientCore {
                     match items.iter().find(|(k, _)| *k == desc.key) {
                         Some((_, Ok(data))) => r.parts[idx] = Some(data.clone()),
                         Some((_, Err(ChunkErr::Blocked))) => {
-                            return rfail(r, BlobError::Blocked(client))
+                            return fail(parked, BlobError::Blocked(client))
                         }
                         _ => failed.push((idx, desc)),
                     }
@@ -3543,11 +2551,22 @@ impl ClientCore {
                         1,
                         env,
                     ) {
-                        return rfail(r, BlobError::ChunkUnavailable(key));
+                        return fail(parked, BlobError::ChunkUnavailable(key));
                     }
                 }
+                if let Some((t, items)) = r.pending_gets.pop() {
+                    Self::issue_chunk_get_batch(
+                        client,
+                        cfg.chunk_timeout,
+                        &mut fresh,
+                        &mut sess.outstanding,
+                        t,
+                        items,
+                        env,
+                    );
+                }
                 let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, done, r)
+                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r)
             }
             (
                 RStreamPhase::Fetching,
@@ -3555,7 +2574,7 @@ impl ClientCore {
                 ReqRole::ChunkGetBatch { target, items },
             ) => {
                 if err == ChunkErr::Blocked {
-                    return rfail(r, BlobError::Blocked(client));
+                    return fail(parked, BlobError::Blocked(client));
                 }
                 for (idx, desc) in items {
                     let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
@@ -3571,7 +2590,7 @@ impl ClientCore {
                         1,
                         env,
                     ) {
-                        return rfail(r, BlobError::ChunkUnavailable(key));
+                        return fail(parked, BlobError::ChunkUnavailable(key));
                     }
                 }
                 StreamStep::Park
@@ -3582,7 +2601,7 @@ impl ClientCore {
                 ReqRole::ChunkGet { idx, desc, first, attempts, refreshed },
             ) => {
                 if err == ChunkErr::Blocked {
-                    return rfail(r, BlobError::Blocked(client));
+                    return fail(parked, BlobError::Blocked(client));
                 }
                 if !refreshed {
                     if let Err(key) = Self::failover_chunk_get(
@@ -3597,7 +2616,7 @@ impl ClientCore {
                         attempts,
                         env,
                     ) {
-                        return rfail(r, BlobError::ChunkUnavailable(key));
+                        return fail(parked, BlobError::ChunkUnavailable(key));
                     }
                     return StreamStep::Park;
                 }
@@ -3623,7 +2642,7 @@ impl ClientCore {
                     );
                     return StreamStep::Park;
                 }
-                rfail(r, BlobError::ChunkUnavailable(desc.key))
+                fail(parked, BlobError::ChunkUnavailable(desc.key))
             }
             (
                 RStreamPhase::Fetching,
@@ -3651,36 +2670,13 @@ impl ClientCore {
                         );
                         StreamStep::Park
                     }
-                    _ => rfail(r, BlobError::ChunkUnavailable(desc.key)),
+                    _ => fail(parked, BlobError::ChunkUnavailable(desc.key)),
                 }
             }
 
-            (_, _, _) => rfail(r, BlobError::Protocol("unexpected read-stream reply")),
+            (_, _, _) => fail(parked, BlobError::Protocol("unexpected read-stream reply")),
         }
     }
-
-    /// After absorbing one chunk reply: deliver the batch if it is whole.
-    fn rstream_batch_done(
-        sid: u64,
-        materialize_zeros: bool,
-        outstanding_empty: bool,
-        r: &mut ReadStreamSess,
-    ) -> StreamStep {
-        if !outstanding_empty {
-            return StreamStep::Park;
-        }
-        let (result, bytes, eof) = Self::rstream_assemble(sid, r, materialize_zeros);
-        if eof {
-            StreamStep::Finish(result, bytes)
-        } else {
-            StreamStep::Complete(result, bytes)
-        }
-    }
-}
-
-enum Step {
-    Continue,
-    Done(Result<OpOutput, BlobError>, u64),
 }
 
 /// What a stream state machine decided after absorbing one message.
@@ -3698,32 +2694,23 @@ enum StreamStep {
     Fatal(BlobError),
 }
 
-/// Route a fatal write-stream error: to the parked sub-operation if one
-/// is waiting, stored for the next sub-operation otherwise.
-fn wfail(w: &WriteStreamSess, err: BlobError) -> StreamStep {
-    if w.waiter.is_some() {
+/// Route a fatal session error: to the parked (sub-)operation if one is
+/// waiting, stored for the next sub-operation otherwise.
+fn fail(parked: bool, err: BlobError) -> StreamStep {
+    if parked {
         StreamStep::Finish(Err(err), 0)
     } else {
         StreamStep::Fatal(err)
     }
 }
 
-/// Route a fatal read-stream error (see [`wfail`]).
-fn rfail(r: &ReadStreamSess, err: BlobError) -> StreamStep {
-    if r.waiter.is_some() {
-        StreamStep::Finish(Err(err), 0)
+/// Shape a delivered read batch for whoever is parked: the whole range of
+/// a one-shot read, or one chunk of a stream.
+fn read_output(sid: u64, whole: bool, data: Payload, eof: bool, version: VersionId) -> OpOutput {
+    if whole {
+        OpOutput::Read { data, version }
     } else {
-        StreamStep::Fatal(err)
-    }
-}
-
-/// Span label of a stream sub-operation.
-fn sub_op_label(kind: WaiterKind) -> &'static str {
-    match kind {
-        WaiterKind::Open => "stream_open",
-        WaiterKind::Feed => "stream_feed",
-        WaiterKind::Commit => "stream_commit",
-        WaiterKind::Next => "stream_next",
+        OpOutput::ReadChunk { stream: sid, data, eof }
     }
 }
 
@@ -3788,7 +2775,7 @@ pub fn chunks_for_write(len: u64, page_size: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::{MetaNode, NodeRange, NodeRef};
+    use crate::meta::{MetaNode, NodeRef};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -3839,6 +2826,232 @@ mod tests {
 
     fn core() -> ClientCore {
         ClientCore::new(ClientId(7), VMAN, PMAN, vec![META], ClientConfig::default())
+    }
+
+    /// Which entry op drives the (one) write or read session: the one-shot
+    /// `Write`/`Read`, or the stream sub-operations. The scripted fault
+    /// tests below run through both, so the retry/failover arms are proven
+    /// on the path the S3 gateway uses as well as the one the simulator
+    /// uses.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Entry {
+        OneShot,
+        Stream,
+    }
+    const ENTRIES: [Entry; 2] = [Entry::OneShot, Entry::Stream];
+
+    fn start_write(c: &mut ClientCore, env: &mut TestEnv, entry: Entry, data: Payload, tag: u64) {
+        let (blob, kind) = (BlobId(5), WriteKind::At(0));
+        let op = match entry {
+            Entry::OneShot => ClientOp::Write { blob, kind, data },
+            Entry::Stream => ClientOp::OpenWriteStream { blob, kind, len: data.len() },
+        };
+        assert!(c.start_op(env, op, tag).is_empty());
+    }
+
+    fn start_read(c: &mut ClientCore, env: &mut TestEnv, entry: Entry, len: u64, tag: u64) {
+        let (blob, version, offset) = (BlobId(5), None, 0);
+        let op = match entry {
+            Entry::OneShot => ClientOp::Read { blob, version, offset, len },
+            Entry::Stream => ClientOp::OpenReadStream { blob, version, offset, len },
+        };
+        assert!(c.start_op(env, op, tag).is_empty());
+    }
+
+    /// The resolved-plan step of a read: the one-shot form goes straight
+    /// on to fetching (nothing completes), the stream form reports itself
+    /// open and fetches on the first pull.
+    fn after_plan(c: &mut ClientCore, env: &mut TestEnv, entry: Entry, done: Vec<Completion>) {
+        match entry {
+            Entry::OneShot => assert!(done.is_empty()),
+            Entry::Stream => {
+                let Ok(OpOutput::ReadStreamOpened { stream, .. }) = done[0].result else {
+                    panic!("{:?}", done[0].result)
+                };
+                assert!(c.start_op(env, ClientOp::ReadStreamNext { stream }, 9).is_empty());
+            }
+        }
+    }
+
+    /// Payload and version of a finished read, whichever form delivered it.
+    fn read_data(done: &[Completion]) -> &Payload {
+        assert_eq!(done.len(), 1);
+        match &done[0].result {
+            Ok(OpOutput::Read { data, .. }) => data,
+            Ok(OpOutput::ReadChunk { data, eof: true, .. }) => data,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn ticket(pages: u64, page: u64, replication: u32) -> WriteTicket {
+        WriteTicket {
+            blob: BlobId(5),
+            version: VersionId(1),
+            offset: 0,
+            len: pages * page,
+            page_size: page,
+            replication,
+            new_size: pages * page,
+            base: crate::meta::BaseSnapshot { version: VersionId(0), size: 0, root: None },
+            pending: vec![],
+        }
+    }
+
+    /// A scripted healthy deployment: answer everything the client sent,
+    /// in order, until it falls silent. Returns the wire transcript —
+    /// every `(target, message)` with payload bytes spelled out — and the
+    /// completions. `nodes` is the stored tree reads resolve against.
+    fn serve(
+        c: &mut ClientCore,
+        env: &mut TestEnv,
+        pages: u64,
+        page: u64,
+        nodes: &[(NodeKey, MetaNode)],
+        root: Option<NodeRef>,
+    ) -> (Vec<String>, Vec<Completion>) {
+        let (mut wire, mut done) = (Vec::new(), Vec::new());
+        loop {
+            let sent = env.take_sent();
+            if sent.is_empty() {
+                return (wire, done);
+            }
+            for (to, msg) in sent {
+                let mut line = format!("{to:?} {msg:?}");
+                let reply = match msg {
+                    Msg::Ticket { req, .. } => Msg::TicketOk { req, ticket: ticket(pages, page, 2) },
+                    Msg::Alloc { req, chunks, .. } => Msg::AllocOk {
+                        req,
+                        placement: (0..chunks)
+                            .map(|i| if i % 2 == 0 { vec![PROV_A, PROV_B] } else { vec![PROV_B] })
+                            .collect(),
+                    },
+                    Msg::PutChunk { req, data, .. } => {
+                        line += &format!(" {:?}", data.bytes());
+                        Msg::PutChunkOk { req }
+                    }
+                    Msg::PutChunkBatch { req, items, .. } => {
+                        for (_, data) in &items {
+                            line += &format!(" {:?}", data.bytes());
+                        }
+                        Msg::PutChunkOk { req }
+                    }
+                    Msg::PutMeta { req, .. } => Msg::PutMetaOk { req },
+                    Msg::Commit { req, version, .. } => Msg::CommitOk { req, version },
+                    Msg::GetVersion { req, .. } => Msg::GetVersionOk {
+                        req,
+                        info: VersionInfo {
+                            version: VersionId(1),
+                            size: pages * page,
+                            page_size: page,
+                            root,
+                        },
+                    },
+                    Msg::GetMetaRange { req, .. } => {
+                        Msg::GetMetaRangeOk { req, nodes: nodes.to_vec(), more: false }
+                    }
+                    Msg::GetChunk { req, .. } => Msg::GetChunkOk { req, data: Payload::Sim(page) },
+                    Msg::GetChunkBatch { req, keys, .. } => Msg::GetChunkBatchOk {
+                        req,
+                        items: keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect(),
+                    },
+                    other => panic!("unscripted message {other:?}"),
+                };
+                wire.push(line);
+                done.extend(c.handle_msg(env, to, reply));
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_write_and_stream_write_put_the_same_messages_on_the_wire() {
+        let (pages, page) = (5u64, 8u64);
+        let bytes = bytes::Bytes::from((0..pages * page).map(|i| i as u8).collect::<Vec<u8>>());
+
+        let (mut env, mut c) = (TestEnv::new(), core());
+        start_write(&mut c, &mut env, Entry::OneShot, Payload::Data(bytes.clone()), 1);
+        let (one_shot, done) = serve(&mut c, &mut env, pages, page, &[], None);
+        assert_eq!(done.len(), 1);
+        let written = done[0].result.clone().expect("one-shot write");
+        assert!(matches!(written, OpOutput::Written { version: VersionId(1), .. }));
+        assert_eq!(c.active_ops(), 0);
+
+        let (mut env, mut c) = (TestEnv::new(), core());
+        start_write(&mut c, &mut env, Entry::Stream, Payload::Data(bytes.clone()), 1);
+        let (mut stream_wire, done) = serve(&mut c, &mut env, pages, page, &[], None);
+        let Ok(OpOutput::WriteStreamOpened { stream, .. }) = done[0].result else {
+            panic!("{:?}", done[0].result)
+        };
+        let mut done = c.start_op(
+            &mut env,
+            ClientOp::FeedWriteStream { stream, data: Payload::Data(bytes) },
+            2,
+        );
+        // The feed may park on the window; the commit follows either way
+        // once it completed.
+        let (wire, more) = serve(&mut c, &mut env, pages, page, &[], None);
+        stream_wire.extend(wire);
+        done.extend(more);
+        assert!(matches!(done[0].result, Ok(OpOutput::Fed { .. })), "{:?}", done[0].result);
+        let mut done = c.start_op(&mut env, ClientOp::CommitWriteStream { stream }, 3);
+        let (wire, more) = serve(&mut c, &mut env, pages, page, &[], None);
+        stream_wire.extend(wire);
+        done.extend(more);
+        assert_eq!(done[0].result.clone().expect("stream commit"), written);
+        assert_eq!(c.active_ops(), 0);
+
+        // Same targets, same messages, same order, same request ids, same
+        // chunk bytes: two providers, one batch each, then metadata, then
+        // the commit.
+        assert_eq!(one_shot, stream_wire);
+        assert!(one_shot.iter().any(|l| l.contains("PutChunkBatch")), "{one_shot:#?}");
+    }
+
+    #[test]
+    fn one_shot_read_and_stream_read_put_the_same_messages_on_the_wire() {
+        let (pages, page) = (6u64, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_B]);
+        let mut wires = Vec::new();
+        for entry in ENTRIES {
+            let (mut env, mut c) = (TestEnv::new(), core());
+            start_read(&mut c, &mut env, entry, pages * page, 9);
+            let (mut wire, done) = serve(&mut c, &mut env, pages, page, &nodes, Some(root));
+            let done = if entry == Entry::Stream {
+                after_plan(&mut c, &mut env, entry, done);
+                let (more, done) = serve(&mut c, &mut env, pages, page, &nodes, Some(root));
+                wire.extend(more);
+                done
+            } else {
+                done
+            };
+            assert_eq!(read_data(&done).len(), pages * page);
+            assert_eq!(c.active_ops(), 0);
+            wires.push(wire);
+        }
+        // Same replica draws, same per-provider batches, same order.
+        assert_eq!(wires[0], wires[1]);
+        assert!(wires[0].iter().any(|l| l.contains("GetChunkBatch")), "{:#?}", wires[0]);
+    }
+
+    #[test]
+    fn one_shot_read_issues_its_batches_under_the_chunk_window() {
+        let (pages, page) = (6u64, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_B]);
+        let cfg = ClientConfig { chunk_window: 1, ..ClientConfig::default() };
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, vec![META], cfg);
+        let mut env = TestEnv::new();
+        open_read(&mut c, &mut env, Entry::OneShot, pages, page, nodes, root);
+        // Two providers hold the range but one slot is open: the second
+        // provider's batch waits for the first reply.
+        let sent = env.take_sent();
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        let (first, Msg::GetChunkBatch { req, keys, .. }) = sent.into_iter().next().unwrap() else {
+            panic!()
+        };
+        let items = keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect();
+        assert!(c.handle_msg(&mut env, first, Msg::GetChunkBatchOk { req, items }).is_empty());
+        let sent = env.take_sent();
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        assert_ne!(sent[0].0, first, "the queued batch goes to the other provider");
     }
 
     #[test]
@@ -3930,133 +3143,129 @@ mod tests {
 
     #[test]
     fn allocation_failure_fails_the_op() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Write { blob: BlobId(5), kind: WriteKind::At(0), data: Payload::Sim(16) },
-            1,
-        );
-        let (_, msg) = env.take_sent().pop().unwrap();
-        let Msg::Ticket { req, .. } = msg else { panic!() };
-        let ticket = WriteTicket {
-            blob: BlobId(5),
-            version: VersionId(1),
-            offset: 0,
-            len: 16,
-            page_size: 8,
-            replication: 3,
-            new_size: 16,
-            base: crate::meta::BaseSnapshot { version: VersionId(0), size: 0, root: None },
-            pending: vec![],
-        };
-        assert!(c.handle_msg(&mut env, VMAN, Msg::TicketOk { req, ticket }).is_empty());
-        let (to, msg) = env.take_sent().pop().unwrap();
-        assert_eq!(to, PMAN);
-        let Msg::Alloc { req, chunks, replication, .. } = msg else { panic!() };
-        assert_eq!((chunks, replication), (2, 3));
-        let done = c.handle_msg(&mut env, PMAN, Msg::AllocErr { req, available: 2 });
-        assert!(matches!(done[0].result, Err(BlobError::AllocationFailed { available: 2, .. })));
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            start_write(&mut c, &mut env, entry, Payload::Sim(16), 1);
+            let (_, msg) = env.take_sent().pop().unwrap();
+            let Msg::Ticket { req, .. } = msg else { panic!() };
+            let ticket = ticket(2, 8, 3);
+            assert!(c.handle_msg(&mut env, VMAN, Msg::TicketOk { req, ticket }).is_empty());
+            let (to, msg) = env.take_sent().pop().unwrap();
+            assert_eq!(to, PMAN);
+            let Msg::Alloc { req, chunks, replication, .. } = msg else { panic!() };
+            assert_eq!((chunks, replication), (2, 3));
+            let done = c.handle_msg(&mut env, PMAN, Msg::AllocErr { req, available: 2 });
+            assert!(
+                matches!(
+                    done[0].result,
+                    Err(BlobError::AllocationFailed { requested: 2, available: 2 })
+                ),
+                "{entry:?}: {:?}",
+                done[0].result
+            );
+            assert_eq!(c.active_ops(), 0);
+        }
     }
 
     #[test]
     fn op_timeout_fires_and_completes_with_error() {
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            start_read(&mut c, &mut env, entry, 8, 9);
+            // The op-deadline timer was armed.
+            let (delay, token) = env.timers[0];
+            assert_eq!(delay, ClientConfig::default().op_timeout);
+            assert!(ClientCore::owns_timer(token));
+            env.now = SimTime::ZERO + delay;
+            let done = c.handle_timer(&mut env, token);
+            assert_eq!(done.len(), 1, "{entry:?}");
+            assert_eq!(done[0].tag, 9);
+            assert!(matches!(done[0].result, Err(BlobError::Timeout)));
+            assert_eq!(c.active_ops(), 0);
+            // A stale reply afterwards is ignored.
+            assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionErr {
+                req: 1,
+                err: BlobError::UnknownBlob(BlobId(5)),
+            })
+            .is_empty());
+        }
+    }
+
+    #[test]
+    fn deadline_runs_from_the_parked_sub_operation_or_the_last_activity() {
         let mut env = TestEnv::new();
         let mut c = core();
-        c.start_op(
+        let timeout = ClientConfig::default().op_timeout;
+        start_write(&mut c, &mut env, Entry::Stream, Payload::Sim(16), 1);
+        let (wire, done) = serve(&mut c, &mut env, 2, 8, &[], None);
+        assert_eq!(wire.len(), 2, "ticket + alloc: {wire:?}");
+        let Ok(OpOutput::WriteStreamOpened { stream, .. }) = done[0].result else { panic!() };
+        let (_, token) = env.timers[0];
+        // The open completed at t = 0 and nothing is parked: the stream
+        // idles until t = timeout. A feed at t = 10 s moves that out.
+        env.now = SimTime::from_secs(10);
+        let fed = c.start_op(
             &mut env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: 8 },
-            9,
+            ClientOp::FeedWriteStream { stream, data: Payload::Sim(8) },
+            2,
         );
-        // The op-deadline timer was armed.
-        let (delay, token) = env.timers[0];
-        assert_eq!(delay, ClientConfig::default().op_timeout);
-        assert!(ClientCore::owns_timer(token));
-        env.now = SimTime(1);
+        assert!(matches!(fed[0].result, Ok(OpOutput::Fed { .. })));
+        env.now = SimTime::ZERO + timeout;
+        assert!(c.handle_timer(&mut env, token).is_empty(), "re-armed, not reaped");
+        assert_eq!(env.timers.last().unwrap().0, SimDuration::from_secs(10));
+        assert_eq!(c.active_ops(), 1);
+        // A commit short of the declared length would be fatal; park a
+        // legal sub-operation instead: the second feed fills the stream,
+        // then the commit parks at t = timeout + 5 s on the unanswered puts.
+        env.now = SimTime::ZERO + timeout + SimDuration::from_secs(5);
+        let fed = c.start_op(
+            &mut env,
+            ClientOp::FeedWriteStream { stream, data: Payload::Sim(8) },
+            3,
+        );
+        assert!(matches!(fed[0].result, Ok(OpOutput::Fed { .. })));
+        assert!(c.start_op(&mut env, ClientOp::CommitWriteStream { stream }, 4).is_empty());
+        env.now = SimTime::ZERO + timeout + SimDuration::from_secs(10);
+        assert!(c.handle_timer(&mut env, token).is_empty(), "the parked commit has 595 s left");
+        env.now = SimTime::ZERO + timeout + timeout + SimDuration::from_secs(5);
         let done = c.handle_timer(&mut env, token);
         assert_eq!(done.len(), 1);
+        assert_eq!(done[0].tag, 4);
         assert!(matches!(done[0].result, Err(BlobError::Timeout)));
         assert_eq!(c.active_ops(), 0);
-        // A stale reply afterwards is ignored.
-        assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionErr {
-            req: 1,
-            err: BlobError::UnknownBlob(BlobId(5)),
-        })
-        .is_empty());
     }
 
     #[test]
     fn read_fails_over_to_next_replica_on_chunk_timeout() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        c.start_op(
-            &mut env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: 8 },
-            3,
-        );
-        let (_, msg) = env.take_sent().pop().unwrap();
-        let Msg::GetVersion { req, .. } = msg else { panic!() };
-        // One-page blob whose root is a leaf with two replicas.
-        let root = NodeRef::Node { version: VersionId(1), range: NodeRange::new(0, 1) };
-        assert!(c
-            .handle_msg(
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            // One-page blob whose root is a leaf with two replicas.
+            let (nodes, root) = stored_tree(1, 8, vec![PROV_A, PROV_B]);
+            open_read(&mut c, &mut env, entry, 1, 8, nodes, root);
+            // A chunk fetch went out to one replica, with a failover timer.
+            let (first_target, msg) = env.take_sent().pop().unwrap();
+            assert!(first_target == PROV_A || first_target == PROV_B);
+            let Msg::GetChunk { .. } = msg else { panic!("{msg:?}") };
+            let (_, token) = *env.timers.last().unwrap();
+            assert!(ClientCore::owns_timer(token));
+            // The replica never answers: the chunk timer fires and the
+            // client retries another replica.
+            assert!(c.handle_timer(&mut env, token).is_empty());
+            let (second_target, msg) = env.take_sent().pop().unwrap();
+            let Msg::GetChunk { req, .. } = msg else { panic!("{msg:?}") };
+            assert_ne!(second_target, first_target, "failover goes to the other replica");
+            // That one answers: the read completes.
+            let done = c.handle_msg(
                 &mut env,
-                VMAN,
-                Msg::GetVersionOk {
-                    req,
-                    info: VersionInfo {
-                        version: VersionId(1),
-                        size: 8,
-                        page_size: 8,
-                        root: Some(root),
-                    },
-                },
-            )
-            .is_empty());
-        // Cold cache: one bulk range query replaces the per-level fetch.
-        let (to, msg) = env.take_sent().pop().unwrap();
-        assert_eq!(to, META);
-        let Msg::GetMetaRange { req, .. } = msg else { panic!("{msg:?}") };
-        let leaf = MetaNode::Leaf {
-            chunk: ChunkDescriptor {
-                key: ChunkKey { blob: BlobId(5), version: VersionId(1), page: 0 },
-                replicas: vec![PROV_A, PROV_B],
-                size: 8,
-            },
-        };
-        let leaf_key = NodeKey {
-            blob: BlobId(5),
-            version: VersionId(1),
-            range: NodeRange::new(0, 1),
-        };
-        assert!(c
-            .handle_msg(
-                &mut env,
-                META,
-                Msg::GetMetaRangeOk { req, nodes: vec![(leaf_key, leaf)], more: false },
-            )
-            .is_empty());
-        // A chunk fetch went out to one replica, with a failover timer.
-        let (first_target, msg) = env.take_sent().pop().unwrap();
-        assert!(first_target == PROV_A || first_target == PROV_B);
-        let Msg::GetChunk { .. } = msg else { panic!("{msg:?}") };
-        let (_, token) = *env.timers.last().unwrap();
-        assert!(ClientCore::owns_timer(token));
-        // The replica never answers: the chunk timer fires and the client
-        // retries another replica.
-        assert!(c.handle_timer(&mut env, token).is_empty());
-        let (second_target, msg) = env.take_sent().pop().unwrap();
-        let Msg::GetChunk { req, .. } = msg else { panic!("{msg:?}") };
-        assert_ne!(second_target, first_target, "failover goes to the other replica");
-        // That one answers: the read completes.
-        let done =
-            c.handle_msg(&mut env, second_target, Msg::GetChunkOk { req, data: Payload::Sim(8) });
-        assert_eq!(done.len(), 1);
-        let Ok(OpOutput::Read { data, version }) = &done[0].result else {
-            panic!("{:?}", done[0].result)
-        };
-        assert_eq!(data.len(), 8);
-        assert_eq!(*version, VersionId(1));
+                second_target,
+                Msg::GetChunkOk { req, data: Payload::Sim(8) },
+            );
+            assert_eq!(read_data(&done).len(), 8, "{entry:?}");
+            assert_eq!(c.active_ops(), 0);
+        }
     }
 
     /// Build (locally) the stored tree of a `pages`-page blob at version
@@ -4087,21 +3296,19 @@ mod tests {
         builder.build(&chunks)
     }
 
-    /// Drive a fresh read op through GetVersion and the cold-cache bulk
-    /// metadata exchange; returns with the chunk fetches just sent.
+    /// Drive a fresh read (of either entry form) through GetVersion and
+    /// the cold-cache bulk metadata exchange; returns with the chunk
+    /// fetches just sent.
     fn open_read(
         c: &mut ClientCore,
         env: &mut TestEnv,
+        entry: Entry,
         pages: u64,
         page: u64,
         nodes: Vec<(NodeKey, MetaNode)>,
         root: NodeRef,
     ) {
-        c.start_op(
-            env,
-            ClientOp::Read { blob: BlobId(5), version: None, offset: 0, len: pages * page },
-            9,
-        );
+        start_read(c, env, entry, pages * page, 9);
         let (_, msg) = env.take_sent().pop().unwrap();
         let Msg::GetVersion { req, .. } = msg else { panic!() };
         assert!(c
@@ -4127,106 +3334,106 @@ mod tests {
         assert_eq!(to, META);
         let Msg::GetMetaRange { req, query, .. } = msg else { panic!("{msg:?}") };
         assert_eq!(query, PageInterval::new(0, pages));
-        assert!(c
-            .handle_msg(env, META, Msg::GetMetaRangeOk { req, nodes, more: false })
-            .is_empty());
+        let done = c.handle_msg(env, META, Msg::GetMetaRangeOk { req, nodes, more: false });
+        after_plan(c, env, entry, done);
     }
 
     #[test]
     fn cold_read_uses_one_meta_round_trip_and_one_chunk_batch() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        let (pages, page) = (16u64, 8u64);
-        let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
-        open_read(&mut c, &mut env, pages, page, nodes, root);
-        // All 16 chunks live on one provider: a single batched fetch
-        // replaces 16 per-chunk round trips.
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 1, "one batched chunk round trip: {sent:?}");
-        let (to, msg) = sent.into_iter().next().unwrap();
-        assert_eq!(to, PROV_A);
-        let Msg::GetChunkBatch { req, keys, .. } = msg else { panic!("{msg:?}") };
-        assert_eq!(keys.len(), pages as usize);
-        let items = keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect();
-        let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items });
-        assert_eq!(done.len(), 1);
-        let Ok(OpOutput::Read { data, version }) = &done[0].result else {
-            panic!("{:?}", done[0].result)
-        };
-        assert_eq!(data.len(), pages * page);
-        assert_eq!(*version, VersionId(1));
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            let (pages, page) = (16u64, 8u64);
+            let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
+            open_read(&mut c, &mut env, entry, pages, page, nodes, root);
+            // All 16 chunks live on one provider: a single batched fetch
+            // replaces 16 per-chunk round trips.
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 1, "one batched chunk round trip: {sent:?}");
+            let (to, msg) = sent.into_iter().next().unwrap();
+            assert_eq!(to, PROV_A);
+            let Msg::GetChunkBatch { req, keys, .. } = msg else { panic!("{msg:?}") };
+            assert_eq!(keys.len(), pages as usize);
+            let items = keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect();
+            let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items });
+            assert_eq!(read_data(&done).len(), pages * page, "{entry:?}");
+        }
     }
 
     #[test]
     fn batch_timeout_resubmits_each_item_individually() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        let (pages, page) = (2u64, 8u64);
-        // Both replicas on the same provider: the batch has one possible
-        // target, and the per-item walk still has somewhere to go.
-        let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
-        open_read(&mut c, &mut env, pages, page, nodes, root);
-        // One batch, guarded by one shared deadline.
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 1, "{sent:?}");
-        let Msg::GetChunkBatch { keys, .. } = &sent[0].1 else { panic!("{:?}", sent[0].1) };
-        assert_eq!(keys.len(), 2);
-        let timers_before = env.timers.len();
-        let (_, token) = *env.timers.last().unwrap();
-        assert!(ClientCore::owns_timer(token));
-        // The provider never answers: the batch deadline fires once and
-        // every item re-enters the per-chunk replica walk on its own.
-        assert!(c.handle_timer(&mut env, token).is_empty());
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 2, "per-item resubmission: {sent:?}");
-        let reqs: Vec<u64> = sent
-            .iter()
-            .map(|(to, m)| {
-                assert_eq!(*to, PROV_A);
-                let Msg::GetChunk { req, .. } = m else { panic!("{m:?}") };
-                *req
-            })
-            .collect();
-        assert_eq!(
-            env.timers.len(),
-            timers_before + 2,
-            "each resubmission arms its own deadline"
-        );
-        let mut done = vec![];
-        for req in reqs {
-            done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            let (pages, page) = (2u64, 8u64);
+            // Both replicas on the same provider: the batch has one possible
+            // target, and the per-item walk still has somewhere to go.
+            let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
+            open_read(&mut c, &mut env, entry, pages, page, nodes, root);
+            // One batch, guarded by one shared deadline.
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 1, "{sent:?}");
+            let Msg::GetChunkBatch { keys, .. } = &sent[0].1 else { panic!("{:?}", sent[0].1) };
+            assert_eq!(keys.len(), 2);
+            let timers_before = env.timers.len();
+            let (_, token) = *env.timers.last().unwrap();
+            assert!(ClientCore::owns_timer(token));
+            // The provider never answers: the batch deadline fires once and
+            // every item re-enters the per-chunk replica walk on its own.
+            assert!(c.handle_timer(&mut env, token).is_empty());
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 2, "per-item resubmission: {sent:?}");
+            let reqs: Vec<u64> = sent
+                .iter()
+                .map(|(to, m)| {
+                    assert_eq!(*to, PROV_A);
+                    let Msg::GetChunk { req, .. } = m else { panic!("{m:?}") };
+                    *req
+                })
+                .collect();
+            assert_eq!(
+                env.timers.len(),
+                timers_before + 2,
+                "each resubmission arms its own deadline"
+            );
+            let mut done = vec![];
+            for req in reqs {
+                done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
+            }
+            assert_eq!(done.len(), 1);
+            assert!(done[0].result.is_ok(), "{:?}", done[0].result);
         }
-        assert_eq!(done.len(), 1);
-        assert!(done[0].result.is_ok(), "{:?}", done[0].result);
     }
 
     #[test]
     fn partial_batch_failure_retries_only_the_missing_item() {
-        let mut env = TestEnv::new();
-        let mut c = core();
-        let (pages, page) = (2u64, 8u64);
-        let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
-        open_read(&mut c, &mut env, pages, page, nodes, root);
-        let sent = env.take_sent();
-        let (_, Msg::GetChunkBatch { req, keys, .. }) = sent.into_iter().next().unwrap() else {
-            panic!()
-        };
-        // One hit, one per-item miss: only the miss is retried.
-        let items = vec![
-            (keys[0], Ok(Payload::Sim(page))),
-            (keys[1], Err(ChunkErr::NotFound)),
-        ];
-        assert!(c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items }).is_empty());
-        let sent = env.take_sent();
-        assert_eq!(sent.len(), 1, "{sent:?}");
-        let (to, Msg::GetChunk { req, key, .. }) = sent.into_iter().next().unwrap() else {
-            panic!()
-        };
-        assert_eq!(to, PROV_A);
-        assert_eq!(key, keys[1]);
-        let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
-        assert_eq!(done.len(), 1);
-        assert!(done[0].result.is_ok(), "{:?}", done[0].result);
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c = core();
+            let (pages, page) = (2u64, 8u64);
+            let (nodes, root) = stored_tree(pages, page, vec![PROV_A, PROV_A]);
+            open_read(&mut c, &mut env, entry, pages, page, nodes, root);
+            let sent = env.take_sent();
+            let (_, Msg::GetChunkBatch { req, keys, .. }) = sent.into_iter().next().unwrap() else {
+                panic!()
+            };
+            // One hit, one per-item miss: only the miss is retried.
+            let items = vec![
+                (keys[0], Ok(Payload::Sim(page))),
+                (keys[1], Err(ChunkErr::NotFound)),
+            ];
+            assert!(c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items }).is_empty());
+            let sent = env.take_sent();
+            assert_eq!(sent.len(), 1, "{sent:?}");
+            let (to, Msg::GetChunk { req, key, .. }) = sent.into_iter().next().unwrap() else {
+                panic!()
+            };
+            assert_eq!(to, PROV_A);
+            assert_eq!(key, keys[1]);
+            let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
+            assert_eq!(done.len(), 1);
+            assert!(done[0].result.is_ok(), "{:?}", done[0].result);
+        }
     }
 
     #[test]
