@@ -12,7 +12,7 @@
 //!
 //! There is one write session and one read session. Both are *streams*: a
 //! long-lived session whose sub-operations (open, feed, commit, next)
-//! complete through a parked [`StreamWaiter`]. The whole-buffer
+//! complete through the one waiter parked on it. The whole-buffer
 //! [`ClientOp::Write`] and [`ClientOp::Read`] are the degenerate use of
 //! the same sessions — the operation itself is parked at open, a write
 //! enqueues every page the moment placements arrive and drains, a read
@@ -357,7 +357,10 @@ impl RetryPolicy {
 /// Client tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
-    /// Per-operation deadline; the op fails with `Timeout` past it.
+    /// Deadline of a parked (sub-)operation: a whole-buffer op, or one
+    /// open/feed/commit/next of a stream, fails with `Timeout` this long
+    /// after it started. A stream with no sub-operation in flight is
+    /// reaped after this long without activity.
     pub op_timeout: SimDuration,
     /// Per-chunk-fetch deadline: an unresponsive replica (crashed or
     /// drowning in backlog) triggers failover to the next replica.
@@ -1222,7 +1225,7 @@ impl ClientCore {
     }
 
     /// Send one provider's queued chunk fetches: a lone chunk as a plain
-    /// `GetChunk` (classic per-chunk replica walk), several as one
+    /// `GetChunk` (the per-chunk replica walk), several as one
     /// `GetChunkBatch` round trip. One deadline guards the whole batch;
     /// items that fail or go unanswered re-enter the per-chunk walk
     /// individually, each arming its own deadline.
@@ -1301,7 +1304,7 @@ impl ClientCore {
         Err(desc.key)
     }
 
-    // ---- streaming sessions ------------------------------------------
+    // ---- write and read sessions -------------------------------------
 
     /// A zero-duration completion (sub-ops that finish synchronously).
     fn instant(tag: u64, now: SimTime, result: Result<OpOutput, BlobError>) -> Completion {
@@ -1462,15 +1465,7 @@ impl ClientCore {
         sess.last_activity = now;
         Self::wstream_cut(w);
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let next_req = &mut self.next_req;
-        let req_index = &mut self.req_index;
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
+        let mut fresh = fresh_for(&mut self.next_req, &mut self.req_index, sid);
         Self::wstream_pump(self.id, self.cfg, &mut fresh, &mut sess.outstanding, w, env);
         env.set_trace_ctx(None);
         let buffered = w.buffered();
@@ -1538,19 +1533,10 @@ impl ClientCore {
         debug_assert!(w.queued.is_empty(), "queued chunks with an empty in-flight window");
         // Nothing in flight: go straight to the metadata phase.
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let next_req = &mut self.next_req;
-        let req_index = &mut self.req_index;
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
         let step = Self::wstream_meta_step(
             &self.meta_providers,
             &mut self.meta_cache,
-            &mut fresh,
+            &mut fresh_for(&mut self.next_req, &mut self.req_index, sid),
             &mut sess.outstanding,
             w,
             env,
@@ -1585,16 +1571,14 @@ impl ClientCore {
         sess.last_activity = now;
         sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let next_req = &mut self.next_req;
-        let req_index = &mut self.req_index;
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
-        let step = Self::rstream_fetch(self.id, self.cfg, &mut fresh, sid, sess, env);
+        let step = Self::rstream_fetch(
+            self.id,
+            self.cfg,
+            &mut fresh_for(&mut self.next_req, &mut self.req_index, sid),
+            sid,
+            sess,
+            env,
+        );
         self.stream_epilogue(env, sid, stage_before, step)
     }
 
@@ -1793,7 +1777,7 @@ impl ClientCore {
     /// replica. Each cut page is counted once in `unacked_bytes` until
     /// its last replica acks.
     fn wstream_enqueue(w: &mut WriteStreamSess, payload: Payload) {
-        let desc = w.chunks[w.next_page as usize].clone();
+        let desc = &w.chunks[w.next_page as usize];
         if !desc.replicas.is_empty() {
             w.page_acks.insert(desc.key.page, desc.replicas.len() as u32);
             w.unacked_bytes += desc.size;
@@ -1935,13 +1919,7 @@ impl ClientCore {
         msg: Msg,
         env: &mut dyn Env,
     ) -> StreamStep {
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
+        let mut fresh = fresh_for(next_req, req_index, sid);
         let SessKind::WriteStream(w) = &mut sess.kind else {
             unreachable!("write-stream session")
         };
@@ -2385,13 +2363,7 @@ impl ClientCore {
         msg: Msg,
         env: &mut dyn Env,
     ) -> StreamStep {
-        let mut fresh = |outstanding: &mut HashSet<u64>, role: ReqRole| {
-            let req = *next_req;
-            *next_req += 1;
-            req_index.insert(req, (sid, role));
-            outstanding.insert(req);
-            req
-        };
+        let mut fresh = fresh_for(next_req, req_index, sid);
         let (parked, whole) = (sess.waiter.is_some(), sess.whole_op());
         let SessKind::ReadStream(r) = &mut sess.kind else {
             unreachable!("read-stream session")
@@ -2711,6 +2683,23 @@ fn read_output(sid: u64, whole: bool, data: Payload, eof: bool, version: Version
         OpOutput::Read { data, version }
     } else {
         OpOutput::ReadChunk { stream: sid, data, eof }
+    }
+}
+
+/// A request-id allocator for session `sid`: each fresh id is registered
+/// in the request index under its role and in the session's outstanding
+/// set.
+fn fresh_for<'a>(
+    next_req: &'a mut u64,
+    req_index: &'a mut HashMap<u64, (u64, ReqRole)>,
+    sid: u64,
+) -> impl FnMut(&mut HashSet<u64>, ReqRole) -> u64 + 'a {
+    move |outstanding, role| {
+        let req = *next_req;
+        *next_req += 1;
+        req_index.insert(req, (sid, role));
+        outstanding.insert(req);
+        req
     }
 }
 

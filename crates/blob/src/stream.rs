@@ -1,10 +1,15 @@
 //! Streaming write/read handles with bounded per-connection memory.
 //!
-//! A whole-buffer [`write`](crate::runtime::threaded::ClientHandle::write)
-//! materializes the full object in the caller *and* in the client cell; a
-//! multi-GB object through a gateway connection is a non-starter for the
-//! millions-of-users target. The handles here move the same bytes
-//! chunk-at-a-time:
+//! The client core has one write session and one read session, and both
+//! are streams; these handles are their public face. A whole-buffer
+//! [`write`](crate::runtime::threaded::ClientHandle::write) or
+//! [`read`](crate::runtime::threaded::ClientHandle::read) is the one-shot
+//! use of the same session (open + feed + commit, or open + next-to-eof,
+//! folded into one [`ClientOp`] inside the core), which materializes the
+//! full object in the caller *and* in the client cell; a multi-GB object
+//! through a gateway connection is a non-starter for the
+//! millions-of-users target. The handles here move the same bytes through
+//! the same protocol code chunk-at-a-time:
 //!
 //! * [`BlobWriteHandle`] — [`feed`](BlobWriteHandle::feed) accepts byte
 //!   slices of any size; the client cell cuts full pages as enough bytes

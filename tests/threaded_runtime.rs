@@ -1,12 +1,13 @@
 //! Threaded-runtime robustness: elastic provider addition under live
-//! traffic, and replica failover when a provider dies mid-service.
+//! traffic, replica failover when a provider dies mid-service, and a
+//! streamed write publishing through a provider death.
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use sads::blob::client::ClientConfig;
+use sads::blob::client::{ClientConfig, RetryPolicy};
 use sads::blob::runtime::threaded::ClusterBuilder;
-use sads::blob::{BlobSpec, ClientId};
+use sads::blob::{BlobSpec, ClientId, WriteKind};
 use sads_sim::SimDuration;
 
 const PAGE: u64 = 64 * 1024;
@@ -75,6 +76,67 @@ fn reads_fail_over_when_a_replica_dies_threaded() {
         let got = client.read(blob, None, 0, 4 * PAGE).expect("failover read");
         assert_eq!(got, data, "round {round}");
     }
+    cluster.shutdown();
+}
+
+/// The sequence a gateway `put_object` runs — open a write stream, feed,
+/// commit — with a data provider dying between two feeds. Chunk stores
+/// headed for the dead provider must time out, retry, and re-allocate,
+/// and the version must still publish with every byte readable through
+/// both read forms.
+#[test]
+fn streamed_write_publishes_through_a_provider_death() {
+    let mut cluster = ClusterBuilder::new()
+        .data_providers(3)
+        .meta_providers(2)
+        .provider_capacity(256 << 20)
+        .client_config(ClientConfig {
+            chunk_window: 4,
+            chunk_timeout: SimDuration::from_millis(300),
+            materialize_zeros: true,
+            // Feeds arrive a page at a time, so every page bound for the
+            // dead provider is its own failed store and its own
+            // re-allocation: the per-write budget must cover them all.
+            retry: RetryPolicy {
+                put_timeout: SimDuration::from_millis(100),
+                max_attempts: 2,
+                backoff_base: SimDuration::from_millis(10),
+                backoff_max: SimDuration::from_millis(50),
+                max_reallocs: 64,
+            },
+            ..ClientConfig::default()
+        })
+        .start();
+    let client = cluster.client(ClientId(1));
+    let blob = client.create(BlobSpec { page_size: PAGE, replication: 2 }).unwrap();
+    // Three windows' worth of pages.
+    let pages = 12usize;
+    let data = Bytes::from(
+        (0..pages * PAGE as usize).map(|i| (i / 7) as u8 ^ (i as u8)).collect::<Vec<u8>>(),
+    );
+    let mut h = client
+        .open_write_stream(blob, WriteKind::At(0), data.len() as u64, None)
+        .expect("open");
+    let cut = 3 * PAGE as usize;
+    h.feed(data.slice(0..cut)).expect("feed before the crash");
+    cluster.kill(cluster.data[1]);
+    h.feed(data.slice(cut..data.len())).expect("feed across the crash");
+    let v = h.commit().expect("commit publishes through re-allocation");
+
+    let m = cluster.metrics();
+    assert!(m.counter("client.rpc_retries") > 0, "same-target retry never ran");
+    assert!(m.counter("client.reallocs") > 0, "re-allocation never ran");
+
+    let got = client.read(blob, Some(v), 0, data.len() as u64).expect("one-shot read");
+    assert_eq!(got, data);
+    let mut r = client
+        .open_read_stream(blob, Some(v), 0, data.len() as u64, None)
+        .expect("open read stream");
+    let mut streamed = Vec::with_capacity(data.len());
+    while let Some(chunk) = r.next().expect("next") {
+        streamed.extend_from_slice(&chunk);
+    }
+    assert_eq!(&streamed[..], &data[..]);
     cluster.shutdown();
 }
 
