@@ -526,9 +526,9 @@ struct WriteStreamSess {
     /// Cut pages (one entry per replica) not yet issued because the
     /// window is full.
     queued: std::collections::VecDeque<(NodeId, ChunkKey, Payload)>,
-    /// Replica acks still owed per cut page; the page's bytes stay
-    /// "buffered" until the last replica acks.
-    page_acks: HashMap<u64, u32>,
+    /// Replica acks still owed per cut page (indexed like `chunks`); the
+    /// page's bytes stay "buffered" until the last replica acks.
+    page_acks: Vec<u32>,
     /// Bytes cut but not yet fully acknowledged (each page counted once
     /// — replicas share one refcounted buffer).
     unacked_bytes: u64,
@@ -555,7 +555,7 @@ impl WriteStreamSess {
             data_mode: None,
             next_page: 0,
             queued: std::collections::VecDeque::new(),
-            page_acks: HashMap::new(),
+            page_acks: Vec::new(),
             unacked_bytes: 0,
             fed: 0,
             peak_buffered: 0,
@@ -616,9 +616,9 @@ struct ReadStreamSess {
     reader: Option<TreeReader>,
     phase: RStreamPhase,
     page0: u64,
-    /// Resolved page plan for the whole range.
-    sources: Vec<PageSource>,
-    /// Index into `sources` of the next page to deliver.
+    /// Resolved page plan for the range: the pages not yet pulled.
+    sources: std::vec::IntoIter<PageSource>,
+    /// Pages pulled so far (the plan index of the next batch).
     cursor: usize,
     /// Plan index of `parts[0]` for the batch in flight.
     batch_base: usize,
@@ -646,7 +646,7 @@ impl ReadStreamSess {
             reader: None,
             phase: RStreamPhase::Version,
             page0: 0,
-            sources: Vec::new(),
+            sources: Vec::new().into_iter(),
             cursor: 0,
             batch_base: 0,
             parts: Vec::new(),
@@ -1040,8 +1040,11 @@ impl ClientCore {
         let Some((sid, role)) = self.req_index.remove(&req) else { return vec![] };
         let Some(sess) = self.sessions.get_mut(&sid) else { return vec![] };
         sess.outstanding.remove(&req);
-
-        sess.last_activity = env.now();
+        if sess.waiter.is_none() {
+            // Progress of a stream with nothing parked (chunk acks between
+            // feeds) keeps it from being reaped as idle.
+            sess.last_activity = env.now();
+        }
 
         // Restore this operation's causal context so every message sent
         // while advancing the protocol nests under its root span, and
@@ -1601,7 +1604,7 @@ impl ClientCore {
         let info = r.info.as_ref().expect("info set");
         let (page, version) = (info.page_size, info.version);
         // Past the last page: deliver eof, auto-closing the stream.
-        if r.cursor >= r.sources.len() {
+        if r.sources.len() == 0 {
             let data = if cfg.materialize_zeros {
                 Payload::Data(bytes::Bytes::new())
             } else {
@@ -1609,7 +1612,7 @@ impl ClientCore {
             };
             return StreamStep::Finish(Ok(read_output(sid, whole, data, true, version)), 0);
         }
-        let remaining = r.sources.len() - r.cursor;
+        let remaining = r.sources.len();
         // Besides the pipelining window, cap one streamed batch below
         // 32 MiB: glibc never raises its dynamic mmap threshold past that
         // (`DEFAULT_MMAP_THRESHOLD_MAX`), so a ≥ 32 MiB assembly buffer is
@@ -1633,8 +1636,8 @@ impl ClientCore {
         // schedule stays deterministic. A provider serving several of the
         // batch's chunks gets them in one batched round trip.
         let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
-        for i in 0..batch {
-            match r.sources[r.batch_base + i].clone() {
+        for (i, source) in r.sources.by_ref().take(batch).enumerate() {
+            match source {
                 // Holes are size-only placeholders; assembly turns them
                 // into real zero bytes when mixed with real-data chunks.
                 PageSource::Hole { .. } => r.parts[i] = Some(Payload::Sim(page)),
@@ -1658,8 +1661,23 @@ impl ClientCore {
         groups.reverse(); // pop() = next group, in first-seen order
         r.pending_gets = groups;
         let slots = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-        while outstanding.len() < slots {
-            let Some((target, items)) = r.pending_gets.pop() else { break };
+        while outstanding.len() < slots && !r.pending_gets.is_empty() {
+            Self::rstream_refill(client, cfg, fresh, outstanding, r, env);
+        }
+        r.phase = RStreamPhase::Fetching;
+        StreamStep::Park
+    }
+
+    /// A window slot is free: issue the next queued fetch group, if any.
+    fn rstream_refill(
+        client: ClientId,
+        cfg: ClientConfig,
+        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
+        outstanding: &mut HashSet<u64>,
+        r: &mut ReadStreamSess,
+        env: &mut dyn Env,
+    ) {
+        if let Some((target, items)) = r.pending_gets.pop() {
             Self::issue_chunk_get_batch(
                 client,
                 cfg.chunk_timeout,
@@ -1670,8 +1688,6 @@ impl ClientCore {
                 env,
             );
         }
-        r.phase = RStreamPhase::Fetching;
-        StreamStep::Park
     }
 
     /// Apply a [`StreamStep`] to the session: complete the parked
@@ -1685,44 +1701,10 @@ impl ClientCore {
         stage_before: &'static str,
         step: StreamStep,
     ) -> Vec<Completion> {
-        let now = env.now();
-        let out = match step {
-            StreamStep::Park => {
-                self.stream_stage_note(env, sid, stage_before);
-                None
-            }
-            StreamStep::Complete(result, bytes) => {
-                self.stream_stage_note(env, sid, stage_before);
-                self.sessions.get_mut(&sid).and_then(|sess| {
-                    sess.last_activity = now;
-                    let wt = sess.waiter.take()?;
-                    if let Some(t) = &sess.trace {
-                        Self::record_stream_span(env, t, wt.kind, wt.started, now);
-                    }
-                    Some(wt.complete(result, bytes, now))
-                })
-            }
-            StreamStep::Finish(result, bytes) => {
-                self.end_session(env, sid).map(|wt| wt.complete(result, bytes, now))
-            }
-            StreamStep::Fatal(err) => {
-                self.stream_stage_note(env, sid, stage_before);
-                if let Some(sess) = self.sessions.get_mut(&sid) {
-                    for req in sess.outstanding.drain() {
-                        self.req_index.remove(&req);
-                    }
-                    sess.failed = Some(err);
-                }
-                None
-            }
-        };
-        env.set_trace_ctx(None);
-        out.into_iter().collect()
-    }
-
-    /// Close the previous stage's span if the stream just moved stages.
-    fn stream_stage_note(&mut self, env: &mut dyn Env, sid: u64, stage_before: &'static str) {
-        if let Some(sess) = self.sessions.get_mut(&sid) {
+        let out = if let StreamStep::Finish(result, bytes) = step {
+            let now = env.now();
+            self.end_session(env, sid).map(|wt| wt.complete(result, bytes, now))
+        } else if let Some(sess) = self.sessions.get_mut(&sid) {
             if Self::stage_of(&sess.kind) != stage_before {
                 if let Some(t) = sess.trace.as_mut() {
                     let now = env.now();
@@ -1730,7 +1712,31 @@ impl ClientCore {
                     t.stage_start = now;
                 }
             }
-        }
+            match step {
+                StreamStep::Park | StreamStep::Finish(..) => None,
+                StreamStep::Complete(result, bytes) => {
+                    let now = env.now();
+                    sess.last_activity = now;
+                    sess.waiter.take().map(|wt| {
+                        if let Some(t) = &sess.trace {
+                            Self::record_stream_span(env, t, wt.kind, wt.started, now);
+                        }
+                        wt.complete(result, bytes, now)
+                    })
+                }
+                StreamStep::Fatal(err) => {
+                    for req in sess.outstanding.drain() {
+                        self.req_index.remove(&req);
+                    }
+                    sess.failed = Some(err);
+                    None
+                }
+            }
+        } else {
+            None
+        };
+        env.set_trace_ctx(None);
+        out.into_iter().collect()
     }
 
     /// Emit a Stage span for one stream sub-operation (the open
@@ -1779,7 +1785,7 @@ impl ClientCore {
     fn wstream_enqueue(w: &mut WriteStreamSess, payload: Payload) {
         let desc = &w.chunks[w.next_page as usize];
         if !desc.replicas.is_empty() {
-            w.page_acks.insert(desc.key.page, desc.replicas.len() as u32);
+            w.page_acks[w.next_page as usize] = desc.replicas.len() as u32;
             w.unacked_bytes += desc.size;
             for replica in &desc.replicas {
                 w.queued.push_back((*replica, desc.key, payload.clone()));
@@ -1962,11 +1968,11 @@ impl ClientCore {
                         size: page,
                     })
                     .collect();
+                w.page_acks = vec![0; w.chunks.len()];
                 if let Some(data) = w.data.take() {
                     // One-shot write: the whole payload is in hand, so
                     // every page is queued now (zero-copy slices) and the
                     // session drains as if fed and committed in one go.
-                    w.fed = ticket.len;
                     for i in 0..w.chunks.len() as u64 {
                         Self::wstream_enqueue(w, data.slice(i * page, page));
                     }
@@ -1994,11 +2000,12 @@ impl ClientCore {
 
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkOk { .. }) => {
                 if let ReqRole::ChunkPut { items, .. } = role {
+                    let first_page = w.chunks.first().map_or(0, |d| d.key.page);
                     for (key, data) in &items {
-                        if let Some(n) = w.page_acks.get_mut(&key.page) {
-                            *n -= 1;
-                            if *n == 0 {
-                                w.page_acks.remove(&key.page);
+                        let owed = &mut w.page_acks[(key.page - first_page) as usize];
+                        if *owed > 0 {
+                            *owed -= 1;
+                            if *owed == 0 {
                                 w.unacked_bytes = w.unacked_bytes.saturating_sub(data.len());
                             }
                         }
@@ -2237,7 +2244,7 @@ impl ClientCore {
             }
         }
         let reader = r.reader.take().expect("reader set");
-        r.sources = reader.into_sources();
+        r.sources = reader.into_sources().into_iter();
         Self::rstream_opened(client, cfg, fresh, sid, sess, env)
     }
 
@@ -2289,7 +2296,7 @@ impl ClientCore {
         let hi = (r.offset + r.len).min(base + r.parts.len() as u64 * page);
         let skip = lo - base;
         let total = hi.saturating_sub(lo);
-        let eof = r.batch_base + r.parts.len() >= r.sources.len();
+        let eof = r.sources.len() == 0;
         let parts = std::mem::take(&mut r.parts);
         // Zero-copy fast path: a range inside a single real-data page is
         // served as a refcounted sub-slice of the stored chunk — no copy
@@ -2479,18 +2486,7 @@ impl ClientCore {
 
             (RStreamPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
                 r.parts[idx] = Some(data);
-                // A slot freed: issue the next queued group, if any.
-                if let Some((target, items)) = r.pending_gets.pop() {
-                    Self::issue_chunk_get_batch(
-                        client,
-                        cfg.chunk_timeout,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        target,
-                        items,
-                        env,
-                    );
-                }
+                Self::rstream_refill(client, cfg, &mut fresh, &mut sess.outstanding, r, env);
                 let done = sess.outstanding.is_empty();
                 Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r)
             }
@@ -2526,17 +2522,7 @@ impl ClientCore {
                         return fail(parked, BlobError::ChunkUnavailable(key));
                     }
                 }
-                if let Some((t, items)) = r.pending_gets.pop() {
-                    Self::issue_chunk_get_batch(
-                        client,
-                        cfg.chunk_timeout,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        t,
-                        items,
-                        env,
-                    );
-                }
+                Self::rstream_refill(client, cfg, &mut fresh, &mut sess.outstanding, r, env);
                 let done = sess.outstanding.is_empty();
                 Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r)
             }
