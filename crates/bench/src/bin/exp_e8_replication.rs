@@ -144,6 +144,13 @@ fn part_b(args: &BenchArgs) {
     rows.push(row!["chunks still held", chunks_held(&d)]);
     rows.push(row!["client failures", d.world.metrics().counter("client.ops_err")]);
     print_table(&rows);
+    let mut csv = String::new();
+    for r in &rows {
+        // The surviving-versions list holds commas: quote it.
+        let value = if r[1].contains(',') { format!("\"{}\"", r[1]) } else { r[1].clone() };
+        csv.push_str(&format!("{},{value}\n", r[0]));
+    }
+    write_artifact("e8b_removal.csv", &csv);
     println!("\npaper check: seldom-accessed/temporary versions are reclaimed");
     println!("automatically while the surviving snapshots stay readable.");
 }
