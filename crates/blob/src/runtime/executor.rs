@@ -111,7 +111,6 @@ struct NodeState {
     kind: NodeKind,
     timers: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     rng: SmallRng,
-    started: bool,
 }
 
 /// One multiplexed node: mailbox + state machine + scheduling flag.
@@ -304,6 +303,19 @@ impl ExecShared {
             cell.mailbox.lock().clear();
         }
     }
+
+    /// A callback of `cell` panicked. Poison only this cell: unroute it,
+    /// drop its mail, count it. The workers and every other cell keep
+    /// going.
+    fn poison(&self, cell: &Cell) {
+        self.kill(cell.id);
+        self.metrics.lock().incr("runtime.service_panics", 1);
+        self.telem.inc(
+            "runtime.service_panics",
+            &[("node", cell.id.0.to_string().as_str())],
+            1,
+        );
+    }
 }
 
 /// The executor: shared state plus the worker pool.
@@ -358,31 +370,56 @@ impl Executor {
         self.shared.shards.len()
     }
 
-    /// Register a new node and schedule its `on_start`.
+    /// Register a new node; its `on_start` has run when this returns.
     pub(crate) fn add_node(&self, kind: NodeKind, seed: u64) -> NodeId {
         let id = {
             let mut slots = self.shared.slots.write();
             slots.push(None);
             NodeId(slots.len() as u32 - 1)
         };
-        let cell = self.new_cell(id, kind, seed);
-        self.shared.slots.write()[id.index()] = Some(Arc::clone(&cell));
-        self.shared.schedule(&cell);
+        let installed = self.reinstall(id, kind, seed);
+        debug_assert!(installed, "a freshly pushed slot is empty");
         id
     }
 
-    /// Re-occupy a previously killed slot with a fresh node at the
-    /// **same** [`NodeId`]. Fails if the slot is live or never existed.
+    /// Occupy an empty slot — freshly pushed, or previously killed — with
+    /// a new node at that [`NodeId`]. Fails if the slot is live or never
+    /// existed.
+    ///
+    /// The node's `on_start` runs on the calling thread before this
+    /// returns, so whatever it sends (a provider's `Register`) sits in
+    /// its peer's mailbox ahead of anything the caller sends afterwards.
+    /// The node lock is taken before the slot becomes routable: a worker
+    /// that picks the cell up for early mail waits for `on_start` to
+    /// finish. The closing `schedule` is the turn that registers the
+    /// timers `on_start` set.
     pub(crate) fn reinstall(&self, node: NodeId, kind: NodeKind, seed: u64) -> bool {
+        let shared = &*self.shared;
         let cell = self.new_cell(node, kind, seed);
-        {
-            let mut slots = self.shared.slots.write();
-            match slots.get_mut(node.index()) {
-                Some(slot @ None) => *slot = Some(Arc::clone(&cell)),
-                _ => return false,
-            }
+        let mut state = cell.node.lock();
+        match shared.slots.write().get_mut(node.index()) {
+            Some(slot @ None) => *slot = Some(Arc::clone(&cell)),
+            _ => return false,
         }
-        self.shared.schedule(&cell);
+        let started = catch_unwind(AssertUnwindSafe(|| {
+            let NodeState { kind, timers, rng } = &mut *state;
+            if let NodeKind::Service(service) = kind {
+                let mut env = ExecEnv {
+                    id: cell.id,
+                    shared,
+                    timers,
+                    rng,
+                    mailbox: &cell.mailbox,
+                    current: None,
+                };
+                service.on_start(&mut env);
+            }
+        }));
+        drop(state);
+        match started {
+            Ok(()) => shared.schedule(&cell),
+            Err(_) => shared.poison(&cell),
+        }
         true
     }
 
@@ -409,7 +446,6 @@ impl Executor {
                 kind,
                 timers: BinaryHeap::new(),
                 rng: SmallRng::seed_from_u64(seed),
-                started: false,
             }),
         })
     }
@@ -628,8 +664,8 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
     None
 }
 
-/// Run one scheduling turn of `cell` on worker `w`: lazy `on_start`, due
-/// timers, then batched mailbox drain up to the fairness cap.
+/// Run one scheduling turn of `cell` on worker `w`: due timers, then
+/// batched mailbox drain up to the fairness cap.
 fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
     cell.home.store(w, Ordering::Relaxed);
     if cell.dead.load(Ordering::Acquire) {
@@ -659,15 +695,7 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
     }
 
     if panicked {
-        // Poison only this cell: unroute it, drop its mail, count it. The
-        // worker and every other cell on the shard keep going.
-        shared.kill(cell.id);
-        shared.metrics.lock().incr("runtime.service_panics", 1);
-        shared.telem.inc(
-            "runtime.service_panics",
-            &[("node", cell.id.0.to_string().as_str())],
-            1,
-        );
+        shared.poison(cell);
         cell.scheduled.store(false, Ordering::Release);
         return;
     }
@@ -696,22 +724,7 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
 
 /// Returns the number of envelopes handled this turn.
 fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState) -> usize {
-    let NodeState { kind, timers, rng, started } = node;
-    if !*started {
-        *started = true;
-        if let NodeKind::Service(service) = kind {
-            let mut env = ExecEnv {
-                id: cell.id,
-                shared,
-                timers,
-                rng,
-                mailbox: &cell.mailbox,
-                current: None,
-            };
-            service.on_start(&mut env);
-        }
-    }
-
+    let NodeState { kind, timers, rng } = node;
     fire_due_timers(shared, cell, kind, timers, rng);
 
     let mut handled = 0usize;
@@ -852,5 +865,61 @@ fn handle_envelope(
                 deliver(pending, completions);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `on_start` does, if anything.
+    enum OnStart {
+        Nothing,
+        Announce(NodeId),
+        Panic,
+    }
+    impl Service for OnStart {
+        fn on_start(&mut self, env: &mut dyn Env) {
+            match self {
+                OnStart::Nothing => {}
+                OnStart::Announce(peer) => {
+                    env.incr("test.started", 1);
+                    env.send(*peer, Msg::ListBlobs { req: 0 });
+                }
+                OnStart::Panic => panic!("boom"),
+            }
+        }
+        fn on_msg(&mut self, _env: &mut dyn Env, _from: NodeId, _msg: Msg) {}
+    }
+
+    /// The start-up race behind the flaky first write: `add_node` used to
+    /// return with `on_start` merely scheduled. Its effects — and the
+    /// mail it sends — must be in place on return, with no wait.
+    #[test]
+    fn on_start_has_run_when_add_node_returns() {
+        let metrics = Arc::new(Mutex::new(MetricSink::new()));
+        let exec = Executor::start(
+            1,
+            Instant::now(),
+            Arc::clone(&metrics),
+            Arc::new(TelemetryRegistry::new()),
+            None,
+            None,
+        );
+        let add = |s: OnStart| exec.add_node(NodeKind::Service(Box::new(s)), 7);
+        // Hold the peer's node lock so the worker cannot drain its mail.
+        let peer = add(OnStart::Nothing);
+        let peer_cell = exec.shared.slots.read()[peer.index()].clone().expect("live");
+        let hold = peer_cell.node.lock();
+        add(OnStart::Announce(peer));
+        assert_eq!(metrics.lock().counter("test.started"), 1);
+        assert_eq!(peer_cell.mailbox.lock().len(), 1, "the announcement is queued");
+        drop(hold);
+
+        // A panicking `on_start` poisons its own cell and nothing else.
+        let bad = add(OnStart::Panic);
+        assert!(exec.shared.slots.read()[bad.index()].is_none(), "unrouted");
+        assert_eq!(metrics.lock().counter("runtime.service_panics"), 1);
+        assert!(exec.shared.slots.read()[peer.index()].is_some());
     }
 }

@@ -540,7 +540,9 @@ impl Cluster {
     }
 
     /// Host an arbitrary service (monitoring, security, …) as a new
-    /// executor cell; returns its address.
+    /// executor cell; returns its address. The service's `on_start` has
+    /// run by then, so what it sends from there (a provider's `Register`)
+    /// is queued at its peer ahead of anything the caller sends next.
     pub fn add_service(&mut self, service: Box<dyn Service>) -> NodeId {
         let seed = self.next_seed;
         self.next_seed += 1;

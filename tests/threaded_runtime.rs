@@ -2,7 +2,6 @@
 //! traffic, replica failover when a provider dies mid-service, and a
 //! streamed write publishing through a provider death.
 
-use std::time::Duration;
 
 use bytes::Bytes;
 use sads::blob::client::{ClientConfig, RetryPolicy};
@@ -23,27 +22,19 @@ fn providers_added_at_runtime_serve_new_traffic() {
     let blob = client.create(BlobSpec { page_size: PAGE, replication: 2 }).unwrap();
     client.write(blob, 0, Bytes::from(vec![1u8; 2 * PAGE as usize])).unwrap();
 
-    // Scale up mid-flight; the new providers register with the provider
-    // manager and start taking allocations.
+    // Scale up mid-flight. `add_data_provider` returns with the new
+    // provider's `Register` already in the provider manager's mailbox,
+    // ahead of any allocation request sent afterwards.
     for _ in 0..3 {
         let n = cluster.add_data_provider(256 << 20);
         cluster.data.push(n);
     }
-    // Replication 4 requires the expanded pool (only 5 providers total).
+    // Replication 4 requires the expanded pool (only 5 providers total):
+    // the very first write must be allocated, with no retry.
     let blob4 = client.create(BlobSpec { page_size: PAGE, replication: 4 }).unwrap();
-    let mut ok = false;
-    for _ in 0..50 {
-        match client.write(blob4, 0, Bytes::from(vec![2u8; PAGE as usize])) {
-            Ok(_) => {
-                ok = true;
-                break;
-            }
-            // Until the new providers' registrations land, allocation may
-            // fail; retry briefly.
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
-    assert!(ok, "replication-4 write succeeds once the pool grew");
+    client
+        .write(blob4, 0, Bytes::from(vec![2u8; PAGE as usize]))
+        .expect("first replication-4 write after the pool grew");
     let back = client.read(blob4, None, 0, PAGE).unwrap();
     assert!(back.iter().all(|b| *b == 2));
     cluster.shutdown();
