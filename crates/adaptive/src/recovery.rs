@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use sads_blob::meta::{
-    partition, BaseSnapshot, MetaNode, NodeKey, PageSource, TreeBuilder, TreeReader,
+    group_by_partition, BaseSnapshot, NodeKey, PageSource, TreeBuilder, TreeReader,
 };
 use sads_blob::model::{ChunkDescriptor, ChunkKey, ClientId, VersionId};
 use sads_blob::rpc::Msg;
@@ -127,16 +127,9 @@ impl RecoveryAgentService {
         key: (sads_blob::model::BlobId, VersionId),
         fetches: Vec<NodeKey>,
     ) -> usize {
-        let mut per_owner: HashMap<NodeId, Vec<NodeKey>> = HashMap::new();
-        for k in fetches {
-            let owner = self.meta_providers[partition(&k, self.meta_providers.len())];
-            per_owner.entry(owner).or_default().push(k);
-        }
-        let mut owners: Vec<NodeId> = per_owner.keys().copied().collect();
-        owners.sort();
-        let n = owners.len();
-        for owner in owners {
-            let keys = per_owner.remove(&owner).expect("present");
+        let batches = group_by_partition(fetches, |k| k, &self.meta_providers);
+        let n = batches.len();
+        for (owner, keys) in batches {
             let req = self.req(key);
             env.send(owner, Msg::GetMeta { req, keys });
         }
@@ -290,17 +283,9 @@ impl RecoveryAgentService {
                         break;
                     }
                     let (nodes, root) = builder.build(chunks);
-                    let mut per_owner: HashMap<NodeId, Vec<(NodeKey, MetaNode)>> = HashMap::new();
-                    for (k, n) in nodes {
-                        let owner =
-                            self.meta_providers[partition(&k, self.meta_providers.len())];
-                        per_owner.entry(owner).or_default().push((k, n));
-                    }
-                    let mut owners: Vec<NodeId> = per_owner.keys().copied().collect();
-                    owners.sort();
-                    repair.outstanding = owners.len();
-                    for owner in owners {
-                        let nodes = per_owner.remove(&owner).expect("present");
+                    let batches = group_by_partition(nodes, |(k, _)| k, &self.meta_providers);
+                    repair.outstanding = batches.len();
+                    for (owner, nodes) in batches {
                         let req = self.req(key);
                         env.send(owner, Msg::PutMeta { req, nodes });
                     }

@@ -30,7 +30,8 @@ use rand::Rng;
 use sads_sim::{NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx};
 
 use crate::meta::{
-    partition, MetaNode, NodeKey, NodeRange, PageSource, TreeBuilder, TreeReader,
+    group_by_partition, partition, MetaNode, NodeKey, NodeRange, PageSource, TreeBuilder,
+    TreeReader,
 };
 use crate::model::{
     pages_for, BlobError, BlobId, BlobSpec, ChunkDescriptor, ChunkKey, ClientId, PageInterval,
@@ -1881,7 +1882,7 @@ impl ClientCore {
                 }
             }
             if hits == 0 {
-                for (target, keys) in group_by_partition(&missing, meta_providers) {
+                for (target, keys) in group_by_partition(missing, |k| k, meta_providers) {
                     let req = fresh(outstanding, ReqRole::MetaGet);
                     env.send(target, Msg::GetMeta { req, keys });
                 }
@@ -1891,16 +1892,10 @@ impl ClientCore {
         }
         let (nodes, root) = builder.build(&w.chunks);
         w.root = Some(root);
-        let mut per_provider: HashMap<NodeId, Vec<(NodeKey, MetaNode)>> = HashMap::new();
-        for (k, n) in nodes {
-            meta_cache.insert(k, n.clone());
-            let target = meta_providers[partition(&k, meta_providers.len())];
-            per_provider.entry(target).or_default().push((k, n));
+        for (k, n) in &nodes {
+            meta_cache.insert(*k, n.clone());
         }
-        let mut targets: Vec<NodeId> = per_provider.keys().copied().collect();
-        targets.sort();
-        for target in targets {
-            let nodes = per_provider.remove(&target).expect("present");
+        for (target, nodes) in group_by_partition(nodes, |(k, _)| k, meta_providers) {
             let req = fresh(outstanding, ReqRole::Plain);
             env.send(target, Msg::PutMeta { req, nodes });
         }
@@ -2234,7 +2229,7 @@ impl ClientCore {
                         );
                     }
                 } else {
-                    for (target, keys) in group_by_partition(&missing, meta_providers) {
+                    for (target, keys) in group_by_partition(missing, |k| k, meta_providers) {
                         let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
                         env.send(target, Msg::GetMeta { req, keys });
                     }
@@ -2725,21 +2720,6 @@ fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
         ChunkErr::NotFound => BlobError::Protocol("put got NotFound"),
         ChunkErr::Unreachable => BlobError::Timeout,
     }
-}
-
-/// Group metadata keys by their owning provider.
-fn group_by_partition(
-    keys: &[NodeKey],
-    meta_providers: &[NodeId],
-) -> Vec<(NodeId, Vec<NodeKey>)> {
-    let mut map: HashMap<NodeId, Vec<NodeKey>> = HashMap::new();
-    for k in keys {
-        let target = meta_providers[partition(k, meta_providers.len())];
-        map.entry(target).or_default().push(*k);
-    }
-    let mut out: Vec<(NodeId, Vec<NodeKey>)> = map.into_iter().collect();
-    out.sort_by_key(|(n, _)| *n);
-    out
 }
 
 /// Number of chunks a write of `len` bytes needs at the given page size.

@@ -4,7 +4,7 @@
 pub mod store;
 pub mod tree;
 
-pub use store::{node_key_hash, partition, MetaStore};
+pub use store::{group_by_partition, node_key_hash, partition, MetaStore};
 pub use tree::{
     created_ranges, BaseSnapshot, MetaNode, NodeKey, NodeRange, NodeRef, PageSource,
     PendingWrite, TreeBuilder, TreeReader,

@@ -6,7 +6,9 @@
 //! consistent key hashing; clients compute the owner locally from the key,
 //! so no directory lookup is needed on the metadata path.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+use sads_sim::NodeId;
 
 use crate::meta::tree::{MetaNode, NodeKey, NodeRange};
 use crate::model::{BlobId, PageInterval, VersionId};
@@ -34,6 +36,24 @@ pub fn node_key_hash(key: &NodeKey) -> u64 {
 pub fn partition(key: &NodeKey, n: usize) -> usize {
     debug_assert!(n > 0, "at least one metadata provider");
     (node_key_hash(key) % n as u64) as usize
+}
+
+/// Split `items` into one batch per owning metadata provider, `key`
+/// naming the node key that routes an item. Batches come back in
+/// ascending provider order and keep the item order given: every sender
+/// of metadata traffic batches through here, so the order messages leave
+/// a node (and with it the simulator's event schedule) is decided once.
+pub fn group_by_partition<T>(
+    items: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> &NodeKey,
+    meta_providers: &[NodeId],
+) -> Vec<(NodeId, Vec<T>)> {
+    let mut batches: BTreeMap<NodeId, Vec<T>> = BTreeMap::new();
+    for item in items {
+        let owner = meta_providers[partition(key(&item), meta_providers.len())];
+        batches.entry(owner).or_default().push(item);
+    }
+    batches.into_iter().collect()
 }
 
 /// The node map held by one metadata provider.

@@ -11,9 +11,9 @@
 //! issued, so a zombie record (kept because some of its items are still
 //! shared) does not re-delete its dead items every sweep.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use sads_blob::meta::{partition, MetaNode, NodeKey, NodeRange};
+use sads_blob::meta::{group_by_partition, MetaNode, NodeKey, NodeRange};
 use sads_blob::model::{BlobId, ChunkKey, VersionId};
 use sads_blob::rpc::Msg;
 use sads_blob::services::{Env, Service};
@@ -131,7 +131,7 @@ impl LifecycleGcService {
         // sweep's GetMeta needs, and forgetting the record would hide
         // the remaining chunks from the planner forever.
         let mut deferred: HashSet<VersionId> = HashSet::new();
-        let mut leaf_batches: HashMap<NodeId, Vec<NodeKey>> = HashMap::new();
+        let mut leaves: Vec<NodeKey> = Vec::new();
         for c in &plan.chunks {
             if self.issued_chunks.contains(c) {
                 continue; // already issued by an earlier sweep
@@ -142,31 +142,17 @@ impl LifecycleGcService {
             }
             self.budget -= 1;
             self.issued_chunks.insert(*c);
-            let key = NodeKey { blob, version: c.version, range: NodeRange::new(c.page, 1) };
-            let owner = self.meta_providers[partition(&key, self.meta_providers.len())];
-            leaf_batches.entry(owner).or_default().push(key);
+            leaves.push(NodeKey { blob, version: c.version, range: NodeRange::new(c.page, 1) });
         }
-        let mut owners: Vec<NodeId> = leaf_batches.keys().copied().collect();
-        owners.sort();
-        for owner in owners {
-            let keys = leaf_batches.remove(&owner).expect("present");
+        for (owner, keys) in group_by_partition(leaves, |k| k, &self.meta_providers) {
             let req = self.req();
             self.pending_leaf_gets.insert(req);
             env.send(owner, Msg::GetMeta { req, keys });
         }
         // 2. Delete the dead metadata nodes.
-        let mut node_batches: HashMap<NodeId, Vec<NodeKey>> = HashMap::new();
-        for k in &plan.nodes {
-            if deferred.contains(&k.version) || !self.issued_nodes.insert(*k) {
-                continue;
-            }
-            let owner = self.meta_providers[partition(k, self.meta_providers.len())];
-            node_batches.entry(owner).or_default().push(*k);
-        }
-        let mut owners: Vec<NodeId> = node_batches.keys().copied().collect();
-        owners.sort();
-        for owner in owners {
-            let keys = node_batches.remove(&owner).expect("present");
+        let mut nodes = plan.nodes;
+        nodes.retain(|k| !deferred.contains(&k.version) && self.issued_nodes.insert(*k));
+        for (owner, keys) in group_by_partition(nodes, |k| k, &self.meta_providers) {
             let req = self.req();
             env.incr("lifecycle.nodes_reclaimed", keys.len() as u64);
             env.send(owner, Msg::DeleteMeta { req, keys });
