@@ -9,23 +9,18 @@
 //! * **Self-optimization / replication** —
 //!   [`ReplicationManagerService`] maintains the replication degree of
 //!   every chunk (repair on provider loss) and adjusts it to access heat.
-//! * **Self-optimization / removal** — [`RemovalManagerService`] applies
-//!   configurable [`RetirePolicy`]s and executes provably safe
-//!   [`GcPlan`]s derived from the forward-reference reachability rule.
+//!
+//! The data-removal half of self-optimization is `sads-lifecycle`.
 
 #![warn(missing_docs)]
 
 pub mod elastic;
 pub mod recovery;
-pub mod removal;
-pub mod removal_service;
 pub mod replication;
 
 pub use elastic::{
     adapt_msg, into_adapt, AdaptMsg, ElasticityControllerService, ElasticityPolicy, ScaleAction,
     ScaleDecision, TOKEN_ELASTIC_TICK,
 };
-pub use removal::{created_ranges, gc_plan, select_retirees, GcPlan, RetirePolicy};
 pub use recovery::{RecoveryAgentService, TOKEN_RECOVERY_POLL};
-pub use removal_service::{RemovalManagerService, TOKEN_GC_SWEEP};
 pub use replication::{ReplicationConfig, ReplicationManagerService, TOKEN_REPL_SWEEP};

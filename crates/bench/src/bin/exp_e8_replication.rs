@@ -2,7 +2,7 @@
 //! replication degree of data chunks and … support a dynamic adjustment
 //! of the replication degree, according to the load of the storage nodes
 //! and the applications access patterns", plus the configurable data
-//! removal strategies.
+//! removal strategies (the lifecycle sweeper's retention policies).
 //!
 //! Part A kills providers under a replicated dataset and measures repair.
 //! Part B overwrites a BLOB repeatedly under a keep-last-k policy and
@@ -14,7 +14,8 @@ use sads_blob::runtime::sim::{BlobRef, ScriptStep};
 use sads_blob::services::{DataProviderService, VersionManagerService};
 use sads_blob::WriteKind;
 use sads_core::{Deployment, DeploymentConfig};
-use sads_adaptive::{ReplicationConfig, RetirePolicy};
+use sads_adaptive::ReplicationConfig;
+use sads_lifecycle::{LifecycleConfig, RetentionPolicy};
 use sads_sim::SimDuration;
 
 const MB: u64 = 1_000_000;
@@ -110,7 +111,11 @@ fn part_b(args: &BenchArgs) {
         seed: args.seed_or(88) + 1,
         data_providers: args.scaled(6),
         meta_providers: 2,
-        removal: Some((RetirePolicy::KeepLast(2), SimDuration::from_secs(10))),
+        lifecycle: Some(LifecycleConfig {
+            policy: RetentionPolicy::KeepLastN(2),
+            sweep_every: SimDuration::from_secs(10),
+            ..LifecycleConfig::default()
+        }),
         ..DeploymentConfig::default()
     };
     let mut d = Deployment::build(cfg);
@@ -138,9 +143,9 @@ fn part_b(args: &BenchArgs) {
     let mut rows = vec![row!["metric", "value"]];
     rows.push(row!["versions written", 8]);
     rows.push(row!["versions surviving", format!("{versions:?}")]);
-    rows.push(row!["versions retired", d.world.metrics().counter("gc.retired")]);
-    rows.push(row!["chunks deleted", d.world.metrics().counter("gc.chunks_deleted")]);
-    rows.push(row!["meta nodes deleted", d.world.metrics().counter("gc.nodes_deleted")]);
+    rows.push(row!["versions retired", d.world.metrics().counter("lifecycle.versions_retired")]);
+    rows.push(row!["chunks deleted", d.world.metrics().counter("lifecycle.chunks_reclaimed")]);
+    rows.push(row!["meta nodes deleted", d.world.metrics().counter("lifecycle.nodes_reclaimed")]);
     rows.push(row!["chunks still held", chunks_held(&d)]);
     rows.push(row!["client failures", d.world.metrics().counter("client.ops_err")]);
     print_table(&rows);

@@ -939,4 +939,12 @@ mod tests {
         assert_eq!(NodeRange::root_for(0), NodeRange::new(0, 1));
         assert!(NodeRange::new(3, 1).is_leaf());
     }
+
+    #[test]
+    fn created_ranges_match_tree_builder_shape() {
+        // Writing [2,4) of an 8-page blob: path ranges intersecting [2,4).
+        let ranges = created_ranges(PageInterval::new(2, 2), 8 * PAGE, PAGE);
+        let set: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start, r.len)).collect();
+        assert_eq!(set, vec![(0, 8), (0, 4), (2, 2), (2, 1), (3, 1)]);
+    }
 }

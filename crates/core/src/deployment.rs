@@ -5,8 +5,8 @@
 //! one of these.
 
 use sads_adaptive::{
-    ElasticityControllerService, ElasticityPolicy, RecoveryAgentService, RemovalManagerService,
-    ReplicationConfig, ReplicationManagerService, RetirePolicy,
+    ElasticityControllerService, ElasticityPolicy, RecoveryAgentService, ReplicationConfig,
+    ReplicationManagerService,
 };
 use sads_blob::client::ClientConfig;
 use sads_blob::pmanager::{strategy_by_name, AllocationStrategy, RoundRobin};
@@ -64,13 +64,9 @@ pub struct DeploymentConfig {
     pub elasticity: Option<ElasticityPolicy>,
     /// Deploy the replication manager.
     pub replication: Option<ReplicationConfig>,
-    /// Deploy the removal manager.
-    pub removal: Option<(RetirePolicy, SimDuration)>,
-    /// Deploy the lifecycle GC sweeper (retention-driven chunk/node
-    /// reclamation over the version DAG; snapshots and the latest
-    /// version are always GC roots). Supersedes `removal` for new
-    /// deployments — both can coexist but should not target the same
-    /// BLOBs.
+    /// Deploy the lifecycle GC sweeper — the paper's data-removal
+    /// strategies: retention-driven chunk/node reclamation over the
+    /// version DAG; snapshots and the latest version are always GC roots.
     pub lifecycle: Option<LifecycleConfig>,
     /// Deploy the background integrity scrub. Corruption found is
     /// quarantined at the provider and, when the replication manager is
@@ -122,7 +118,6 @@ impl Default for DeploymentConfig {
             security: None,
             elasticity: None,
             replication: None,
-            removal: None,
             lifecycle: None,
             scrub: None,
             recovery: None,
@@ -197,8 +192,6 @@ pub struct Deployment {
     pub deploy_agent: Option<NodeId>,
     /// Replication manager, if deployed.
     pub repl: Option<NodeId>,
-    /// Removal manager, if deployed.
-    pub removal: Option<NodeId>,
     /// Lifecycle GC sweeper, if deployed.
     pub lifecycle: Option<NodeId>,
     /// Integrity scrubber, if deployed.
@@ -383,14 +376,6 @@ impl Deployment {
             )
         });
 
-        let removal = cfg.removal.map(|(policy, sweep)| {
-            add_service(
-                &mut world,
-                Box::new(RemovalManagerService::new(vman, meta.clone(), policy, sweep)),
-                NodeConfig::default(),
-            )
-        });
-
         let lifecycle = cfg.lifecycle.clone().map(|lc| {
             add_service(
                 &mut world,
@@ -438,7 +423,6 @@ impl Deployment {
             elastic,
             deploy_agent,
             repl,
-            removal,
             lifecycle,
             scrubber,
             recovery,

@@ -208,6 +208,7 @@ impl Service for LifecycleGcService {
                     versions: &versions,
                     snapshots: &snapshots,
                     decommissioned,
+                    now: env.now(),
                 };
                 let plan = plan_blob(&view, self.cfg.policy_for(blob));
                 if !plan.is_empty() {
@@ -347,6 +348,13 @@ mod tests {
         env.sent.clear();
         m.on_msg(&mut env, NodeId(1), catalog(vec![VersionId(1)], false));
         assert!(env.sent.is_empty(), "a snapshotted version is a root");
+        // So is everything a longer retention window still covers.
+        let mut m = sweeper(RetentionPolicy::KeepLastN(5));
+        m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
+        env.sent.clear();
+        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
+        assert!(env.sent.is_empty(), "nothing to retire sends nothing");
+        assert_eq!(m.versions_retired(), 0);
     }
 
     #[test]

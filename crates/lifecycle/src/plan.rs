@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use sads_blob::meta::{created_ranges, NodeKey};
 use sads_blob::model::{BlobId, ChunkKey, VersionId};
 use sads_blob::vmanager::VersionSummary;
+use sads_sim::{SimDuration, SimTime};
 
 /// Per-BLOB retention policy: which published versions stay readable
 /// (and therefore pin their chunks and tree nodes as GC roots).
@@ -42,6 +43,11 @@ pub enum RetentionPolicy {
     /// Only snapshots (and the latest version) are roots: the archival
     /// policy for churning scratch data with explicit save points.
     KeepSnapshots,
+    /// Versions published within this window of the catalog's clock
+    /// ([`CatalogView::now`]) are roots, beside snapshots and the latest:
+    /// the paper's "temporary data" strategy — whatever nobody pinned
+    /// ages out once something newer supersedes it.
+    KeepNewerThan(SimDuration),
 }
 
 /// One BLOB's version catalog as the version manager reports it.
@@ -57,6 +63,9 @@ pub struct CatalogView<'a> {
     pub snapshots: &'a [VersionId],
     /// Whether the BLOB was decommissioned.
     pub decommissioned: bool,
+    /// The clock version ages are measured against (the sweeper's
+    /// `env.now()`); only [`RetentionPolicy::KeepNewerThan`] reads it.
+    pub now: SimTime,
 }
 
 /// Everything one sweep may reclaim for one BLOB.
@@ -102,6 +111,12 @@ pub fn roots(view: &CatalogView<'_>, policy: RetentionPolicy) -> BTreeSet<Versio
             roots.extend(all.iter().rev().take(n.max(1)));
         }
         RetentionPolicy::KeepSnapshots => {}
+        RetentionPolicy::KeepNewerThan(window) => roots.extend(
+            view.versions
+                .iter()
+                .filter(|v| view.now.since(v.published_at) <= window)
+                .map(|v| v.version),
+        ),
     }
     roots.remove(&VersionId::INITIAL);
     roots
@@ -182,7 +197,6 @@ pub fn mark_live_chunks(view: &CatalogView<'_>, policy: RetentionPolicy) -> BTre
 mod tests {
     use super::*;
     use sads_blob::model::PageInterval;
-    use sads_sim::SimTime;
 
     const PAGE: u64 = 8;
 
@@ -191,7 +205,7 @@ mod tests {
             version: VersionId(v),
             size: size_pages * PAGE,
             interval: PageInterval::new(start, len),
-            published_at: SimTime(v * 1_000_000_000),
+            published_at: SimTime::from_secs(v),
         }
     }
 
@@ -200,7 +214,12 @@ mod tests {
         snapshots: &'a [VersionId],
         decommissioned: bool,
     ) -> CatalogView<'a> {
-        CatalogView { blob: BlobId(1), page_size: PAGE, versions, snapshots, decommissioned }
+        let now = SimTime::from_secs(10);
+        CatalogView { blob: BlobId(1), page_size: PAGE, versions, snapshots, decommissioned, now }
+    }
+
+    fn ids(vs: &[u64]) -> BTreeSet<VersionId> {
+        vs.iter().copied().map(VersionId).collect()
     }
 
     #[test]
@@ -219,6 +238,11 @@ mod tests {
         assert_eq!(plan.chunks.len(), 4);
         assert!(plan.chunks.iter().all(|c| c.version == VersionId(1)));
         assert_eq!(plan.nodes.len(), 7, "root + 2 inner + 4 leaves");
+        // The newest n and v0 are never touched, and an n beyond the
+        // history reclaims nothing.
+        let v = view(&versions, &[], false);
+        assert_eq!(roots(&v, RetentionPolicy::KeepLastN(2)), ids(&[2, 3]));
+        assert!(plan_blob(&v, RetentionPolicy::KeepLastN(10)).is_empty());
     }
 
     #[test]
@@ -240,6 +264,15 @@ mod tests {
         let pages: Vec<u64> = plan.chunks.iter().map(|c| c.page).collect();
         assert_eq!(pages, vec![0, 1], "pages 2,3 still serve v2 reads");
         assert!(plan.retire.is_empty(), "record kept while items are shared");
+        // Dead nodes are the ranges v2 recreated — root, inner [0,2),
+        // leaves 0 and 1; v2's root still references v1's [2,4) subtree.
+        let ranges: Vec<(u64, u64)> =
+            plan.nodes.iter().map(|k| (k.range.start, k.range.len)).collect();
+        assert_eq!(ranges, vec![(0, 4), (0, 2), (0, 1), (1, 1)], "shared subtree survives");
+        // An append overwrites nothing: v2's new root [0,4) references
+        // v1's whole tree, so none of v1 is reclaimable.
+        let versions = vec![vs(0, 0, 0, 0), vs(1, 0, 2, 2), vs(2, 2, 2, 4)];
+        assert!(plan_blob(&view(&versions, &[], false), RetentionPolicy::KeepLastN(1)).is_empty());
     }
 
     #[test]
@@ -256,7 +289,13 @@ mod tests {
         let versions =
             vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 4, 4), vs(3, 0, 4, 4)];
         let r = roots(&view(&versions, &[VersionId(2)], false), RetentionPolicy::KeepSnapshots);
-        assert_eq!(r.into_iter().collect::<Vec<_>>(), vec![VersionId(2), VersionId(3)]);
+        assert_eq!(r, ids(&[2, 3]));
+        // Age runs from publication (v at v s) to the view's clock (10 s):
+        // v1 has left an 8 s window, v2 and v3 have not. A window nothing
+        // falls in leaves the pins and the latest, however old.
+        let newer = |s| RetentionPolicy::KeepNewerThan(SimDuration::from_secs(s));
+        assert_eq!(roots(&view(&versions, &[], false), newer(8)), ids(&[2, 3]));
+        assert_eq!(roots(&view(&versions, &[VersionId(1)], false), newer(1)), ids(&[1, 3]));
     }
 
     #[test]
@@ -273,6 +312,7 @@ mod tests {
             RetentionPolicy::KeepLastN(1),
             RetentionPolicy::KeepLastN(2),
             RetentionPolicy::KeepSnapshots,
+            RetentionPolicy::KeepNewerThan(SimDuration::from_secs(7)),
         ] {
             let v = view(&versions, &[VersionId(2)], false);
             let live = mark_live_chunks(&v, policy);
@@ -280,6 +320,89 @@ mod tests {
             for c in &plan.chunks {
                 assert!(!live.contains(c), "{policy:?} planned live chunk {c:?}");
             }
+        }
+    }
+
+    /// Node-level safety (the tests above model chunks only): after
+    /// executing a plan against a real metadata store, a read at every
+    /// root still resolves fully, through no deleted node or chunk.
+    #[test]
+    fn executing_the_plan_preserves_surviving_reads() {
+        use sads_blob::meta::{
+            BaseSnapshot, MetaNode, MetaStore, NodeRange, NodeRef, PageSource, TreeBuilder,
+            TreeReader,
+        };
+        use sads_blob::model::ChunkDescriptor;
+        use sads_sim::NodeId;
+
+        let blob = BlobId(1);
+        // Three writes: v1 [0,4), v2 [0,2), v3 [1,3).
+        let writes = [(1u64, 0u64, 4u64), (2, 0, 2), (3, 1, 2)];
+        for policy in [RetentionPolicy::KeepLastN(2), RetentionPolicy::KeepLastN(1)] {
+            let mut store = MetaStore::new();
+            let mut catalog = vec![vs(0, 0, 0, 0)];
+            let mut tree_roots: Vec<Option<NodeRef>> = vec![None];
+            for (v, start, len) in writes {
+                let base = BaseSnapshot {
+                    version: VersionId(v - 1),
+                    size: catalog[v as usize - 1].size,
+                    root: tree_roots[v as usize - 1],
+                };
+                let interval = PageInterval::new(start, len);
+                let mut b =
+                    TreeBuilder::new(blob, VersionId(v), interval, PAGE, 4 * PAGE, base, vec![]);
+                while !b.is_ready() {
+                    for k in b.needed_fetches() {
+                        let n = store.get(&k).expect("node present").clone();
+                        b.supply(k, &n);
+                    }
+                }
+                let chunks: Vec<ChunkDescriptor> = (start..start + len)
+                    .map(|page| ChunkDescriptor {
+                        key: ChunkKey { blob, version: VersionId(v), page },
+                        replicas: vec![NodeId(0)],
+                        size: PAGE,
+                    })
+                    .collect();
+                let (nodes, root) = b.build(&chunks);
+                for (k, n) in nodes {
+                    store.put(k, n);
+                }
+                tree_roots.push(Some(root));
+                catalog.push(vs(v, start, len, 4));
+            }
+
+            let view = view(&catalog, &[], false);
+            let plan = plan_blob(&view, policy);
+            assert!(!plan.is_empty());
+            for k in &plan.nodes {
+                assert!(store.remove(k), "planned node {k:?} existed");
+            }
+            for root in roots(&view, policy) {
+                let mut r =
+                    TreeReader::new(blob, tree_roots[root.0 as usize], PageInterval::new(0, 4));
+                while !r.is_done() {
+                    for k in r.needed_fetches() {
+                        let n = store
+                            .get(&k)
+                            .unwrap_or_else(|| panic!("read of {root:?} needs deleted node {k:?}"))
+                            .clone();
+                        r.supply(k, &n);
+                    }
+                }
+                for src in r.into_sources() {
+                    if let PageSource::Chunk(c) = src {
+                        assert!(
+                            !plan.chunks.contains(&c.key),
+                            "read of {root:?} references deleted chunk {:?}",
+                            c.key
+                        );
+                    }
+                }
+            }
+            // Page 3 was never overwritten: v1's leaf for it serves every root.
+            let survivor = NodeKey { blob, version: VersionId(1), range: NodeRange::new(3, 1) };
+            assert!(matches!(store.get(&survivor), Some(MetaNode::Leaf { .. })));
         }
     }
 }

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use sads::blob::model::{BlobId, ChunkKey, PageInterval, VersionId};
 use sads::blob::vmanager::VersionSummary;
 use sads::lifecycle::{mark_live_chunks, plan_blob, CatalogView, RetentionPolicy};
-use sads_sim::SimTime;
+use sads_sim::{SimDuration, SimTime};
 
 use std::collections::BTreeSet;
 
@@ -50,9 +50,10 @@ fn decode(ops: &[(u8, u64, u64)], allow_mutating_policy: bool) -> Vec<Op> {
             0..=3 => Op::Write { start: a % 16, len: 1 + b % 5 },
             4..=6 => Op::Sweep,
             7 => Op::Snapshot,
-            8 if allow_mutating_policy => Op::SetPolicy(match a % 3 {
+            8 if allow_mutating_policy => Op::SetPolicy(match a % 4 {
                 0 => RetentionPolicy::KeepAll,
                 1 => RetentionPolicy::KeepLastN((b % 4) as usize),
+                2 => RetentionPolicy::KeepNewerThan(SimDuration::from_secs(b % 4)),
                 _ => RetentionPolicy::KeepSnapshots,
             }),
             9 if allow_mutating_policy => Op::Decommission,
@@ -90,6 +91,9 @@ impl Catalog {
             versions: &self.versions,
             snapshots: &self.snapshots,
             decommissioned: self.decommissioned,
+            // Version v is published at v seconds; the sweeper looks
+            // just before the next publication.
+            now: SimTime::from_secs(self.next),
         }
     }
 
@@ -102,7 +106,7 @@ impl Catalog {
             version: v,
             size: prev.max(interval.end() * PAGE),
             interval,
-            published_at: SimTime(v.0 * 1_000_000_000),
+            published_at: SimTime::from_secs(v.0),
         });
     }
 
@@ -183,13 +187,14 @@ proptest! {
     #[test]
     fn collected_chunks_stay_dead_under_a_stable_policy(
         raw in prop::collection::vec((0u8..8, 0u64..64, 0u64..64), 1..40),
-        pol in 0u8..5,
+        pol in 0u8..6,
     ) {
         let policy = match pol {
             0 => RetentionPolicy::KeepAll,
             1 => RetentionPolicy::KeepLastN(0),
             2 => RetentionPolicy::KeepLastN(1),
             3 => RetentionPolicy::KeepLastN(3),
+            4 => RetentionPolicy::KeepNewerThan(SimDuration::from_secs(3)),
             _ => RetentionPolicy::KeepSnapshots,
         };
         let mut cat = Catalog::new();

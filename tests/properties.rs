@@ -184,16 +184,16 @@ proptest! {
         }
     }
 
-    /// GC safety: retire any prefix of versions; every surviving version
-    /// still reads exactly its reference state, with no deleted chunks
-    /// referenced.
+    /// GC safety: execute the keep-last-`keep` plan against the real
+    /// metadata store; every surviving version still reads exactly its
+    /// reference state, with no deleted chunks referenced.
     #[test]
     fn gc_preserves_surviving_snapshots(
         writes in write_strategy(),
         keep in 1usize..5,
     ) {
-        use sads_adaptive::gc_plan;
         use sads::blob::vmanager::VersionSummary;
+        use sads::lifecycle::{plan_blob, CatalogView, RetentionPolicy};
 
         let n = writes.len();
         let mut store = MetaStore::new();
@@ -223,20 +223,22 @@ proptest! {
             });
         }
 
-        // Retire every version except the newest `keep`.
+        // Keep the newest `keep` versions; reclaim whatever only the
+        // older ones reach.
         let cut = n.saturating_sub(keep);
-        let retiring: std::collections::HashSet<VersionId> =
-            (1..=cut as u64).map(VersionId).collect();
-        let mut deleted_chunks = std::collections::HashSet::new();
-        for v in 1..=cut as u64 {
-            let plan = gc_plan(BLOB, &catalog, PAGE, VersionId(v), &retiring);
-            for k in &plan.nodes {
-                prop_assert!(store.remove(k), "planned node {:?} existed", k);
-            }
-            for c in plan.chunks {
-                deleted_chunks.insert(c);
-            }
+        let view = CatalogView {
+            blob: BLOB,
+            page_size: PAGE,
+            versions: &catalog,
+            snapshots: &[],
+            decommissioned: false,
+            now: SimTime::ZERO,
+        };
+        let plan = plan_blob(&view, RetentionPolicy::KeepLastN(keep));
+        for k in &plan.nodes {
+            prop_assert!(store.remove(k), "planned node {:?} existed", k);
         }
+        let deleted_chunks: std::collections::HashSet<_> = plan.chunks.into_iter().collect();
         // Surviving versions read their exact reference state.
         for i in (cut + 1)..=n {
             let pages = sizes[i] / PAGE;

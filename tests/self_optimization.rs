@@ -1,13 +1,15 @@
 //! Self-optimization loops (paper §V): the replication manager must
 //! restore the replication degree after a provider failure (with reads
-//! staying available throughout), and the removal manager must reclaim
-//! retired versions without breaking surviving snapshots.
+//! staying available throughout), and the data-removal strategies (the
+//! lifecycle sweeper) must reclaim retired versions without breaking
+//! surviving snapshots.
 
 use sads::blob::model::{BlobId, BlobSpec, ClientId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
-use sads_adaptive::{ReplicationConfig, RetirePolicy};
+use sads::lifecycle::{LifecycleConfig, RetentionPolicy};
+use sads_adaptive::ReplicationConfig;
 use sads_blob::services::{DataProviderService, VersionManagerService};
 use sads_sim::{NodeId, SimDuration, SimTime, World};
 
@@ -95,29 +97,29 @@ fn provider_failure_is_repaired_and_reads_survive() {
     assert_eq!(d.world.metrics().counter("reader.ops_err"), 0);
 }
 
-#[test]
-fn removal_reclaims_old_versions_and_latest_stays_readable() {
+/// Overwrite one BLOB (2 MB pages) at offset 0 with each `(bytes, pause)`
+/// in turn under keep-last-`keep`, read the latest back at t = 150 s, and
+/// return the finished deployment.
+fn overwrite_under_keep_last(seed: u64, keep: usize, writes: &[(u64, u64)]) -> Deployment {
     let cfg = DeploymentConfig {
-        seed: 22,
+        seed,
         data_providers: 6,
         meta_providers: 2,
-        removal: Some((RetirePolicy::KeepLast(2), SimDuration::from_secs(10))),
+        lifecycle: Some(LifecycleConfig {
+            policy: RetentionPolicy::KeepLastN(keep),
+            sweep_every: SimDuration::from_secs(10),
+            ..LifecycleConfig::default()
+        }),
         ..DeploymentConfig::default()
     };
     let mut d = Deployment::build(cfg);
-
-    // Overwrite the same 32 MB region five times → versions 1..=5.
-    let spec = BlobSpec { page_size: 2 * MB, replication: 1 };
-    let mut script = vec![ScriptStep::Create(spec)];
-    for _ in 0..5 {
-        script.push(ScriptStep::Write {
-            blob: BlobRef::Created(0),
-            kind: WriteKind::At(0),
-            bytes: 32 * MB,
-        });
+    let mut script = vec![ScriptStep::Create(BlobSpec { page_size: 2 * MB, replication: 1 })];
+    for &(bytes, pause_s) in writes {
+        script.push(ScriptStep::Write { blob: BlobRef::Created(0), kind: WriteKind::At(0), bytes });
+        script.push(ScriptStep::Pause(SimDuration::from_secs(pause_s)));
     }
-    // Then read the latest version after GC has had time to run.
-    script.push(ScriptStep::WaitUntil(SimTime(60_000_000_000)));
+    // Read the latest version after GC has had time to run.
+    script.push(ScriptStep::WaitUntil(SimTime::from_secs(150)));
     script.push(ScriptStep::Read {
         blob: BlobRef::Created(0),
         version: None,
@@ -125,22 +127,49 @@ fn removal_reclaims_old_versions_and_latest_stays_readable() {
         len: 32 * MB,
     });
     d.add_client(ClientId(1), script, "client");
-
-    d.world.run_for(SimDuration::from_secs(90), 10_000_000);
+    d.world.run_for(SimDuration::from_secs(180), 10_000_000);
     assert_eq!(d.world.metrics().counter("client.ops_err"), 0);
-    assert_eq!(d.world.metrics().counter("client.ops_ok"), 7, "create + 5 writes + read");
+    assert_eq!(
+        d.world.metrics().counter("client.ops_ok"),
+        writes.len() as u64 + 2,
+        "create + writes + read"
+    );
+    d
+}
 
-    // Versions 1..=3 are gone from the catalog; 4 and 5 remain.
+fn catalog(d: &Deployment) -> Vec<u64> {
     let vman = d.world.actor_as::<VersionManagerService>(d.vman).expect("vman");
-    let blob = vman.state().blob(BlobId(1)).expect("blob");
-    let versions: Vec<u64> = blob.versions().map(|v| v.version.0).collect();
-    assert_eq!(versions, vec![0, 4, 5]);
-    assert!(d.world.metrics().counter("gc.retired") >= 3);
+    vman.state().blob(BlobId(1)).expect("blob").versions().map(|v| v.version.0).collect()
+}
 
+#[test]
+fn removal_reclaims_old_versions_and_latest_stays_readable() {
+    // Overwrite the same 32 MB region five times back to back → versions
+    // 1..=5, of which keep-last-2 retires 1..=3.
+    let d = overwrite_under_keep_last(22, 2, &[(32 * MB, 0); 5]);
+    assert_eq!(catalog(&d), vec![0, 4, 5]);
+    assert!(d.world.metrics().counter("lifecycle.versions_retired") >= 3);
     // Chunk population shrank to the survivors' working set: v5 holds the
     // live 16 pages; v4's 16 pages are also kept (it survives). Everything
     // from v1..v3 was reclaimed.
     let total: usize = d.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
     assert_eq!(total, 32, "16 pages × 2 surviving versions");
-    assert!(d.world.metrics().counter("gc.chunks_deleted") >= 48, "v1..v3 chunks deleted");
+    assert!(
+        d.world.metrics().counter("lifecycle.chunks_reclaimed") >= 48,
+        "v1..v3 chunks deleted"
+    );
+
+    // A partial overwrite between sweeps: v2 rewrites only the first half,
+    // so v1's second half stays shared with v2 until v3 covers it. v1's
+    // record may retire only once all of its chunks are dead — a planner
+    // that forgets it when v2 supersedes it can never plan the shared half
+    // again and ends holding 24 chunks, 8 of them unreachable.
+    let d = overwrite_under_keep_last(
+        23,
+        1,
+        &[(32 * MB, 25), (16 * MB, 25), (32 * MB, 25), (32 * MB, 25)],
+    );
+    assert_eq!(catalog(&d), vec![0, 4]);
+    let total: usize = d.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
+    assert_eq!(total, 16, "exactly the latest version's 16 pages");
 }
