@@ -892,9 +892,10 @@ mod tests {
         fn on_msg(&mut self, _env: &mut dyn Env, _from: NodeId, _msg: Msg) {}
     }
 
-    /// The start-up race behind the flaky first write: `add_node` used to
-    /// return with `on_start` merely scheduled. Its effects — and the
-    /// mail it sends — must be in place on return, with no wait.
+    /// `add_node` returns only once `on_start` has run: its effects, and
+    /// the mail it sends, are in place with no wait. (Were the start
+    /// merely scheduled, a cluster's first write could reach the provider
+    /// manager ahead of the providers' `Register`.)
     #[test]
     fn on_start_has_run_when_add_node_returns() {
         let metrics = Arc::new(Mutex::new(MetricSink::new()));

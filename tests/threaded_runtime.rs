@@ -2,7 +2,6 @@
 //! traffic, replica failover when a provider dies mid-service, and a
 //! streamed write publishing through a provider death.
 
-
 use bytes::Bytes;
 use sads::blob::client::{ClientConfig, RetryPolicy};
 use sads::blob::runtime::threaded::ClusterBuilder;
