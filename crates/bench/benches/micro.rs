@@ -52,6 +52,42 @@ fn build_tree(pages: u64) -> (MetaStore, NodeRef) {
     (store, root)
 }
 
+/// A `pages`-page BLOB written whole at version 1, then overwritten one
+/// page at a time (at scattered pages) up to version `versions`: returns
+/// the store, the latest root and the latest version.
+fn build_history(pages: u64, versions: u64) -> (MetaStore, NodeRef, VersionId) {
+    let (mut store, mut root) = build_tree(pages);
+    for v in 2..=versions {
+        let page = v.wrapping_mul(0x9E37_79B9_7F4A_7C15) % pages;
+        let mut tb = TreeBuilder::new(
+            BLOB,
+            VersionId(v),
+            PageInterval::new(page, 1),
+            PAGE,
+            pages * PAGE,
+            BaseSnapshot { version: VersionId(v - 1), size: pages * PAGE, root: Some(root) },
+            vec![],
+        );
+        while !tb.is_ready() {
+            for k in tb.needed_fetches() {
+                let n = store.get(&k).unwrap().clone();
+                tb.supply(k, &n);
+            }
+        }
+        let chunk = ChunkDescriptor {
+            key: ChunkKey { blob: BLOB, version: VersionId(v), page },
+            replicas: vec![NodeId(0)],
+            size: PAGE,
+        };
+        let (nodes, new_root) = tb.build(&[chunk]);
+        for (k, n) in nodes {
+            store.put(k, n);
+        }
+        root = new_root;
+    }
+    (store, root, VersionId(versions))
+}
+
 fn bench_tree(c: &mut Criterion) {
     let mut g = c.benchmark_group("segment_tree");
     for pages in [16u64, 128, 1024] {
@@ -154,6 +190,51 @@ fn bench_read_path(c: &mut Criterion) {
             });
         });
     }
+
+    // The shape that hurt: op-sized queries on a big, many-version tree
+    // (32 768 pages, 513 versions — the benchmark's `small_meta`), where
+    // the answer is ~20 nodes out of 75 000 stored. The whole-tree rows
+    // above are the one shape where visiting every stored range *is* the
+    // answer, so they cannot tell a scan from an index.
+    let (store, root, latest) = build_history(1 << 15, 513);
+    let mut at = 0u64;
+    let mut next_query = move || {
+        at = (at + 12_345) % ((1 << 15) - 4);
+        PageInterval::new(at, 4)
+    };
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("range_cover_4_pages/32768x513", |b| {
+        b.iter(|| store.range_cover(BLOB, latest, &next_query(), None, 512));
+    });
+    g.bench_function("descent_level_by_level_4_pages/32768x513", |b| {
+        b.iter(|| {
+            let mut r = TreeReader::new(BLOB, Some(root), next_query());
+            while !r.is_done() {
+                for k in r.needed_fetches() {
+                    r.supply(k, store.get(&k).unwrap());
+                }
+            }
+            r.into_sources()
+        });
+    });
+    // Continuation: the whole BLOB walked through the cursor in answers
+    // of 512 nodes (per-call cost must not depend on where the cursor is).
+    let whole = PageInterval::new(0, 1 << 15);
+    let calls = store.range_cover(BLOB, latest, &whole, None, usize::MAX).0.len().div_ceil(512);
+    g.throughput(Throughput::Elements(calls as u64));
+    g.bench_function("range_cover_whole_blob_in_512s/32768x513", |b| {
+        b.iter(|| {
+            let (mut after, mut seen) = (None, 0);
+            loop {
+                let (nodes, more) = store.range_cover(BLOB, latest, &whole, after, 512);
+                seen += nodes.len();
+                if !more {
+                    break seen;
+                }
+                after = nodes.last().map(|(k, _)| k.range);
+            }
+        });
+    });
 
     let key = |p: u64| ChunkKey { blob: BLOB, version: VersionId(1), page: p };
     let mut cache = ReadCache::new(128);

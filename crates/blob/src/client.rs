@@ -1844,8 +1844,7 @@ impl ClientCore {
     }
 
     /// The metadata/commit tail of a draining write stream: build (or
-    /// keep resolving) the tree, then store nodes — the same steps as
-    /// [`write_meta_step`](Self::write_meta_step), on stream state.
+    /// keep resolving) the tree, then store nodes.
     fn wstream_meta_step(
         meta_providers: &[NodeId],
         meta_cache: &mut MetaCache,
@@ -2730,7 +2729,7 @@ pub fn chunks_for_write(len: u64, page_size: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::{MetaNode, NodeRef};
+    use crate::meta::{partition, MetaNode, MetaStore, NodeRef};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -3312,6 +3311,71 @@ mod tests {
             let items = keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect();
             let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items });
             assert_eq!(read_data(&done).len(), pages * page, "{entry:?}");
+        }
+    }
+
+    /// The same one-broadcast property at the shape that makes it matter:
+    /// a depth-15 tree hash-partitioned over two metadata providers, each
+    /// answering from a real `MetaStore::range_cover`, and a 4-page read
+    /// across the root's midpoint — the longest read path the tree has.
+    #[test]
+    fn cold_read_of_a_depth_15_tree_needs_no_per_node_fetch() {
+        const META_B: NodeId = NodeId(4);
+        let ring = [META, META_B];
+        let (pages, page) = (1u64 << 15, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
+        let mut stores = [MetaStore::new(), MetaStore::new()];
+        for (k, n) in nodes {
+            stores[partition(&k, ring.len())].put(k, n);
+        }
+        let query = PageInterval::new(pages / 2 - 3, 4);
+        for entry in ENTRIES {
+            let mut env = TestEnv::new();
+            let mut c =
+                ClientCore::new(ClientId(7), VMAN, PMAN, ring.to_vec(), ClientConfig::default());
+            let (blob, version) = (BlobId(5), None);
+            let (offset, len) = (query.start * page, query.len * page);
+            let op = match entry {
+                Entry::OneShot => ClientOp::Read { blob, version, offset, len },
+                Entry::Stream => ClientOp::OpenReadStream { blob, version, offset, len },
+            };
+            assert!(c.start_op(&mut env, op, 9).is_empty());
+            let (_, msg) = env.take_sent().pop().unwrap();
+            let Msg::GetVersion { req, .. } = msg else { panic!("{msg:?}") };
+            let info = VersionInfo {
+                version: VersionId(1),
+                size: pages * page,
+                page_size: page,
+                root: Some(root),
+            };
+            assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionOk { req, info }).is_empty());
+            let asked = env.take_sent();
+            assert_eq!(asked.len(), ring.len(), "one range query per provider: {asked:?}");
+            let mut done = Vec::new();
+            for (to, msg) in asked {
+                let Msg::GetMetaRange { req, blob, version, query: q, after, max_nodes } = msg
+                else {
+                    panic!("{msg:?}")
+                };
+                assert_eq!(q, query);
+                let store = &stores[ring.iter().position(|m| *m == to).unwrap()];
+                let (nodes, more) = store.range_cover(blob, version, &q, after, max_nodes as usize);
+                assert!(!nodes.is_empty() && !more, "{to:?} holds part of the path");
+                done = c.handle_msg(&mut env, to, Msg::GetMetaRangeOk { req, nodes, more });
+            }
+            after_plan(&mut c, &mut env, entry, done);
+            // Whatever leaves the client now fetches chunks: the descent
+            // ran to the leaves on the two answers alone.
+            let sent = env.take_sent();
+            let fetched: usize = sent
+                .iter()
+                .map(|(to, msg)| match msg {
+                    Msg::GetChunkBatch { keys, .. } => keys.len(),
+                    Msg::GetChunk { .. } => 1,
+                    other => panic!("{entry:?}: {other:?} to {to:?} after the broadcast"),
+                })
+                .sum();
+            assert_eq!(fetched as u64, query.len, "{entry:?}");
         }
     }
 

@@ -64,13 +64,23 @@ pub fn group_by_partition<T>(
 #[derive(Debug, Default)]
 pub struct MetaStore {
     nodes: HashMap<NodeKey, MetaNode>,
-    /// Secondary index for bulk range descents: per blob, the versions
-    /// stored at each range (kept sorted ascending). Lets `range_cover`
-    /// answer "the node at range r in the tree of version v" — the one
-    /// with the greatest stored version ≤ v — without touching the main
-    /// map per candidate version.
-    by_blob: HashMap<BlobId, HashMap<NodeRange, Vec<VersionId>>>,
+    /// Secondary index for bulk range descents, per BLOB: the versions
+    /// stored at each aligned range (kept sorted ascending), plus the
+    /// widest length stored. `range_cover` probes the first for "the node
+    /// at range r in the tree of version v" — the one with the greatest
+    /// stored version ≤ v — and the second bounds the levels it
+    /// enumerates.
+    by_blob: HashMap<BlobId, BlobRanges>,
     bytes: u64,
+}
+
+/// One BLOB's share of the range index.
+#[derive(Debug, Default)]
+struct BlobRanges {
+    versions: HashMap<NodeRange, Vec<VersionId>>,
+    /// Greatest `len` of any range ever put for the BLOB while this entry
+    /// lived: a bound, not a count, so removing that range leaves it.
+    widest: u64,
 }
 
 impl MetaStore {
@@ -86,10 +96,19 @@ impl MetaStore {
         match self.nodes.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(e) => {
+                // `range_cover` computes candidate ranges from the query
+                // alone; a misaligned one would be stored but never found.
+                let NodeRange { start, len } = key.range;
+                debug_assert!(
+                    len.is_power_of_two() && start.is_multiple_of(len),
+                    "segment-tree ranges are aligned powers of two: {}",
+                    key.range
+                );
                 self.bytes += node.wire_size();
                 e.insert(node);
-                let versions =
-                    self.by_blob.entry(key.blob).or_default().entry(key.range).or_default();
+                let ranges = self.by_blob.entry(key.blob).or_default();
+                ranges.widest = ranges.widest.max(key.range.len);
+                let versions = ranges.versions.entry(key.range).or_default();
                 let at = versions.partition_point(|v| *v < key.version);
                 versions.insert(at, key.version);
                 true
@@ -108,13 +127,13 @@ impl MetaStore {
         if let Some(n) = self.nodes.remove(key) {
             self.bytes -= n.wire_size();
             if let Some(ranges) = self.by_blob.get_mut(&key.blob) {
-                if let Some(versions) = ranges.get_mut(&key.range) {
+                if let Some(versions) = ranges.versions.get_mut(&key.range) {
                     versions.retain(|v| *v != key.version);
                     if versions.is_empty() {
-                        ranges.remove(&key.range);
+                        ranges.versions.remove(&key.range);
                     }
                 }
-                if ranges.is_empty() {
+                if ranges.versions.is_empty() {
                     self.by_blob.remove(&key.blob);
                 }
             }
@@ -135,7 +154,80 @@ impl MetaStore {
     /// Results are ordered by `(range.start, range.len)`; at most
     /// `max_nodes` are returned and the `bool` reports truncation. Pass
     /// the last returned range as `after` to resume.
+    ///
+    /// Ranges are power-of-two long and aligned to their length, so the
+    /// ones that can intersect the query follow from the query alone: at
+    /// each start page, the lengths that divide it and reach into the
+    /// query, up to the widest length stored for the BLOB. The call probes
+    /// exactly those, in result order, from the cursor on, and stops at
+    /// hit `max_nodes + 1`: at most depth + 2·|query| hash probes, whatever
+    /// the number of ranges stored and wherever the cursor stands.
     pub fn range_cover(
+        &self,
+        blob: BlobId,
+        version: VersionId,
+        query: &PageInterval,
+        after: Option<NodeRange>,
+        max_nodes: usize,
+    ) -> (Vec<(NodeKey, MetaNode)>, bool) {
+        let mut out = Vec::new();
+        let Some(ranges) = self.by_blob.get(&blob) else {
+            return (out, false);
+        };
+        if query.is_empty() {
+            return (out, false);
+        }
+        let cursor = after.map(|r| (r.start, r.len));
+        // Leftmost candidate start: the widest range that holds the
+        // query's first page. A cursor inside the query skips straight to
+        // its own start page (every start left of the query sorts before).
+        let mut start = query.start & !(ranges.widest - 1);
+        if let Some((s, _)) = cursor {
+            if s >= query.start {
+                start = s;
+            }
+        }
+        while start < query.end() {
+            // Shortest length reaching the query from here, and the step
+            // to the next start: left of the query, the ancestors of its
+            // first page, each half the one before; inside it, every page.
+            let (shortest, step) = if start < query.start {
+                let reach = (query.start - start + 1).next_power_of_two();
+                (reach, reach / 2)
+            } else {
+                (1, 1)
+            };
+            let longest = match start {
+                0 => ranges.widest,
+                s => ranges.widest.min(1 << s.trailing_zeros()),
+            };
+            for level in shortest.trailing_zeros()..=longest.trailing_zeros() {
+                let range = NodeRange { start, len: 1 << level };
+                if cursor.is_some_and(|c| (range.start, range.len) <= c) {
+                    continue;
+                }
+                let Some(versions) = ranges.versions.get(&range) else {
+                    continue;
+                };
+                let at = versions.partition_point(|v| *v <= version);
+                if at == 0 {
+                    continue;
+                }
+                if out.len() == max_nodes {
+                    return (out, true);
+                }
+                let key = NodeKey { blob, version: versions[at - 1], range };
+                out.push((key, self.nodes[&key].clone()));
+            }
+            start += step;
+        }
+        (out, false)
+    }
+
+    /// The scan `range_cover` replaced — filter every stored range of the
+    /// BLOB, then sort — kept as the reference the tests compare against.
+    #[cfg(test)]
+    fn range_cover_scan(
         &self,
         blob: BlobId,
         version: VersionId,
@@ -148,6 +240,7 @@ impl MetaStore {
         };
         let cursor = after.map(|r| (r.start, r.len));
         let mut matches: Vec<(NodeRange, VersionId)> = ranges
+            .versions
             .iter()
             .filter(|(r, _)| r.intersects(query))
             .filter(|(r, _)| cursor.is_none_or(|c| (r.start, r.len) > c))
@@ -184,7 +277,7 @@ impl MetaStore {
         self.bytes
     }
 
-    /// Iterate all keys (used by removal sweeps).
+    /// Iterate all keys, in no particular order.
     pub fn keys(&self) -> impl Iterator<Item = &NodeKey> {
         self.nodes.keys()
     }
@@ -206,8 +299,10 @@ impl MetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::tree::{NodeRange, NodeRef};
-    use crate::model::{BlobId, VersionId};
+    use crate::meta::tree::{BaseSnapshot, NodeRef, PageSource, TreeBuilder, TreeReader};
+    use crate::model::{next_pow2, ChunkDescriptor, ChunkKey};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn key(b: u64, v: u64, s: u64, l: u64) -> NodeKey {
         NodeKey { blob: BlobId(b), version: VersionId(v), range: NodeRange::new(s, l) }
@@ -320,6 +415,243 @@ mod tests {
         assert_eq!(nodes[0].0.version, VersionId(1), "falls back to surviving version");
         assert!(s.remove(&key(1, 1, 0, 4)));
         assert!(s.range_cover(BlobId(1), VersionId(2), &q, None, 64).0.is_empty());
+    }
+
+    const PAGE: u64 = 8;
+
+    /// One BLOB of a generated history: its page count and the root of
+    /// every published version (`roots[v - 1]` is version `v`'s).
+    struct Blob {
+        id: BlobId,
+        pages: u64,
+        roots: Vec<NodeRef>,
+    }
+
+    impl Blob {
+        fn new(id: u64) -> Blob {
+            Blob { id: BlobId(id), pages: 0, roots: Vec::new() }
+        }
+
+        /// Publish the next version writing `at`, the way a lone client
+        /// does it: the real `TreeBuilder`, its base tree resolved from
+        /// `full`. Returns the nodes the writer stores.
+        fn write(&mut self, full: &mut MetaStore, at: PageInterval) -> Vec<(NodeKey, MetaNode)> {
+            let version = VersionId(self.roots.len() as u64 + 1);
+            let base = BaseSnapshot {
+                version: VersionId(self.roots.len() as u64),
+                size: self.pages * PAGE,
+                root: self.roots.last().copied(),
+            };
+            self.pages = self.pages.max(at.end());
+            let mut b =
+                TreeBuilder::new(self.id, version, at, PAGE, self.pages * PAGE, base, vec![]);
+            while !b.is_ready() {
+                for k in b.needed_fetches() {
+                    let n = full.get(&k).expect("base tree node").clone();
+                    b.supply(k, &n);
+                }
+            }
+            let chunks: Vec<ChunkDescriptor> = (at.start..at.end())
+                .map(|page| ChunkDescriptor {
+                    key: ChunkKey { blob: self.id, version, page },
+                    replicas: vec![NodeId(0)],
+                    size: PAGE,
+                })
+                .collect();
+            let (nodes, root) = b.build(&chunks);
+            for (k, n) in &nodes {
+                assert!(full.put(*k, n.clone()), "node {k:?} written twice");
+            }
+            self.roots.push(root);
+            nodes
+        }
+
+        /// The write a generated `(kind, a, b)` step stands for: an
+        /// overwrite of `b` pages at an arbitrary offset (running past the
+        /// end when it falls near it), or an append — flush or leaving a
+        /// hole — that sooner or later grows the root.
+        fn step(&self, kind: u8, a: u64, b: u64) -> PageInterval {
+            match kind {
+                0..=2 => PageInterval::new(a % self.pages, b),
+                _ => PageInterval::new(self.pages + if a.is_multiple_of(3) { a % 9 } else { 0 }, b),
+            }
+        }
+    }
+
+    /// Queries that probe the enumeration's edges on a BLOB of `pages`
+    /// pages whose widest stored range is `widest` long: empty, one page,
+    /// unaligned, across the widest range's midpoint, across and past the
+    /// end, whole BLOB.
+    fn edge_queries(pages: u64, widest: u64, (x, y): (u64, u64)) -> Vec<PageInterval> {
+        let mid = widest / 2;
+        vec![
+            PageInterval::new(x % (pages + 2), 0),
+            PageInterval::new(x % pages, 1),
+            PageInterval::new(x % pages, 1 + y % 9),
+            PageInterval::new(mid - x % (mid + 1), 1 + x % (mid + 1) + y % 3),
+            PageInterval::new(pages - 1, 2 + y % 5),
+            PageInterval::new(pages + x % (2 * widest), 1 + y % 5),
+            PageInterval::new(0, pages),
+        ]
+    }
+
+    /// `range_cover` against the scan it replaced, on one store: every
+    /// edge query, at version 0, mid-history and beyond the latest, untruncated
+    /// and walked through the cursor in pages of 1 and 3.
+    fn assert_matches_scan(
+        s: &MetaStore,
+        blob: &Blob,
+        seed: (u64, u64),
+    ) -> Result<(), TestCaseError> {
+        let latest = blob.roots.len() as u64;
+        let widest = next_pow2(blob.pages);
+        for q in edge_queries(blob.pages, widest, seed) {
+            for v in [0, 1 + seed.0 % latest, latest + 2] {
+                let v = VersionId(v);
+                let whole = s.range_cover(blob.id, v, &q, None, usize::MAX);
+                prop_assert_eq!(&whole, &s.range_cover_scan(blob.id, v, &q, None, usize::MAX));
+                prop_assert!(!whole.1, "untruncated call reported more");
+                for page in [1, 3] {
+                    let (mut walked, mut after) = (Vec::new(), None);
+                    loop {
+                        let got = s.range_cover(blob.id, v, &q, after, page);
+                        prop_assert_eq!(&got, &s.range_cover_scan(blob.id, v, &q, after, page));
+                        let (nodes, more) = got;
+                        walked.extend(nodes);
+                        if !more {
+                            break;
+                        }
+                        after = walked.last().map(|(k, _)| k.range);
+                    }
+                    prop_assert_eq!(&walked, &whole.0, "pages of {} at {:?} {:?}", page, v, q);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// History steps: `kind` 0–2 overwrite, 3 append (BLOB 1), 4 write to
+    /// BLOB 2, 5–7 collect a stored node.
+    fn steps() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+        prop::collection::vec((0u8..8, 0u64..1 << 20, 1u64..=17), 1..16)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The enumeration returns what the scan returns — same keys, same
+        /// nodes, same order, same `more` — after every step of a history
+        /// of real writes to two BLOBs and removals of arbitrary stored
+        /// nodes, down to the last node of a BLOB.
+        #[test]
+        fn range_cover_equals_the_scan_it_replaced(
+            first in 1u64..24,
+            steps in steps(),
+            seed in (0u64..1 << 20, 0u64..1 << 20),
+        ) {
+            // `full` keeps every node so later writers can resolve their
+            // base tree; `s` is the store under test, which GC thins out.
+            let (mut full, mut s) = (MetaStore::new(), MetaStore::new());
+            let mut blobs = [Blob::new(1), Blob::new(2)];
+            let mut live: Vec<NodeKey> = Vec::new();
+            type Nodes = Vec<(NodeKey, MetaNode)>;
+            fn put_all(s: &mut MetaStore, live: &mut Vec<NodeKey>, nodes: Nodes) {
+                for (k, n) in nodes {
+                    s.put(k, n);
+                    live.push(k);
+                }
+            }
+            let nodes = blobs[0].write(&mut full, PageInterval::new(0, first));
+            put_all(&mut s, &mut live, nodes);
+            let nodes = blobs[1].write(&mut full, PageInterval::new(0, 1 + first % 2));
+            put_all(&mut s, &mut live, nodes);
+            for (kind, a, b) in steps {
+                match kind {
+                    0..=4 => {
+                        let (blob, kind) = match kind {
+                            4 => (&mut blobs[1], (a % 4) as u8),
+                            _ => (&mut blobs[0], kind),
+                        };
+                        let at = blob.step(kind, a, b);
+                        let nodes = blob.write(&mut full, at);
+                        put_all(&mut s, &mut live, nodes);
+                    }
+                    _ if !live.is_empty() => {
+                        let k = live.swap_remove(a as usize % live.len());
+                        prop_assert!(s.remove(&k));
+                    }
+                    _ => {}
+                }
+                let seed = (seed.0 ^ a, seed.1 ^ b);
+                assert_matches_scan(&s, &blobs[0], seed)?;
+                assert_matches_scan(&s, &blobs[1], seed)?;
+            }
+            // Collect BLOB 2 to its last node: its index entry, and with
+            // it the widest length, goes; a later put starts it afresh.
+            let (gone, kept): (Vec<NodeKey>, Vec<NodeKey>) =
+                live.iter().partition(|k| k.blob == blobs[1].id);
+            for k in &gone {
+                prop_assert!(s.remove(k));
+                assert_matches_scan(&s, &blobs[1], seed)?;
+            }
+            prop_assert!(!s.by_blob.contains_key(&blobs[1].id));
+            prop_assert_eq!(s.len(), kept.len());
+            if let Some(k) = gone.iter().find(|k| k.range.is_leaf()) {
+                s.put(*k, full.get(k).unwrap().clone());
+                assert_matches_scan(&s, &blobs[1], seed)?;
+            }
+            assert_matches_scan(&s, &blobs[0], seed)?;
+        }
+
+        /// What the scan was for: the union of two partitioned stores'
+        /// `range_cover(v, q)` — all a cold client has after its one
+        /// broadcast — holds every node `TreeReader` asks for on the way
+        /// down version `v`'s tree, so the read finishes without a single
+        /// per-node fetch and finds the pages `MetaStore::get` finds.
+        #[test]
+        fn range_cover_alone_feeds_a_whole_descent(
+            first in 1u64..24,
+            steps in steps(),
+            seed in (0u64..1 << 20, 0u64..1 << 20),
+        ) {
+            let mut full = MetaStore::new();
+            let mut parts = [MetaStore::new(), MetaStore::new()];
+            let mut blob = Blob::new(1);
+            let mut at = PageInterval::new(0, first);
+            for (kind, a, b) in steps {
+                for (k, n) in blob.write(&mut full, at) {
+                    parts[partition(&k, 2)].put(k, n);
+                }
+                at = blob.step(kind % 4, a, b);
+            }
+            type Fetch<'a> = &'a dyn Fn(&NodeKey) -> Option<MetaNode>;
+            let descend = |root: NodeRef, q: PageInterval, fetch: Fetch| {
+                let mut r = TreeReader::new(blob.id, Some(root), q);
+                while !r.is_done() {
+                    for k in r.needed_fetches() {
+                        let n = fetch(&k).ok_or_else(|| {
+                            TestCaseError::fail(format!("{k:?} on the read path of {q:?} not covered"))
+                        })?;
+                        r.supply(k, &n);
+                    }
+                }
+                Ok::<Vec<PageSource>, TestCaseError>(r.into_sources())
+            };
+            let widest = next_pow2(blob.pages);
+            for (i, root) in blob.roots.iter().enumerate() {
+                let v = VersionId(i as u64 + 1);
+                let seed = (seed.0 + i as u64, seed.1 ^ i as u64);
+                for q in edge_queries(blob.pages, widest, seed) {
+                    let covered: HashMap<NodeKey, MetaNode> = parts
+                        .iter()
+                        .flat_map(|p| p.range_cover(blob.id, v, &q, None, usize::MAX).0)
+                        .collect();
+                    let from_cover = descend(*root, q, &|k| covered.get(k).cloned())?;
+                    let from_get = descend(*root, q, &|k| full.get(k).cloned())?;
+                    prop_assert_eq!(from_cover, from_get, "{:?} of {:?}", q, v);
+                }
+            }
+        }
     }
 
     #[test]
