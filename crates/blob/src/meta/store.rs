@@ -479,10 +479,10 @@ mod tests {
     }
 
     /// Queries that probe the enumeration's edges on a BLOB of `pages`
-    /// pages whose widest stored range is `widest` long: empty, one page,
-    /// unaligned, across the widest range's midpoint, across and past the
-    /// end, whole BLOB.
-    fn edge_queries(pages: u64, widest: u64, (x, y): (u64, u64)) -> Vec<PageInterval> {
+    /// pages: empty, one page, unaligned, across the root's midpoint,
+    /// across and past the end, whole BLOB.
+    fn edge_queries(pages: u64, (x, y): (u64, u64)) -> Vec<PageInterval> {
+        let widest = next_pow2(pages);
         let mid = widest / 2;
         vec![
             PageInterval::new(x % (pages + 2), 0),
@@ -496,16 +496,15 @@ mod tests {
     }
 
     /// `range_cover` against the scan it replaced, on one store: every
-    /// edge query, at version 0, mid-history and beyond the latest, untruncated
-    /// and walked through the cursor in pages of 1 and 3.
+    /// edge query, at version 0, mid-history and beyond the latest,
+    /// untruncated and walked through the cursor in pages of 1 and 3.
     fn assert_matches_scan(
         s: &MetaStore,
         blob: &Blob,
         seed: (u64, u64),
     ) -> Result<(), TestCaseError> {
         let latest = blob.roots.len() as u64;
-        let widest = next_pow2(blob.pages);
-        for q in edge_queries(blob.pages, widest, seed) {
+        for q in edge_queries(blob.pages, seed) {
             for v in [0, 1 + seed.0 % latest, latest + 2] {
                 let v = VersionId(v);
                 let whole = s.range_cover(blob.id, v, &q, None, usize::MAX);
@@ -637,11 +636,10 @@ mod tests {
                 }
                 Ok::<Vec<PageSource>, TestCaseError>(r.into_sources())
             };
-            let widest = next_pow2(blob.pages);
             for (i, root) in blob.roots.iter().enumerate() {
                 let v = VersionId(i as u64 + 1);
                 let seed = (seed.0 + i as u64, seed.1 ^ i as u64);
-                for q in edge_queries(blob.pages, widest, seed) {
+                for q in edge_queries(blob.pages, seed) {
                     let covered: HashMap<NodeKey, MetaNode> = parts
                         .iter()
                         .flat_map(|p| p.range_cover(blob.id, v, &q, None, usize::MAX).0)
