@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use rand::Rng;
 use sads_sim::{NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx};
 
@@ -79,8 +79,10 @@ pub enum ClientOp {
     /// Read a byte range of a version (latest if `version` is `None`).
     /// The one-shot entry into the read session: equivalent to
     /// [`ClientOp::OpenReadStream`] + [`ClientOp::ReadStreamNext`] to eof,
-    /// except that the whole range is fetched (under `chunk_window`) and
-    /// assembled as a single batch, delivered as [`OpOutput::Read`].
+    /// except that the whole range is fetched (under `chunk_window`) as a
+    /// single batch and delivered contiguous, as [`OpOutput::Read`]: a
+    /// range inside one page is a view of the stored page, a wider one is
+    /// copied — once — into one buffer (`client.read_copied_bytes`).
     Read {
         /// Target BLOB.
         blob: BlobId,
@@ -160,10 +162,11 @@ pub enum ClientOp {
         /// Byte length (clamped to the version size).
         len: u64,
     },
-    /// Pull the next window of bytes from an open read stream. Completes
-    /// with [`OpOutput::ReadChunk`]; at most `chunk_window` pages are in
+    /// Pull the next window of pages from an open read stream. Completes
+    /// with [`OpOutput::ReadChunk`] — the fetched pages themselves, as a
+    /// rope of views, not a copy; at most `chunk_window` pages are in
     /// client memory at any point. The stream closes itself when the
-    /// chunk carrying `eof = true` is delivered.
+    /// window carrying `eof = true` is delivered.
     ReadStreamNext {
         /// Stream id from [`OpOutput::ReadStreamOpened`].
         stream: u64,
@@ -241,13 +244,17 @@ pub enum OpOutput {
         /// BLOB page size (the stream's chunk size).
         page_size: u64,
     },
-    /// One window of streamed read data.
+    /// One window of streamed read data, as a rope: nothing is assembled.
     ReadChunk {
         /// Stream id.
         stream: u64,
-        /// The bytes (zeros for holes; `Payload::Sim` in simulation).
-        data: Payload,
-        /// True on the final chunk; the stream is closed after this.
+        /// The window's bytes in order. With real data, one refcounted
+        /// view per fetched page — the stored page itself, the first and
+        /// last trimmed to the requested range — and a zero segment per
+        /// hole; in simulation one `Payload::Sim` for the whole window.
+        /// No segment is empty; a zero-length read delivers no segments.
+        segments: Vec<Payload>,
+        /// True on the final window; the stream is closed after this.
         eof: bool,
     },
     /// A stream was closed (abort or explicit close).
@@ -605,9 +612,11 @@ enum RStreamPhase {
 /// The read session: the version lookup and the (bulk, cache-warming)
 /// metadata descent run at open and resolve the whole chunk plan — an
 /// O(#pages) table of descriptors, not data — then each `next()` pulls
-/// at most `chunk_window` pages of actual bytes, so a multi-GB read
-/// runs in O(window) data memory. A one-shot [`ClientOp::Read`] is the
-/// same session pulling the whole plan as its single batch.
+/// at most `chunk_window` pages of actual bytes — delivered as they were
+/// fetched, a rope of views of the stored pages — so a multi-GB read
+/// runs in O(window) data memory and copies nothing. A one-shot
+/// [`ClientOp::Read`] is the same session pulling the whole plan as its
+/// single batch and assembling it into the one buffer its caller is owed.
 #[derive(Debug)]
 struct ReadStreamSess {
     blob: BlobId,
@@ -1432,11 +1441,21 @@ impl ClientCore {
                     );
                 }
                 w.data_mode = Some(true);
+                let page = w.page_size() as usize;
+                let mut b = b;
+                // A partial page under accumulation is topped up first —
+                // the one copy a sub-page feed costs — and cut the moment
+                // it fills, so `acc` never holds more than one page and a
+                // cut is a `freeze` of the whole accumulator: a move.
+                if !w.acc.is_empty() {
+                    let need = page.saturating_sub(w.acc.len()).min(b.len());
+                    w.acc.extend_from_slice(&b[..need]);
+                    b = b.slice(need..);
+                    Self::wstream_cut(w);
+                }
                 // Zero-copy fast path: with an empty accumulator, whole
                 // pages are cut straight off the fed buffer as refcounted
                 // sub-slices; only a sub-page tail goes through `acc`.
-                let page = w.page_size() as usize;
-                let mut b = b;
                 if page > 0 && w.acc.is_empty() {
                     let mut at = 0usize;
                     while b.len() - at >= page && (w.next_page as usize) < w.chunks.len() {
@@ -1445,10 +1464,14 @@ impl ClientCore {
                         at += page;
                     }
                     if at > 0 {
-                        b = b.slice(at..b.len());
+                        b = b.slice(at..);
                     }
                 }
                 if !b.is_empty() {
+                    if w.acc.is_empty() {
+                        // Sized for the page it will become: no regrowth.
+                        w.acc = BytesMut::with_capacity(page.max(b.len()));
+                    }
                     w.acc.extend_from_slice(&b);
                 }
             }
@@ -1606,20 +1629,20 @@ impl ClientCore {
         let (page, version) = (info.page_size, info.version);
         // Past the last page: deliver eof, auto-closing the stream.
         if r.sources.len() == 0 {
-            let data = if cfg.materialize_zeros {
-                Payload::Data(bytes::Bytes::new())
+            let out = if !whole {
+                OpOutput::ReadChunk { stream: sid, segments: Vec::new(), eof: true }
+            } else if cfg.materialize_zeros {
+                OpOutput::Read { data: Payload::Data(Bytes::new()), version }
             } else {
-                Payload::Sim(0)
+                OpOutput::Read { data: Payload::Sim(0), version }
             };
-            return StreamStep::Finish(Ok(read_output(sid, whole, data, true, version)), 0);
+            return StreamStep::Finish(Ok(out), 0);
         }
         let remaining = r.sources.len();
-        // Besides the pipelining window, cap one streamed batch below
-        // 32 MiB: glibc never raises its dynamic mmap threshold past that
-        // (`DEFAULT_MMAP_THRESHOLD_MAX`), so a ≥ 32 MiB assembly buffer is
-        // freshly mmap'd — and page-fault-zeroed — on every `next()`,
-        // which measures ~6× slower than reusable sub-threshold buffers
-        // (E15). The memory bound only tightens.
+        // Besides the pipelining window, cap one streamed window at
+        // 16 MiB of pages: whoever pulled it holds every page of the
+        // window until its cursor has passed them, so this is what bounds
+        // a stream's resident bytes under huge pages or `chunk_window` 0.
         const BATCH_BYTES_CAP: u64 = 16 << 20;
         let page_cap = ((BATCH_BYTES_CAP / page.max(1)) as usize).max(1);
         let batch = if whole {
@@ -1657,7 +1680,7 @@ impl ClientCore {
             }
         }
         if groups.is_empty() {
-            return Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, true, r);
+            return Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, true, r, env);
         }
         groups.reverse(); // pop() = next group, in first-seen order
         r.pending_gets = groups;
@@ -1806,7 +1829,9 @@ impl ClientCore {
             && (w.next_page as usize) < w.chunks.len()
         {
             let payload = if w.acc.len() as u64 >= page {
-                Payload::Data(w.acc.split_to(page as usize).freeze())
+                // Feeds top the accumulator up to exactly one page.
+                debug_assert_eq!(w.acc.len() as u64, page);
+                Payload::Data(std::mem::take(&mut w.acc).freeze())
             } else {
                 w.acc_sim -= page;
                 Payload::Sim(page)
@@ -2270,15 +2295,18 @@ impl ClientCore {
         )
     }
 
-    /// After absorbing one chunk reply: once the batch is whole, splice
-    /// the requested byte range out of its page row and deliver it —
-    /// ending the session if this was the final batch.
+    /// After absorbing one chunk reply: once the batch is whole, deliver
+    /// the requested byte range of its page row — ending the session if
+    /// this was the final batch. A stream pull gets the pages themselves
+    /// (a rope of views, nothing copied); a one-shot read, which owes its
+    /// caller one contiguous buffer, gets them copied once into it.
     fn rstream_batch_done(
         sid: u64,
         materialize_zeros: bool,
         whole: bool,
         outstanding_empty: bool,
         r: &mut ReadStreamSess,
+        env: &mut dyn Env,
     ) -> StreamStep {
         if !outstanding_empty {
             return StreamStep::Park;
@@ -2292,61 +2320,100 @@ impl ClientCore {
         let total = hi.saturating_sub(lo);
         let eof = r.sources.len() == 0;
         let parts = std::mem::take(&mut r.parts);
-        // Zero-copy fast path: a range inside a single real-data page is
-        // served as a refcounted sub-slice of the stored chunk — no copy
-        // from provider buffer to client buffer anywhere on the path.
-        let single = match &parts[..] {
-            [Some(Payload::Data(b))] if (skip + total) as usize <= b.len() => {
-                Some(Payload::Data(b.slice(skip as usize..(skip + total) as usize)))
-            }
-            _ => None,
-        };
         // Real bytes iff some part carries real bytes or the deployment
         // stores real data; holes become zero bytes then.
-        let any_real = parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
-        let data = if let Some(data) = single {
-            data
-        } else if any_real || materialize_zeros {
-            let mut buf = BytesMut::with_capacity(total as usize);
-            let mut remaining = total;
-            let mut offset_in_part = skip;
-            for part in parts.iter().flatten() {
-                if remaining == 0 {
-                    break;
-                }
-                let avail = page - offset_in_part;
-                let take = avail.min(remaining);
-                match part {
-                    Payload::Data(b) => {
-                        let s = offset_in_part as usize;
-                        let e = ((offset_in_part + take) as usize).min(b.len());
-                        if s < b.len() {
-                            buf.extend_from_slice(&b[s..e]);
-                        }
-                        // Chunks are always full pages; pad defensively.
-                        let got = e.saturating_sub(s) as u64;
-                        if got < take {
-                            buf.extend(std::iter::repeat_n(0u8, (take - got) as usize));
-                        }
-                    }
-                    Payload::Sim(_) => {
-                        buf.extend(std::iter::repeat_n(0u8, take as usize));
-                    }
-                }
-                remaining -= take;
-                offset_in_part = 0;
-            }
-            Payload::Data(buf.freeze())
+        let real = materialize_zeros
+            || parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
+        // The batch's pages cut down to the requested range: each part
+        // with the sub-range `[from, from + take)` of its page that the
+        // read covers (only the first and last are ever trimmed).
+        let mut remaining = total;
+        let mut from = skip;
+        let trimmed = parts.iter().flatten().map_while(move |part| {
+            let take = (page - from).min(remaining);
+            let cut = (take > 0).then_some((part, from as usize, take as usize));
+            remaining -= take;
+            from = 0;
+            cut
+        });
+        let out = if !whole {
+            let segments = if real {
+                Self::rope(trimmed)
+            } else if total > 0 {
+                vec![Payload::Sim(total)]
+            } else {
+                Vec::new()
+            };
+            OpOutput::ReadChunk { stream: sid, segments, eof }
+        } else if !real {
+            OpOutput::Read { data: Payload::Sim(total), version }
         } else {
-            Payload::Sim(total)
+            let data = match &parts[..] {
+                // Zero-copy fast path: a range inside a single real-data
+                // page is served as a refcounted sub-slice of the stored
+                // chunk — no copy from provider buffer to client buffer
+                // anywhere on the path.
+                [Some(Payload::Data(b))] if (skip + total) as usize <= b.len() => {
+                    b.slice(skip as usize..(skip + total) as usize)
+                }
+                _ => {
+                    let (buf, copied) = Self::assemble(trimmed, total as usize);
+                    env.incr("client.read_copied_bytes", copied);
+                    buf
+                }
+            };
+            OpOutput::Read { data: Payload::Data(data), version }
         };
-        let out = Ok(read_output(sid, whole, data, eof, version));
         if eof {
-            StreamStep::Finish(out, total)
+            StreamStep::Finish(Ok(out), total)
         } else {
             r.phase = RStreamPhase::Idle;
-            StreamStep::Complete(out, total)
+            StreamStep::Complete(Ok(out), total)
         }
+    }
+
+    /// The contiguous buffer of a multi-page one-shot read: allocated
+    /// once at its final size, each page's bytes copied once to their
+    /// place, holes (and the tail of a short chunk — chunks are always
+    /// full pages; defensive) zero-filled in place. Returns the buffer
+    /// and how many bytes were copied into it.
+    fn assemble<'a>(
+        trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>,
+        total: usize,
+    ) -> (Bytes, u64) {
+        let mut buf = Vec::with_capacity(total);
+        let mut copied = 0;
+        for (part, from, take) in trimmed {
+            let end = buf.len() + take;
+            if let Payload::Data(b) = part {
+                let src = &b[from.min(b.len())..(from + take).min(b.len())];
+                buf.extend_from_slice(src);
+                copied += src.len() as u64;
+            }
+            buf.resize(end, 0);
+        }
+        (Bytes::from(buf), copied)
+    }
+
+    /// The rope of a real-data stream pull: the fetched pages themselves,
+    /// as views trimmed to the requested range, and a zero segment per
+    /// hole (and per short chunk's missing tail; defensive).
+    fn rope<'a>(trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>) -> Vec<Payload> {
+        let mut segments = Vec::new();
+        for (part, from, take) in trimmed {
+            let mut got = 0;
+            if let Payload::Data(b) = part {
+                let view = b.slice(from.min(b.len())..(from + take).min(b.len()));
+                got = view.len();
+                if got > 0 {
+                    segments.push(Payload::Data(view));
+                }
+            }
+            if got < take {
+                segments.push(Payload::Data(Bytes::from(vec![0u8; take - got])));
+            }
+        }
+        segments
     }
 
     /// One read-stream protocol step. Static to sidestep split borrows.
@@ -2482,7 +2549,7 @@ impl ClientCore {
                 r.parts[idx] = Some(data);
                 Self::rstream_refill(client, cfg, &mut fresh, &mut sess.outstanding, r, env);
                 let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r)
+                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r, env)
             }
             (
                 RStreamPhase::Fetching,
@@ -2518,7 +2585,7 @@ impl ClientCore {
                 }
                 Self::rstream_refill(client, cfg, &mut fresh, &mut sess.outstanding, r, env);
                 let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r)
+                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r, env)
             }
             (
                 RStreamPhase::Fetching,
@@ -2653,16 +2720,6 @@ fn fail(parked: bool, err: BlobError) -> StreamStep {
         StreamStep::Finish(Err(err), 0)
     } else {
         StreamStep::Fatal(err)
-    }
-}
-
-/// Shape a delivered read batch for whoever is parked: the whole range of
-/// a one-shot read, or one chunk of a stream.
-fn read_output(sid: u64, whole: bool, data: Payload, eof: bool, version: VersionId) -> OpOutput {
-    if whole {
-        OpOutput::Read { data, version }
-    } else {
-        OpOutput::ReadChunk { stream: sid, data, eof }
     }
 }
 
@@ -2827,12 +2884,14 @@ mod tests {
         }
     }
 
-    /// Payload and version of a finished read, whichever form delivered it.
-    fn read_data(done: &[Completion]) -> &Payload {
+    /// Bytes a finished read delivered, whichever form delivered them.
+    fn read_len(done: &[Completion]) -> u64 {
         assert_eq!(done.len(), 1);
         match &done[0].result {
-            Ok(OpOutput::Read { data, .. }) => data,
-            Ok(OpOutput::ReadChunk { data, eof: true, .. }) => data,
+            Ok(OpOutput::Read { data, .. }) => data.len(),
+            Ok(OpOutput::ReadChunk { segments, eof: true, .. }) => {
+                segments.iter().map(Payload::len).sum()
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -2977,7 +3036,7 @@ mod tests {
             } else {
                 done
             };
-            assert_eq!(read_data(&done).len(), pages * page);
+            assert_eq!(read_len(&done), pages * page);
             assert_eq!(c.active_ops(), 0);
             wires.push(wire);
         }
@@ -3217,7 +3276,7 @@ mod tests {
                 second_target,
                 Msg::GetChunkOk { req, data: Payload::Sim(8) },
             );
-            assert_eq!(read_data(&done).len(), 8, "{entry:?}");
+            assert_eq!(read_len(&done), 8, "{entry:?}");
             assert_eq!(c.active_ops(), 0);
         }
     }
@@ -3310,7 +3369,7 @@ mod tests {
             assert_eq!(keys.len(), pages as usize);
             let items = keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect();
             let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items });
-            assert_eq!(read_data(&done).len(), pages * page, "{entry:?}");
+            assert_eq!(read_len(&done), pages * page, "{entry:?}");
         }
     }
 

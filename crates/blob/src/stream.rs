@@ -20,16 +20,45 @@
 //!   `client.stream_buffered_bytes` high-water gauge.
 //!   [`commit`](BlobWriteHandle::commit) publishes the version.
 //! * [`BlobReadHandle`] — the chunk plan for the whole range is resolved
-//!   once at open (the one-round-trip `GetMetaRange` descent), then
-//!   [`next`](BlobReadHandle::next) pulls at most `chunk_window` pages per
-//!   call via batched chunk fetches: O(window) memory for any object size.
+//!   once at open (the one-round-trip `GetMetaRange` descent); the cell
+//!   then fetches at most `chunk_window` pages per pull via batched chunk
+//!   fetches and answers with the pages themselves, and
+//!   [`next`](BlobReadHandle::next) hands them out one per call: O(window)
+//!   memory for any object size.
+//!
+//! # What copies, where, how many times
+//!
+//! A stored page is a refcounted [`Bytes`]; a provider answers a fetch
+//! with a clone of it (the in-process network does not serialise), and
+//! `Bytes::from(Vec)` / `BytesMut::freeze` move their allocation. From
+//! there:
+//!
+//! * **Stream read: never.** A pull completes with a rope — the fetched
+//!   pages in order, the first and last narrowed to the requested range
+//!   by [`Bytes::slice`], a zero segment per hole — and `next` pops one
+//!   segment from the handle's cursor. Only the first `next` of a window
+//!   crosses into the client cell.
+//! * **One-shot read: once**, because `read -> Bytes` promises one
+//!   contiguous buffer. A range inside one page is a view of that page
+//!   (zero copies); a wider one is allocated once at its final size and
+//!   each page's bytes are written once to their place, holes zero-filled
+//!   in place. `client.read_copied_bytes` counts exactly those bytes.
+//! * **Stream write: a sub-page feed once.** Whole pages are cut off the
+//!   fed buffer as views; only bytes that do not fill a page on arrival
+//!   pass through the one-page accumulator, which freezes — moves — into
+//!   the page it becomes.
+//!
+//! `tests/read_copies.rs` gates the read side with a counting allocator.
 //!
 //! Both handles are thin blocking adapters over the threaded runtime's
-//! op-ticket machinery: every sub-operation (`feed`, `commit`, `next`) is
-//! one [`ClientOp`] injected into the client cell's mailbox, completing
-//! synchronously when the stream has headroom. Dropping a handle without
-//! committing/closing aborts the stream fire-and-forget, so the cell's
-//! session is reclaimed without blocking the dropping thread.
+//! op-ticket machinery: a sub-operation (`feed`, `commit`, a `next` that
+//! needs a new window) is one [`ClientOp`] injected into the client cell's
+//! mailbox, completing synchronously when the stream has headroom.
+//! Dropping a handle without committing/closing aborts the stream
+//! fire-and-forget, so the cell's session is reclaimed without blocking
+//! the dropping thread.
+
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use sads_sim::TraceCtx;
@@ -189,9 +218,14 @@ impl std::fmt::Debug for BlobWriteHandle {
     }
 }
 
-/// An open read stream: pull successive chunks with
+/// An open read stream: pull successive segments with
 /// [`next`](Self::next) until it returns `None`. Created by
 /// [`ClientHandle::open_read_stream`].
+///
+/// The client cell answers one pull with a whole window of pages as a
+/// rope of refcounted views; the handle keeps that rope and hands out one
+/// segment per `next`, so only the first `next` of each window crosses
+/// into the cell and no byte is copied on the way to the caller.
 pub struct BlobReadHandle {
     client: ClientHandle,
     stream: u64,
@@ -199,7 +233,10 @@ pub struct BlobReadHandle {
     len: u64,
     page_size: u64,
     delivered: u64,
+    /// Segments of the current window not yet handed out.
+    window: VecDeque<Bytes>,
     trace: Option<TraceCtx>,
+    /// The cell's session is gone (eof window received, or closed).
     done: bool,
 }
 
@@ -212,7 +249,17 @@ impl BlobReadHandle {
         page_size: u64,
         trace: Option<TraceCtx>,
     ) -> Self {
-        BlobReadHandle { client, stream, version, len, page_size, delivered: 0, trace, done: false }
+        BlobReadHandle {
+            client,
+            stream,
+            version,
+            len,
+            page_size,
+            delivered: 0,
+            window: VecDeque::new(),
+            trace,
+            done: false,
+        }
     }
 
     /// The version being read.
@@ -241,37 +288,35 @@ impl BlobReadHandle {
         self.delivered
     }
 
-    /// Pull the next chunk — at most `chunk_window × page_size` bytes —
-    /// or `None` once the range is exhausted (the stream closes itself
-    /// on the final chunk).
+    /// The next segment of the range — never empty, at most one page: a
+    /// view of the stored page itself (the first and last trimmed to the
+    /// range), or zeros for a hole — or `None` once the range is
+    /// exhausted. Fetches the next window of at most `chunk_window` pages
+    /// when the current one is used up; the stream closes itself with
+    /// the final window.
     // Not `Iterator`: delivery is fallible and an `Item = Result<_>`
     // iterator would let `for` loops silently drop stream errors.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Bytes>, BlobError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self
-            .client
-            .submit(ClientOp::ReadStreamNext { stream: self.stream }, self.trace)
-            .wait()?
-        {
-            OpOutput::ReadChunk { data, eof, .. } => {
-                if eof {
-                    self.done = true;
+        if self.window.is_empty() && !self.done {
+            match self
+                .client
+                .submit(ClientOp::ReadStreamNext { stream: self.stream }, self.trace)
+                .wait()?
+            {
+                OpOutput::ReadChunk { segments, eof, .. } => {
+                    self.done = eof;
+                    self.window.extend(segments.into_iter().map(|seg| match seg {
+                        Payload::Data(b) => b,
+                        Payload::Sim(n) => Bytes::from(vec![0u8; n as usize]),
+                    }));
                 }
-                let b = match data {
-                    Payload::Data(b) => b,
-                    Payload::Sim(n) => Bytes::from(vec![0u8; n as usize]),
-                };
-                if b.is_empty() && eof {
-                    return Ok(None);
-                }
-                self.delivered += b.len() as u64;
-                Ok(Some(b))
+                _ => return Err(BlobError::Protocol("wrong output for next")),
             }
-            _ => Err(BlobError::Protocol("wrong output for next")),
         }
+        let seg = self.window.pop_front();
+        self.delivered += seg.as_ref().map_or(0, |b| b.len() as u64);
+        Ok(seg)
     }
 
     /// Close the stream early (before eof). Idempotent.
@@ -413,6 +458,37 @@ mod tests {
             got.extend_from_slice(&chunk);
         }
         assert_eq!(&got[..], &data[off as usize..(off + len) as usize]);
+        cluster.shutdown();
+    }
+
+    /// A handle abandoned with part of a window still in its cursor —
+    /// closed, or just dropped — takes the cell's session with it: the
+    /// stream id is unknown to the next sub-operation.
+    #[test]
+    fn abandoning_a_read_mid_window_reclaims_the_session() {
+        let mut cluster = small_cluster();
+        let cfg = crate::client::ClientConfig { chunk_window: 2, ..Default::default() };
+        let client = cluster.client_with_config(ClientId(5), cfg);
+        let blob = client.create(BlobSpec { page_size: PAGE, replication: 1 }).expect("create");
+        let data = patterned(8 * PAGE as usize, 9);
+        client.write(blob, 0, data.clone()).expect("write");
+        for by_close in [true, false] {
+            let mut h = client.open_read_stream(blob, None, 0, 8 * PAGE, None).expect("open");
+            let stream = h.stream;
+            // One page out of a two-page window: one segment stays behind.
+            assert_eq!(h.next().expect("next"), Some(data.slice(..PAGE as usize)));
+            assert_eq!(h.window.len(), 1);
+            if by_close {
+                h.close().expect("close");
+            } else {
+                drop(h);
+            }
+            let err = client
+                .submit(ClientOp::ReadStreamNext { stream }, None)
+                .wait()
+                .expect_err("session must be gone");
+            assert!(matches!(err, BlobError::Protocol("unknown stream")), "got {err}");
+        }
         cluster.shutdown();
     }
 

@@ -171,6 +171,9 @@ pub struct ObjectGateway {
     buckets: Mutex<BTreeMap<String, Bucket>>,
     uploads: Mutex<BTreeMap<u64, Multipart>>,
     next_upload: std::sync::atomic::AtomicU64,
+    /// One page of zeros, shared: every PUT pads its final partial page
+    /// with a view of this instead of allocating (and zeroing) its own.
+    zero_page: Bytes,
     /// Span sink when request tracing is on (one `Op` span per S3
     /// request; the backing BLOB ops nest under it).
     span_sink: Option<Arc<SpanSink>>,
@@ -201,9 +204,12 @@ pub struct Traced<T> {
 /// Bounded-memory streaming GET body, returned by
 /// [`ObjectGateway::get_object_reader`].
 ///
-/// Wraps a pinned [`sads_blob::BlobReadHandle`]: each [`next`](Self::next)
-/// call pulls at most one window of pages off the wire, so the caller —
-/// not the gateway — decides how much of the object is resident at once.
+/// Wraps a pinned [`sads_blob::BlobReadHandle`]: [`next`](Self::next)
+/// returns the object's stored pages one at a time, as views — no byte
+/// is copied between the provider's store and the caller — fetching at
+/// most one window of pages off the wire when the previous one is used
+/// up, so the caller — not the gateway — decides how much of the object
+/// is resident at once.
 #[derive(Debug)]
 pub struct ObjectReader {
     handle: BlobReadHandle,
@@ -226,7 +232,8 @@ impl ObjectReader {
         self.handle.delivered()
     }
 
-    /// Pull the next batch of bytes, or `None` at end of stream.
+    /// The next segment of the body (at most one page, never empty), or
+    /// `None` at end of stream.
     // Not `Iterator`, for the same reason as `BlobReadHandle::next`:
     // an `Item = Result<_>` iterator invites dropping stream errors.
     #[allow(clippy::should_implement_trait)]
@@ -356,6 +363,7 @@ impl ObjectGateway {
             buckets: Mutex::new(BTreeMap::new()),
             uploads: Mutex::new(BTreeMap::new()),
             next_upload: std::sync::atomic::AtomicU64::new(1),
+            zero_page: Bytes::from(vec![0u8; cfg.page_size as usize]),
             span_sink: None,
             telemetry: Arc::new(TelemetryRegistry::new()),
             flight_recorder: None,
@@ -746,7 +754,7 @@ impl ObjectGateway {
         h.feed(data)?;
         let pad = padded_len - size;
         if pad > 0 {
-            h.feed(Bytes::from(vec![0u8; pad as usize]))?;
+            h.feed(self.zero_page.slice(..pad as usize))?;
         }
         let version = h.commit()?;
         self.telemetry.inc("gateway.put_stream_chunks", &[], padded_len / page);
@@ -806,10 +814,10 @@ impl ObjectGateway {
     /// object (S3 `Range` semantics: clamped to the object end).
     ///
     /// The reader pins the object's current version at open — concurrent
-    /// overwrites never tear the stream — and pulls at most
-    /// `chunk_window` pages off the wire per [`ObjectReader::next`]
-    /// call, so a multi-GB GET holds `O(chunk_window × page_size)`
-    /// bytes regardless of object size.
+    /// overwrites never tear the stream — and holds at most one window
+    /// of `chunk_window` pages, handed out a page per
+    /// [`ObjectReader::next`] call, so a multi-GB GET pins
+    /// `O(chunk_window × page_size)` bytes regardless of object size.
     pub fn get_object_reader(
         &self,
         principal: ClientId,

@@ -4,8 +4,13 @@
 //! [`Bytes`] is an immutable, cheaply cloneable view into a ref-counted
 //! buffer: `clone()` bumps a refcount and `slice()` narrows the view
 //! without copying, which is exactly the property the zero-copy read path
-//! relies on. [`BytesMut`] is a growable buffer that freezes into `Bytes`
-//! without copying.
+//! relies on. The owner is an `Arc<Vec<u8>>`, so `Bytes::from(Vec<u8>)`
+//! and [`BytesMut::freeze`] *move* the vector's allocation behind the
+//! refcount — O(1), no byte copied. (An `Arc<[u8]>` owner, which this shim
+//! used until PR 22, reallocates and memcpy's on every `From<Vec<u8>>`.)
+//! The only constructors that copy are [`Bytes::from_static`] and the
+//! `&'static` conversions, once, at construction. The unit tests pin this
+//! by pointer identity.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -19,7 +24,7 @@ use std::sync::Arc;
 /// O(1) while sharing the same backing allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     off: usize,
     len: usize,
 }
@@ -27,12 +32,12 @@ pub struct Bytes {
 impl Bytes {
     /// An empty `Bytes`.
     pub fn new() -> Bytes {
-        Bytes { data: Arc::from(&[][..]), off: 0, len: 0 }
+        Bytes::default()
     }
 
     /// Wrap a static slice (copied once into a shared allocation).
     pub fn from_static(s: &'static [u8]) -> Bytes {
-        Bytes { data: Arc::from(s), off: 0, len: s.len() }
+        Bytes::from(s.to_vec())
     }
 
     /// Length of the view in bytes.
@@ -102,9 +107,10 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Moves `v` behind the refcount: the bytes stay where they are.
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
-        Bytes { data: Arc::from(v), off: 0, len }
+        Bytes { data: Arc::new(v), off: 0, len }
     }
 }
 
@@ -168,7 +174,8 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`] without copying.
+/// A growable byte buffer that freezes into [`Bytes`] without copying
+/// (the `Vec` it grew is the allocation the `Bytes` then shares).
 #[derive(Clone, Default, Debug)]
 pub struct BytesMut {
     buf: Vec<u8>,
@@ -210,15 +217,6 @@ impl BytesMut {
     /// Convert into an immutable [`Bytes`] (moves the allocation; no copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
-    }
-
-    /// Split the buffer at `at`, returning the front `at` bytes and
-    /// leaving the rest in `self`. Panics when `at > len`, matching the
-    /// upstream crate.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.buf.len(), "split_to at {at} out of bounds (len {})", self.buf.len());
-        let rest = self.buf.split_off(at);
-        BytesMut { buf: std::mem::replace(&mut self.buf, rest) }
     }
 }
 
@@ -278,13 +276,27 @@ mod tests {
         assert_eq!(&f[1..3], b"bc");
     }
 
+    /// The claim the read path is built on: handing a buffer over never
+    /// copies it. The heap address of the bytes is the same before and
+    /// after `from` / `freeze`, and through every `clone` and `slice`.
     #[test]
-    fn split_to_front_and_rest() {
-        let mut m = BytesMut::new();
-        m.extend_from_slice(b"abcdef");
-        let front = m.split_to(4);
-        assert_eq!(front.freeze(), Bytes::from_static(b"abcd"));
-        assert_eq!(m.freeze(), Bytes::from_static(b"ef"));
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v: Vec<u8> = (0u8..200).collect();
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "From<Vec<u8>> must move, not copy");
+        assert_eq!(b.clone().as_ptr(), at);
+        let s = b.slice(50..150);
+        assert_eq!(s.as_ptr(), at.wrapping_add(50));
+        assert_eq!(s.slice(10..).clone().as_ptr(), at.wrapping_add(60));
+        // The view outlives the handle it was cut from.
+        drop(b);
+        assert_eq!(s[0], 50);
+
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(&[7u8; 64]);
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at, "freeze must move, not copy");
     }
 
     #[test]
