@@ -213,10 +213,10 @@ fn read_case() -> impl Strategy<Value = ReadCase> {
     (
         (prop_oneof![Just(1024u64), Just(4096u64), Just(16384u64)], 0usize..WINDOWS.len(), 1u32..3),
         (0u64..4, 1u64..13, 0.0f64..1.0, 1u64..4, 1u64..u64::MAX),
-        (any_bool(), 0.0f64..1.0, 0.0f64..1.2),
+        (0u8..2, 0.0f64..1.0, 0.0f64..1.2),
     )
         .prop_map(|((page, w, replication), (hole, pages, ow_frac, ow_pages, seed), range)| {
-            let (read_old, off_frac, len_frac) = range;
+            let (read_old, off_frac, len_frac) = (range.0 == 1, range.1, range.2);
             // Up to `hole + pages`, so version 2 overwrites, fills part
             // of the hole, or appends — never leaves a gap.
             let ow_start = (ow_frac * (hole + pages + 1) as f64) as u64;
@@ -236,10 +236,6 @@ fn read_case() -> impl Strategy<Value = ReadCase> {
                 len: ((len_frac * total as f64) as u64).min(total - offset),
             }
         })
-}
-
-fn any_bool() -> impl Strategy<Value = bool> {
-    (0u8..2).prop_map(|b| b == 1)
 }
 
 proptest! {
