@@ -3,7 +3,7 @@
 //! monitoring filters and burst cache, the policy engine, and the raw
 //! event rate of the cluster simulator.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -16,6 +16,7 @@ use sads_blob::pmanager::{
     TwoChoices,
 };
 use sads_blob::provider::ChunkStore;
+use sads_blob::storage::{crc32c, crc32c_combine};
 use sads_monitor::{ActivityKind, ActivityRecord, BurstCache, DataFilter, RateFilter};
 use sads_security::{scan, ActivityHistory, PolicySet, TrustConfig, TrustManager};
 use sads_sim::{NodeId, SimDuration, SimTime};
@@ -320,6 +321,27 @@ fn bench_chunk_store(c: &mut Criterion) {
     g.finish();
 }
 
+/// The checksum every put pays once, at the three buffer sizes that
+/// matter (a small_meta page, a data page, a 4 MiB write), and the
+/// combination that derives a log frame's CRC from its payload's.
+fn bench_crc32c(c: &mut Criterion) {
+    let buf: Vec<u8> =
+        (0..4u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+    for (name, len) in [("4 KiB", 4usize << 10), ("256 KiB", 256 << 10), ("4 MiB", 4 << 20)] {
+        let mut g = c.benchmark_group("crc32c");
+        g.throughput(Throughput::BytesDecimal(len as u64));
+        g.bench_function(name, |b| b.iter(|| crc32c(black_box(&buf[..len]))));
+        g.finish();
+    }
+    let mut g = c.benchmark_group("crc32c_combine");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("256 KiB", |b| {
+        let (a, b_crc, len) = (0x1234_5678, 0x9abc_def0, 256 << 10);
+        b.iter(|| crc32c_combine(black_box(a), black_box(b_crc), black_box(len)))
+    });
+    g.finish();
+}
+
 fn bench_metric_sink(c: &mut Criterion) {
     use sads_sim::MetricSink;
     let mut g = c.benchmark_group("metric_sink");
@@ -539,6 +561,7 @@ criterion_group!(
     bench_read_path,
     bench_alloc,
     bench_chunk_store,
+    bench_crc32c,
     bench_metric_sink,
     bench_monitoring,
     bench_security,

@@ -138,7 +138,7 @@ impl ChunkStore {
             total_gets: AtomicU64::new(0),
             total_misses: AtomicU64::new(0),
         };
-        for (key, data) in &report.chunks {
+        for ((key, data), crc) in report.chunks.iter().zip(&report.crcs) {
             let size = data.len();
             let mut shard = store.shards[shard_of(key)].lock();
             if store.used.load(Ordering::Relaxed) + size > capacity {
@@ -148,8 +148,7 @@ impl ChunkStore {
             }
             store.used.fetch_add(size, Ordering::Relaxed);
             store.items.fetch_add(1, Ordering::Relaxed);
-            let meta =
-                ChunkMeta { stored_at: now, last_access: now, reads: 0, crc: payload_crc(data) };
+            let meta = ChunkMeta { stored_at: now, last_access: now, reads: 0, crc: *crc };
             shard.chunks.insert(*key, (data.clone(), meta));
         }
         (store, report)
@@ -164,7 +163,6 @@ impl ChunkStore {
             return Ok(());
         }
         let size = data.len();
-        let crc = payload_crc(&data);
         // Reserve capacity optimistically; roll back on overflow. The
         // shard lock is held, so the same key cannot double-reserve.
         let prev = self.used.fetch_add(size, Ordering::Relaxed);
@@ -172,11 +170,14 @@ impl ChunkStore {
             self.used.fetch_sub(size, Ordering::Relaxed);
             return Err(PutError::Full);
         }
+        // Only an admitted chunk is worth a pass over its bytes: a full
+        // store refuses a flood of puts without checksumming any.
+        let crc = payload_crc(&data);
         // Persist before acknowledging; a backend that cannot write is
         // fail-stop (better a dead provider than a lying one).
         self.backend
             .lock()
-            .append_put(&key, &data)
+            .append_put(&key, &data, crc)
             .expect("chunk backend append failed; provider is fail-stop");
         self.items.fetch_add(1, Ordering::Relaxed);
         self.total_puts.fetch_add(1, Ordering::Relaxed);
@@ -543,6 +544,25 @@ mod tests {
         assert_eq!(s.used(), 0);
         assert!(s.is_empty());
         assert_eq!(s.delete(&key(0)), None);
+    }
+
+    /// The bogus-chunk flood: a store at capacity refuses a put before
+    /// spending a pass over its bytes on it.
+    #[test]
+    fn full_store_refuses_without_checksumming() {
+        use crate::storage::CRC32C_CALLS;
+        let s = ChunkStore::new(100);
+        let page = |fill| Payload::Data(bytes::Bytes::from(vec![fill; 60]));
+        s.put(key(0), page(1), t(0)).unwrap();
+        let before = CRC32C_CALLS.with(|n| n.get());
+        assert!(before > 0, "an admitted put is checksummed");
+        for p in 1..50 {
+            assert_eq!(s.put(key(p), page(2), t(0)), Err(PutError::Full));
+        }
+        assert_eq!(CRC32C_CALLS.with(|n| n.get()), before, "rejected puts cost no checksum");
+        assert_eq!(s.used(), 60);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.meta(&key(0)).unwrap().crc, payload_crc(&page(1)));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! # Example: a write → crash → recover round trip
 //!
 //! ```
-//! use sads_blob::storage::{ChunkBackend, DiskBackend, DiskConfig};
+//! use sads_blob::storage::{payload_crc, ChunkBackend, DiskBackend, DiskConfig};
 //! use sads_blob::{BlobId, ChunkKey, Payload, VersionId};
 //!
 //! let dir = std::env::temp_dir().join(format!("sads-doctest-{}", std::process::id()));
@@ -58,7 +58,8 @@
 //!
 //! // A provider writes a chunk, then crashes (drop without shutdown).
 //! let mut backend = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
-//! backend.append_put(&key, &Payload::Data(bytes::Bytes::from_static(b"hello"))).unwrap();
+//! let hello = Payload::Data(bytes::Bytes::from_static(b"hello"));
+//! backend.append_put(&key, &hello, payload_crc(&hello)).unwrap();
 //! drop(backend);
 //!
 //! // The restarted provider re-opens the same directory and recovers.
@@ -72,7 +73,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, IoSlice, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
@@ -151,16 +152,92 @@ fn crc32c_sw(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Hardware CRC-32C via the SSE4.2 `crc32` instruction, 8 bytes per
-/// fold. Callers must have verified `sse4.2` is available.
+/// `a · b mod P` over GF(2) in the reflected representation the CRC
+/// register uses (bit 31 is x⁰). Multiplying a CRC by x^(8n) advances it
+/// past n zero bytes, which is all both the lane merge and
+/// [`crc32c_combine`] need.
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    // Branch-free: the operands are checksums, so no bit is predictable.
+    let mut p = 0;
+    let mut bit = 32;
+    while bit != 0 {
+        bit -= 1;
+        p ^= b & 0u32.wrapping_sub((a >> bit) & 1);
+        b = (b >> 1) ^ (CRC32C_POLY & 0u32.wrapping_sub(b & 1));
+    }
+    p
+}
+
+/// `X8_POW2[k]` = x^(8·2^k) mod P: the operator for 2^k zero bytes.
+static X8_POW2: [u32; 64] = {
+    let mut t = [1u32 << 23; 64]; // x^8
+    let mut k = 1;
+    while k < 64 {
+        t[k] = gf2_mul(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// `crc · x^(8·len) mod P`: the register `len` zero bytes later, by
+/// square-and-multiply over the bits of `len`.
+const fn crc32c_shift(mut crc: u32, mut len: u64) -> u32 {
+    let mut k = 0;
+    while len != 0 {
+        if len & 1 != 0 {
+            crc = gf2_mul(X8_POW2[k], crc);
+        }
+        len >>= 1;
+        k += 1;
+    }
+    crc
+}
+
+/// CRC-32C of `a ++ b` from the two halves' CRCs and `b`'s length, in
+/// O(log len_b) without touching a byte: `crc_a · x^(8·len_b) ⊕ crc_b`
+/// (the initial and final inversions cancel). The disk log derives a
+/// frame's checksum from its payload's this way.
+pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    crc32c_shift(crc_a, len_b) ^ crc_b
+}
+
+/// Bytes per lane of the hardware kernel: three lanes fill 16 KiB less
+/// 16 B, so a power-of-two page leaves almost no single-chain tail.
+#[cfg(target_arch = "x86_64")]
+const LANE: usize = 5456;
+#[cfg(target_arch = "x86_64")]
+const LANE_SHIFT: u32 = crc32c_shift(1 << 31, LANE as u64);
+
+/// Hardware CRC-32C via the SSE4.2 `crc32` instruction. The instruction
+/// has a 3-cycle latency and a 1-cycle throughput, so one dependent
+/// chain runs at a third of what the unit can issue: blocks of
+/// 3 × [`LANE`] bytes run three independent chains over consecutive
+/// lanes and merge them by advancing the earlier lanes past the later
+/// ones (`· x^(8·LANE)`). Shorter buffers and the tail take the single
+/// chain, 8 bytes per fold. Callers must have verified `sse4.2` is
+/// available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 unsafe fn crc32c_hw(data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
     let mut c = 0xFFFF_FFFFu64;
-    let mut chunks = data.chunks_exact(8);
+    let mut blocks = data.chunks_exact(3 * LANE);
+    for block in &mut blocks {
+        let (l0, rest) = block.split_at(LANE);
+        let (l1, l2) = rest.split_at(LANE);
+        let (mut c1, mut c2) = (0u64, 0u64);
+        for ((w0, w1), w2) in l0.chunks_exact(8).zip(l1.chunks_exact(8)).zip(l2.chunks_exact(8)) {
+            c = _mm_crc32_u64(c, word(w0));
+            c1 = _mm_crc32_u64(c1, word(w1));
+            c2 = _mm_crc32_u64(c2, word(w2));
+        }
+        let c01 = gf2_mul(LANE_SHIFT, c as u32) ^ c1 as u32;
+        c = (gf2_mul(LANE_SHIFT, c01) ^ c2 as u32) as u64;
+    }
+    let mut chunks = blocks.remainder().chunks_exact(8);
     for b in &mut chunks {
-        c = _mm_crc32_u64(c, u64::from_le_bytes(b.try_into().unwrap()));
+        c = _mm_crc32_u64(c, word(b));
     }
     let mut c = c as u32;
     for &b in chunks.remainder() {
@@ -177,11 +254,20 @@ unsafe fn crc32c_hw(data: &[u8]) -> u32 {
 /// hence the hardware fast path (format v2; v1 logs used CRC-32/IEEE
 /// and are rejected as incompatible at open).
 pub fn crc32c(data: &[u8]) -> u32 {
+    #[cfg(test)]
+    CRC32C_CALLS.with(|n| n.set(n.get() + 1));
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         return unsafe { crc32c_hw(data) };
     }
     crc32c_sw(data)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`crc32c`] calls made by this thread: lets a test assert that a
+    /// path checksums nothing.
+    pub(crate) static CRC32C_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// CRC-32C of a payload as the provider records it at put time: real
@@ -222,27 +308,31 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?.strip_suffix(".log")?.parse().ok()
 }
 
-fn encode_record(kind: u8, key: &ChunkKey, data: Option<&Payload>) -> Vec<u8> {
-    let (flavor, len, bytes): (u8, u64, Option<&[u8]>) = match data {
-        Some(Payload::Data(b)) => (FLAVOR_DATA, b.len() as u64, Some(b.as_ref())),
-        Some(Payload::Sim(n)) => (FLAVOR_SIM, *n, None),
-        None => (FLAVOR_SIM, 0, None),
-    };
-    let mut buf =
-        Vec::with_capacity(HEADER_LEN + bytes.map_or(0, <[u8]>::len) + TRAILER_LEN);
-    buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    buf.push(kind);
-    buf.push(flavor);
-    buf.extend_from_slice(&key.blob.0.to_le_bytes());
-    buf.extend_from_slice(&key.version.0.to_le_bytes());
-    buf.extend_from_slice(&key.page.to_le_bytes());
-    buf.extend_from_slice(&len.to_le_bytes());
-    if let Some(b) = bytes {
-        buf.extend_from_slice(b);
+fn frame_header(kind: u8, flavor: u8, key: &ChunkKey, len: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[0..4].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
+    h[4] = kind;
+    h[5] = flavor;
+    h[6..14].copy_from_slice(&key.blob.0.to_le_bytes());
+    h[14..22].copy_from_slice(&key.version.0.to_le_bytes());
+    h[22..30].copy_from_slice(&key.page.to_le_bytes());
+    h[30..38].copy_from_slice(&len.to_le_bytes());
+    h
+}
+
+/// `write_all` over several buffers: one `write_vectored` when the
+/// writer takes them whole, resumed after a short write.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0); // drop leading empty buffers
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let crc = crc32c(&buf[4..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
+    Ok(())
 }
 
 /// Outcome of parsing one frame out of a segment buffer.
@@ -253,8 +343,17 @@ enum FrameParse {
     Torn,
     /// Complete frame, CRC mismatch: quarantine and step over it.
     Corrupt { frame_len: usize },
-    /// A valid record.
-    Record { kind: u8, flavor: u8, key: ChunkKey, len: u64, payload: (usize, usize), frame_len: usize },
+    /// A valid record. `data_crc` is the CRC of the payload bytes on disk
+    /// (0 for a size-only record), a by-product of validating the frame.
+    Record {
+        kind: u8,
+        flavor: u8,
+        key: ChunkKey,
+        len: u64,
+        payload: (usize, usize),
+        data_crc: u32,
+        frame_len: usize,
+    },
 }
 
 fn u64_at(buf: &[u8], at: usize) -> u64 {
@@ -286,29 +385,18 @@ fn parse_frame(buf: &[u8], offset: usize) -> FrameParse {
     if buf.len() - offset < frame_len {
         return FrameParse::Torn;
     }
-    let body = &buf[offset + 4..offset + HEADER_LEN + payload_len];
+    let payload = (offset + HEADER_LEN, offset + HEADER_LEN + payload_len);
     let stored = u32::from_le_bytes(
         buf[offset + frame_len - TRAILER_LEN..offset + frame_len].try_into().unwrap(),
     );
-    if crc32c(body) != stored || !matches!(kind, KIND_PUT | KIND_DELETE) {
+    // Header and payload are checksummed apart and combined, so the one
+    // pass over the payload also yields the CRC the store keeps for it.
+    let data_crc = crc32c(&buf[payload.0..payload.1]);
+    let frame_crc = crc32c_combine(crc32c(&h[4..HEADER_LEN]), data_crc, payload_len as u64);
+    if frame_crc != stored || !matches!(kind, KIND_PUT | KIND_DELETE) {
         return FrameParse::Corrupt { frame_len };
     }
-    FrameParse::Record {
-        kind,
-        flavor,
-        key,
-        len,
-        payload: (offset + HEADER_LEN, offset + HEADER_LEN + payload_len),
-        frame_len,
-    }
-}
-
-fn payload_of(buf: &[u8], flavor: u8, len: u64, payload: (usize, usize)) -> Payload {
-    if flavor == FLAVOR_DATA {
-        Payload::Data(Bytes::from(buf[payload.0..payload.1].to_vec()))
-    } else {
-        Payload::Sim(len)
-    }
+    FrameParse::Record { kind, flavor, key, len, payload, data_crc, frame_len }
 }
 
 // ---------------------------------------------------------------------
@@ -411,11 +499,15 @@ impl BackendSpec {
 // ---------------------------------------------------------------------
 
 /// What a durable backend hands back when a re-opened store recovers.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Surviving chunks, sorted by key (deterministic re-announcement
     /// order).
     pub chunks: Vec<(ChunkKey, Payload)>,
+    /// [`payload_crc`] of each chunk, in the order of `chunks` — the scan
+    /// checksummed every payload to validate its frame, so the store
+    /// need not again.
+    pub crcs: Vec<u32>,
     /// Total payload bytes recovered.
     pub bytes: u64,
     /// Complete frames discarded for a CRC mismatch.
@@ -454,8 +546,10 @@ pub struct BackendStats {
 /// [`append_delete`]: ChunkBackend::append_delete
 /// [`recover`]: ChunkBackend::recover
 pub trait ChunkBackend: Send + std::fmt::Debug {
-    /// Persist a stored chunk.
-    fn append_put(&mut self, key: &ChunkKey, data: &Payload) -> io::Result<()>;
+    /// Persist a stored chunk. `crc` is [`payload_crc`]`(data)`, which
+    /// the store has already computed: the log frame's checksum is
+    /// derived from it instead of reading the payload a second time.
+    fn append_put(&mut self, key: &ChunkKey, data: &Payload, crc: u32) -> io::Result<()>;
     /// Persist a deletion.
     fn append_delete(&mut self, key: &ChunkKey) -> io::Result<()>;
     /// Take the chunk set that survived the last crash (meaningful once,
@@ -489,7 +583,7 @@ pub trait ChunkBackend: Send + std::fmt::Debug {
 pub struct MemoryBackend;
 
 impl ChunkBackend for MemoryBackend {
-    fn append_put(&mut self, _key: &ChunkKey, _data: &Payload) -> io::Result<()> {
+    fn append_put(&mut self, _key: &ChunkKey, _data: &Payload, _crc: u32) -> io::Result<()> {
         Ok(())
     }
     fn append_delete(&mut self, _key: &ChunkKey) -> io::Result<()> {
@@ -558,7 +652,7 @@ impl DiskBackend {
 
         let mut keydir = HashMap::new();
         let mut segs = BTreeMap::new();
-        let mut recovered: HashMap<ChunkKey, Payload> = HashMap::new();
+        let mut recovered: HashMap<ChunkKey, (Payload, u32)> = HashMap::new();
         let mut quarantined = 0u64;
         let mut torn = 0u64;
         for &id in &ids {
@@ -579,11 +673,13 @@ impl DiskBackend {
         let active_len = active.metadata()?.len();
         segs.entry(active_id).or_default();
 
-        let mut chunks: Vec<(ChunkKey, Payload)> = recovered.into_iter().collect();
-        chunks.sort_by_key(|(k, _)| *k);
+        let mut recovered: Vec<(ChunkKey, (Payload, u32))> = recovered.into_iter().collect();
+        recovered.sort_by_key(|(k, _)| *k);
+        let (chunks, crcs): (Vec<_>, Vec<_>) =
+            recovered.into_iter().map(|(k, (p, crc))| ((k, p), crc)).unzip();
         let bytes = chunks.iter().map(|(_, p)| p.len()).sum();
         let pending =
-            Some(RecoveryReport { chunks, bytes, quarantined, torn_discarded: torn });
+            Some(RecoveryReport { chunks, crcs, bytes, quarantined, torn_discarded: torn });
 
         Ok(DiskBackend {
             cfg,
@@ -618,16 +714,41 @@ impl DiskBackend {
         Ok(())
     }
 
-    fn append_frame(&mut self, rec: &[u8]) -> io::Result<RecordLoc> {
+    /// Append one frame, given as its consecutive parts, to the active
+    /// segment.
+    fn append_frame(&mut self, parts: &mut [IoSlice<'_>]) -> io::Result<RecordLoc> {
         self.roll_if_needed()?;
-        self.active.write_all(rec)?;
-        let loc = RecordLoc {
-            seg: self.active_id,
-            offset: self.active_len,
-            frame_len: rec.len() as u64,
-        };
-        self.active_len += rec.len() as u64;
+        let frame_len = parts.iter().map(|p| p.len() as u64).sum();
+        write_all_vectored(&mut self.active, parts)?;
+        let loc = RecordLoc { seg: self.active_id, offset: self.active_len, frame_len };
+        self.active_len += frame_len;
         Ok(loc)
+    }
+
+    /// Append header · payload · CRC as one frame. The CRC covers header
+    /// and payload but is derived from `payload_crc`, so the payload is
+    /// neither read again nor copied next to its header.
+    fn append_record(
+        &mut self,
+        header: [u8; HEADER_LEN],
+        payload: &[u8],
+        payload_crc: u32,
+    ) -> io::Result<RecordLoc> {
+        let crc = crc32c_combine(crc32c(&header[4..]), payload_crc, payload.len() as u64);
+        self.append_frame(&mut [
+            IoSlice::new(&header),
+            IoSlice::new(payload),
+            IoSlice::new(&crc.to_le_bytes()),
+        ])
+    }
+
+    /// Account a put frame that landed at `loc` as the live record of
+    /// `key`, retiring the one it replaces.
+    fn index_put(&mut self, key: ChunkKey, loc: RecordLoc) {
+        self.segs.entry(loc.seg).or_default().live += loc.frame_len;
+        if let Some(old) = self.keydir.insert(key, loc) {
+            self.retire(old);
+        }
     }
 
     fn retire(&mut self, old: RecordLoc) {
@@ -645,15 +766,12 @@ impl DiskBackend {
             self.keydir.iter().filter(|(_, l)| l.seg == seg).map(|(k, l)| (*k, *l)).collect();
         entries.sort_by_key(|(_, l)| l.offset);
         for (key, loc) in entries {
-            match parse_frame(&buf, loc.offset as usize) {
-                FrameParse::Record { kind: KIND_PUT, flavor, len, payload, .. } => {
-                    let data = payload_of(&buf, flavor, len, payload);
-                    let rec = encode_record(KIND_PUT, &key, Some(&data));
-                    let new = self.append_frame(&rec)?;
-                    self.segs.entry(new.seg).or_default().live += new.frame_len;
-                    if let Some(old) = self.keydir.insert(key, new) {
-                        self.retire(old);
-                    }
+            let at = loc.offset as usize;
+            match parse_frame(&buf, at) {
+                // A validated frame names its own key: move it as it is.
+                FrameParse::Record { kind: KIND_PUT, key: k, frame_len, .. } if k == key => {
+                    let new = self.append_frame(&mut [IoSlice::new(&buf[at..at + frame_len])])?;
+                    self.index_put(key, new);
                 }
                 _ => {
                     // The record rotted since recovery validated it:
@@ -674,20 +792,22 @@ impl DiskBackend {
 }
 
 impl ChunkBackend for DiskBackend {
-    fn append_put(&mut self, key: &ChunkKey, data: &Payload) -> io::Result<()> {
-        let rec = encode_record(KIND_PUT, key, Some(data));
-        let loc = self.append_frame(&rec)?;
-        self.segs.entry(loc.seg).or_default().live += loc.frame_len;
-        if let Some(old) = self.keydir.insert(*key, loc) {
-            self.retire(old);
-        }
+    fn append_put(&mut self, key: &ChunkKey, data: &Payload, crc: u32) -> io::Result<()> {
+        // A size-only payload has no bytes on disk (its CRC is of the
+        // length, not of frame content): the frame is the header alone.
+        let (flavor, bytes, data_crc): (u8, &[u8], u32) = match data {
+            Payload::Data(b) => (FLAVOR_DATA, b, crc),
+            Payload::Sim(_) => (FLAVOR_SIM, &[], 0),
+        };
+        let header = frame_header(KIND_PUT, flavor, key, data.len());
+        let loc = self.append_record(header, bytes, data_crc)?;
+        self.index_put(*key, loc);
         Ok(())
     }
 
     fn append_delete(&mut self, key: &ChunkKey) -> io::Result<()> {
         let Some(old) = self.keydir.remove(key) else { return Ok(()) };
-        let rec = encode_record(KIND_DELETE, key, None);
-        let loc = self.append_frame(&rec)?;
+        let loc = self.append_record(frame_header(KIND_DELETE, FLAVOR_SIM, key, 0), &[], 0)?;
         // The tombstone itself is dead weight the moment it lands.
         self.segs.entry(loc.seg).or_default().dead += loc.frame_len;
         self.retire(old);
@@ -759,7 +879,7 @@ fn scan_segment(
     seg: u64,
     keydir: &mut HashMap<ChunkKey, RecordLoc>,
     segs: &mut BTreeMap<u64, SegUsage>,
-    recovered: &mut HashMap<ChunkKey, Payload>,
+    recovered: &mut HashMap<ChunkKey, (Payload, u32)>,
     quarantined: &mut u64,
     torn: &mut u64,
 ) -> io::Result<()> {
@@ -778,14 +898,22 @@ fn scan_segment(
                 segs.entry(seg).or_default().dead += frame_len as u64;
                 offset += frame_len;
             }
-            FrameParse::Record { kind, flavor, key, len, payload, frame_len } => {
+            FrameParse::Record { kind, flavor, key, len, payload, data_crc, frame_len } => {
                 let retire = |segs: &mut BTreeMap<u64, SegUsage>, old: RecordLoc| {
                     let u = segs.entry(old.seg).or_default();
                     u.live = u.live.saturating_sub(old.frame_len);
                     u.dead += old.frame_len;
                 };
                 if kind == KIND_PUT {
-                    recovered.insert(key, payload_of(&buf, flavor, len, payload));
+                    let chunk = if flavor == FLAVOR_DATA {
+                        let data = Bytes::from(buf[payload.0..payload.1].to_vec());
+                        (Payload::Data(data), data_crc)
+                    } else {
+                        let sim = Payload::Sim(len);
+                        let crc = payload_crc(&sim);
+                        (sim, crc)
+                    };
+                    recovered.insert(key, chunk);
                     segs.entry(seg).or_default().live += frame_len as u64;
                     let loc = RecordLoc { seg, offset: offset as u64, frame_len: frame_len as u64 };
                     if let Some(old) = keydir.insert(key, loc) {
@@ -845,6 +973,7 @@ fn check_or_write_superblock(cfg: &DiskConfig) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIRS: AtomicU64 = AtomicU64::new(0);
@@ -870,6 +999,50 @@ mod tests {
         }
     }
 
+    fn put(b: &mut DiskBackend, key: ChunkKey, p: &Payload) {
+        b.append_put(&key, p, payload_crc(p)).unwrap();
+    }
+
+    /// Deterministic noise, so a failing length reproduces.
+    fn noise(len: usize) -> Vec<u8> {
+        (0..len as u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect()
+    }
+
+    /// [`crc32c_combine`] one bit at a time: advance `crc_a` through the
+    /// 8·`len_b` zero bits, no tables and no multiplication.
+    fn combine_bitwise(mut crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+        for _ in 0..8 * len_b {
+            crc_a = if crc_a & 1 != 0 { (crc_a >> 1) ^ CRC32C_POLY } else { crc_a >> 1 };
+        }
+        crc_a ^ crc_b
+    }
+
+    /// The parent format's encoder — one buffer, header · payload · CRC of
+    /// both in a second pass — kept as the byte-identity oracle for what
+    /// [`DiskBackend`] now appends without copying or re-reading the payload.
+    fn encode_record(kind: u8, key: &ChunkKey, data: Option<&Payload>) -> Vec<u8> {
+        let (flavor, len, bytes): (u8, u64, Option<&[u8]>) = match data {
+            Some(Payload::Data(b)) => (FLAVOR_DATA, b.len() as u64, Some(b.as_ref())),
+            Some(Payload::Sim(n)) => (FLAVOR_SIM, *n, None),
+            None => (FLAVOR_SIM, 0, None),
+        };
+        let mut buf =
+            Vec::with_capacity(HEADER_LEN + bytes.map_or(0, <[u8]>::len) + TRAILER_LEN);
+        buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+        buf.push(kind);
+        buf.push(flavor);
+        buf.extend_from_slice(&key.blob.0.to_le_bytes());
+        buf.extend_from_slice(&key.version.0.to_le_bytes());
+        buf.extend_from_slice(&key.page.to_le_bytes());
+        buf.extend_from_slice(&len.to_le_bytes());
+        if let Some(b) = bytes {
+            buf.extend_from_slice(b);
+        }
+        let crc = crc32c(&buf[4..]);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
+
     #[test]
     fn crc32c_known_vector() {
         // RFC 3720 appendix B.4 check value for CRC-32C.
@@ -886,10 +1059,180 @@ mod tests {
             }
             c ^ 0xFFFF_FFFF
         }
-        let buf: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
-        for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 255, 256, 1024, 4096] {
-            assert_eq!(crc32c(&buf[..len]), reference(&buf[..len]), "dispatch len={len}");
-            assert_eq!(crc32c_sw(&buf[..len]), reference(&buf[..len]), "sw len={len}");
+        let buf = noise(64 << 10);
+        let lens =
+            [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 255, 256, 1024, 4096, 16367, 16368, 16369, 49117];
+        for len in lens {
+            // Every start alignment: the kernel reads unaligned words.
+            for start in 0..=8 {
+                let b = &buf[start..start + len];
+                assert_eq!(crc32c(b), reference(b), "dispatch start={start} len={len}");
+                assert_eq!(crc32c_sw(b), reference(b), "sw start={start} len={len}");
+            }
+        }
+    }
+
+    /// Every length across the first lane-block boundary — below three
+    /// lanes (single chain), exactly one block, one block plus a tail.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32c_every_length_around_a_lane_block_matches_software() {
+        let buf = noise(3 * LANE + 17 + 8);
+        for len in 0..=3 * LANE + 17 {
+            assert_eq!(crc32c(&buf[..len]), crc32c_sw(&buf[..len]), "len={len}");
+        }
+        for start in 1..8 {
+            let b = &buf[start..start + 3 * LANE + 17];
+            assert_eq!(crc32c(b), crc32c_sw(b), "start={start}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Hardware and software agree on random slices up to 4 MiB, and
+        /// the CRC of a concatenation is the combination of the halves'
+        /// at any split, empty halves included.
+        #[test]
+        fn crc32c_of_a_concatenation_is_the_combination_of_its_halves(
+            len in 0usize..=4 << 20,
+            start in 0usize..8,
+            split_ppm in 0usize..=1_000_000,
+        ) {
+            let buf = noise(start + len);
+            let whole = &buf[start..];
+            let (a, b) = whole.split_at(len * split_ppm / 1_000_000);
+            prop_assert_eq!(crc32c(whole), crc32c_sw(whole));
+            prop_assert_eq!(crc32c(whole), crc32c_combine(crc32c(a), crc32c(b), b.len() as u64));
+            prop_assert_eq!(crc32c(whole), crc32c_combine(crc32c(whole), crc32c(b""), 0));
+            prop_assert_eq!(crc32c(whole), crc32c_combine(crc32c(b""), crc32c(whole), len as u64));
+        }
+
+        /// The O(log n) combination equals shifting one bit at a time.
+        #[test]
+        fn crc32c_combine_equals_the_bit_serial_oracle(
+            crc_a in 0u32..=u32::MAX,
+            crc_b in 0u32..=u32::MAX,
+            len_b in 0u64..=64 << 10,
+        ) {
+            let want = combine_bitwise(crc_a, crc_b, len_b);
+            prop_assert_eq!(crc32c_combine(crc_a, crc_b, len_b), want);
+        }
+
+        /// What a put appends is, byte for byte, what the parent format's
+        /// one-buffer encoder produced — for real and size-only payloads,
+        /// empty, tiny, page-sized and unaligned.
+        #[test]
+        fn appended_frames_equal_the_copying_encoder(
+            blob in 0u64..=u64::MAX,
+            version in 0u64..=u64::MAX,
+            page in 0u64..=u64::MAX,
+            salt in 0usize..4096,
+        ) {
+            let dir = tmp();
+            let _c = Cleanup(dir.clone());
+            let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
+            let bytes = Bytes::from(noise(salt + (256 << 10) + 13));
+            let mut want = Vec::new();
+            for (i, len) in [0, 1, 4 << 10, 256 << 10, (256 << 10) + 13].into_iter().enumerate() {
+                for p in [Payload::Data(bytes.slice(salt..salt + len)), Payload::Sim(len as u64)] {
+                    let k = ChunkKey {
+                        blob: BlobId(blob),
+                        version: VersionId(version),
+                        page: page.wrapping_add(i as u64),
+                    };
+                    put(&mut b, k, &p);
+                    want.extend_from_slice(&encode_record(KIND_PUT, &k, Some(&p)));
+                }
+            }
+            drop(b);
+            prop_assert!(fs::read(dir.join(segment_name(0))).unwrap() == want);
+        }
+    }
+
+    #[test]
+    fn crc32c_combine_at_page_length() {
+        let buf = noise(38 + (256 << 10));
+        let (h, p) = buf.split_at(38);
+        assert_eq!(crc32c_combine(crc32c(h), crc32c(p), p.len() as u64), crc32c(&buf));
+        assert_eq!(
+            crc32c_combine(crc32c(h), crc32c(p), p.len() as u64),
+            combine_bitwise(crc32c(h), crc32c(p), p.len() as u64)
+        );
+    }
+
+    /// Accepts at most `cap` bytes a call (0 = a writer that is full).
+    struct Trickle {
+        cap: usize,
+        got: Vec<u8>,
+    }
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_all_vectored_resumes_short_writes_and_reports_write_zero() {
+        let parts: [&[u8]; 5] = [b"", b"header--", b"", &noise(100), b"crc!"];
+        let mut w = Trickle { cap: 7, got: Vec::new() };
+        write_all_vectored(&mut w, &mut parts.map(IoSlice::new)).unwrap();
+        assert_eq!(w.got, parts.concat());
+
+        let mut full = Trickle { cap: 0, got: Vec::new() };
+        let err = write_all_vectored(&mut full, &mut parts.map(IoSlice::new)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        // Nothing to write is not an error, even for a full writer.
+        write_all_vectored(&mut full, &mut [IoSlice::new(b"")]).unwrap();
+    }
+
+    /// A segment holding the parent build's bytes (the one-buffer encoder)
+    /// recovers exactly like the log the new append path writes for the
+    /// same operations — overwrite, size-only chunk and tombstone included.
+    #[test]
+    fn a_log_from_the_copying_encoder_recovers_identically() {
+        let ops: Vec<(ChunkKey, Option<Payload>)> = vec![
+            (key(0), Some(data(1, 300))),
+            (key(1), Some(Payload::Sim(4096))),
+            (key(2), Some(data(2, 0))),
+            (key(0), Some(Payload::Data(Bytes::from(noise(20_000))))),
+            (key(1), None),
+            (key(3), Some(data(3, 17))),
+        ];
+        let (old_dir, new_dir) = (tmp(), tmp());
+        let _c = (Cleanup(old_dir.clone()), Cleanup(new_dir.clone()));
+
+        drop(DiskBackend::open(DiskConfig::new(&old_dir)).unwrap()); // superblock
+        let mut old = Vec::new();
+        let mut b = DiskBackend::open(DiskConfig::new(&new_dir)).unwrap();
+        for (k, op) in &ops {
+            match op {
+                Some(p) => {
+                    old.extend_from_slice(&encode_record(KIND_PUT, k, Some(p)));
+                    put(&mut b, *k, p);
+                }
+                None => {
+                    old.extend_from_slice(&encode_record(KIND_DELETE, k, None));
+                    b.append_delete(k).unwrap();
+                }
+            }
+        }
+        drop(b);
+        fs::write(old_dir.join(segment_name(0)), &old).unwrap();
+        assert_eq!(fs::read(new_dir.join(segment_name(0))).unwrap(), old);
+
+        let from_old = DiskBackend::open(DiskConfig::new(&old_dir)).unwrap().recover();
+        let from_new = DiskBackend::open(DiskConfig::new(&new_dir)).unwrap().recover();
+        assert_eq!(from_old, from_new);
+        assert_eq!(from_old.chunks.len(), 3);
+        assert_eq!((from_old.bytes, from_old.quarantined, from_old.torn_discarded), (20_017, 0, 0));
+        for ((_, p), crc) in from_old.chunks.iter().zip(&from_old.crcs) {
+            assert_eq!(*crc, payload_crc(p), "the scan's by-product is the store's checksum");
         }
     }
 
@@ -898,8 +1241,8 @@ mod tests {
         let dir = tmp();
         let _c = Cleanup(dir.clone());
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
-        b.append_put(&key(0), &data(7, 100)).unwrap();
-        b.append_put(&key(1), &Payload::Sim(5000)).unwrap();
+        put(&mut b, key(0), &data(7, 100));
+        put(&mut b, key(1), &Payload::Sim(5000));
         drop(b);
 
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
@@ -923,7 +1266,7 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
         for p in 0..3 {
-            b.append_put(&key(p), &data(p as u8, 64)).unwrap();
+            put(&mut b, key(p), &data(p as u8, 64));
         }
         drop(b);
 
@@ -942,7 +1285,7 @@ mod tests {
             "recovered set is the acknowledged prefix"
         );
         // The truncated log accepts new appends and they survive.
-        b.append_put(&key(9), &data(9, 64)).unwrap();
+        put(&mut b, key(9), &data(9, 64));
         drop(b);
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
         assert_eq!(b.recover().chunks.len(), 3);
@@ -954,7 +1297,7 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
         for p in 0..3 {
-            b.append_put(&key(p), &data(p as u8, 64)).unwrap();
+            put(&mut b, key(p), &data(p as u8, 64));
         }
         drop(b);
 
@@ -982,8 +1325,8 @@ mod tests {
         let dir = tmp();
         let _c = Cleanup(dir.clone());
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
-        b.append_put(&key(0), &data(1, 32)).unwrap();
-        b.append_put(&key(1), &data(2, 32)).unwrap();
+        put(&mut b, key(0), &data(1, 32));
+        put(&mut b, key(1), &data(2, 32));
         b.append_delete(&key(0)).unwrap();
         drop(b);
 
@@ -1000,7 +1343,7 @@ mod tests {
         cfg.segment_bytes = 256; // force frequent rolls
         let mut b = DiskBackend::open(cfg.clone()).unwrap();
         for p in 0..20 {
-            b.append_put(&key(p), &data(p as u8, 100)).unwrap();
+            put(&mut b, key(p), &data(p as u8, 100));
         }
         for p in 0..16 {
             b.append_delete(&key(p)).unwrap();
@@ -1030,7 +1373,7 @@ mod tests {
         let dir = tmp();
         let _c = Cleanup(dir.clone());
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
-        b.append_put(&key(0), &data(1, 64)).unwrap();
+        put(&mut b, key(0), &data(1, 64));
         let live = b.stats().live_bytes;
         assert!(live > 0);
         assert_eq!(b.stats().dead_bytes, 0);
@@ -1052,8 +1395,8 @@ mod tests {
         let dir = tmp();
         let _c = Cleanup(dir.clone());
         let mut b = DiskBackend::open(DiskConfig::new(&dir)).unwrap();
-        b.append_put(&key(0), &data(7, 64)).unwrap();
-        b.append_put(&key(1), &Payload::Sim(64)).unwrap();
+        put(&mut b, key(0), &data(7, 64));
+        put(&mut b, key(1), &Payload::Sim(64));
         assert!(b.verify(&key(0)).unwrap());
         assert!(b.verify(&key(1)).unwrap());
         assert!(b.verify(&key(9)).unwrap(), "no record means nothing to damage");
