@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the hot paths: metadata segment-tree
 //! construction and descent, allocation strategies, the chunk store, the
-//! monitoring filters and burst cache, the policy engine, and the raw
-//! event rate of the cluster simulator.
+//! put path's checksum and the gateway's content tag, the monitoring
+//! filters and burst cache, the policy engine, and the raw event rate of
+//! the cluster simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -17,6 +18,7 @@ use sads_blob::pmanager::{
 };
 use sads_blob::provider::ChunkStore;
 use sads_blob::storage::{crc32c, crc32c_combine};
+use sads_gateway::EtagHasher;
 use sads_monitor::{ActivityKind, ActivityRecord, BurstCache, DataFilter, RateFilter};
 use sads_security::{scan, ActivityHistory, PolicySet, TrustConfig, TrustManager};
 use sads_sim::{NodeId, SimDuration, SimTime};
@@ -342,6 +344,25 @@ fn bench_crc32c(c: &mut Criterion) {
     g.finish();
 }
 
+/// The content tag every gateway PUT computes over its body, at the
+/// median `gateway_disk` object and at the largest.
+fn bench_etag(c: &mut Criterion) {
+    let buf: Vec<u8> =
+        (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+    for (name, len) in [("16 KiB", 16usize << 10), ("256 KiB", 256 << 10), ("1 MiB", 1 << 20)] {
+        let mut g = c.benchmark_group("etag");
+        g.throughput(Throughput::BytesDecimal(len as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut h = EtagHasher::new();
+                h.update(black_box(&buf[..len]));
+                h.finish()
+            })
+        });
+        g.finish();
+    }
+}
+
 fn bench_metric_sink(c: &mut Criterion) {
     use sads_sim::MetricSink;
     let mut g = c.benchmark_group("metric_sink");
@@ -562,6 +583,7 @@ criterion_group!(
     bench_alloc,
     bench_chunk_store,
     bench_crc32c,
+    bench_etag,
     bench_metric_sink,
     bench_monitoring,
     bench_security,

@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use rand::Rng;
 use sads_sim::{NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx};
 
@@ -132,6 +132,20 @@ pub enum ClientOp {
         /// Bytes to append to the stream (at most one page per feed to
         /// keep the memory bound exact).
         data: Payload,
+    },
+    /// Declare the next `len` bytes of an open write stream to be zeros
+    /// without supplying them. They count toward the declared length
+    /// exactly as fed bytes do, and complete like a feed
+    /// ([`OpOutput::Fed`]). Zeros that run to a page boundary cut the
+    /// page at the length of the bytes actually fed into it — a chunk
+    /// shorter than its page, empty for a page of nothing but zeros —
+    /// which every read path zero-extends; zeros followed by more bytes
+    /// in the same page are written out into that page.
+    FeedZeros {
+        /// Stream id from [`OpOutput::WriteStreamOpened`].
+        stream: u64,
+        /// How many zero bytes to declare.
+        len: u64,
     },
     /// Publish an open write stream: drains in-flight chunks, writes the
     /// metadata tree, commits at the version manager. Completes with
@@ -251,7 +265,9 @@ pub enum OpOutput {
         /// The window's bytes in order. With real data, one refcounted
         /// view per fetched page — the stored page itself, the first and
         /// last trimmed to the requested range — and a zero segment per
-        /// hole; in simulation one `Payload::Sim` for the whole window.
+        /// hole and per stretch of the range past the stored length of a
+        /// chunk shorter than its page (see [`ClientOp::FeedZeros`]); in
+        /// simulation one `Payload::Sim` for the whole window.
         /// No segment is empty; a zero-length read delivers no segments.
         segments: Vec<Payload>,
         /// True on the final window; the stream is closed after this.
@@ -502,9 +518,74 @@ enum WStreamPhase {
     Commit,
 }
 
+/// What one feed sub-operation adds to a write stream.
+enum Fed {
+    /// Bytes, real or size-only ([`ClientOp::FeedWriteStream`]).
+    Bytes(Payload),
+    /// That many declared zeros ([`ClientOp::FeedZeros`]).
+    Zeros(u64),
+}
+
+/// The partial page of a real-data write stream. A sub-page feed into an
+/// empty accumulator is held as the view it arrived as, so a tail that
+/// declared zeros then complete is cut without having been copied; it
+/// moves into an owned buffer only when more bytes follow it into the
+/// same page. That buffer grows by doubling, up to the page it can at
+/// most become: a page that fills holds exactly a page, one that zeros
+/// complete early at most twice what was fed — never a page for a tail.
+#[derive(Debug, Default)]
+struct PageAcc {
+    view: Option<Bytes>,
+    buf: Vec<u8>,
+}
+
+impl PageAcc {
+    fn len(&self) -> usize {
+        self.view.as_ref().map_or(0, Bytes::len) + self.buf.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Make the accumulator an owned buffer with room for `more` bytes.
+    fn make_room(&mut self, more: usize, page: usize) {
+        let need = self.len() + more;
+        if need > self.buf.capacity() {
+            self.buf.reserve_exact((2 * need).min(page).saturating_sub(self.buf.len()));
+        }
+        if let Some(view) = self.view.take() {
+            self.buf.extend_from_slice(&view);
+        }
+    }
+
+    fn push(&mut self, b: Bytes, page: usize) {
+        if self.is_empty() {
+            self.view = Some(b);
+        } else {
+            self.make_room(b.len(), page);
+            self.buf.extend_from_slice(&b);
+        }
+    }
+
+    fn push_zeros(&mut self, n: usize, page: usize) {
+        self.make_room(n, page);
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
+    /// The accumulated bytes as one buffer, leaving the accumulator
+    /// empty: a view is handed on, an owned buffer moves.
+    fn take(&mut self) -> Bytes {
+        match self.view.take() {
+            Some(view) => view,
+            None => Bytes::from(std::mem::take(&mut self.buf)),
+        }
+    }
+}
+
 /// The write session: the ticket/alloc handshake runs at open (the
 /// declared length pins the version and page range), then feeds cut
-/// page-sized chunks that ship through the pipelined, per-provider
+/// chunks of at most a page that ship through the pipelined, per-provider
 /// batched put path — and the client never holds more than
 /// `chunk_window × page_size` un-acknowledged fed bytes: a feed's
 /// completion is withheld until there is headroom for the next page. A
@@ -522,9 +603,13 @@ struct WriteStreamSess {
     root: Option<crate::meta::NodeRef>,
     phase: WStreamPhase,
     /// Partial page under accumulation (real-data streams).
-    acc: BytesMut,
+    acc: PageAcc,
     /// Partial page under accumulation (size-only simulation streams).
     acc_sim: u64,
+    /// Declared zeros behind the accumulated bytes of the partial page.
+    /// They hold no memory: the page is cut without them if they reach
+    /// its end, and they are written out if more bytes follow.
+    acc_zeros: u64,
     /// `Some(true)` once the first feed fixed the payload flavor to
     /// real data, `Some(false)` for simulation; mixing is a protocol
     /// error.
@@ -558,8 +643,9 @@ impl WriteStreamSess {
             builder: None,
             root: None,
             phase: WStreamPhase::Ticket,
-            acc: BytesMut::new(),
+            acc: PageAcc::default(),
             acc_sim: 0,
+            acc_zeros: 0,
             data_mode: None,
             next_page: 0,
             queued: std::collections::VecDeque::new(),
@@ -875,7 +961,10 @@ impl ClientCore {
         // opening one.
         match op {
             ClientOp::FeedWriteStream { stream, data } => {
-                return self.wstream_feed(env, stream, data, tag)
+                return self.wstream_feed(env, stream, Fed::Bytes(data), tag)
+            }
+            ClientOp::FeedZeros { stream, len } => {
+                return self.wstream_feed(env, stream, Fed::Zeros(len), tag)
             }
             ClientOp::CommitWriteStream { stream } => {
                 return self.wstream_commit(env, stream, tag)
@@ -958,6 +1047,7 @@ impl ClientCore {
                 Msg::GetVersion { req, client, blob, version },
             ),
             ClientOp::FeedWriteStream { .. }
+            | ClientOp::FeedZeros { .. }
             | ClientOp::CommitWriteStream { .. }
             | ClientOp::AbortWriteStream { .. }
             | ClientOp::ReadStreamNext { .. }
@@ -1385,15 +1475,15 @@ impl ClientCore {
         out
     }
 
-    /// Push bytes into an open write stream (see
-    /// [`ClientOp::FeedWriteStream`]). Completes synchronously when the
-    /// stream has headroom; otherwise the completion parks until enough
-    /// chunk acks arrive.
+    /// Push bytes, or declared zeros, into an open write stream (see
+    /// [`ClientOp::FeedWriteStream`] and [`ClientOp::FeedZeros`]).
+    /// Completes synchronously when the stream has headroom; otherwise
+    /// the completion parks until enough chunk acks arrive.
     fn wstream_feed(
         &mut self,
         env: &mut dyn Env,
         sid: u64,
-        data: Payload,
+        fed: Fed,
         tag: u64,
     ) -> Vec<Completion> {
         let now = env.now();
@@ -1420,9 +1510,12 @@ impl ClientCore {
                 Err(BlobError::Protocol("stream is not accepting feeds")),
             )];
         }
-        let len = data.len();
+        let len = match &fed {
+            Fed::Bytes(data) => data.len(),
+            Fed::Zeros(n) => *n,
+        };
         let declared = w.ticket.as_ref().map(|t| t.len).unwrap_or(0);
-        if w.fed + len > declared {
+        if w.fed.checked_add(len).is_none_or(|total| total > declared) {
             return self.stream_reap(
                 env,
                 sid,
@@ -1430,32 +1523,44 @@ impl ClientCore {
                 BlobError::Protocol("feed exceeds the declared stream length"),
             );
         }
-        match data {
-            Payload::Data(b) => {
-                if w.data_mode == Some(false) {
-                    return self.stream_reap(
-                        env,
-                        sid,
-                        tag,
-                        BlobError::Protocol("mixed real and simulated payloads in one stream"),
-                    );
-                }
+        let mixed = match &fed {
+            Fed::Bytes(Payload::Data(_)) => w.data_mode == Some(false),
+            Fed::Bytes(Payload::Sim(_)) => w.data_mode == Some(true),
+            Fed::Zeros(_) => false,
+        };
+        if mixed {
+            return self.stream_reap(
+                env,
+                sid,
+                tag,
+                BlobError::Protocol("mixed real and simulated payloads in one stream"),
+            );
+        }
+        let page = w.page_size();
+        match fed {
+            Fed::Bytes(Payload::Data(b)) => {
                 w.data_mode = Some(true);
-                let page = w.page_size() as usize;
+                let page = page as usize;
                 let mut b = b;
+                // Declared zeros with bytes behind them in the same page
+                // are no tail: they are written out. Rare; a pad is last.
+                if w.acc_zeros > 0 && !b.is_empty() {
+                    w.acc.push_zeros(std::mem::take(&mut w.acc_zeros) as usize, page);
+                }
                 // A partial page under accumulation is topped up first —
                 // the one copy a sub-page feed costs — and cut the moment
                 // it fills, so `acc` never holds more than one page and a
-                // cut is a `freeze` of the whole accumulator: a move.
+                // cut hands the whole accumulator on: a move.
                 if !w.acc.is_empty() {
                     let need = page.saturating_sub(w.acc.len()).min(b.len());
-                    w.acc.extend_from_slice(&b[..need]);
+                    w.acc.push(b.slice(..need), page);
                     b = b.slice(need..);
                     Self::wstream_cut(w);
                 }
                 // Zero-copy fast path: with an empty accumulator, whole
                 // pages are cut straight off the fed buffer as refcounted
-                // sub-slices; only a sub-page tail goes through `acc`.
+                // sub-slices; a sub-page tail is held as a view too, and
+                // copied only if a later feed lands behind it.
                 if page > 0 && w.acc.is_empty() {
                     let mut at = 0usize;
                     while b.len() - at >= page && (w.next_page as usize) < w.chunks.len() {
@@ -1468,29 +1573,43 @@ impl ClientCore {
                     }
                 }
                 if !b.is_empty() {
-                    if w.acc.is_empty() {
-                        // Sized for the page it will become: no regrowth.
-                        w.acc = BytesMut::with_capacity(page.max(b.len()));
-                    }
-                    w.acc.extend_from_slice(&b);
+                    w.acc.push(b, page);
                 }
             }
-            Payload::Sim(n) => {
-                if w.data_mode == Some(true) {
-                    return self.stream_reap(
-                        env,
-                        sid,
-                        tag,
-                        BlobError::Protocol("mixed real and simulated payloads in one stream"),
-                    );
-                }
+            Fed::Bytes(Payload::Sim(n)) => {
                 w.data_mode = Some(false);
+                if n > 0 {
+                    w.acc_sim += std::mem::take(&mut w.acc_zeros);
+                }
                 w.acc_sim += n;
+                Self::wstream_cut(w);
+            }
+            Fed::Zeros(mut n) => {
+                // A page of nothing but zeros fed before any byte fixed
+                // the stream's flavor takes the deployment's.
+                let real = w.data_mode.unwrap_or(self.cfg.materialize_zeros);
+                while n > 0 && (w.next_page as usize) < w.chunks.len() {
+                    let held = w.acc.len() as u64 + w.acc_sim;
+                    let take = n.min(page - held - w.acc_zeros);
+                    w.acc_zeros += take;
+                    n -= take;
+                    if held + w.acc_zeros == page {
+                        // The zeros run to the page boundary: the page is
+                        // cut at the length of the bytes fed into it, and
+                        // whoever reads it zero-extends.
+                        w.acc_zeros = 0;
+                        let payload = if real {
+                            Payload::Data(w.acc.take())
+                        } else {
+                            Payload::Sim(std::mem::take(&mut w.acc_sim))
+                        };
+                        Self::wstream_enqueue(w, payload);
+                    }
+                }
             }
         }
         w.fed += len;
         sess.last_activity = now;
-        Self::wstream_cut(w);
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
         let mut fresh = fresh_for(&mut self.next_req, &mut self.req_index, sid);
         Self::wstream_pump(self.id, self.cfg, &mut fresh, &mut sess.outstanding, w, env);
@@ -1803,12 +1922,15 @@ impl ClientCore {
         });
     }
 
-    /// Queue one full-page payload for the next page slot, one send per
-    /// replica. Each cut page is counted once in `unacked_bytes` until
-    /// its last replica acks.
+    /// Queue one page's payload — the whole page, or its true length when
+    /// declared zeros completed it — for the next page slot, one send per
+    /// replica. The slot's descriptor takes the stored length. Each cut
+    /// page is counted once in `unacked_bytes` until its last replica
+    /// acks.
     fn wstream_enqueue(w: &mut WriteStreamSess, payload: Payload) {
-        let desc = &w.chunks[w.next_page as usize];
+        let desc = &mut w.chunks[w.next_page as usize];
         if !desc.replicas.is_empty() {
+            desc.size = payload.len();
             w.page_acks[w.next_page as usize] = desc.replicas.len() as u32;
             w.unacked_bytes += desc.size;
             for replica in &desc.replicas {
@@ -1818,8 +1940,8 @@ impl ClientCore {
         w.next_page += 1;
     }
 
-    /// Cut full pages off the stream's accumulator into per-replica
-    /// queued sends.
+    /// Cut the stream's accumulator into per-replica queued sends once
+    /// fed bytes fill a page.
     fn wstream_cut(w: &mut WriteStreamSess) {
         let page = w.page_size();
         if page == 0 {
@@ -1831,7 +1953,7 @@ impl ClientCore {
             let payload = if w.acc.len() as u64 >= page {
                 // Feeds top the accumulator up to exactly one page.
                 debug_assert_eq!(w.acc.len() as u64, page);
-                Payload::Data(std::mem::take(&mut w.acc).freeze())
+                Payload::Data(w.acc.take())
             } else {
                 w.acc_sim -= page;
                 Payload::Sim(page)
@@ -2374,9 +2496,10 @@ impl ClientCore {
 
     /// The contiguous buffer of a multi-page one-shot read: allocated
     /// once at its final size, each page's bytes copied once to their
-    /// place, holes (and the tail of a short chunk — chunks are always
-    /// full pages; defensive) zero-filled in place. Returns the buffer
-    /// and how many bytes were copied into it.
+    /// place, holes zero-filled in place. A chunk shorter than its page
+    /// reads as zero-extended to the page: what its writer declared
+    /// with [`ClientOp::FeedZeros`] is filled in here, in place. Returns
+    /// the buffer and how many bytes were copied into it.
     fn assemble<'a>(
         trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>,
         total: usize,
@@ -2397,7 +2520,9 @@ impl ClientCore {
 
     /// The rope of a real-data stream pull: the fetched pages themselves,
     /// as views trimmed to the requested range, and a zero segment per
-    /// hole (and per short chunk's missing tail; defensive).
+    /// hole. A chunk shorter than its page reads as zero-extended to the
+    /// page: the part of the range past its stored length is a zero
+    /// segment of its own.
     fn rope<'a>(trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>) -> Vec<Payload> {
         let mut segments = Vec::new();
         for (part, from, take) in trimmed {
@@ -3017,6 +3142,85 @@ mod tests {
         // the commit.
         assert_eq!(one_shot, stream_wire);
         assert!(one_shot.iter().any(|l| l.contains("PutChunkBatch")), "{one_shot:#?}");
+    }
+
+    /// Declared zeros reach neither the wire nor the tree as bytes: the
+    /// page they complete is put at the length of what was fed into it,
+    /// and its leaf descriptor says so — which is what the lifecycle
+    /// sweeper, stalled-write recovery and the write window account by.
+    #[test]
+    fn declared_zeros_put_short_chunks_and_their_lengths_in_the_leaves() {
+        let (pages, page) = (4u64, 8u64);
+        let bytes = bytes::Bytes::from((1..=11u8).collect::<Vec<u8>>());
+        let (mut env, mut c) = (TestEnv::new(), core());
+        start_write(&mut c, &mut env, Entry::Stream, Payload::Sim(pages * page), 1);
+        let (mut wire, done) = serve(&mut c, &mut env, pages, page, &[], None);
+        let Ok(OpOutput::WriteStreamOpened { stream, .. }) = done[0].result else {
+            panic!("{:?}", done[0].result)
+        };
+        // A page and a 3-byte tail, the tail's page completed by zeros;
+        // a page of zeros; two zeros, then bytes behind them.
+        let feeds = [
+            ClientOp::FeedWriteStream { stream, data: Payload::Data(bytes.clone()) },
+            ClientOp::FeedZeros { stream, len: 5 + 8 + 2 },
+            ClientOp::FeedWriteStream { stream, data: Payload::Data(bytes.slice(..6)) },
+        ];
+        for (i, op) in feeds.into_iter().enumerate() {
+            let mut done = c.start_op(&mut env, op, 2 + i as u64);
+            let (more, acked) = serve(&mut c, &mut env, pages, page, &[], None);
+            wire.extend(more);
+            done.extend(acked);
+            assert!(matches!(done[0].result, Ok(OpOutput::Fed { .. })), "{:?}", done[0].result);
+        }
+        assert!(c.start_op(&mut env, ClientOp::CommitWriteStream { stream }, 9).is_empty());
+        let (more, done) = serve(&mut c, &mut env, pages, page, &[], None);
+        wire.extend(more);
+        assert!(matches!(done[0].result, Ok(OpOutput::Written { .. })), "{:?}", done[0].result);
+        assert_eq!(c.active_ops(), 0);
+
+        let puts: Vec<&String> = wire.iter().filter(|l| l.contains("PutChunk")).collect();
+        // The transcript spells payloads as their lengths. Pages 0 and 2
+        // have two replicas, pages 1 and 3 one; pages 0 and 3 are whole.
+        let put = |len: usize| puts.iter().filter(|l| l.contains(&format!("Bytes({len}B)"))).count();
+        assert_eq!((put(8), put(3), put(0)), (3, 1, 2), "{puts:#?}");
+        let leaves: String = wire.iter().filter(|l| l.contains("PutMeta")).cloned().collect();
+        for (page_no, size) in [(0, 8), (1, 3), (2, 0), (3, 8)] {
+            let key = ChunkKey { blob: BlobId(5), version: VersionId(1), page: page_no };
+            let leaf = format!("key: {key:?}, replicas: ");
+            let at = leaves.find(&leaf).unwrap_or_else(|| panic!("no leaf for page {page_no}"));
+            let desc = &leaves[at..];
+            let stored = &desc[desc.find("size: ").expect("descriptor size") + 6..];
+            assert!(stored.starts_with(&format!("{size} }}")), "page {page_no}: {desc:.120}");
+        }
+    }
+
+    #[test]
+    fn page_acc_holds_a_lone_tail_as_a_view_and_never_allocates_past_the_page() {
+        let page = 4096usize;
+        let mut acc = PageAcc::default();
+        let tail = bytes::Bytes::from(vec![7u8; 13]);
+        acc.push(tail.clone(), page);
+        assert_eq!((acc.len(), acc.buf.capacity()), (13, 0), "a lone tail is not copied");
+        assert_eq!(acc.take().as_ref().as_ptr(), tail.as_ref().as_ptr());
+        assert!(acc.is_empty());
+
+        // More bytes behind it: owned now, at most twice what was fed.
+        acc.push(tail.clone(), page);
+        acc.push(tail.clone(), page);
+        assert_eq!(acc.len(), 26);
+        assert!(acc.buf.capacity() <= 52, "capacity {}", acc.buf.capacity());
+        // Filled in small feeds: exactly a page, however it grew.
+        acc.push_zeros(100, page);
+        while acc.len() < page {
+            let n = (page - acc.len()).min(700);
+            acc.push(bytes::Bytes::from(vec![9u8; n]), page);
+            assert!(acc.buf.capacity() <= page, "capacity {}", acc.buf.capacity());
+        }
+        assert_eq!(acc.buf.capacity(), page);
+        let full = acc.take();
+        assert_eq!(full.len(), page);
+        assert_eq!((&full[..13], &full[26..126], full[page - 1]), (&tail[..], &[0u8; 100][..], 9));
+        assert!(acc.is_empty());
     }
 
     #[test]

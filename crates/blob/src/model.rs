@@ -125,7 +125,9 @@ pub struct ChunkDescriptor {
     pub key: ChunkKey,
     /// Data providers holding a replica (node addresses).
     pub replicas: Vec<sads_sim::NodeId>,
-    /// Payload size in bytes (== page size except for a trailing page).
+    /// Stored length in bytes: the page size, or less when the writer
+    /// declared the rest of the page zeros (`ClientOp::FeedZeros`) — a
+    /// chunk shorter than its page reads as zero-extended to the page.
     pub size: u64,
 }
 

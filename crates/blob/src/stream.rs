@@ -18,6 +18,9 @@
 //!   (backpressure), so the cell never buffers more than
 //!   `chunk_window × page_size` bytes — asserted live by the
 //!   `client.stream_buffered_bytes` high-water gauge.
+//!   [`feed_zeros`](BlobWriteHandle::feed_zeros) declares zeros instead
+//!   of supplying them: writes are whole pages, and a caller whose bytes
+//!   end mid-page says so, which stores the page at its true length.
 //!   [`commit`](BlobWriteHandle::commit) publishes the version.
 //! * [`BlobReadHandle`] — the chunk plan for the whole range is resolved
 //!   once at open (the one-round-trip `GetMetaRange` descent); the cell
@@ -43,12 +46,25 @@
 //!   (zero copies); a wider one is allocated once at its final size and
 //!   each page's bytes are written once to their place, holes zero-filled
 //!   in place. `client.read_copied_bytes` counts exactly those bytes.
-//! * **Stream write: a sub-page feed once.** Whole pages are cut off the
-//!   fed buffer as views; only bytes that do not fill a page on arrival
-//!   pass through the one-page accumulator, which freezes — moves — into
-//!   the page it becomes.
+//! * **Stream write: only a sub-page feed with more bytes behind it,
+//!   once.** Whole pages are cut off the fed buffer as views, and so is a
+//!   sub-page tail that declared zeros complete; bytes are copied into
+//!   the accumulator — sized by what was fed, at most a page — only when
+//!   a later feed lands in the same page, and the accumulator moves into
+//!   the page it becomes. Declared zeros are never allocated, written
+//!   or sent.
 //!
-//! `tests/read_copies.rs` gates the read side with a counting allocator.
+//! # A chunk shorter than its page
+//!
+//! A stored chunk holds at most a page and may hold less: its writer
+//! declared the rest of the page zeros. Every read path zero-extends it
+//! to the page — a one-shot read fills the tail in place in its buffer, a
+//! stream read delivers it as a zero segment behind the chunk's view —
+//! so a version's bytes never depend on how its zeros were fed. BLOB
+//! sizes, tickets and page intervals count whole pages as before.
+//!
+//! `tests/read_copies.rs` and `tests/put_copies.rs` gate the two sides
+//! with a counting allocator.
 //!
 //! Both handles are thin blocking adapters over the threaded runtime's
 //! op-ticket machinery: a sub-operation (`feed`, `commit`, a `next` that
@@ -165,6 +181,25 @@ impl BlobWriteHandle {
             at += take;
             self.fed += take as u64;
         }
+        Ok(())
+    }
+
+    /// Declare the next `len` bytes of the stream to be zeros without
+    /// supplying them. They count toward the declared length exactly as
+    /// fed bytes do. Zeros that run to a page boundary store that page
+    /// at the length of the bytes fed into it (nothing at all for a page
+    /// of zeros) and readers zero-extend it; zeros with more bytes fed
+    /// behind them in the same page are written out into it. No memory
+    /// is held for them, so one call takes any length.
+    pub fn feed_zeros(&mut self, len: u64) -> Result<(), BlobError> {
+        if len == 0 {
+            return Ok(());
+        }
+        match self.sub_op(ClientOp::FeedZeros { stream: self.stream, len })? {
+            OpOutput::Fed { .. } => {}
+            _ => return Err(BlobError::Protocol("wrong output for feed_zeros")),
+        }
+        self.fed += len;
         Ok(())
     }
 
@@ -290,7 +325,8 @@ impl BlobReadHandle {
 
     /// The next segment of the range — never empty, at most one page: a
     /// view of the stored page itself (the first and last trimmed to the
-    /// range), or zeros for a hole — or `None` once the range is
+    /// range), or zeros for a hole or for the part of a page past the
+    /// stored length of its chunk — or `None` once the range is
     /// exhausted. Fetches the next window of at most `chunk_window` pages
     /// when the current one is used up; the stream closes itself with
     /// the final window.

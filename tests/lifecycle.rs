@@ -7,7 +7,13 @@
 //! * an end-to-end scrub test on the threaded runtime: a byte-flipped
 //!   disk chunk is detected by the background scrub, quarantined at the
 //!   provider, reported to the replication manager, and repaired back
-//!   to full replication while reads keep returning correct bytes.
+//!   to full replication while reads keep returning correct bytes —
+//!   and again over chunks shorter than their page (a 13-byte tail, an
+//!   empty chunk): the repair copy keeps the stored length and later
+//!   scrub passes find it clean;
+//! * true lengths reach the sweeper: after overwritten short-tail
+//!   objects are swept, `lifecycle.reclaimed_bytes` is what
+//!   `ChunkStore::used()` dropped by.
 
 use proptest::prelude::*;
 
@@ -332,5 +338,191 @@ mod scrub_e2e {
 
         sys.shutdown();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Chunks shorter than their page — 13-byte tails and one page of
+    /// nothing but declared zeros, stored empty — go through the same
+    /// quarantine and repair: `ReplicateChunk` relays the stored payload,
+    /// so the new replica is as long as the lost one, and the scrub finds
+    /// nothing more to quarantine afterwards.
+    #[test]
+    fn short_chunks_are_repaired_at_their_length_and_scrub_clean_afterwards() {
+        const TAIL: u64 = 13;
+        let root = std::env::temp_dir().join(format!("sads-scrub-short-{}", std::process::id()));
+        let mut sys = SelfAdaptiveCluster::start(AdaptiveClusterConfig {
+            data_providers: 4,
+            meta_providers: 2,
+            security: None,
+            replication: Some(ReplicationConfig {
+                base_degree: 2,
+                sweep_every: SimDuration::from_millis(500),
+                ..ReplicationConfig::default()
+            }),
+            scrub: Some(ScrubConfig { every: SimDuration::from_millis(100), batch: 64 }),
+            backend: BackendSpec::disk(root.clone()),
+            ..AdaptiveClusterConfig::default()
+        });
+        let client = sys.client(ClientId(5));
+        let blob = client.create(BlobSpec { page_size: PAGE, replication: 2 }).expect("create");
+        // Every page but the last holds 13 bytes; the last holds none.
+        let mut h = client
+            .open_write_stream(blob, sads::blob::WriteKind::At(0), PAGES * PAGE, None)
+            .expect("open");
+        let mut image = Vec::new();
+        for page in 0..PAGES - 1 {
+            let tail = pattern(TAIL as usize, page as u8 + 1);
+            image.extend_from_slice(&tail);
+            image.resize(((page + 1) * PAGE) as usize, 0);
+            h.feed(tail).expect("feed");
+            h.feed_zeros(PAGE - TAIL).expect("zeros");
+        }
+        h.feed_zeros(PAGE).expect("zeros");
+        image.resize((PAGES * PAGE) as usize, 0);
+        let version = h.commit().expect("commit");
+        let stored = 2 * (PAGES - 1) * TAIL;
+        let used = |sys: &SelfAdaptiveCluster| {
+            sys.cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
+        };
+
+        let mut all = MetricSink::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        loop {
+            drain(&sys, &mut all);
+            let tracked =
+                all.series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
+            if tracked >= PAGES as f64 && used(&sys) == Some(stored as f64) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "placement never learned (tracked {tracked}) or stored bytes {:?} != {stored}",
+                used(&sys)
+            );
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+
+        let victim = sys.cluster.data[0];
+        for page in 0..PAGES {
+            sys.cluster.send(victim, Msg::CorruptChunk { key: ChunkKey { blob, version, page } });
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let quarantined = loop {
+            drain(&sys, &mut all);
+            let q = all.counter("provider.quarantined_chunks");
+            let r = all.counter("repl.repairs");
+            if q > 0 && r >= q && used(&sys) == Some(stored as f64) {
+                break q;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "repair loop stalled: quarantined {q}, repaired {r}, stored {:?}",
+                used(&sys)
+            );
+            std::thread::sleep(std::time::Duration::from_millis(200));
+        };
+        // Each relayed copy was 13 bytes, or none for the empty chunk.
+        let chunks = all.counter("provider.repair_chunks");
+        let bytes = all.counter("provider.repair_bytes");
+        assert!(chunks >= quarantined);
+        assert!(
+            bytes == chunks * TAIL || bytes == (chunks - 1) * TAIL,
+            "{chunks} repair copies moved {bytes} B"
+        );
+        assert_eq!(all.counter("repl.lost_chunks"), 0);
+
+        // Ten more scrub passes over every provider: nothing new.
+        let scrubbed = all.counter("provider.scrubbed_chunks");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while all.counter("provider.scrubbed_chunks") < scrubbed + 10 * 2 * PAGES {
+            assert!(std::time::Instant::now() < deadline, "scrub stopped walking");
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            drain(&sys, &mut all);
+        }
+        assert_eq!(all.counter("provider.quarantined_chunks"), quarantined, "scrub flagged a repaired short chunk");
+        let back = client.read(blob, None, 0, PAGES * PAGE).expect("read after repair");
+        assert_eq!(back, image, "bytes diverged after scrub+repair");
+
+        sys.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+mod true_lengths_e2e {
+    use bytes::Bytes;
+    use sads::blob::model::ClientId;
+    use sads::gateway::{Acl, GatewayConfig, ObjectGateway};
+    use sads::lifecycle::{LifecycleConfig, RetentionPolicy};
+    use sads::{AdaptiveClusterConfig, SelfAdaptiveCluster};
+    use sads_sim::{MetricSink, SimDuration};
+
+    const PAGE: u64 = 64 * 1024;
+
+    /// Every key is put three times with a 13-byte-tailed body and the
+    /// sweeper keeps the last version only: what it reports reclaimed is
+    /// what the chunk stores let go of — the bytes of the overwritten
+    /// bodies, not a page for each of their tails.
+    #[test]
+    fn reclaimed_bytes_equal_the_drop_in_stored_bytes() {
+        let mut sys = SelfAdaptiveCluster::start(AdaptiveClusterConfig {
+            data_providers: 4,
+            meta_providers: 2,
+            security: None,
+            lifecycle: Some(LifecycleConfig {
+                policy: RetentionPolicy::KeepLastN(1),
+                sweep_every: SimDuration::from_millis(200),
+                ..LifecycleConfig::default()
+            }),
+            ..AdaptiveClusterConfig::default()
+        });
+        let gw = ObjectGateway::new(
+            sys.client(ClientId(9)),
+            GatewayConfig { page_size: PAGE, replication: 1, ..Default::default() },
+        );
+        let alice = ClientId(1);
+        gw.create_bucket(alice, "b", Acl::Private).unwrap();
+        let sizes = [13u64, PAGE + 13, 2 * PAGE + 13, 1, 0];
+        let (mut put, mut live) = (0u64, 0u64);
+        for round in 0..3u8 {
+            for (i, n) in sizes.iter().enumerate() {
+                // Later rounds are shorter, so old tails get overwritten
+                // by short and by empty chunks alike.
+                let n = n.saturating_sub(round as u64);
+                gw.put_object(alice, "b", &format!("k{i}"), Bytes::from(vec![round + 1; n as usize]))
+                    .unwrap();
+                put += n;
+                if round == 2 {
+                    live += n;
+                }
+            }
+        }
+        let used = |sys: &SelfAdaptiveCluster| {
+            sys.cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
+        };
+        let mut all = MetricSink::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            all.merge(sys.cluster.metrics());
+            if all.counter("lifecycle.reclaimed_bytes") >= put - live && used(&sys) == Some(live as f64) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "sweep stalled: reclaimed {} of {} B, stored {:?}, live {live}",
+                all.counter("lifecycle.reclaimed_bytes"),
+                put - live,
+                used(&sys)
+            );
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        assert_eq!(
+            all.counter("lifecycle.reclaimed_bytes"),
+            put - live,
+            "reclaimed bytes are the stored bytes of the swept chunks"
+        );
+        for (i, n) in sizes.iter().enumerate() {
+            let n = n.saturating_sub(2);
+            assert_eq!(gw.get_object(alice, "b", &format!("k{i}")).unwrap(), vec![3u8; n as usize]);
+        }
+        sys.shutdown();
     }
 }
