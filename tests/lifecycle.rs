@@ -438,7 +438,11 @@ mod scrub_e2e {
             std::thread::sleep(std::time::Duration::from_millis(200));
             drain(&sys, &mut all);
         }
-        assert_eq!(all.counter("provider.quarantined_chunks"), quarantined, "scrub flagged a repaired short chunk");
+        assert_eq!(
+            all.counter("provider.quarantined_chunks"),
+            quarantined,
+            "scrub flagged a repaired short chunk"
+        );
         let back = client.read(blob, None, 0, PAGES * PAGE).expect("read after repair");
         assert_eq!(back, image, "bytes diverged after scrub+repair");
 

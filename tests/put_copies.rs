@@ -19,10 +19,6 @@
 //! however they are sliced into `update` calls, and a different tag when
 //! any one bit differs.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use bytes::Bytes;
 use proptest::prelude::*;
 use sads::blob::runtime::threaded::ClusterBuilder;
@@ -30,42 +26,11 @@ use sads::blob::storage::BackendSpec;
 use sads::blob::ClientId;
 use sads::gateway::{Acl, EtagHasher, GatewayConfig, ObjectGateway};
 
-/// Forwards to the system allocator, counting every byte asked for.
-struct Counting;
-
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a side effect.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grown block may move, copying all of it: count it whole.
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` come from this allocator, i.e. `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from this allocator, i.e. `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+mod common;
+use common::{requested_during, SERIAL};
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// The allocator counts the whole process, so the tests of this file run
-/// one at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
+static ALLOCATOR: common::Counting = common::Counting;
 
 const PAGE: u64 = 256 * 1024;
 const TAIL: usize = 13;
@@ -97,9 +62,8 @@ fn a_put_allocates_no_page_and_copies_no_payload() {
     }
 
     let data = body(PAGE as usize + TAIL, 77);
-    let before = REQUESTED.load(Ordering::Relaxed);
-    let info = gw.put_object(alice, "b", "k", data.clone()).expect("put");
-    let asked = REQUESTED.load(Ordering::Relaxed) - before;
+    let (info, asked) =
+        requested_during(|| gw.put_object(alice, "b", "k", data.clone()).expect("put"));
     assert_eq!(info.size, PAGE + TAIL as u64);
     assert!(
         asked < 64 * 1024,

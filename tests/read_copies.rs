@@ -14,57 +14,15 @@
 //! * the live `client.read_copied_bytes` counter, read through the
 //!   metric sink and the telemetry registry.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use bytes::Bytes;
 use sads::blob::runtime::threaded::{ClientHandle, Cluster, ClusterBuilder};
 use sads::blob::{BlobId, BlobSpec, ClientId};
 
-/// Forwards to the system allocator, counting every byte asked for.
-struct Counting;
-
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a side effect.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grown block may move, copying all of it: count it whole.
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` come from this allocator, i.e. `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from this allocator, i.e. `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+mod common;
+use common::{requested_during, SERIAL};
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// The allocator counts the whole process, so the tests of this file run
-/// one at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Bytes the process asked the allocator for while `f` ran.
-fn requested_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = REQUESTED.load(Ordering::Relaxed);
-    let out = f();
-    (out, REQUESTED.load(Ordering::Relaxed) - before)
-}
+static ALLOCATOR: common::Counting = common::Counting;
 
 const PAGE: u64 = 256 * 1024;
 
