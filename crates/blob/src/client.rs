@@ -39,7 +39,12 @@ use crate::model::{
 };
 use crate::rpc::{ChunkErr, Msg};
 use crate::services::Env;
+use crate::storage::payload_crc;
 use crate::vmanager::{WriteKind, WriteTicket};
+
+/// One chunk store as it goes on the wire: key, payload, and the
+/// payload's CRC, computed once when the page was cut.
+type PutItem = (ChunkKey, Payload, u32);
 
 /// Bit set on every timer token owned by the client core, so embedding
 /// actors can route timers.
@@ -616,9 +621,9 @@ struct WriteStreamSess {
     data_mode: Option<bool>,
     /// Index into `chunks` of the next page to cut.
     next_page: u64,
-    /// Cut pages (one entry per replica) not yet issued because the
-    /// window is full.
-    queued: std::collections::VecDeque<(NodeId, ChunkKey, Payload)>,
+    /// Cut pages (one entry per replica, target first) not yet issued
+    /// because the window is full.
+    queued: std::collections::VecDeque<(NodeId, PutItem)>,
     /// Replica acks still owed per cut page (indexed like `chunks`); the
     /// page's bytes stay "buffered" until the last replica acks.
     page_acks: Vec<u32>,
@@ -865,14 +870,14 @@ enum ReqRole {
     /// refused store can be re-sent (same target, then a replacement).
     ChunkPut {
         target: NodeId,
-        items: Vec<(ChunkKey, Payload)>,
+        items: Vec<PutItem>,
         attempts: u32,
     },
     /// A replacement-placement request for chunk stores that exhausted
     /// their target (`failed`); `items` are re-sent to the new placement.
     ReAlloc {
         failed: NodeId,
-        items: Vec<(ChunkKey, Payload)>,
+        items: Vec<PutItem>,
     },
     /// A degraded-read placement refresh: re-fetch the leaf of read-part
     /// `idx` directly (bypassing the cache) to pick up repair patches.
@@ -1120,12 +1125,7 @@ impl ClientCore {
         };
         let sid = *sid;
         let target = *target;
-        let msg = if items.len() == 1 {
-            let (key, data) = items[0].clone();
-            Msg::PutChunk { req, client: self.id, key, data }
-        } else {
-            Msg::PutChunkBatch { req, client: self.id, items: items.clone() }
-        };
+        let msg = put_msg(req, self.id, items.clone());
         // The resend belongs to the operation's causal tree.
         let tc = self.sessions.get(&sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
         env.set_trace_ctx(tc);
@@ -1277,27 +1277,23 @@ impl ClientCore {
     /// Send one provider's queued chunk stores: a lone chunk as a plain
     /// `PutChunk`, several as one `PutChunkBatch` round trip. The items
     /// are kept in the request's role so an enabled [`RetryPolicy`] can
-    /// re-send them (payloads are refcounted views — no data is copied);
-    /// the policy also arms the per-RPC deadline here.
+    /// re-send them (payloads are refcounted views — no data is copied —
+    /// and their CRCs ride along, so no resend checksums again); the
+    /// policy also arms the per-RPC deadline here.
     fn issue_chunk_put(
         client: ClientId,
         retry: RetryPolicy,
         fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
         outstanding: &mut HashSet<u64>,
         target: NodeId,
-        items: Vec<(ChunkKey, Payload)>,
+        items: Vec<PutItem>,
         env: &mut dyn Env,
     ) {
         let req = fresh(
             outstanding,
             ReqRole::ChunkPut { target, items: items.clone(), attempts: 1 },
         );
-        if items.len() == 1 {
-            let (key, data) = items.into_iter().next().expect("one item");
-            env.send(target, Msg::PutChunk { req, client, key, data });
-        } else {
-            env.send(target, Msg::PutChunkBatch { req, client, items });
-        }
+        env.send(target, put_msg(req, client, items));
         if retry.enabled() {
             env.set_timer(retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
         }
@@ -1926,15 +1922,17 @@ impl ClientCore {
     /// declared zeros completed it — for the next page slot, one send per
     /// replica. The slot's descriptor takes the stored length. Each cut
     /// page is counted once in `unacked_bytes` until its last replica
-    /// acks.
+    /// acks, and checksummed once here: every replica, resend and
+    /// re-allocation carries that CRC, and the providers store it.
     fn wstream_enqueue(w: &mut WriteStreamSess, payload: Payload) {
         let desc = &mut w.chunks[w.next_page as usize];
         if !desc.replicas.is_empty() {
             desc.size = payload.len();
             w.page_acks[w.next_page as usize] = desc.replicas.len() as u32;
             w.unacked_bytes += desc.size;
+            let crc = payload_crc(&payload);
             for replica in &desc.replicas {
-                w.queued.push_back((*replica, desc.key, payload.clone()));
+                w.queued.push_back((*replica, (desc.key, payload.clone(), crc)));
             }
         }
         w.next_page += 1;
@@ -1976,13 +1974,13 @@ impl ClientCore {
         let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
         while outstanding.len() < window && !w.queued.is_empty() {
             let target = w.queued.front().expect("non-empty").0;
-            let mut items: Vec<(ChunkKey, Payload)> = Vec::new();
+            let mut items: Vec<PutItem> = Vec::new();
             let mut rest = std::collections::VecDeque::new();
-            for (t, key, data) in w.queued.drain(..) {
+            for (t, item) in w.queued.drain(..) {
                 if t == target {
-                    items.push((key, data));
+                    items.push(item);
                 } else {
-                    rest.push_back((t, key, data));
+                    rest.push_back((t, item));
                 }
             }
             w.queued = rest;
@@ -2142,7 +2140,7 @@ impl ClientCore {
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkOk { .. }) => {
                 if let ReqRole::ChunkPut { items, .. } = role {
                     let first_page = w.chunks.first().map_or(0, |d| d.key.page);
-                    for (key, data) in &items {
+                    for (key, data, _) in &items {
                         let owed = &mut w.page_acks[(key.page - first_page) as usize];
                         if *owed > 0 {
                             *owed -= 1;
@@ -2207,7 +2205,7 @@ impl ClientCore {
                     return StreamStep::Park;
                 }
                 match items.first() {
-                    Some((key, _)) => fail(parked, BlobError::ChunkUnavailable(*key)),
+                    Some((key, ..)) => fail(parked, BlobError::ChunkUnavailable(*key)),
                     None => fail(parked, chunk_err(err, client)),
                 }
             }
@@ -2218,8 +2216,9 @@ impl ClientCore {
                     return fail(parked, BlobError::Protocol("unexpected write-stream reply"));
                 };
                 debug_assert_eq!(placement.len(), items.len());
-                let mut jobs: Vec<(NodeId, Vec<(ChunkKey, Payload)>)> = Vec::new();
-                for ((key, data), replicas) in items.into_iter().zip(placement) {
+                let mut jobs: Vec<(NodeId, Vec<PutItem>)> = Vec::new();
+                for (item, replicas) in items.into_iter().zip(placement) {
+                    let key = item.0;
                     let Some(&new_target) = replicas.first() else {
                         return fail(parked, BlobError::ChunkUnavailable(key));
                     };
@@ -2231,8 +2230,8 @@ impl ClientCore {
                         }
                     }
                     match jobs.iter_mut().find(|(t, _)| *t == new_target) {
-                        Some((_, batch)) => batch.push((key, data)),
-                        None => jobs.push((new_target, vec![(key, data)])),
+                        Some((_, batch)) => batch.push(item),
+                        None => jobs.push((new_target, vec![item])),
                     }
                 }
                 for (target, batch) in jobs {
@@ -2250,7 +2249,7 @@ impl ClientCore {
             }
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::AllocErr { available, .. }) => {
                 if let ReqRole::ReAlloc { items, .. } = role {
-                    if let Some((key, _)) = items.first() {
+                    if let Some((key, ..)) = items.first() {
                         return fail(parked, BlobError::ChunkUnavailable(*key));
                     }
                 }
@@ -2894,6 +2893,17 @@ fn req_of(msg: &Msg) -> Option<u64> {
     })
 }
 
+/// One provider's chunk stores as one message: a lone chunk as a plain
+/// `PutChunk`, several as a `PutChunkBatch`.
+fn put_msg(req: u64, client: ClientId, mut items: Vec<PutItem>) -> Msg {
+    if items.len() == 1 {
+        let (key, data, crc) = items.pop().expect("one item");
+        Msg::PutChunk { req, client, key, data, crc }
+    } else {
+        Msg::PutChunkBatch { req, client, items }
+    }
+}
+
 fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
     match err {
         ChunkErr::Blocked => BlobError::Blocked(client),
@@ -3063,12 +3073,14 @@ mod tests {
                             .map(|i| if i % 2 == 0 { vec![PROV_A, PROV_B] } else { vec![PROV_B] })
                             .collect(),
                     },
-                    Msg::PutChunk { req, data, .. } => {
+                    Msg::PutChunk { req, data, crc, .. } => {
+                        assert_eq!(crc, payload_crc(&data), "envelope of {line}");
                         line += &format!(" {:?}", data.bytes());
                         Msg::PutChunkOk { req }
                     }
                     Msg::PutChunkBatch { req, items, .. } => {
-                        for (_, data) in &items {
+                        for (_, data, crc) in &items {
+                            assert_eq!(*crc, payload_crc(data), "envelope of {line}");
                             line += &format!(" {:?}", data.bytes());
                         }
                         Msg::PutChunkOk { req }
@@ -3192,6 +3204,132 @@ mod tests {
             let stored = &desc[desc.find("size: ").expect("descriptor size") + 6..];
             assert!(stored.starts_with(&format!("{size} }}")), "page {page_no}: {desc:.120}");
         }
+    }
+
+    /// The `(key, payload, crc)` items of a chunk-store message.
+    fn put_items(msg: &Msg) -> Vec<PutItem> {
+        match msg {
+            Msg::PutChunk { key, data, crc, .. } => vec![(*key, data.clone(), *crc)],
+            Msg::PutChunkBatch { items, .. } => items.clone(),
+            other => panic!("not a chunk store: {other:?}"),
+        }
+    }
+
+    /// Every chunk store the client emits carries `payload_crc` of its
+    /// payload — the provider stores that CRC unchecked — whatever cut
+    /// the page came from. (`serve` asserts it on every put it answers.)
+    #[test]
+    fn every_cut_shape_puts_its_payloads_crc_in_the_envelope() {
+        enum Feed {
+            Bytes(std::ops::Range<usize>),
+            Zeros(u64),
+            Sim(u64),
+        }
+        let (pages, page) = (4u64, 8u64);
+        let bytes = Bytes::from((1..=32u8).collect::<Vec<u8>>());
+        let shapes = [
+            ("page-aligned", vec![Feed::Bytes(0..16), Feed::Bytes(16..32)]),
+            ("straddling", [0..5, 5..13, 13..27, 27..32].map(Feed::Bytes).into()),
+            // A 3-byte tail, a page of nothing, a 3-byte tail.
+            (
+                "zero tails",
+                vec![Feed::Bytes(0..11), Feed::Zeros(13), Feed::Bytes(0..3), Feed::Zeros(5)],
+            ),
+            ("size-only", vec![Feed::Sim(13), Feed::Sim(19)]),
+        ];
+        for (shape, feeds) in shapes {
+            let (mut env, mut c) = (TestEnv::new(), core());
+            start_write(&mut c, &mut env, Entry::Stream, Payload::Sim(pages * page), 1);
+            let (mut wire, done) = serve(&mut c, &mut env, pages, page, &[], None);
+            let Ok(OpOutput::WriteStreamOpened { stream, .. }) = done[0].result else {
+                panic!("{shape}: {:?}", done[0].result)
+            };
+            for (i, feed) in feeds.into_iter().enumerate() {
+                let op = match feed {
+                    Feed::Bytes(r) => {
+                        ClientOp::FeedWriteStream { stream, data: Payload::Data(bytes.slice(r)) }
+                    }
+                    Feed::Zeros(len) => ClientOp::FeedZeros { stream, len },
+                    Feed::Sim(n) => ClientOp::FeedWriteStream { stream, data: Payload::Sim(n) },
+                };
+                let mut done = c.start_op(&mut env, op, 2 + i as u64);
+                let (more, acked) = serve(&mut c, &mut env, pages, page, &[], None);
+                wire.extend(more);
+                done.extend(acked);
+                assert!(matches!(done[0].result, Ok(OpOutput::Fed { .. })), "{shape}");
+            }
+            assert!(c.start_op(&mut env, ClientOp::CommitWriteStream { stream }, 9).is_empty());
+            let (more, done) = serve(&mut c, &mut env, pages, page, &[], None);
+            wire.extend(more);
+            assert!(matches!(done[0].result, Ok(OpOutput::Written { .. })), "{shape}");
+            // Pages 0 and 2 have two replicas, pages 1 and 3 one.
+            let puts = wire.iter().filter(|l| l.contains("PutChunk"));
+            let stored: usize = puts.map(|l| l.matches("ChunkKey {").count()).sum();
+            assert_eq!(stored, 6, "{shape}: every replica of every page went out: {wire:#?}");
+        }
+    }
+
+    /// A resend — after a put deadline, or to a replacement placement —
+    /// carries the CRC the page was cut with, unchanged and not
+    /// recomputed: a page is checksummed once however often it is sent.
+    #[test]
+    fn deadline_and_reallocation_resends_carry_the_cut_crc() {
+        let (pages, page) = (2u64, 8u64);
+        let cfg = ClientConfig { retry: RetryPolicy::standard(), ..ClientConfig::default() };
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, vec![META], cfg);
+        let mut env = TestEnv::new();
+        let bytes = Bytes::from((0..pages * page).map(|i| i as u8 ^ 0x5a).collect::<Vec<u8>>());
+        start_write(&mut c, &mut env, Entry::OneShot, Payload::Data(bytes.clone()), 1);
+        let (_, Msg::Ticket { req, .. }) = env.take_sent().pop().unwrap() else { panic!() };
+        let ticket = ticket(pages, page, 1);
+        assert!(c.handle_msg(&mut env, VMAN, Msg::TicketOk { req, ticket }).is_empty());
+        let (_, Msg::Alloc { req, .. }) = env.take_sent().pop().unwrap() else { panic!() };
+        let placement = vec![vec![PROV_A]; pages as usize];
+        assert!(c.handle_msg(&mut env, PMAN, Msg::AllocOk { req, placement }).is_empty());
+        let sent = env.take_sent();
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        let cut = put_items(&sent[0].1);
+        let want: Vec<u32> = bytes.chunks(page as usize).map(crate::storage::crc32c).collect();
+        assert_eq!(cut.iter().map(|i| i.2).collect::<Vec<_>>(), want);
+        let envelope = |items: &[PutItem]| -> Vec<(ChunkKey, u32)> {
+            items.iter().map(|(k, _, crc)| (*k, *crc)).collect()
+        };
+        let crc_calls = || crate::storage::CRC32C_CALLS.with(|n| n.get());
+        let before = crc_calls();
+
+        // No answer: the put deadline fires, the backoff runs out, and
+        // the same target gets the same envelope again.
+        let timer = |env: &TestEnv, bit: u64| {
+            env.timers.iter().rev().map(|t| t.1).find(|t| t & bit != 0).expect("timer armed")
+        };
+        let deadline = timer(&env, CHUNK_TIMEOUT_BIT);
+        assert!(c.handle_timer(&mut env, deadline).is_empty());
+        assert!(env.take_sent().is_empty(), "the resend waits out its backoff");
+        let backoff = timer(&env, RETRY_TIMER_BIT);
+        assert!(c.handle_timer(&mut env, backoff).is_empty());
+        let (to, resend) = env.take_sent().pop().expect("deadline resend");
+        assert_eq!(to, PROV_A);
+        assert_eq!(envelope(&put_items(&resend)), envelope(&cut));
+
+        // The target is full: the client asks for a replacement placement
+        // and sends the same envelope there.
+        let (Msg::PutChunk { req, .. } | Msg::PutChunkBatch { req, .. }) = resend else {
+            panic!()
+        };
+        let full = Msg::PutChunkErr { req, err: ChunkErr::Full };
+        assert!(c.handle_msg(&mut env, PROV_A, full).is_empty());
+        let (_, Msg::Alloc { req, chunks, .. }) = env.take_sent().pop().unwrap() else { panic!() };
+        assert_eq!(chunks as u64, pages);
+        let placement = vec![vec![PROV_B]; pages as usize];
+        assert!(c.handle_msg(&mut env, PMAN, Msg::AllocOk { req, placement }).is_empty());
+        let (to, moved) = env.take_sent().pop().expect("re-allocation resend");
+        assert_eq!(to, PROV_B);
+        assert_eq!(envelope(&put_items(&moved)), envelope(&cut));
+        assert_eq!(crc_calls(), before, "no resend checksums the page again");
+
+        env.sent.push((to, moved));
+        let (_, done) = serve(&mut c, &mut env, pages, page, &[], None);
+        assert!(matches!(done[0].result, Ok(OpOutput::Written { .. })), "{:?}", done[0].result);
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub struct ChunkMeta {
     pub last_access: SimTime,
     /// Number of reads served.
     pub reads: u64,
-    /// CRC-32 of the payload recorded at store time — the integrity
-    /// scrub's ground truth for the in-memory copy.
+    /// CRC-32C of the payload recorded at store time — the writer's, from
+    /// the put envelope, unless the store computed it
+    /// ([`ChunkStore::put`]). The integrity scrub's ground truth for the
+    /// in-memory copy, and what a repair relay carries to the new replica.
     pub crc: u32,
 }
 
@@ -154,9 +156,38 @@ impl ChunkStore {
         (store, report)
     }
 
-    /// Store a chunk. Idempotent for retransmissions (an existing key is
-    /// kept, counted as success, and not double-charged).
+    /// Store a chunk, checksumming it here. Idempotent for
+    /// retransmissions (an existing key is kept, counted as success, and
+    /// not double-charged).
     pub fn put(&self, key: ChunkKey, data: Payload, now: SimTime) -> Result<(), PutError> {
+        self.admit(key, data, now, payload_crc)
+    }
+
+    /// Store a chunk under the CRC its writer computed
+    /// ([`payload_crc`] of `data`, carried in the put envelope) without
+    /// reading the bytes. The CRC is recorded as the scrub's ground truth
+    /// and the disk frame's checksum is derived from it, so a wrong one is
+    /// caught by the next scrub or restart, not served as clean. Same
+    /// idempotency as [`ChunkStore::put`].
+    pub fn put_with_crc(
+        &self,
+        key: ChunkKey,
+        data: Payload,
+        crc: u32,
+        now: SimTime,
+    ) -> Result<(), PutError> {
+        self.admit(key, data, now, |_| crc)
+    }
+
+    /// The one put body: `crc` is asked for only once the chunk is
+    /// admitted.
+    fn admit(
+        &self,
+        key: ChunkKey,
+        data: Payload,
+        now: SimTime,
+        crc: impl FnOnce(&Payload) -> u32,
+    ) -> Result<(), PutError> {
         let mut shard = self.shards[shard_of(&key)].lock();
         if shard.chunks.contains_key(&key) {
             self.total_puts.fetch_add(1, Ordering::Relaxed);
@@ -172,7 +203,7 @@ impl ChunkStore {
         }
         // Only an admitted chunk is worth a pass over its bytes: a full
         // store refuses a flood of puts without checksumming any.
-        let crc = payload_crc(&data);
+        let crc = crc(&data);
         // Persist before acknowledging; a backend that cannot write is
         // fail-stop (better a dead provider than a lying one).
         self.backend
@@ -205,10 +236,12 @@ impl ChunkStore {
         }
     }
 
-    /// Peek a chunk's payload without touching accounting (replication
-    /// repair reads use this so repair traffic does not look like heat).
-    pub fn peek(&self, key: &ChunkKey) -> Option<Payload> {
-        self.shards[shard_of(key)].lock().chunks.get(key).map(|(d, _)| d.clone())
+    /// Peek a chunk's payload and the CRC recorded at store time without
+    /// touching accounting. Replication repair reads use this, so repair
+    /// traffic does not look like heat and the copy is checked against
+    /// the writer's checksum rather than whatever bytes the source holds.
+    pub fn peek(&self, key: &ChunkKey) -> Option<(Payload, u32)> {
+        self.shards[shard_of(key)].lock().chunks.get(key).map(|(d, m)| (d.clone(), m.crc))
     }
 
     /// Record a read served from a front cache: update the chunk's access
@@ -559,6 +592,7 @@ mod tests {
         for p in 1..50 {
             assert_eq!(s.put(key(p), page(2), t(0)), Err(PutError::Full));
         }
+        assert_eq!(s.put_with_crc(key(50), page(2), 7, t(0)), Err(PutError::Full));
         assert_eq!(CRC32C_CALLS.with(|n| n.get()), before, "rejected puts cost no checksum");
         assert_eq!(s.used(), 60);
         assert_eq!(s.len(), 1);
@@ -685,6 +719,36 @@ mod tests {
         let (s, r) = ChunkStore::open(1 << 20, &cfg, t(5));
         assert!(r.chunks.is_empty());
         assert!(s.get(&key(0), t(6)).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The writer's CRC is stored as given, never re-derived from the
+    /// bytes. A wrong one is not served as clean: the scrub's in-memory
+    /// check fails, and on disk the frame CRC derived from it does not
+    /// match the frame, so a restart quarantines the record as a
+    /// CRC-mismatch frame (not a torn tail).
+    #[test]
+    fn a_wrong_envelope_crc_is_quarantined_on_restart() {
+        use crate::storage::CRC32C_CALLS;
+        let (cfg, dir) = disk_cfg("lying-crc");
+        let page = |fill| Payload::Data(bytes::Bytes::from(vec![fill; 256]));
+        let (honest, lie) = (payload_crc(&page(1)), payload_crc(&page(2)) ^ 1);
+        {
+            let (s, _) = ChunkStore::open(1 << 20, &cfg, t(0));
+            let before = CRC32C_CALLS.with(|n| n.get());
+            s.put_with_crc(key(0), page(1), honest, t(0)).unwrap();
+            s.put_with_crc(key(1), page(2), lie, t(0)).unwrap();
+            // Two frame headers; no pass over either payload.
+            assert_eq!(CRC32C_CALLS.with(|n| n.get()) - before, 2);
+            assert_eq!(s.meta(&key(1)).unwrap().crc, lie, "stored as it came");
+            assert_eq!(s.verify(&key(0)), Some(VerifyOutcome::Clean));
+            assert_eq!(s.verify(&key(1)), Some(VerifyOutcome::Corrupt));
+        }
+        let (s, r) = ChunkStore::open(1 << 20, &cfg, t(5));
+        assert_eq!((r.chunks.len(), r.quarantined, r.torn_discarded), (1, 1, 0));
+        assert_eq!(r.crcs, vec![honest]);
+        assert!(s.get(&key(1), t(6)).is_none(), "the lying record did not come back");
+        assert_eq!(s.verify(&key(0)), Some(VerifyOutcome::Clean));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -103,7 +103,11 @@ pub enum Msg {
     },
 
     // ---- data provider ----
-    /// Store one chunk replica.
+    /// Store one chunk replica. The envelope carries the payload's
+    /// checksum, computed once by the writer for every replica and resend
+    /// of the page: the provider stores it as the chunk's CRC without
+    /// reading the bytes, so a byte damaged between the writer and the
+    /// store fails the next scrub (or, on disk, the next restart).
     PutChunk {
         /// Correlation id.
         req: u64,
@@ -113,6 +117,9 @@ pub enum Msg {
         key: crate::model::ChunkKey,
         /// Payload.
         data: Payload,
+        /// [`crate::storage::payload_crc`] of `data`, by the writer (or,
+        /// for a repair relay, the source's stored CRC).
+        crc: u32,
     },
     /// Store several chunk replicas bound for the same provider in one
     /// round trip. Writers group a version's chunks by target provider so
@@ -124,8 +131,9 @@ pub enum Msg {
         req: u64,
         /// Writing client.
         client: ClientId,
-        /// The chunks, in page order.
-        items: Vec<(crate::model::ChunkKey, Payload)>,
+        /// The chunks, in page order, each with its writer-computed
+        /// [`crate::storage::payload_crc`] (as in [`Msg::PutChunk`]).
+        items: Vec<(crate::model::ChunkKey, Payload, u32)>,
     },
     /// Chunk stored.
     PutChunkOk {
@@ -200,7 +208,10 @@ pub enum Msg {
         existed: bool,
     },
     /// Replication manager → data provider: copy a chunk you hold to
-    /// another provider (repair / degree increase).
+    /// another provider (repair / degree increase). The copy goes out as a
+    /// [`Msg::PutChunk`] carrying the CRC stored with the source's replica,
+    /// not a fresh one, so a source copy that rotted in memory arrives as
+    /// corrupt and the destination's next scrub quarantines it.
     ReplicateChunk {
         /// Correlation id.
         req: u64,
@@ -479,7 +490,8 @@ pub enum Msg {
     /// Lifecycle scrubber → data provider: verify the integrity of up to
     /// `max` stored chunks with keys after `after` (`None` starts from
     /// the beginning). The provider recomputes payload checksums against
-    /// the ones recorded at store time (and asks a durable backend to
+    /// the ones recorded at store time — the writers', from the put
+    /// envelopes — (and asks a durable backend to
     /// re-verify its on-disk record), quarantines failures, and reports
     /// them.
     ScrubChunks {
@@ -653,8 +665,9 @@ impl sads_sim::Message for Msg {
         match self {
             Msg::Ext(p) => p.wire_size(),
             Msg::PutChunk { data, .. } | Msg::GetChunkOk { data, .. } => data.len(),
+            // 32 B of header per chunk: a 24-byte key and its 4-byte CRC.
             Msg::PutChunkBatch { items, .. } => {
-                items.iter().map(|(_, d)| d.len() + 32).sum()
+                items.iter().map(|(_, d, _)| d.len() + 32).sum()
             }
             Msg::GetChunkBatch { keys, .. } => 32 * keys.len() as u64,
             Msg::GetChunkBatchOk { items, .. } => items
@@ -816,6 +829,7 @@ mod tests {
                 page: 0,
             },
             data: Payload::Sim(8 << 20),
+            crc: 0,
         };
         assert_eq!(m.wire_size(), 8 << 20);
         let m = Msg::Probe { origin: NodeId(1), at: sads_sim::SimTime::ZERO, events: vec![] };

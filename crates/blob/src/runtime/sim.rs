@@ -386,12 +386,12 @@ mod tests {
     use sads_sim::RunOutcome;
 
     /// Stand up a small simulated deployment; returns
-    /// (world, vman, pman, meta_providers).
+    /// (world, vman, pman, meta_providers, data_providers).
     fn deploy(
         n_data: usize,
         n_meta: usize,
         seed: u64,
-    ) -> (World, NodeId, NodeId, Vec<NodeId>) {
+    ) -> (World, NodeId, NodeId, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::with_seed(seed);
         let scfg = ServiceConfig::default();
         let pman = add_service(
@@ -413,21 +413,23 @@ mod tests {
                 )
             })
             .collect();
-        for _ in 0..n_data {
-            add_service(
-                &mut world,
-                Box::new(DataProviderService::new(pman, 1 << 40, scfg.clone())),
-                NodeConfig::default(),
-            );
-        }
-        (world, vman, pman, meta)
+        let data = (0..n_data)
+            .map(|_| {
+                add_service(
+                    &mut world,
+                    Box::new(DataProviderService::new(pman, 1 << 40, scfg.clone())),
+                    NodeConfig::default(),
+                )
+            })
+            .collect();
+        (world, vman, pman, meta, data)
     }
 
     const MB: u64 = 1_000_000;
 
     #[test]
     fn scripted_write_read_roundtrip_in_simulation() {
-        let (mut world, vman, pman, meta) = deploy(8, 2, 42);
+        let (mut world, vman, pman, meta, _) = deploy(8, 2, 42);
         let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
         let script = vec![
             ScriptStep::Create(spec),
@@ -466,7 +468,7 @@ mod tests {
 
     #[test]
     fn many_concurrent_clients_share_their_own_nics() {
-        let (mut world, vman, pman, meta) = deploy(16, 2, 7);
+        let (mut world, vman, pman, meta, _) = deploy(16, 2, 7);
         let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
         for i in 0..8 {
             let script = vec![
@@ -500,7 +502,7 @@ mod tests {
 
     #[test]
     fn replication_three_writes_three_copies() {
-        let (mut world, vman, pman, meta) = deploy(6, 1, 3);
+        let (mut world, vman, pman, meta, _) = deploy(6, 1, 3);
         let spec = BlobSpec { page_size: MB, replication: 3 };
         let script = vec![
             ScriptStep::Create(spec),
@@ -527,7 +529,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_to_same_blob_serialize_versions() {
-        let (mut world, vman, pman, meta) = deploy(8, 2, 11);
+        let (mut world, vman, pman, meta, _) = deploy(8, 2, 11);
         let spec = BlobSpec { page_size: MB, replication: 1 };
         // Client 1 creates; clients 2 and 3 write to BlobId(1) (the first
         // created blob id is deterministic).
@@ -575,5 +577,99 @@ mod tests {
         assert_eq!(world.metrics().counter("creator.ops_ok"), 1);
         assert_eq!(world.metrics().counter("writer.ops_ok"), 4, "2 writes + 2 reads");
         assert_eq!(world.metrics().counter("writer.ops_err"), 0);
+    }
+
+    /// `crc32c` passes made on this thread — which, in simulation, is
+    /// every node of the deployment.
+    fn crc_calls() -> u64 {
+        crate::storage::CRC32C_CALLS.with(|n| n.get())
+    }
+
+    const PAGES: u64 = 4;
+
+    /// Deploy four data providers and write `PAGES` pages at replication
+    /// `r`; returns the world, the provider manager and the data
+    /// providers, after asserting the write made exactly `PAGES` passes.
+    fn write_pages(r: u32) -> (World, NodeId, Vec<NodeId>) {
+        let (mut world, vman, pman, meta, data) = deploy(4, 1, 5);
+        let script = vec![
+            ScriptStep::Create(BlobSpec { page_size: MB, replication: r }),
+            ScriptStep::Write {
+                blob: BlobRef::Created(0),
+                kind: WriteKind::Append,
+                bytes: PAGES * MB,
+            },
+        ];
+        let cfg = ClientConfig::default();
+        let client = ScriptedClient::new(ClientId(1), vman, pman, meta, cfg, script, "client");
+        world.add_node(Box::new(client), NodeConfig::default());
+        let before = crc_calls();
+        world.run_for(SimDuration::from_secs(30), 1_000_000);
+        assert_eq!(world.metrics().counter("client.ops_ok"), 2, "create + write");
+        let stored: usize = data.iter().map(|p| store(&world, *p).len()).sum();
+        assert_eq!(stored as u64, PAGES * r as u64, "every replica stored");
+        assert_eq!(crc_calls() - before, PAGES, "replication {r}: one pass per page");
+        (world, pman, data)
+    }
+
+    fn store(world: &World, provider: NodeId) -> &crate::provider::ChunkStore {
+        world.actor_as::<DataProviderService>(provider).expect("data provider").store()
+    }
+
+    /// Sends its messages at start and counts the replies by name — a
+    /// wire-level stand-in for the replication manager.
+    struct Sender(Vec<(NodeId, Msg)>);
+
+    impl Actor for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (to, msg) in self.0.drain(..) {
+                ctx.send(to, Box::new(msg));
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Box<dyn Message>) {
+            ctx.incr(&format!("sender.{}", msg.op_name()), 1);
+        }
+    }
+
+    /// The writer checksums each page once, before the fan-out, and every
+    /// replica stores that CRC: N pages cost N passes at any replication
+    /// (r·N when each provider checksummed its own copy).
+    #[test]
+    fn a_write_checksums_each_page_once_whatever_the_replication() {
+        for r in 1..=3 {
+            write_pages(r);
+        }
+    }
+
+    /// A repair relay carries the source's stored CRC, so neither end
+    /// reads the bytes; a store that is full refuses a put without a pass.
+    #[test]
+    fn a_repair_relay_and_a_refused_put_checksum_nothing() {
+        let (mut world, pman, data) = write_pages(2);
+        let (src, key) = data
+            .iter()
+            .find_map(|p| store(&world, *p).all_keys().first().map(|k| (*p, *k)))
+            .expect("a stored chunk");
+        let dest = *data.iter().find(|p| store(&world, **p).meta(&key).is_none()).unwrap();
+        let full = add_service(
+            &mut world,
+            Box::new(DataProviderService::new(pman, 0, ServiceConfig::default())),
+            NodeConfig::default(),
+        );
+        let data_page = Payload::Sim(MB);
+        let crc = crate::storage::payload_crc(&data_page);
+        let refused = Msg::PutChunk { req: 2, client: ClientId(9), key, data: data_page, crc };
+        let relay = Msg::ReplicateChunk { req: 1, key, to: dest };
+        let sender = Sender(vec![(src, relay), (full, refused)]);
+        world.add_node(Box::new(sender), NodeConfig::default());
+        let before = crc_calls();
+        world.run_for(SimDuration::from_secs(5), 100_000);
+        assert_eq!(crc_calls() - before, 0, "relay and refusal read no bytes");
+        assert_eq!(world.metrics().counter("sender.ReplicateChunkOk"), 1);
+        assert_eq!(world.metrics().counter("sender.PutChunkErr"), 1, "the full store refused");
+        let (copied, stored) = (store(&world, dest).meta(&key), store(&world, src).meta(&key));
+        assert_eq!(copied.map(|m| m.crc), stored.map(|m| m.crc), "the source's CRC travelled");
+        assert!(store(&world, full).is_empty());
     }
 }

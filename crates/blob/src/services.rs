@@ -333,7 +333,7 @@ impl Service for DataProviderService {
 
     fn on_msg(&mut self, env: &mut dyn Env, from: NodeId, msg: Msg) {
         match msg {
-            Msg::PutChunk { req, client, key, data } => {
+            Msg::PutChunk { req, client, key, data, crc } => {
                 self.ops_since_hb += 1;
                 self.bytes_since_hb += data.len();
                 if self.blacklist.contains(&client) {
@@ -346,7 +346,9 @@ impl Service for DataProviderService {
                     return;
                 }
                 let bytes = data.len();
-                match self.store.put(key, data, env.now()) {
+                // The envelope's CRC is stored as it came, never checked
+                // here: a wrong one is the scrub's to find.
+                match self.store.put_with_crc(key, data, crc, env.now()) {
                     Ok(()) => {
                         // SYSTEM puts are replication repair relays —
                         // exactly the traffic a durable restart avoids.
@@ -386,10 +388,10 @@ impl Service for DataProviderService {
                     env.send_expedited(from, Msg::PutChunkErr { req, err: ChunkErr::Blocked });
                     return;
                 }
-                for (key, data) in items {
+                for (key, data, crc) in items {
                     let bytes = data.len();
                     self.bytes_since_hb += bytes;
-                    match self.store.put(key, data, env.now()) {
+                    match self.store.put_with_crc(key, data, crc, env.now()) {
                         Ok(()) => {
                             if client == ClientId::SYSTEM {
                                 env.incr("provider.repair_chunks", 1);
@@ -542,15 +544,15 @@ impl Service for DataProviderService {
                 self.read_cache.remove(&key);
             }
             Msg::ReplicateChunk { req, key, to } => {
+                // Relay the stored CRC with the bytes: a copy that rotted
+                // here must not arrive with a fresh, valid checksum.
                 match self.store.peek(&key) {
-                    Some(data) => {
+                    Some((data, crc)) => {
                         let relay = self.next_req;
                         self.next_req += 1;
                         self.relays.insert(relay, (from, req));
-                        env.send(
-                            to,
-                            Msg::PutChunk { req: relay, client: ClientId::SYSTEM, key, data },
-                        );
+                        let client = ClientId::SYSTEM;
+                        env.send(to, Msg::PutChunk { req: relay, client, key, data, crc });
                     }
                     None => env.send(from, Msg::ReplicateChunkOk { req, ok: false }),
                 }

@@ -16,6 +16,7 @@ use rand::Rng;
 use sads_blob::model::{BlobId, BlobSpec, ChunkKey, ClientId, Payload, VersionId};
 use sads_blob::rpc::Msg;
 use sads_blob::runtime::sim::{BlobRef, ScriptStep};
+use sads_blob::storage::payload_crc;
 use sads_blob::WriteKind;
 use sads_sim::{Actor, Ctx, Message, MessageExt, NodeId, SimDuration, SimTime};
 
@@ -196,7 +197,8 @@ impl DosAttacker {
                     page: self.next_req,
                 };
                 let data = Payload::Sim(*chunk_bytes);
-                ctx.send(target, Box::new(Msg::PutChunk { req, client: self.id, key, data }));
+                let crc = payload_crc(&data);
+                ctx.send(target, Box::new(Msg::PutChunk { req, client: self.id, key, data, crc }));
             }
             AttackMode::AmplifiedReads { targets } => {
                 let open_targets: Vec<&(NodeId, ChunkKey)> = targets

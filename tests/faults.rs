@@ -19,6 +19,7 @@ use sads::blob::rpc::Msg;
 use sads::blob::services::{
     DataProviderService, Env, Service, ServiceConfig, VersionManagerService,
 };
+use sads::blob::storage::payload_crc;
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
 use sads_adaptive::ReplicationConfig;
@@ -211,10 +212,11 @@ fn retransmitted_put_is_acked_once_applied_once() {
     let client = ClientId(5);
     let from = NodeId(7);
 
-    p.on_msg(&mut env, from, Msg::PutChunk { req: 1, client, key, data: Payload::Sim(PAGE) });
-    // Retransmission: same chunk key, fresh request id (as the client's
-    // backoff resend path produces).
-    p.on_msg(&mut env, from, Msg::PutChunk { req: 2, client, key, data: Payload::Sim(PAGE) });
+    let (data, crc) = (Payload::Sim(PAGE), payload_crc(&Payload::Sim(PAGE)));
+    p.on_msg(&mut env, from, Msg::PutChunk { req: 1, client, key, data: data.clone(), crc });
+    // Retransmission: same chunk key, fresh request id, the same envelope
+    // (as the client's backoff resend path produces).
+    p.on_msg(&mut env, from, Msg::PutChunk { req: 2, client, key, data: data.clone(), crc });
 
     let acks: Vec<u64> = env
         .sent
@@ -230,13 +232,39 @@ fn retransmitted_put_is_acked_once_applied_once() {
     assert_eq!(p.store().total_puts(), 2, "both puts hit the store");
 
     // The batch path follows the same contract.
-    p.on_msg(
-        &mut env,
-        from,
-        Msg::PutChunkBatch { req: 3, client, items: vec![(key, Payload::Sim(PAGE))] },
-    );
+    p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 3, client, items: vec![(key, data, crc)] });
     assert_eq!(p.store().len(), 1);
     assert_eq!(p.store().used(), PAGE);
+}
+
+/// The provider stores the envelope's CRC without checking it: a put
+/// whose `crc` does not match its bytes (damaged between writer and
+/// store, or a lying writer) is acknowledged and stored, and the next
+/// scrub quarantines it instead of serving it as clean.
+#[test]
+fn a_lying_envelope_is_stored_then_quarantined_by_the_scrub() {
+    let cfg = ServiceConfig { monitor: None, ..ServiceConfig::default() };
+    let mut p = DataProviderService::new(NodeId(99), 64 * MB, cfg);
+    let mut env = TestEnv::new();
+    let (client, from) = (ClientId(5), NodeId(7));
+    let key = |page| ChunkKey { blob: BlobId(1), version: VersionId(1), page };
+    let data = Payload::Data(bytes::Bytes::from(vec![0x5a; 4096]));
+    let crc = payload_crc(&data);
+    let honest = Msg::PutChunk { req: 1, client, key: key(0), data: data.clone(), crc };
+    p.on_msg(&mut env, from, honest);
+    let lie = crc ^ 1;
+    p.on_msg(&mut env, from, Msg::PutChunk { req: 2, client, key: key(1), data, crc: lie });
+    let acks = env.sent.iter().filter(|(_, m)| matches!(m, Msg::PutChunkOk { .. })).count();
+    assert_eq!(acks, 2, "the provider does not re-verify the envelope");
+    assert_eq!(p.store().meta(&key(1)).unwrap().crc, lie, "stored as it came");
+
+    p.on_msg(&mut env, from, Msg::ScrubChunks { req: 3, after: None, max: 16 });
+    let Some((_, Msg::ScrubChunksOk { scanned, corrupt, .. })) = env.sent.pop() else {
+        panic!("no scrub reply: {:?}", env.sent)
+    };
+    assert_eq!((scanned, corrupt), (2, vec![key(1)]));
+    assert!(p.store().get(&key(1), SimTime::ZERO).is_none(), "quarantined");
+    assert!(p.store().get(&key(0), SimTime::ZERO).is_some(), "the honest chunk stays");
 }
 
 /// A provider that dies before a batched read reaches it: every batch

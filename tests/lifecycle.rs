@@ -11,6 +11,9 @@
 //!   and again over chunks shorter than their page (a 13-byte tail, an
 //!   empty chunk): the repair copy keeps the stored length and later
 //!   scrub passes find it clean;
+//! * a deterministic sim regression: a repair relay carries the source's
+//!   stored CRC, so a copy of a replica that rotted in memory fails the
+//!   destination's first scrub instead of becoming a clean replica;
 //! * true lengths reach the sweeper: after overwritten short-tail
 //!   objects are swept, `lifecycle.reclaimed_bytes` is what
 //!   `ChunkStore::used()` dropped by.
@@ -448,6 +451,81 @@ mod scrub_e2e {
 
         sys.shutdown();
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Simulated: a repair relay must not launder a rotted source copy.
+// ---------------------------------------------------------------------
+
+mod relay_sim {
+    use sads::blob::model::{BlobSpec, ChunkKey, ClientId};
+    use sads::blob::rpc::Msg;
+    use sads::blob::runtime::sim::{add_service, BlobRef, ScriptStep};
+    use sads::blob::services::DataProviderService;
+    use sads::blob::WriteKind;
+    use sads::lifecycle::{ScrubConfig, ScrubberService};
+    use sads::{Deployment, DeploymentConfig};
+    use sads_adaptive::ReplicationConfig;
+    use sads_sim::{NodeConfig, NodeId, SimDuration, World};
+
+    fn holds(world: &World, provider: NodeId, key: &ChunkKey) -> bool {
+        world
+            .actor_as::<DataProviderService>(provider)
+            .is_some_and(|p| p.store().meta(key).is_some())
+    }
+
+    /// Replication 2 over three providers: replica A rots in memory, then
+    /// B's provider crashes. The repair copies A to C carrying A's stored
+    /// CRC, so the first scrub of C quarantines the copy. (When the
+    /// destination checksummed whatever arrived, the rotted copy became a
+    /// replica with a valid CRC, and C scrubbed clean forever.)
+    #[test]
+    fn a_repair_copy_of_a_rotted_replica_fails_the_destinations_scrub() {
+        let mut d = Deployment::build(DeploymentConfig {
+            seed: 3,
+            data_providers: 3,
+            meta_providers: 1,
+            replication: Some(ReplicationConfig {
+                base_degree: 2,
+                hot_extra: 0,
+                sweep_every: SimDuration::from_secs(2),
+                ..ReplicationConfig::default()
+            }),
+            ..DeploymentConfig::default()
+        });
+        let spec = BlobSpec { page_size: 1_000_000, replication: 2 };
+        let write = ScriptStep::Write {
+            blob: BlobRef::Created(0),
+            kind: WriteKind::Append,
+            bytes: spec.page_size,
+        };
+        d.add_client(ClientId(1), vec![ScriptStep::Create(spec), write], "writer");
+        d.world.run_for(SimDuration::from_secs(20), 10_000_000);
+        assert_eq!(d.world.metrics().counter("writer.ops_ok"), 2, "create + write");
+
+        let key = d
+            .data
+            .iter()
+            .find_map(|p| d.world.actor_as::<DataProviderService>(*p)?.store().all_keys().pop())
+            .expect("the page is stored");
+        let holders: Vec<NodeId> =
+            d.data.iter().copied().filter(|p| holds(&d.world, *p, &key)).collect();
+        let [a, b] = holders[..] else { panic!("two replicas: {holders:?}") };
+        let c = *d.data.iter().find(|p| !holders.contains(p)).expect("a spare provider");
+
+        d.world.send_external(a, Box::new(Msg::CorruptChunk { key }));
+        d.crash(b);
+        d.world.run_for(SimDuration::from_secs(30), 10_000_000);
+        assert_eq!(d.replication().expect("manager").repairs_done(), 1);
+        assert!(holds(&d.world, c, &key), "the repair copied A's replica to C");
+
+        let scrub = ScrubConfig { every: SimDuration::from_millis(100), batch: 64 };
+        let scrubber = ScrubberService::new(d.pman, None, scrub);
+        add_service(&mut d.world, Box::new(scrubber), NodeConfig::default());
+        d.world.run_for(SimDuration::from_secs(5), 10_000_000);
+        assert!(!holds(&d.world, c, &key), "C's scrub quarantined the relayed copy");
+        assert_eq!(d.world.metrics().counter("lifecycle.scrub_corrupt"), 2, "A's copy and C's");
     }
 }
 

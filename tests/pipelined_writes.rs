@@ -159,7 +159,7 @@ fn sharded_chunk_store_conserves_chunks_under_concurrency() {
                 // A neighbour's chunk is either absent or fully intact —
                 // never a torn intermediate state.
                 let peer = (t + 1) % THREADS;
-                if let Some(Payload::Data(b)) = store.peek(&key_of(peer, i)) {
+                if let Some((Payload::Data(b), _)) = store.peek(&key_of(peer, i)) {
                     assert_eq!(b.len(), LEN);
                     assert!(b.iter().all(|&x| x == peer as u8), "torn peer read");
                 }

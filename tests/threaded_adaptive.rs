@@ -8,6 +8,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use sads::blob::model::{BlobError, BlobId, BlobSpec, ChunkKey, ClientId, Payload, VersionId};
 use sads::blob::rpc::Msg;
+use sads::blob::storage::payload_crc;
 use sads::{AdaptiveClusterConfig, SelfAdaptiveCluster};
 use sads_security::PolicySet;
 
@@ -42,6 +43,8 @@ fn threaded_pipeline_detects_and_blocks_unticketed_writers() {
 
     // The attacker injects raw chunk writes without ever taking a ticket
     // (wire-level abuse a real client library would never emit).
+    let data = Payload::Data(Bytes::from(vec![0u8; 4096]));
+    let crc = payload_crc(&data);
     for i in 0..30u64 {
         sys.cluster.send(
             sys.cluster.data[(i % sys.cluster.data.len() as u64) as usize],
@@ -53,7 +56,8 @@ fn threaded_pipeline_detects_and_blocks_unticketed_writers() {
                     version: VersionId(u64::MAX),
                     page: i,
                 },
-                data: Payload::Data(Bytes::from(vec![0u8; 4096])),
+                data: data.clone(),
+                crc,
             },
         );
     }
