@@ -12,7 +12,9 @@
 //! * **repairs** chunks whose live replica count fell below the target
 //!   (provider crash / decommission) by commanding a surviving replica to
 //!   copy itself ([`Msg::ReplicateChunk`]) and then patching the
-//!   metadata leaf so readers see the new location,
+//!   metadata leaf so readers see the new location; a chunk whose repair
+//!   copy itself fails the integrity scrub is counted lost instead of
+//!   repaired again, since the relay copied its source's fault,
 //! * **adjusts degree by heat**: BLOBs whose introspected read volume
 //!   exceeds a threshold get extra replicas; cooled-down BLOBs have the
 //!   extras deleted.
@@ -81,6 +83,16 @@ pub struct ReplicationManagerService {
     deficient_prev: HashSet<ChunkKey>,
     /// Repair correlation: req → (chunk, new replica).
     pending: HashMap<u64, (ChunkKey, NodeId)>,
+    /// Replicas this manager's own repairs made.
+    repaired: HashSet<(ChunkKey, NodeId)>,
+    /// Chunks never repaired again: one of our repair copies failed its
+    /// scrub, or a corruption report took the last replica. A relay
+    /// carries the source's stored CRC unread, so a source whose bytes
+    /// and CRC disagree (a writer's wrong CRC, or rot before the relay)
+    /// makes every copy of it fail too; repairing on would loop through
+    /// quarantine and repair for as long as the scrub runs. Each is
+    /// counted once in `repl.lost_chunks`.
+    unrepairable: HashSet<ChunkKey>,
     cursors: HashMap<NodeId, u64>,
     next_req: u64,
     rr: usize,
@@ -108,6 +120,8 @@ impl ReplicationManagerService {
             repairing: HashSet::new(),
             deficient_prev: HashSet::new(),
             pending: HashMap::new(),
+            repaired: HashSet::new(),
+            unrepairable: HashSet::new(),
             cursors: HashMap::new(),
             next_req: 1,
             rr: 0,
@@ -154,6 +168,7 @@ impl ReplicationManagerService {
             return;
         }
         let live: HashSet<NodeId> = self.live.iter().copied().collect();
+        self.repaired.retain(|(_, p)| live.contains(p));
         let mut deficit = 0u64;
         let mut repairs = 0usize;
         let mut deficient_now: HashSet<ChunkKey> = HashSet::new();
@@ -169,12 +184,17 @@ impl ReplicationManagerService {
             let holders = holders.clone();
             if holders.is_empty() {
                 // Data lost: every replica died. Counted; nothing to do.
-                env.incr("repl.lost_chunks", 1);
+                if !self.unrepairable.contains(&key) {
+                    env.incr("repl.lost_chunks", 1);
+                }
                 self.placement.remove(&key);
                 continue;
             }
             let target = self.target_for(key.blob) as usize;
             if holders.len() < target {
+                if self.unrepairable.contains(&key) {
+                    continue;
+                }
                 deficit += 1;
                 deficient_now.insert(key);
                 if self.repairing.contains(&key) {
@@ -214,6 +234,7 @@ impl ReplicationManagerService {
                 let holders = self.placement.get_mut(&key).expect("present");
                 holders.retain(|p| *p != victim);
                 let new_set = holders.clone();
+                self.repaired.remove(&(key, victim));
                 self.patch_leaf(env, key, new_set);
                 env.incr("repl.trimmed", 1);
             }
@@ -263,15 +284,26 @@ impl Service for ReplicationManagerService {
                 // apply — drop the holder, point readers away from it,
                 // and dispatch the repair immediately.
                 env.incr("repl.corrupt_reports", 1);
+                // A copy our own repair made fails its scrub: its source
+                // relayed the same fault, so the chunk is lost, not
+                // repairable (see `unrepairable`).
+                if self.repaired.remove(&(key, provider)) && self.unrepairable.insert(key) {
+                    env.incr("repl.lost_chunks", 1);
+                }
                 let Some(holders) = self.placement.get_mut(&key) else { return };
                 holders.retain(|p| *p != provider);
                 let survivors = holders.clone();
                 if survivors.is_empty() {
-                    env.incr("repl.lost_chunks", 1);
+                    if self.unrepairable.insert(key) {
+                        env.incr("repl.lost_chunks", 1);
+                    }
                     self.placement.remove(&key);
                     return;
                 }
                 self.patch_leaf(env, key, survivors.clone());
+                if self.unrepairable.contains(&key) {
+                    return;
+                }
                 if survivors.len() < self.target_for(key.blob) as usize
                     && !self.repairing.contains(&key)
                     && !self.live.is_empty()
@@ -304,6 +336,7 @@ impl Service for ReplicationManagerService {
                             holders.push(dest);
                         }
                         let set = holders.clone();
+                        self.repaired.insert((key, dest));
                         self.repairs_done += 1;
                         env.incr("repl.repairs", 1);
                         self.patch_leaf(env, key, set);
@@ -381,11 +414,12 @@ mod tests {
     struct TestEnv {
         now: SimTime,
         sent: Vec<(NodeId, Msg)>,
+        lost: u64,
         rng: SmallRng,
     }
     impl TestEnv {
         fn new() -> Self {
-            TestEnv { now: SimTime::ZERO, sent: vec![], rng: SmallRng::seed_from_u64(0) }
+            TestEnv { now: SimTime::ZERO, sent: vec![], lost: 0, rng: SmallRng::seed_from_u64(0) }
         }
     }
     impl Env for TestEnv {
@@ -401,6 +435,11 @@ mod tests {
         fn set_timer(&mut self, _d: SimDuration, _t: u64) {}
         fn rng(&mut self) -> &mut SmallRng {
             &mut self.rng
+        }
+        fn incr(&mut self, name: &str, delta: u64) {
+            if name == "repl.lost_chunks" {
+                self.lost += delta;
+            }
         }
     }
 
@@ -662,6 +701,36 @@ mod tests {
         m.on_msg(&mut env, NodeId(21), Msg::ReplicateChunkOk { req, ok: true });
         assert!(m.placement()[&chunk(0)].contains(&dest));
         assert_eq!(m.repairs_done(), 1);
+    }
+
+    /// When the copy a repair made is itself reported corrupt, the chunk
+    /// is counted lost once and no further repair goes out — not from the
+    /// surviving original, not on later sweeps, not when the rest of its
+    /// copies are reported too.
+    #[test]
+    fn a_corrupt_repair_copy_ends_repair_and_counts_one_loss() {
+        let mut env = TestEnv::new();
+        let mut m = mgr();
+        feed_placement(&mut m, &mut env);
+        sweep_twice(&mut m, &mut env, 9, &[20, 21, 22, 23]);
+        m.on_msg(&mut env, NodeId(50), Msg::ReportCorrupt { key: chunk(0), provider: NodeId(20) });
+        let Some((_, Msg::ReplicateChunk { req, to: dest, .. })) =
+            env.sent.iter().find(|(_, m)| matches!(m, Msg::ReplicateChunk { .. }))
+        else {
+            panic!("repair of the first report")
+        };
+        let (req, dest) = (*req, *dest);
+        m.on_msg(&mut env, NodeId(21), Msg::ReplicateChunkOk { req, ok: true });
+        m.on_msg(&mut env, NodeId(50), Msg::ReportCorrupt { key: chunk(0), provider: dest });
+        assert_eq!(env.lost, 1, "the repair copied its source's fault");
+        assert_eq!(m.placement()[&chunk(0)], vec![NodeId(21)], "readers keep the source");
+        sweep_twice(&mut m, &mut env, 11, &[20, 21, 22, 23]);
+        m.on_msg(&mut env, NodeId(50), Msg::ReportCorrupt { key: chunk(0), provider: NodeId(21) });
+        let repairs =
+            env.sent.iter().filter(|(_, m)| matches!(m, Msg::ReplicateChunk { .. })).count();
+        assert_eq!(repairs, 1, "no second repair");
+        assert_eq!(env.lost, 1, "counted once");
+        assert!(!m.placement().contains_key(&chunk(0)));
     }
 
     #[test]

@@ -633,8 +633,7 @@ mod tests {
     }
 
     /// The writer checksums each page once, before the fan-out, and every
-    /// replica stores that CRC: N pages cost N passes at any replication
-    /// (r·N when each provider checksummed its own copy).
+    /// replica stores that CRC: N pages cost N passes at any replication.
     #[test]
     fn a_write_checksums_each_page_once_whatever_the_replication() {
         for r in 1..=3 {

@@ -459,15 +459,17 @@ mod scrub_e2e {
 // ---------------------------------------------------------------------
 
 mod relay_sim {
-    use sads::blob::model::{BlobSpec, ChunkKey, ClientId};
+    use bytes::Bytes;
+    use sads::blob::model::{BlobId, BlobSpec, ChunkKey, ClientId, Payload, VersionId};
     use sads::blob::rpc::Msg;
     use sads::blob::runtime::sim::{add_service, BlobRef, ScriptStep};
     use sads::blob::services::DataProviderService;
+    use sads::blob::storage::payload_crc;
     use sads::blob::WriteKind;
     use sads::lifecycle::{ScrubConfig, ScrubberService};
     use sads::{Deployment, DeploymentConfig};
     use sads_adaptive::ReplicationConfig;
-    use sads_sim::{NodeConfig, NodeId, SimDuration, World};
+    use sads_sim::{Actor, Ctx, Message, NodeConfig, NodeId, SimDuration, World};
 
     fn holds(world: &World, provider: NodeId, key: &ChunkKey) -> bool {
         world
@@ -477,9 +479,7 @@ mod relay_sim {
 
     /// Replication 2 over three providers: replica A rots in memory, then
     /// B's provider crashes. The repair copies A to C carrying A's stored
-    /// CRC, so the first scrub of C quarantines the copy. (When the
-    /// destination checksummed whatever arrived, the rotted copy became a
-    /// replica with a valid CRC, and C scrubbed clean forever.)
+    /// CRC, so the first scrub of C quarantines the copy.
     #[test]
     fn a_repair_copy_of_a_rotted_replica_fails_the_destinations_scrub() {
         let mut d = Deployment::build(DeploymentConfig {
@@ -526,6 +526,64 @@ mod relay_sim {
         d.world.run_for(SimDuration::from_secs(5), 10_000_000);
         assert!(!holds(&d.world, c, &key), "C's scrub quarantined the relayed copy");
         assert_eq!(d.world.metrics().counter("lifecycle.scrub_corrupt"), 2, "A's copy and C's");
+    }
+
+    /// Sends its puts at start and ignores the acks.
+    struct LyingWriter(Vec<(NodeId, Msg)>);
+
+    impl Actor for LyingWriter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (to, msg) in self.0.drain(..) {
+                ctx.send(to, Box::new(msg));
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Box<dyn Message>) {}
+    }
+
+    /// A writer puts a page at replication 2 over four providers with a
+    /// `crc` that does not match its bytes; both providers store it as
+    /// sent. With the scrubber reporting to the replication manager, each
+    /// original replica's report gets one repair, the first repair copy
+    /// that fails its scrub ends repair, the chunk is counted lost once,
+    /// and every copy ends quarantined.
+    #[test]
+    fn a_writers_wrong_crc_is_repaired_a_bounded_number_of_times_then_counted_lost() {
+        let mut d = Deployment::build(DeploymentConfig {
+            seed: 3,
+            data_providers: 4,
+            meta_providers: 1,
+            replication: Some(ReplicationConfig {
+                base_degree: 2,
+                hot_extra: 0,
+                sweep_every: SimDuration::from_secs(2),
+                ..ReplicationConfig::default()
+            }),
+            ..DeploymentConfig::default()
+        });
+        let key = ChunkKey { blob: BlobId(1), version: VersionId(1), page: 0 };
+        let data = Payload::Data(Bytes::from(vec![0x5a; 4096]));
+        let crc = payload_crc(&data) ^ 1;
+        let (a, b) = (d.data[0], d.data[1]);
+        let puts = [(1, a), (2, b)].map(|(req, to)| {
+            (to, Msg::PutChunk { req, client: ClientId(1), key, data: data.clone(), crc })
+        });
+        d.world.add_node(Box::new(LyingWriter(puts.into())), NodeConfig::default());
+        d.world.run_for(SimDuration::from_secs(10), 10_000_000);
+        let tracked = d.replication().expect("manager").placement().get(&key).cloned();
+        assert_eq!(tracked, Some(vec![a, b]), "the manager learned both replicas");
+
+        let scrub = ScrubConfig { every: SimDuration::from_millis(100), batch: 64 };
+        let scrubber = ScrubberService::new(d.pman, d.repl, scrub);
+        add_service(&mut d.world, Box::new(scrubber), NodeConfig::default());
+        d.world.run_for(SimDuration::from_secs(60), 10_000_000);
+
+        let m = d.world.metrics();
+        let repairs = d.replication().expect("manager").repairs_done();
+        assert_eq!(repairs, 2, "one repair per original replica, none of a repair copy");
+        assert_eq!(m.counter("repl.lost_chunks"), 1, "the chunk is counted lost, once");
+        assert_eq!(m.counter("lifecycle.scrub_corrupt"), 2 + repairs, "every copy quarantined");
+        assert!(d.data.iter().all(|p| !holds(&d.world, *p, &key)), "no copy left to serve");
     }
 }
 
