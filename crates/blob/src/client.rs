@@ -3921,4 +3921,187 @@ mod tests {
             .handle_msg(&mut env, VMAN, Msg::CreateBlobOk { req: 1, blob: BlobId(1) })
             .is_empty());
     }
+
+    /// The state a stream sub-operation finds its session in.
+    #[derive(Clone, Copy, Debug)]
+    enum Found {
+        /// A write stream, open, nothing fed.
+        WriteOpen,
+        /// A write stream whose open is parked on its ticket.
+        WriteOpening,
+        /// A write stream fed 8 real bytes.
+        WriteFedData,
+        /// A write stream fed 8 size-only bytes.
+        WriteFedSim,
+        /// A write stream with a feed parked on a one-slot window.
+        WriteFeedParked,
+        /// A write stream with its commit parked on unanswered puts.
+        WriteCommitParked,
+        /// A write stream whose put was refused while nothing was parked.
+        WriteFailed,
+        /// A one-shot write, parked on its ticket.
+        OneShotWrite,
+        /// A read stream, open, nothing pulled.
+        ReadOpen,
+        /// A read stream whose open is parked on the version lookup.
+        ReadOpening,
+        /// A read stream with a pull parked on its chunk fetch.
+        ReadNextParked,
+        /// A create, parked on the version manager.
+        Create,
+    }
+
+    /// A fresh client holding one session, id 1, in state `found`: two
+    /// 8-byte pages declared or stored, nothing answered past that state.
+    fn session_in(found: Found) -> (ClientCore, TestEnv) {
+        use Found::*;
+        let (pages, page) = (2u64, 8u64);
+        let window = if matches!(found, WriteFeedParked) { 1 } else { 32 };
+        let cfg = ClientConfig { chunk_window: window, ..ClientConfig::default() };
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, vec![META], cfg);
+        let mut env = TestEnv::new();
+        let sim = Payload::Sim(pages * page);
+        match found {
+            WriteOpening => start_write(&mut c, &mut env, Entry::Stream, sim, 1),
+            OneShotWrite => start_write(&mut c, &mut env, Entry::OneShot, sim, 1),
+            ReadOpening => start_read(&mut c, &mut env, Entry::Stream, pages * page, 1),
+            Create => {
+                let op = ClientOp::Create { spec: BlobSpec::default() };
+                assert!(c.start_op(&mut env, op, 1).is_empty());
+            }
+            ReadOpen | ReadNextParked => {
+                let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
+                start_read(&mut c, &mut env, Entry::Stream, pages * page, 1);
+                let (_, done) = serve(&mut c, &mut env, pages, page, &nodes, Some(root));
+                let opened = &done[0].result;
+                assert!(matches!(opened, Ok(OpOutput::ReadStreamOpened { stream: 1, .. })));
+                if matches!(found, ReadNextParked) {
+                    let next = ClientOp::ReadStreamNext { stream: 1 };
+                    assert!(c.start_op(&mut env, next, 2).is_empty());
+                }
+            }
+            WriteOpen | WriteFedData | WriteFedSim | WriteFeedParked | WriteCommitParked
+            | WriteFailed => {
+                start_write(&mut c, &mut env, Entry::Stream, sim, 1);
+                let (_, done) = serve(&mut c, &mut env, pages, page, &[], None);
+                let opened = &done[0].result;
+                assert!(matches!(opened, Ok(OpOutput::WriteStreamOpened { stream: 1, .. })));
+                let data = match found {
+                    WriteOpen => return (c, env),
+                    WriteFedData => Payload::Data(Bytes::from(vec![1u8; 8])),
+                    WriteFedSim | WriteFailed => Payload::Sim(8),
+                    _ => Payload::Data(Bytes::from(vec![1u8; 16])),
+                };
+                let fed = c.start_op(&mut env, ClientOp::FeedWriteStream { stream: 1, data }, 2);
+                assert_eq!(fed.is_empty(), matches!(found, WriteFeedParked), "{found:?}");
+                if matches!(found, WriteCommitParked) {
+                    let commit = ClientOp::CommitWriteStream { stream: 1 };
+                    assert!(c.start_op(&mut env, commit, 3).is_empty());
+                }
+                if matches!(found, WriteFailed) {
+                    let (_, put) = env.take_sent().remove(0);
+                    let Msg::PutChunk { req, .. } = put else { panic!("{put:?}") };
+                    let refused = Msg::PutChunkErr { req, err: ChunkErr::Blocked };
+                    assert!(c.handle_msg(&mut env, PROV_A, refused).is_empty());
+                }
+            }
+        }
+        assert_eq!(c.active_ops(), 1);
+        (c, env)
+    }
+
+    /// Every misuse of a stream sub-operation — feed, feed-zeros, commit,
+    /// next, close — gets its own error, and either leaves the session as
+    /// it was or reaps it. A parked open, feed, commit or pull always
+    /// trips "already in flight" before any phase check could.
+    #[test]
+    fn stream_misuse_matrix() {
+        use Found::*;
+        type Row = (Found, fn(u64) -> ClientOp, u64, Vec<Result<OpOutput, BlobError>>, bool);
+        let feed: fn(u64) -> ClientOp =
+            |stream| ClientOp::FeedWriteStream { stream, data: Payload::Sim(8) };
+        let zeros: fn(u64) -> ClientOp = |stream| ClientOp::FeedZeros { stream, len: 8 };
+        let commit: fn(u64) -> ClientOp = |stream| ClientOp::CommitWriteStream { stream };
+        let next: fn(u64) -> ClientOp = |stream| ClientOp::ReadStreamNext { stream };
+        let abort: fn(u64) -> ClientOp = |stream| ClientOp::AbortWriteStream { stream };
+        let close: fn(u64) -> ClientOp = |stream| ClientOp::CloseReadStream { stream };
+        let feed_9: fn(u64) -> ClientOp =
+            |stream| ClientOp::FeedWriteStream { stream, data: Payload::Sim(9) };
+        let feed_17: fn(u64) -> ClientOp =
+            |stream| ClientOp::FeedWriteStream { stream, data: Payload::Sim(17) };
+        let zeros_17: fn(u64) -> ClientOp = |stream| ClientOp::FeedZeros { stream, len: 17 };
+        let feed_data: fn(u64) -> ClientOp = |stream| {
+            let data = Payload::Data(Bytes::from(vec![1u8; 8]));
+            ClientOp::FeedWriteStream { stream, data }
+        };
+        let err = |m: &'static str| vec![Err(BlobError::Protocol(m))];
+        let closed = |stream| Ok(OpOutput::StreamClosed { stream });
+        let unknown = || err("unknown stream");
+        let not_write = || err("not a write stream");
+        let not_read = || err("not a read stream");
+        let in_flight = || err("stream sub-operation already in flight");
+        let over = || err("feed exceeds the declared stream length");
+        let mixed = || err("mixed real and simulated payloads in one stream");
+        let closed_parked = || vec![Err(BlobError::Protocol("stream closed")), closed(1)];
+        let blocked = || vec![Err(BlobError::Blocked(ClientId(7)))];
+        let rows: Vec<Row> = vec![
+            // Unknown stream id: the session that does exist is untouched.
+            (WriteOpen, feed, 999, unknown(), true),
+            (WriteOpen, zeros, 999, unknown(), true),
+            (WriteOpen, commit, 999, unknown(), true),
+            (WriteOpen, next, 999, unknown(), true),
+            (WriteOpen, abort, 999, vec![closed(999)], true),
+            // Wrong session kind.
+            (ReadOpen, feed, 1, not_write(), true),
+            (ReadOpen, zeros, 1, not_write(), true),
+            (ReadOpen, commit, 1, not_write(), true),
+            (WriteOpen, next, 1, not_read(), true),
+            (Create, feed, 1, not_write(), true),
+            (Create, zeros, 1, not_write(), true),
+            (Create, commit, 1, not_write(), true),
+            (Create, next, 1, not_read(), true),
+            (Create, close, 1, err("not a stream"), true),
+            // A sub-operation already parked; close ends it.
+            (WriteFeedParked, feed, 1, in_flight(), true),
+            (WriteFeedParked, zeros, 1, in_flight(), true),
+            (WriteFeedParked, commit, 1, in_flight(), true),
+            (WriteFeedParked, abort, 1, closed_parked(), false),
+            (ReadNextParked, next, 1, in_flight(), true),
+            (ReadNextParked, close, 1, closed_parked(), false),
+            // Wrong phase: only ever reached while something is parked.
+            (WriteOpening, feed, 1, in_flight(), true),
+            (WriteOpening, zeros, 1, in_flight(), true),
+            (WriteOpening, commit, 1, in_flight(), true),
+            (WriteOpening, abort, 1, closed_parked(), false),
+            (WriteCommitParked, feed, 1, in_flight(), true),
+            (WriteCommitParked, commit, 1, in_flight(), true),
+            (OneShotWrite, feed, 1, in_flight(), true),
+            (OneShotWrite, abort, 1, closed_parked(), false),
+            (ReadOpening, next, 1, in_flight(), true),
+            // Over-feed past the declared 16 bytes.
+            (WriteOpen, feed_17, 1, over(), false),
+            (WriteOpen, zeros_17, 1, over(), false),
+            (WriteFedSim, feed_9, 1, over(), false),
+            // Mixed real and size-only payloads.
+            (WriteFedData, feed, 1, mixed(), false),
+            (WriteFedSim, feed_data, 1, mixed(), false),
+            // Commit before the declared length.
+            (WriteFedSim, commit, 1, err("commit before the declared length was fed"), false),
+            // A stored fatal failure ends the stream at the next
+            // sub-operation, whichever it is; close just closes.
+            (WriteFailed, feed, 1, blocked(), false),
+            (WriteFailed, zeros, 1, blocked(), false),
+            (WriteFailed, commit, 1, blocked(), false),
+            (WriteFailed, next, 1, blocked(), false),
+            (WriteFailed, abort, 1, vec![closed(1)], false),
+        ];
+        for (found, op, stream, want, survives) in rows {
+            let (mut c, mut env) = session_in(found);
+            let op = op(stream);
+            let what = format!("{op:?} on {found:?}");
+            let got: Vec<_> = c.start_op(&mut env, op, 100).into_iter().map(|d| d.result).collect();
+            assert_eq!(got, want, "{what}");
+            assert_eq!(c.active_ops(), survives as usize, "session survives {what}");
+        }
+    }
 }
