@@ -34,7 +34,7 @@ use crate::meta::{
     TreeReader,
 };
 use crate::model::{
-    pages_for, BlobError, BlobId, BlobSpec, ChunkDescriptor, ChunkKey, ClientId, PageInterval,
+    BlobError, BlobId, BlobSpec, ChunkDescriptor, ChunkKey, ClientId, PageInterval,
     Payload, VersionId, VersionInfo,
 };
 use crate::rpc::{ChunkErr, Msg};
@@ -314,9 +314,9 @@ impl Completion {
 
 /// Fault-tolerance policy for chunk-store RPCs.
 ///
-/// With the policy [disabled](RetryPolicy::disabled) (the default) the
-/// client behaves exactly as before this knob existed: chunk stores carry
-/// no per-request deadline and any `PutChunkErr` fails the operation. An
+/// With the policy [disabled](RetryPolicy::disabled) (the default) chunk
+/// stores carry no deadline, any `PutChunkErr` fails the operation, and a
+/// read whose every replica failed does not refresh the chunk's leaf. An
 /// [enabled](RetryPolicy::standard) policy arms a deadline on every
 /// chunk store; a timed-out or refused store is re-sent to the *same*
 /// provider after a bounded exponential backoff (`backoff_base · 2ᵏ`,
@@ -346,9 +346,10 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No deadlines, no retries — the pre-fault-layer behavior, and the
-    /// default (so fault-free runs are bit-identical with the policy
-    /// merely present).
+    /// The default: no put deadline, any `PutChunkErr` fails the
+    /// operation, and no degraded-read leaf refresh. It arms no timer and
+    /// sends nothing extra, so a fault-free run is the same event
+    /// schedule whether or not a policy is configured.
     pub const fn disabled() -> Self {
         RetryPolicy {
             put_timeout: SimDuration::ZERO,
@@ -415,8 +416,10 @@ pub struct ClientConfig {
     /// [`Msg::GetMetaRange`] broadcast to the metadata providers instead
     /// of walking the tree one remote level at a time. The replies only
     /// warm the node cache — anything missing falls back to the per-node
-    /// descent, so this is purely a round-trip optimization (and can be
-    /// turned off to talk to servers that predate the message).
+    /// descent, so this is purely a round-trip optimization. `false`
+    /// selects the per-node descent alone (one [`Msg::GetMeta`] round per
+    /// uncached tree level); `tests/properties.rs` reads that way as the
+    /// sequential reference for the bulk path.
     pub meta_range_fetch: bool,
     /// Reply-size cap (node count) each provider applies to one
     /// `GetMetaRange` answer; truncated scans continue via cursor.
@@ -470,7 +473,74 @@ impl MetaCache {
             }
         }
     }
+
+    /// Run a metadata descent through cached nodes as far as they take
+    /// it, without leaving the client: a warm cache turns the whole
+    /// level-by-level descent into local work. `None` once the descent is
+    /// done, else the keys of the first round the cache holds none of.
+    fn descend(&self, d: &mut impl Descent) -> Option<Vec<NodeKey>> {
+        while !d.done() {
+            let fetches = d.needed();
+            debug_assert!(!fetches.is_empty());
+            let mut hit = false;
+            for k in &fetches {
+                if let Some(n) = self.get(k) {
+                    d.supply(*k, n);
+                    hit = true;
+                }
+            }
+            if !hit {
+                return Some(fetches);
+            }
+        }
+        None
+    }
+
+    /// Hand fetched nodes to a descent and keep them. `false` if the
+    /// reply lacks one: the metadata is unavailable.
+    fn supply(&mut self, d: &mut impl Descent, nodes: Vec<(NodeKey, Option<MetaNode>)>) -> bool {
+        for (k, n) in nodes {
+            let Some(node) = n else { return false };
+            d.supply(k, &node);
+            self.insert(k, node);
+        }
+        true
+    }
 }
+
+/// A metadata descent the node cache can feed: the write side's
+/// [`TreeBuilder`] resolving its base tree, the read side's
+/// [`TreeReader`] resolving its chunk plan.
+trait Descent {
+    fn done(&self) -> bool;
+    fn needed(&self) -> Vec<NodeKey>;
+    fn supply(&mut self, key: NodeKey, node: &MetaNode);
+}
+
+impl Descent for TreeBuilder {
+    fn done(&self) -> bool {
+        self.is_ready()
+    }
+    fn needed(&self) -> Vec<NodeKey> {
+        self.needed_fetches()
+    }
+    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
+        TreeBuilder::supply(self, key, node)
+    }
+}
+
+impl Descent for TreeReader {
+    fn done(&self) -> bool {
+        self.is_done()
+    }
+    fn needed(&self) -> Vec<NodeKey> {
+        self.needed_fetches()
+    }
+    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
+        TreeReader::supply(self, key, node)
+    }
+}
+
 
 /// What a parked (sub-)operation is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -686,6 +756,146 @@ impl WriteStreamSess {
         let cap = (window as u64).max(2) * self.page_size();
         self.unacked_bytes == 0 || self.buffered() + self.page_size() <= cap
     }
+
+    /// The byte length the stream was opened with.
+    fn declared(&self) -> u64 {
+        self.ticket.as_ref().map_or(0, |t| t.len)
+    }
+
+    /// Take one feed in: check it against the declared length and the
+    /// stream's payload flavor, then cut every page it completes. Returns
+    /// the bytes it counts for, or the misuse that ends the stream.
+    /// Declared zeros of a page no byte has fixed the flavor of take
+    /// `materialize_zeros`, the deployment's.
+    fn absorb(&mut self, fed: Fed, materialize_zeros: bool) -> Result<u64, &'static str> {
+        let len = match &fed {
+            Fed::Bytes(data) => data.len(),
+            Fed::Zeros(n) => *n,
+        };
+        if self.fed.checked_add(len).is_none_or(|total| total > self.declared()) {
+            return Err("feed exceeds the declared stream length");
+        }
+        let mixed = match &fed {
+            Fed::Bytes(Payload::Data(_)) => self.data_mode == Some(false),
+            Fed::Bytes(Payload::Sim(_)) => self.data_mode == Some(true),
+            Fed::Zeros(_) => false,
+        };
+        if mixed {
+            return Err("mixed real and simulated payloads in one stream");
+        }
+        let page = self.page_size();
+        match fed {
+            Fed::Bytes(Payload::Data(mut b)) => {
+                self.data_mode = Some(true);
+                let page = page as usize;
+                // Declared zeros with bytes behind them in the same page
+                // are no tail: they are written out. Rare; a pad is last.
+                if self.acc_zeros > 0 && !b.is_empty() {
+                    self.acc.push_zeros(std::mem::take(&mut self.acc_zeros) as usize, page);
+                }
+                // A partial page under accumulation is topped up first —
+                // the one copy a sub-page feed costs — and cut the moment
+                // it fills, so `acc` never holds more than one page and a
+                // cut hands the whole accumulator on: a move.
+                if !self.acc.is_empty() {
+                    let need = page.saturating_sub(self.acc.len()).min(b.len());
+                    self.acc.push(b.slice(..need), page);
+                    b = b.slice(need..);
+                    self.cut();
+                }
+                // Zero-copy fast path: with an empty accumulator, whole
+                // pages are cut straight off the fed buffer as refcounted
+                // sub-slices; a sub-page tail is held as a view too, and
+                // copied only if a later feed lands behind it.
+                if page > 0 && self.acc.is_empty() {
+                    let mut at = 0usize;
+                    while b.len() - at >= page && (self.next_page as usize) < self.chunks.len() {
+                        self.enqueue(Payload::Data(b.slice(at..at + page)));
+                        at += page;
+                    }
+                    if at > 0 {
+                        b = b.slice(at..);
+                    }
+                }
+                if !b.is_empty() {
+                    self.acc.push(b, page);
+                }
+            }
+            Fed::Bytes(Payload::Sim(n)) => {
+                self.data_mode = Some(false);
+                if n > 0 {
+                    self.acc_sim += std::mem::take(&mut self.acc_zeros);
+                }
+                self.acc_sim += n;
+                self.cut();
+            }
+            Fed::Zeros(mut n) => {
+                let real = self.data_mode.unwrap_or(materialize_zeros);
+                while n > 0 && (self.next_page as usize) < self.chunks.len() {
+                    let held = self.acc.len() as u64 + self.acc_sim;
+                    let take = n.min(page - held - self.acc_zeros);
+                    self.acc_zeros += take;
+                    n -= take;
+                    if held + self.acc_zeros == page {
+                        // The zeros run to the page boundary: the page is
+                        // cut at the length of the bytes fed into it, and
+                        // whoever reads it zero-extends.
+                        self.acc_zeros = 0;
+                        let payload = if real {
+                            Payload::Data(self.acc.take())
+                        } else {
+                            Payload::Sim(std::mem::take(&mut self.acc_sim))
+                        };
+                        self.enqueue(payload);
+                    }
+                }
+            }
+        }
+        self.fed += len;
+        Ok(len)
+    }
+
+    /// Queue one page's payload — the whole page, or its true length when
+    /// declared zeros completed it — for the next page slot, one send per
+    /// replica. The slot's descriptor takes the stored length. Each cut
+    /// page is counted once in `unacked_bytes` until its last replica
+    /// acks, and checksummed once here: every replica, resend and
+    /// re-allocation carries that CRC, and the providers store it.
+    fn enqueue(&mut self, payload: Payload) {
+        let desc = &mut self.chunks[self.next_page as usize];
+        if !desc.replicas.is_empty() {
+            desc.size = payload.len();
+            self.page_acks[self.next_page as usize] = desc.replicas.len() as u32;
+            self.unacked_bytes += desc.size;
+            let crc = payload_crc(&payload);
+            for replica in &desc.replicas {
+                self.queued.push_back((*replica, (desc.key, payload.clone(), crc)));
+            }
+        }
+        self.next_page += 1;
+    }
+
+    /// Cut the accumulator into per-replica queued sends once fed bytes
+    /// fill a page.
+    fn cut(&mut self) {
+        let page = self.page_size();
+        if page == 0 {
+            return;
+        }
+        while (self.acc.len() as u64 >= page || self.acc_sim >= page)
+            && (self.next_page as usize) < self.chunks.len()
+        {
+            let payload = if self.acc.len() as u64 >= page {
+                // Feeds top the accumulator up to exactly one page.
+                debug_assert_eq!(self.acc.len() as u64, page);
+                Payload::Data(self.acc.take())
+            } else {
+                self.acc_sim -= page;
+                Payload::Sim(page)
+            };
+            self.enqueue(payload);
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -756,19 +966,20 @@ impl ReadStreamSess {
         }
     }
 
-    /// Version + page interval of the open descent's bulk range query.
-    /// The tree being descended is the one rooted at the version that
-    /// *created* the root node — equal to the read version except when a
-    /// recovered no-op version republished its predecessor's root.
-    fn range_query(&self) -> (VersionId, PageInterval) {
+    /// The open descent's bulk range query, as request `req` (`after`
+    /// continues a truncated reply). The tree being descended is the one
+    /// rooted at the version that *created* the root node — equal to the
+    /// read version except when a recovered no-op version republished its
+    /// predecessor's root.
+    fn range_msg(&self, req: u64, after: Option<NodeRange>, max_nodes: u32) -> Msg {
         let info = self.info.as_ref().expect("info set");
         let version = match info.root {
             Some(crate::meta::NodeRef::Node { version, .. }) => version,
             _ => info.version,
         };
-        let page = info.page_size;
-        let last = (self.offset + self.len - 1) / page;
-        (version, PageInterval::new(self.page0, last - self.page0 + 1))
+        let last = (self.offset + self.len - 1) / info.page_size;
+        let query = PageInterval::new(self.page0, last - self.page0 + 1);
+        Msg::GetMetaRange { req, blob: self.blob, version, query, after, max_nodes }
     }
 }
 
@@ -781,6 +992,32 @@ enum SessKind {
     // and pending queues, and are much larger than the other variants.
     WriteStream(Box<WriteStreamSess>),
     ReadStream(Box<ReadStreamSess>),
+}
+
+impl SessKind {
+    /// Name of the protocol stage the session is currently in.
+    fn stage(&self) -> &'static str {
+        match self {
+            SessKind::Create => "create",
+            SessKind::Snapshot(_) => "snapshot",
+            SessKind::Decommission(_) => "decommission",
+            SessKind::WriteStream(w) => match w.phase {
+                WStreamPhase::Ticket => "ticket",
+                WStreamPhase::Alloc => "alloc",
+                WStreamPhase::Streaming => "stream",
+                WStreamPhase::Draining => "chunks",
+                WStreamPhase::MetaResolve => "meta_resolve",
+                WStreamPhase::MetaPut => "meta_put",
+                WStreamPhase::Commit => "commit",
+            },
+            SessKind::ReadStream(r) => match r.phase {
+                RStreamPhase::Version => "version",
+                RStreamPhase::Meta => "meta",
+                RStreamPhase::Idle => "stream",
+                RStreamPhase::Fetching => "chunks",
+            },
+        }
+    }
 }
 
 /// Causal-trace state of one operation: the root span identity plus the
@@ -800,12 +1037,64 @@ struct OpTrace {
     stage_start: SimTime,
 }
 
+impl OpTrace {
+    /// Record a span of this operation: its root (`kind` = `Op`, named
+    /// `op`) or a `Stage` span named `op` under the root.
+    fn record(
+        &self,
+        env: &mut dyn Env,
+        kind: SpanKind,
+        op: &'static str,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        let Some(sink) = env.span_sink() else { return };
+        let (span, parent) = match kind {
+            SpanKind::Op => (self.ctx.span_id, self.ctx.parent),
+            _ => (sink.next_id(), self.ctx.span_id),
+        };
+        sink.record(SpanRecord {
+            trace: self.ctx.trace_id,
+            span,
+            parent,
+            service: "client",
+            op,
+            node: env.id().0 as u64,
+            start_ns: start.as_nanos(),
+            end_ns: end.as_nanos(),
+            kind,
+            class: SpanClass::Control,
+            queue_ns: 0,
+            xfer_ns: 0,
+            wire_ns: 0,
+        });
+    }
+
+    /// Record the Stage span of one parked stream sub-operation (the open
+    /// handshake, a parked feed, the commit drain, a pull). Synchronous
+    /// completions (start == end) carry no latency information and are
+    /// skipped, and a parked whole operation is already covered by its
+    /// root `Op` span.
+    fn record_sub_op(&self, env: &mut dyn Env, kind: WaiterKind, start: SimTime, end: SimTime) {
+        let label = match kind {
+            WaiterKind::Op => return,
+            WaiterKind::Open => "stream_open",
+            WaiterKind::Feed => "stream_feed",
+            WaiterKind::Commit => "stream_commit",
+            WaiterKind::Next => "stream_next",
+        };
+        if start != end {
+            self.record(env, SpanKind::Stage, label, start, end);
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Session {
     started: SimTime,
     kind: SessKind,
     /// Request ids awaited in the current phase.
-    outstanding: HashSet<u64>,
+    awaited: Awaited,
     /// Span bookkeeping when tracing is on (`None` = zero trace work).
     trace: Option<OpTrace>,
     /// The parked (sub-)operation. A session outlives its sub-operations;
@@ -834,23 +1123,43 @@ impl Session {
     }
 }
 
+/// The request ids a session awaits in its current phase, kept with the
+/// session's id: all [`Requests::issue`] needs to register one more.
+#[derive(Debug)]
+struct Awaited {
+    sid: u64,
+    reqs: HashSet<u64>,
+}
+
+/// One chunk fetch on its replica walk, for read-part `idx`. The walk
+/// starts at `replicas[first]`; after `attempts` tries the one in flight
+/// went to `replicas[(first + attempts - 1) % len]`, and it ends once
+/// every replica was tried. `refreshed` marks a fetch re-issued after a
+/// degraded-read placement refresh (one refresh per chunk per op).
+#[derive(Debug)]
+struct ChunkFetch {
+    idx: usize,
+    desc: ChunkDescriptor,
+    first: usize,
+    attempts: usize,
+    refreshed: bool,
+}
+
+impl ChunkFetch {
+    /// The first try of a fetch, at `target`, one of the chunk's replicas.
+    fn at(target: NodeId, idx: usize, desc: ChunkDescriptor) -> Self {
+        let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
+        ChunkFetch { idx, desc, first, attempts: 1, refreshed: false }
+    }
+}
+
 /// Which sub-protocol a pending request id belongs to, plus retry state
 /// for chunk transfers.
 #[derive(Debug)]
 enum ReqRole {
     Plain,
-    /// A chunk fetch for read-part `idx`. `first` is the replica index
-    /// tried initially; `attempts` counts tries so far, and failover
-    /// walks `replicas[(first + attempts) % len]` until every replica
-    /// was tried once. `refreshed` marks a fetch re-issued after a
-    /// degraded-read placement refresh (one refresh per chunk per op).
-    ChunkGet {
-        idx: usize,
-        desc: ChunkDescriptor,
-        first: usize,
-        attempts: usize,
-        refreshed: bool,
-    },
+    /// A chunk fetch on its replica walk.
+    ChunkGet(ChunkFetch),
     /// One provider's batch of chunk fetches (window slots grouped by
     /// the replica chosen for each chunk). A single deadline guards the
     /// whole batch; failed or unanswered items re-enter the per-chunk
@@ -887,22 +1196,49 @@ enum ReqRole {
     },
 }
 
-/// The embeddable client core. Drive it with `start_op`, feed it every
-/// incoming message/timer, and collect [`Completion`]s.
-pub struct ClientCore {
+/// Every request in flight, by id: the session it belongs to and the
+/// role its reply plays there.
+#[derive(Debug)]
+struct Requests {
+    next: u64,
+    roles: HashMap<u64, (u64, ReqRole)>,
+}
+
+impl Requests {
+    /// Issue a request id — the one place ids are made: registered here
+    /// under `role` and awaited by the session in `awaited`.
+    fn issue(&mut self, awaited: &mut Awaited, role: ReqRole) -> u64 {
+        let req = self.next;
+        self.next += 1;
+        self.roles.insert(req, (awaited.sid, role));
+        awaited.reqs.insert(req);
+        req
+    }
+}
+
+/// What every protocol step needs besides its own session: this client's
+/// id, the managers and metadata ring it talks to, its configuration, its
+/// node cache and the request table. The steps are methods on it, each
+/// borrowing its [`Session`] out of the session table beside it.
+struct Cx {
     id: ClientId,
     vman: NodeId,
     pman: NodeId,
     meta_providers: Vec<NodeId>,
     cfg: ClientConfig,
-    sessions: HashMap<u64, Session>,
-    req_index: HashMap<u64, (u64, ReqRole)>,
-    next_req: u64,
-    next_sid: u64,
     /// Metadata nodes seen (fetched or written) by this client. Nodes are
     /// immutable, so hits skip whole descent rounds with no coherence
     /// protocol.
     meta_cache: MetaCache,
+    reqs: Requests,
+}
+
+/// The embeddable client core. Drive it with `start_op`, feed it every
+/// incoming message/timer, and collect [`Completion`]s.
+pub struct ClientCore {
+    cx: Cx,
+    sessions: HashMap<u64, Session>,
+    next_sid: u64,
 }
 
 impl ClientCore {
@@ -916,23 +1252,15 @@ impl ClientCore {
         cfg: ClientConfig,
     ) -> Self {
         assert!(!meta_providers.is_empty(), "at least one metadata provider");
-        ClientCore {
-            id,
-            vman,
-            pman,
-            meta_providers,
-            cfg,
-            sessions: HashMap::new(),
-            req_index: HashMap::new(),
-            next_req: 1,
-            next_sid: 1,
-            meta_cache: MetaCache::new(cfg.meta_cache_nodes),
-        }
+        let meta_cache = MetaCache::new(cfg.meta_cache_nodes);
+        let reqs = Requests { next: 1, roles: HashMap::new() };
+        let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, reqs };
+        ClientCore { cx, sessions: HashMap::new(), next_sid: 1 }
     }
 
     /// This client's principal id.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.cx.id
     }
 
     /// Operations currently in flight.
@@ -943,13 +1271,6 @@ impl ClientCore {
     /// Does this timer token belong to the client core?
     pub fn owns_timer(token: u64) -> bool {
         token & CLIENT_TIMER_BIT != 0
-    }
-
-    fn fresh_req(&mut self, sid: u64, role: ReqRole) -> u64 {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.req_index.insert(req, (sid, role));
-        req
     }
 
     /// Begin an operation; its completion will carry `tag`.
@@ -965,34 +1286,28 @@ impl ClientCore {
         // Stream sub-operations act on an existing session instead of
         // opening one.
         match op {
-            ClientOp::FeedWriteStream { stream, data } => {
-                return self.wstream_feed(env, stream, Fed::Bytes(data), tag)
-            }
-            ClientOp::FeedZeros { stream, len } => {
-                return self.wstream_feed(env, stream, Fed::Zeros(len), tag)
-            }
-            ClientOp::CommitWriteStream { stream } => {
-                return self.wstream_commit(env, stream, tag)
-            }
+            ClientOp::FeedWriteStream { stream, .. }
+            | ClientOp::FeedZeros { stream, .. }
+            | ClientOp::CommitWriteStream { stream }
+            | ClientOp::ReadStreamNext { stream } => return self.sub_op(env, stream, op, tag),
             ClientOp::AbortWriteStream { stream } | ClientOp::CloseReadStream { stream } => {
                 return self.stream_close(env, stream, tag)
             }
-            ClientOp::ReadStreamNext { stream } => return self.rstream_next(env, stream, tag),
             _ => {}
         }
         let sid = self.next_sid;
         self.next_sid += 1;
         let started = env.now();
-        env.set_timer(self.cfg.op_timeout, CLIENT_TIMER_BIT | sid);
-        let op_name = match &op {
-            ClientOp::Create { .. } => "create",
-            ClientOp::Write { .. } => "write",
-            ClientOp::Read { .. } => "read",
-            ClientOp::Snapshot { .. } => "snapshot",
-            ClientOp::Decommission { .. } => "decommission",
-            ClientOp::OpenWriteStream { .. } => "write_stream",
-            ClientOp::OpenReadStream { .. } => "read_stream",
-            _ => unreachable!("stream sub-ops handled above"),
+        env.set_timer(self.cx.cfg.op_timeout, CLIENT_TIMER_BIT | sid);
+        let (op_name, waiting) = match &op {
+            ClientOp::Create { .. } => ("create", WaiterKind::Op),
+            ClientOp::Write { .. } => ("write", WaiterKind::Op),
+            ClientOp::Read { .. } => ("read", WaiterKind::Op),
+            ClientOp::Snapshot { .. } => ("snapshot", WaiterKind::Op),
+            ClientOp::Decommission { .. } => ("decommission", WaiterKind::Op),
+            ClientOp::OpenWriteStream { .. } => ("write_stream", WaiterKind::Open),
+            ClientOp::OpenReadStream { .. } => ("read_stream", WaiterKind::Open),
+            _ => unreachable!("stream sub-operations handled above"),
         };
         let trace = env.span_sink().map(|sink| {
             // Nest under an ambient context when one exists (e.g. the S3
@@ -1012,65 +1327,37 @@ impl ClientCore {
         // Every operation opens with one request to the version manager
         // and parks: the one-shot forms park the operation itself, the
         // stream forms park their `open`.
-        let req = self.fresh_req(sid, ReqRole::Plain);
-        let client = self.id;
-        let (waiting, kind, msg) = match op {
-            ClientOp::Create { spec } => {
-                (WaiterKind::Op, SessKind::Create, Msg::CreateBlob { req, client, spec })
+        let mut awaited = Awaited { sid, reqs: HashSet::new() };
+        let req = self.cx.reqs.issue(&mut awaited, ReqRole::Plain);
+        let client = self.cx.id;
+        let write = |blob, data| SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, data)));
+        let (kind, msg) = match op {
+            ClientOp::Create { spec } => (SessKind::Create, Msg::CreateBlob { req, client, spec }),
+            ClientOp::Snapshot { blob, version } => {
+                (SessKind::Snapshot(blob), Msg::SnapshotVersion { req, client, blob, version })
             }
-            ClientOp::Snapshot { blob, version } => (
-                WaiterKind::Op,
-                SessKind::Snapshot(blob),
-                Msg::SnapshotVersion { req, client, blob, version },
-            ),
-            ClientOp::Decommission { blob } => (
-                WaiterKind::Op,
-                SessKind::Decommission(blob),
-                Msg::DecommissionBlob { req, client, blob },
-            ),
+            ClientOp::Decommission { blob } => {
+                (SessKind::Decommission(blob), Msg::DecommissionBlob { req, client, blob })
+            }
             ClientOp::Write { blob, kind, data } => {
                 let len = data.len();
-                (
-                    WaiterKind::Op,
-                    SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, Some(data)))),
-                    Msg::Ticket { req, client, blob, kind, len },
-                )
+                (write(blob, Some(data)), Msg::Ticket { req, client, blob, kind, len })
             }
-            ClientOp::OpenWriteStream { blob, kind, len } => (
-                WaiterKind::Open,
-                SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, None))),
-                Msg::Ticket { req, client, blob, kind, len },
-            ),
-            ClientOp::Read { blob, version, offset, len } => (
-                WaiterKind::Op,
+            ClientOp::OpenWriteStream { blob, kind, len } => {
+                (write(blob, None), Msg::Ticket { req, client, blob, kind, len })
+            }
+            ClientOp::Read { blob, version, offset, len }
+            | ClientOp::OpenReadStream { blob, version, offset, len } => (
                 SessKind::ReadStream(Box::new(ReadStreamSess::new(blob, offset, len))),
                 Msg::GetVersion { req, client, blob, version },
             ),
-            ClientOp::OpenReadStream { blob, version, offset, len } => (
-                WaiterKind::Open,
-                SessKind::ReadStream(Box::new(ReadStreamSess::new(blob, offset, len))),
-                Msg::GetVersion { req, client, blob, version },
-            ),
-            ClientOp::FeedWriteStream { .. }
-            | ClientOp::FeedZeros { .. }
-            | ClientOp::CommitWriteStream { .. }
-            | ClientOp::AbortWriteStream { .. }
-            | ClientOp::ReadStreamNext { .. }
-            | ClientOp::CloseReadStream { .. } => unreachable!("handled above"),
+            _ => unreachable!("stream sub-operations handled above"),
         };
-        self.sessions.insert(
-            sid,
-            Session {
-                started,
-                kind,
-                outstanding: HashSet::from([req]),
-                trace,
-                waiter: Some(StreamWaiter { tag, started, kind: waiting, bytes: 0 }),
-                failed: None,
-                last_activity: started,
-            },
-        );
-        env.send(self.vman, msg);
+        let waiter = Some(StreamWaiter { tag, started, kind: waiting, bytes: 0 });
+        let last_activity = started;
+        let sess = Session { started, kind, awaited, trace, waiter, failed: None, last_activity };
+        self.sessions.insert(sid, sess);
+        env.send(self.cx.vman, msg);
         env.set_trace_ctx(None);
         vec![]
     }
@@ -1080,7 +1367,7 @@ impl ClientCore {
         if token & RETRY_TIMER_BIT != 0 {
             // A backoff expired: the deferred resend registered under this
             // request id goes out now. Stale timers (op already finished)
-            // fall out at the request-index lookup.
+            // fall out at the request-table lookup.
             let req = token & !(CLIENT_TIMER_BIT | RETRY_TIMER_BIT);
             self.fire_deferred_resend(env, req);
             return vec![];
@@ -1090,9 +1377,9 @@ impl ClientCore {
             // backlog): synthesize the matching error locally so the
             // normal failover/retry path handles timeouts and explicit
             // refusals identically. Stale timers (request already
-            // answered) fall out at the request-index lookup.
+            // answered) fall out at the request-table lookup.
             let req = token & !(CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT);
-            let msg = match self.req_index.get(&req) {
+            let msg = match self.cx.reqs.roles.get(&req) {
                 Some((_, ReqRole::ChunkPut { .. })) => {
                     Msg::PutChunkErr { req, err: ChunkErr::Unreachable }
                 }
@@ -1106,7 +1393,7 @@ impl ClientCore {
         // since this timer was armed: re-arm for the remainder then.
         let sid = token & !CLIENT_TIMER_BIT;
         let Some(sess) = self.sessions.get(&sid) else { return vec![] };
-        let (deadline, now) = (sess.deadline(self.cfg.op_timeout), env.now());
+        let (deadline, now) = (sess.deadline(self.cx.cfg.op_timeout), env.now());
         if deadline > now {
             env.set_timer(deadline.since(now), CLIENT_TIMER_BIT | sid);
             return vec![];
@@ -1119,335 +1406,96 @@ impl ClientCore {
     /// under request id `req`, arming a fresh RPC deadline. No-op if the
     /// operation finished (or timed out) while the backoff ran.
     fn fire_deferred_resend(&mut self, env: &mut dyn Env, req: u64) {
-        let Some((sid, ReqRole::ChunkPut { target, items, .. })) = self.req_index.get(&req)
+        let Some((sid, ReqRole::ChunkPut { target, items, .. })) = self.cx.reqs.roles.get(&req)
         else {
             return;
         };
-        let sid = *sid;
-        let target = *target;
-        let msg = put_msg(req, self.id, items.clone());
+        let msg = put_msg(req, self.cx.id, items.clone());
         // The resend belongs to the operation's causal tree.
-        let tc = self.sessions.get(&sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
+        let tc = self.sessions.get(sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
         env.set_trace_ctx(tc);
-        env.send(target, msg);
+        env.send(*target, msg);
         env.set_trace_ctx(None);
-        env.set_timer(self.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+        let put_timeout = self.cx.cfg.retry.put_timeout;
+        env.set_timer(put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
     }
 
     /// Feed an incoming message. Returns any operations that completed.
     pub fn handle_msg(&mut self, env: &mut dyn Env, _from: NodeId, msg: Msg) -> Vec<Completion> {
         let Some(req) = req_of(&msg) else { return vec![] };
-        let Some((sid, role)) = self.req_index.remove(&req) else { return vec![] };
+        let Some((sid, role)) = self.cx.reqs.roles.remove(&req) else { return vec![] };
         let Some(sess) = self.sessions.get_mut(&sid) else { return vec![] };
-        sess.outstanding.remove(&req);
+        sess.awaited.reqs.remove(&req);
+        let now = env.now();
         if sess.waiter.is_none() {
             // Progress of a stream with nothing parked (chunk acks between
             // feeds) keeps it from being reaped as idle.
-            sess.last_activity = env.now();
+            sess.last_activity = now;
         }
-
         // Restore this operation's causal context so every message sent
         // while advancing the protocol nests under its root span, and
         // remember the stage so a phase transition can close its span.
-        let stage_before = Self::stage_of(&sess.kind);
+        let stage_before = sess.kind.stage();
         env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
         let step = match &sess.kind {
-            SessKind::WriteStream(_) => Self::wstream_step(
-                self.id,
-                self.vman,
-                self.pman,
-                &self.meta_providers,
-                self.cfg,
-                &mut self.meta_cache,
-                &mut self.next_req,
-                &mut self.req_index,
-                sid,
-                sess,
-                role,
-                msg,
-                env,
-            ),
-            SessKind::ReadStream(_) => Self::rstream_step(
-                self.id,
-                &self.meta_providers,
-                self.cfg,
-                &mut self.meta_cache,
-                &mut self.next_req,
-                &mut self.req_index,
-                sid,
-                sess,
-                role,
-                msg,
-                env,
-            ),
-            kind => Self::simple_step(kind, msg),
+            SessKind::WriteStream(_) => self.cx.wstream_step(sess, role, msg, env),
+            SessKind::ReadStream(_) => self.cx.rstream_step(sess, role, msg, env),
+            kind => simple_step(kind, msg),
         };
-        self.stream_epilogue(env, sid, stage_before, step)
+        self.stream_epilogue(env, sid, stage_before, step, now)
     }
 
-    /// Name of the protocol stage a session is currently in.
-    fn stage_of(kind: &SessKind) -> &'static str {
-        match kind {
-            SessKind::Create => "create",
-            SessKind::Snapshot(_) => "snapshot",
-            SessKind::Decommission(_) => "decommission",
-            SessKind::WriteStream(w) => match w.phase {
-                WStreamPhase::Ticket => "ticket",
-                WStreamPhase::Alloc => "alloc",
-                WStreamPhase::Streaming => "stream",
-                WStreamPhase::Draining => "chunks",
-                WStreamPhase::MetaResolve => "meta_resolve",
-                WStreamPhase::MetaPut => "meta_put",
-                WStreamPhase::Commit => "commit",
-            },
-            SessKind::ReadStream(r) => match r.phase {
-                RStreamPhase::Version => "version",
-                RStreamPhase::Meta => "meta",
-                RStreamPhase::Idle => "stream",
-                RStreamPhase::Fetching => "chunks",
-            },
-        }
-    }
-
-    /// Close the stage span that just ended (`start` = when the stage
-    /// began, kept in the session's [`OpTrace`]).
-    fn record_stage(env: &mut dyn Env, t: &OpTrace, stage: &'static str, end: SimTime) {
-        let Some(sink) = env.span_sink() else { return };
-        sink.record(SpanRecord {
-            trace: t.ctx.trace_id,
-            span: sink.next_id(),
-            parent: t.ctx.span_id,
-            service: "client",
-            op: stage,
-            node: env.id().0 as u64,
-            start_ns: t.stage_start.as_nanos(),
-            end_ns: end.as_nanos(),
-            kind: SpanKind::Stage,
-            class: SpanClass::Control,
-            queue_ns: 0,
-            xfer_ns: 0,
-            wire_ns: 0,
-        });
-    }
-
-    /// Close the operation's root span.
-    fn record_op(env: &mut dyn Env, t: &OpTrace, started: SimTime, end: SimTime) {
-        let Some(sink) = env.span_sink() else { return };
-        sink.record(SpanRecord {
-            trace: t.ctx.trace_id,
-            span: t.ctx.span_id,
-            parent: t.ctx.parent,
-            service: "client",
-            op: t.op,
-            node: env.id().0 as u64,
-            start_ns: started.as_nanos(),
-            end_ns: end.as_nanos(),
-            kind: SpanKind::Op,
-            class: SpanClass::Control,
-            queue_ns: 0,
-            xfer_ns: 0,
-            wire_ns: 0,
-        });
-    }
-
-    /// The reply to a one-round-trip metadata operation (create, snapshot,
-    /// decommission) completes it.
-    fn simple_step(kind: &SessKind, msg: Msg) -> StreamStep {
-        let result = match (kind, msg) {
-            (SessKind::Create, Msg::CreateBlobOk { blob, .. }) => Ok(OpOutput::Created(blob)),
-            (SessKind::Create, _) => Err(BlobError::Protocol("unexpected reply to create")),
-            (SessKind::Snapshot(blob), Msg::SnapshotVersionOk { version, .. }) => {
-                Ok(OpOutput::Snapshotted { blob: *blob, version })
-            }
-            (SessKind::Snapshot(_), Msg::SnapshotVersionErr { err, .. }) => Err(err),
-            (SessKind::Snapshot(_), _) => Err(BlobError::Protocol("unexpected reply to snapshot")),
-            (SessKind::Decommission(blob), Msg::DecommissionBlobOk { ok, .. }) => {
-                Ok(OpOutput::Decommissioned { blob: *blob, ok })
-            }
-            (SessKind::Decommission(_), _) => {
-                Err(BlobError::Protocol("unexpected reply to decommission"))
-            }
-            (SessKind::WriteStream(_) | SessKind::ReadStream(_), _) => {
-                unreachable!("write and read sessions run their own machines")
-            }
+    /// Run a feed, commit or pull on stream `sid`, or refuse it. An
+    /// unknown stream, the wrong session kind or a sub-operation already
+    /// parked leave the stream as it was; a fatal error stored on the
+    /// stream is delivered instead, and ends it. An admitted sub-operation
+    /// parks as the stream's waiter and completes — at once or later —
+    /// through [`ClientCore::stream_epilogue`].
+    fn sub_op(&mut self, env: &mut dyn Env, sid: u64, op: ClientOp, tag: u64) -> Vec<Completion> {
+        let now = env.now();
+        let refuse = |m| vec![instant(tag, now, Err(BlobError::Protocol(m)))];
+        let Some(sess) = self.sessions.get_mut(&sid) else { return refuse("unknown stream") };
+        let (kind, bytes) = match &op {
+            ClientOp::FeedWriteStream { data, .. } => (WaiterKind::Feed, data.len()),
+            ClientOp::FeedZeros { len, .. } => (WaiterKind::Feed, *len),
+            ClientOp::CommitWriteStream { .. } => (WaiterKind::Commit, 0),
+            _ => (WaiterKind::Next, 0),
         };
-        StreamStep::Finish(result, 0)
-    }
-
-    /// Send one provider's queued chunk stores: a lone chunk as a plain
-    /// `PutChunk`, several as one `PutChunkBatch` round trip. The items
-    /// are kept in the request's role so an enabled [`RetryPolicy`] can
-    /// re-send them (payloads are refcounted views — no data is copied —
-    /// and their CRCs ride along, so no resend checksums again); the
-    /// policy also arms the per-RPC deadline here.
-    fn issue_chunk_put(
-        client: ClientId,
-        retry: RetryPolicy,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        target: NodeId,
-        items: Vec<PutItem>,
-        env: &mut dyn Env,
-    ) {
-        let req = fresh(
-            outstanding,
-            ReqRole::ChunkPut { target, items: items.clone(), attempts: 1 },
-        );
-        env.send(target, put_msg(req, client, items));
-        if retry.enabled() {
-            env.set_timer(retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-        }
-    }
-
-    /// Send one chunk fetch to a randomly chosen replica, arming the
-    /// per-chunk failover timer.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_chunk_get(
-        client: ClientId,
-        chunk_timeout: SimDuration,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        idx: usize,
-        desc: ChunkDescriptor,
-        refreshed: bool,
-        env: &mut dyn Env,
-    ) {
-        let first = env.rng().random_range(0..desc.replicas.len());
-        let target = desc.replicas[first];
-        let key = desc.key;
-        let req = fresh(
-            outstanding,
-            ReqRole::ChunkGet { idx, desc, first, attempts: 1, refreshed },
-        );
-        env.send(target, Msg::GetChunk { req, client, key });
-        env.set_timer(chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-    }
-
-    /// Send one provider's queued chunk fetches: a lone chunk as a plain
-    /// `GetChunk` (the per-chunk replica walk), several as one
-    /// `GetChunkBatch` round trip. One deadline guards the whole batch;
-    /// items that fail or go unanswered re-enter the per-chunk walk
-    /// individually, each arming its own deadline.
-    fn issue_chunk_get_batch(
-        client: ClientId,
-        chunk_timeout: SimDuration,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        target: NodeId,
-        items: Vec<(usize, ChunkDescriptor)>,
-        env: &mut dyn Env,
-    ) {
-        if items.len() == 1 {
-            let (idx, desc) = items.into_iter().next().expect("one item");
-            let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-            let key = desc.key;
-            let req = fresh(
-                outstanding,
-                ReqRole::ChunkGet { idx, desc, first, attempts: 1, refreshed: false },
-            );
-            env.send(target, Msg::GetChunk { req, client, key });
-            env.set_timer(chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-            return;
-        }
-        let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
-        let req = fresh(outstanding, ReqRole::ChunkGetBatch { target, items });
-        env.send(target, Msg::GetChunkBatch { req, client, keys });
-        env.set_timer(chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-    }
-
-    /// Walk a failed chunk fetch to the next replica (arming a fresh
-    /// per-chunk deadline) or — once every replica was tried — re-fetch
-    /// the chunk's leaf in case a replication repair moved it. `Err(key)`
-    /// means the chunk is unavailable and the read must fail.
-    #[allow(clippy::too_many_arguments)]
-    fn failover_chunk_get(
-        client: ClientId,
-        cfg: ClientConfig,
-        meta_providers: &[NodeId],
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        idx: usize,
-        desc: ChunkDescriptor,
-        first: usize,
-        attempts: usize,
-        env: &mut dyn Env,
-    ) -> Result<(), ChunkKey> {
-        if attempts < desc.replicas.len() {
-            env.incr("client.replica_walks", 1);
-            let target = desc.replicas[(first + attempts) % desc.replicas.len()];
-            let key = desc.key;
-            let req = fresh(
-                outstanding,
-                ReqRole::ChunkGet { idx, desc, first, attempts: attempts + 1, refreshed: false },
-            );
-            env.send(target, Msg::GetChunk { req, client, key });
-            env.set_timer(cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
-            return Ok(());
-        }
-        if cfg.retry.enabled() {
-            // Degraded read: every known replica failed, but a replication
-            // repair may have patched the leaf with fresh replicas since
-            // this descent cached it. Re-fetch the leaf directly
-            // (bypassing the cache) and retry against whatever placement
-            // it records.
-            let key = NodeKey {
-                blob: desc.key.blob,
-                version: desc.key.version,
-                range: NodeRange::new(desc.key.page, 1),
+        let failed = sess.failed.take();
+        if failed.is_none() {
+            // A stream outside the phase a sub-operation needs always
+            // has an open, commit or pull parked on it, so the phase
+            // check never trips first.
+            let open = match (&sess.kind, kind) {
+                (SessKind::WriteStream(w), WaiterKind::Feed | WaiterKind::Commit) => {
+                    w.phase == WStreamPhase::Streaming
+                }
+                (SessKind::ReadStream(r), WaiterKind::Next) => r.phase == RStreamPhase::Idle,
+                (_, WaiterKind::Next) => return refuse("not a read stream"),
+                _ => return refuse("not a write stream"),
             };
-            let owner = meta_providers[partition(&key, meta_providers.len())];
-            let req = fresh(outstanding, ReqRole::LeafRefresh { idx, desc });
-            env.send(owner, Msg::GetMeta { req, keys: vec![key] });
-            return Ok(());
-        }
-        Err(desc.key)
-    }
-
-    // ---- write and read sessions -------------------------------------
-
-    /// A zero-duration completion (sub-ops that finish synchronously).
-    fn instant(tag: u64, now: SimTime, result: Result<OpOutput, BlobError>) -> Completion {
-        Completion { tag, result, started: now, finished: now, bytes: 0 }
-    }
-
-    /// The one way a session ends — publish acknowledged, eof delivered,
-    /// fatal error, deadline, abort/close: drop it and its pending
-    /// requests, close its spans, and hand back the parked (sub-)operation
-    /// for the caller to complete with the outcome.
-    fn end_session(&mut self, env: &mut dyn Env, sid: u64) -> Option<StreamWaiter> {
-        let mut sess = self.sessions.remove(&sid)?;
-        for req in &sess.outstanding {
-            self.req_index.remove(req);
-        }
-        let waiter = sess.waiter.take();
-        if let Some(t) = &sess.trace {
-            let now = env.now();
-            if let Some(wt) = &waiter {
-                Self::record_stream_span(env, t, wt.kind, wt.started, now);
+            if sess.waiter.is_some() {
+                return refuse("stream sub-operation already in flight");
             }
-            Self::record_stage(env, t, Self::stage_of(&sess.kind), now);
-            Self::record_op(env, t, sess.started, now);
+            if !open {
+                return refuse("stream is not open");
+            }
         }
-        waiter
-    }
-
-    /// Take (and clear) a stored fatal error from a stream session.
-    fn stream_take_failure(&mut self, sid: u64) -> Option<BlobError> {
-        self.sessions.get_mut(&sid)?.failed.take()
-    }
-
-    /// Tear a stream session down and deliver `err` to the sub-operation
-    /// tagged `tag` (used when a stored failure is picked up, or when a
-    /// sub-operation itself turns out to be fatal).
-    fn stream_reap(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        tag: u64,
-        err: BlobError,
-    ) -> Vec<Completion> {
-        self.end_session(env, sid);
-        vec![Self::instant(tag, env.now(), Err(err))]
+        let stage_before = sess.kind.stage();
+        sess.last_activity = now;
+        sess.waiter = Some(StreamWaiter { tag, started: now, kind, bytes });
+        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
+        let cx = &mut self.cx;
+        let step = match (failed, op) {
+            (Some(err), _) => StreamStep::Finish(Err(err), 0),
+            (None, ClientOp::FeedWriteStream { data, .. }) => {
+                cx.wstream_feed(sess, Fed::Bytes(data), env)
+            }
+            (None, ClientOp::FeedZeros { len, .. }) => cx.wstream_feed(sess, Fed::Zeros(len), env),
+            (None, ClientOp::CommitWriteStream { .. }) => cx.wstream_commit(sess, env),
+            (None, _) => cx.rstream_fetch(sess, env),
+        };
+        self.stream_epilogue(env, sid, stage_before, step, now)
     }
 
     /// Close a stream (write-stream abort or read-stream close).
@@ -1458,7 +1506,7 @@ impl ClientCore {
         if let Some(SessKind::Create | SessKind::Snapshot(_) | SessKind::Decommission(_)) =
             self.sessions.get(&sid).map(|s| &s.kind)
         {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a stream")))];
+            return vec![instant(tag, now, Err(BlobError::Protocol("not a stream")))];
         }
         // Handles are half-duplex, so no sub-operation should be parked
         // here — but a racing caller gets a clean error, not silence.
@@ -1467,405 +1515,66 @@ impl ClientCore {
             .map(|wt| wt.complete(Err(BlobError::Protocol("stream closed")), 0, now))
             .into_iter()
             .collect();
-        out.push(Self::instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid })));
+        out.push(instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid })));
         out
     }
 
-    /// Push bytes, or declared zeros, into an open write stream (see
-    /// [`ClientOp::FeedWriteStream`] and [`ClientOp::FeedZeros`]).
-    /// Completes synchronously when the stream has headroom; otherwise
-    /// the completion parks until enough chunk acks arrive.
-    fn wstream_feed(
-        &mut self,
-        env: &mut dyn Env,
-        sid: u64,
-        fed: Fed,
-        tag: u64,
-    ) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(err) = self.stream_take_failure(sid) {
-            return self.stream_reap(env, sid, tag, err);
+    /// The one way a session ends — publish acknowledged, eof delivered,
+    /// fatal error, deadline, abort/close: drop it and its pending
+    /// requests, close its spans, and hand back the parked (sub-)operation
+    /// for the caller to complete with the outcome.
+    fn end_session(&mut self, env: &mut dyn Env, sid: u64) -> Option<StreamWaiter> {
+        let mut sess = self.sessions.remove(&sid)?;
+        for req in &sess.awaited.reqs {
+            self.cx.reqs.roles.remove(req);
         }
-        let Some(sess) = self.sessions.get_mut(&sid) else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("unknown stream")))];
-        };
-        let SessKind::WriteStream(w) = &mut sess.kind else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a write stream")))];
-        };
-        if sess.waiter.is_some() {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream sub-operation already in flight")),
-            )];
-        }
-        if w.phase != WStreamPhase::Streaming {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream is not accepting feeds")),
-            )];
-        }
-        let len = match &fed {
-            Fed::Bytes(data) => data.len(),
-            Fed::Zeros(n) => *n,
-        };
-        let declared = w.ticket.as_ref().map(|t| t.len).unwrap_or(0);
-        if w.fed.checked_add(len).is_none_or(|total| total > declared) {
-            return self.stream_reap(
-                env,
-                sid,
-                tag,
-                BlobError::Protocol("feed exceeds the declared stream length"),
-            );
-        }
-        let mixed = match &fed {
-            Fed::Bytes(Payload::Data(_)) => w.data_mode == Some(false),
-            Fed::Bytes(Payload::Sim(_)) => w.data_mode == Some(true),
-            Fed::Zeros(_) => false,
-        };
-        if mixed {
-            return self.stream_reap(
-                env,
-                sid,
-                tag,
-                BlobError::Protocol("mixed real and simulated payloads in one stream"),
-            );
-        }
-        let page = w.page_size();
-        match fed {
-            Fed::Bytes(Payload::Data(b)) => {
-                w.data_mode = Some(true);
-                let page = page as usize;
-                let mut b = b;
-                // Declared zeros with bytes behind them in the same page
-                // are no tail: they are written out. Rare; a pad is last.
-                if w.acc_zeros > 0 && !b.is_empty() {
-                    w.acc.push_zeros(std::mem::take(&mut w.acc_zeros) as usize, page);
-                }
-                // A partial page under accumulation is topped up first —
-                // the one copy a sub-page feed costs — and cut the moment
-                // it fills, so `acc` never holds more than one page and a
-                // cut hands the whole accumulator on: a move.
-                if !w.acc.is_empty() {
-                    let need = page.saturating_sub(w.acc.len()).min(b.len());
-                    w.acc.push(b.slice(..need), page);
-                    b = b.slice(need..);
-                    Self::wstream_cut(w);
-                }
-                // Zero-copy fast path: with an empty accumulator, whole
-                // pages are cut straight off the fed buffer as refcounted
-                // sub-slices; a sub-page tail is held as a view too, and
-                // copied only if a later feed lands behind it.
-                if page > 0 && w.acc.is_empty() {
-                    let mut at = 0usize;
-                    while b.len() - at >= page && (w.next_page as usize) < w.chunks.len() {
-                        let piece = Payload::Data(b.slice(at..at + page));
-                        Self::wstream_enqueue(w, piece);
-                        at += page;
-                    }
-                    if at > 0 {
-                        b = b.slice(at..);
-                    }
-                }
-                if !b.is_empty() {
-                    w.acc.push(b, page);
-                }
+        let waiter = sess.waiter.take();
+        if let Some(t) = &sess.trace {
+            let now = env.now();
+            if let Some(wt) = &waiter {
+                t.record_sub_op(env, wt.kind, wt.started, now);
             }
-            Fed::Bytes(Payload::Sim(n)) => {
-                w.data_mode = Some(false);
-                if n > 0 {
-                    w.acc_sim += std::mem::take(&mut w.acc_zeros);
-                }
-                w.acc_sim += n;
-                Self::wstream_cut(w);
-            }
-            Fed::Zeros(mut n) => {
-                // A page of nothing but zeros fed before any byte fixed
-                // the stream's flavor takes the deployment's.
-                let real = w.data_mode.unwrap_or(self.cfg.materialize_zeros);
-                while n > 0 && (w.next_page as usize) < w.chunks.len() {
-                    let held = w.acc.len() as u64 + w.acc_sim;
-                    let take = n.min(page - held - w.acc_zeros);
-                    w.acc_zeros += take;
-                    n -= take;
-                    if held + w.acc_zeros == page {
-                        // The zeros run to the page boundary: the page is
-                        // cut at the length of the bytes fed into it, and
-                        // whoever reads it zero-extends.
-                        w.acc_zeros = 0;
-                        let payload = if real {
-                            Payload::Data(w.acc.take())
-                        } else {
-                            Payload::Sim(std::mem::take(&mut w.acc_sim))
-                        };
-                        Self::wstream_enqueue(w, payload);
-                    }
-                }
-            }
+            t.record(env, SpanKind::Stage, sess.kind.stage(), t.stage_start, now);
+            t.record(env, SpanKind::Op, t.op, sess.started, now);
         }
-        w.fed += len;
-        sess.last_activity = now;
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let mut fresh = fresh_for(&mut self.next_req, &mut self.req_index, sid);
-        Self::wstream_pump(self.id, self.cfg, &mut fresh, &mut sess.outstanding, w, env);
-        env.set_trace_ctx(None);
-        let buffered = w.buffered();
-        if buffered > w.peak_buffered {
-            w.peak_buffered = buffered;
-            env.record("client.stream_buffered_bytes", buffered as f64);
-        }
-        if w.feed_ready(self.cfg.chunk_window) {
-            return vec![Completion {
-                tag,
-                result: Ok(OpOutput::Fed { stream: sid }),
-                started: now,
-                finished: now,
-                bytes: len,
-            }];
-        }
-        sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Feed, bytes: len });
-        vec![]
+        waiter
     }
 
-    /// Publish an open write stream (see [`ClientOp::CommitWriteStream`]):
-    /// drain in-flight chunk stores, then run the metadata/commit tail of
-    /// the write protocol.
-    fn wstream_commit(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(err) = self.stream_take_failure(sid) {
-            return self.stream_reap(env, sid, tag, err);
-        }
-        let Some(sess) = self.sessions.get_mut(&sid) else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("unknown stream")))];
-        };
-        let stage_before = Self::stage_of(&sess.kind);
-        let SessKind::WriteStream(w) = &mut sess.kind else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a write stream")))];
-        };
-        if sess.waiter.is_some() {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream sub-operation already in flight")),
-            )];
-        }
-        if w.phase != WStreamPhase::Streaming {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream is not accepting a commit")),
-            )];
-        }
-        let declared = w.ticket.as_ref().map(|t| t.len).unwrap_or(0);
-        if w.fed != declared {
-            return self.stream_reap(
-                env,
-                sid,
-                tag,
-                BlobError::Protocol("commit before the declared length was fed"),
-            );
-        }
-        w.phase = WStreamPhase::Draining;
-        sess.last_activity = now;
-        sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Commit, bytes: 0 });
-        if !sess.outstanding.is_empty() {
-            return self.stream_epilogue(env, sid, stage_before, StreamStep::Park);
-        }
-        debug_assert!(w.queued.is_empty(), "queued chunks with an empty in-flight window");
-        // Nothing in flight: go straight to the metadata phase.
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let step = Self::wstream_meta_step(
-            &self.meta_providers,
-            &mut self.meta_cache,
-            &mut fresh_for(&mut self.next_req, &mut self.req_index, sid),
-            &mut sess.outstanding,
-            w,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Pull the next window of bytes from an open read stream (see
-    /// [`ClientOp::ReadStreamNext`]).
-    fn rstream_next(&mut self, env: &mut dyn Env, sid: u64, tag: u64) -> Vec<Completion> {
-        let now = env.now();
-        if let Some(err) = self.stream_take_failure(sid) {
-            return self.stream_reap(env, sid, tag, err);
-        }
-        let Some(sess) = self.sessions.get_mut(&sid) else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("unknown stream")))];
-        };
-        let stage_before = Self::stage_of(&sess.kind);
-        let SessKind::ReadStream(r) = &mut sess.kind else {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("not a read stream")))];
-        };
-        if sess.waiter.is_some() {
-            return vec![Self::instant(
-                tag,
-                now,
-                Err(BlobError::Protocol("stream sub-operation already in flight")),
-            )];
-        }
-        if r.phase != RStreamPhase::Idle {
-            return vec![Self::instant(tag, now, Err(BlobError::Protocol("stream is not open")))];
-        }
-        sess.last_activity = now;
-        sess.waiter = Some(StreamWaiter { tag, started: now, kind: WaiterKind::Next, bytes: 0 });
-        env.set_trace_ctx(sess.trace.as_ref().map(|t| t.ctx));
-        let step = Self::rstream_fetch(
-            self.id,
-            self.cfg,
-            &mut fresh_for(&mut self.next_req, &mut self.req_index, sid),
-            sid,
-            sess,
-            env,
-        );
-        self.stream_epilogue(env, sid, stage_before, step)
-    }
-
-    /// Start the next batch of a read session whose plan is resolved: at
-    /// most `chunk_window` pages for a stream pull, the whole plan for a
-    /// one-shot read (`whole`). Holes fill in locally; chunk fetches are
-    /// grouped per provider and issued under `chunk_window`, the rest
-    /// queueing for refill-on-reply.
-    fn rstream_fetch(
-        client: ClientId,
-        cfg: ClientConfig,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sid: u64,
-        sess: &mut Session,
-        env: &mut dyn Env,
-    ) -> StreamStep {
-        let whole = sess.whole_op();
-        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("read session") };
-        let outstanding = &mut sess.outstanding;
-        let info = r.info.as_ref().expect("info set");
-        let (page, version) = (info.page_size, info.version);
-        // Past the last page: deliver eof, auto-closing the stream.
-        if r.sources.len() == 0 {
-            let out = if !whole {
-                OpOutput::ReadChunk { stream: sid, segments: Vec::new(), eof: true }
-            } else if cfg.materialize_zeros {
-                OpOutput::Read { data: Payload::Data(Bytes::new()), version }
-            } else {
-                OpOutput::Read { data: Payload::Sim(0), version }
-            };
-            return StreamStep::Finish(Ok(out), 0);
-        }
-        let remaining = r.sources.len();
-        // Besides the pipelining window, cap one streamed window at
-        // 16 MiB of pages: whoever pulled it holds every page of the
-        // window until its cursor has passed them, so this is what bounds
-        // a stream's resident bytes under huge pages or `chunk_window` 0.
-        const BATCH_BYTES_CAP: u64 = 16 << 20;
-        let page_cap = ((BATCH_BYTES_CAP / page.max(1)) as usize).max(1);
-        let batch = if whole {
-            remaining
-        } else if cfg.chunk_window == 0 {
-            remaining.min(page_cap)
-        } else {
-            cfg.chunk_window.min(remaining).min(page_cap)
-        };
-        r.batch_base = r.cursor;
-        r.parts = (0..batch).map(|_| None).collect();
-        r.cursor += batch;
-        // Pick a replica per chunk (one RNG draw each, in page order) and
-        // group the fetches by chosen provider in first-seen order, so the
-        // schedule stays deterministic. A provider serving several of the
-        // batch's chunks gets them in one batched round trip.
-        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
-        for (i, source) in r.sources.by_ref().take(batch).enumerate() {
-            match source {
-                // Holes are size-only placeholders; assembly turns them
-                // into real zero bytes when mixed with real-data chunks.
-                PageSource::Hole { .. } => r.parts[i] = Some(Payload::Sim(page)),
-                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
-                    // Tombstone leaf from stalled-write recovery: zeros.
-                    r.parts[i] = Some(Payload::Sim(page));
-                }
-                PageSource::Chunk(desc) => {
-                    let pick = env.rng().random_range(0..desc.replicas.len());
-                    let target = desc.replicas[pick];
-                    match groups.iter_mut().find(|(t, _)| *t == target) {
-                        Some((_, items)) => items.push((i, desc)),
-                        None => groups.push((target, vec![(i, desc)])),
-                    }
-                }
-            }
-        }
-        if groups.is_empty() {
-            return Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, true, r, env);
-        }
-        groups.reverse(); // pop() = next group, in first-seen order
-        r.pending_gets = groups;
-        let slots = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-        while outstanding.len() < slots && !r.pending_gets.is_empty() {
-            Self::rstream_refill(client, cfg, fresh, outstanding, r, env);
-        }
-        r.phase = RStreamPhase::Fetching;
-        StreamStep::Park
-    }
-
-    /// A window slot is free: issue the next queued fetch group, if any.
-    fn rstream_refill(
-        client: ClientId,
-        cfg: ClientConfig,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        r: &mut ReadStreamSess,
-        env: &mut dyn Env,
-    ) {
-        if let Some((target, items)) = r.pending_gets.pop() {
-            Self::issue_chunk_get_batch(
-                client,
-                cfg.chunk_timeout,
-                fresh,
-                outstanding,
-                target,
-                items,
-                env,
-            );
-        }
-    }
-
-    /// Apply a [`StreamStep`] to the session: complete the parked
-    /// (sub-)operation, end the session on [`StreamStep::Finish`], store
-    /// fatal errors nobody is parked to receive, and close the stage span
-    /// when the step moved the session to another stage.
+    /// Apply a [`StreamStep`] taken at `now` to the session: complete the
+    /// parked (sub-)operation, end the session on [`StreamStep::Finish`],
+    /// store fatal errors nobody is parked to receive, and close the stage
+    /// span when the step moved the session to another stage.
     fn stream_epilogue(
         &mut self,
         env: &mut dyn Env,
         sid: u64,
         stage_before: &'static str,
         step: StreamStep,
+        now: SimTime,
     ) -> Vec<Completion> {
         let out = if let StreamStep::Finish(result, bytes) = step {
-            let now = env.now();
             self.end_session(env, sid).map(|wt| wt.complete(result, bytes, now))
         } else if let Some(sess) = self.sessions.get_mut(&sid) {
-            if Self::stage_of(&sess.kind) != stage_before {
+            if sess.kind.stage() != stage_before {
                 if let Some(t) = sess.trace.as_mut() {
-                    let now = env.now();
-                    Self::record_stage(env, &*t, stage_before, now);
+                    t.record(env, SpanKind::Stage, stage_before, t.stage_start, now);
                     t.stage_start = now;
                 }
             }
             match step {
                 StreamStep::Park | StreamStep::Finish(..) => None,
                 StreamStep::Complete(result, bytes) => {
-                    let now = env.now();
                     sess.last_activity = now;
                     sess.waiter.take().map(|wt| {
                         if let Some(t) = &sess.trace {
-                            Self::record_stream_span(env, t, wt.kind, wt.started, now);
+                            t.record_sub_op(env, wt.kind, wt.started, now);
                         }
                         wt.complete(result, bytes, now)
                     })
                 }
                 StreamStep::Fatal(err) => {
-                    for req in sess.outstanding.drain() {
-                        self.req_index.remove(&req);
+                    for req in sess.awaited.reqs.drain() {
+                        self.cx.reqs.roles.remove(&req);
                     }
                     sess.failed = Some(err);
                     None
@@ -1877,102 +1586,78 @@ impl ClientCore {
         env.set_trace_ctx(None);
         out.into_iter().collect()
     }
+}
 
-    /// Emit a Stage span for one stream sub-operation (the open
-    /// handshake, a parked feed, the commit drain, a pull) with an
-    /// explicit start time. Synchronous completions (start == end) carry
-    /// no latency information and are skipped, and a parked whole
-    /// operation is already covered by its root `Op` span.
-    fn record_stream_span(
-        env: &mut dyn Env,
-        t: &OpTrace,
-        kind: WaiterKind,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let label = match kind {
-            WaiterKind::Op => return,
-            WaiterKind::Open => "stream_open",
-            WaiterKind::Feed => "stream_feed",
-            WaiterKind::Commit => "stream_commit",
-            WaiterKind::Next => "stream_next",
+impl Cx {
+    // ---- write session -----------------------------------------------
+
+    /// Push bytes, or declared zeros, into an open write stream (see
+    /// [`ClientOp::FeedWriteStream`] and [`ClientOp::FeedZeros`]).
+    /// Completes at once while the stream has headroom; otherwise the
+    /// parked feed completes when enough chunk acks arrive.
+    fn wstream_feed(&mut self, sess: &mut Session, fed: Fed, env: &mut dyn Env) -> StreamStep {
+        let SessKind::WriteStream(w) = &mut sess.kind else { unreachable!("a write stream") };
+        let len = match w.absorb(fed, self.cfg.materialize_zeros) {
+            Ok(len) => len,
+            Err(misuse) => return StreamStep::Finish(Err(BlobError::Protocol(misuse)), 0),
         };
-        if start == end {
-            return;
+        self.wstream_pump(&mut sess.awaited, w, env);
+        let buffered = w.buffered();
+        if buffered > w.peak_buffered {
+            w.peak_buffered = buffered;
+            env.record("client.stream_buffered_bytes", buffered as f64);
         }
-        let Some(sink) = env.span_sink() else { return };
-        sink.record(SpanRecord {
-            trace: t.ctx.trace_id,
-            span: sink.next_id(),
-            parent: t.ctx.span_id,
-            service: "client",
-            op: label,
-            node: env.id().0 as u64,
-            start_ns: start.as_nanos(),
-            end_ns: end.as_nanos(),
-            kind: SpanKind::Stage,
-            class: SpanClass::Control,
-            queue_ns: 0,
-            xfer_ns: 0,
-            wire_ns: 0,
-        });
+        if !w.feed_ready(self.cfg.chunk_window) {
+            return StreamStep::Park;
+        }
+        StreamStep::Complete(Ok(OpOutput::Fed { stream: sess.awaited.sid }), len)
     }
 
-    /// Queue one page's payload — the whole page, or its true length when
-    /// declared zeros completed it — for the next page slot, one send per
-    /// replica. The slot's descriptor takes the stored length. Each cut
-    /// page is counted once in `unacked_bytes` until its last replica
-    /// acks, and checksummed once here: every replica, resend and
-    /// re-allocation carries that CRC, and the providers store it.
-    fn wstream_enqueue(w: &mut WriteStreamSess, payload: Payload) {
-        let desc = &mut w.chunks[w.next_page as usize];
-        if !desc.replicas.is_empty() {
-            desc.size = payload.len();
-            w.page_acks[w.next_page as usize] = desc.replicas.len() as u32;
-            w.unacked_bytes += desc.size;
-            let crc = payload_crc(&payload);
-            for replica in &desc.replicas {
-                w.queued.push_back((*replica, (desc.key, payload.clone(), crc)));
-            }
+    /// Publish an open write stream (see [`ClientOp::CommitWriteStream`]):
+    /// drain in-flight chunk stores, then run the metadata/commit tail of
+    /// the write protocol.
+    fn wstream_commit(&mut self, sess: &mut Session, env: &mut dyn Env) -> StreamStep {
+        let SessKind::WriteStream(w) = &mut sess.kind else { unreachable!("a write stream") };
+        if w.fed != w.declared() {
+            let err = BlobError::Protocol("commit before the declared length was fed");
+            return StreamStep::Finish(Err(err), 0);
         }
-        w.next_page += 1;
+        w.phase = WStreamPhase::Draining;
+        debug_assert!(
+            !sess.awaited.reqs.is_empty() || w.queued.is_empty(),
+            "queued chunks with an empty in-flight window"
+        );
+        // With nothing in flight this goes straight to the metadata phase.
+        self.wstream_meta_step(&mut sess.awaited, w, env)
     }
 
-    /// Cut the stream's accumulator into per-replica queued sends once
-    /// fed bytes fill a page.
-    fn wstream_cut(w: &mut WriteStreamSess) {
-        let page = w.page_size();
-        if page == 0 {
-            return;
-        }
-        while (w.acc.len() as u64 >= page || w.acc_sim >= page)
-            && (w.next_page as usize) < w.chunks.len()
-        {
-            let payload = if w.acc.len() as u64 >= page {
-                // Feeds top the accumulator up to exactly one page.
-                debug_assert_eq!(w.acc.len() as u64, page);
-                Payload::Data(w.acc.take())
-            } else {
-                w.acc_sim -= page;
-                Payload::Sim(page)
-            };
-            Self::wstream_enqueue(w, payload);
+    /// Send one provider's queued chunk stores: a lone chunk as a plain
+    /// `PutChunk`, several as one `PutChunkBatch` round trip. The items
+    /// are kept in the request's role so an enabled [`RetryPolicy`] can
+    /// re-send them (payloads are refcounted views — no data is copied —
+    /// and their CRCs ride along, so no resend checksums again); the
+    /// policy also arms the per-RPC deadline here.
+    fn put_chunks(
+        &mut self,
+        aw: &mut Awaited,
+        to: NodeId,
+        items: Vec<PutItem>,
+        env: &mut dyn Env,
+    ) {
+        let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts: 1 };
+        let req = self.reqs.issue(aw, role);
+        env.send(to, put_msg(req, self.id, items));
+        if self.cfg.retry.enabled() {
+            env.set_timer(self.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
         }
     }
 
     /// Issue queued chunk sends while the in-flight window has room. One
     /// issue takes every queued item headed for the same provider — the
     /// same per-provider batching as the whole-buffer write path.
-    fn wstream_pump(
-        client: ClientId,
-        cfg: ClientConfig,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
-        w: &mut WriteStreamSess,
-        env: &mut dyn Env,
-    ) {
-        let window = if cfg.chunk_window == 0 { usize::MAX } else { cfg.chunk_window };
-        while outstanding.len() < window && !w.queued.is_empty() {
+    fn wstream_pump(&mut self, aw: &mut Awaited, w: &mut WriteStreamSess, env: &mut dyn Env) {
+        let window = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
+        while aw.reqs.len() < window && !w.queued.is_empty() {
             let target = w.queued.front().expect("non-empty").0;
             let mut items: Vec<PutItem> = Vec::new();
             let mut rest = std::collections::VecDeque::new();
@@ -1984,105 +1669,76 @@ impl ClientCore {
                 }
             }
             w.queued = rest;
-            Self::issue_chunk_put(client, cfg.retry, fresh, outstanding, target, items, env);
+            self.put_chunks(aw, target, items, env);
         }
     }
 
-    /// The metadata/commit tail of a draining write stream: build (or
-    /// keep resolving) the tree, then store nodes.
+    /// Fetch the metadata nodes a descent's cache pass missed, one
+    /// `GetMeta` per owning provider.
+    fn get_meta(&mut self, aw: &mut Awaited, missing: Vec<NodeKey>, env: &mut dyn Env) {
+        for (target, keys) in group_by_partition(missing, |k| k, &self.meta_providers) {
+            let req = self.reqs.issue(aw, ReqRole::MetaGet);
+            env.send(target, Msg::GetMeta { req, keys });
+        }
+    }
+
+    /// The metadata/commit tail of a draining write stream, once no
+    /// request is awaited: build (or keep resolving) the tree, then store
+    /// nodes.
     fn wstream_meta_step(
-        meta_providers: &[NodeId],
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        outstanding: &mut HashSet<u64>,
+        &mut self,
+        aw: &mut Awaited,
         w: &mut WriteStreamSess,
         env: &mut dyn Env,
     ) -> StreamStep {
-        if w.builder.is_none() {
-            let ticket = w.ticket.clone().expect("ticket set");
-            w.builder = Some(TreeBuilder::new(
-                w.blob,
-                ticket.version,
-                ticket.interval(),
-                ticket.page_size,
-                ticket.new_size,
-                ticket.base,
-                ticket.pending.clone(),
-            ));
+        if !aw.reqs.is_empty() {
+            return StreamStep::Park;
         }
-        let builder = w.builder.as_mut().expect("builder set");
-        while !builder.is_ready() {
-            let fetches = builder.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        builder.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
-                }
-            }
-            if hits == 0 {
-                for (target, keys) in group_by_partition(missing, |k| k, meta_providers) {
-                    let req = fresh(outstanding, ReqRole::MetaGet);
-                    env.send(target, Msg::GetMeta { req, keys });
-                }
-                w.phase = WStreamPhase::MetaResolve;
-                return StreamStep::Park;
-            }
+        let builder = w.builder.get_or_insert_with(|| {
+            let t = w.ticket.as_ref().expect("ticket set");
+            let (interval, pending) = (t.interval(), t.pending.clone());
+            TreeBuilder::new(w.blob, t.version, interval, t.page_size, t.new_size, t.base, pending)
+        });
+        if let Some(missing) = self.meta_cache.descend(builder) {
+            self.get_meta(aw, missing, env);
+            w.phase = WStreamPhase::MetaResolve;
+            return StreamStep::Park;
         }
         let (nodes, root) = builder.build(&w.chunks);
         w.root = Some(root);
         for (k, n) in &nodes {
-            meta_cache.insert(*k, n.clone());
+            self.meta_cache.insert(*k, n.clone());
         }
-        for (target, nodes) in group_by_partition(nodes, |(k, _)| k, meta_providers) {
-            let req = fresh(outstanding, ReqRole::Plain);
+        for (target, nodes) in group_by_partition(nodes, |(k, _)| k, &self.meta_providers) {
+            let req = self.reqs.issue(aw, ReqRole::Plain);
             env.send(target, Msg::PutMeta { req, nodes });
         }
         w.phase = WStreamPhase::MetaPut;
         StreamStep::Park
     }
 
-    /// One write-stream protocol step. Static to sidestep split borrows.
-    #[allow(clippy::too_many_arguments)]
+    /// One write-stream protocol step.
     fn wstream_step(
-        client: ClientId,
-        vman: NodeId,
-        pman: NodeId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        next_req: &mut u64,
-        req_index: &mut HashMap<u64, (u64, ReqRole)>,
-        sid: u64,
+        &mut self,
         sess: &mut Session,
         role: ReqRole,
         msg: Msg,
         env: &mut dyn Env,
     ) -> StreamStep {
-        let mut fresh = fresh_for(next_req, req_index, sid);
-        let SessKind::WriteStream(w) = &mut sess.kind else {
-            unreachable!("write-stream session")
-        };
-        let parked = sess.waiter.is_some();
+        let (client, parked) = (self.id, sess.waiter.is_some());
+        let aw = &mut sess.awaited;
+        let SessKind::WriteStream(w) = &mut sess.kind else { unreachable!("a write stream") };
         match (w.phase, msg) {
             (WStreamPhase::Ticket, Msg::TicketOk { ticket, .. }) => {
-                let pages = ticket.interval().len;
-                let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                env.send(
-                    pman,
-                    Msg::Alloc {
-                        req,
-                        client,
-                        chunks: pages as u32,
-                        replication: ticket.replication,
-                        chunk_size: ticket.page_size,
-                    },
-                );
+                let req = self.reqs.issue(aw, ReqRole::Plain);
+                let alloc = Msg::Alloc {
+                    req,
+                    client,
+                    chunks: ticket.interval().len as u32,
+                    replication: ticket.replication,
+                    chunk_size: ticket.page_size,
+                };
+                env.send(self.pman, alloc);
                 w.ticket = Some(ticket);
                 w.phase = WStreamPhase::Alloc;
                 StreamStep::Park
@@ -2113,27 +1769,24 @@ impl ClientCore {
                     // every page is queued now (zero-copy slices) and the
                     // session drains as if fed and committed in one go.
                     for i in 0..w.chunks.len() as u64 {
-                        Self::wstream_enqueue(w, data.slice(i * page, page));
+                        w.enqueue(data.slice(i * page, page));
                     }
                     w.phase = WStreamPhase::Draining;
-                    Self::wstream_pump(client, cfg, &mut fresh, &mut sess.outstanding, w, env);
+                    self.wstream_pump(aw, w, env);
                     return StreamStep::Park;
                 }
                 w.phase = WStreamPhase::Streaming;
-                StreamStep::Complete(
-                    Ok(OpOutput::WriteStreamOpened {
-                        stream: sid,
-                        version: ticket.version,
-                        offset: ticket.offset,
-                        len: ticket.len,
-                        page_size: page,
-                    }),
-                    0,
-                )
+                let opened = OpOutput::WriteStreamOpened {
+                    stream: aw.sid,
+                    version: ticket.version,
+                    offset: ticket.offset,
+                    len: ticket.len,
+                    page_size: page,
+                };
+                StreamStep::Complete(Ok(opened), 0)
             }
             (WStreamPhase::Alloc, Msg::AllocErr { available, .. }) => {
-                let requested =
-                    w.ticket.as_ref().map(|t| t.interval().len as u32).unwrap_or(0);
+                let requested = w.ticket.as_ref().map_or(0, |t| t.interval().len as u32);
                 StreamStep::Finish(Err(BlobError::AllocationFailed { requested, available }), 0)
             }
 
@@ -2150,58 +1803,44 @@ impl ClientCore {
                         }
                     }
                 }
-                Self::wstream_pump(client, cfg, &mut fresh, &mut sess.outstanding, w, env);
-                if w.phase == WStreamPhase::Draining && sess.outstanding.is_empty() {
-                    return Self::wstream_meta_step(
-                        meta_providers,
-                        meta_cache,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        w,
-                        env,
-                    );
+                self.wstream_pump(aw, w, env);
+                if w.phase == WStreamPhase::Draining {
+                    return self.wstream_meta_step(aw, w, env);
                 }
-                if let Some(waiter) = &sess.waiter {
-                    if waiter.kind == WaiterKind::Feed && w.feed_ready(cfg.chunk_window) {
-                        let bytes = waiter.bytes;
-                        return StreamStep::Complete(Ok(OpOutput::Fed { stream: sid }), bytes);
+                let window = self.cfg.chunk_window;
+                match &sess.waiter {
+                    Some(wt) if wt.kind == WaiterKind::Feed && w.feed_ready(window) => {
+                        StreamStep::Complete(Ok(OpOutput::Fed { stream: aw.sid }), wt.bytes)
                     }
+                    _ => StreamStep::Park,
                 }
-                StreamStep::Park
             }
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkErr { err, .. }) => {
                 if err == ChunkErr::Blocked {
                     return fail(parked, BlobError::Blocked(client));
                 }
+                let retry = self.cfg.retry;
                 let ReqRole::ChunkPut { target, items, attempts } = role else {
                     return fail(parked, chunk_err(err, client));
                 };
-                if !cfg.retry.enabled() {
+                if !retry.enabled() {
                     return fail(parked, chunk_err(err, client));
                 }
-                if err != ChunkErr::Full && attempts < cfg.retry.max_attempts {
+                if err != ChunkErr::Full && attempts < retry.max_attempts {
                     env.incr("client.rpc_retries", 1);
-                    let delay = cfg.retry.backoff(attempts);
-                    let req = fresh(
-                        &mut sess.outstanding,
-                        ReqRole::ChunkPut { target, items, attempts: attempts + 1 },
-                    );
-                    env.set_timer(delay, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
+                    let role = ReqRole::ChunkPut { target, items, attempts: attempts + 1 };
+                    let req = self.reqs.issue(aw, role);
+                    let backoff = retry.backoff(attempts);
+                    env.set_timer(backoff, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
                     return StreamStep::Park;
                 }
-                if w.reallocs < cfg.retry.max_reallocs {
+                if w.reallocs < retry.max_reallocs {
                     w.reallocs += 1;
                     env.incr("client.reallocs", 1);
-                    let page = w.page_size();
-                    let chunks = items.len() as u32;
-                    let req = fresh(
-                        &mut sess.outstanding,
-                        ReqRole::ReAlloc { failed: target, items },
-                    );
-                    env.send(
-                        pman,
-                        Msg::Alloc { req, client, chunks, replication: 1, chunk_size: page },
-                    );
+                    let (chunks, chunk_size) = (items.len() as u32, w.page_size());
+                    let req = self.reqs.issue(aw, ReqRole::ReAlloc { failed: target, items });
+                    let alloc = Msg::Alloc { req, client, chunks, replication: 1, chunk_size };
+                    env.send(self.pman, alloc);
                     return StreamStep::Park;
                 }
                 match items.first() {
@@ -2235,15 +1874,7 @@ impl ClientCore {
                     }
                 }
                 for (target, batch) in jobs {
-                    Self::issue_chunk_put(
-                        client,
-                        cfg.retry,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        target,
-                        batch,
-                        env,
-                    );
+                    self.put_chunks(aw, target, batch, env);
                 }
                 StreamStep::Park
             }
@@ -2258,58 +1889,34 @@ impl ClientCore {
 
             (WStreamPhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
                 let builder = w.builder.as_mut().expect("builder set");
-                for (k, n) in nodes {
-                    match n {
-                        Some(node) => {
-                            builder.supply(k, &node);
-                            meta_cache.insert(k, node);
-                        }
-                        None => return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0),
-                    }
+                if !self.meta_cache.supply(builder, nodes) {
+                    return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0);
                 }
-                if !sess.outstanding.is_empty() {
-                    return StreamStep::Park;
-                }
-                Self::wstream_meta_step(
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    &mut sess.outstanding,
-                    w,
-                    env,
-                )
+                self.wstream_meta_step(aw, w, env)
             }
             (WStreamPhase::MetaPut, Msg::PutMetaOk { .. }) => {
-                if !sess.outstanding.is_empty() {
+                if !aw.reqs.is_empty() {
                     return StreamStep::Park;
                 }
                 let ticket = w.ticket.as_ref().expect("ticket set");
-                let req = fresh(&mut sess.outstanding, ReqRole::Plain);
-                env.send(
-                    vman,
-                    Msg::Commit {
-                        req,
-                        client,
-                        blob: w.blob,
-                        version: ticket.version,
-                        root: w.root.expect("root set in meta phase"),
-                        size: ticket.new_size,
-                    },
-                );
+                let req = self.reqs.issue(aw, ReqRole::Plain);
+                let commit = Msg::Commit {
+                    req,
+                    client,
+                    blob: w.blob,
+                    version: ticket.version,
+                    root: w.root.expect("root set in meta phase"),
+                    size: ticket.new_size,
+                };
+                env.send(self.vman, commit);
                 w.phase = WStreamPhase::Commit;
                 StreamStep::Park
             }
             (WStreamPhase::Commit, Msg::CommitOk { version, .. }) => {
                 let ticket = w.ticket.as_ref().expect("ticket set");
-                StreamStep::Finish(
-                    Ok(OpOutput::Written {
-                        blob: w.blob,
-                        version,
-                        offset: ticket.offset,
-                        len: ticket.len,
-                    }),
-                    ticket.len,
-                )
+                let (offset, len) = (ticket.offset, ticket.len);
+                let written = OpOutput::Written { blob: w.blob, version, offset, len };
+                StreamStep::Finish(Ok(written), len)
             }
             (WStreamPhase::Commit, Msg::TicketErr { err, .. }) => StreamStep::Finish(Err(err), 0),
 
@@ -2317,103 +1924,207 @@ impl ClientCore {
         }
     }
 
-    /// The open-time metadata descent of a read session: resolve the whole
-    /// chunk plan (an O(#pages) descriptor table, no data), then open.
-    #[allow(clippy::too_many_arguments)]
-    fn rstream_meta_step(
-        client: ClientId,
-        cfg: ClientConfig,
-        meta_providers: &[NodeId],
-        meta_cache: &mut MetaCache,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sid: u64,
-        sess: &mut Session,
+    // ---- read session ------------------------------------------------
+
+    /// Start the next batch of a read session whose plan is resolved: at
+    /// most `chunk_window` pages for a stream pull, the whole plan for a
+    /// one-shot read. Holes fill in locally; chunk fetches are grouped per
+    /// provider and issued under `chunk_window`, the rest queueing for
+    /// refill-on-reply.
+    fn rstream_fetch(&mut self, sess: &mut Session, env: &mut dyn Env) -> StreamStep {
+        let whole = sess.whole_op();
+        let aw = &mut sess.awaited;
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
+        let info = r.info.as_ref().expect("info set");
+        let (page, version) = (info.page_size, info.version);
+        // Past the last page: deliver eof, auto-closing the stream.
+        if r.sources.len() == 0 {
+            let out = if !whole {
+                OpOutput::ReadChunk { stream: aw.sid, segments: Vec::new(), eof: true }
+            } else if self.cfg.materialize_zeros {
+                OpOutput::Read { data: Payload::Data(Bytes::new()), version }
+            } else {
+                OpOutput::Read { data: Payload::Sim(0), version }
+            };
+            return StreamStep::Finish(Ok(out), 0);
+        }
+        let remaining = r.sources.len();
+        // Besides the pipelining window, cap one streamed window at
+        // 16 MiB of pages: whoever pulled it holds every page of the
+        // window until its cursor has passed them, so this is what bounds
+        // a stream's resident bytes under huge pages or `chunk_window` 0.
+        const BATCH_BYTES_CAP: u64 = 16 << 20;
+        let page_cap = ((BATCH_BYTES_CAP / page.max(1)) as usize).max(1);
+        let batch = if whole {
+            remaining
+        } else if self.cfg.chunk_window == 0 {
+            remaining.min(page_cap)
+        } else {
+            self.cfg.chunk_window.min(remaining).min(page_cap)
+        };
+        r.batch_base = r.cursor;
+        r.parts = (0..batch).map(|_| None).collect();
+        r.cursor += batch;
+        // Pick a replica per chunk (one RNG draw each, in page order) and
+        // group the fetches by chosen provider in first-seen order, so the
+        // schedule stays deterministic. A provider serving several of the
+        // batch's chunks gets them in one batched round trip.
+        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
+        for (i, source) in r.sources.by_ref().take(batch).enumerate() {
+            match source {
+                // Holes are size-only placeholders; assembly turns them
+                // into real zero bytes when mixed with real-data chunks.
+                PageSource::Hole { .. } => r.parts[i] = Some(Payload::Sim(page)),
+                PageSource::Chunk(desc) if desc.replicas.is_empty() => {
+                    // Tombstone leaf from stalled-write recovery: zeros.
+                    r.parts[i] = Some(Payload::Sim(page));
+                }
+                PageSource::Chunk(desc) => {
+                    let pick = env.rng().random_range(0..desc.replicas.len());
+                    let target = desc.replicas[pick];
+                    match groups.iter_mut().find(|(t, _)| *t == target) {
+                        Some((_, items)) => items.push((i, desc)),
+                        None => groups.push((target, vec![(i, desc)])),
+                    }
+                }
+            }
+        }
+        if groups.is_empty() {
+            return self.rstream_batch_done(sess, env);
+        }
+        groups.reverse(); // pop() = next group, in first-seen order
+        r.pending_gets = groups;
+        let slots = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
+        while aw.reqs.len() < slots && !r.pending_gets.is_empty() {
+            self.rstream_refill(aw, r, env);
+        }
+        r.phase = RStreamPhase::Fetching;
+        StreamStep::Park
+    }
+
+    /// A window slot is free: send the next queued provider group, if
+    /// any — a lone chunk as a plain `GetChunk` (the per-chunk replica
+    /// walk), several as one `GetChunkBatch` round trip. One deadline
+    /// guards the whole batch; items that fail or go unanswered re-enter
+    /// the per-chunk walk individually, each arming its own deadline.
+    fn rstream_refill(&mut self, aw: &mut Awaited, r: &mut ReadStreamSess, env: &mut dyn Env) {
+        let Some((target, mut items)) = r.pending_gets.pop() else { return };
+        if items.len() == 1 {
+            let (idx, desc) = items.pop().expect("one item");
+            return self.get_chunk(aw, ChunkFetch::at(target, idx, desc), env);
+        }
+        let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
+        let req = self.reqs.issue(aw, ReqRole::ChunkGetBatch { target, items });
+        env.send(target, Msg::GetChunkBatch { req, client: self.id, keys });
+        env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+    }
+
+    /// Send a chunk fetch to the replica its walk is at, arming its
+    /// failover deadline: every `GetChunk` the client sends goes out here.
+    fn get_chunk(&mut self, aw: &mut Awaited, f: ChunkFetch, env: &mut dyn Env) {
+        let target = f.desc.replicas[(f.first + f.attempts - 1) % f.desc.replicas.len()];
+        let key = f.desc.key;
+        let req = self.reqs.issue(aw, ReqRole::ChunkGet(f));
+        env.send(target, Msg::GetChunk { req, client: self.id, key });
+        env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+    }
+
+    /// Walk a failed chunk fetch on to the next replica or — once every
+    /// replica was tried, and unless the fetch already follows a refresh
+    /// — re-fetch the chunk's leaf in case a replication repair moved it.
+    /// `Err(key)` means the chunk is unavailable and the read must fail.
+    fn failover(
+        &mut self,
+        aw: &mut Awaited,
+        f: ChunkFetch,
         env: &mut dyn Env,
-    ) -> StreamStep {
-        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("read session") };
-        let reader = r.reader.as_mut().expect("reader set");
-        // Descend through cached nodes without leaving the client; a warm
-        // cache turns the whole level-by-level descent into local work.
-        while !reader.is_done() {
-            let fetches = reader.needed_fetches();
-            debug_assert!(!fetches.is_empty());
-            let mut missing: Vec<NodeKey> = Vec::new();
-            let mut hits = 0usize;
-            for k in &fetches {
-                match meta_cache.get(k) {
-                    Some(n) => {
-                        reader.supply(*k, n);
-                        hits += 1;
-                    }
-                    None => missing.push(*k),
+    ) -> Result<(), ChunkKey> {
+        if f.attempts < f.desc.replicas.len() {
+            env.incr("client.replica_walks", 1);
+            self.get_chunk(aw, ChunkFetch { attempts: f.attempts + 1, ..f }, env);
+            return Ok(());
+        }
+        if self.cfg.retry.enabled() && !f.refreshed {
+            // Degraded read: every known replica failed, but a replication
+            // repair may have patched the leaf with fresh replicas since
+            // this descent cached it. Re-fetch the leaf directly
+            // (bypassing the cache) and retry against whatever placement
+            // it records.
+            let key = NodeKey {
+                blob: f.desc.key.blob,
+                version: f.desc.key.version,
+                range: NodeRange::new(f.desc.key.page, 1),
+            };
+            let owner = self.meta_providers[partition(&key, self.meta_providers.len())];
+            let req = self.reqs.issue(aw, ReqRole::LeafRefresh { idx: f.idx, desc: f.desc });
+            env.send(owner, Msg::GetMeta { req, keys: vec![key] });
+            return Ok(());
+        }
+        Err(f.desc.key)
+    }
+
+    /// Send every item of a failed, or partly failed, batch fetch from
+    /// `target` down its own replica walk.
+    fn failover_items(
+        &mut self,
+        aw: &mut Awaited,
+        target: NodeId,
+        items: Vec<(usize, ChunkDescriptor)>,
+        env: &mut dyn Env,
+    ) -> Result<(), ChunkKey> {
+        for (idx, desc) in items {
+            self.failover(aw, ChunkFetch::at(target, idx, desc), env)?;
+        }
+        Ok(())
+    }
+
+    /// The open-time metadata descent of a read session, once no request
+    /// is awaited: resolve the whole chunk plan (an O(#pages) descriptor
+    /// table, no data), then open.
+    fn rstream_meta_step(&mut self, sess: &mut Session, env: &mut dyn Env) -> StreamStep {
+        let aw = &mut sess.awaited;
+        if !aw.reqs.is_empty() {
+            return StreamStep::Park;
+        }
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
+        if let Some(missing) = self.meta_cache.descend(r.reader.as_mut().expect("reader set")) {
+            if self.cfg.meta_range_fetch && !r.range_used {
+                // Cold cache: instead of walking the tree one level
+                // per round trip, ask every metadata provider for its
+                // slice of the read path in one bulk query. Nodes are
+                // hash-partitioned, so no single provider holds a full
+                // root-to-leaf path — the broadcast is still one
+                // logical round trip, replacing O(depth) of them.
+                r.range_used = true;
+                let max_nodes = self.cfg.meta_range_max_nodes;
+                for &target in &self.meta_providers {
+                    let req = self.reqs.issue(aw, ReqRole::MetaRange { target });
+                    env.send(target, r.range_msg(req, None, max_nodes));
                 }
+            } else {
+                self.get_meta(aw, missing, env);
             }
-            if hits == 0 {
-                if cfg.meta_range_fetch && !r.range_used {
-                    // Cold cache: instead of walking the tree one level
-                    // per round trip, ask every metadata provider for its
-                    // slice of the read path in one bulk query. Nodes are
-                    // hash-partitioned, so no single provider holds a full
-                    // root-to-leaf path — the broadcast is still one
-                    // logical round trip, replacing O(depth) of them.
-                    r.range_used = true;
-                    let (version, query) = r.range_query();
-                    for target in meta_providers {
-                        let req =
-                            fresh(&mut sess.outstanding, ReqRole::MetaRange { target: *target });
-                        env.send(
-                            *target,
-                            Msg::GetMetaRange {
-                                req,
-                                blob: r.blob,
-                                version,
-                                query,
-                                after: None,
-                                max_nodes: cfg.meta_range_max_nodes,
-                            },
-                        );
-                    }
-                } else {
-                    for (target, keys) in group_by_partition(missing, |k| k, meta_providers) {
-                        let req = fresh(&mut sess.outstanding, ReqRole::MetaGet);
-                        env.send(target, Msg::GetMeta { req, keys });
-                    }
-                }
-                r.phase = RStreamPhase::Meta;
-                return StreamStep::Park;
-            }
+            r.phase = RStreamPhase::Meta;
+            return StreamStep::Park;
         }
         let reader = r.reader.take().expect("reader set");
         r.sources = reader.into_sources().into_iter();
-        Self::rstream_opened(client, cfg, fresh, sid, sess, env)
+        self.rstream_opened(sess, env)
     }
 
     /// The chunk plan is resolved. A stream reports itself open and idles
     /// until the first pull; a one-shot read — the operation itself is
     /// what is parked — pulls its whole plan at once.
-    fn rstream_opened(
-        client: ClientId,
-        cfg: ClientConfig,
-        fresh: &mut dyn FnMut(&mut HashSet<u64>, ReqRole) -> u64,
-        sid: u64,
-        sess: &mut Session,
-        env: &mut dyn Env,
-    ) -> StreamStep {
+    fn rstream_opened(&mut self, sess: &mut Session, env: &mut dyn Env) -> StreamStep {
         if sess.whole_op() {
-            return Self::rstream_fetch(client, cfg, fresh, sid, sess, env);
+            return self.rstream_fetch(sess, env);
         }
-        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("read session") };
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
         r.phase = RStreamPhase::Idle;
         let info = r.info.as_ref().expect("info set");
-        StreamStep::Complete(
-            Ok(OpOutput::ReadStreamOpened {
-                stream: sid,
-                version: info.version,
-                len: r.len,
-                page_size: info.page_size,
-            }),
-            0,
-        )
+        let (stream, version, len) = (sess.awaited.sid, info.version, r.len);
+        let opened = OpOutput::ReadStreamOpened { stream, version, len, page_size: info.page_size };
+        StreamStep::Complete(Ok(opened), 0)
     }
 
     /// After absorbing one chunk reply: once the batch is whole, deliver
@@ -2421,17 +2132,12 @@ impl ClientCore {
     /// this was the final batch. A stream pull gets the pages themselves
     /// (a rope of views, nothing copied); a one-shot read, which owes its
     /// caller one contiguous buffer, gets them copied once into it.
-    fn rstream_batch_done(
-        sid: u64,
-        materialize_zeros: bool,
-        whole: bool,
-        outstanding_empty: bool,
-        r: &mut ReadStreamSess,
-        env: &mut dyn Env,
-    ) -> StreamStep {
-        if !outstanding_empty {
+    fn rstream_batch_done(&self, sess: &mut Session, env: &mut dyn Env) -> StreamStep {
+        if !sess.awaited.reqs.is_empty() {
             return StreamStep::Park;
         }
+        let (sid, whole) = (sess.awaited.sid, sess.whole_op());
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
         let info = r.info.as_ref().expect("info set");
         let (page, version) = (info.page_size, info.version);
         let base = (r.page0 + r.batch_base as u64) * page;
@@ -2443,7 +2149,7 @@ impl ClientCore {
         let parts = std::mem::take(&mut r.parts);
         // Real bytes iff some part carries real bytes or the deployment
         // stores real data; holes become zero bytes then.
-        let real = materialize_zeros
+        let real = self.cfg.materialize_zeros
             || parts.iter().flatten().any(|p| matches!(p, Payload::Data(_)));
         // The batch's pages cut down to the requested range: each part
         // with the sub-range `[from, from + take)` of its page that the
@@ -2459,7 +2165,7 @@ impl ClientCore {
         });
         let out = if !whole {
             let segments = if real {
-                Self::rope(trimmed)
+                rope(trimmed)
             } else if total > 0 {
                 vec![Payload::Sim(total)]
             } else {
@@ -2478,7 +2184,7 @@ impl ClientCore {
                     b.slice(skip as usize..(skip + total) as usize)
                 }
                 _ => {
-                    let (buf, copied) = Self::assemble(trimmed, total as usize);
+                    let (buf, copied) = assemble(trimmed, total as usize);
                     env.incr("client.read_copied_bytes", copied);
                     buf
                 }
@@ -2493,109 +2199,35 @@ impl ClientCore {
         }
     }
 
-    /// The contiguous buffer of a multi-page one-shot read: allocated
-    /// once at its final size, each page's bytes copied once to their
-    /// place, holes zero-filled in place. A chunk shorter than its page
-    /// reads as zero-extended to the page: what its writer declared
-    /// with [`ClientOp::FeedZeros`] is filled in here, in place. Returns
-    /// the buffer and how many bytes were copied into it.
-    fn assemble<'a>(
-        trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>,
-        total: usize,
-    ) -> (Bytes, u64) {
-        let mut buf = Vec::with_capacity(total);
-        let mut copied = 0;
-        for (part, from, take) in trimmed {
-            let end = buf.len() + take;
-            if let Payload::Data(b) = part {
-                let src = &b[from.min(b.len())..(from + take).min(b.len())];
-                buf.extend_from_slice(src);
-                copied += src.len() as u64;
-            }
-            buf.resize(end, 0);
-        }
-        (Bytes::from(buf), copied)
-    }
-
-    /// The rope of a real-data stream pull: the fetched pages themselves,
-    /// as views trimmed to the requested range, and a zero segment per
-    /// hole. A chunk shorter than its page reads as zero-extended to the
-    /// page: the part of the range past its stored length is a zero
-    /// segment of its own.
-    fn rope<'a>(trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>) -> Vec<Payload> {
-        let mut segments = Vec::new();
-        for (part, from, take) in trimmed {
-            let mut got = 0;
-            if let Payload::Data(b) = part {
-                let view = b.slice(from.min(b.len())..(from + take).min(b.len()));
-                got = view.len();
-                if got > 0 {
-                    segments.push(Payload::Data(view));
-                }
-            }
-            if got < take {
-                segments.push(Payload::Data(Bytes::from(vec![0u8; take - got])));
-            }
-        }
-        segments
-    }
-
-    /// One read-stream protocol step. Static to sidestep split borrows.
-    #[allow(clippy::too_many_arguments)]
+    /// One read-stream protocol step.
     fn rstream_step(
-        client: ClientId,
-        meta_providers: &[NodeId],
-        cfg: ClientConfig,
-        meta_cache: &mut MetaCache,
-        next_req: &mut u64,
-        req_index: &mut HashMap<u64, (u64, ReqRole)>,
-        sid: u64,
+        &mut self,
         sess: &mut Session,
         role: ReqRole,
         msg: Msg,
         env: &mut dyn Env,
     ) -> StreamStep {
-        let mut fresh = fresh_for(next_req, req_index, sid);
-        let (parked, whole) = (sess.waiter.is_some(), sess.whole_op());
-        let SessKind::ReadStream(r) = &mut sess.kind else {
-            unreachable!("read-stream session")
-        };
+        let (client, parked) = (self.id, sess.waiter.is_some());
+        let aw = &mut sess.awaited;
+        let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
         match (r.phase, msg, role) {
             (RStreamPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
                 if r.len == 0 {
                     // Nothing to resolve: the (empty) plan is complete.
                     r.info = Some(info);
-                    return Self::rstream_opened(client, cfg, &mut fresh, sid, sess, env);
+                    return self.rstream_opened(sess, env);
                 }
                 if r.offset >= info.size {
-                    return StreamStep::Finish(
-                        Err(BlobError::OutOfBounds {
-                            offset: r.offset,
-                            len: r.len,
-                            size: info.size,
-                        }),
-                        0,
-                    );
+                    let (offset, len, size) = (r.offset, r.len, info.size);
+                    return StreamStep::Finish(Err(BlobError::OutOfBounds { offset, len, size }), 0);
                 }
-                let eff_len = r.len.min(info.size - r.offset);
-                r.len = eff_len;
-                let page = info.page_size;
-                r.page0 = r.offset / page;
-                let last = (r.offset + eff_len - 1) / page;
+                r.len = r.len.min(info.size - r.offset);
+                r.page0 = r.offset / info.page_size;
+                let last = (r.offset + r.len - 1) / info.page_size;
                 let interval = PageInterval::new(r.page0, last - r.page0 + 1);
-                let reader = TreeReader::new(r.blob, info.root, interval);
+                r.reader = Some(TreeReader::new(r.blob, info.root, interval));
                 r.info = Some(info);
-                r.reader = Some(reader);
-                Self::rstream_meta_step(
-                    client,
-                    cfg,
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    sid,
-                    sess,
-                    env,
-                )
+                self.rstream_meta_step(sess, env)
             }
             (RStreamPhase::Version, Msg::GetVersionErr { err, .. }, _) => {
                 StreamStep::Finish(Err(err), 0)
@@ -2603,28 +2235,10 @@ impl ClientCore {
 
             (RStreamPhase::Meta, Msg::GetMetaOk { nodes, .. }, ReqRole::MetaGet) => {
                 let reader = r.reader.as_mut().expect("reader set");
-                for (k, n) in nodes {
-                    match n {
-                        Some(node) => {
-                            reader.supply(k, &node);
-                            meta_cache.insert(k, node);
-                        }
-                        None => return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0),
-                    }
+                if !self.meta_cache.supply(reader, nodes) {
+                    return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0);
                 }
-                if !sess.outstanding.is_empty() {
-                    return StreamStep::Park;
-                }
-                Self::rstream_meta_step(
-                    client,
-                    cfg,
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    sid,
-                    sess,
-                    env,
-                )
+                self.rstream_meta_step(sess, env)
             }
             (
                 RStreamPhase::Meta,
@@ -2634,54 +2248,29 @@ impl ClientCore {
                 let mut last = None;
                 for (k, n) in nodes {
                     last = Some(k.range);
-                    meta_cache.insert(k, n);
+                    self.meta_cache.insert(k, n);
                 }
-                if more {
-                    if let Some(after) = last {
-                        let (version, query) = r.range_query();
-                        let req = fresh(&mut sess.outstanding, ReqRole::MetaRange { target });
-                        env.send(
-                            target,
-                            Msg::GetMetaRange {
-                                req,
-                                blob: r.blob,
-                                version,
-                                query,
-                                after: Some(after),
-                                max_nodes: cfg.meta_range_max_nodes,
-                            },
-                        );
-                        return StreamStep::Park;
-                    }
-                }
-                if !sess.outstanding.is_empty() {
+                if let (true, Some(after)) = (more, last) {
+                    let req = self.reqs.issue(aw, ReqRole::MetaRange { target });
+                    let max_nodes = self.cfg.meta_range_max_nodes;
+                    env.send(target, r.range_msg(req, Some(after), max_nodes));
                     return StreamStep::Park;
                 }
-                Self::rstream_meta_step(
-                    client,
-                    cfg,
-                    meta_providers,
-                    meta_cache,
-                    &mut fresh,
-                    sid,
-                    sess,
-                    env,
-                )
+                self.rstream_meta_step(sess, env)
             }
 
-            (RStreamPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet { idx, .. }) => {
-                r.parts[idx] = Some(data);
-                Self::rstream_refill(client, cfg, &mut fresh, &mut sess.outstanding, r, env);
-                let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r, env)
+            (RStreamPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet(f)) => {
+                r.parts[f.idx] = Some(data);
+                self.rstream_refill(aw, r, env);
+                self.rstream_batch_done(sess, env)
             }
             (
                 RStreamPhase::Fetching,
                 Msg::GetChunkBatchOk { items, .. },
-                ReqRole::ChunkGetBatch { target, items: req_items },
+                ReqRole::ChunkGetBatch { target, items: asked },
             ) => {
                 let mut failed: Vec<(usize, ChunkDescriptor)> = Vec::new();
-                for (idx, desc) in req_items {
+                for (idx, desc) in asked {
                     match items.iter().find(|(k, _)| *k == desc.key) {
                         Some((_, Ok(data))) => r.parts[idx] = Some(data.clone()),
                         Some((_, Err(ChunkErr::Blocked))) => {
@@ -2690,127 +2279,50 @@ impl ClientCore {
                         _ => failed.push((idx, desc)),
                     }
                 }
-                for (idx, desc) in failed {
-                    let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                    if let Err(key) = Self::failover_chunk_get(
-                        client,
-                        cfg,
-                        meta_providers,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        idx,
-                        desc,
-                        first,
-                        1,
-                        env,
-                    ) {
-                        return fail(parked, BlobError::ChunkUnavailable(key));
-                    }
+                if let Err(key) = self.failover_items(aw, target, failed, env) {
+                    return fail(parked, BlobError::ChunkUnavailable(key));
                 }
-                Self::rstream_refill(client, cfg, &mut fresh, &mut sess.outstanding, r, env);
-                let done = sess.outstanding.is_empty();
-                Self::rstream_batch_done(sid, cfg.materialize_zeros, whole, done, r, env)
+                self.rstream_refill(aw, r, env);
+                self.rstream_batch_done(sess, env)
             }
             (
                 RStreamPhase::Fetching,
                 Msg::GetChunkErr { err, .. },
-                ReqRole::ChunkGetBatch { target, items },
+                role @ (ReqRole::ChunkGet(_) | ReqRole::ChunkGetBatch { .. }),
             ) => {
                 if err == ChunkErr::Blocked {
                     return fail(parked, BlobError::Blocked(client));
                 }
-                for (idx, desc) in items {
-                    let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-                    if let Err(key) = Self::failover_chunk_get(
-                        client,
-                        cfg,
-                        meta_providers,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        idx,
-                        desc,
-                        first,
-                        1,
-                        env,
-                    ) {
-                        return fail(parked, BlobError::ChunkUnavailable(key));
+                let walked = match role {
+                    ReqRole::ChunkGetBatch { target, items } => {
+                        self.failover_items(aw, target, items, env)
                     }
+                    ReqRole::ChunkGet(f) => self.failover(aw, f, env),
+                    _ => unreachable!("a chunk fetch"),
+                };
+                match walked {
+                    Ok(()) => StreamStep::Park,
+                    Err(key) => fail(parked, BlobError::ChunkUnavailable(key)),
                 }
-                StreamStep::Park
-            }
-            (
-                RStreamPhase::Fetching,
-                Msg::GetChunkErr { err, .. },
-                ReqRole::ChunkGet { idx, desc, first, attempts, refreshed },
-            ) => {
-                if err == ChunkErr::Blocked {
-                    return fail(parked, BlobError::Blocked(client));
-                }
-                if !refreshed {
-                    if let Err(key) = Self::failover_chunk_get(
-                        client,
-                        cfg,
-                        meta_providers,
-                        &mut fresh,
-                        &mut sess.outstanding,
-                        idx,
-                        desc,
-                        first,
-                        attempts,
-                        env,
-                    ) {
-                        return fail(parked, BlobError::ChunkUnavailable(key));
-                    }
-                    return StreamStep::Park;
-                }
-                // Post-refresh walk: no second leaf refresh.
-                if attempts < desc.replicas.len() {
-                    env.incr("client.replica_walks", 1);
-                    let target = desc.replicas[(first + attempts) % desc.replicas.len()];
-                    let key = desc.key;
-                    let req = fresh(
-                        &mut sess.outstanding,
-                        ReqRole::ChunkGet {
-                            idx,
-                            desc,
-                            first,
-                            attempts: attempts + 1,
-                            refreshed,
-                        },
-                    );
-                    env.send(target, Msg::GetChunk { req, client, key });
-                    env.set_timer(
-                        cfg.chunk_timeout,
-                        CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req,
-                    );
-                    return StreamStep::Park;
-                }
-                fail(parked, BlobError::ChunkUnavailable(desc.key))
             }
             (
                 RStreamPhase::Fetching,
                 Msg::GetMetaOk { nodes, .. },
                 ReqRole::LeafRefresh { idx, desc },
             ) => {
-                let mut fresh_desc = None;
+                let mut fresh = None;
                 for (k, n) in nodes {
                     if let Some(MetaNode::Leaf { chunk }) = &n {
-                        fresh_desc = Some(chunk.clone());
-                        meta_cache.insert(k, n.expect("checked Some"));
+                        fresh = Some(chunk.clone());
+                        self.meta_cache.insert(k, n.expect("checked Some"));
                     }
                 }
-                match fresh_desc {
+                match fresh {
                     Some(chunk) if !chunk.replicas.is_empty() => {
-                        Self::issue_chunk_get(
-                            client,
-                            cfg.chunk_timeout,
-                            &mut fresh,
-                            &mut sess.outstanding,
-                            idx,
-                            chunk,
-                            true,
-                            env,
-                        );
+                        let first = env.rng().random_range(0..chunk.replicas.len());
+                        let f =
+                            ChunkFetch { idx, desc: chunk, first, attempts: 1, refreshed: true };
+                        self.get_chunk(aw, f, env);
                         StreamStep::Park
                     }
                     _ => fail(parked, BlobError::ChunkUnavailable(desc.key)),
@@ -2820,6 +2332,82 @@ impl ClientCore {
             (_, _, _) => fail(parked, BlobError::Protocol("unexpected read-stream reply")),
         }
     }
+}
+
+/// The reply to a one-round-trip metadata operation (create, snapshot,
+/// decommission) completes it.
+fn simple_step(kind: &SessKind, msg: Msg) -> StreamStep {
+    let result = match (kind, msg) {
+        (SessKind::Create, Msg::CreateBlobOk { blob, .. }) => Ok(OpOutput::Created(blob)),
+        (SessKind::Create, _) => Err(BlobError::Protocol("unexpected reply to create")),
+        (SessKind::Snapshot(blob), Msg::SnapshotVersionOk { version, .. }) => {
+            Ok(OpOutput::Snapshotted { blob: *blob, version })
+        }
+        (SessKind::Snapshot(_), Msg::SnapshotVersionErr { err, .. }) => Err(err),
+        (SessKind::Snapshot(_), _) => Err(BlobError::Protocol("unexpected reply to snapshot")),
+        (SessKind::Decommission(blob), Msg::DecommissionBlobOk { ok, .. }) => {
+            Ok(OpOutput::Decommissioned { blob: *blob, ok })
+        }
+        (SessKind::Decommission(_), _) => {
+            Err(BlobError::Protocol("unexpected reply to decommission"))
+        }
+        (SessKind::WriteStream(_) | SessKind::ReadStream(_), _) => {
+            unreachable!("write and read sessions run their own machines")
+        }
+    };
+    StreamStep::Finish(result, 0)
+}
+
+/// A zero-duration completion (sub-ops that finish synchronously).
+fn instant(tag: u64, now: SimTime, result: Result<OpOutput, BlobError>) -> Completion {
+    Completion { tag, result, started: now, finished: now, bytes: 0 }
+}
+
+/// The contiguous buffer of a multi-page one-shot read: allocated
+/// once at its final size, each page's bytes copied once to their
+/// place, holes zero-filled in place. A chunk shorter than its page
+/// reads as zero-extended to the page: what its writer declared
+/// with [`ClientOp::FeedZeros`] is filled in here, in place. Returns
+/// the buffer and how many bytes were copied into it.
+fn assemble<'a>(
+    trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>,
+    total: usize,
+) -> (Bytes, u64) {
+    let mut buf = Vec::with_capacity(total);
+    let mut copied = 0;
+    for (part, from, take) in trimmed {
+        let end = buf.len() + take;
+        if let Payload::Data(b) = part {
+            let src = &b[from.min(b.len())..(from + take).min(b.len())];
+            buf.extend_from_slice(src);
+            copied += src.len() as u64;
+        }
+        buf.resize(end, 0);
+    }
+    (Bytes::from(buf), copied)
+}
+
+/// The rope of a real-data stream pull: the fetched pages themselves,
+/// as views trimmed to the requested range, and a zero segment per
+/// hole. A chunk shorter than its page reads as zero-extended to the
+/// page: the part of the range past its stored length is a zero
+/// segment of its own.
+fn rope<'a>(trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>) -> Vec<Payload> {
+    let mut segments = Vec::new();
+    for (part, from, take) in trimmed {
+        let mut got = 0;
+        if let Payload::Data(b) = part {
+            let view = b.slice(from.min(b.len())..(from + take).min(b.len()));
+            got = view.len();
+            if got > 0 {
+                segments.push(Payload::Data(view));
+            }
+        }
+        if got < take {
+            segments.push(Payload::Data(Bytes::from(vec![0u8; take - got])));
+        }
+    }
+    segments
 }
 
 /// What a stream state machine decided after absorbing one message.
@@ -2844,23 +2432,6 @@ fn fail(parked: bool, err: BlobError) -> StreamStep {
         StreamStep::Finish(Err(err), 0)
     } else {
         StreamStep::Fatal(err)
-    }
-}
-
-/// A request-id allocator for session `sid`: each fresh id is registered
-/// in the request index under its role and in the session's outstanding
-/// set.
-fn fresh_for<'a>(
-    next_req: &'a mut u64,
-    req_index: &'a mut HashMap<u64, (u64, ReqRole)>,
-    sid: u64,
-) -> impl FnMut(&mut HashSet<u64>, ReqRole) -> u64 + 'a {
-    move |outstanding, role| {
-        let req = *next_req;
-        *next_req += 1;
-        req_index.insert(req, (sid, role));
-        outstanding.insert(req);
-        req
     }
 }
 
@@ -2911,11 +2482,6 @@ fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
         ChunkErr::NotFound => BlobError::Protocol("put got NotFound"),
         ChunkErr::Unreachable => BlobError::Timeout,
     }
-}
-
-/// Number of chunks a write of `len` bytes needs at the given page size.
-pub fn chunks_for_write(len: u64, page_size: u64) -> u64 {
-    pages_for(len, page_size)
 }
 
 #[cfg(test)]

@@ -630,7 +630,9 @@ impl Cluster {
         self.restart_service(node, Box::new(DataProviderService::new(pman, capacity, cfg)))
     }
 
-    /// Snapshot of cluster metrics.
+    /// Take the cluster metrics recorded since the last call: the sink is
+    /// drained, so each call returns only what was recorded after the
+    /// previous one.
     pub fn metrics(&self) -> MetricSink {
         let mut out = MetricSink::new();
         out.merge(std::mem::take(&mut *self.metrics.lock()));
