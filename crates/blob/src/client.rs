@@ -1426,11 +1426,10 @@ impl ClientCore {
         let Some((sid, role)) = self.cx.reqs.roles.remove(&req) else { return vec![] };
         let Some(sess) = self.sessions.get_mut(&sid) else { return vec![] };
         sess.awaited.reqs.remove(&req);
-        let now = env.now();
         if sess.waiter.is_none() {
             // Progress of a stream with nothing parked (chunk acks between
             // feeds) keeps it from being reaped as idle.
-            sess.last_activity = now;
+            sess.last_activity = env.now();
         }
         // Restore this operation's causal context so every message sent
         // while advancing the protocol nests under its root span, and
@@ -1442,6 +1441,7 @@ impl ClientCore {
             SessKind::ReadStream(_) => self.cx.rstream_step(sess, role, msg, env),
             kind => simple_step(kind, msg),
         };
+        let now = env.now();
         self.stream_epilogue(env, sid, stage_before, step, now)
     }
 
@@ -1481,6 +1481,10 @@ impl ClientCore {
                 return refuse("stream is not open");
             }
         }
+        // A feed, or a stored failure delivered, completes in the instant
+        // it was made; a commit or pull ends its stage when its step is
+        // done.
+        let instant_step = failed.is_some() || kind == WaiterKind::Feed;
         let stage_before = sess.kind.stage();
         sess.last_activity = now;
         sess.waiter = Some(StreamWaiter { tag, started: now, kind, bytes });
@@ -1495,7 +1499,8 @@ impl ClientCore {
             (None, ClientOp::CommitWriteStream { .. }) => cx.wstream_commit(sess, env),
             (None, _) => cx.rstream_fetch(sess, env),
         };
-        self.stream_epilogue(env, sid, stage_before, step, now)
+        let end = if instant_step { now } else { env.now() };
+        self.stream_epilogue(env, sid, stage_before, step, end)
     }
 
     /// Close a stream (write-stream abort or read-stream close).
