@@ -1055,45 +1055,108 @@ mod tests {
         assert_eq!(crc32c(b""), 0);
     }
 
-    #[test]
-    fn crc32c_hw_and_sliced_match_bytewise() {
-        fn reference(data: &[u8]) -> u32 {
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in data {
-                c = CRC32C_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            c ^ 0xFFFF_FFFF
+    /// One table lookup per byte: the definition every kernel is held to.
+    fn crc32c_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC32C_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
-        let buf = noise(64 << 10);
-        let lens =
-            [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 255, 256, 1024, 4096, 16367, 16368, 16369, 49117];
-        for len in lens {
-            // Every start alignment: the kernel reads unaligned words.
-            for start in 0..=8 {
+        c ^ 0xFFFF_FFFF
+    }
+
+    type Kernel = fn(&[u8]) -> u32;
+
+    /// Says that this CPU cannot run `kernel`. Written past libtest's
+    /// capture of `eprintln!`, so a skipped kernel shows in every run
+    /// instead of passing silently.
+    fn note_skipped(kernel: &str, needs: &str) {
+        writeln!(io::stderr(), "note: {kernel} not tested: this CPU lacks {needs}").ok();
+    }
+
+    /// The three-lane `crc32q` kernel, if this CPU can run it.
+    fn lane_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: SSE4.2 was detected on the line above.
+            return Some(|b| unsafe { crc32c_hw(b) });
+        }
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        NOTE.call_once(|| note_skipped("crc32c_hw", "sse4.2"));
+        None
+    }
+
+    /// Lengths past the exhaustive sweep: either side of one 256-byte fold
+    /// block and of one 3 × `LANE` = 16 368-byte lane block, 3 × `LANE`
+    /// ± 17, and a page and a mebibyte with an odd tail.
+    const EDGE_LENS: [usize; 10] =
+        [255, 256, 257, 16_367, 16_368, 16_369, 16_351, 16_385, (256 << 10) + 13, (1 << 20) + 13];
+
+    /// `kernel` equals the bytewise definition on every length 0 ..= 1 100
+    /// and on [`EDGE_LENS`], each at every start 0 .. 32: the kernels read
+    /// unaligned words and vectors.
+    fn assert_matches_bytewise(kernel: Kernel) {
+        let buf = noise((1 << 20) + 13 + 32);
+        for len in (0..=1100).chain(EDGE_LENS) {
+            for start in 0..32 {
                 let b = &buf[start..start + len];
-                assert_eq!(crc32c(b), reference(b), "dispatch start={start} len={len}");
-                assert_eq!(crc32c_sw(b), reference(b), "sw start={start} len={len}");
+                assert_eq!(kernel(b), crc32c_bytewise(b), "start={start} len={len}");
             }
         }
+    }
+
+    #[test]
+    fn software_kernel_matches_bytewise() {
+        assert_matches_bytewise(crc32c_sw);
+    }
+
+    #[test]
+    fn lane_kernel_matches_bytewise() {
+        if let Some(kernel) = lane_kernel() {
+            assert_matches_bytewise(kernel);
+        }
+    }
+
+    #[test]
+    fn dispatch_matches_bytewise() {
+        assert_matches_bytewise(crc32c);
     }
 
     /// Every length across the first lane-block boundary — below three
     /// lanes (single chain), exactly one block, one block plus a tail.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn crc32c_every_length_around_a_lane_block_matches_software() {
+    fn lane_kernel_every_length_around_a_lane_block_matches_software() {
+        let Some(kernel) = lane_kernel() else { return };
         let buf = noise(3 * LANE + 17 + 8);
         for len in 0..=3 * LANE + 17 {
-            assert_eq!(crc32c(&buf[..len]), crc32c_sw(&buf[..len]), "len={len}");
+            assert_eq!(kernel(&buf[..len]), crc32c_sw(&buf[..len]), "len={len}");
         }
         for start in 1..8 {
             let b = &buf[start..start + 3 * LANE + 17];
-            assert_eq!(crc32c(b), crc32c_sw(b), "start={start}");
+            assert_eq!(kernel(b), crc32c_sw(b), "start={start}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Each kernel equals the bytewise definition on random slices up
+        /// to 4 MiB at random starts.
+        #[test]
+        fn software_kernel_matches_bytewise_up_to_4_mib(
+            len in 0usize..=4 << 20,
+            start in 0usize..32,
+        ) {
+            let buf = noise(start + len);
+            prop_assert_eq!(crc32c_sw(&buf[start..]), crc32c_bytewise(&buf[start..]), "len={}", len);
+        }
+
+        #[test]
+        fn lane_kernel_matches_bytewise_up_to_4_mib(len in 0usize..=4 << 20, start in 0usize..32) {
+            let Some(kernel) = lane_kernel() else { return Ok(()) };
+            let buf = noise(start + len);
+            prop_assert_eq!(kernel(&buf[start..]), crc32c_bytewise(&buf[start..]), "len={}", len);
+        }
 
         /// Hardware and software agree on random slices up to 4 MiB, and
         /// the CRC of a concatenation is the combination of the halves'
