@@ -201,20 +201,20 @@ pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     crc32c_shift(crc_a, len_b) ^ crc_b
 }
 
-/// Bytes per lane of the hardware kernel: three lanes fill 16 KiB less
+/// Bytes per lane of the lane kernel: three lanes fill 16 KiB less
 /// 16 B, so a power-of-two page leaves almost no single-chain tail.
 #[cfg(target_arch = "x86_64")]
 const LANE: usize = 5456;
 #[cfg(target_arch = "x86_64")]
 const LANE_SHIFT: u32 = crc32c_shift(1 << 31, LANE as u64);
 
-/// Hardware CRC-32C via the SSE4.2 `crc32` instruction. The instruction
-/// has a 3-cycle latency and a 1-cycle throughput, so one dependent
-/// chain runs at a third of what the unit can issue: blocks of
-/// 3 × [`LANE`] bytes run three independent chains over consecutive
-/// lanes and merge them by advancing the earlier lanes past the later
-/// ones (`· x^(8·LANE)`). Shorter buffers and the tail take the single
-/// chain, 8 bytes per fold.
+/// Lane kernel: the SSE4.2 `crc32` instruction, register in, register
+/// out (no inversions). The instruction has a 3-cycle latency and a
+/// 1-cycle throughput, so one dependent chain runs at a third of what
+/// the unit can issue: blocks of 3 × [`LANE`] bytes run three
+/// independent chains over consecutive lanes and merge them by advancing
+/// the earlier lanes past the later ones (`· x^(8·LANE)`). Shorter
+/// buffers and the tail take the single chain, 8 bytes per step.
 ///
 /// # Safety
 ///
@@ -222,10 +222,10 @@ const LANE_SHIFT: u32 = crc32c_shift(1 << 31, LANE as u64);
 /// Nothing else is required: every memory access is a checked slice read.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_hw(data: &[u8]) -> u32 {
+unsafe fn crc32c_lanes(c: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-    let mut c = 0xFFFF_FFFFu64;
+    let mut c = c as u64;
     let mut blocks = data.chunks_exact(3 * LANE);
     for block in &mut blocks {
         let (l0, rest) = block.split_at(LANE);
@@ -247,23 +247,132 @@ unsafe fn crc32c_hw(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = _mm_crc32_u8(c, b);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
-/// CRC-32C (Castagnoli) over a byte slice — hardware-accelerated on
-/// x86-64 with SSE4.2, slicing-by-16 software otherwise; both paths
-/// produce identical digests, so logs move between machines. Every
-/// frame and the superblock carry one of these, and the data providers
-/// checksum every chunk at put time — this sits on the hot write path,
-/// hence the hardware fast path (format v2; v1 logs used CRC-32/IEEE
-/// and are rejected as incompatible at open).
+/// x^n mod P, reflected like the register: n multiplications by x.
+#[cfg(target_arch = "x86_64")]
+const fn x_pow(n: u32) -> u32 {
+    let mut r = 1u32 << 31; // x⁰
+    let mut i = 0;
+    while i < n {
+        r = (r >> 1) ^ (CRC32C_POLY & 0u32.wrapping_sub(r & 1));
+        i += 1;
+    }
+    r
+}
+
+/// The multipliers that move a 16-byte piece of the message `bits` bits
+/// further on: `reverse_bits(x^(bits+63) mod P)` for its low qword (the
+/// earlier 8 bytes, which weigh x⁶⁴ more) and `reverse_bits(x^(bits-1)
+/// mod P)` for its high one, both over 64 bits. The exponents are one
+/// short because a carry-less product of two bit-reversed qwords comes
+/// out one bit low. A reflected remainder is its 32-bit `reverse_bits`
+/// already, so widening it to 64 is a shift.
+#[cfg(target_arch = "x86_64")]
+const fn fold_pair(bits: u32) -> [u64; 2] {
+    [(x_pow(bits + 63) as u64) << 32, (x_pow(bits - 1) as u64) << 32]
+}
+
+/// Bytes per block of the fold kernel: eight 32-byte accumulators.
+#[cfg(target_arch = "x86_64")]
+const FOLD_BLOCK: usize = 256;
+
+/// Fold kernel: carry-less multiplication over 256-bit vectors, register
+/// in, register out. Eight accumulators hold a 256-byte block; for each
+/// further block every accumulator is moved 2 048 bits on (each 128-bit
+/// lane times [`fold_pair`], two `vpclmulqdq`, one XOR) and the block's
+/// 32 bytes at its place are XORed in. The register is XORed into the
+/// first 4 bytes, which is what starting a chain from it means. At the
+/// end the accumulators fold onto the last 16 bytes, which take any
+/// further 16-byte pieces the same way; the `crc32` instruction turns
+/// those 16 bytes into the register, and the last < 16 bytes go through
+/// [`crc32c_lanes`], as does a buffer shorter than one block. A fold
+/// replaces bits by bits that are equal to them mod P, so the CRC is
+/// exactly the lane kernel's.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and VPCLMULQDQ
+/// (`is_x86_feature_detected!` of both; they imply the PCLMULQDQ and
+/// SSE4.2 of the 128-bit steps). Nothing else is required: every vector
+/// load reads a `chunks_exact` slice of exactly the vector's width, and
+/// every other access is a checked slice read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,vpclmulqdq")]
+unsafe fn crc32c_fold(c: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    const TO_NEXT_BLOCK: [u64; 2] = fold_pair(8 * FOLD_BLOCK as u32);
+    const TO_NEXT_16: [u64; 2] = fold_pair(128);
+    // Accumulator i of eight onto the last: (7 − i) × 256 bits.
+    const TO_LAST: [[u64; 2]; 7] = {
+        let mut t = [[0; 2]; 7];
+        let mut i = 0;
+        while i < 7 {
+            t[i] = fold_pair(256 * (7 - i as u32));
+            i += 1;
+        }
+        t
+    };
+    let pair = |k: [u64; 2]| _mm_set_epi64x(k[1] as i64, k[0] as i64);
+    let load = |v: &[u8]| _mm256_loadu_si256(v.as_ptr().cast());
+    let fold = |a, k| {
+        let k = _mm256_broadcastsi128_si256(pair(k));
+        _mm256_xor_si256(_mm256_clmulepi64_epi128(a, k, 0x00), _mm256_clmulepi64_epi128(a, k, 0x11))
+    };
+
+    let mut blocks = data.chunks_exact(FOLD_BLOCK);
+    let Some(first) = blocks.next() else { return crc32c_lanes(c, data) };
+    let mut acc = [_mm256_setzero_si256(); 8];
+    for (a, v) in acc.iter_mut().zip(first.chunks_exact(32)) {
+        *a = load(v);
+    }
+    acc[0] = _mm256_xor_si256(acc[0], _mm256_set_epi32(0, 0, 0, 0, 0, 0, 0, c as i32));
+    for block in &mut blocks {
+        for (a, v) in acc.iter_mut().zip(block.chunks_exact(32)) {
+            *a = _mm256_xor_si256(fold(*a, TO_NEXT_BLOCK), load(v));
+        }
+    }
+    let mut last = acc[7];
+    for (a, k) in acc.iter().zip(TO_LAST) {
+        last = _mm256_xor_si256(last, fold(*a, k));
+    }
+
+    let fold16 = |x| {
+        let k = pair(TO_NEXT_16);
+        _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11))
+    };
+    let mut x = _mm_xor_si128(fold16(_mm256_castsi256_si128(last)), _mm256_extracti128_si256(last, 1));
+    let mut rest = blocks.remainder().chunks_exact(16);
+    for v in &mut rest {
+        x = _mm_xor_si128(fold16(x), _mm_loadu_si128(v.as_ptr().cast()));
+    }
+    let (lo, hi) = (_mm_cvtsi128_si64(x) as u64, _mm_extract_epi64(x, 1) as u64);
+    crc32c_lanes(_mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32, rest.remainder())
+}
+
+/// CRC-32C (Castagnoli) over a byte slice. On x86-64 it runs the fold
+/// kernel when the CPU has AVX2 and VPCLMULQDQ, else the lane kernel
+/// when it has SSE4.2; elsewhere slicing-by-16 software. All three give
+/// identical digests, so logs move between machines. Every frame and the
+/// superblock carry one of these, and the writer checksums every page
+/// it cuts, once, before the replicas are sent it — this sits on the hot
+/// write path, hence the hardware kernels (format v2; v1 logs used
+/// CRC-32/IEEE and are rejected as incompatible at open).
 pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(test)]
     CRC32C_CALLS.with(|n| n.set(n.get() + 1));
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: SSE4.2 was detected on the line above.
-        return unsafe { crc32c_hw(data) };
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") && has!("vpclmulqdq") {
+            // SAFETY: AVX2 and VPCLMULQDQ were detected on the line above.
+            return !unsafe { crc32c_fold(!0, data) };
+        }
+        if has!("sse4.2") {
+            // SAFETY: SSE4.2 was detected on the line above.
+            return !unsafe { crc32c_lanes(!0, data) };
+        }
     }
     crc32c_sw(data)
 }
@@ -275,10 +384,11 @@ thread_local! {
     pub(crate) static CRC32C_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// CRC-32C of a payload as the provider records it at put time: real
-/// bytes hash their contents, size-only simulation stand-ins hash the
-/// length. The integrity scrub recomputes this and compares it against
-/// the checksum stored in the chunk's metadata.
+/// CRC-32C of a payload as the writer computes it for each page it cuts
+/// (and as [`crate::provider::ChunkStore::put`] does for a caller without
+/// one): real bytes hash their contents, size-only simulation stand-ins
+/// hash the length. The integrity scrub recomputes this and compares it
+/// against the checksum stored in the chunk's metadata.
 pub fn payload_crc(p: &Payload) -> u32 {
     match p {
         Payload::Data(b) => crc32c(b),
@@ -1078,10 +1188,24 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("sse4.2") {
             // SAFETY: SSE4.2 was detected on the line above.
-            return Some(|b| unsafe { crc32c_hw(b) });
+            return Some(|b| !unsafe { crc32c_lanes(!0, b) });
         }
         static NOTE: std::sync::Once = std::sync::Once::new();
-        NOTE.call_once(|| note_skipped("crc32c_hw", "sse4.2"));
+        NOTE.call_once(|| note_skipped("crc32c_lanes", "sse4.2"));
+        None
+    }
+
+    /// The 256-bit carry-less folding kernel, if this CPU can run it.
+    fn fold_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        {
+            // SAFETY: AVX2 and VPCLMULQDQ were detected on the lines above.
+            return Some(|b| !unsafe { crc32c_fold(!0, b) });
+        }
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        NOTE.call_once(|| note_skipped("crc32c_fold", "avx2 and vpclmulqdq"));
         None
     }
 
@@ -1117,23 +1241,33 @@ mod tests {
     }
 
     #[test]
+    fn fold_kernel_matches_bytewise() {
+        if let Some(kernel) = fold_kernel() {
+            assert_matches_bytewise(kernel);
+        }
+    }
+
+    #[test]
     fn dispatch_matches_bytewise() {
         assert_matches_bytewise(crc32c);
     }
 
     /// Every length across the first lane-block boundary — below three
-    /// lanes (single chain), exactly one block, one block plus a tail.
+    /// lanes (single chain), exactly one block, one block plus a tail —
+    /// through both hardware kernels: for the fold kernel that is every
+    /// block count up to 63 with every tail.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn lane_kernel_every_length_around_a_lane_block_matches_software() {
-        let Some(kernel) = lane_kernel() else { return };
+    fn hardware_kernels_every_length_around_a_lane_block_match_software() {
         let buf = noise(3 * LANE + 17 + 8);
-        for len in 0..=3 * LANE + 17 {
-            assert_eq!(kernel(&buf[..len]), crc32c_sw(&buf[..len]), "len={len}");
-        }
-        for start in 1..8 {
-            let b = &buf[start..start + 3 * LANE + 17];
-            assert_eq!(kernel(b), crc32c_sw(b), "start={start}");
+        for kernel in [lane_kernel(), fold_kernel()].into_iter().flatten() {
+            for len in 0..=3 * LANE + 17 {
+                assert_eq!(kernel(&buf[..len]), crc32c_sw(&buf[..len]), "len={len}");
+            }
+            for start in 1..8 {
+                let b = &buf[start..start + 3 * LANE + 17];
+                assert_eq!(kernel(b), crc32c_sw(b), "start={start}");
+            }
         }
     }
 
@@ -1154,6 +1288,13 @@ mod tests {
         #[test]
         fn lane_kernel_matches_bytewise_up_to_4_mib(len in 0usize..=4 << 20, start in 0usize..32) {
             let Some(kernel) = lane_kernel() else { return Ok(()) };
+            let buf = noise(start + len);
+            prop_assert_eq!(kernel(&buf[start..]), crc32c_bytewise(&buf[start..]), "len={}", len);
+        }
+
+        #[test]
+        fn fold_kernel_matches_bytewise_up_to_4_mib(len in 0usize..=4 << 20, start in 0usize..32) {
+            let Some(kernel) = fold_kernel() else { return Ok(()) };
             let buf = noise(start + len);
             prop_assert_eq!(kernel(&buf[start..]), crc32c_bytewise(&buf[start..]), "len={}", len);
         }
