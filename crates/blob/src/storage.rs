@@ -342,7 +342,8 @@ unsafe fn crc32c_fold(c: u32, data: &[u8]) -> u32 {
         let k = pair(TO_NEXT_16);
         _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11))
     };
-    let mut x = _mm_xor_si128(fold16(_mm256_castsi256_si128(last)), _mm256_extracti128_si256(last, 1));
+    let mut x =
+        _mm_xor_si128(fold16(_mm256_castsi256_si128(last)), _mm256_extracti128_si256(last, 1));
     let mut rest = blocks.remainder().chunks_exact(16);
     for v in &mut rest {
         x = _mm_xor_si128(fold16(x), _mm_loadu_si128(v.as_ptr().cast()));
@@ -1255,7 +1256,7 @@ mod tests {
     /// Every length across the first lane-block boundary — below three
     /// lanes (single chain), exactly one block, one block plus a tail —
     /// through both hardware kernels: for the fold kernel that is every
-    /// block count up to 63 with every tail.
+    /// block count up to 64 with every tail.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn hardware_kernels_every_length_around_a_lane_block_match_software() {
