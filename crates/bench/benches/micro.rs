@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the hot paths: metadata segment-tree
-//! construction and descent, allocation strategies, the chunk store, the
-//! put path's checksum and the gateway's content tag, the monitoring
-//! filters and burst cache, the policy engine, and the raw event rate of
-//! the cluster simulator.
+//! construction and descent, the request path's bookkeeping (metadata
+//! version index, provider cache, counters), allocation strategies, the
+//! chunk store, the put path's checksum and the gateway's content tag,
+//! the monitoring filters and burst cache, the policy engine, and the raw
+//! event rate of the cluster simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -262,6 +263,65 @@ fn bench_read_path(c: &mut Criterion) {
             p += 1;
             cache.insert(key(p + 10_000), Payload::Sim(PAGE));
         });
+    });
+    g.finish();
+}
+
+/// What a message costs besides its handler, 1 000 operations an
+/// iteration: a metadata put at a range that already holds 64 Ki versions
+/// (every write of a long history stores a new node at the root's
+/// range), a provider cache miss at capacity (the probe, then an insert
+/// that evicts the least recent of 128) and a counter bump on a
+/// registered `(name, labels)` key.
+fn bench_bookkeeping(c: &mut Criterion) {
+    use sads_blob::meta::{MetaNode, NodeKey, NodeRange};
+    use sads_blob::provider::ReadCache;
+    use sads_sim::Registry;
+
+    let mut g = c.benchmark_group("bookkeeping");
+    g.throughput(Throughput::Elements(1000));
+    let node = MetaNode::Inner { left: NodeRef::Hole, right: NodeRef::Hole };
+    let root = NodeRange::new(0, 1 << 15);
+    let key = |v| NodeKey { blob: BLOB, version: VersionId(v), range: root };
+    let mut store = MetaStore::new();
+    for v in 1..=1 << 16 {
+        store.put(key(v), node.clone());
+    }
+    let mut v = 1 << 16;
+    g.bench_function("meta_put_on_64k_versions_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                v += 1;
+                store.put(key(v), node.clone());
+            }
+        })
+    });
+
+    let chunk = |p: u64| ChunkKey { blob: BLOB, version: VersionId(1), page: p };
+    let mut cache = ReadCache::new(128);
+    for p in 0..128 {
+        cache.insert(chunk(p), Payload::Sim(PAGE));
+    }
+    let mut p = 128;
+    g.bench_function("chunk_cache_miss_at_capacity_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                p += 1;
+                if cache.get(&chunk(p)).is_none() {
+                    cache.insert(chunk(p), Payload::Sim(PAGE));
+                }
+            }
+        })
+    });
+
+    let reg = Registry::new();
+    reg.inc("provider.chunk_reads", &[("node", "3")], 1);
+    g.bench_function("registry_inc_hit_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                reg.inc("provider.chunk_reads", &[("node", "3")], 1);
+            }
+        })
     });
     g.finish();
 }
@@ -580,6 +640,7 @@ criterion_group!(
     benches,
     bench_tree,
     bench_read_path,
+    bench_bookkeeping,
     bench_alloc,
     bench_chunk_store,
     bench_crc32c,

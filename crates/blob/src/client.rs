@@ -23,11 +23,11 @@
 //! `Timeout` `op_timeout` after it was parked, and a stream with nothing
 //! parked is reaped after `op_timeout` without activity.
 
-use std::collections::{HashMap, HashSet};
-
 use bytes::Bytes;
 use rand::Rng;
-use sads_sim::{NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx};
+use sads_sim::{
+    FastMap, FastSet, NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx,
+};
 
 use crate::meta::{
     group_by_partition, partition, MetaNode, NodeKey, NodeRange, PageSource, TreeBuilder,
@@ -447,13 +447,13 @@ impl Default for ClientConfig {
 #[derive(Debug, Default)]
 struct MetaCache {
     cap: usize,
-    map: HashMap<NodeKey, MetaNode>,
+    map: FastMap<NodeKey, MetaNode>,
     order: std::collections::VecDeque<NodeKey>,
 }
 
 impl MetaCache {
     fn new(cap: usize) -> Self {
-        MetaCache { cap, map: HashMap::new(), order: std::collections::VecDeque::new() }
+        MetaCache { cap, map: FastMap::default(), order: std::collections::VecDeque::new() }
     }
 
     fn get(&self, k: &NodeKey) -> Option<&MetaNode> {
@@ -1128,7 +1128,7 @@ impl Session {
 #[derive(Debug)]
 struct Awaited {
     sid: u64,
-    reqs: HashSet<u64>,
+    reqs: FastSet<u64>,
 }
 
 /// One chunk fetch on its replica walk, for read-part `idx`. The walk
@@ -1201,7 +1201,7 @@ enum ReqRole {
 #[derive(Debug)]
 struct Requests {
     next: u64,
-    roles: HashMap<u64, (u64, ReqRole)>,
+    roles: FastMap<u64, (u64, ReqRole)>,
 }
 
 impl Requests {
@@ -1237,7 +1237,7 @@ struct Cx {
 /// incoming message/timer, and collect [`Completion`]s.
 pub struct ClientCore {
     cx: Cx,
-    sessions: HashMap<u64, Session>,
+    sessions: FastMap<u64, Session>,
     next_sid: u64,
 }
 
@@ -1253,9 +1253,9 @@ impl ClientCore {
     ) -> Self {
         assert!(!meta_providers.is_empty(), "at least one metadata provider");
         let meta_cache = MetaCache::new(cfg.meta_cache_nodes);
-        let reqs = Requests { next: 1, roles: HashMap::new() };
+        let reqs = Requests { next: 1, roles: FastMap::default() };
         let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, reqs };
-        ClientCore { cx, sessions: HashMap::new(), next_sid: 1 }
+        ClientCore { cx, sessions: FastMap::default(), next_sid: 1 }
     }
 
     /// This client's principal id.
@@ -1327,7 +1327,7 @@ impl ClientCore {
         // Every operation opens with one request to the version manager
         // and parks: the one-shot forms park the operation itself, the
         // stream forms park their `open`.
-        let mut awaited = Awaited { sid, reqs: HashSet::new() };
+        let mut awaited = Awaited { sid, reqs: FastSet::default() };
         let req = self.cx.reqs.issue(&mut awaited, ReqRole::Plain);
         let client = self.cx.id;
         let write = |blob, data| SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, data)));

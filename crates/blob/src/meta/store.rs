@@ -6,9 +6,9 @@
 //! consistent key hashing; clients compute the owner locally from the key,
 //! so no directory lookup is needed on the metadata path.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use sads_sim::NodeId;
+use sads_sim::{FastMap, NodeId};
 
 use crate::meta::tree::{MetaNode, NodeKey, NodeRange};
 use crate::model::{BlobId, PageInterval, VersionId};
@@ -63,21 +63,25 @@ pub fn group_by_partition<T>(
 /// the stored value kept.
 #[derive(Debug, Default)]
 pub struct MetaStore {
-    nodes: HashMap<NodeKey, MetaNode>,
+    nodes: FastMap<NodeKey, MetaNode>,
     /// Secondary index for bulk range descents, per BLOB: the versions
     /// stored at each aligned range (kept sorted ascending), plus the
     /// widest length stored. `range_cover` probes the first for "the node
     /// at range r in the tree of version v" — the one with the greatest
     /// stored version ≤ v — and the second bounds the levels it
     /// enumerates.
-    by_blob: HashMap<BlobId, BlobRanges>,
+    by_blob: FastMap<BlobId, BlobRanges>,
     bytes: u64,
 }
 
 /// One BLOB's share of the range index.
 #[derive(Debug, Default)]
 struct BlobRanges {
-    versions: HashMap<NodeRange, Vec<VersionId>>,
+    /// Sorted ascending. Versions publish in order, so a put almost always
+    /// carries the newest version at its range and appends; a
+    /// retransmission or a recovery replaying an older version after a
+    /// newer one inserts in place.
+    versions: FastMap<NodeRange, Vec<VersionId>>,
     /// Greatest `len` of any range ever put for the BLOB while this entry
     /// lived: a bound, not a count, so removing that range leaves it.
     widest: u64,
@@ -109,8 +113,12 @@ impl MetaStore {
                 let ranges = self.by_blob.entry(key.blob).or_default();
                 ranges.widest = ranges.widest.max(key.range.len);
                 let versions = ranges.versions.entry(key.range).or_default();
-                let at = versions.partition_point(|v| *v < key.version);
-                versions.insert(at, key.version);
+                if versions.last().is_none_or(|v| *v < key.version) {
+                    versions.push(key.version);
+                } else {
+                    let at = versions.partition_point(|v| *v < key.version);
+                    versions.insert(at, key.version);
+                }
                 true
             }
         }
@@ -128,7 +136,9 @@ impl MetaStore {
             self.bytes -= n.wire_size();
             if let Some(ranges) = self.by_blob.get_mut(&key.blob) {
                 if let Some(versions) = ranges.versions.get_mut(&key.range) {
-                    versions.retain(|v| *v != key.version);
+                    if let Ok(at) = versions.binary_search(&key.version) {
+                        versions.remove(at);
+                    }
                     if versions.is_empty() {
                         ranges.versions.remove(&key.range);
                     }
@@ -206,17 +216,14 @@ impl MetaStore {
                 if cursor.is_some_and(|c| (range.start, range.len) <= c) {
                     continue;
                 }
-                let Some(versions) = ranges.versions.get(&range) else {
+                let versions = ranges.versions.get(&range);
+                let Some(found) = versions.and_then(|vs| at_or_below(vs, version)) else {
                     continue;
                 };
-                let at = versions.partition_point(|v| *v <= version);
-                if at == 0 {
-                    continue;
-                }
                 if out.len() == max_nodes {
                     return (out, true);
                 }
-                let key = NodeKey { blob, version: versions[at - 1], range };
+                let key = NodeKey { blob, version: found, range };
                 out.push((key, self.nodes[&key].clone()));
             }
             start += step;
@@ -293,6 +300,16 @@ impl MetaStore {
             }
             _ => false,
         }
+    }
+}
+
+/// The greatest of the ascending `versions` at or below `version`. The
+/// newest is checked first: a read of the latest version, the common
+/// case, costs one comparison.
+fn at_or_below(versions: &[VersionId], version: VersionId) -> Option<VersionId> {
+    match versions.last() {
+        Some(newest) if *newest <= version => Some(*newest),
+        _ => versions[..versions.partition_point(|v| *v <= version)].last().copied(),
     }
 }
 
@@ -530,9 +547,20 @@ mod tests {
     }
 
     /// History steps: `kind` 0–2 overwrite, 3 append (BLOB 1), 4 write to
-    /// BLOB 2, 5–7 collect a stored node.
+    /// BLOB 2, 5–6 collect a stored node, 7 replay what is held back.
     fn steps() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
         prop::collection::vec((0u8..8, 0u64..1 << 20, 1u64..=17), 1..16)
+    }
+
+    /// Every range's version list is strictly ascending: the order
+    /// `range_cover` relies on, whatever order the puts came in.
+    fn assert_index_sorted(s: &MetaStore) -> Result<(), TestCaseError> {
+        for ranges in s.by_blob.values() {
+            for (r, vs) in &ranges.versions {
+                prop_assert!(vs.windows(2).all(|w| w[0] < w[1]), "{} holds {:?}", r, vs);
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -540,8 +568,8 @@ mod tests {
 
         /// The enumeration returns what the scan returns — same keys, same
         /// nodes, same order, same `more` — after every step of a history
-        /// of real writes to two BLOBs and removals of arbitrary stored
-        /// nodes, down to the last node of a BLOB.
+        /// of real writes to two BLOBs, removals of arbitrary stored nodes,
+        /// down to the last node of a BLOB, and puts out of version order.
         #[test]
         fn range_cover_equals_the_scan_it_replaced(
             first in 1u64..24,
@@ -553,17 +581,35 @@ mod tests {
             let (mut full, mut s) = (MetaStore::new(), MetaStore::new());
             let mut blobs = [Blob::new(1), Blob::new(2)];
             let mut live: Vec<NodeKey> = Vec::new();
+            // Nodes not in `s`: held back from their write, or removed. A
+            // replay puts them back newest first, so each lands under
+            // versions its range already holds — a late retransmission, or
+            // recovery replaying an older version after a newer one.
+            let mut held: Vec<NodeKey> = Vec::new();
             type Nodes = Vec<(NodeKey, MetaNode)>;
-            fn put_all(s: &mut MetaStore, live: &mut Vec<NodeKey>, nodes: Nodes) {
-                for (k, n) in nodes {
-                    s.put(k, n);
-                    live.push(k);
+            /// Put a write's nodes, holding back about a quarter of them,
+            /// chosen by `mask`.
+            fn put_some(
+                s: &mut MetaStore,
+                live: &mut Vec<NodeKey>,
+                held: &mut Vec<NodeKey>,
+                nodes: Nodes,
+                mask: u64,
+            ) {
+                let mask = mask.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for (j, (k, n)) in nodes.into_iter().enumerate() {
+                    if (mask >> (j % 32 * 2)) & 3 == 0 {
+                        held.push(k);
+                    } else {
+                        s.put(k, n);
+                        live.push(k);
+                    }
                 }
             }
             let nodes = blobs[0].write(&mut full, PageInterval::new(0, first));
-            put_all(&mut s, &mut live, nodes);
+            put_some(&mut s, &mut live, &mut held, nodes, seed.0);
             let nodes = blobs[1].write(&mut full, PageInterval::new(0, 1 + first % 2));
-            put_all(&mut s, &mut live, nodes);
+            put_some(&mut s, &mut live, &mut held, nodes, seed.1);
             for (kind, a, b) in steps {
                 match kind {
                     0..=4 => {
@@ -573,14 +619,27 @@ mod tests {
                         };
                         let at = blob.step(kind, a, b);
                         let nodes = blob.write(&mut full, at);
-                        put_all(&mut s, &mut live, nodes);
+                        put_some(&mut s, &mut live, &mut held, nodes, a ^ (b << 20));
                     }
-                    _ if !live.is_empty() => {
+                    5 | 6 if !live.is_empty() => {
                         let k = live.swap_remove(a as usize % live.len());
                         prop_assert!(s.remove(&k));
+                        held.push(k);
+                    }
+                    7 => {
+                        if !live.is_empty() {
+                            // A retransmission of a stored node is refused.
+                            let k = live[a as usize % live.len()];
+                            prop_assert!(!s.put(k, full.get(&k).unwrap().clone()));
+                        }
+                        while let Some(k) = held.pop() {
+                            prop_assert!(s.put(k, full.get(&k).unwrap().clone()));
+                            live.push(k);
+                        }
                     }
                     _ => {}
                 }
+                assert_index_sorted(&s)?;
                 let seed = (seed.0 ^ a, seed.1 ^ b);
                 assert_matches_scan(&s, &blobs[0], seed)?;
                 assert_matches_scan(&s, &blobs[1], seed)?;
@@ -640,7 +699,7 @@ mod tests {
                 let v = VersionId(i as u64 + 1);
                 let seed = (seed.0 + i as u64, seed.1 ^ i as u64);
                 for q in edge_queries(blob.pages, seed) {
-                    let covered: HashMap<NodeKey, MetaNode> = parts
+                    let covered: std::collections::HashMap<NodeKey, MetaNode> = parts
                         .iter()
                         .flat_map(|p| p.range_cover(blob.id, v, &q, None, usize::MAX).0)
                         .collect();
@@ -650,6 +709,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Partitioning is part of the deployment's shape: which metadata
+    /// provider holds a node, and so the order the simulator delivers
+    /// metadata traffic. Its hash is a fixed function, pinned here, not
+    /// whatever the maps' hasher is.
+    #[test]
+    fn node_key_hash_is_pinned() {
+        assert_eq!(node_key_hash(&key(1, 1, 0, 1)), 0x0ab1_85bb_b69a_2d35);
+        assert_eq!(node_key_hash(&key(1, 1, 1, 1)), 0xac9d_a810_510b_0911);
+        assert_eq!(node_key_hash(&key(1, 2, 0, 1)), 0x68d4_364d_e9ae_e53c);
+        assert_eq!(node_key_hash(&key(2, 1, 0, 1)), 0xf55f_b925_3721_fbb5);
+        assert_eq!(node_key_hash(&key(7, 40_000, 32_768, 32_768)), 0x3cfe_d5fe_693a_b5e5);
+    }
+
+    /// Out-of-order puts — a retransmission arriving late, recovery
+    /// replaying an older version after a newer one — insert in place, and
+    /// a remove takes out exactly its version.
+    #[test]
+    fn versions_stay_sorted_whatever_the_put_order() {
+        let mut s = MetaStore::new();
+        for v in [3, 9, 1, 5, 7] {
+            assert!(s.put(key(1, v, 0, 4), inner()));
+        }
+        let range = NodeRange::new(0, 4);
+        let versions = |s: &MetaStore| s.by_blob[&BlobId(1)].versions[&range].clone();
+        // The version `range_cover` resolves the range to in version `v`'s tree.
+        let at = |s: &MetaStore, v| {
+            let (nodes, _) = s.range_cover(BlobId(1), VersionId(v), &range.interval(), None, 8);
+            nodes[0].0.version.0
+        };
+        assert_eq!(versions(&s), [1, 3, 5, 7, 9].map(VersionId));
+        assert_eq!((at(&s, 4), at(&s, 9), at(&s, 100)), (3, 9, 9));
+        assert!(s.remove(&key(1, 5, 0, 4)));
+        assert!(s.remove(&key(1, 9, 0, 4)));
+        assert_eq!(versions(&s), [1, 3, 7].map(VersionId));
+        assert_eq!((at(&s, 6), at(&s, 100)), (3, 7));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! they arrive, so the same code drives the threaded runtime, the
 //! simulated runtime and the in-memory unit tests.
 
-use std::collections::HashMap;
+use sads_sim::FastMap;
 
 use crate::model::{next_pow2, BlobId, ChunkDescriptor, PageInterval, VersionId};
 
@@ -245,7 +245,7 @@ pub struct TreeBuilder {
     new_root: NodeRange,
     base: BaseSnapshot,
     pending: Vec<PendingWrite>,
-    resolved: HashMap<NodeRange, NodeRef>,
+    resolved: FastMap<NodeRange, NodeRef>,
     in_flight: Vec<Resolution>,
 }
 
@@ -276,7 +276,7 @@ impl TreeBuilder {
             new_root,
             base,
             pending,
-            resolved: HashMap::new(),
+            resolved: FastMap::default(),
             in_flight: Vec::new(),
         };
         b.collect_targets(b.new_root);
@@ -604,6 +604,7 @@ mod tests {
     use super::*;
     use crate::model::ChunkKey;
     use sads_sim::NodeId;
+    use std::collections::HashMap;
 
     /// In-memory metadata store + sequential writer harness: drives
     /// TreeBuilder/TreeReader to completion synchronously.

@@ -42,7 +42,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sads_sim::{
     Counter, FlightEvent, FlightRecorder, FlightRing, Gauge, Histogram, MetricSink, NodeId,
-    Registry as TelemetryRegistry, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink, TraceCtx,
+    NodeLabel, Registry as TelemetryRegistry, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink,
+    TraceCtx,
 };
 
 use crate::client::{ClientConfig, ClientCore, ClientOp, Completion};
@@ -521,11 +522,11 @@ impl Env for ExecEnv<'_> {
         self.shared.metrics.lock().record(name, now, value);
         // Mirror into the live registry as a node-labeled gauge, so the
         // existing call sites feed the telemetry plane with no churn.
-        self.shared.telem.set(name, &[("node", self.id.0.to_string().as_str())], value);
+        self.shared.telem.set(name, &[("node", NodeLabel::new(self.id.0).as_str())], value);
     }
     fn incr(&mut self, name: &str, delta: u64) {
         self.shared.metrics.lock().incr(name, delta);
-        self.shared.telem.inc(name, &[("node", self.id.0.to_string().as_str())], delta);
+        self.shared.telem.inc(name, &[("node", NodeLabel::new(self.id.0).as_str())], delta);
     }
     fn span_sink(&self) -> Option<Arc<SpanSink>> {
         self.shared.sink.clone()

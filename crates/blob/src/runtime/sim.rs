@@ -5,7 +5,9 @@
 
 use std::collections::VecDeque;
 
-use sads_sim::{Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, SimDuration, SimTime, World};
+use sads_sim::{
+    Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, NodeLabel, SimDuration, SimTime, World,
+};
 
 use crate::client::{ClientConfig, ClientCore, ClientOp, Completion};
 use crate::model::{BlobId, BlobSpec, ClientId, Payload, VersionId};
@@ -50,13 +52,13 @@ impl Env for SimEnv<'_, '_> {
         // gauge, so existing call sites feed the telemetry plane with no
         // churn. Registry writes are plain atomics — no schedule impact.
         if let Some(reg) = self.ctx.telemetry() {
-            reg.set(name, &[("node", self.ctx.id().0.to_string().as_str())], value);
+            reg.set(name, &[("node", NodeLabel::new(self.ctx.id().0).as_str())], value);
         }
     }
     fn incr(&mut self, name: &str, delta: u64) {
         self.ctx.incr(name, delta);
         if let Some(reg) = self.ctx.telemetry() {
-            reg.inc(name, &[("node", self.ctx.id().0.to_string().as_str())], delta);
+            reg.inc(name, &[("node", NodeLabel::new(self.ctx.id().0).as_str())], delta);
         }
     }
     fn span_sink(&self) -> Option<std::sync::Arc<sads_sim::SpanSink>> {

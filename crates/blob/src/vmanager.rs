@@ -7,9 +7,9 @@
 //! RPC lives in [`crate::services`], and the same code backs the threaded
 //! and simulated runtimes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{FastMap, SimDuration, SimTime};
 
 use crate::meta::{BaseSnapshot, NodeRef, PendingWrite};
 use crate::model::{BlobError, BlobId, BlobSpec, ClientId, PageInterval, VersionId, VersionInfo};
@@ -239,7 +239,7 @@ pub enum WriteKind {
 /// The version manager's full state.
 #[derive(Debug, Default)]
 pub struct VersionManagerState {
-    blobs: HashMap<BlobId, BlobState>,
+    blobs: FastMap<BlobId, BlobState>,
     next_blob: u64,
 }
 

@@ -64,6 +64,7 @@ pub use sads_trace::{
 /// Re-exported so runtimes and services name telemetry types through the
 /// sim crate they already depend on, mirroring the tracing re-exports.
 pub use sads_telemetry::{
-    derive_health, Counter, Gauge, HealthPolicy, HealthState, Histogram, NodeHealth, ProcSample,
-    ProcSampler, Registry, Sample as TelemetrySample, SampleValue, Snapshot, HEARTBEAT_GAUGE,
+    derive_health, Counter, FastMap, FastSet, FoldState, Gauge, HealthPolicy, HealthState,
+    Histogram, NodeHealth, NodeLabel, ProcSample, ProcSampler, Registry, Sample as TelemetrySample,
+    SampleValue, Snapshot, HEARTBEAT_GAUGE,
 };

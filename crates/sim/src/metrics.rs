@@ -13,7 +13,7 @@
 //! hash lookup. Report-time accessors sort by name, so output stays
 //! deterministic regardless of interning order.
 
-use std::collections::HashMap;
+use sads_telemetry::FastMap;
 
 use crate::time::SimTime;
 
@@ -36,7 +36,7 @@ pub struct MetricId(u32);
 /// the same name share one id.
 #[derive(Debug, Default)]
 pub struct MetricSink {
-    index: HashMap<String, u32>,
+    index: FastMap<String, u32>,
     names: Vec<String>,
     /// Id-indexed counter values; `counter_set` marks ids whose counter
     /// was actually incremented (so `counter_names` does not report ids

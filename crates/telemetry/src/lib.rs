@@ -33,18 +33,20 @@
 #![warn(missing_docs)]
 
 mod expose;
+mod hash;
 mod health;
 mod procstat;
 mod registry;
 
 pub use expose::{parse_prometheus, render_prometheus, sanitize_metric_name, ParsedSample};
+pub use hash::{FastMap, FastSet, FoldHasher, FoldState};
 pub use health::{derive_health, HealthPolicy, HealthState, NodeHealth, HEARTBEAT_GAUGE};
 pub use procstat::{
     parse_proc_stat, parse_proc_statm, parse_smaps_rollup_rss, ProcSample, ProcSampler,
 };
 pub use registry::{
-    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, Registry, Sample, SampleValue,
-    Snapshot,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, NodeLabel, Registry, Sample,
+    SampleValue, Snapshot,
 };
 
 use sads_trace::SpanSink;

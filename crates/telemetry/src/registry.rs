@@ -1,8 +1,11 @@
 //! The labeled metrics registry: `(name, labels)` → atomic cells.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::hash::FastMap;
 
 /// Default histogram bucket upper bounds (seconds-flavored: covers
 /// sub-millisecond RPCs through multi-minute transfers).
@@ -11,7 +14,125 @@ pub(crate) const DEFAULT_BOUNDS: &[f64] = &[
     120.0, 300.0,
 ];
 
-type Key = (String, Vec<(String, String)>);
+/// A registered series: its name and its labels, sorted.
+#[derive(PartialEq, Eq)]
+struct Key {
+    name: String,
+    labels: Vec<(String, String)>,
+}
+
+/// A series key as the map hashes and compares it, whether stored
+/// ([`Key`]) or borrowed from a call's arguments ([`Lookup`]), so finding
+/// a registered series builds no owned key.
+trait KeyView {
+    fn name(&self) -> &str;
+    fn label_count(&self) -> usize;
+    fn label(&self, i: usize) -> (&str, &str);
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.name().hash(h);
+        for i in 0..self.label_count() {
+            self.label(i).hash(h);
+        }
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.label_count() == other.label_count()
+            && (0..self.label_count()).all(|i| self.label(i) == other.label(i))
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl KeyView for Key {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+    fn label(&self, i: usize) -> (&str, &str) {
+        (&self.labels[i].0, &self.labels[i].1)
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// Hashed as its [`KeyView`], so a borrowed lookup lands in the same slot.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self as &dyn KeyView).hash(h);
+    }
+}
+
+/// A call's `(name, labels)`, labels already sorted.
+struct Lookup<'a> {
+    name: &'a str,
+    labels: &'a [(&'a str, &'a str)],
+}
+
+impl KeyView for Lookup<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+    fn label(&self, i: usize) -> (&str, &str) {
+        self.labels[i]
+    }
+}
+
+/// Run `f` over `labels` sorted, on the stack when there are few.
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    const ON_STACK: usize = 8;
+    if labels.len() > ON_STACK {
+        let mut v = labels.to_vec();
+        v.sort_unstable();
+        return f(&v);
+    }
+    let mut buf = [("", ""); ON_STACK];
+    let sorted = &mut buf[..labels.len()];
+    sorted.copy_from_slice(labels);
+    sorted.sort_unstable();
+    f(sorted)
+}
+
+/// A node id as the value of a `node` label, formatted on the stack: the
+/// runtimes' metric bridges label every counter bump with one.
+pub struct NodeLabel {
+    digits: [u8; 10],
+    start: usize,
+}
+
+impl NodeLabel {
+    /// The decimal digits of `id`.
+    pub fn new(id: u32) -> Self {
+        let (mut digits, mut start, mut n) = ([0u8; 10], 10, id);
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return NodeLabel { digits, start };
+            }
+        }
+    }
+
+    /// The label value.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
+    }
+}
 
 #[derive(Clone)]
 enum Cell {
@@ -186,11 +307,12 @@ impl Histogram {
 /// convenience methods (`inc`/`set`/`observe`) pay one mutex hold per call,
 /// which matches what the runtimes already pay for their `MetricSink`, so
 /// bridging existing instrumentation through them is free of new contention
-/// classes. Nothing in here touches clocks, RNGs, or event queues —
+/// classes. Only the first call for a key allocates: later ones find it by
+/// a borrowed view of their arguments. Nothing in here touches clocks, RNGs, or event queues —
 /// telemetry cannot perturb a deterministic schedule.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<HashMap<Key, Cell>>,
+    inner: Mutex<FastMap<Key, Cell>>,
 }
 
 impl Registry {
@@ -199,17 +321,17 @@ impl Registry {
         Self::default()
     }
 
-    fn key(name: &str, labels: &[(&str, &str)]) -> Key {
-        let mut l: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        l.sort();
-        (name.to_string(), l)
-    }
-
     fn cell(&self, name: &str, labels: &[(&str, &str)], make: impl FnOnce() -> Cell) -> Cell {
-        let mut inner = self.inner.lock().expect("telemetry registry poisoned");
-        let cell = inner.entry(Self::key(name, labels)).or_insert_with(make);
-        cell.clone()
+        with_sorted(labels, |labels| {
+            let mut inner = self.inner.lock().expect("telemetry registry poisoned");
+            if let Some(cell) = inner.get(&Lookup { name, labels } as &dyn KeyView) {
+                return cell.clone();
+            }
+            let labels = labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+            let cell = make();
+            inner.insert(Key { name: name.to_string(), labels }, cell.clone());
+            cell
+        })
     }
 
     /// Get-or-create a counter. Panics if `(name, labels)` is already
@@ -282,7 +404,7 @@ impl Registry {
         let inner = self.inner.lock().expect("telemetry registry poisoned");
         let mut samples: Vec<Sample> = inner
             .iter()
-            .map(|((name, labels), cell)| Sample {
+            .map(|(Key { name, labels }, cell)| Sample {
                 name: name.clone(),
                 labels: labels.clone(),
                 value: match cell {

@@ -1,0 +1,113 @@
+//! A counter bump allocates nothing once its key is registered: the
+//! telemetry registry finds an existing `(name, labels)` series through a
+//! borrowed view of the call's arguments, and both runtimes' `Env`
+//! bridges label it with a node id formatted on the stack. A counting
+//! `#[global_allocator]` (`tests/common/mod.rs`) sees every byte.
+
+mod common;
+use common::{requested_during, SERIAL};
+
+#[global_allocator]
+static ALLOCATOR: common::Counting = common::Counting;
+
+use std::sync::{Arc, Mutex};
+
+use sads::blob::rpc::Msg;
+use sads::blob::runtime::sim::SimService;
+use sads::blob::runtime::threaded::ClusterBuilder;
+use sads::blob::services::{Env, Service};
+use sads_sim::{NodeConfig, NodeId, Registry, World};
+
+/// Bytes asked for while `f` runs 1 000 times, after `warm` calls to
+/// settle whatever a first call sets up. The least of five such windows
+/// is returned: an allocation another thread happens to make during one
+/// window cannot fail a test, while one that `f` itself makes shows in
+/// every window.
+fn steady_bytes(warm: usize, mut f: impl FnMut()) -> u64 {
+    for _ in 0..warm {
+        f();
+    }
+    (0..5)
+        .map(|_| {
+            requested_during(|| {
+                for _ in 0..1000 {
+                    f();
+                }
+            })
+            .1
+        })
+        .min()
+        .unwrap()
+}
+
+/// `Env::record` appends a sample to a time series, whose amortized
+/// growth is storage, not a per-call cost: warm it to 10 000 samples
+/// (capacity 16 384, room for the 5 000 the windows add) first.
+const SERIES_WARM: usize = 10_000;
+
+#[test]
+fn registry_hits_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let reg = Registry::new();
+    let labels = [("node", "17"), ("op", "get")];
+    let unsorted = [("op", "get"), ("node", "17")];
+    assert_eq!(steady_bytes(1, || reg.inc("provider.gets", &labels, 1)), 0);
+    assert_eq!(steady_bytes(0, || reg.inc("provider.gets", &unsorted, 1)), 0);
+    assert_eq!(steady_bytes(1, || reg.set("provider.fill", &labels, 0.5)), 0);
+    assert_eq!(steady_bytes(1, || reg.observe("provider.get_seconds", &[], 0.001)), 0);
+    // The borrowed lookup finds the series the first call made, whatever
+    // the label order: one series, every bump counted.
+    let snap = reg.snapshot();
+    assert_eq!(snap.family("provider.gets").count(), 1);
+    assert_eq!(snap.counter("provider.gets", &labels), Some(1 + 5000 + 5000));
+    // A miss still registers a new series, and allocates to do it.
+    let (_, bytes) = requested_during(|| reg.inc("provider.puts", &labels, 1));
+    assert!(bytes > 0);
+    let puts = reg.snapshot().counter("provider.puts", &[("op", "get"), ("node", "17")]);
+    assert_eq!(puts, Some(1));
+}
+
+/// A service that, when started, measures what its `Env`'s counter and
+/// series calls allocate, and reports `(incr bytes, record bytes)`.
+struct Probe(Arc<Mutex<Option<(u64, u64)>>>);
+
+impl Service for Probe {
+    fn on_start(&mut self, env: &mut dyn Env) {
+        let incr = steady_bytes(1, || env.incr("probe.bumps", 1));
+        let record = steady_bytes(SERIES_WARM, || env.record("probe.level", 1.0));
+        *self.0.lock().unwrap() = Some((incr, record));
+    }
+    fn on_msg(&mut self, _env: &mut dyn Env, _from: NodeId, _msg: Msg) {}
+}
+
+#[test]
+fn env_counters_allocate_nothing_in_the_simulator() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let reg = Arc::new(Registry::new());
+    let mut world = World::with_seed(5);
+    world.set_telemetry(Arc::clone(&reg));
+    let seen = Arc::new(Mutex::new(None));
+    let probe = Box::new(SimService::new(Box::new(Probe(Arc::clone(&seen)))));
+    let id = world.add_node(probe, NodeConfig::default());
+    world.run_to_quiescence(1_000);
+    assert_eq!(*seen.lock().unwrap(), Some((0, 0)), "(incr, record) bytes per 1 000 calls");
+    // Both calls reached the sink and the registry.
+    assert_eq!(world.metrics().counter("probe.bumps"), 1 + 5000);
+    let node = id.0.to_string();
+    assert_eq!(reg.snapshot().counter("probe.bumps", &[("node", &node)]), Some(1 + 5000));
+}
+
+#[test]
+fn env_counters_allocate_nothing_on_threads() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cluster = ClusterBuilder::new().data_providers(1).meta_providers(1).start();
+    let seen = Arc::new(Mutex::new(None));
+    // `add_service` runs `on_start` on this thread before it returns.
+    let id = cluster.add_service(Box::new(Probe(Arc::clone(&seen))));
+    assert_eq!(*seen.lock().unwrap(), Some((0, 0)), "(incr, record) bytes per 1 000 calls");
+    assert_eq!(cluster.metrics().counter("probe.bumps"), 1 + 5000);
+    let node = id.0.to_string();
+    let bumps = cluster.telemetry().snapshot().counter("probe.bumps", &[("node", &node)]);
+    assert_eq!(bumps, Some(1 + 5000));
+    cluster.shutdown();
+}
