@@ -472,11 +472,11 @@ impl ChunkStore {
 /// Payloads are refcounted views, so caching costs a clone of the handle,
 /// not a copy of the bytes. Entries sit in a slab of at most `capacity`
 /// slots, doubly linked from least to most recently used, so a hit, an
-/// insert and an eviction are each a hash probe and a few index writes.
-/// (The victim used to be found by scanning every entry for the smallest
-/// recency stamp, on every miss: 13–15 % of a `mixed_rw` read at 128
-/// entries.) A `get` hit and an `insert` both make the entry the most
-/// recent; the victim is the least recent, the entry the scan would pick.
+/// insert and an eviction are each a hash probe and a few index writes —
+/// not cheap to skip even at 128 entries: a scan for the least recent
+/// entry on every miss cost 13–15 % of a `mixed_rw` read. A `get` hit and
+/// an `insert` both make the entry the most recent; the victim is the
+/// least recent, the entry such a scan would pick.
 #[derive(Debug)]
 pub struct ReadCache {
     capacity: usize,

@@ -64,7 +64,7 @@ pub use sads_trace::{
 /// Re-exported so runtimes and services name telemetry types through the
 /// sim crate they already depend on, mirroring the tracing re-exports.
 pub use sads_telemetry::{
-    derive_health, Counter, FastMap, FastSet, FoldState, Gauge, HealthPolicy, HealthState,
-    Histogram, NodeHealth, NodeLabel, ProcSample, ProcSampler, Registry, Sample as TelemetrySample,
+    derive_health, Counter, FastMap, FastSet, Gauge, HealthPolicy, HealthState, Histogram,
+    NodeHealth, NodeLabel, ProcSample, ProcSampler, Registry, Sample as TelemetrySample,
     SampleValue, Snapshot, HEARTBEAT_GAUGE,
 };
