@@ -72,15 +72,19 @@ pub struct MetaStore {
     /// enumerates.
     by_blob: FastMap<BlobId, BlobRanges>,
     bytes: u64,
+    /// Accepted puts whose version was not the newest at its range.
+    late_puts: u64,
 }
 
 /// One BLOB's share of the range index.
 #[derive(Debug, Default)]
 struct BlobRanges {
-    /// Sorted ascending. Versions publish in order, so a put almost always
-    /// carries the newest version at its range and appends; a
-    /// retransmission or a recovery replaying an older version after a
-    /// newer one inserts in place.
+    /// Sorted ascending. A put appends when its range's puts arrive in
+    /// version order, which holds for one sequential writer per BLOB.
+    /// Concurrent writers to one BLOB put their nodes before they commit,
+    /// in no set order, so at the ranges they share a lower version can
+    /// arrive after a higher one; that put, like a late retransmission or
+    /// a recovery replay, binary-inserts.
     versions: FastMap<NodeRange, Vec<VersionId>>,
     /// Greatest `len` of any range ever put for the BLOB while this entry
     /// lived: a bound, not a count, so removing that range leaves it.
@@ -118,6 +122,7 @@ impl MetaStore {
                 } else {
                     let at = versions.partition_point(|v| *v < key.version);
                     versions.insert(at, key.version);
+                    self.late_puts += 1;
                 }
                 true
             }
@@ -282,6 +287,12 @@ impl MetaStore {
     /// Approximate bytes held.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Accepted puts that binary-inserted below their range's newest
+    /// version instead of appending.
+    pub fn late_puts(&self) -> u64 {
+        self.late_puts
     }
 
     /// Iterate all keys, in no particular order.
@@ -741,6 +752,7 @@ mod tests {
             nodes[0].0.version.0
         };
         assert_eq!(versions(&s), [1, 3, 5, 7, 9].map(VersionId));
+        assert_eq!(s.late_puts(), 3, "3 and 9 appended; 1, 5 and 7 inserted");
         assert_eq!((at(&s, 4), at(&s, 9), at(&s, 100)), (3, 9, 9));
         assert!(s.remove(&key(1, 5, 0, 4)));
         assert!(s.remove(&key(1, 9, 0, 4)));

@@ -581,6 +581,65 @@ mod tests {
         assert_eq!(world.metrics().counter("writer.ops_err"), 0);
     }
 
+    /// `(late, accepted)` metadata puts over all metadata providers after
+    /// `writers`, each script run by its own client, BLOB 1 created first.
+    fn metadata_put_order(writers: Vec<Vec<ScriptStep>>) -> (u64, u64) {
+        let (mut world, vman, pman, meta, _) = deploy(16, 4, 13);
+        let spec = BlobSpec { page_size: MB, replication: 1 };
+        let cfg = ClientConfig::default();
+        let creator = vec![ScriptStep::Create(spec)];
+        let client = |id, script, prefix| {
+            ScriptedClient::new(ClientId(id), vman, pman, meta.clone(), cfg, script, prefix)
+        };
+        world.add_node(Box::new(client(1, creator, "creator")), NodeConfig::default());
+        let n = writers.len() as u64;
+        for (i, script) in writers.into_iter().enumerate() {
+            let writer = client(10 + i as u64, script, "writer");
+            world.add_node(Box::new(writer), NodeConfig::default());
+        }
+        world.run_for(SimDuration::from_secs(300), 20_000_000);
+        assert_eq!(world.metrics().counter("writer.ops_err"), 0);
+        assert!(world.metrics().counter("writer.ops_ok") > n, "every writer wrote");
+        let stores = meta.iter().map(|m| {
+            world.actor_as::<MetaProviderService>(*m).expect("metadata provider").store()
+        });
+        stores.fold((0, 0), |(late, all), s| (late + s.late_puts(), all + s.len() as u64))
+    }
+
+    /// A metadata put appends to its range's version list when that
+    /// range's puts arrive in version order — true for one sequential
+    /// writer per BLOB (E1's and E2's writers each append to their own),
+    /// not for concurrent writers to one BLOB, whose puts race their
+    /// tickets at the ranges they share.
+    #[test]
+    fn metadata_puts_append_only_while_a_blob_has_one_writer() {
+        let spec = BlobSpec { page_size: MB, replication: 1 };
+        let append =
+            ScriptStep::Write { blob: BlobRef::Created(0), kind: WriteKind::Append, bytes: 4 * MB };
+        let own = (0..8).map(|_| {
+            vec![ScriptStep::Create(spec), append.clone(), append.clone(), append.clone()]
+        });
+        let (late, all) = metadata_put_order(own.collect());
+        assert_eq!(late, 0, "one writer per BLOB: every one of {all} puts appends");
+
+        // Eight writers to one BLOB, three rounds each, at disjoint pages:
+        // they share only the ranges above their pages. At 4 pages each
+        // they finish in ticket order and all 257 puts append; at the
+        // unequal sizes here a later ticket's puts overtake an earlier
+        // one's, and 5 of 317 insert.
+        let wait = ScriptStep::WaitUntil(SimTime(1_000_000_000));
+        let shared = (0..8u64).map(|i| {
+            let at = |round: u64| ScriptStep::Write {
+                blob: BlobRef::Id(BlobId(1)),
+                kind: WriteKind::At((round * 8 + i) * 8 * MB),
+                bytes: (1 + (i * 5 + round) % 8) * MB,
+            };
+            vec![wait.clone(), at(0), at(1), at(2)]
+        });
+        let (late, all) = metadata_put_order(shared.collect());
+        assert!(late > 0, "concurrent writers to one BLOB: {late} of {all} puts inserted");
+    }
+
     /// `crc32c` passes made on this thread — which, in simulation, is
     /// every node of the deployment.
     fn crc_calls() -> u64 {

@@ -1,11 +1,10 @@
 //! The labeled metrics registry: `(name, labels)` → atomic cells.
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hash::FastMap;
+use crate::hash::{FastMap, FoldState};
 
 /// Default histogram bucket upper bounds (seconds-flavored: covers
 /// sub-millisecond RPCs through multi-minute transfers).
@@ -15,81 +14,20 @@ pub(crate) const DEFAULT_BOUNDS: &[f64] = &[
 ];
 
 /// A registered series: its name and its labels, sorted.
-#[derive(PartialEq, Eq)]
-struct Key {
-    name: String,
-    labels: Vec<(String, String)>,
-}
+type Key = (String, Vec<(String, String)>);
 
-/// A series key as the map hashes and compares it, whether stored
-/// ([`Key`]) or borrowed from a call's arguments ([`Lookup`]), so finding
-/// a registered series builds no owned key.
-trait KeyView {
-    fn name(&self) -> &str;
-    fn label_count(&self) -> usize;
-    fn label(&self, i: usize) -> (&str, &str);
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        self.name().hash(h);
-        for i in 0..self.label_count() {
-            self.label(i).hash(h);
-        }
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-            && self.label_count() == other.label_count()
-            && (0..self.label_count()).all(|i| self.label(i) == other.label(i))
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-impl KeyView for Key {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-    fn label(&self, i: usize) -> (&str, &str) {
-        (&self.labels[i].0, &self.labels[i].1)
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for Key {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-/// Hashed as its [`KeyView`], so a borrowed lookup lands in the same slot.
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        (self as &dyn KeyView).hash(h);
-    }
-}
-
-/// A call's `(name, labels)`, labels already sorted.
-struct Lookup<'a> {
-    name: &'a str,
-    labels: &'a [(&'a str, &'a str)],
-}
-
-impl KeyView for Lookup<'_> {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-    fn label(&self, i: usize) -> (&str, &str) {
-        self.labels[i]
-    }
+/// The registered series, bucketed by the hash of their borrowed
+/// `(name, sorted labels)`, so a call finds its series without building
+/// an owned [`Key`]. Measured against building that key on every call
+/// (and the runtimes formatting the `node` label into a `String`), on a
+/// 2-core Xeon: a counter hit 114–170 → 96–102 ns, and the benchmark's
+/// `mixed_rw` `read_p50_ms` median 0.0225 → 0.0208 ms over ten
+/// alternating pairs, lower in 7 — inside the runs' spread — while
+/// `small_meta` reads did not move.
+#[derive(Default)]
+struct Series {
+    state: FoldState,
+    by_hash: FastMap<u64, Vec<(Key, Cell)>>,
 }
 
 /// Run `f` over `labels` sorted, on the stack when there are few.
@@ -307,12 +245,13 @@ impl Histogram {
 /// convenience methods (`inc`/`set`/`observe`) pay one mutex hold per call,
 /// which matches what the runtimes already pay for their `MetricSink`, so
 /// bridging existing instrumentation through them is free of new contention
-/// classes. Only the first call for a key allocates: later ones find it by
-/// a borrowed view of their arguments. Nothing in here touches clocks, RNGs, or event queues —
-/// telemetry cannot perturb a deterministic schedule.
+/// classes. With up to 8 labels, only the first call for a key allocates:
+/// later ones find it from their borrowed arguments. Nothing in here
+/// touches clocks, RNGs, or event queues — telemetry cannot perturb a
+/// deterministic schedule.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<FastMap<Key, Cell>>,
+    inner: Mutex<Series>,
 }
 
 impl Registry {
@@ -324,12 +263,19 @@ impl Registry {
     fn cell(&self, name: &str, labels: &[(&str, &str)], make: impl FnOnce() -> Cell) -> Cell {
         with_sorted(labels, |labels| {
             let mut inner = self.inner.lock().expect("telemetry registry poisoned");
-            if let Some(cell) = inner.get(&Lookup { name, labels } as &dyn KeyView) {
+            let hash = inner.state.hash_one((name, labels));
+            let bucket = inner.by_hash.entry(hash).or_default();
+            let found = bucket.iter().find(|((n, ls), _)| {
+                n == name
+                    && ls.len() == labels.len()
+                    && ls.iter().zip(labels).all(|((k, v), (lk, lv))| k == lk && v == lv)
+            });
+            if let Some((_, cell)) = found {
                 return cell.clone();
             }
-            let labels = labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+            let owned = labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
             let cell = make();
-            inner.insert(Key { name: name.to_string(), labels }, cell.clone());
+            bucket.push(((name.to_string(), owned), cell.clone()));
             cell
         })
     }
@@ -403,8 +349,10 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().expect("telemetry registry poisoned");
         let mut samples: Vec<Sample> = inner
-            .iter()
-            .map(|(Key { name, labels }, cell)| Sample {
+            .by_hash
+            .values()
+            .flatten()
+            .map(|((name, labels), cell)| Sample {
                 name: name.clone(),
                 labels: labels.clone(),
                 value: match cell {
