@@ -581,33 +581,32 @@ fn record_net_span(
     });
 }
 
+/// Schedule every cell whose shard timer is due. The clock is read once,
+/// and only when the heap holds a timer.
+fn fire_shard_timers(shared: &ExecShared, w: usize) {
+    let mut now = None;
+    loop {
+        let mut th = shared.shards[w].timers.lock();
+        let Some(std::cmp::Reverse(first)) = th.peek() else { return };
+        let now_ns = *now.get_or_insert_with(|| shared.now_ns());
+        if first.deadline > now_ns {
+            return;
+        }
+        let std::cmp::Reverse(t) = th.pop().expect("peeked");
+        drop(th);
+        // How far past its deadline the heap let this timer drift —
+        // queueing lag of the timer plane itself.
+        shared.stats[w].timer_lag.observe(now_ns.saturating_sub(t.deadline) as f64 / 1e9);
+        if let Some(cell) = t.cell.upgrade() {
+            cell.timer_registered.store(u64::MAX, Ordering::Release);
+            shared.schedule(&cell);
+        }
+    }
+}
+
 fn worker_loop(shared: &ExecShared, w: usize) {
     while shared.running.load(Ordering::Acquire) {
-        // Wake cells whose registered timers are due.
-        let now = shared.now_ns();
-        loop {
-            let due = {
-                let mut th = shared.shards[w].timers.lock();
-                match th.peek() {
-                    Some(std::cmp::Reverse(t)) if t.deadline <= now => th.pop(),
-                    _ => None,
-                }
-            };
-            match due {
-                Some(std::cmp::Reverse(t)) => {
-                    // How far past its deadline the heap let this timer
-                    // drift — queueing lag of the timer plane itself.
-                    shared.stats[w]
-                        .timer_lag
-                        .observe(now.saturating_sub(t.deadline) as f64 / 1e9);
-                    if let Some(cell) = t.cell.upgrade() {
-                        cell.timer_registered.store(u64::MAX, Ordering::Release);
-                        shared.schedule(&cell);
-                    }
-                }
-                None => break,
-            }
-        }
+        fire_shard_timers(shared, w);
 
         // Own queue first, then steal from the back of a busier shard.
         let next = pop_front(shared, w).or_else(|| steal(shared, w));
@@ -621,7 +620,7 @@ fn worker_loop(shared: &ExecShared, w: usize) {
             let th = shared.shards[w].timers.lock();
             th.peek()
                 .map(|std::cmp::Reverse(t)| {
-                    Duration::from_nanos(t.deadline.saturating_sub(now))
+                    Duration::from_nanos(t.deadline.saturating_sub(shared.now_ns()))
                 })
                 .unwrap_or(PARK_CAP)
                 .min(PARK_CAP)
@@ -674,7 +673,8 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
         return;
     }
 
-    let turn_start = shared.now_ns();
+    // The turn's start time is read only for the flight recorder.
+    let turn_start = cell.ring.as_ref().map(|_| shared.now_ns());
     let mut node = cell.node.lock();
     let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, cell, &mut node)));
     let next_deadline = node.timers.peek().map(|std::cmp::Reverse((d, _))| *d);
@@ -683,7 +683,7 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
     let handled = outcome.unwrap_or(0);
     shared.stats[w].dispatch_batch.observe(handled as f64);
     if handled > 0 {
-        if let Some(ring) = &cell.ring {
+        if let (Some(ring), Some(turn_start)) = (&cell.ring, turn_start) {
             ring.record(FlightEvent {
                 at_ns: turn_start,
                 dur_ns: shared.now_ns().saturating_sub(turn_start),
@@ -759,9 +759,8 @@ fn fire_due_timers(
     rng: &mut SmallRng,
 ) {
     loop {
-        let now = shared.now_ns();
         let token = match timers.peek() {
-            Some(std::cmp::Reverse((deadline, token))) if *deadline <= now => *token,
+            Some(std::cmp::Reverse((deadline, token))) if *deadline <= shared.now_ns() => *token,
             _ => break,
         };
         timers.pop();
@@ -803,11 +802,11 @@ fn handle_envelope(
 ) {
     match envelope {
         Envelope::Msg { from, msg, trace, sent_ns } => {
-            let recv_ns = shared.now_ns();
             let traced = match (&shared.sink, trace) {
                 (Some(s), Some(tc)) => {
+                    let recv_ns = shared.now_ns();
                     record_net_span(s, tc, &msg, cell.id, sent_ns, recv_ns);
-                    Some((Arc::clone(s), tc, sads_sim::Message::op_name(&msg)))
+                    Some((Arc::clone(s), tc, sads_sim::Message::op_name(&msg), recv_ns))
                 }
                 _ => None,
             };
@@ -822,7 +821,7 @@ fn handle_envelope(
             match kind {
                 NodeKind::Service(service) => {
                     service.on_msg(&mut env, from, msg);
-                    if let Some((s, tc, op)) = traced {
+                    if let Some((s, tc, op, recv_ns)) = traced {
                         let end_ns = shared.now_ns();
                         s.record(SpanRecord {
                             trace: tc.trace_id,
