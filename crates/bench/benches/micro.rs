@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the hot paths: metadata segment-tree
 //! construction and descent, the request path's bookkeeping (metadata
 //! version index, provider cache, counters), allocation strategies, the
-//! chunk store, the put path's checksum and the gateway's content tag,
+//! chunk store, a blocking client call's round trip through the threaded
+//! executor, the put path's checksum and the gateway's content tag,
 //! the monitoring filters and burst cache, the policy engine, and the raw
 //! event rate of the cluster simulator.
 
@@ -326,6 +327,26 @@ fn bench_bookkeeping(c: &mut Criterion) {
     g.finish();
 }
 
+/// One blocking client call on an idle one-shard cluster: a snapshot, the
+/// smallest client → version manager → client round trip, with whatever
+/// hand-off between the calling thread and the executor it costs.
+fn bench_executor(c: &mut Criterion) {
+    use sads_blob::runtime::threaded::ClusterBuilder;
+
+    let mut cluster =
+        ClusterBuilder::new().data_providers(1).meta_providers(1).executor_shards(1).start();
+    let client = cluster.client(ClientId(1));
+    let blob = client.create(BlobSpec { page_size: 4096, replication: 1 }).expect("create");
+    client.append(blob, bytes::Bytes::from(vec![7u8; 4096])).expect("append");
+    let mut g = c.benchmark_group("executor");
+    g.sample_size(20_000);
+    g.bench_function("blocking_snapshot_roundtrip", |b| {
+        b.iter(|| client.snapshot(black_box(blob), None).expect("snapshot"))
+    });
+    g.finish();
+    cluster.shutdown();
+}
+
 fn bench_alloc(c: &mut Criterion) {
     let mut g = c.benchmark_group("allocation");
     let mut registry = ProviderRegistry::new();
@@ -641,6 +662,7 @@ criterion_group!(
     bench_tree,
     bench_read_path,
     bench_bookkeeping,
+    bench_executor,
     bench_alloc,
     bench_chunk_store,
     bench_crc32c,

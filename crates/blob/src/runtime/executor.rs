@@ -16,7 +16,9 @@
 //! * a worker drains a cell's mailbox in **batches** (up to
 //!   [`DRAIN_BATCH`] envelopes per mailbox lock, at most [`MAX_PER_RUN`]
 //!   per scheduling turn) so one hot service cannot starve its shard — the
-//!   cell is simply re-queued at the back and the worker moves on.
+//!   cell is simply re-queued at the back and the worker moves on,
+//! * a caller blocked on a client call runs its shard's cells itself (one
+//!   such helper per shard), and a send wakes only a parked, unhelped worker.
 //!
 //! Lifecycle guarantees the rest of the repo relies on:
 //!
@@ -32,11 +34,11 @@
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -58,6 +60,12 @@ const MAX_PER_RUN: usize = 256;
 /// Idle park cap so workers notice `running == false` and freshly
 /// registered cross-shard work even without a notification.
 const PARK_CAP: Duration = Duration::from_millis(100);
+
+thread_local! {
+    /// Set on a thread that is running cells — a worker for its whole
+    /// life, a helping caller while it helps — so it never helps (again).
+    static RUNS_CELLS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// What travels between cells.
 pub(crate) enum Envelope {
@@ -106,7 +114,7 @@ impl NodeKind {
     }
 }
 
-/// Per-cell mutable state, touched only by the worker currently running
+/// Per-cell mutable state, touched only by the thread currently running
 /// the cell (guarded by the `scheduled` flag plus this mutex).
 struct NodeState {
     kind: NodeKind,
@@ -168,23 +176,43 @@ impl Ord for ShardTimer {
     }
 }
 
-/// One executor shard: a run queue, its worker's parking lot, and the
-/// timers registered by cells that last ran here.
+/// One executor shard: a run queue, its worker's parking lot, the timers
+/// registered by cells that last ran here, and its one helper slot.
 struct Shard {
-    runq: StdMutex<VecDeque<Arc<Cell>>>,
+    runq: StdMutex<RunQueue>,
     cv: Condvar,
     timers: Mutex<BinaryHeap<std::cmp::Reverse<ShardTimer>>>,
     timer_seq: AtomicUsize,
+    /// Held by the one caller thread running this shard's cells while it
+    /// waits for a reply (see [`ExecShared::wait_reply`]).
+    helper: AtomicBool,
+}
+
+/// A shard's queued cells and its worker's sleep, under one lock, so a
+/// sender sees whether the worker sleeps exactly when it enqueues.
+struct RunQueue {
+    cells: VecDeque<Arc<Cell>>,
+    /// The worker waits on the condvar and no one has notified it since.
+    parked: bool,
+    /// When the parked worker wakes by itself (executor ns): its earliest
+    /// shard timer, or the park cap.
+    park_until: u64,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
-            runq: StdMutex::new(VecDeque::new()),
+            runq: StdMutex::new(RunQueue { cells: VecDeque::new(), parked: false, park_until: 0 }),
             cv: Condvar::new(),
             timers: Mutex::new(BinaryHeap::new()),
             timer_seq: AtomicUsize::new(0),
+            helper: AtomicBool::new(false),
         }
+    }
+
+    /// Earliest registered timer deadline, if any.
+    fn next_timer(&self) -> Option<u64> {
+        self.timers.lock().peek().map(|std::cmp::Reverse(t)| t.deadline)
     }
 }
 
@@ -247,15 +275,18 @@ impl ExecShared {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Route an envelope; returns `false` if the slot is dead or unknown.
-    pub(crate) fn send_to(&self, to: NodeId, env: Envelope) -> bool {
-        let cell = {
-            let slots = self.slots.read();
-            match slots.get(to.index()) {
-                Some(Some(c)) => Arc::clone(c),
-                _ => return false,
-            }
-        };
+    /// Route an envelope; it is dropped if the slot is dead or unknown.
+    pub(crate) fn send_to(&self, to: NodeId, env: Envelope) {
+        if let Some(cell) = self.route(to) {
+            self.deliver(&cell, env);
+        }
+    }
+
+    fn route(&self, to: NodeId) -> Option<Arc<Cell>> {
+        self.slots.read().get(to.index()).cloned().flatten()
+    }
+
+    fn deliver(&self, cell: &Arc<Cell>, env: Envelope) {
         let depth = {
             let mut mb = cell.mailbox.lock();
             mb.push_back(env);
@@ -264,13 +295,13 @@ impl ExecShared {
         if depth > cell.mail_hwm.fetch_max(depth, Ordering::Relaxed) {
             cell.hwm_gauge.set(depth as f64);
         }
-        self.schedule(&cell);
-        true
+        self.schedule(cell);
     }
 
-    /// Mark `cell` runnable and hand it to its home shard. No-op if it is
-    /// already queued or running (the final mailbox re-check in
-    /// [`Executor::run_cell`] covers that race).
+    /// Mark `cell` runnable and hand it to its home shard, waking the
+    /// shard's worker if it sleeps and no helper will run the cell. No-op
+    /// if the cell is already queued or running (the final mailbox
+    /// re-check in [`Executor::run_cell`] covers that race).
     fn schedule(&self, cell: &Arc<Cell>) {
         if cell.dead.load(Ordering::Acquire) {
             return;
@@ -279,13 +310,68 @@ impl ExecShared {
             return;
         }
         let home = cell.home.load(Ordering::Relaxed) % self.shards.len();
-        let depth = {
-            let mut q = self.shards[home].runq.lock().expect("runq");
-            q.push_back(Arc::clone(cell));
-            q.len()
+        let shard = &self.shards[home];
+        let (depth, wake) = {
+            let mut q = shard.runq.lock().expect("runq");
+            q.cells.push_back(Arc::clone(cell));
+            // Read under the lock a leaving helper takes after it clears
+            // its slot: either this push sees the slot free, or the
+            // helper's hand-back sees this cell queued.
+            let wake = q.parked && !shard.helper.load(Ordering::SeqCst);
+            if wake {
+                q.parked = false;
+            }
+            (q.cells.len(), wake)
         };
         self.stats[home].runq_depth.set(depth as f64);
-        self.shards[home].cv.notify_one();
+        if wake {
+            shard.cv.notify_one();
+        }
+    }
+
+    /// Wait up to `timeout` for the reply to an op addressed to client
+    /// cell `node`, sending `op` first when it is given (a ticket's op was
+    /// sent at submission). This is the one wait of every blocking client
+    /// call: the caller claims the cell's home shard's helper slot, sends
+    /// without waking the worker and runs the shard's cells itself until
+    /// the reply is in (see [`Helper`]). If the slot is taken, or the
+    /// caller is itself running cells, it blocks on `rx`.
+    pub(crate) fn wait_reply(
+        &self,
+        node: NodeId,
+        op: Option<Envelope>,
+        rx: &Receiver<Completion>,
+        timeout: Duration,
+    ) -> Result<Completion, RecvTimeoutError> {
+        let deadline = Instant::now() + timeout;
+        // The cell is not held past the send: its pending replies must
+        // drop with it when it is killed or the executor shuts down.
+        let helper = self.route(node).and_then(|cell| {
+            let helper = self.claim_helper(&cell);
+            if let Some(op) = op {
+                self.deliver(&cell, op);
+            }
+            helper
+        });
+        // An op to a dead address was dropped, and with it the reply
+        // sender: `rx` reports the disconnect.
+        if let Some(reply) = helper.and_then(|h| h.run_until(rx, deadline)) {
+            return Ok(reply);
+        }
+        rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+    }
+
+    fn claim_helper(&self, cell: &Cell) -> Option<Helper<'_>> {
+        if RUNS_CELLS.get() || !self.running.load(Ordering::Acquire) {
+            return None;
+        }
+        let shard = cell.home.load(Ordering::Relaxed) % self.shards.len();
+        self.shards[shard]
+            .helper
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
+            .ok()?;
+        RUNS_CELLS.set(true);
+        Some(Helper { shared: self, shard })
     }
 
     /// Stop routing to `node`, drop its queued mail, and make sure it
@@ -316,6 +402,82 @@ impl ExecShared {
             &[("node", cell.id.0.to_string().as_str())],
             1,
         );
+    }
+}
+
+/// A caller thread holding a shard's helper slot: it runs the shard's
+/// cells the way the shard's worker would — due shard timers, then the
+/// next queued cell, on the shard it popped from, so no cell changes home.
+/// Dropping it hands the shard back to the worker.
+struct Helper<'a> {
+    shared: &'a ExecShared,
+    shard: usize,
+}
+
+impl Helper<'_> {
+    /// Run turns until `rx` holds the reply, then at most [`MAX_PER_RUN`]
+    /// trailing turns, so what the op left queued is not handed to a
+    /// worker woken for it. `None` when the queue runs dry first (the rest
+    /// of the op is on another thread or behind a timer), the executor
+    /// stops, the reply can no longer come, or `deadline` passes.
+    fn run_until(self, rx: &Receiver<Completion>, deadline: Instant) -> Option<Completion> {
+        let mut turns = 0usize;
+        loop {
+            match rx.try_recv() {
+                Ok(reply) => {
+                    for _ in 0..MAX_PER_RUN {
+                        if !self.turn() {
+                            break;
+                        }
+                    }
+                    return Some(reply);
+                }
+                Err(TryRecvError::Disconnected) => return None,
+                Err(TryRecvError::Empty) => {}
+            }
+            // The deadline only bounds a helper kept busy by other cells'
+            // work; checking it every DRAIN_BATCH turns keeps the clock
+            // off the common path.
+            turns += 1;
+            if !self.turn() || (turns.is_multiple_of(DRAIN_BATCH) && Instant::now() >= deadline) {
+                return None;
+            }
+        }
+    }
+
+    /// Fire the shard's due timers and run its next queued cell; `false`
+    /// when nothing ran.
+    fn turn(&self) -> bool {
+        let (shared, w) = (self.shared, self.shard);
+        if !shared.running.load(Ordering::Acquire) {
+            return false;
+        }
+        fire_shard_timers(shared, w);
+        match pop_front(shared, w) {
+            Some(cell) => {
+                run_cell(shared, w, &cell);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl Drop for Helper<'_> {
+    /// Free the slot, then wake the parked worker if cells are queued or
+    /// a timer registered while helping falls before it would wake.
+    fn drop(&mut self) {
+        RUNS_CELLS.set(false);
+        let shard = &self.shared.shards[self.shard];
+        shard.helper.store(false, Ordering::SeqCst);
+        let mut q = shard.runq.lock().unwrap_or_else(PoisonError::into_inner);
+        let wake = q.parked
+            && (!q.cells.is_empty() || shard.next_timer().is_some_and(|t| t < q.park_until));
+        if wake {
+            q.parked = false;
+            drop(q);
+            shard.cv.notify_one();
+        }
     }
 }
 
@@ -457,11 +619,23 @@ impl Executor {
     pub(crate) fn shutdown(&mut self) {
         self.shared.running.store(false, Ordering::Release);
         for shard in &self.shared.shards {
-            let _g = shard.runq.lock().expect("runq");
+            shard.runq.lock().expect("runq").parked = false;
             shard.cv.notify_all();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
+        }
+        // A helper stops at its next turn once `running` is false. Hold
+        // every helper slot while the tables are cleared, so no helper is
+        // mid-turn then.
+        for shard in &self.shared.shards {
+            while shard
+                .helper
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
+                .is_err()
+            {
+                std::thread::yield_now();
+            }
         }
         // Unroute every cell and drop its mailbox: queued `Op` envelopes
         // hold the caller's reply `Sender`, so dropping them here is what
@@ -472,7 +646,8 @@ impl Executor {
         // the join above — workers may still be mid-turn until then.
         self.shared.slots.write().clear();
         for shard in &self.shared.shards {
-            shard.runq.lock().expect("runq").clear();
+            shard.runq.lock().expect("runq").cells.clear();
+            shard.helper.store(false, Ordering::SeqCst);
         }
     }
 }
@@ -605,6 +780,8 @@ fn fire_shard_timers(shared: &ExecShared, w: usize) {
 }
 
 fn worker_loop(shared: &ExecShared, w: usize) {
+    RUNS_CELLS.set(true);
+    let shard = &shared.shards[w];
     while shared.running.load(Ordering::Acquire) {
         fire_shard_timers(shared, w);
 
@@ -615,20 +792,19 @@ fn worker_loop(shared: &ExecShared, w: usize) {
             continue;
         }
 
-        // Park until the next registered timer, a notification, or the cap.
-        let wait = {
-            let th = shared.shards[w].timers.lock();
-            th.peek()
-                .map(|std::cmp::Reverse(t)| {
-                    Duration::from_nanos(t.deadline.saturating_sub(shared.now_ns()))
-                })
-                .unwrap_or(PARK_CAP)
-                .min(PARK_CAP)
-        };
-        let g = shared.shards[w].runq.lock().expect("runq");
-        if g.is_empty() && shared.running.load(Ordering::Acquire) {
+        // Park until the next registered timer, a notification, or the
+        // cap. The deadline is taken under the run-queue lock, which a
+        // leaving helper holds to compare it with the timers it added.
+        let mut q = shard.runq.lock().expect("runq");
+        if q.cells.is_empty() && shared.running.load(Ordering::Acquire) {
+            let now = shared.now_ns();
+            let cap = now + PARK_CAP.as_nanos() as u64;
+            q.park_until = shard.next_timer().map_or(cap, |t| t.min(cap));
+            q.parked = true;
             shared.stats[w].parks.inc(1);
-            let _ = shared.shards[w].cv.wait_timeout(g, wait);
+            let wait = Duration::from_nanos(q.park_until.saturating_sub(now));
+            let (mut q, _) = shard.cv.wait_timeout(q, wait).expect("runq");
+            q.parked = false;
             shared.stats[w].unparks.inc(1);
         }
     }
@@ -637,8 +813,8 @@ fn worker_loop(shared: &ExecShared, w: usize) {
 fn pop_front(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
     let (cell, depth) = {
         let mut q = shared.shards[w].runq.lock().expect("runq");
-        let cell = q.pop_front();
-        (cell, q.len())
+        let cell = q.cells.pop_front();
+        (cell, q.cells.len())
     };
     if cell.is_some() {
         shared.stats[w].runq_depth.set(depth as f64);
@@ -652,8 +828,8 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
         let v = (w + i) % n;
         let (cell, depth) = {
             let mut q = shared.shards[v].runq.lock().expect("runq");
-            let cell = q.pop_back();
-            (cell, q.len())
+            let cell = q.cells.pop_back();
+            (cell, q.cells.len())
         };
         if cell.is_some() {
             shared.stats[v].runq_depth.set(depth as f64);
@@ -664,8 +840,9 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
     None
 }
 
-/// Run one scheduling turn of `cell` on worker `w`: due timers, then
-/// batched mailbox drain up to the fairness cap.
+/// Run one scheduling turn of `cell` on shard `w` (by its worker, a thief,
+/// or a helper): due timers, then batched mailbox drain up to the fairness
+/// cap.
 fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
     cell.home.store(w, Ordering::Relaxed);
     if cell.dead.load(Ordering::Acquire) {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use sads_sim::{
     FlightRecorder, MetricSink, NodeId, ProcSampler, Registry as TelemetryRegistry, SimDuration,
@@ -24,7 +24,7 @@ use sads_sim::{
 };
 
 use super::executor::{Envelope, ExecShared, Executor, NodeKind};
-use crate::client::{ClientConfig, ClientOp, OpOutput};
+use crate::client::{ClientConfig, ClientOp, Completion, OpOutput};
 use crate::model::{BlobError, BlobId, BlobSpec, ClientId, Payload, VersionId};
 use crate::pmanager::AllocationStrategy;
 use crate::rpc::Msg;
@@ -72,12 +72,18 @@ impl Service for ProcSamplerService {
     }
 }
 
+/// What a blocking call returns when its client cell is gone before the
+/// reply came: the node was killed, or the cluster shut down.
+pub const CLIENT_GONE: &str = "client node gone";
+
 /// Handle to a client cell: a blocking BlobSeer API over real bytes.
 ///
-/// The handle itself is not a thread — `run` injects the op into the
-/// client's mailbox and parks the *calling* thread on a one-shot reply
-/// channel, so any number of driver threads can block cheaply while the
-/// executor's few workers do the protocol work.
+/// The handle itself is not a thread — a blocking call injects the op
+/// into the client's mailbox and waits on a one-shot reply channel. While
+/// it waits, the calling thread runs the executor's cells itself if it can
+/// take its shard's one helper slot, and otherwise sleeps, so any number
+/// of driver threads can block cheaply while the executor's few workers do
+/// the protocol work.
 #[derive(Clone)]
 pub struct ClientHandle {
     node: NodeId,
@@ -89,23 +95,28 @@ pub struct ClientHandle {
 /// One in-flight client op submitted with [`ClientHandle::submit`]: a
 /// one-shot completion channel plus the op deadline.
 pub struct OpTicket {
-    rx: crossbeam::channel::Receiver<crate::client::Completion>,
+    rx: Receiver<Completion>,
+    exec: Arc<ExecShared>,
+    node: NodeId,
     timeout: Duration,
-    routed: bool,
     submitted: Instant,
+}
+
+/// A blocking call's outcome, from what its reply channel yielded.
+fn outcome(reply: Result<Completion, RecvTimeoutError>) -> Result<OpOutput, BlobError> {
+    match reply {
+        Ok(c) => c.result,
+        Err(RecvTimeoutError::Timeout) => Err(BlobError::Timeout),
+        Err(RecvTimeoutError::Disconnected) => Err(BlobError::Protocol(CLIENT_GONE)),
+    }
 }
 
 impl OpTicket {
     /// Block until the op completes (or its deadline passes) and return
-    /// the protocol result.
+    /// the protocol result; if the client cell is gone first, the error is
+    /// `BlobError::Protocol(CLIENT_GONE)`.
     pub fn wait(self) -> Result<OpOutput, BlobError> {
-        if !self.routed {
-            return Err(BlobError::Protocol("client node gone"));
-        }
-        match self.rx.recv_timeout(self.timeout) {
-            Ok(c) => c.result,
-            Err(_) => Err(BlobError::Timeout),
-        }
+        outcome(self.exec.wait_reply(self.node, None, &self.rx, self.timeout))
     }
 
     /// Time since the op was injected into the client cell's mailbox.
@@ -133,8 +144,11 @@ impl ClientHandle {
         self.client_id
     }
 
-    fn run(&self, op: ClientOp, trace: Option<TraceCtx>) -> Result<OpOutput, BlobError> {
-        self.submit(op, trace).wait()
+    /// Run `op` to completion, blocking the calling thread.
+    pub(crate) fn run(&self, op: ClientOp, trace: Option<TraceCtx>) -> Result<OpOutput, BlobError> {
+        let (tx, rx) = bounded(1);
+        let op = Envelope::Op { op, reply: tx, trace };
+        outcome(self.exec.wait_reply(self.node, Some(op), &rx, self.op_timeout))
     }
 
     /// Inject `op` into the client cell's mailbox and return immediately;
@@ -148,8 +162,14 @@ impl ClientHandle {
     /// tag inside the cell, not by submission order.
     pub fn submit(&self, op: ClientOp, trace: Option<TraceCtx>) -> OpTicket {
         let (tx, rx) = bounded(1);
-        let routed = self.exec.send_to(self.node, Envelope::Op { op, reply: tx, trace });
-        OpTicket { rx, timeout: self.op_timeout, routed, submitted: Instant::now() }
+        self.exec.send_to(self.node, Envelope::Op { op, reply: tx, trace });
+        OpTicket {
+            rx,
+            exec: Arc::clone(&self.exec),
+            node: self.node,
+            timeout: self.op_timeout,
+            submitted: Instant::now(),
+        }
     }
 
     /// [`append`](ClientHandle::append) without blocking: returns a

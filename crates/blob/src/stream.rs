@@ -67,9 +67,10 @@
 //! with a counting allocator.
 //!
 //! Both handles are thin blocking adapters over the threaded runtime's
-//! op-ticket machinery: a sub-operation (`feed`, `commit`, a `next` that
+//! one blocking call: a sub-operation (`feed`, `commit`, a `next` that
 //! needs a new window) is one [`ClientOp`] injected into the client cell's
-//! mailbox, completing synchronously when the stream has headroom.
+//! mailbox, completing synchronously when the stream has headroom, and
+//! waited for like any other call (the caller may run the cells itself).
 //! Dropping a handle without committing/closing aborts the stream
 //! fire-and-forget, so the cell's session is reclaimed without blocking
 //! the dropping thread.
@@ -225,7 +226,7 @@ impl BlobWriteHandle {
     }
 
     fn sub_op(&self, op: ClientOp) -> Result<OpOutput, BlobError> {
-        self.client.submit(op, self.trace).wait()
+        self.client.run(op, self.trace)
     }
 }
 
@@ -335,11 +336,7 @@ impl BlobReadHandle {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Bytes>, BlobError> {
         if self.window.is_empty() && !self.done {
-            match self
-                .client
-                .submit(ClientOp::ReadStreamNext { stream: self.stream }, self.trace)
-                .wait()?
-            {
+            match self.client.run(ClientOp::ReadStreamNext { stream: self.stream }, self.trace)? {
                 OpOutput::ReadChunk { segments, eof, .. } => {
                     self.done = eof;
                     self.window.extend(segments.into_iter().map(|seg| match seg {
@@ -361,11 +358,7 @@ impl BlobReadHandle {
             return Ok(());
         }
         self.done = true;
-        match self
-            .client
-            .submit(ClientOp::CloseReadStream { stream: self.stream }, self.trace)
-            .wait()?
-        {
+        match self.client.run(ClientOp::CloseReadStream { stream: self.stream }, self.trace)? {
             OpOutput::StreamClosed { .. } => Ok(()),
             _ => Err(BlobError::Protocol("wrong output for close")),
         }
@@ -406,7 +399,7 @@ impl ClientHandle {
         len: u64,
         trace: Option<TraceCtx>,
     ) -> Result<BlobWriteHandle, BlobError> {
-        match self.submit(ClientOp::OpenWriteStream { blob, kind, len }, trace).wait()? {
+        match self.run(ClientOp::OpenWriteStream { blob, kind, len }, trace)? {
             OpOutput::WriteStreamOpened { stream, version, offset, len, page_size } => Ok(
                 BlobWriteHandle::new(self.clone(), stream, version, offset, len, page_size, trace),
             ),
@@ -427,7 +420,7 @@ impl ClientHandle {
         len: u64,
         trace: Option<TraceCtx>,
     ) -> Result<BlobReadHandle, BlobError> {
-        match self.submit(ClientOp::OpenReadStream { blob, version, offset, len }, trace).wait()? {
+        match self.run(ClientOp::OpenReadStream { blob, version, offset, len }, trace)? {
             OpOutput::ReadStreamOpened { stream, version, len, page_size } => {
                 Ok(BlobReadHandle::new(self.clone(), stream, version, len, page_size, trace))
             }

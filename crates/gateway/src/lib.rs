@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sads_blob::runtime::threaded::ClientHandle;
+use sads_blob::runtime::threaded::{ClientHandle, CLIENT_GONE};
 use sads_blob::stream::BlobReadHandle;
 use sads_blob::{BlobError, BlobId, BlobSpec, ClientId, VersionId, WriteKind};
 use sads_sim::{FlightRecorder, SpanClass, SpanKind, SpanRecord, SpanSink, TraceCtx};
@@ -106,10 +106,12 @@ impl From<BlobError> for GatewayError {
         match e {
             // Transient total-unavailability shapes surface as 503-with-
             // Retry-After so S3 clients back off and retry instead of
-            // failing the request permanently.
+            // failing the request permanently. A client cell gone
+            // mid-request is the cluster shutting down or restarting.
             BlobError::ChunkUnavailable(_)
             | BlobError::MetaUnavailable
             | BlobError::Timeout
+            | BlobError::Protocol(CLIENT_GONE)
             | BlobError::AllocationFailed { .. } => {
                 GatewayError::Unavailable { retry_after_secs: 5 }
             }
@@ -1531,6 +1533,7 @@ mod tests {
             BlobError::ChunkUnavailable(key),
             BlobError::MetaUnavailable,
             BlobError::Timeout,
+            BlobError::Protocol(CLIENT_GONE),
             BlobError::AllocationFailed { requested: 3, available: 0 },
         ] {
             match GatewayError::from(e) {
@@ -1544,6 +1547,10 @@ mod tests {
         assert!(matches!(
             GatewayError::from(BlobError::Blocked(ClientId(9))),
             GatewayError::Storage(BlobError::Blocked(_))
+        ));
+        assert!(matches!(
+            GatewayError::from(BlobError::Protocol("unknown stream")),
+            GatewayError::Storage(BlobError::Protocol(_))
         ));
     }
 
