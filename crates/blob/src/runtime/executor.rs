@@ -17,8 +17,8 @@
 //!   [`DRAIN_BATCH`] envelopes per mailbox lock, at most [`MAX_PER_RUN`]
 //!   per scheduling turn) so one hot service cannot starve its shard — the
 //!   cell is simply re-queued at the back and the worker moves on,
-//! * a caller blocked on a client call runs its shard's cells itself (one
-//!   such helper per shard), and a send wakes only a parked, unhelped worker.
+//! * a caller blocked on a client call runs its idle shard's cells itself
+//!   (one helper per shard), and a send wakes only a parked, unhelped worker.
 //!
 //! Lifecycle guarantees the rest of the repo relies on:
 //!
@@ -61,10 +61,19 @@ const MAX_PER_RUN: usize = 256;
 /// registered cross-shard work even without a notification.
 const PARK_CAP: Duration = Duration::from_millis(100);
 
+/// Which cells the current thread runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Runs {
+    /// None: it may help when it blocks on a client call.
+    Nothing,
+    /// Any shard's, for its whole life; a worker never helps.
+    Worker,
+    /// Those of this shard, as its one helper, until the helper leaves.
+    Helper(usize),
+}
+
 thread_local! {
-    /// Set on a thread that is running cells — a worker for its whole
-    /// life, a helping caller while it helps — so it never helps (again).
-    static RUNS_CELLS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static RUNS: std::cell::Cell<Runs> = const { std::cell::Cell::new(Runs::Nothing) };
 }
 
 /// What travels between cells.
@@ -314,10 +323,11 @@ impl ExecShared {
         let (depth, wake) = {
             let mut q = shard.runq.lock().expect("runq");
             q.cells.push_back(Arc::clone(cell));
-            // Read under the lock a leaving helper takes after it clears
-            // its slot: either this push sees the slot free, or the
-            // helper's hand-back sees this cell queued.
-            let wake = q.parked && !shard.helper.load(Ordering::SeqCst);
+            // What the shard's helper schedules, it runs itself or hands
+            // back when it leaves; anyone else's send wakes the worker, so
+            // other threads' work never waits on a helper that lost its
+            // core to them.
+            let wake = q.parked && RUNS.get() != Runs::Helper(home);
             if wake {
                 q.parked = false;
             }
@@ -363,7 +373,7 @@ impl ExecShared {
     }
 
     fn claim_helper(&self, cell: &Cell) -> Option<Helper<'_>> {
-        if RUNS_CELLS.get() || !self.running.load(Ordering::Acquire) {
+        if RUNS.get() != Runs::Nothing || !self.running.load(Ordering::Acquire) {
             return None;
         }
         let shard = cell.home.load(Ordering::Relaxed) % self.shards.len();
@@ -377,7 +387,7 @@ impl ExecShared {
             .helper
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
             .ok()?;
-        RUNS_CELLS.set(true);
+        RUNS.set(Runs::Helper(shard));
         Some(Helper { shared: self, shard })
     }
 
@@ -412,10 +422,10 @@ impl ExecShared {
     }
 }
 
-/// A caller thread holding a shard's helper slot: it runs the shard's
-/// cells the way the shard's worker would — due shard timers, then the
-/// next queued cell, on the shard it popped from, so no cell changes home.
-/// Dropping it hands the shard back to the worker.
+/// A caller thread holding a shard's helper slot: while the shard's worker
+/// sleeps, it runs the shard's cells the way the worker would — due shard
+/// timers, then the next queued cell, on the shard it popped from, so no
+/// cell changes home. Dropping it hands the shard back to the worker.
 struct Helper<'a> {
     shared: &'a ExecShared,
     shard: usize,
@@ -425,8 +435,9 @@ impl Helper<'_> {
     /// Run turns until `rx` holds the reply, then at most [`MAX_PER_RUN`]
     /// trailing turns, so what the op left queued is not handed to a
     /// worker woken for it. `None` when the queue runs dry first (the rest
-    /// of the op is on another thread or behind a timer), the executor
-    /// stops, the reply can no longer come, or `deadline` passes.
+    /// of the op is on another thread or behind a timer), another thread's
+    /// send wakes the worker, the executor stops, the reply can no longer
+    /// come, or `deadline` passes.
     fn run_until(self, rx: &Receiver<Completion>, deadline: Instant) -> Option<Completion> {
         let mut turns = 0usize;
         loop {
@@ -453,14 +464,14 @@ impl Helper<'_> {
     }
 
     /// Fire the shard's due timers and run its next queued cell; `false`
-    /// when nothing ran.
+    /// when nothing ran (the queue is empty or the worker is awake).
     fn turn(&self) -> bool {
         let (shared, w) = (self.shared, self.shard);
         if !shared.running.load(Ordering::Acquire) {
             return false;
         }
         fire_shard_timers(shared, w);
-        match pop_front(shared, w) {
+        match pop_front(shared, w, true) {
             Some(cell) => {
                 run_cell(shared, w, &cell);
                 true
@@ -474,7 +485,7 @@ impl Drop for Helper<'_> {
     /// Free the slot, then wake the parked worker if cells are queued or
     /// a timer registered while helping falls before it would wake.
     fn drop(&mut self) {
-        RUNS_CELLS.set(false);
+        RUNS.set(Runs::Nothing);
         let shard = &self.shared.shards[self.shard];
         shard.helper.store(false, Ordering::SeqCst);
         let mut q = shard.runq.lock().unwrap_or_else(PoisonError::into_inner);
@@ -787,13 +798,13 @@ fn fire_shard_timers(shared: &ExecShared, w: usize) {
 }
 
 fn worker_loop(shared: &ExecShared, w: usize) {
-    RUNS_CELLS.set(true);
+    RUNS.set(Runs::Worker);
     let shard = &shared.shards[w];
     while shared.running.load(Ordering::Acquire) {
         fire_shard_timers(shared, w);
 
         // Own queue first, then steal from the back of a busier shard.
-        let next = pop_front(shared, w).or_else(|| steal(shared, w));
+        let next = pop_front(shared, w, false).or_else(|| steal(shared, w));
         if let Some(cell) = next {
             run_cell(shared, w, &cell);
             continue;
@@ -817,9 +828,15 @@ fn worker_loop(shared: &ExecShared, w: usize) {
     }
 }
 
-fn pop_front(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
+/// The front of shard `w`'s run queue. A helper gets nothing once the
+/// worker is awake: the worker has a core and runs the rest, so a shard
+/// never has two runners beside a thief.
+fn pop_front(shared: &ExecShared, w: usize, helper: bool) -> Option<Arc<Cell>> {
     let (cell, depth) = {
         let mut q = shared.shards[w].runq.lock().expect("runq");
+        if helper && !q.parked {
+            return None;
+        }
         let cell = q.cells.pop_front();
         (cell, q.cells.len())
     };
