@@ -17,8 +17,8 @@
 //!   [`DRAIN_BATCH`] envelopes per mailbox lock, at most [`MAX_PER_RUN`]
 //!   per scheduling turn) so one hot service cannot starve its shard — the
 //!   cell is simply re-queued at the back and the worker moves on,
-//! * a caller blocked on a client call runs its idle shard's cells itself
-//!   (one helper per shard), and a send wakes only a parked, unhelped worker.
+//! * a caller blocked on a client call runs its shard's cells itself while
+//!   the worker sleeps (one helper per shard); only its own sends skip the wake.
 //!
 //! Lifecycle guarantees the rest of the repo relies on:
 //!
@@ -308,7 +308,8 @@ impl ExecShared {
     }
 
     /// Mark `cell` runnable and hand it to its home shard, waking the
-    /// shard's worker if it sleeps and no helper will run the cell. No-op
+    /// shard's worker if it sleeps, unless the sender is the shard's helper,
+    /// which will run the cell itself. No-op
     /// if the cell is already queued or running (the final mailbox
     /// re-check in [`Executor::run_cell`] covers that race).
     fn schedule(&self, cell: &Arc<Cell>) {
@@ -346,7 +347,8 @@ impl ExecShared {
     /// the shard's helper slot, sends without waking the worker and runs
     /// the shard's cells itself until the reply is in (see [`Helper`]).
     /// If the worker is awake, the slot is taken, or the caller is itself
-    /// running cells, it blocks on `rx`.
+    /// running cells — and whenever the helper stops short of the reply —
+    /// it blocks on `rx`.
     pub(crate) fn wait_reply(
         &self,
         node: NodeId,
@@ -829,8 +831,8 @@ fn worker_loop(shared: &ExecShared, w: usize) {
 }
 
 /// The front of shard `w`'s run queue. A helper gets nothing once the
-/// worker is awake: the worker has a core and runs the rest, so a shard
-/// never has two runners beside a thief.
+/// worker is awake: the worker has a core and runs the rest, so a helper
+/// never starts a turn beside it.
 fn pop_front(shared: &ExecShared, w: usize, helper: bool) -> Option<Arc<Cell>> {
     let (cell, depth) = {
         let mut q = shared.shards[w].runq.lock().expect("runq");

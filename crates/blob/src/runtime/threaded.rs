@@ -80,10 +80,10 @@ pub const CLIENT_GONE: &str = "client node gone";
 ///
 /// The handle itself is not a thread — a blocking call injects the op
 /// into the client's mailbox and waits on a one-shot reply channel. While
-/// it waits, the calling thread runs the executor's cells itself if it can
-/// take its shard's one helper slot, and otherwise sleeps, so any number
-/// of driver threads can block cheaply while the executor's few workers do
-/// the protocol work.
+/// it waits, the calling thread runs its shard's cells itself if the
+/// shard's worker sleeps and the shard's one helper slot is free, and
+/// otherwise sleeps, so any number of driver threads can block cheaply
+/// while the executor's few workers do the protocol work.
 #[derive(Clone)]
 pub struct ClientHandle {
     node: NodeId,
