@@ -1164,16 +1164,23 @@ impl ObjectGateway {
         Ok(info)
     }
 
-    /// Abort a multipart upload (S3 `AbortMultipartUpload`): drops the
-    /// upload state; uploaded part data is reclaimed asynchronously by the
-    /// data-removal strategies.
+    /// Abort a multipart upload (S3 `AbortMultipartUpload`): decommissions
+    /// the upload's BLOB, so the lifecycle sweeper may reclaim its parts,
+    /// then drops the upload state.
     pub fn abort_multipart(&self, principal: ClientId, upload_id: u64) -> Result<(), GatewayError> {
-        let mut u = self.uploads.lock();
-        let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
-        if up.owner != principal {
-            return Err(GatewayError::AccessDenied);
-        }
-        u.remove(&upload_id);
+        let blob = {
+            let u = self.uploads.lock();
+            let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
+            if up.owner != principal {
+                return Err(GatewayError::AccessDenied);
+            }
+            up.blob
+        };
+        // Decommission outside the lock and before unlinking, as
+        // `delete_object` does: a transient failure leaves the upload in
+        // place for a retry.
+        self.client().decommission(blob)?;
+        self.uploads.lock().remove(&upload_id);
         Ok(())
     }
 
@@ -1741,6 +1748,9 @@ mod multipart_tests {
         assert_eq!(gw.abort_multipart(BOB, id), Err(GatewayError::AccessDenied));
         gw.abort_multipart(ALICE, id).unwrap();
         assert_eq!(gw.abort_multipart(ALICE, id), Err(GatewayError::NoSuchUpload));
+        // The abort decommissioned the upload's BLOB: its latest version
+        // is no longer a GC root.
+        assert_eq!(cluster.metrics().counter("vman.decommissions"), 1);
         cluster.shutdown();
     }
 
