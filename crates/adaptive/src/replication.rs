@@ -441,6 +441,12 @@ mod tests {
                 self.lost += delta;
             }
         }
+        fn spawn(&mut self, _: Box<dyn sads_blob::services::Service>) -> NodeId {
+            unreachable!("no node starts nodes in this test")
+        }
+        fn power_off(&mut self, _: NodeId) {
+            unreachable!("no node powers nodes off in this test")
+        }
     }
 
     fn chunk(page: u64) -> ChunkKey {

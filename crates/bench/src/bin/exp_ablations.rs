@@ -14,7 +14,7 @@ use sads_blob::services::DataProviderService;
 use sads_core::{Deployment, DeploymentConfig};
 use sads_monitor::{StorageConfig, StorageServerService};
 use sads_security::{PolicySet, SecurityConfig};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 fn a1_allocation(args: &BenchArgs) {
@@ -23,13 +23,12 @@ fn a1_allocation(args: &BenchArgs) {
     let mut csv = String::from("strategy,client_mbps,imbalance,stddev_mb\n");
     for strategy in ["round_robin", "random", "least_loaded", "two_choices"] {
         let cfg = DeploymentConfig {
-            seed: args.seed_or(3),
             data_providers: args.scaled(16),
             meta_providers: 2,
             strategy,
             ..DeploymentConfig::default()
         };
-        let mut d = Deployment::build(cfg);
+        let mut d = Deployment::build(World::with_seed(args.seed_or(3)), cfg);
         let spec = BlobSpec { page_size: 8 * MB, replication: 2 };
         for i in 0..8u64 {
             d.add_client(
@@ -41,6 +40,7 @@ fn a1_allocation(args: &BenchArgs) {
         d.world.run_for(SimDuration::from_secs(90), 100_000_000);
         let tp = d.world.metrics().mean("writer.write_mbps").unwrap_or(0.0);
         let used: Vec<f64> = d
+            .nodes
             .data
             .iter()
             .filter_map(|p| d.world.actor_as::<DataProviderService>(*p))
@@ -69,7 +69,6 @@ fn a2_burst_cache(args: &BenchArgs) {
     let mut csv = String::from("cache,stored,dropped,drop_pct\n");
     for (label, capacity) in [("off", 0usize), ("on (100k)", 100_000)] {
         let cfg = DeploymentConfig {
-            seed: args.seed_or(5),
             data_providers: args.scaled(24),
             meta_providers: 2,
             storage_servers: 1,
@@ -83,7 +82,7 @@ fn a2_burst_cache(args: &BenchArgs) {
             },
             ..DeploymentConfig::default()
         };
-        let mut d = Deployment::build(cfg);
+        let mut d = Deployment::build(World::with_seed(args.seed_or(5)), cfg);
         // A burst: 24 writers of small pages → a dense stream of chunk
         // events hitting one storage server.
         let spec = BlobSpec { page_size: MB, replication: 1 };
@@ -95,7 +94,7 @@ fn a2_burst_cache(args: &BenchArgs) {
             );
         }
         d.world.run_for(SimDuration::from_secs(120), 200_000_000);
-        let server = d.storage[0];
+        let server = d.nodes.storage[0];
         let (accepted, dropped, _) = d
             .world
             .actor_as::<StorageServerService>(server)
@@ -130,14 +129,14 @@ fn a3_scan_period(args: &BenchArgs) {
         let mut d = {
             let mut d = build(&s);
             // Replace: add a security engine with the desired period.
-            let mut block_targets = vec![d.vman];
-            block_targets.extend(&d.data);
+            let mut block_targets = vec![d.nodes.vman];
+            block_targets.extend(&d.nodes.data);
             let engine = sads_blob::runtime::sim::add_service(
                 &mut d.world,
                 Box::new(sads_security::SecurityEngineService::new(
-                    d.storage.clone(),
+                    d.nodes.storage.clone(),
                     block_targets,
-                    d.data.clone(),
+                    d.nodes.data.clone(),
                     PolicySet::parse(sads_bench::dos::policy_source()).unwrap(),
                     SecurityConfig {
                         scan_every: SimDuration::from_secs(period),
@@ -146,7 +145,7 @@ fn a3_scan_period(args: &BenchArgs) {
                 )),
                 sads_sim::NodeConfig::default(),
             );
-            d.security = Some(engine);
+            d.nodes.security = Some(engine);
             d
         };
         d.world.run_for(SimDuration::from_secs(220), 400_000_000);
@@ -180,7 +179,6 @@ fn a4_attack_modes(args: &BenchArgs) {
     let mut csv = String::from("mode,baseline_mbps,under_attack_mbps,drop_pct,detected\n");
     for mode_name in ["bogus_writes", "amplified_reads"] {
         let cfg = DeploymentConfig {
-            seed: args.seed_or(300),
             data_providers: args.scaled(16),
             meta_providers: 4,
             monitors: 2,
@@ -191,7 +189,7 @@ fn a4_attack_modes(args: &BenchArgs) {
             )),
             ..DeploymentConfig::default()
         };
-        let mut d = Deployment::build(cfg);
+        let mut d = Deployment::build(World::with_seed(args.seed_or(300)), cfg);
         let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
         d.add_client(
             ClientId(1),
@@ -218,7 +216,7 @@ fn a4_attack_modes(args: &BenchArgs) {
             let targets: Vec<(sads_sim::NodeId, ChunkKey)> = (0..32u64)
                 .map(|p| {
                     (
-                        d.data[(p as usize) % d.data.len()],
+                        d.nodes.data[(p as usize) % d.nodes.data.len()],
                         ChunkKey { blob: BlobId(1), version: VersionId(1), page: p },
                     )
                 })
@@ -229,7 +227,7 @@ fn a4_attack_modes(args: &BenchArgs) {
             d.world.add_node(
                 Box::new(DosAttacker::new(
                     ClientId(100 + i),
-                    d.data.clone(),
+                    d.nodes.data.clone(),
                     AttackConfig {
                         start_at: SimTime(30_000_000_000),
                         stop_at: SimTime(600_000_000_000),

@@ -30,7 +30,7 @@ use sads_blob::runtime::sim::{BlobRef, ScriptStep};
 use sads_blob::services::DataProviderService;
 use sads_blob::{BackendSpec, WriteKind};
 use sads_core::{Deployment, DeploymentConfig};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use std::path::PathBuf;
 
 const MB: u64 = 1_000_000;
@@ -69,7 +69,6 @@ struct Outcome {
 
 fn run_once(args: &BenchArgs, backend: BackendSpec, label: &'static str, dataset: u64) -> Outcome {
     let cfg = DeploymentConfig {
-        seed: args.seed_or(131),
         data_providers: args.scaled(10),
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -80,7 +79,7 @@ fn run_once(args: &BenchArgs, backend: BackendSpec, label: &'static str, dataset
         backend,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(131)), cfg);
 
     // Load the replicated dataset while everything is healthy.
     let spec = BlobSpec { page_size: PAGE, replication: 2 };
@@ -95,7 +94,7 @@ fn run_once(args: &BenchArgs, backend: BackendSpec, label: &'static str, dataset
     let _ = LOAD_S; // the load finishes well before CRASH_S
     d.world.run_until(SimTime::from_secs(CRASH_S), MAX_EVENTS);
 
-    let victim = d.data[0];
+    let victim = d.nodes.data[0];
     let chunks_before = d
         .world
         .actor_as::<DataProviderService>(victim)

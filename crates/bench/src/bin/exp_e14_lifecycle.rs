@@ -37,9 +37,10 @@ use sads_blob::rpc::Msg;
 use sads_blob::runtime::sim::{BlobRef, ScriptStep};
 use sads_blob::services::DataProviderService;
 use sads_blob::{BackendSpec, WriteKind};
-use sads_core::{AdaptiveClusterConfig, Deployment, DeploymentConfig, SelfAdaptiveCluster};
+use sads_blob::runtime::threaded::ClusterBuilder;
+use sads_core::{install, Deployment, DeploymentConfig};
 use sads_lifecycle::{LifecycleConfig, RetentionPolicy, ScrubConfig};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 
 const MIB: u64 = 1 << 20;
 const MAX_EVENTS: u64 = 50_000_000;
@@ -64,7 +65,6 @@ fn churn(args: &BenchArgs, label: &'static str, policy: RetentionPolicy) -> Chur
         if args.smoke { (8u64, 2 * MIB, 30u64) } else { (20u64, 8 * MIB, 60u64) };
     let root = std::env::temp_dir().join(format!("sads-e14-churn-{label}-{}", std::process::id()));
     let cfg = DeploymentConfig {
-        seed: args.seed_or(141),
         data_providers: args.scaled(6),
         meta_providers: 2,
         lifecycle: Some(LifecycleConfig {
@@ -83,7 +83,7 @@ fn churn(args: &BenchArgs, label: &'static str, policy: RetentionPolicy) -> Chur
         },
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(141)), cfg);
 
     let spec = BlobSpec { page_size: page, replication: 1 };
     let mut steps = vec![ScriptStep::Create(spec)];
@@ -132,19 +132,22 @@ fn pattern(len: usize, seed: u8) -> Bytes {
 fn snapshot_pin() -> SnapshotOutcome {
     let page = 64 * 1024u64;
     let len = 8 * page as usize;
-    let mut sys = SelfAdaptiveCluster::start(AdaptiveClusterConfig {
+    let mut cluster = ClusterBuilder::new().host();
+    let spec = DeploymentConfig {
         data_providers: 4,
         meta_providers: 2,
-        security: None,
+        monitors: 1,
+        storage_servers: 1,
         lifecycle: Some(LifecycleConfig {
             policy: RetentionPolicy::KeepLastN(2),
             per_blob: vec![],
             sweep_every: SimDuration::from_millis(150),
             max_chunks_per_sweep: 10_000,
         }),
-        ..AdaptiveClusterConfig::default()
-    });
-    let client = sys.client(ClientId(7));
+        ..DeploymentConfig::default()
+    };
+    install(&spec, &mut cluster);
+    let client = cluster.client(ClientId(7));
     let blob = client.create(BlobSpec { page_size: page, replication: 1 }).expect("create");
     let first = pattern(len, 1);
     client.write(blob, 0, first.clone()).expect("write v1");
@@ -159,14 +162,14 @@ fn snapshot_pin() -> SnapshotOutcome {
     std::thread::sleep(std::time::Duration::from_millis(2000));
     let pinned = client.read(blob, Some(pin), 0, len as u64).expect("read pin");
     let latest = client.read(blob, None, 0, len as u64).expect("read latest");
-    let m = sys.cluster.metrics();
+    let m = cluster.metrics();
     let out = SnapshotOutcome {
         pinned_intact: pinned == first,
         latest_intact: latest == last,
         chunks_reclaimed: m.counter("lifecycle.chunks_reclaimed"),
         versions_retired: m.counter("lifecycle.versions_retired"),
     };
-    sys.shutdown();
+    cluster.shutdown();
     out
 }
 
@@ -195,7 +198,6 @@ fn scrub_repair(args: &BenchArgs) -> ScrubOutcome {
     let scrub_batch = 64u32;
     let root = std::env::temp_dir().join(format!("sads-e14-scrub-{}", std::process::id()));
     let cfg = DeploymentConfig {
-        seed: args.seed_or(151),
         data_providers: args.scaled(6),
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -207,7 +209,7 @@ fn scrub_repair(args: &BenchArgs) -> ScrubOutcome {
         backend: BackendSpec::disk(root.clone()),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(151)), cfg);
 
     let spec = BlobSpec { page_size: page, replication: 2 };
     d.add_client(
@@ -223,7 +225,7 @@ fn scrub_repair(args: &BenchArgs) -> ScrubOutcome {
     d.world.run_until(SimTime::from_secs(25), MAX_EVENTS);
 
     // Damage `inject` replicas on one provider, spread across its store.
-    let victim = d.data[0];
+    let victim = d.nodes.data[0];
     let keys = d
         .world
         .actor_as::<DataProviderService>(victim)

@@ -15,7 +15,7 @@
 use sads_bench::{print_table, row, write_artifact, BenchArgs};
 use sads_core::{Deployment, DeploymentConfig};
 use sads_blob::model::{BlobSpec, ClientId};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 const MB: u64 = 1_000_000;
@@ -23,14 +23,13 @@ const GB: u64 = 1_000 * MB;
 
 fn run(args: &BenchArgs, clients: usize, monitoring: bool) -> (f64, u64) {
     let cfg = DeploymentConfig {
-        seed: args.seed_or(1000) + clients as u64,
         data_providers: args.scaled(150),
         meta_providers: 8,
         monitors: if monitoring { 4 } else { 0 },
         storage_servers: 4,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(1000) + clients as u64), cfg);
     let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
     for i in 0..clients as u64 {
         // Each client writes 1 GB in 128 MB appends, like the paper's

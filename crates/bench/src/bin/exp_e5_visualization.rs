@@ -14,7 +14,7 @@ use sads_blob::model::{BlobSpec, ClientId};
 use sads_core::{Deployment, DeploymentConfig};
 use sads_introspect::{viz, TimeSeries};
 use sads_monitor::MetricId;
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::mixed_script;
 
 const MB: u64 = 1_000_000;
@@ -23,13 +23,12 @@ fn main() {
     let args = BenchArgs::parse();
     println!("E5: the introspection visualization tool\n");
     let cfg = DeploymentConfig {
-        seed: args.seed_or(55),
         data_providers: args.scaled(8),
         meta_providers: 2,
         ..DeploymentConfig::default()
     };
     let clients = args.scaled(3) as u64;
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(55)), cfg);
     let spec = BlobSpec { page_size: 4 * MB, replication: 1 };
     for i in 0..clients {
         d.add_client(
@@ -48,7 +47,7 @@ fn main() {
 
     // Collect the parameter log from every storage server.
     let mut all: Vec<sads_monitor::MonRecord> = Vec::new();
-    for i in 0..d.storage.len() {
+    for i in 0..d.nodes.storage.len() {
         if let Some(store) = d.mon_store(i) {
             all.extend(store.params().copied());
         }
@@ -56,7 +55,7 @@ fn main() {
 
     // Panel 1: physical parameters (CPU of the busiest provider + system
     // mean memory).
-    let busiest = d.data[0];
+    let busiest = d.nodes.data[0];
     let cpu = TimeSeries::from_points(
         all.iter()
             .filter(|r| r.key.origin == busiest && r.key.metric == MetricId::Cpu)
@@ -69,7 +68,7 @@ fn main() {
     // Panel 2: storage space per provider + system level.
     let mut per_provider: Vec<(String, f64)> = Vec::new();
     let mut system_series: Vec<(sads_sim::SimTime, f64)> = Vec::new();
-    for p in &d.data {
+    for p in &d.nodes.data {
         let series: Vec<(sads_sim::SimTime, f64)> = all
             .iter()
             .filter(|r| r.key.origin == *p && r.key.metric == MetricId::UsedBytes)
@@ -86,7 +85,7 @@ fn main() {
         system
             .binned(5.0)
             .into_iter()
-            .map(|(t, v)| (sads_sim::SimTime((t * 1e9) as u64), v * d.data.len() as f64))
+            .map(|(t, v)| (sads_sim::SimTime((t * 1e9) as u64), v * d.nodes.data.len() as f64))
             .collect(),
     );
     println!("{}", viz::line_chart("panel 2b: system-level storage (MB, est.)", &sys_binned, 64, 8));
@@ -120,7 +119,7 @@ fn main() {
     let rows: Vec<(String, f64)> = snap
         .providers_by_usage()
         .into_iter()
-        .filter(|(id, _)| d.data.contains(id))
+        .filter(|(id, _)| d.nodes.data.contains(id))
         .map(|(id, v)| (format!("{id}"), v.items as f64))
         .collect();
     println!("{}", viz::bar_chart("panel 4: chunks per provider (BLOB distribution)", &rows, 36));

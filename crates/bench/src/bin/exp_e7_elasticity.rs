@@ -10,7 +10,7 @@ use sads_bench::{print_table, row, write_artifact, BenchArgs};
 use sads_blob::model::{BlobSpec, ClientId};
 use sads_core::{Deployment, DeploymentConfig};
 use sads_adaptive::{ElasticityPolicy, ScaleDecision};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 const MB: u64 = 1_000_000;
@@ -20,13 +20,12 @@ fn main() {
     println!("E7: elastic data-provider pool under a load burst\n");
     let writers = args.scaled(12) as u64;
     let cfg = DeploymentConfig {
-        seed: args.seed_or(11),
         data_providers: args.scaled(3),
         meta_providers: 2,
         elasticity: Some(ElasticityPolicy::with(0.6, 0.15, 2, 20, 2, SimDuration::from_secs(12))),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(11)), cfg);
     let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
     for i in 0..writers {
         d.add_client(

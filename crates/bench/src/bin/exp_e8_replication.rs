@@ -16,12 +16,12 @@ use sads_blob::WriteKind;
 use sads_core::{Deployment, DeploymentConfig};
 use sads_adaptive::ReplicationConfig;
 use sads_lifecycle::{LifecycleConfig, RetentionPolicy};
-use sads_sim::SimDuration;
+use sads_sim::{SimDuration, World};
 
 const MB: u64 = 1_000_000;
 
 fn chunks_held(d: &Deployment) -> usize {
-    d.data
+    d.nodes.data
         .iter()
         .filter(|p| d.world.is_up(**p))
         .filter_map(|p| d.world.actor_as::<DataProviderService>(*p))
@@ -32,7 +32,6 @@ fn chunks_held(d: &Deployment) -> usize {
 fn part_a(args: &BenchArgs) {
     println!("E8a: replication repair under provider failures\n");
     let cfg = DeploymentConfig {
-        seed: args.seed_or(88),
         data_providers: args.scaled(10),
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -42,7 +41,7 @@ fn part_a(args: &BenchArgs) {
         }),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(88)), cfg);
     let spec = BlobSpec { page_size: 2 * MB, replication: 3 };
     d.add_client(
         ClientId(1),
@@ -83,10 +82,10 @@ fn part_a(args: &BenchArgs) {
     };
 
     snapshot(&mut d, "baseline", &mut reads, &mut read_round);
-    let victim1 = d.data[2];
+    let victim1 = d.nodes.data[2];
     d.crash(victim1);
     snapshot(&mut d, "kill provider #1", &mut reads, &mut read_round);
-    let victim2 = d.data[5];
+    let victim2 = d.nodes.data[5];
     d.crash(victim2);
     snapshot(&mut d, "kill provider #2", &mut reads, &mut read_round);
 
@@ -108,7 +107,6 @@ fn part_a(args: &BenchArgs) {
 fn part_b(args: &BenchArgs) {
     println!("\nE8b: data-removal strategies (keep-last-2 of repeated overwrites)\n");
     let cfg = DeploymentConfig {
-        seed: args.seed_or(88) + 1,
         data_providers: args.scaled(6),
         meta_providers: 2,
         lifecycle: Some(LifecycleConfig {
@@ -118,7 +116,7 @@ fn part_b(args: &BenchArgs) {
         }),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(88) + 1), cfg);
     let spec = BlobSpec { page_size: 2 * MB, replication: 1 };
     let mut script = vec![ScriptStep::Create(spec)];
     for _ in 0..8 {
@@ -132,7 +130,7 @@ fn part_b(args: &BenchArgs) {
     d.add_client(ClientId(1), script, "client");
     d.world.run_for(SimDuration::from_secs(120), 50_000_000);
 
-    let vman = d.world.actor_as::<VersionManagerService>(d.vman).expect("vman");
+    let vman = d.world.actor_as::<VersionManagerService>(d.nodes.vman).expect("vman");
     let versions: Vec<u64> = vman
         .state()
         .blob(BlobId(1))

@@ -23,7 +23,7 @@ use sads_blob::model::{BlobId, BlobSpec, ClientId};
 use sads_blob::runtime::sim::{BlobRef, ScriptStep};
 use sads_blob::WriteKind;
 use sads_core::{Deployment, DeploymentConfig};
-use sads_sim::{FaultPlan, SimDuration, SimTime};
+use sads_sim::{FaultPlan, SimDuration, SimTime, World};
 
 const MB: u64 = 1_000_000;
 const PAGE: u64 = MB;
@@ -54,7 +54,6 @@ struct Outcome {
 
 fn run_once(args: &BenchArgs, mean_between_s: u64) -> Outcome {
     let cfg = DeploymentConfig {
-        seed: args.seed_or(119),
         data_providers: args.scaled(10),
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -66,7 +65,7 @@ fn run_once(args: &BenchArgs, mean_between_s: u64) -> Outcome {
         client_cfg: ClientConfig { retry: RetryPolicy::standard(), ..ClientConfig::default() },
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(args.seed_or(119)), cfg);
 
     // Load the replicated dataset while everything is healthy.
     let spec = BlobSpec { page_size: PAGE, replication: 2 };
@@ -105,7 +104,7 @@ fn run_once(args: &BenchArgs, mean_between_s: u64) -> Outcome {
     // baseline goes through the identical code path.
     let mut plan = FaultPlan::crash_restart(
         900 + mean_between_s,
-        &d.data.clone(),
+        &d.nodes.data.clone(),
         SimTime::from_secs(HORIZON_S),
         SimDuration::from_secs(mean_between_s),
         SimDuration::from_secs(DOWNTIME_S),

@@ -50,7 +50,7 @@ use sads_blob::runtime::threaded::ClusterBuilder;
 use sads_blob::ClientId;
 use sads_core::{Deployment, DeploymentConfig};
 use sads_gateway::{Acl, GatewayConfig, ObjectGateway};
-use sads_sim::{ProcSampler, SimDuration, SimTime};
+use sads_sim::{ProcSampler, SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 const MB: u64 = 1_000_000;
@@ -259,14 +259,13 @@ fn gateway_run(concurrency: usize) -> (f64, f64) {
 /// `(events, wall_s, events_per_sec)`.
 fn sim_run(seed: u64, clients: u64) -> (u64, f64, f64) {
     let cfg = DeploymentConfig {
-        seed,
         data_providers: 150,
         meta_providers: 8,
         monitors: 4,
         storage_servers: 4,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(seed), cfg);
     let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
     for i in 0..clients {
         let script = writer_script(spec, 1_000 * MB, 128 * MB, SimTime(2_000_000_000));

@@ -33,7 +33,7 @@ use sads_blob::model::{BlobId, BlobSpec};
 use sads_blob::runtime::threaded::ClusterBuilder;
 use sads_blob::ClientId;
 use sads_core::{Deployment, DeploymentConfig};
-use sads_sim::SimDuration;
+use sads_sim::{SimDuration, World};
 use sads_workloads::{open_loop_read_script, poisson_arrivals, ZipfSampler};
 
 const MB: u64 = 1_000_000;
@@ -176,12 +176,11 @@ struct SimPoint {
 fn sim_run(seed: u64, n: usize, providers: usize) -> SimPoint {
     let wall0 = Instant::now();
     let cfg = DeploymentConfig {
-        seed,
         data_providers: providers,
         meta_providers: 4,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(seed), cfg);
 
     // Seed the hot set: one writer publishes HOT_BLOBS single-page BLOBs.
     let spec = BlobSpec { page_size: PAGE, replication: HOT_REPLICATION };

@@ -125,7 +125,8 @@ pub mod dos {
     use sads_blob::WriteKind;
     use sads_core::{Deployment, DeploymentConfig};
     use sads_security::{PolicySet, SecurityConfig};
-    use sads_sim::{NodeConfig, SimDuration, SimTime};
+    use sads_sim::{NodeConfig, SimDuration, SimTime, SpanSink, World};
+    use std::sync::Arc;
     use sads_workloads::{staggered, writer_script, AttackConfig, AttackMode, DosAttacker};
 
     /// Decimal megabyte.
@@ -160,7 +161,7 @@ pub mod dos {
         pub writer_bytes: u64,
         /// Bytes per write operation.
         pub op_bytes: u64,
-        /// Enable causal request tracing ([`DeploymentConfig::tracing`]).
+        /// Enable causal request tracing (a span sink on the world).
         pub tracing: bool,
         /// Deploy the telemetry registry plus the SLO burn-rate alert
         /// engine ([`DeploymentConfig::alerts`] with the default rules).
@@ -194,12 +195,10 @@ pub mod dos {
     /// amplified-read flood from t = 30 s (optionally staggered).
     pub fn build(s: &DosScenario) -> Deployment {
         let mut cfg = DeploymentConfig {
-            seed: s.seed,
             data_providers: s.data_providers,
             meta_providers: 4,
             monitors: 2,
             storage_servers: 2,
-            tracing: s.tracing,
             ..DeploymentConfig::default()
         };
         if s.alerts {
@@ -215,7 +214,11 @@ pub mod dos {
                 SecurityConfig { scan_every: SimDuration::from_secs(5), ..Default::default() },
             ));
         }
-        let mut d = Deployment::build(cfg);
+        let mut world = World::with_seed(s.seed);
+        if s.tracing {
+            world.set_span_sink(Arc::new(SpanSink::new()));
+        }
+        let mut d = Deployment::build(world, cfg);
         let spec = BlobSpec { page_size: PAGE, replication: 1 };
         d.add_client(
             ClientId(1),
@@ -239,7 +242,7 @@ pub mod dos {
         let targets: Vec<(sads_sim::NodeId, ChunkKey)> = (0..32u64)
             .map(|p| {
                 (
-                    d.data[(p as usize) % d.data.len()],
+                    d.nodes.data[(p as usize) % d.nodes.data.len()],
                     ChunkKey { blob: BlobId(1), version: VersionId(1), page: p },
                 )
             })
@@ -250,7 +253,7 @@ pub mod dos {
             d.world.add_node(
                 Box::new(DosAttacker::new(
                     ClientId(100 + i as u64),
-                    d.data.clone(),
+                    d.nodes.data.clone(),
                     AttackConfig {
                         start_at,
                         stop_at: SimTime(600_000_000_000),

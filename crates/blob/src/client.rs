@@ -2533,6 +2533,12 @@ mod tests {
         fn rng(&mut self) -> &mut SmallRng {
             &mut self.rng
         }
+        fn spawn(&mut self, _: Box<dyn crate::services::Service>) -> NodeId {
+            unreachable!("no node starts nodes in this test")
+        }
+        fn power_off(&mut self, _: NodeId) {
+            unreachable!("no node powers nodes off in this test")
+        }
     }
 
     const VMAN: NodeId = NodeId(1);

@@ -33,7 +33,7 @@
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -277,6 +277,8 @@ pub(crate) struct ExecShared {
     telem: Arc<TelemetryRegistry>,
     sink: Option<Arc<SpanSink>>,
     recorder: Option<Arc<FlightRecorder>>,
+    /// RNG seed of the next node added, counting from 1 in add order.
+    next_seed: AtomicU64,
 }
 
 impl ExecShared {
@@ -393,9 +395,93 @@ impl ExecShared {
         Some(Helper { shared: self, shard })
     }
 
+    /// Register a new node; its `on_start` has run when this returns.
+    pub(crate) fn add_node(&self, kind: NodeKind) -> NodeId {
+        let id = {
+            let mut slots = self.slots.write();
+            slots.push(None);
+            NodeId(slots.len() as u32 - 1)
+        };
+        let installed = self.reinstall(id, kind);
+        debug_assert!(installed, "a freshly pushed slot is empty");
+        id
+    }
+
+    /// Occupy an empty slot — freshly pushed, or previously killed — with
+    /// a new node at that [`NodeId`]. Fails if the slot is live or never
+    /// existed.
+    ///
+    /// The node's `on_start` runs on the calling thread before this
+    /// returns, so whatever it sends (a provider's `Register`) sits in
+    /// its peer's mailbox ahead of anything the caller sends afterwards.
+    /// The node lock is taken before the slot becomes routable: a worker
+    /// that picks the cell up for early mail waits for `on_start` to
+    /// finish. The closing `schedule` is the turn that registers the
+    /// timers `on_start` set.
+    pub(crate) fn reinstall(&self, node: NodeId, kind: NodeKind) -> bool {
+        let cell = self.new_cell(node, kind);
+        let mut state = cell.node.lock();
+        match self.slots.write().get_mut(node.index()) {
+            Some(slot @ None) => *slot = Some(Arc::clone(&cell)),
+            _ => return false,
+        }
+        let started = catch_unwind(AssertUnwindSafe(|| {
+            let NodeState { kind, timers, rng } = &mut *state;
+            if let NodeKind::Service(service) = kind {
+                let mut env = ExecEnv {
+                    id: cell.id,
+                    shared: self,
+                    timers,
+                    rng,
+                    mailbox: &cell.mailbox,
+                    current: None,
+                };
+                service.on_start(&mut env);
+            }
+        }));
+        drop(state);
+        match started {
+            Ok(()) => self.schedule(&cell),
+            Err(_) => self.poison(&cell),
+        }
+        true
+    }
+
+    fn new_cell(&self, id: NodeId, kind: NodeKind) -> Arc<Cell> {
+        let seed = self.next_seed.fetch_add(1, Ordering::Relaxed);
+        let family = match &kind {
+            NodeKind::Service(s) => s.name(),
+            NodeKind::Client { .. } => "client",
+        };
+        let node_label = id.0.to_string();
+        Arc::new(Cell {
+            id,
+            scheduled: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            timer_registered: std::sync::atomic::AtomicU64::new(u64::MAX),
+            home: AtomicUsize::new(id.index() % self.shards.len()),
+            mail_hwm: std::sync::atomic::AtomicU64::new(0),
+            hwm_gauge: self
+                .telem
+                .gauge("runtime.mailbox_hwm", &[("node", node_label.as_str())]),
+            ring: self.recorder.as_ref().map(|r| r.ring(family)),
+            mailbox: Mutex::new(VecDeque::new()),
+            node: Mutex::new(NodeState {
+                kind,
+                timers: BinaryHeap::new(),
+                rng: SmallRng::seed_from_u64(seed),
+            }),
+        })
+    }
+
+    /// Every live node's address, in address order.
+    pub(crate) fn live_nodes(&self) -> Vec<NodeId> {
+        self.slots.read().iter().flatten().map(|cell| cell.id).collect()
+    }
+
     /// Stop routing to `node`, drop its queued mail, and make sure it
     /// never runs again. Its `NodeId` slot can later be re-occupied by
-    /// [`Executor::reinstall`].
+    /// [`ExecShared::reinstall`].
     pub(crate) fn kill(&self, node: NodeId) {
         let cell = {
             let mut slots = self.slots.write();
@@ -532,6 +618,7 @@ impl Executor {
             telem,
             sink,
             recorder,
+            next_seed: AtomicU64::new(1),
         });
         let workers = (0..n)
             .map(|w| {
@@ -551,86 +638,6 @@ impl Executor {
 
     pub(crate) fn shard_count(&self) -> usize {
         self.shared.shards.len()
-    }
-
-    /// Register a new node; its `on_start` has run when this returns.
-    pub(crate) fn add_node(&self, kind: NodeKind, seed: u64) -> NodeId {
-        let id = {
-            let mut slots = self.shared.slots.write();
-            slots.push(None);
-            NodeId(slots.len() as u32 - 1)
-        };
-        let installed = self.reinstall(id, kind, seed);
-        debug_assert!(installed, "a freshly pushed slot is empty");
-        id
-    }
-
-    /// Occupy an empty slot — freshly pushed, or previously killed — with
-    /// a new node at that [`NodeId`]. Fails if the slot is live or never
-    /// existed.
-    ///
-    /// The node's `on_start` runs on the calling thread before this
-    /// returns, so whatever it sends (a provider's `Register`) sits in
-    /// its peer's mailbox ahead of anything the caller sends afterwards.
-    /// The node lock is taken before the slot becomes routable: a worker
-    /// that picks the cell up for early mail waits for `on_start` to
-    /// finish. The closing `schedule` is the turn that registers the
-    /// timers `on_start` set.
-    pub(crate) fn reinstall(&self, node: NodeId, kind: NodeKind, seed: u64) -> bool {
-        let shared = &*self.shared;
-        let cell = self.new_cell(node, kind, seed);
-        let mut state = cell.node.lock();
-        match shared.slots.write().get_mut(node.index()) {
-            Some(slot @ None) => *slot = Some(Arc::clone(&cell)),
-            _ => return false,
-        }
-        let started = catch_unwind(AssertUnwindSafe(|| {
-            let NodeState { kind, timers, rng } = &mut *state;
-            if let NodeKind::Service(service) = kind {
-                let mut env = ExecEnv {
-                    id: cell.id,
-                    shared,
-                    timers,
-                    rng,
-                    mailbox: &cell.mailbox,
-                    current: None,
-                };
-                service.on_start(&mut env);
-            }
-        }));
-        drop(state);
-        match started {
-            Ok(()) => shared.schedule(&cell),
-            Err(_) => shared.poison(&cell),
-        }
-        true
-    }
-
-    fn new_cell(&self, id: NodeId, kind: NodeKind, seed: u64) -> Arc<Cell> {
-        let family = match &kind {
-            NodeKind::Service(s) => s.name(),
-            NodeKind::Client { .. } => "client",
-        };
-        let node_label = id.0.to_string();
-        Arc::new(Cell {
-            id,
-            scheduled: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            timer_registered: std::sync::atomic::AtomicU64::new(u64::MAX),
-            home: AtomicUsize::new(id.index() % self.shared.shards.len()),
-            mail_hwm: std::sync::atomic::AtomicU64::new(0),
-            hwm_gauge: self
-                .shared
-                .telem
-                .gauge("runtime.mailbox_hwm", &[("node", node_label.as_str())]),
-            ring: self.shared.recorder.as_ref().map(|r| r.ring(family)),
-            mailbox: Mutex::new(VecDeque::new()),
-            node: Mutex::new(NodeState {
-                kind,
-                timers: BinaryHeap::new(),
-                rng: SmallRng::seed_from_u64(seed),
-            }),
-        })
     }
 
     /// Stop the workers and join them. Queued envelopes are dropped —
@@ -745,6 +752,12 @@ impl Env for ExecEnv<'_> {
             }
             _ => 0.0,
         }
+    }
+    fn spawn(&mut self, service: Box<dyn Service>) -> NodeId {
+        self.shared.add_node(NodeKind::Service(service))
+    }
+    fn power_off(&mut self, node: NodeId) {
+        self.shared.kill(node);
     }
 }
 
@@ -1110,7 +1123,7 @@ mod tests {
             None,
             None,
         );
-        let add = |s: OnStart| exec.add_node(NodeKind::Service(Box::new(s)), 7);
+        let add = |s: OnStart| exec.shared.add_node(NodeKind::Service(Box::new(s)));
         // Hold the peer's node lock so the worker cannot drain its mail.
         let peer = add(OnStart::Nothing);
         let peer_cell = exec.shared.slots.read()[peer.index()].clone().expect("live");

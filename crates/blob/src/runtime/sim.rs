@@ -76,6 +76,12 @@ impl Env for SimEnv<'_, '_> {
     fn queue_depth_seconds(&self) -> f64 {
         self.ctx.ingress_backlog(self.ctx.id()).as_secs_f64()
     }
+    fn spawn(&mut self, service: Box<dyn Service>) -> NodeId {
+        self.ctx.spawn(Box::new(SimService::new(service)), NodeConfig::default())
+    }
+    fn power_off(&mut self, node: NodeId) {
+        self.ctx.crash(node);
+    }
 }
 
 /// Wraps any [`Service`] as a simulator actor.

@@ -438,40 +438,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawn the executor workers and return the running cluster.
+    /// Spawn the executor workers and start the bare BlobSeer wiring: the
+    /// provider manager, an unmonitored version manager, the metadata and
+    /// data providers, then the process sampler, in that order.
     pub fn start(self) -> Cluster {
-        let metrics = Arc::new(Mutex::new(MetricSink::new()));
-        let start = Instant::now();
-        let telemetry = self.telemetry.unwrap_or_else(|| Arc::new(TelemetryRegistry::new()));
-        let flight_recorder = self.flight_recorder.then(|| Arc::new(FlightRecorder::new()));
-        let exec = Executor::start(
-            self.executor_shards,
-            start,
-            Arc::clone(&metrics),
-            Arc::clone(&telemetry),
-            self.span_sink.clone(),
-            flight_recorder.clone(),
-        );
-        let mut cluster = Cluster {
-            exec,
-            metrics,
-            start,
-            pman: NodeId(0),
-            vman: NodeId(0),
-            meta: Vec::new(),
-            data: Vec::new(),
-            service_cfg: self.service_cfg.clone(),
-            client_cfg: self.client_cfg,
-            next_seed: 1,
-            span_sink: self.span_sink,
-            telemetry,
-            flight_recorder,
-            backend: self.backend,
-            provider_backends: std::collections::HashMap::new(),
-            next_backend_ordinal: 0,
-        };
-        cluster.pman =
-            cluster.add_service(Box::new(ProviderManagerService::new(self.strategy)));
+        let mut cluster = self.launch();
+        cluster.pman = cluster.add_service(Box::new(ProviderManagerService::new(self.strategy)));
         cluster.vman =
             cluster.add_service(Box::new(VersionManagerService::new(self.service_cfg.clone())));
         for _ in 0..self.meta_providers {
@@ -488,11 +460,53 @@ impl ClusterBuilder {
         }
         // Added last so manager/provider NodeIds stay where tests and
         // embedders learned to find them.
-        cluster.add_service(Box::new(ProcSamplerService {
-            sampler: ProcSampler::new(),
-            every: cluster.service_cfg.heartbeat_every,
-        }));
+        cluster.add_proc_sampler();
         cluster
+    }
+
+    /// Spawn the executor workers and return a cluster running only the
+    /// process sampler: the host `sads_core::install` deploys a whole
+    /// system onto. The builder's node counts, capacity, strategy and
+    /// backend are not used: add or restart the installed system's data
+    /// providers through the node list the install returns.
+    pub fn host(self) -> Cluster {
+        let mut cluster = self.launch();
+        cluster.add_proc_sampler();
+        cluster
+    }
+
+    /// The running executor, with no node yet.
+    fn launch(&self) -> Cluster {
+        let metrics = Arc::new(Mutex::new(MetricSink::new()));
+        let start = Instant::now();
+        let telemetry =
+            self.telemetry.clone().unwrap_or_else(|| Arc::new(TelemetryRegistry::new()));
+        let flight_recorder = self.flight_recorder.then(|| Arc::new(FlightRecorder::new()));
+        let exec = Executor::start(
+            self.executor_shards,
+            start,
+            Arc::clone(&metrics),
+            Arc::clone(&telemetry),
+            self.span_sink.clone(),
+            flight_recorder.clone(),
+        );
+        Cluster {
+            exec,
+            metrics,
+            start,
+            pman: NodeId(0),
+            vman: NodeId(0),
+            meta: Vec::new(),
+            data: Vec::new(),
+            service_cfg: self.service_cfg.clone(),
+            client_cfg: self.client_cfg,
+            span_sink: self.span_sink.clone(),
+            telemetry,
+            flight_recorder,
+            backend: self.backend.clone(),
+            provider_backends: std::collections::HashMap::new(),
+            next_backend_ordinal: 0,
+        }
     }
 }
 
@@ -511,7 +525,6 @@ pub struct Cluster {
     pub data: Vec<NodeId>,
     service_cfg: ServiceConfig,
     client_cfg: ClientConfig,
-    next_seed: u64,
     span_sink: Option<Arc<SpanSink>>,
     telemetry: Arc<TelemetryRegistry>,
     flight_recorder: Option<Arc<FlightRecorder>>,
@@ -559,14 +572,23 @@ impl Cluster {
         self.service_cfg.clone()
     }
 
+    /// Change the client tuning used by [`client`](Cluster::client) from
+    /// now on.
+    pub fn set_client_config(&mut self, cfg: ClientConfig) {
+        self.client_cfg = cfg;
+    }
+
     /// Host an arbitrary service (monitoring, security, …) as a new
     /// executor cell; returns its address. The service's `on_start` has
     /// run by then, so what it sends from there (a provider's `Register`)
     /// is queued at its peer ahead of anything the caller sends next.
     pub fn add_service(&mut self, service: Box<dyn Service>) -> NodeId {
-        let seed = self.next_seed;
-        self.next_seed += 1;
-        self.exec.add_node(NodeKind::Service(service), seed)
+        self.exec.shared().add_node(NodeKind::Service(service))
+    }
+
+    fn add_proc_sampler(&mut self) {
+        let every = self.service_cfg.heartbeat_every;
+        self.add_service(Box::new(ProcSamplerService { sampler: ProcSampler::new(), every }));
     }
 
     /// Add a data provider at runtime (elastic scale-up). The provider's
@@ -596,11 +618,9 @@ impl Cluster {
     /// batched read path against the sequential one) side by side in
     /// the same deployment.
     pub fn client_with_config(&mut self, client_id: ClientId, ccfg: ClientConfig) -> ClientHandle {
-        let seed = self.next_seed;
-        self.next_seed += 1;
         let kind =
             NodeKind::client(client_id, self.vman, self.pman, self.meta.clone(), ccfg);
-        let id = self.exec.add_node(kind, seed);
+        let id = self.exec.shared().add_node(kind);
         ClientHandle {
             node: id,
             client_id,
@@ -618,6 +638,12 @@ impl Cluster {
         );
     }
 
+    /// Every node running now (killed and panicked ones excluded), in
+    /// address order.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        self.exec.shared().live_nodes()
+    }
+
     /// Stop a single node (crash injection): it is unrouted, its queued
     /// mail dropped, and it never runs again.
     pub fn kill(&self, node: NodeId) {
@@ -631,9 +657,7 @@ impl Cluster {
     /// `false` if the slot is still live (never killed) or the address was
     /// never allocated.
     pub fn restart_service(&mut self, node: NodeId, service: Box<dyn Service>) -> bool {
-        let seed = self.next_seed;
-        self.next_seed += 1;
-        self.exec.reinstall(node, NodeKind::Service(service), seed)
+        self.exec.shared().reinstall(node, NodeKind::Service(service))
     }
 
     /// Restart a killed data provider at its old address (crash-recovery

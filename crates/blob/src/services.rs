@@ -70,6 +70,12 @@ pub trait Env {
     fn queue_depth_seconds(&self) -> f64 {
         0.0
     }
+    /// Start `service` as a new node of this deployment and return its
+    /// address; its `on_start` runs before it handles any message (elastic
+    /// scale-out).
+    fn spawn(&mut self, service: Box<dyn Service>) -> NodeId;
+    /// Power `node` off: it never runs again and mail to it is dropped.
+    fn power_off(&mut self, node: NodeId);
 }
 
 /// Refresh the runtime-agnostic per-node telemetry every service writes

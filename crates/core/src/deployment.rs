@@ -1,47 +1,45 @@
-//! Full simulated deployment of the self-adaptive data management system:
-//! BlobSeer actors + the three-layer introspection stack + the security
-//! framework + the adaptive controllers, wired together on the
-//! deterministic cluster simulator. Every paper-shaped experiment builds
-//! one of these.
+//! The self-adaptive data management system, deployed: BlobSeer actors +
+//! the three-layer introspection stack + the security framework + the
+//! adaptive controllers, wired together by one [`install`] onto either
+//! host, the deterministic cluster simulator ([`World`]) or the threaded
+//! runtime ([`Cluster`]). Every paper-shaped experiment builds a
+//! simulated [`Deployment`].
+
+use std::sync::Arc;
 
 use sads_adaptive::{
     ElasticityControllerService, ElasticityPolicy, RecoveryAgentService, ReplicationConfig,
     ReplicationManagerService,
 };
 use sads_blob::client::ClientConfig;
-use sads_blob::pmanager::{strategy_by_name, AllocationStrategy, RoundRobin};
-use sads_blob::runtime::sim::{add_service, ScriptStep, ScriptedClient};
+use sads_blob::pmanager::{strategy_by_name, RoundRobin};
+use sads_blob::runtime::sim::{add_service, ScriptStep, ScriptedClient, SimService};
+use sads_blob::runtime::threaded::Cluster;
 use sads_blob::services::{
-    DataProviderService, MetaProviderService, ProviderManagerService, ServiceConfig,
-    VersionManagerService,
+    MetaProviderService, ProviderManagerService, Service, ServiceConfig, VersionManagerService,
 };
+use sads_blob::BackendSpec;
 use sads_blob::ClientId;
-use sads_blob::{BackendConfig, BackendSpec};
 use sads_introspect::{BurnRateRule, IntrospectionService, RuleSource, SloAlertService};
 use sads_lifecycle::{LifecycleConfig, LifecycleGcService, ScrubConfig, ScrubberService};
 use sads_monitor::{MonitoringService, StorageConfig, StorageServerService};
 use sads_security::{PolicySet, SecurityConfig, SecurityEngineService};
-use sads_blob::runtime::sim::SimService;
 use sads_sim::{
-    Actor, FaultPlan, HealthPolicy, NetConfig, NodeConfig, NodeHealth, NodeId, Registry,
-    RunOutcome, SimDuration, SimTime, World,
+    Actor, FaultPlan, HealthPolicy, NodeConfig, NodeHealth, NodeId, Registry, RunOutcome,
+    SimDuration, SimTime, World,
 };
-use std::sync::Arc;
 
-use crate::agent::DeployAgent;
+use crate::agent::{DeployAgent, Providers};
 
-/// What to deploy.
+/// What to deploy. The seed, network, tracing and telemetry belong to
+/// the host: see [`World::new`] and `ClusterBuilder`.
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
-    /// RNG seed (full determinism).
-    pub seed: u64,
-    /// Network parameters (defaults: 1 Gb/s NICs, 100 µs LAN).
-    pub net: NetConfig,
     /// Data providers at start.
     pub data_providers: usize,
     /// Metadata providers (static ring).
     pub meta_providers: usize,
-    /// Per-provider storage capacity (bytes).
+    /// Per-provider storage capacity (bytes), data and metadata alike.
     pub provider_capacity: u64,
     /// Allocation strategy name (see [`strategy_by_name`]).
     pub strategy: &'static str,
@@ -60,37 +58,31 @@ pub struct DeploymentConfig {
     pub introspection: bool,
     /// Deploy the security engine with these policies.
     pub security: Option<(PolicySet, SecurityConfig)>,
-    /// Deploy the elasticity controller.
+    /// Deploy the elasticity controller and the deploy agent that
+    /// actuates it. Needs the introspection service (`introspection` and
+    /// `monitors > 0`); [`install`] refuses the spec otherwise.
     pub elasticity: Option<ElasticityPolicy>,
     /// Deploy the replication manager.
     pub replication: Option<ReplicationConfig>,
-    /// Deploy the lifecycle GC sweeper — the paper's data-removal
-    /// strategies: retention-driven chunk/node reclamation over the
-    /// version DAG; snapshots and the latest version are always GC roots.
+    /// Deploy the lifecycle GC sweeper: retention-driven chunk/node
+    /// reclamation over the version DAG; snapshots and the latest version
+    /// are always GC roots.
     pub lifecycle: Option<LifecycleConfig>,
     /// Deploy the background integrity scrub. Corruption found is
     /// quarantined at the provider and, when the replication manager is
     /// deployed, routed to it for immediate repair.
     pub scrub: Option<ScrubConfig>,
-    /// Deploy the stalled-write recovery agent (poll period).
+    /// Deploy the stalled-write recovery agent, polling with this period.
+    /// The version manager then counts a ticket as stalled after twelve
+    /// periods (60 s at the 5 s the experiments use, its default).
     pub recovery: Option<SimDuration>,
-    /// Default client tuning for `add_client`.
+    /// Client tuning for the deployment's clients.
     pub client_cfg: ClientConfig,
-    /// Enable causal request tracing: the deployment owns a
-    /// [`sads_sim::SpanSink`] and every node records `Net`, `Handle`,
-    /// `Stage` and `Op` spans into it. Off by default — with tracing off
-    /// no sink exists and the event schedule is byte-identical to a
-    /// build that predates the tracing layer.
-    pub tracing: bool,
-    /// Enable the live telemetry plane: the deployment owns a labeled
-    /// metrics [`Registry`] every node writes into (counters, gauges,
-    /// heartbeats). Registry cells are side-channel atomics — the event
-    /// schedule is byte-identical with telemetry on or off.
-    pub telemetry: bool,
-    /// Deploy the SLO burn-rate alert engine with these rules (implies
-    /// `telemetry`). Fired alerts are pushed to the elasticity
-    /// controller, the replication manager and the security engine —
-    /// whichever of them are deployed.
+    /// Deploy the SLO burn-rate alert engine with these rules. It reads
+    /// the host's metrics registry (a simulated host without one gets
+    /// one). Fired alerts are pushed to the elasticity controller, the
+    /// replication manager and the security engine — whichever of them
+    /// are deployed.
     pub alerts: Option<Vec<BurnRateRule>>,
     /// Chunk-backend family for data providers. `Memory` (the default)
     /// loses all chunks on a crash; `Disk` gives each provider a
@@ -103,8 +95,6 @@ pub struct DeploymentConfig {
 impl Default for DeploymentConfig {
     fn default() -> Self {
         DeploymentConfig {
-            seed: 42,
-            net: NetConfig::default(),
             data_providers: 16,
             meta_providers: 4,
             provider_capacity: 1 << 40,
@@ -122,8 +112,6 @@ impl Default for DeploymentConfig {
             scrub: None,
             recovery: None,
             client_cfg: ClientConfig::default(),
-            tracing: false,
-            telemetry: false,
             alerts: None,
             backend: BackendSpec::Memory,
         }
@@ -135,48 +123,82 @@ impl Default for DeploymentConfig {
 /// aggregate read-rate burn pre-warns the security engine's DoS
 /// detectors.
 pub fn default_alert_rules() -> Vec<BurnRateRule> {
+    let rule = |name, metric, source, threshold, long_s| BurnRateRule {
+        name,
+        metric,
+        source,
+        threshold,
+        short_window: SimDuration::from_secs(6),
+        long_window: SimDuration::from_secs(long_s),
+        cooldown: SimDuration::from_secs(30),
+    };
     vec![
-        BurnRateRule {
-            name: "queue_depth_burn",
-            metric: "node.queue_depth_seconds",
-            source: RuleSource::GaugeMax,
-            threshold: 0.5,
-            short_window: SimDuration::from_secs(6),
-            long_window: SimDuration::from_secs(20),
-            cooldown: SimDuration::from_secs(30),
-        },
-        BurnRateRule {
-            name: "availability_burn",
-            metric: "repl.deficit",
-            source: RuleSource::GaugeMax,
-            threshold: 0.5,
-            short_window: SimDuration::from_secs(6),
-            long_window: SimDuration::from_secs(20),
-            cooldown: SimDuration::from_secs(30),
-        },
-        BurnRateRule {
-            name: "read_rate_burn",
-            metric: "provider.reads",
-            source: RuleSource::CounterRate,
-            threshold: 150.0,
-            short_window: SimDuration::from_secs(6),
-            long_window: SimDuration::from_secs(16),
-            cooldown: SimDuration::from_secs(30),
-        },
+        rule("queue_depth_burn", "node.queue_depth_seconds", RuleSource::GaugeMax, 0.5, 20),
+        rule("availability_burn", "repl.deficit", RuleSource::GaugeMax, 0.5, 20),
+        rule("read_rate_burn", "provider.reads", RuleSource::CounterRate, 150.0, 16),
     ]
 }
 
-/// A running simulated deployment with every node's address.
-pub struct Deployment {
-    /// The simulation world. Run it with `run_for`/`run_until`.
-    pub world: World,
-    /// Version manager.
-    pub vman: NodeId,
+/// A runtime [`install`] can deploy onto.
+pub trait Host {
+    /// Start `service` as a new node. `nic` is its simulated NIC; real
+    /// threads have no NIC model.
+    fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId;
+    /// The metrics registry every node writes, installing one if the host
+    /// has none (the alert engine reads it).
+    fn registry(&mut self) -> Arc<Registry>;
+    /// Point the host's own client factory at the installed system.
+    fn bind(&mut self, nodes: &Nodes, client_cfg: ClientConfig);
+}
+
+impl Host for World {
+    fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId {
+        add_service(self, service, nic)
+    }
+
+    fn registry(&mut self) -> Arc<Registry> {
+        if self.telemetry().is_none() {
+            self.set_telemetry(Arc::new(Registry::new()));
+        }
+        Arc::clone(self.telemetry().expect("installed above"))
+    }
+
+    /// Nothing to point: simulated clients are scripted actors that
+    /// [`Deployment::add_client`] wires itself.
+    fn bind(&mut self, _nodes: &Nodes, _client_cfg: ClientConfig) {}
+}
+
+impl Host for Cluster {
+    fn start(&mut self, service: Box<dyn Service>, _nic: NodeConfig) -> NodeId {
+        self.add_service(service)
+    }
+
+    fn registry(&mut self) -> Arc<Registry> {
+        Arc::clone(self.telemetry())
+    }
+
+    /// Clients created from now on address the installed managers. Real
+    /// bytes are always materialized, holes included.
+    fn bind(&mut self, nodes: &Nodes, client_cfg: ClientConfig) {
+        self.pman = nodes.pman;
+        self.vman = nodes.vman;
+        self.meta = nodes.meta.clone();
+        self.data = nodes.data.clone();
+        self.set_client_config(ClientConfig { materialize_zeros: true, ..client_cfg });
+    }
+}
+
+/// Every node an [`install`] started, and what starting or restarting a
+/// data provider needs afterwards.
+pub struct Nodes {
     /// Provider manager.
     pub pman: NodeId,
+    /// Version manager.
+    pub vman: NodeId,
     /// Metadata providers (partition order).
     pub meta: Vec<NodeId>,
-    /// Initial data providers.
+    /// Data providers started at install or through
+    /// [`Nodes::add_data_provider`] (not the deploy agent's).
     pub data: Vec<NodeId>,
     /// Monitoring services (empty when monitoring is off).
     pub monitors: Vec<NodeId>,
@@ -200,238 +222,184 @@ pub struct Deployment {
     pub recovery: Option<NodeId>,
     /// SLO alert engine, if deployed.
     pub alert_engine: Option<NodeId>,
+    /// Every service's wiring but its monitor.
+    base: ServiceConfig,
+    next_monitor: usize,
+    providers: Providers,
+}
+
+impl Nodes {
+    /// Every node the install started, in address order.
+    pub fn all(&self) -> Vec<NodeId> {
+        let mut all = vec![self.pman, self.vman];
+        all.extend(self.meta.iter().chain(&self.data).chain(&self.monitors).chain(&self.storage));
+        all.extend(
+            [self.intro, self.security, self.elastic, self.deploy_agent, self.repl]
+                .into_iter()
+                .chain([self.lifecycle, self.scrubber, self.recovery, self.alert_engine])
+                .flatten(),
+        );
+        all.sort();
+        all
+    }
+
+    /// The wiring of the next service, reporting to the next monitor in
+    /// rotation.
+    fn service_cfg(&mut self) -> ServiceConfig {
+        let monitor = (!self.monitors.is_empty()).then(|| {
+            self.next_monitor += 1;
+            self.monitors[(self.next_monitor - 1) % self.monitors.len()]
+        });
+        ServiceConfig { monitor, ..self.base.clone() }
+    }
+
+    /// Start one more data provider on `host` (manual scale-up; the
+    /// elasticity controller does this itself through the deploy agent).
+    pub fn add_data_provider(&mut self, host: &mut impl Host) -> NodeId {
+        let cfg = self.service_cfg();
+        let n = self.providers.start(cfg, |s| host.start(s, NodeConfig::default()));
+        self.data.push(n);
+        n
+    }
+
+    /// A fresh data provider for a crashed provider's address. With the
+    /// `Memory` backend its store comes back empty; with a `Disk` backend
+    /// it re-opens the provider's log and recovers its chunks.
+    pub fn revive_data_provider(&mut self, node: NodeId) -> Box<dyn Service> {
+        let cfg = self.service_cfg();
+        self.providers.revive(node, cfg)
+    }
+}
+
+/// Start every layer `spec` asks for on `host`, and point the host's
+/// clients at it. Nodes start in one fixed order — provider manager,
+/// monitoring pipeline, version manager, metadata and data providers,
+/// then the self-* services — so a simulated install gives the same
+/// addresses and random draws for a seed.
+///
+/// # Panics
+///
+/// If `spec.elasticity` is set without the introspection service the
+/// controller polls (`introspection` false or `monitors` 0).
+pub fn install(spec: &DeploymentConfig, host: &mut impl Host) -> Nodes {
+    let intro_on = spec.introspection && spec.monitors > 0;
+    assert!(
+        spec.elasticity.is_none() || intro_on,
+        "elasticity needs the introspection service: set `introspection` and `monitors` > 0"
+    );
+    let (nic, unlimited) = (NodeConfig::default(), NodeConfig::unlimited());
+    let strategy = strategy_by_name(spec.strategy).unwrap_or_else(|| Box::<RoundRobin>::default());
+    let pman = host.start(Box::new(ProviderManagerService::new(strategy)), unlimited);
+
+    // Monitoring pipeline first so every instrumented node can point at a
+    // monitoring service from birth.
+    let storage: Vec<NodeId> = (0..spec.storage_servers.max(1))
+        .map(|_| host.start(Box::new(StorageServerService::new(spec.storage_cfg)), nic))
+        .collect();
+    let monitors = (0..spec.monitors)
+        .map(|_| {
+            let filters = sads_monitor::default_filters();
+            let mon = MonitoringService::new(storage.clone(), filters, spec.mon_flush);
+            host.start(Box::new(mon), nic)
+        })
+        .collect();
+    let mut n = Nodes {
+        pman,
+        vman: pman, // until the version manager starts, below
+        meta: Vec::new(),
+        data: Vec::new(),
+        monitors,
+        storage,
+        intro: None,
+        security: None,
+        elastic: None,
+        deploy_agent: None,
+        repl: None,
+        lifecycle: None,
+        scrubber: None,
+        recovery: None,
+        alert_engine: None,
+        base: ServiceConfig { instr_flush_every: spec.instr_flush, ..ServiceConfig::default() },
+        next_monitor: 0,
+        providers: Providers::new(pman, spec.provider_capacity, spec.backend.clone()),
+    };
+
+    let mut vman = VersionManagerService::new(n.service_cfg());
+    if let Some(poll) = spec.recovery {
+        vman = vman.with_stall_timeout(poll * 12);
+    }
+    n.vman = host.start(Box::new(vman), unlimited);
+    for _ in 0..spec.meta_providers {
+        let meta = MetaProviderService::new(pman, spec.provider_capacity, n.service_cfg());
+        n.meta.push(host.start(Box::new(meta), nic));
+    }
+    for _ in 0..spec.data_providers {
+        n.add_data_provider(host);
+    }
+
+    n.intro = intro_on.then(|| {
+        let intro = IntrospectionService::new(n.storage.clone(), SimDuration::from_secs(2));
+        host.start(Box::new(intro), nic)
+    });
+    n.security = spec.security.clone().map(|(set, cfg)| {
+        let block_targets = [&[n.vman][..], &n.data].concat();
+        let (storage, data) = (n.storage.clone(), n.data.clone());
+        let engine = SecurityEngineService::new(storage, block_targets, data, set, cfg);
+        host.start(Box::new(engine), nic)
+    });
+    if let (Some(policy), Some(intro)) = (&spec.elasticity, n.intro) {
+        // Providers the agent starts all report to the first monitor.
+        let cfg = ServiceConfig { monitor: n.monitors.first().copied(), ..n.base.clone() };
+        let agent = host.start(Box::new(DeployAgent::new(n.providers.clone(), cfg)), unlimited);
+        let tick = SimDuration::from_secs(5);
+        let controller = ElasticityControllerService::new(intro, agent, policy.clone(), tick);
+        n.deploy_agent = Some(agent);
+        n.elastic = Some(host.start(Box::new(controller), nic));
+    }
+    n.repl = spec.replication.map(|rc| {
+        let repl = ReplicationManagerService::new(n.storage.clone(), pman, n.intro, rc);
+        host.start(Box::new(repl), nic)
+    });
+    n.recovery = spec.recovery.map(|poll| {
+        host.start(Box::new(RecoveryAgentService::new(n.vman, n.meta.clone(), poll)), nic)
+    });
+    n.lifecycle = spec.lifecycle.clone().map(|lc| {
+        host.start(Box::new(LifecycleGcService::new(n.vman, n.meta.clone(), lc)), nic)
+    });
+    n.scrubber = spec
+        .scrub
+        .clone()
+        .map(|sc| host.start(Box::new(ScrubberService::new(pman, n.repl, sc)), nic));
+
+    // The alert engine goes in last so every subscriber address is known.
+    // Subscribers are the deployed self-* components.
+    n.alert_engine = spec.alerts.clone().map(|rules| {
+        let subscribers = [n.elastic, n.repl, n.security].into_iter().flatten().collect();
+        let every = SimDuration::from_secs(2);
+        let engine = SloAlertService::new(host.registry(), rules, subscribers, every);
+        host.start(Box::new(engine), nic)
+    });
+    host.bind(&n, spec.client_cfg);
+    n
+}
+
+/// A system installed on the simulator: the world it runs in and every
+/// node's address.
+pub struct Deployment {
+    /// The simulation world. Run it with `run_for`/`run_until`.
+    pub world: World,
+    /// Every installed node.
+    pub nodes: Nodes,
     /// Config the deployment was built from.
     pub cfg: DeploymentConfig,
-    next_monitor: usize,
-    /// Which chunk backend each data provider was built with, so a
-    /// restart at the same address re-opens the same on-disk store.
-    provider_backends: std::collections::HashMap<NodeId, BackendConfig>,
-    next_backend_ordinal: usize,
 }
 
 impl Deployment {
-    /// Build and start every node.
-    pub fn build(cfg: DeploymentConfig) -> Deployment {
-        let mut world = World::new(cfg.seed, cfg.net);
-        if cfg.tracing {
-            world.set_span_sink(Arc::new(sads_sim::SpanSink::new()));
-        }
-        if cfg.telemetry || cfg.alerts.is_some() {
-            world.set_telemetry(Arc::new(Registry::new()));
-        }
-        let strategy: Box<dyn AllocationStrategy> =
-            strategy_by_name(cfg.strategy).unwrap_or_else(|| Box::<RoundRobin>::default());
-
-        let pman = add_service(
-            &mut world,
-            Box::new(ProviderManagerService::new(strategy)),
-            NodeConfig::unlimited(),
-        );
-
-        // Monitoring pipeline first so every instrumented node can point
-        // at a monitoring service from birth.
-        let storage: Vec<NodeId> = (0..cfg.storage_servers.max(1))
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(StorageServerService::new(cfg.storage_cfg)),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-        let monitors: Vec<NodeId> = (0..cfg.monitors)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(MonitoringService::new(
-                        storage.clone(),
-                        sads_monitor::default_filters(),
-                        cfg.mon_flush,
-                    )),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-
-        let mut next_monitor = 0usize;
-        let mut svc_cfg = |m: &Vec<NodeId>| {
-            let monitor = if m.is_empty() {
-                None
-            } else {
-                let t = m[next_monitor % m.len()];
-                next_monitor += 1;
-                Some(t)
-            };
-            ServiceConfig {
-                monitor,
-                heartbeat_every: SimDuration::from_secs(1),
-                instr_flush_every: cfg.instr_flush,
-                nic_bandwidth: 125_000_000,
-                ..ServiceConfig::default()
-            }
-        };
-
-        let vman = add_service(
-            &mut world,
-            Box::new(VersionManagerService::new(svc_cfg(&monitors))),
-            NodeConfig::unlimited(),
-        );
-        let meta: Vec<NodeId> = (0..cfg.meta_providers)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(MetaProviderService::new(pman, 1 << 34, svc_cfg(&monitors))),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-        let mut provider_backends = std::collections::HashMap::new();
-        let mut next_backend_ordinal = 0usize;
-        let data: Vec<NodeId> = (0..cfg.data_providers)
-            .map(|_| {
-                let backend = cfg.backend.for_provider(next_backend_ordinal);
-                next_backend_ordinal += 1;
-                let mut sc = svc_cfg(&monitors);
-                sc.backend = backend.clone();
-                let n = add_service(
-                    &mut world,
-                    Box::new(DataProviderService::new(pman, cfg.provider_capacity, sc)),
-                    NodeConfig::default(),
-                );
-                provider_backends.insert(n, backend);
-                n
-            })
-            .collect();
-        let _ = &mut svc_cfg;
-
-        let intro = (cfg.introspection && !monitors.is_empty()).then(|| {
-            add_service(
-                &mut world,
-                Box::new(IntrospectionService::new(storage.clone(), SimDuration::from_secs(2))),
-                NodeConfig::default(),
-            )
-        });
-
-        let security = cfg.security.clone().map(|(set, sec_cfg)| {
-            let mut block_targets = vec![vman];
-            block_targets.extend(&data);
-            add_service(
-                &mut world,
-                Box::new(SecurityEngineService::new(
-                    storage.clone(),
-                    block_targets,
-                    data.clone(),
-                    set,
-                    sec_cfg,
-                )),
-                NodeConfig::default(),
-            )
-        });
-
-        let (elastic, deploy_agent) = match (&cfg.elasticity, intro) {
-            (Some(policy), Some(intro)) => {
-                let monitor_for_new = monitors.first().copied();
-                let agent = world.add_node(
-                    Box::new(DeployAgent::new(
-                        pman,
-                        cfg.provider_capacity,
-                        ServiceConfig {
-                            monitor: monitor_for_new,
-                            heartbeat_every: SimDuration::from_secs(1),
-                            instr_flush_every: cfg.instr_flush,
-                            nic_bandwidth: 125_000_000,
-                            ..ServiceConfig::default()
-                        },
-                    )),
-                    NodeConfig::unlimited(),
-                );
-                let controller = add_service(
-                    &mut world,
-                    Box::new(ElasticityControllerService::new(
-                        intro,
-                        agent,
-                        policy.clone(),
-                        SimDuration::from_secs(5),
-                    )),
-                    NodeConfig::default(),
-                );
-                (Some(controller), Some(agent))
-            }
-            _ => (None, None),
-        };
-
-        let repl = cfg.replication.map(|rc| {
-            add_service(
-                &mut world,
-                Box::new(ReplicationManagerService::new(storage.clone(), pman, intro, rc)),
-                NodeConfig::default(),
-            )
-        });
-
-        let recovery = cfg.recovery.map(|poll| {
-            add_service(
-                &mut world,
-                Box::new(RecoveryAgentService::new(vman, meta.clone(), poll)),
-                NodeConfig::default(),
-            )
-        });
-
-        let lifecycle = cfg.lifecycle.clone().map(|lc| {
-            add_service(
-                &mut world,
-                Box::new(LifecycleGcService::new(vman, meta.clone(), lc)),
-                NodeConfig::default(),
-            )
-        });
-
-        let scrubber = cfg.scrub.clone().map(|sc| {
-            add_service(
-                &mut world,
-                Box::new(ScrubberService::new(pman, repl, sc)),
-                NodeConfig::default(),
-            )
-        });
-
-        // The alert engine goes in last so every subscriber address is
-        // known. Subscribers are the deployed self-* components.
-        let alert_engine = cfg.alerts.clone().map(|rules| {
-            let reg = Arc::clone(world.telemetry().expect("alerts imply telemetry"));
-            let subscribers: Vec<NodeId> =
-                [elastic, repl, security].into_iter().flatten().collect();
-            add_service(
-                &mut world,
-                Box::new(SloAlertService::new(
-                    reg,
-                    rules,
-                    subscribers,
-                    SimDuration::from_secs(2),
-                )),
-                NodeConfig::default(),
-            )
-        });
-
-        Deployment {
-            world,
-            vman,
-            pman,
-            meta,
-            data,
-            monitors,
-            storage,
-            intro,
-            security,
-            elastic,
-            deploy_agent,
-            repl,
-            lifecycle,
-            scrubber,
-            recovery,
-            alert_engine,
-            cfg,
-            next_monitor,
-            provider_backends,
-            next_backend_ordinal,
-        }
+    /// Install `cfg` on `world`, whose seed, network, span sink and
+    /// telemetry registry the deployment runs with.
+    pub fn build(mut world: World, cfg: DeploymentConfig) -> Deployment {
+        let nodes = install(&cfg, &mut world);
+        Deployment { world, nodes, cfg }
     }
 
     /// Add a scripted client node; returns its address.
@@ -441,35 +409,14 @@ impl Deployment {
         script: Vec<ScriptStep>,
         prefix: impl Into<String>,
     ) -> NodeId {
-        self.world.add_node(
-            Box::new(ScriptedClient::new(
-                id,
-                self.vman,
-                self.pman,
-                self.meta.clone(),
-                self.cfg.client_cfg,
-                script,
-                prefix,
-            )),
-            NodeConfig::default(),
-        )
+        let (n, cfg) = (&self.nodes, self.cfg.client_cfg);
+        let client = ScriptedClient::new(id, n.vman, n.pman, n.meta.clone(), cfg, script, prefix);
+        self.world.add_node(Box::new(client), NodeConfig::default())
     }
 
-    /// Add an extra data provider at runtime (manual scale-up; the
-    /// elasticity controller does this itself through the deploy agent).
+    /// Add an extra data provider at runtime (see [`Nodes::add_data_provider`]).
     pub fn add_data_provider(&mut self) -> NodeId {
-        let backend = self.cfg.backend.for_provider(self.next_backend_ordinal);
-        self.next_backend_ordinal += 1;
-        let mut cfg = self.next_service_cfg();
-        cfg.backend = backend.clone();
-        let n = add_service(
-            &mut self.world,
-            Box::new(DataProviderService::new(self.pman, self.cfg.provider_capacity, cfg)),
-            NodeConfig::default(),
-        );
-        self.provider_backends.insert(n, backend);
-        self.data.push(n);
-        n
+        self.nodes.add_data_provider(&mut self.world)
     }
 
     /// Crash a node (provider failure injection for E8).
@@ -478,33 +425,21 @@ impl Deployment {
     }
 
     /// Restart a crashed data provider at its **old address** — the sim
-    /// analogue of respawning the provider process on the same endpoint.
-    /// With the `Memory` backend the store comes back empty; with a
-    /// `Disk` backend the new actor re-opens the provider's on-disk log
-    /// and recovers its chunks. Registration with the provider manager
-    /// happens through the service's normal start-up path.
+    /// analogue of respawning the provider process on the same endpoint
+    /// (see [`Nodes::revive_data_provider`]). Registration with the
+    /// provider manager happens through the service's normal start-up.
     pub fn restart_data_provider(&mut self, node: NodeId) {
-        let actor = self.fresh_data_provider_actor(node);
-        self.world.restart(node, actor);
+        let provider = self.nodes.revive_data_provider(node);
+        self.world.restart(node, Box::new(SimService::new(provider)));
     }
 
     /// A factory building fresh data-provider actors for fault-injection
-    /// revives. It captures only plain config (no borrow of `self`), so
-    /// it can drive [`sads_sim::run_with_faults`] while `world` is
-    /// mutably borrowed.
+    /// revives. It borrows nothing from `self`, so it can drive
+    /// [`sads_sim::run_with_faults`] while `world` is mutably borrowed.
     pub fn data_provider_revive(&mut self) -> impl FnMut(NodeId) -> Box<dyn Actor> + 'static {
-        let pman = self.pman;
-        let capacity = self.cfg.provider_capacity;
-        let base = self.next_service_cfg();
-        let backends = self.provider_backends.clone();
-        move |node| {
-            let mut cfg = base.clone();
-            if let Some(b) = backends.get(&node) {
-                cfg.backend = b.clone();
-            }
-            Box::new(SimService::new(Box::new(DataProviderService::new(pman, capacity, cfg))))
-                as Box<dyn Actor>
-        }
+        let cfg = self.nodes.service_cfg();
+        let providers = self.nodes.providers.clone();
+        move |node| Box::new(SimService::new(providers.revive(node, cfg.clone()))) as Box<dyn Actor>
     }
 
     /// Run the deployment under `plan`: crashes go through the sim's
@@ -520,50 +455,20 @@ impl Deployment {
         sads_sim::run_with_faults(&mut self.world, plan, deadline, max_events, &mut revive)
     }
 
-    fn next_service_cfg(&mut self) -> ServiceConfig {
-        let monitor = if self.monitors.is_empty() {
-            None
-        } else {
-            let t = self.monitors[self.next_monitor % self.monitors.len()];
-            self.next_monitor += 1;
-            Some(t)
-        };
-        ServiceConfig {
-            monitor,
-            heartbeat_every: SimDuration::from_secs(1),
-            instr_flush_every: self.cfg.instr_flush,
-            nic_bandwidth: 125_000_000,
-            ..ServiceConfig::default()
-        }
-    }
-
-    fn fresh_data_provider_actor(&mut self, node: NodeId) -> Box<dyn Actor> {
-        let mut cfg = self.next_service_cfg();
-        if let Some(b) = self.provider_backends.get(&node) {
-            cfg.backend = b.clone();
-        }
-        Box::new(SimService::new(Box::new(DataProviderService::new(
-            self.pman,
-            self.cfg.provider_capacity,
-            cfg,
-        ))))
-    }
-
-    /// The span sink recording this deployment's traces, when
-    /// [`DeploymentConfig::tracing`] is on.
-    pub fn span_sink(&self) -> Option<&std::sync::Arc<sads_sim::SpanSink>> {
+    /// The span sink recording this deployment's traces, when the world
+    /// has one.
+    pub fn span_sink(&self) -> Option<&Arc<sads_sim::SpanSink>> {
         self.world.span_sink()
     }
 
-    /// The live metrics registry, when [`DeploymentConfig::telemetry`]
-    /// (or alerting) is on.
+    /// The live metrics registry, when the world has one.
     pub fn telemetry(&self) -> Option<&Arc<Registry>> {
         self.world.telemetry()
     }
 
     /// Post-run access to the SLO alert engine (fired-alert history).
     pub fn alert_engine(&self) -> Option<&SloAlertService> {
-        self.world.actor_as::<SloAlertService>(self.alert_engine?)
+        self.world.actor_as::<SloAlertService>(self.nodes.alert_engine?)
     }
 
     /// Per-node health derived from heartbeat gauge staleness at the
@@ -576,7 +481,8 @@ impl Deployment {
     /// Total instrumentation events seen by the monitoring services — the
     /// paper's "number of generated monitoring parameters" (E1).
     pub fn monitoring_events(&self) -> u64 {
-        self.monitors
+        self.nodes
+            .monitors
             .iter()
             .filter_map(|m| self.world.actor_as::<MonitoringService>(*m))
             .map(|m| m.events_seen())
@@ -586,54 +492,54 @@ impl Deployment {
     /// Post-run access to a storage server's store (viz tool, E5).
     pub fn mon_store(&self, idx: usize) -> Option<&sads_monitor::MonStore> {
         self.world
-            .actor_as::<StorageServerService>(*self.storage.get(idx)?)
+            .actor_as::<StorageServerService>(*self.nodes.storage.get(idx)?)
             .map(|s| s.store())
     }
 
     /// Post-run access to the security engine (detections, trust).
     pub fn security_engine(&self) -> Option<&SecurityEngineService> {
-        self.world.actor_as::<SecurityEngineService>(self.security?)
+        self.world.actor_as::<SecurityEngineService>(self.nodes.security?)
     }
 
     /// Post-run access to the introspection snapshot.
     pub fn introspection(&self) -> Option<&IntrospectionService> {
-        self.world.actor_as::<IntrospectionService>(self.intro?)
+        self.world.actor_as::<IntrospectionService>(self.nodes.intro?)
     }
 
     /// Post-run access to the elasticity controller.
     pub fn elasticity(&self) -> Option<&ElasticityControllerService> {
-        self.world.actor_as::<ElasticityControllerService>(self.elastic?)
+        self.world.actor_as::<ElasticityControllerService>(self.nodes.elastic?)
+    }
+
+    /// Post-run access to the deploy agent (providers it started).
+    pub fn deploy_agent(&self) -> Option<&DeployAgent> {
+        self.world.actor_as::<DeployAgent>(self.nodes.deploy_agent?)
     }
 
     /// Post-run access to the replication manager.
     pub fn replication(&self) -> Option<&ReplicationManagerService> {
-        self.world.actor_as::<ReplicationManagerService>(self.repl?)
+        self.world.actor_as::<ReplicationManagerService>(self.nodes.repl?)
     }
 
     /// Post-run access to the recovery agent.
     pub fn recovery_agent(&self) -> Option<&RecoveryAgentService> {
-        self.world.actor_as::<RecoveryAgentService>(self.recovery?)
+        self.world.actor_as::<RecoveryAgentService>(self.nodes.recovery?)
     }
 
     /// Post-run access to the lifecycle GC sweeper (reclamation totals).
     pub fn lifecycle_gc(&self) -> Option<&LifecycleGcService> {
-        self.world.actor_as::<LifecycleGcService>(self.lifecycle?)
+        self.world.actor_as::<LifecycleGcService>(self.nodes.lifecycle?)
     }
 
     /// Post-run access to the integrity scrubber (scan/corruption totals).
     pub fn scrubber(&self) -> Option<&ScrubberService> {
-        self.world.actor_as::<ScrubberService>(self.scrubber?)
+        self.world.actor_as::<ScrubberService>(self.nodes.scrubber?)
     }
 
-    /// Live data providers according to the deploy agent + initial set
-    /// (sim oracle: counts nodes that are still up).
+    /// Live data providers: the initial and added ones plus the deploy
+    /// agent's (sim oracle: counts nodes that are still up).
     pub fn live_data_providers(&self) -> usize {
-        let mut n = self.data.iter().filter(|d| self.world.is_up(**d)).count();
-        if let Some(agent) = self.deploy_agent {
-            if let Some(a) = self.world.actor_as::<DeployAgent>(agent) {
-                n += a.spawned().iter().filter(|d| self.world.is_up(**d)).count();
-            }
-        }
-        n
+        let spawned = self.deploy_agent().map_or(&[][..], |a| a.spawned());
+        self.nodes.data.iter().chain(spawned).filter(|d| self.world.is_up(**d)).count()
     }
 }

@@ -74,5 +74,11 @@ mod testenv {
         fn rng(&mut self) -> &mut SmallRng {
             &mut self.rng
         }
+        fn spawn(&mut self, _: Box<dyn sads_blob::services::Service>) -> NodeId {
+            unreachable!("no node starts nodes in this test")
+        }
+        fn power_off(&mut self, _: NodeId) {
+            unreachable!("no node powers nodes off in this test")
+        }
     }
 }

@@ -241,6 +241,12 @@ mod tests {
         fn rng(&mut self) -> &mut SmallRng {
             &mut self.rng
         }
+        fn spawn(&mut self, _: Box<dyn sads_blob::services::Service>) -> NodeId {
+            unreachable!("no node starts nodes in this test")
+        }
+        fn power_off(&mut self, _: NodeId) {
+            unreachable!("no node powers nodes off in this test")
+        }
     }
 
     fn act(at_s: u64, client: u64) -> ActivityRecord {

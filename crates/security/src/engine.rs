@@ -230,6 +230,12 @@ mod tests {
         fn rng(&mut self) -> &mut SmallRng {
             &mut self.rng
         }
+        fn spawn(&mut self, _: Box<dyn sads_blob::services::Service>) -> NodeId {
+            unreachable!("no node starts nodes in this test")
+        }
+        fn power_off(&mut self, _: NodeId) {
+            unreachable!("no node powers nodes off in this test")
+        }
     }
 
     fn batch(client: u64, from_s: u64, per_sec: u64, secs: u64) -> Vec<ActivityRecord> {

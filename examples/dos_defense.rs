@@ -13,7 +13,7 @@ use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
 use sads_introspect::{viz, TimeSeries};
 use sads_security::{PolicySet, SecurityConfig};
-use sads_sim::{NodeConfig, SimDuration, SimTime};
+use sads_sim::{NodeConfig, SimDuration, SimTime, World};
 use sads_workloads::{writer_script, AttackConfig, AttackMode, DosAttacker};
 
 const MB: u64 = 1_000_000;
@@ -26,7 +26,6 @@ fn main() {
     println!("security policy:\n{policy_src}\n");
 
     let cfg = DeploymentConfig {
-        seed: 7,
         data_providers: 16,
         meta_providers: 4,
         monitors: 2,
@@ -37,7 +36,7 @@ fn main() {
         )),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(7), cfg);
 
     // A seeder publishes a public 256 MB dataset.
     let spec = BlobSpec { page_size: PAGE, replication: 1 };
@@ -67,7 +66,7 @@ fn main() {
     let targets: Vec<(sads_sim::NodeId, ChunkKey)> = (0..32u64)
         .map(|p| {
             (
-                d.data[(p as usize) % d.data.len()],
+                d.nodes.data[(p as usize) % d.nodes.data.len()],
                 ChunkKey { blob: BlobId(1), version: VersionId(1), page: p },
             )
         })
@@ -76,7 +75,7 @@ fn main() {
         d.world.add_node(
             Box::new(DosAttacker::new(
                 ClientId(100 + i),
-                d.data.clone(),
+                d.nodes.data.clone(),
                 AttackConfig {
                     start_at: SimTime(30_000_000_000),
                     stop_at: SimTime(600_000_000_000),

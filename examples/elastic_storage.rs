@@ -10,14 +10,13 @@ use sads::blob::model::{BlobSpec, ClientId};
 use sads::{Deployment, DeploymentConfig};
 use sads_adaptive::{ElasticityPolicy, ScaleDecision};
 use sads_introspect::{viz, TimeSeries};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 const MB: u64 = 1_000_000;
 
 fn main() {
     let cfg = DeploymentConfig {
-        seed: 11,
         data_providers: 3,
         meta_providers: 2,
         elasticity: Some(ElasticityPolicy::with(
@@ -30,7 +29,7 @@ fn main() {
         )),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(11), cfg);
 
     // Twelve writers demanding ~1.3 GB/s hit an initial pool that can
     // absorb ~375 MB/s.

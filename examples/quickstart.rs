@@ -7,13 +7,26 @@
 //! ```
 
 use bytes::Bytes;
+use sads::blob::runtime::threaded::ClusterBuilder;
 use sads::blob::{BlobSpec, ClientId, VersionId};
-use sads::{AdaptiveClusterConfig, SelfAdaptiveCluster};
+use sads::security::{default_dos_policies, SecurityConfig};
+use sads::sim::SimDuration;
+use sads::{install, DeploymentConfig};
 
 fn main() {
     println!("starting a self-adaptive BlobSeer cluster (threads, real bytes)…");
-    let mut system = SelfAdaptiveCluster::start(AdaptiveClusterConfig::default());
-    let client = system.client(ClientId(1));
+    // The same spec a simulated `Deployment` takes; the cluster is its host.
+    let spec = DeploymentConfig {
+        data_providers: 4,
+        meta_providers: 2,
+        instr_flush: SimDuration::from_millis(500),
+        mon_flush: SimDuration::from_millis(500),
+        security: Some((default_dos_policies(), SecurityConfig::default())),
+        ..DeploymentConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new().host();
+    install(&spec, &mut cluster);
+    let client = cluster.client(ClientId(1));
 
     // A BLOB with 64 KiB pages, every chunk stored twice.
     let page: u64 = 64 * 1024;
@@ -60,12 +73,12 @@ fn main() {
 
     // The monitoring pipeline has been watching all along.
     std::thread::sleep(std::time::Duration::from_millis(1500));
-    let metrics = system.cluster.metrics();
+    let metrics = cluster.metrics();
     println!(
         "monitoring observed: {} records stored across the pipeline",
         metrics.counter("monstore.records")
     );
 
-    system.shutdown();
+    cluster.shutdown();
     println!("done.");
 }

@@ -23,7 +23,7 @@ use sads::blob::storage::payload_crc;
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
 use sads_adaptive::ReplicationConfig;
-use sads_sim::{FaultPlan, NodeId, SimDuration, SimTime};
+use sads_sim::{FaultPlan, NodeId, SimDuration, SimTime, World};
 
 const MB: u64 = 1_000_000;
 const PAGE: u64 = MB;
@@ -47,7 +47,6 @@ struct RunSummary {
 /// Run the standard workload; `fault_seed = None` is the fault-free run.
 fn run_workload(fault_seed: Option<u64>) -> RunSummary {
     let cfg = DeploymentConfig {
-        seed: 7,
         data_providers: 10,
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -59,7 +58,7 @@ fn run_workload(fault_seed: Option<u64>) -> RunSummary {
         client_cfg: ClientConfig { retry: RetryPolicy::standard(), ..ClientConfig::default() },
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(7), cfg);
     let spec = BlobSpec { page_size: PAGE, replication: 2 };
     d.add_client(
         ClientId(1),
@@ -93,7 +92,7 @@ fn run_workload(fault_seed: Option<u64>) -> RunSummary {
     let mut plan = match fault_seed {
         Some(seed) => FaultPlan::crash_restart(
             seed,
-            &d.data.clone(),
+            &d.nodes.data.clone(),
             SimTime::from_secs(HORIZON_S),
             SimDuration::from_secs(25),
             SimDuration::from_secs(8),
@@ -112,7 +111,7 @@ fn run_workload(fault_seed: Option<u64>) -> RunSummary {
     );
     d.world.run_for(SimDuration::from_secs(30), 20_000_000);
 
-    let vman = d.world.actor_as::<VersionManagerService>(d.vman).expect("vman");
+    let vman = d.world.actor_as::<VersionManagerService>(d.nodes.vman).expect("vman");
     let versions: Vec<u64> = vman
         .state()
         .blob(BlobId(1))
@@ -191,6 +190,12 @@ impl Env for TestEnv {
     fn set_timer(&mut self, _d: SimDuration, _t: u64) {}
     fn rng(&mut self) -> &mut rand::rngs::SmallRng {
         &mut self.rng
+    }
+    fn spawn(&mut self, _: Box<dyn sads::blob::services::Service>) -> NodeId {
+        unreachable!("no node starts nodes in this test")
+    }
+    fn power_off(&mut self, _: NodeId) {
+        unreachable!("no node powers nodes off in this test")
     }
 }
 
@@ -275,13 +280,12 @@ fn a_lying_envelope_is_stored_then_quarantined_by_the_scrub() {
 #[test]
 fn mid_batch_provider_crash_degrades_to_replica_walk() {
     let cfg = DeploymentConfig {
-        seed: 11,
         data_providers: 4,
         meta_providers: 2,
         client_cfg: ClientConfig { retry: RetryPolicy::standard(), ..ClientConfig::default() },
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(11), cfg);
     let spec = BlobSpec { page_size: PAGE, replication: 2 };
     d.add_client(
         ClientId(1),
@@ -293,7 +297,7 @@ fn mid_batch_provider_crash_degrades_to_replica_walk() {
     );
     d.world.run_for(SimDuration::from_secs(10), 20_000_000);
 
-    let victim = d.data[0];
+    let victim = d.nodes.data[0];
     d.world.crash(victim);
     d.add_client(
         ClientId(2),

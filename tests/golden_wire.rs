@@ -23,7 +23,7 @@ use sads::blob::model::{BlobSpec, ClientId, VersionId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
-use sads_sim::{FaultPlan, SimDuration, SimTime};
+use sads_sim::{FaultPlan, SimDuration, SimTime, World};
 
 const PAGE: u64 = 1_000_000;
 
@@ -43,7 +43,6 @@ fn read(blob: BlobRef, version: Option<u64>, offset: u64, len: u64) -> ScriptSte
 
 fn run() -> Deployment {
     let cfg = DeploymentConfig {
-        seed: 1611,
         data_providers: 5,
         meta_providers: 2,
         client_cfg: ClientConfig {
@@ -53,7 +52,7 @@ fn run() -> Deployment {
         },
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(1611), cfg);
     let crash_at = SimTime::from_secs(20);
 
     // Client 1, BLOB 1 (replication 2): the healthy-path shapes first,
@@ -97,7 +96,7 @@ fn run() -> Deployment {
         "c2",
     );
 
-    let victim = d.data[1];
+    let victim = d.nodes.data[1];
     let mut plan = FaultPlan::builder().crash_at(victim, crash_at).build();
     d.run_with_faults(&mut plan, SimTime::from_secs(400), 20_000_000);
     d

@@ -7,21 +7,20 @@ use sads::blob::model::{BlobId, BlobSpec, ClientId};
 use sads::{Deployment, DeploymentConfig};
 use sads_introspect::{viz, TimeSeries};
 use sads_monitor::MetricId;
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::{mixed_script, writer_script};
 
 const MB: u64 = 1_000_000;
 
 fn run_writers(monitors: usize, seed: u64) -> (f64, Deployment) {
     let cfg = DeploymentConfig {
-        seed,
         data_providers: 12,
         meta_providers: 2,
         monitors,
         storage_servers: 2,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(seed), cfg);
     let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
     for i in 0..6u64 {
         let script = writer_script(spec, 2_000 * MB, 128 * MB, SimTime(2_000_000_000));
@@ -59,7 +58,7 @@ fn introspection_snapshot_reflects_the_system() {
     let observed_providers = snap
         .providers
         .iter()
-        .filter(|(id, _)| d.data.contains(id))
+        .filter(|(id, _)| d.nodes.data.contains(id))
         .count();
     assert_eq!(observed_providers, 12);
     // Storage accounting matches the written volume (6 × 2000 MB).
@@ -84,12 +83,11 @@ fn visualization_tool_renders_all_four_panels() {
     // Paper §IV-A: physical parameters, per-provider storage, BLOB access
     // patterns, BLOB distribution across providers.
     let cfg = DeploymentConfig {
-        seed: 35,
         data_providers: 6,
         meta_providers: 2,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(35), cfg);
     let spec = BlobSpec { page_size: 4 * MB, replication: 1 };
     d.add_client(
         ClientId(1),

@@ -227,6 +227,23 @@ proptest! {
     }
 }
 
+/// Four data and two metadata providers behind a half-second monitoring
+/// pipeline, installed on real threads with the self-* layers of `layers`.
+fn start_threaded(layers: sads::DeploymentConfig) -> sads::blob::runtime::threaded::Cluster {
+    let mut cluster = sads::blob::runtime::threaded::ClusterBuilder::new().host();
+    let spec = sads::DeploymentConfig {
+        data_providers: 4,
+        meta_providers: 2,
+        monitors: 1,
+        storage_servers: 1,
+        instr_flush: SimDuration::from_millis(500),
+        mon_flush: SimDuration::from_millis(500),
+        ..layers
+    };
+    sads::install(&spec, &mut cluster);
+    cluster
+}
+
 // ---------------------------------------------------------------------
 // Threaded end-to-end: byte-flip → scrub → quarantine → repair.
 // ---------------------------------------------------------------------
@@ -235,9 +252,10 @@ mod scrub_e2e {
     use bytes::Bytes;
     use sads::blob::model::{BlobSpec, ChunkKey, ClientId};
     use sads::blob::rpc::Msg;
+    use sads::blob::runtime::threaded::Cluster;
     use sads::blob::storage::BackendSpec;
     use sads::lifecycle::ScrubConfig;
-    use sads::{AdaptiveClusterConfig, SelfAdaptiveCluster};
+    use sads::DeploymentConfig;
     use sads_adaptive::ReplicationConfig;
     use sads_sim::{MetricSink, SimDuration};
 
@@ -252,17 +270,14 @@ mod scrub_e2e {
 
     /// Merge freshly drained cluster metrics into `all` and return the
     /// counter — the sink drains on read, so totals must accumulate.
-    fn drain(sys: &SelfAdaptiveCluster, all: &mut MetricSink) {
-        all.merge(sys.cluster.metrics());
+    fn drain(cluster: &Cluster, all: &mut MetricSink) {
+        all.merge(cluster.metrics());
     }
 
     #[test]
     fn byte_flipped_disk_chunk_is_quarantined_and_repaired() {
         let root = std::env::temp_dir().join(format!("sads-scrub-e2e-{}", std::process::id()));
-        let mut sys = SelfAdaptiveCluster::start(AdaptiveClusterConfig {
-            data_providers: 4,
-            meta_providers: 2,
-            security: None,
+        let mut cluster = super::start_threaded(DeploymentConfig {
             replication: Some(ReplicationConfig {
                 base_degree: 2,
                 sweep_every: SimDuration::from_millis(500),
@@ -273,10 +288,10 @@ mod scrub_e2e {
                 batch: 64,
             }),
             backend: BackendSpec::disk(root.clone()),
-            ..AdaptiveClusterConfig::default()
+            ..DeploymentConfig::default()
         });
 
-        let client = sys.client(ClientId(5));
+        let client = cluster.client(ClientId(5));
         let blob = client
             .create(BlobSpec { page_size: PAGE, replication: 2 })
             .expect("create");
@@ -289,7 +304,7 @@ mod scrub_e2e {
         let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            drain(&sys, &mut all);
+            drain(&cluster, &mut all);
             let tracked =
                 all.series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
             if tracked >= PAGES as f64 {
@@ -305,9 +320,9 @@ mod scrub_e2e {
         // Flip bytes in every replica ONE provider holds for this blob.
         // Replicas of a chunk never share a provider, so each damaged
         // chunk keeps one intact copy elsewhere.
-        let victim = sys.cluster.data[0];
+        let victim = cluster.data[0];
         for page in 0..PAGES {
-            sys.cluster.send(victim, Msg::CorruptChunk {
+            cluster.send(victim, Msg::CorruptChunk {
                 key: ChunkKey { blob, version, page },
             });
         }
@@ -316,7 +331,7 @@ mod scrub_e2e {
         // detection has been quarantined, reported and repaired.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let (quarantined, reports, repairs) = loop {
-            drain(&sys, &mut all);
+            drain(&cluster, &mut all);
             let q = all.counter("provider.quarantined_chunks");
             let c = all.counter("repl.corrupt_reports");
             let r = all.counter("repl.repairs");
@@ -339,7 +354,7 @@ mod scrub_e2e {
         let back = client.read(blob, None, 0, PAGES * PAGE).expect("read after repair");
         assert_eq!(back, data, "bytes diverged after scrub+repair");
 
-        sys.shutdown();
+        cluster.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -352,10 +367,7 @@ mod scrub_e2e {
     fn short_chunks_are_repaired_at_their_length_and_scrub_clean_afterwards() {
         const TAIL: u64 = 13;
         let root = std::env::temp_dir().join(format!("sads-scrub-short-{}", std::process::id()));
-        let mut sys = SelfAdaptiveCluster::start(AdaptiveClusterConfig {
-            data_providers: 4,
-            meta_providers: 2,
-            security: None,
+        let mut cluster = super::start_threaded(DeploymentConfig {
             replication: Some(ReplicationConfig {
                 base_degree: 2,
                 sweep_every: SimDuration::from_millis(500),
@@ -363,9 +375,9 @@ mod scrub_e2e {
             }),
             scrub: Some(ScrubConfig { every: SimDuration::from_millis(100), batch: 64 }),
             backend: BackendSpec::disk(root.clone()),
-            ..AdaptiveClusterConfig::default()
+            ..DeploymentConfig::default()
         });
-        let client = sys.client(ClientId(5));
+        let client = cluster.client(ClientId(5));
         let blob = client.create(BlobSpec { page_size: PAGE, replication: 2 }).expect("create");
         // Every page but the last holds 13 bytes; the last holds none.
         let mut h = client
@@ -383,43 +395,43 @@ mod scrub_e2e {
         image.resize((PAGES * PAGE) as usize, 0);
         let version = h.commit().expect("commit");
         let stored = 2 * (PAGES - 1) * TAIL;
-        let used = |sys: &SelfAdaptiveCluster| {
-            sys.cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
+        let used = |cluster: &Cluster| {
+            cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
         };
 
         let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            drain(&sys, &mut all);
+            drain(&cluster, &mut all);
             let tracked =
                 all.series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
-            if tracked >= PAGES as f64 && used(&sys) == Some(stored as f64) {
+            if tracked >= PAGES as f64 && used(&cluster) == Some(stored as f64) {
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
                 "placement never learned (tracked {tracked}) or stored bytes {:?} != {stored}",
-                used(&sys)
+                used(&cluster)
             );
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
 
-        let victim = sys.cluster.data[0];
+        let victim = cluster.data[0];
         for page in 0..PAGES {
-            sys.cluster.send(victim, Msg::CorruptChunk { key: ChunkKey { blob, version, page } });
+            cluster.send(victim, Msg::CorruptChunk { key: ChunkKey { blob, version, page } });
         }
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let quarantined = loop {
-            drain(&sys, &mut all);
+            drain(&cluster, &mut all);
             let q = all.counter("provider.quarantined_chunks");
             let r = all.counter("repl.repairs");
-            if q > 0 && r >= q && used(&sys) == Some(stored as f64) {
+            if q > 0 && r >= q && used(&cluster) == Some(stored as f64) {
                 break q;
             }
             assert!(
                 std::time::Instant::now() < deadline,
                 "repair loop stalled: quarantined {q}, repaired {r}, stored {:?}",
-                used(&sys)
+                used(&cluster)
             );
             std::thread::sleep(std::time::Duration::from_millis(200));
         };
@@ -439,7 +451,7 @@ mod scrub_e2e {
         while all.counter("provider.scrubbed_chunks") < scrubbed + 10 * 2 * PAGES {
             assert!(std::time::Instant::now() < deadline, "scrub stopped walking");
             std::thread::sleep(std::time::Duration::from_millis(200));
-            drain(&sys, &mut all);
+            drain(&cluster, &mut all);
         }
         assert_eq!(
             all.counter("provider.quarantined_chunks"),
@@ -449,7 +461,7 @@ mod scrub_e2e {
         let back = client.read(blob, None, 0, PAGES * PAGE).expect("read after repair");
         assert_eq!(back, image, "bytes diverged after scrub+repair");
 
-        sys.shutdown();
+        cluster.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 }
@@ -482,8 +494,7 @@ mod relay_sim {
     /// CRC, so the first scrub of C quarantines the copy.
     #[test]
     fn a_repair_copy_of_a_rotted_replica_fails_the_destinations_scrub() {
-        let mut d = Deployment::build(DeploymentConfig {
-            seed: 3,
+        let mut d = Deployment::build(World::with_seed(3), DeploymentConfig {
             data_providers: 3,
             meta_providers: 1,
             replication: Some(ReplicationConfig {
@@ -505,14 +516,15 @@ mod relay_sim {
         assert_eq!(d.world.metrics().counter("writer.ops_ok"), 2, "create + write");
 
         let key = d
+            .nodes
             .data
             .iter()
             .find_map(|p| d.world.actor_as::<DataProviderService>(*p)?.store().all_keys().pop())
             .expect("the page is stored");
         let holders: Vec<NodeId> =
-            d.data.iter().copied().filter(|p| holds(&d.world, *p, &key)).collect();
+            d.nodes.data.iter().copied().filter(|p| holds(&d.world, *p, &key)).collect();
         let [a, b] = holders[..] else { panic!("two replicas: {holders:?}") };
-        let c = *d.data.iter().find(|p| !holders.contains(p)).expect("a spare provider");
+        let c = *d.nodes.data.iter().find(|p| !holders.contains(p)).expect("a spare provider");
 
         d.world.send_external(a, Box::new(Msg::CorruptChunk { key }));
         d.crash(b);
@@ -521,7 +533,7 @@ mod relay_sim {
         assert!(holds(&d.world, c, &key), "the repair copied A's replica to C");
 
         let scrub = ScrubConfig { every: SimDuration::from_millis(100), batch: 64 };
-        let scrubber = ScrubberService::new(d.pman, None, scrub);
+        let scrubber = ScrubberService::new(d.nodes.pman, None, scrub);
         add_service(&mut d.world, Box::new(scrubber), NodeConfig::default());
         d.world.run_for(SimDuration::from_secs(5), 10_000_000);
         assert!(!holds(&d.world, c, &key), "C's scrub quarantined the relayed copy");
@@ -549,8 +561,7 @@ mod relay_sim {
     /// and every copy ends quarantined.
     #[test]
     fn a_writers_wrong_crc_is_repaired_a_bounded_number_of_times_then_counted_lost() {
-        let mut d = Deployment::build(DeploymentConfig {
-            seed: 3,
+        let mut d = Deployment::build(World::with_seed(3), DeploymentConfig {
             data_providers: 4,
             meta_providers: 1,
             replication: Some(ReplicationConfig {
@@ -564,7 +575,7 @@ mod relay_sim {
         let key = ChunkKey { blob: BlobId(1), version: VersionId(1), page: 0 };
         let data = Payload::Data(Bytes::from(vec![0x5a; 4096]));
         let crc = payload_crc(&data) ^ 1;
-        let (a, b) = (d.data[0], d.data[1]);
+        let (a, b) = (d.nodes.data[0], d.nodes.data[1]);
         let puts = [(1, a), (2, b)].map(|(req, to)| {
             (to, Msg::PutChunk { req, client: ClientId(1), key, data: data.clone(), crc })
         });
@@ -574,7 +585,7 @@ mod relay_sim {
         assert_eq!(tracked, Some(vec![a, b]), "the manager learned both replicas");
 
         let scrub = ScrubConfig { every: SimDuration::from_millis(100), batch: 64 };
-        let scrubber = ScrubberService::new(d.pman, d.repl, scrub);
+        let scrubber = ScrubberService::new(d.nodes.pman, d.nodes.repl, scrub);
         add_service(&mut d.world, Box::new(scrubber), NodeConfig::default());
         d.world.run_for(SimDuration::from_secs(60), 10_000_000);
 
@@ -583,7 +594,7 @@ mod relay_sim {
         assert_eq!(repairs, 2, "one repair per original replica, none of a repair copy");
         assert_eq!(m.counter("repl.lost_chunks"), 1, "the chunk is counted lost, once");
         assert_eq!(m.counter("lifecycle.scrub_corrupt"), 2 + repairs, "every copy quarantined");
-        assert!(d.data.iter().all(|p| !holds(&d.world, *p, &key)), "no copy left to serve");
+        assert!(d.nodes.data.iter().all(|p| !holds(&d.world, *p, &key)), "no copy left to serve");
     }
 }
 
@@ -591,8 +602,9 @@ mod true_lengths_e2e {
     use bytes::Bytes;
     use sads::blob::model::ClientId;
     use sads::gateway::{Acl, GatewayConfig, ObjectGateway};
+    use sads::blob::runtime::threaded::Cluster;
     use sads::lifecycle::{LifecycleConfig, RetentionPolicy};
-    use sads::{AdaptiveClusterConfig, SelfAdaptiveCluster};
+    use sads::DeploymentConfig;
     use sads_sim::{MetricSink, SimDuration};
 
     const PAGE: u64 = 64 * 1024;
@@ -603,19 +615,16 @@ mod true_lengths_e2e {
     /// bodies, not a page for each of their tails.
     #[test]
     fn reclaimed_bytes_equal_the_drop_in_stored_bytes() {
-        let mut sys = SelfAdaptiveCluster::start(AdaptiveClusterConfig {
-            data_providers: 4,
-            meta_providers: 2,
-            security: None,
+        let mut cluster = super::start_threaded(DeploymentConfig {
             lifecycle: Some(LifecycleConfig {
                 policy: RetentionPolicy::KeepLastN(1),
                 sweep_every: SimDuration::from_millis(200),
                 ..LifecycleConfig::default()
             }),
-            ..AdaptiveClusterConfig::default()
+            ..DeploymentConfig::default()
         });
         let gw = ObjectGateway::new(
-            sys.client(ClientId(9)),
+            cluster.client(ClientId(9)),
             GatewayConfig { page_size: PAGE, replication: 1, ..Default::default() },
         );
         let alice = ClientId(1);
@@ -635,14 +644,15 @@ mod true_lengths_e2e {
                 }
             }
         }
-        let used = |sys: &SelfAdaptiveCluster| {
-            sys.cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
+        let used = |cluster: &Cluster| {
+            cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
         };
         let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         loop {
-            all.merge(sys.cluster.metrics());
-            if all.counter("lifecycle.reclaimed_bytes") >= put - live && used(&sys) == Some(live as f64) {
+            all.merge(cluster.metrics());
+            let reclaimed = all.counter("lifecycle.reclaimed_bytes");
+            if reclaimed >= put - live && used(&cluster) == Some(live as f64) {
                 break;
             }
             assert!(
@@ -650,7 +660,7 @@ mod true_lengths_e2e {
                 "sweep stalled: reclaimed {} of {} B, stored {:?}, live {live}",
                 all.counter("lifecycle.reclaimed_bytes"),
                 put - live,
-                used(&sys)
+                used(&cluster)
             );
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
@@ -663,6 +673,6 @@ mod true_lengths_e2e {
             let n = n.saturating_sub(2);
             assert_eq!(gw.get_object(alice, "b", &format!("k{i}")).unwrap(), vec![3u8; n as usize]);
         }
-        sys.shutdown();
+        cluster.shutdown();
     }
 }

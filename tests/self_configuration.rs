@@ -5,7 +5,7 @@
 use sads::blob::model::{BlobSpec, ClientId};
 use sads::{Deployment, DeploymentConfig};
 use sads_adaptive::ElasticityPolicy;
-use sads_sim::{RunOutcome, SimDuration, SimTime};
+use sads_sim::{RunOutcome, SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 const MB: u64 = 1_000_000;
@@ -22,7 +22,6 @@ fn pool_series(d: &Deployment) -> Vec<(f64, f64)> {
 #[test]
 fn pool_expands_under_load_and_contracts_afterwards() {
     let cfg = DeploymentConfig {
-        seed: 11,
         data_providers: 3,
         meta_providers: 2,
         monitors: 2,
@@ -30,7 +29,7 @@ fn pool_expands_under_load_and_contracts_afterwards() {
         elasticity: Some(ElasticityPolicy::with(0.6, 0.15, 2, 20, 2, SimDuration::from_secs(12))),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(11), cfg);
 
     // 12 writers demand ~12 × 110 MB/s; the initial 3 providers offer
     // 375 MB/s, so utilization pins at 1.0 until the pool grows.
@@ -82,13 +81,12 @@ fn pool_expands_under_load_and_contracts_afterwards() {
 #[test]
 fn quiet_system_stays_at_its_floor() {
     let cfg = DeploymentConfig {
-        seed: 12,
         data_providers: 4,
         meta_providers: 2,
         elasticity: Some(ElasticityPolicy::with(0.7, 0.2, 4, 20, 2, SimDuration::from_secs(10))),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(12), cfg);
     // One light client; utilization stays under the low watermark, but
     // the pool is already at its floor.
     let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
@@ -101,4 +99,17 @@ fn quiet_system_stays_at_its_floor() {
     assert_eq!(d.world.metrics().counter("elastic.expand"), 0);
     assert_eq!(d.world.metrics().counter("elastic.retire"), 0, "min_providers is a hard floor");
     assert_eq!(d.live_data_providers(), 4);
+}
+
+/// The controller polls the introspection service; a spec that asks for
+/// elasticity without it is refused instead of deploying no controller.
+#[test]
+#[should_panic(expected = "elasticity needs the introspection service")]
+fn elasticity_without_introspection_is_refused() {
+    let cfg = DeploymentConfig {
+        monitors: 0,
+        elasticity: Some(ElasticityPolicy::default()),
+        ..DeploymentConfig::default()
+    };
+    Deployment::build(World::with_seed(13), cfg);
 }

@@ -25,7 +25,6 @@ fn chunks_held(world: &World, provider: NodeId) -> usize {
 #[test]
 fn provider_failure_is_repaired_and_reads_survive() {
     let cfg = DeploymentConfig {
-        seed: 21,
         data_providers: 8,
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -36,7 +35,7 @@ fn provider_failure_is_repaired_and_reads_survive() {
         }),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(21), cfg);
 
     // Writer: 64 MB over 32 pages, replication 2 → 64 replicas total.
     let spec = BlobSpec { page_size: 2 * MB, replication: 2 };
@@ -56,11 +55,11 @@ fn provider_failure_is_repaired_and_reads_survive() {
     // the placement from the monitoring stream.
     d.world.run_for(SimDuration::from_secs(20), 10_000_000);
     assert_eq!(d.world.metrics().counter("writer.ops_ok"), 2);
-    let total_before: usize = d.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
+    let total_before: usize = d.nodes.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
     assert_eq!(total_before, 64, "32 chunks × 2 replicas stored");
 
     // Kill one provider.
-    let victim = d.data[3];
+    let victim = d.nodes.data[3];
     let lost = chunks_held(&d.world, victim);
     assert!(lost > 0, "victim held replicas");
     d.crash(victim);
@@ -77,7 +76,7 @@ fn provider_failure_is_repaired_and_reads_survive() {
         }
     }
     let total_after: usize =
-        d.data.iter().filter(|p| d.world.is_up(**p)).map(|p| chunks_held(&d.world, *p)).sum();
+        d.nodes.data.iter().filter(|p| d.world.is_up(**p)).map(|p| chunks_held(&d.world, *p)).sum();
     assert_eq!(total_after, 64, "replica population restored");
 
     // A fresh reader succeeds (leaf patches + replica failover): add a
@@ -102,7 +101,6 @@ fn provider_failure_is_repaired_and_reads_survive() {
 /// return the finished deployment.
 fn overwrite_under_keep_last(seed: u64, keep: usize, writes: &[(u64, u64)]) -> Deployment {
     let cfg = DeploymentConfig {
-        seed,
         data_providers: 6,
         meta_providers: 2,
         lifecycle: Some(LifecycleConfig {
@@ -112,7 +110,7 @@ fn overwrite_under_keep_last(seed: u64, keep: usize, writes: &[(u64, u64)]) -> D
         }),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(seed), cfg);
     let mut script = vec![ScriptStep::Create(BlobSpec { page_size: 2 * MB, replication: 1 })];
     for &(bytes, pause_s) in writes {
         script.push(ScriptStep::Write { blob: BlobRef::Created(0), kind: WriteKind::At(0), bytes });
@@ -138,7 +136,7 @@ fn overwrite_under_keep_last(seed: u64, keep: usize, writes: &[(u64, u64)]) -> D
 }
 
 fn catalog(d: &Deployment) -> Vec<u64> {
-    let vman = d.world.actor_as::<VersionManagerService>(d.vman).expect("vman");
+    let vman = d.world.actor_as::<VersionManagerService>(d.nodes.vman).expect("vman");
     vman.state().blob(BlobId(1)).expect("blob").versions().map(|v| v.version.0).collect()
 }
 
@@ -152,7 +150,7 @@ fn removal_reclaims_old_versions_and_latest_stays_readable() {
     // Chunk population shrank to the survivors' working set: v5 holds the
     // live 16 pages; v4's 16 pages are also kept (it survives). Everything
     // from v1..v3 was reclaimed.
-    let total: usize = d.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
+    let total: usize = d.nodes.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
     assert_eq!(total, 32, "16 pages × 2 surviving versions");
     assert!(
         d.world.metrics().counter("lifecycle.chunks_reclaimed") >= 48,
@@ -170,6 +168,6 @@ fn removal_reclaims_old_versions_and_latest_stays_readable() {
         &[(32 * MB, 25), (16 * MB, 25), (32 * MB, 25), (32 * MB, 25)],
     );
     assert_eq!(catalog(&d), vec![0, 4]);
-    let total: usize = d.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
+    let total: usize = d.nodes.data.iter().map(|p| chunks_held(&d.world, *p)).sum();
     assert_eq!(total, 16, "exactly the latest version's 16 pages");
 }

@@ -7,7 +7,7 @@ use sads::blob::model::{BlobId, BlobSpec, ChunkKey, ClientId, VersionId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::{Deployment, DeploymentConfig};
 use sads_security::{PolicySet, SecurityConfig};
-use sads_sim::{NodeConfig, RunOutcome, SimDuration, SimTime};
+use sads_sim::{NodeConfig, RunOutcome, SimDuration, SimTime, World};
 use sads_workloads::{writer_script, AttackConfig, AttackMode, DosAttacker};
 
 const MB: u64 = 1_000_000;
@@ -28,7 +28,6 @@ fn dos_policies() -> PolicySet {
 /// t = 30 s.
 fn scenario(security: bool, attackers: usize, seed: u64) -> Deployment {
     let mut cfg = DeploymentConfig {
-        seed,
         data_providers: 16,
         meta_providers: 4,
         monitors: 2,
@@ -41,7 +40,7 @@ fn scenario(security: bool, attackers: usize, seed: u64) -> Deployment {
             SecurityConfig { scan_every: SimDuration::from_secs(5), ..Default::default() },
         ));
     }
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(seed), cfg);
 
     // Seeder: 256 MB public BLOB, written immediately (one op).
     let spec = BlobSpec { page_size: PAGE, replication: 1 };
@@ -71,7 +70,7 @@ fn scenario(security: bool, attackers: usize, seed: u64) -> Deployment {
     let targets: Vec<(sads_sim::NodeId, ChunkKey)> = (0..32u64)
         .map(|p| {
             (
-                d.data[(p as usize) % d.data.len()],
+                d.nodes.data[(p as usize) % d.nodes.data.len()],
                 ChunkKey { blob: BlobId(1), version: VersionId(1), page: p },
             )
         })
@@ -79,7 +78,7 @@ fn scenario(security: bool, attackers: usize, seed: u64) -> Deployment {
     for i in 0..attackers as u64 {
         let atk = DosAttacker::new(
             ClientId(100 + i),
-            d.data.clone(),
+            d.nodes.data.clone(),
             AttackConfig {
                 start_at: SimTime(30_000_000_000),
                 stop_at: SimTime(600_000_000_000),

@@ -7,7 +7,7 @@ use sads::blob::model::{BlobId, BlobSpec, ClientId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 
 const MB: u64 = 1_000_000;
 const PAGE: u64 = 2 * MB;
@@ -15,13 +15,12 @@ const PAGE: u64 = 2 * MB;
 #[test]
 fn dead_writer_is_recovered_and_the_pipeline_unblocks() {
     let cfg = DeploymentConfig {
-        seed: 99,
         data_providers: 8,
         meta_providers: 2,
         recovery: Some(SimDuration::from_secs(5)),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(99), cfg);
     let spec = BlobSpec { page_size: PAGE, replication: 1 };
 
     // A: creates the blob and publishes v1 = [0, 16 MB).
@@ -94,13 +93,12 @@ fn dead_writer_is_recovered_and_the_pipeline_unblocks() {
 #[test]
 fn healthy_blobs_are_never_touched_by_the_agent() {
     let cfg = DeploymentConfig {
-        seed: 98,
         data_providers: 6,
         meta_providers: 2,
         recovery: Some(SimDuration::from_secs(5)),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(98), cfg);
     let spec = BlobSpec { page_size: PAGE, replication: 1 };
     d.add_client(
         ClientId(1),

@@ -30,7 +30,7 @@ use sads::blob::storage::{BackendConfig, BackendSpec, DiskConfig};
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
 use sads_adaptive::ReplicationConfig;
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::{SimDuration, SimTime, World};
 
 /// Fresh scratch directory per call (removed by [`Cleanup`]).
 fn tmp(tag: &str) -> PathBuf {
@@ -196,7 +196,6 @@ fn sim_disk_restart_rejoins_without_repair_traffic() {
     let root = tmp("sim");
     let _cleanup = Cleanup(root.clone());
     let cfg = DeploymentConfig {
-        seed: 11,
         data_providers: 10,
         meta_providers: 2,
         replication: Some(ReplicationConfig {
@@ -207,7 +206,7 @@ fn sim_disk_restart_rejoins_without_repair_traffic() {
         backend: BackendSpec::disk(&root),
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut d = Deployment::build(World::with_seed(11), cfg);
     d.add_client(
         ClientId(1),
         vec![
@@ -222,7 +221,7 @@ fn sim_disk_restart_rejoins_without_repair_traffic() {
     );
     d.world.run_until(t(25), 10_000_000);
 
-    let victim = d.data[0];
+    let victim = d.nodes.data[0];
     let before = d
         .world
         .actor_as::<DataProviderService>(victim)

@@ -14,7 +14,8 @@ use sads::blob::model::{BlobSpec, ClientId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
 use sads::{default_alert_rules, Deployment, DeploymentConfig};
-use sads_sim::{HealthPolicy, HealthState, SimDuration, HEARTBEAT_GAUGE};
+use sads_sim::{HealthPolicy, HealthState, Registry, SimDuration, World, HEARTBEAT_GAUGE};
+use std::sync::Arc;
 
 const MB: u64 = 1_000_000;
 
@@ -30,13 +31,15 @@ fn write_read_script() -> Vec<ScriptStep> {
 /// One small write/read workload; returns the finished deployment.
 fn run(telemetry: bool) -> Deployment {
     let cfg = DeploymentConfig {
-        seed: 42,
         data_providers: 4,
         meta_providers: 2,
-        telemetry,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut world = World::with_seed(42);
+    if telemetry {
+        world.set_telemetry(Arc::new(Registry::new()));
+    }
+    let mut d = Deployment::build(world, cfg);
     d.add_client(ClientId(1), write_read_script(), "client");
     d.world.run_for(SimDuration::from_secs(60), 10_000_000);
     assert_eq!(d.world.metrics().counter("client.ops_err"), 0, "workload must succeed");
@@ -66,13 +69,12 @@ fn telemetry_toggle_never_changes_the_event_schedule() {
 fn alerting_deployment_is_repeatable() {
     let build = || {
         let cfg = DeploymentConfig {
-            seed: 7,
             data_providers: 4,
             meta_providers: 2,
             alerts: Some(default_alert_rules()),
             ..DeploymentConfig::default()
         };
-        let mut d = Deployment::build(cfg);
+        let mut d = Deployment::build(World::with_seed(7), cfg);
         d.add_client(ClientId(1), write_read_script(), "client");
         d.world.run_for(SimDuration::from_secs(60), 10_000_000);
         d
@@ -112,7 +114,7 @@ fn registry_covers_a_live_deployment() {
     assert!(snap.counter_total("vman.published").unwrap_or(0) > 0, "versions published");
     assert!(snap.gauge("pool.data_providers", &[]).unwrap_or(0.0) >= 4.0, "pool gauge live");
     // Every data provider heartbeats with its node label.
-    for n in &d.data {
+    for n in &d.nodes.data {
         let label = n.0.to_string();
         let hb = snap.gauge(HEARTBEAT_GAUGE, &[("node", label.as_str())]);
         assert!(hb.is_some(), "provider {n:?} heartbeats into the registry");
@@ -122,17 +124,17 @@ fn registry_covers_a_live_deployment() {
 #[test]
 fn health_flags_a_crashed_provider() {
     let cfg = DeploymentConfig {
-        seed: 42,
         data_providers: 4,
         meta_providers: 2,
-        telemetry: true,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut world = World::with_seed(42);
+    world.set_telemetry(Arc::new(Registry::new()));
+    let mut d = Deployment::build(world, cfg);
     d.add_client(ClientId(1), write_read_script(), "client");
     d.world.run_for(SimDuration::from_secs(30), 10_000_000);
 
-    let victim = d.data[0];
+    let victim = d.nodes.data[0];
     d.crash(victim);
     d.world.run_for(SimDuration::from_secs(30), 10_000_000);
 
@@ -143,7 +145,7 @@ fn health_flags_a_crashed_provider() {
         .find(|h| h.node == victim.0 as u64)
         .expect("victim heartbeat seen before the crash");
     assert_eq!(v.state, HealthState::Down, "crashed provider goes Down");
-    let survivor = d.data[1];
+    let survivor = d.nodes.data[1];
     let s = health.iter().find(|h| h.node == survivor.0 as u64).expect("survivor present");
     assert_eq!(s.state, HealthState::Ok, "surviving provider stays Ok");
 }

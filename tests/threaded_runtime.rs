@@ -137,11 +137,10 @@ fn deterministic_simulated_twin_runs_identically() {
     use sads::blob::runtime::sim::{BlobRef, ScriptStep};
     use sads::blob::WriteKind;
     use sads::{Deployment, DeploymentConfig};
-    use sads_sim::SimTime;
+    use sads_sim::{SimTime, World};
 
     fn run() -> (u64, Vec<(u64, f64)>) {
-        let mut d = Deployment::build(DeploymentConfig {
-            seed: 12345,
+        let mut d = Deployment::build(World::with_seed(12345), DeploymentConfig {
             data_providers: 8,
             meta_providers: 2,
             ..DeploymentConfig::default()

@@ -15,7 +15,8 @@ use sads::blob::model::{BlobSpec, ClientId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
 use sads::{Deployment, DeploymentConfig};
-use sads_sim::{SimDuration, SpanKind};
+use sads_sim::{SimDuration, SpanKind, SpanSink, World};
+use std::sync::Arc;
 use sads_trace::{chrome_trace_json, critical_paths};
 
 const MB: u64 = 1_000_000;
@@ -23,13 +24,15 @@ const MB: u64 = 1_000_000;
 /// One small write workload; returns the finished deployment.
 fn run(tracing: bool) -> Deployment {
     let cfg = DeploymentConfig {
-        seed: 42,
         data_providers: 4,
         meta_providers: 2,
-        tracing,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(cfg);
+    let mut world = World::with_seed(42);
+    if tracing {
+        world.set_span_sink(Arc::new(SpanSink::new()));
+    }
+    let mut d = Deployment::build(world, cfg);
     let spec = BlobSpec { page_size: 4 * MB, replication: 1 };
     d.add_client(
         ClientId(1),
