@@ -658,28 +658,33 @@ impl ObjectGateway {
         })
     }
 
-    /// Delete an empty bucket.
+    /// Delete a bucket that holds no object and is the target of no open
+    /// multipart upload (an upload completing into a deleted bucket could
+    /// never publish, nor decommission its BLOB).
     pub fn delete_bucket(&self, principal: ClientId, name: &str) -> Result<(), GatewayError> {
-        let mut b = self.buckets.lock();
-        let bucket = b.get(name).ok_or(GatewayError::NoSuchBucket)?;
-        if bucket.owner != principal {
-            return Err(GatewayError::AccessDenied);
-        }
-        if !bucket.objects.is_empty() {
-            return Err(GatewayError::BucketNotEmpty);
-        }
-        b.remove(name);
-        Ok(())
+        self.track("delete_bucket", || {
+            let mut b = self.buckets.lock();
+            let bucket = b.get(name).ok_or(GatewayError::NoSuchBucket)?;
+            if bucket.owner != principal {
+                return Err(GatewayError::AccessDenied);
+            }
+            if !bucket.objects.is_empty() || self.uploads.lock().values().any(|u| u.bucket == name)
+            {
+                return Err(GatewayError::BucketNotEmpty);
+            }
+            b.remove(name);
+            Ok(())
+        })
     }
 
     /// Buckets visible to the principal (owner or public).
     pub fn list_buckets(&self, principal: ClientId) -> Vec<String> {
-        self.buckets
-            .lock()
-            .iter()
-            .filter(|(_, b)| b.owner == principal || b.acl == Acl::PublicRead)
-            .map(|(n, _)| n.clone())
-            .collect()
+        let listed = self.track("list_buckets", || {
+            let b = self.buckets.lock();
+            let visible = b.iter().filter(|(_, b)| b.owner == principal || b.acl == Acl::PublicRead);
+            Ok(visible.map(|(n, _)| n.clone()).collect())
+        });
+        listed.unwrap_or_default()
     }
 
     fn check_write(&self, principal: ClientId, bucket: &Bucket) -> Result<(), GatewayError> {
@@ -999,6 +1004,18 @@ impl ObjectGateway {
         key: &str,
         part_size: u64,
     ) -> Result<u64, GatewayError> {
+        self.track("create_multipart", || {
+            self.create_multipart_inner(principal, bucket, key, part_size)
+        })
+    }
+
+    fn create_multipart_inner(
+        &self,
+        principal: ClientId,
+        bucket: &str,
+        key: &str,
+        part_size: u64,
+    ) -> Result<u64, GatewayError> {
         if !valid_name(key) {
             return Err(GatewayError::InvalidName);
         }
@@ -1018,6 +1035,15 @@ impl ObjectGateway {
             replication: self.cfg.replication,
         })?;
         let id = self.next_upload.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // The upload is registered under the bucket lock, so a
+        // `delete_bucket` since the check above either went first (the
+        // BLOB is given back) or now sees the upload and refuses.
+        let b = self.buckets.lock();
+        if !b.contains_key(bucket) {
+            drop(b);
+            self.client().decommission(blob)?;
+            return Err(GatewayError::NoSuchBucket);
+        }
         self.uploads.lock().insert(
             id,
             Multipart {
@@ -1168,6 +1194,10 @@ impl ObjectGateway {
     /// the upload's BLOB, so the lifecycle sweeper may reclaim its parts,
     /// then drops the upload state.
     pub fn abort_multipart(&self, principal: ClientId, upload_id: u64) -> Result<(), GatewayError> {
+        self.track("abort_multipart", || self.abort_multipart_inner(principal, upload_id))
+    }
+
+    fn abort_multipart_inner(&self, principal: ClientId, upload_id: u64) -> Result<(), GatewayError> {
         let blob = {
             let u = self.uploads.lock();
             let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
@@ -1193,16 +1223,18 @@ impl ObjectGateway {
         prefix: &str,
         max_keys: usize,
     ) -> Result<Vec<ObjectInfo>, GatewayError> {
-        let b = self.buckets.lock();
-        let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
-        self.check_read(principal, bucket_ref)?;
-        Ok(bucket_ref
-            .objects
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .take(max_keys)
-            .map(|(_, o)| o.clone())
-            .collect())
+        self.track("list_objects", || {
+            let b = self.buckets.lock();
+            let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
+            self.check_read(principal, bucket_ref)?;
+            Ok(bucket_ref
+                .objects
+                .range(prefix.to_owned()..)
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .take(max_keys)
+                .map(|(_, o)| o.clone())
+                .collect())
+        })
     }
 }
 
@@ -1597,6 +1629,19 @@ mod tests {
             assert!(gw.get_object(ALICE, "m", &key).is_ok());
         }
         assert!(gw.head_object(ALICE, "m", "missing").is_err());
+        // Every other public op, once.
+        gw.list_buckets(ALICE);
+        gw.list_objects(ALICE, "m", "k", 10).unwrap();
+        let pin = gw.snapshot_object(ALICE, "m", "k0").unwrap();
+        gw.read_pinned(&pin, 0, 10).unwrap();
+        gw.delete_object(ALICE, "m", "k3").unwrap();
+        let id = gw.create_multipart(ALICE, "m", "mp", 64 * 1024).unwrap();
+        gw.upload_part(ALICE, id, 1, body(10, 1)).unwrap();
+        gw.complete_multipart(ALICE, id).unwrap();
+        let id = gw.create_multipart(ALICE, "m", "mp2", 64 * 1024).unwrap();
+        gw.abort_multipart(ALICE, id).unwrap();
+        gw.create_bucket(ALICE, "gone", Acl::Private).unwrap();
+        gw.delete_bucket(ALICE, "gone").unwrap();
         // Let one service heartbeat land so node/pool/meta gauges exist.
         std::thread::sleep(std::time::Duration::from_millis(1500));
 
@@ -1604,6 +1649,25 @@ mod tests {
         assert_eq!(snap.counter("gateway.requests", &[("op", "put_object")]), Some(4));
         assert_eq!(snap.counter("gateway.requests", &[("op", "get_object")]), Some(4));
         assert_eq!(snap.counter("gateway.errors", &[("op", "head_object")]), Some(1));
+        let ops = [
+            "create_bucket",
+            "delete_bucket",
+            "list_buckets",
+            "list_objects",
+            "snapshot_object",
+            "read_pinned",
+            "delete_object",
+            "create_multipart",
+            "upload_part",
+            "complete_multipart",
+            "abort_multipart",
+        ];
+        for op in ops {
+            let n = snap.counter("gateway.requests", &[("op", op)]);
+            assert!(n >= Some(1), "{op} is not counted: {n:?}");
+            let lat = snap.family("gateway.op_seconds").find(|s| s.labels[0].1 == op);
+            assert!(lat.is_some(), "{op} is not timed");
+        }
         assert!(snap.counter_total("provider.reads").unwrap_or(0) > 0, "backend reads counted");
         assert!(snap.counter_total("vman.tickets").unwrap_or(0) >= 4, "writes took tickets");
 
@@ -1750,6 +1814,20 @@ mod multipart_tests {
         assert_eq!(gw.abort_multipart(ALICE, id), Err(GatewayError::NoSuchUpload));
         // The abort decommissioned the upload's BLOB: its latest version
         // is no longer a GC root.
+        assert_eq!(cluster.metrics().counter("vman.decommissions"), 1);
+        cluster.shutdown();
+    }
+
+    /// A bucket with an open upload is not empty: deleting it would leave
+    /// the upload nowhere to publish, and its BLOB a GC root for ever.
+    #[test]
+    fn a_bucket_with_an_open_upload_cannot_be_deleted() {
+        let (cluster, gw) = setup();
+        let id = gw.create_multipart(ALICE, "b", "k", PART).unwrap();
+        gw.upload_part(ALICE, id, 1, body(PART as usize, 1)).unwrap();
+        assert_eq!(gw.delete_bucket(ALICE, "b"), Err(GatewayError::BucketNotEmpty));
+        gw.abort_multipart(ALICE, id).unwrap();
+        gw.delete_bucket(ALICE, "b").unwrap();
         assert_eq!(cluster.metrics().counter("vman.decommissions"), 1);
         cluster.shutdown();
     }
