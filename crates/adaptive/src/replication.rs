@@ -416,13 +416,23 @@ mod tests {
         sent: Vec<(NodeId, Msg)>,
         lost: u64,
         rng: SmallRng,
+        reg: sads_sim::Registry,
     }
     impl TestEnv {
         fn new() -> Self {
-            TestEnv { now: SimTime::ZERO, sent: vec![], lost: 0, rng: SmallRng::seed_from_u64(0) }
+            TestEnv {
+                now: SimTime::ZERO,
+                sent: vec![],
+                lost: 0,
+                rng: SmallRng::seed_from_u64(0),
+                reg: sads_sim::Registry::new(),
+            }
         }
     }
     impl Env for TestEnv {
+        fn telemetry(&self) -> &sads_sim::Registry {
+            &self.reg
+        }
         fn id(&self) -> NodeId {
             NodeId(0)
         }

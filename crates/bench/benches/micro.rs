@@ -444,29 +444,6 @@ fn bench_etag(c: &mut Criterion) {
     }
 }
 
-fn bench_metric_sink(c: &mut Criterion) {
-    use sads_sim::MetricSink;
-    let mut g = c.benchmark_group("metric_sink");
-    g.throughput(Throughput::Elements(1));
-    // The per-event accounting path as the simulator drives it: by name
-    // (one hash probe) and by pre-interned id (one Vec index).
-    g.bench_function("incr_by_name", |b| {
-        let mut m = MetricSink::new();
-        b.iter(|| m.incr("provider.chunks_written", 1));
-    });
-    g.bench_function("incr_by_id", |b| {
-        let mut m = MetricSink::new();
-        let id = m.intern("provider.chunks_written");
-        b.iter(|| m.incr_id(id, 1));
-    });
-    g.bench_function("intern_hit", |b| {
-        let mut m = MetricSink::new();
-        m.intern("client.write_mbps");
-        b.iter(|| m.intern("client.write_mbps"));
-    });
-    g.finish();
-}
-
 fn bench_monitoring(c: &mut Criterion) {
     let mut g = c.benchmark_group("monitoring");
     // Filter ingest throughput.
@@ -667,7 +644,6 @@ criterion_group!(
     bench_chunk_store,
     bench_crc32c,
     bench_etag,
-    bench_metric_sink,
     bench_monitoring,
     bench_security,
     bench_simulator,

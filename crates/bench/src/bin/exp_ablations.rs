@@ -240,10 +240,10 @@ fn a4_attack_modes(args: &BenchArgs) {
         }
         d.world.run_for(SimDuration::from_secs(150), 200_000_000);
         let baseline =
-            sads_bench::window_mean(d.world.metrics(), "writer.write_mbps", 12.0, 30.0)
+            sads_bench::window_mean(&d.world.metrics(), "writer.write_mbps", 12.0, 30.0)
                 .unwrap_or(0.0);
         let attacked =
-            sads_bench::window_mean(d.world.metrics(), "writer.write_mbps", 32.0, 55.0)
+            sads_bench::window_mean(&d.world.metrics(), "writer.write_mbps", 32.0, 55.0)
                 .unwrap_or(baseline);
         let detected = d.security_engine().map(|e| e.detections().len()).unwrap_or(0);
         let drop = (1.0 - attacked / baseline) * 100.0;

@@ -68,8 +68,8 @@ fn run(mode: &'static str, s: &DosScenario, run_s: u64, max_events: u64) -> Mode
         first_alert_s: alerts.iter().copied().fold(f64::INFINITY, f64::min),
         alert_scans: m.counter("sec.alert_scans"),
         alert_scaleouts: m.counter("elastic.alert_scaleouts"),
-        trough_mbps: window_mean(m, "writer.write_mbps", 32.0, 50.0).unwrap_or(0.0),
-        recovered_mbps: window_mean(m, "writer.write_mbps", 55.0, run_s as f64).unwrap_or(0.0),
+        trough_mbps: window_mean(&m, "writer.write_mbps", 32.0, 50.0).unwrap_or(0.0),
+        recovered_mbps: window_mean(&m, "writer.write_mbps", 55.0, run_s as f64).unwrap_or(0.0),
     }
 }
 

@@ -40,9 +40,7 @@ fn run(args: &BenchArgs, clients: usize, monitoring: bool) -> (f64, u64) {
     d.world.run_for(SimDuration::from_secs(120), 200_000_000);
     let errs = d.world.metrics().counter("client.ops_err");
     if errs > 0 {
-        for name in d.world.metrics().counter_names().collect::<Vec<_>>() {
-            eprintln!("  {name} = {}", d.world.metrics().counter(name));
-        }
+        eprintln!("{}", d.world.telemetry().render());
         panic!("{errs} client ops failed");
     }
     let tp = d.world.metrics().mean("client.write_mbps").expect("throughput recorded");

@@ -43,9 +43,9 @@ fn main() {
     print_table(&rows);
     write_artifact("e2_dos_timeline.csv", &csv);
 
-    let baseline = window_mean(m, "writer.write_mbps", 12.0, 30.0).unwrap_or(0.0);
-    let trough = window_mean(m, "writer.write_mbps", 32.0, 50.0).unwrap_or(0.0);
-    let recovered = window_mean(m, "writer.write_mbps", 80.0, 160.0).unwrap_or(0.0);
+    let baseline = window_mean(&m, "writer.write_mbps", 12.0, 30.0).unwrap_or(0.0);
+    let trough = window_mean(&m, "writer.write_mbps", 32.0, 50.0).unwrap_or(0.0);
+    let recovered = window_mean(&m, "writer.write_mbps", 80.0, 160.0).unwrap_or(0.0);
     let detections = d.security_engine().map(|e| e.detections().len()).unwrap_or(0);
     println!(
         "\nbaseline {baseline:.1} MB/s -> trough {trough:.1} MB/s ({:.0}% drop) -> recovered {recovered:.1} MB/s",

@@ -26,8 +26,8 @@ fn run(args: &BenchArgs, total_clients: usize, malicious: usize, security: bool,
     d.world.run_for(SimDuration::from_secs(160), 400_000_000);
     // Steady state: measure after the protected system has recovered
     // (the unprotected one stays degraded, which is the point).
-    window_mean(d.world.metrics(), "writer.write_mbps", 80.0, 160.0)
-        .or_else(|| window_mean(d.world.metrics(), "writer.write_mbps", 30.0, 160.0))
+    window_mean(&d.world.metrics(), "writer.write_mbps", 80.0, 160.0)
+        .or_else(|| window_mean(&d.world.metrics(), "writer.write_mbps", 30.0, 160.0))
         .unwrap_or(0.0)
 }
 

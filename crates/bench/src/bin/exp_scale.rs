@@ -33,7 +33,7 @@ use sads_blob::model::{BlobId, BlobSpec};
 use sads_blob::runtime::threaded::ClusterBuilder;
 use sads_blob::ClientId;
 use sads_core::{Deployment, DeploymentConfig};
-use sads_sim::{SimDuration, World};
+use sads_sim::{percentile, SimDuration, World};
 use sads_workloads::{open_loop_read_script, poisson_arrivals, ZipfSampler};
 
 const MB: u64 = 1_000_000;
@@ -54,14 +54,6 @@ const MAX_ARRIVAL_RATE: f64 = 2_500.0;
 /// Replicas per hot BLOB — the hot set is read-shared, so the replica
 /// walk spreads the zipf head across providers.
 const HOT_REPLICATION: u32 = 3;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 /// One threaded scaling point: `clients` concurrent handles, each
 /// appending then reading 4 MiB ops against its own blob. Returns
@@ -152,10 +144,10 @@ fn threaded_run(clients: usize, write_ops: u64, read_ops: u64) -> ThreadedPoint 
         clients,
         write_mbps,
         read_mbps,
-        write_p50_ms: percentile(&w, 0.50) * 1e3,
-        write_p99_ms: percentile(&w, 0.99) * 1e3,
-        read_p50_ms: percentile(&r, 0.50) * 1e3,
-        read_p99_ms: percentile(&r, 0.99) * 1e3,
+        write_p50_ms: percentile(&w, 50.0).unwrap_or(0.0) * 1e3,
+        write_p99_ms: percentile(&w, 99.0).unwrap_or(0.0) * 1e3,
+        read_p50_ms: percentile(&r, 50.0).unwrap_or(0.0) * 1e3,
+        read_p99_ms: percentile(&r, 99.0).unwrap_or(0.0) * 1e3,
     }
 }
 
@@ -241,8 +233,8 @@ fn sim_run(seed: u64, n: usize, providers: usize) -> SimPoint {
         wall_s,
         events,
         events_per_sec: events as f64 / wall_s,
-        p50_ms: percentile(&lat, 0.50) * 1e3,
-        p99_ms: percentile(&lat, 0.99) * 1e3,
+        p50_ms: percentile(&lat, 50.0).unwrap_or(0.0) * 1e3,
+        p99_ms: percentile(&lat, 99.0).unwrap_or(0.0) * 1e3,
     }
 }
 

@@ -98,12 +98,7 @@ macro_rules! row {
 }
 
 /// Mean of the values of a metric series restricted to a time window.
-pub fn window_mean(
-    metrics: &sads_sim::MetricSink,
-    name: &str,
-    from_s: f64,
-    to_s: f64,
-) -> Option<f64> {
+pub fn window_mean(metrics: &sads_sim::Metrics, name: &str, from_s: f64, to_s: f64) -> Option<f64> {
     let vals: Vec<f64> = metrics
         .series(name)
         .iter()
@@ -163,8 +158,8 @@ pub mod dos {
         pub op_bytes: u64,
         /// Enable causal request tracing (a span sink on the world).
         pub tracing: bool,
-        /// Deploy the telemetry registry plus the SLO burn-rate alert
-        /// engine ([`DeploymentConfig::alerts`] with the default rules).
+        /// Deploy the SLO burn-rate alert engine
+        /// ([`DeploymentConfig::alerts`] with the default rules).
         pub alerts: bool,
         /// Deploy introspection plus the elasticity controller so
         /// queue-depth burn alerts can trigger scale-out.

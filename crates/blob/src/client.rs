@@ -2501,6 +2501,7 @@ mod tests {
         sent: Vec<(NodeId, Msg)>,
         timers: Vec<(SimDuration, u64)>,
         rng: SmallRng,
+        reg: sads_sim::Registry,
     }
 
     impl TestEnv {
@@ -2510,6 +2511,7 @@ mod tests {
                 sent: vec![],
                 timers: vec![],
                 rng: SmallRng::seed_from_u64(0),
+                reg: sads_sim::Registry::new(),
             }
         }
         fn take_sent(&mut self) -> Vec<(NodeId, Msg)> {
@@ -2518,6 +2520,9 @@ mod tests {
     }
 
     impl Env for TestEnv {
+        fn telemetry(&self) -> &sads_sim::Registry {
+            &self.reg
+        }
         fn id(&self) -> NodeId {
             NodeId(0)
         }

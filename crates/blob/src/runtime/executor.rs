@@ -43,9 +43,8 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sads_sim::{
-    Counter, FlightEvent, FlightRecorder, FlightRing, Gauge, Histogram, MetricSink, NodeId,
-    NodeLabel, Registry as TelemetryRegistry, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink,
-    TraceCtx,
+    Counter, FlightEvent, FlightRecorder, FlightRing, Gauge, Histogram, NodeId, NodeLabel,
+    Registry as TelemetryRegistry, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink, TraceCtx,
 };
 
 use crate::client::{ClientConfig, ClientCore, ClientOp, Completion};
@@ -273,7 +272,6 @@ pub(crate) struct ExecShared {
     stats: Vec<ShardStats>,
     running: AtomicBool,
     start: Instant,
-    metrics: Arc<Mutex<MetricSink>>,
     telem: Arc<TelemetryRegistry>,
     sink: Option<Arc<SpanSink>>,
     recorder: Option<Arc<FlightRecorder>>,
@@ -453,7 +451,7 @@ impl ExecShared {
             NodeKind::Service(s) => s.name(),
             NodeKind::Client { .. } => "client",
         };
-        let node_label = id.0.to_string();
+        let node_label = NodeLabel::new(id.0);
         Arc::new(Cell {
             id,
             scheduled: AtomicBool::new(false),
@@ -501,12 +499,8 @@ impl ExecShared {
     /// going.
     fn poison(&self, cell: &Cell) {
         self.kill(cell.id);
-        self.metrics.lock().incr("runtime.service_panics", 1);
-        self.telem.inc(
-            "runtime.service_panics",
-            &[("node", cell.id.0.to_string().as_str())],
-            1,
-        );
+        let node = NodeLabel::new(cell.id.0);
+        self.telem.inc("runtime.service_panics", &[("node", node.as_str())], 1);
     }
 }
 
@@ -598,7 +592,6 @@ impl Executor {
     pub(crate) fn start(
         shards: usize,
         start: Instant,
-        metrics: Arc<Mutex<MetricSink>>,
         telem: Arc<TelemetryRegistry>,
         sink: Option<Arc<SpanSink>>,
         recorder: Option<Arc<FlightRecorder>>,
@@ -614,7 +607,6 @@ impl Executor {
             stats: (0..n).map(|w| ShardStats::new(&telem, w)).collect(),
             running: AtomicBool::new(true),
             start,
-            metrics,
             telem,
             sink,
             recorder,
@@ -719,22 +711,11 @@ impl Env for ExecEnv<'_> {
     fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
-    fn record(&mut self, name: &str, value: f64) {
-        let now = self.now();
-        self.shared.metrics.lock().record(name, now, value);
-        // Mirror into the live registry as a node-labeled gauge, so the
-        // existing call sites feed the telemetry plane with no churn.
-        self.shared.telem.set(name, &[("node", NodeLabel::new(self.id.0).as_str())], value);
-    }
-    fn incr(&mut self, name: &str, delta: u64) {
-        self.shared.metrics.lock().incr(name, delta);
-        self.shared.telem.inc(name, &[("node", NodeLabel::new(self.id.0).as_str())], delta);
-    }
     fn span_sink(&self) -> Option<Arc<SpanSink>> {
         self.shared.sink.clone()
     }
-    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
-        Some(Arc::clone(&self.shared.telem))
+    fn telemetry(&self) -> &TelemetryRegistry {
+        &self.shared.telem
     }
     fn trace_ctx(&self) -> Option<TraceCtx> {
         self.current
@@ -1114,29 +1095,22 @@ mod tests {
     /// manager ahead of the providers' `Register`.)
     #[test]
     fn on_start_has_run_when_add_node_returns() {
-        let metrics = Arc::new(Mutex::new(MetricSink::new()));
-        let exec = Executor::start(
-            1,
-            Instant::now(),
-            Arc::clone(&metrics),
-            Arc::new(TelemetryRegistry::new()),
-            None,
-            None,
-        );
+        let telem = Arc::new(TelemetryRegistry::new());
+        let exec = Executor::start(1, Instant::now(), Arc::clone(&telem), None, None);
         let add = |s: OnStart| exec.shared.add_node(NodeKind::Service(Box::new(s)));
         // Hold the peer's node lock so the worker cannot drain its mail.
         let peer = add(OnStart::Nothing);
         let peer_cell = exec.shared.slots.read()[peer.index()].clone().expect("live");
         let hold = peer_cell.node.lock();
         add(OnStart::Announce(peer));
-        assert_eq!(metrics.lock().counter("test.started"), 1);
+        assert_eq!(telem.counter_total("test.started"), 1);
         assert_eq!(peer_cell.mailbox.lock().len(), 1, "the announcement is queued");
         drop(hold);
 
         // A panicking `on_start` poisons its own cell and nothing else.
         let bad = add(OnStart::Panic);
         assert!(exec.shared.slots.read()[bad.index()].is_none(), "unrouted");
-        assert_eq!(metrics.lock().counter("runtime.service_panics"), 1);
+        assert_eq!(telem.counter_total("runtime.service_panics"), 1);
         assert!(exec.shared.slots.read()[peer.index()].is_some());
     }
 }

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use sads_sim::{
-    Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, NodeLabel, SimDuration, SimTime, World,
+    Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, Registry, SimDuration, SimTime, World,
 };
 
 use crate::client::{ClientConfig, ClientCore, ClientOp, Completion};
@@ -46,21 +46,6 @@ impl Env for SimEnv<'_, '_> {
     fn rng(&mut self) -> &mut rand::rngs::SmallRng {
         self.ctx.rng()
     }
-    fn record(&mut self, name: &str, value: f64) {
-        self.ctx.record(name, value);
-        // Mirror into the live registry (when installed) as a node-labeled
-        // gauge, so existing call sites feed the telemetry plane with no
-        // churn. Registry writes are plain atomics — no schedule impact.
-        if let Some(reg) = self.ctx.telemetry() {
-            reg.set(name, &[("node", NodeLabel::new(self.ctx.id().0).as_str())], value);
-        }
-    }
-    fn incr(&mut self, name: &str, delta: u64) {
-        self.ctx.incr(name, delta);
-        if let Some(reg) = self.ctx.telemetry() {
-            reg.inc(name, &[("node", NodeLabel::new(self.ctx.id().0).as_str())], delta);
-        }
-    }
     fn span_sink(&self) -> Option<std::sync::Arc<sads_sim::SpanSink>> {
         self.ctx.span_sink()
     }
@@ -70,7 +55,7 @@ impl Env for SimEnv<'_, '_> {
     fn set_trace_ctx(&mut self, trace: Option<sads_sim::TraceCtx>) {
         self.ctx.set_trace_ctx(trace);
     }
-    fn telemetry(&self) -> Option<std::sync::Arc<sads_sim::Registry>> {
+    fn telemetry(&self) -> &Registry {
         self.ctx.telemetry()
     }
     fn queue_depth_seconds(&self) -> f64 {

@@ -17,9 +17,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
-use parking_lot::Mutex;
 use sads_sim::{
-    FlightRecorder, MetricSink, NodeId, ProcSampler, Registry as TelemetryRegistry, SimDuration,
+    FlightRecorder, Metrics, NodeId, ProcSampler, Registry as TelemetryRegistry, SimDuration,
     SimTime, SpanSink, TraceCtx,
 };
 
@@ -54,9 +53,7 @@ impl Service for ProcSamplerService {
     }
 
     fn on_start(&mut self, env: &mut dyn Env) {
-        if let Some(reg) = env.telemetry() {
-            self.sampler.sample_into(&reg);
-        }
+        self.sampler.sample_into(env.telemetry());
         env.set_timer(self.every, TOKEN_PROC_SAMPLE);
     }
 
@@ -64,9 +61,7 @@ impl Service for ProcSamplerService {
 
     fn on_timer(&mut self, env: &mut dyn Env, token: u64) {
         if token == TOKEN_PROC_SAMPLE {
-            if let Some(reg) = env.telemetry() {
-                self.sampler.sample_into(&reg);
-            }
+            self.sampler.sample_into(env.telemetry());
             env.set_timer(self.every, TOKEN_PROC_SAMPLE);
         }
     }
@@ -477,7 +472,6 @@ impl ClusterBuilder {
 
     /// The running executor, with no node yet.
     fn launch(&self) -> Cluster {
-        let metrics = Arc::new(Mutex::new(MetricSink::new()));
         let start = Instant::now();
         let telemetry =
             self.telemetry.clone().unwrap_or_else(|| Arc::new(TelemetryRegistry::new()));
@@ -485,14 +479,12 @@ impl ClusterBuilder {
         let exec = Executor::start(
             self.executor_shards,
             start,
-            Arc::clone(&metrics),
             Arc::clone(&telemetry),
             self.span_sink.clone(),
             flight_recorder.clone(),
         );
         Cluster {
             exec,
-            metrics,
             start,
             pman: NodeId(0),
             vman: NodeId(0),
@@ -513,7 +505,6 @@ impl ClusterBuilder {
 /// A running threaded BlobSeer deployment.
 pub struct Cluster {
     exec: Executor,
-    metrics: Arc<Mutex<MetricSink>>,
     start: Instant,
     /// Provider manager address.
     pub pman: NodeId,
@@ -674,13 +665,10 @@ impl Cluster {
         self.restart_service(node, Box::new(DataProviderService::new(pman, capacity, cfg)))
     }
 
-    /// Take the cluster metrics recorded since the last call: the sink is
-    /// drained, so each call returns only what was recorded after the
-    /// previous one.
-    pub fn metrics(&self) -> MetricSink {
-        let mut out = MetricSink::new();
-        out.merge(std::mem::take(&mut *self.metrics.lock()));
-        out
+    /// A reader over the counters and time series the cluster's nodes
+    /// recorded so far.
+    pub fn metrics(&self) -> Metrics {
+        Metrics::new(Arc::clone(&self.telemetry))
     }
 
     /// Wall-clock time since cluster start, as the cluster's `SimTime`.

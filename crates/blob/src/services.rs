@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 
 use rand::rngs::SmallRng;
-use sads_sim::{NodeId, SimDuration, SimTime};
+use sads_sim::{NodeId, NodeLabel, Registry, SimDuration, SimTime};
 
 use crate::model::{BlobId, ChunkKey, ClientId, Payload, VersionId};
 use crate::pmanager::{AllocationStrategy, ProviderKind, ProviderLoad, ProviderRegistry};
@@ -41,10 +41,18 @@ pub trait Env {
     fn set_timer(&mut self, delay: SimDuration, token: u64);
     /// Deterministic RNG.
     fn rng(&mut self) -> &mut SmallRng;
-    /// Record a time-series metric observation (optional).
-    fn record(&mut self, _name: &str, _value: f64) {}
-    /// Increment a counter metric (optional).
-    fn incr(&mut self, _name: &str, _delta: u64) {}
+    /// Record a time-series observation: this node's `name` gauge in the
+    /// registry, and one more sample in the registry's log for `name`.
+    fn record(&mut self, name: &str, value: f64) {
+        let node = NodeLabel::new(self.id().0);
+        let now = self.now().as_nanos();
+        self.telemetry().record(name, &[("node", node.as_str())], now, value);
+    }
+    /// Increment this node's `name` counter in the registry.
+    fn incr(&mut self, name: &str, delta: u64) {
+        let node = NodeLabel::new(self.id().0);
+        self.telemetry().inc(name, &[("node", node.as_str())], delta);
+    }
     /// The span sink, when tracing is enabled for this deployment
     /// (optional; `None` disables all span recording).
     fn span_sink(&self) -> Option<std::sync::Arc<sads_sim::SpanSink>> {
@@ -58,12 +66,9 @@ pub trait Env {
     /// Override the ambient causal context for subsequent sends (used by
     /// operation roots and by state machines resumed from timers).
     fn set_trace_ctx(&mut self, _trace: Option<sads_sim::TraceCtx>) {}
-    /// The live telemetry registry, when enabled for this deployment
-    /// (optional; `None` disables direct instrumentation and the
-    /// runtimes' metric-bridge mirroring).
-    fn telemetry(&self) -> Option<std::sync::Arc<sads_sim::Registry>> {
-        None
-    }
+    /// The host's live telemetry registry, the one store of every node's
+    /// counters, gauges, histograms and recorded samples.
+    fn telemetry(&self) -> &Registry;
     /// How far behind this node's ingress path is (seconds of accepted
     /// but not yet handled transfer time), when the runtime can observe
     /// it (optional). Feeds the `node.queue_depth_seconds` gauge.
@@ -84,9 +89,9 @@ pub trait Env {
 /// timers that drive this) and the ingress queue-depth gauge the SLO
 /// burn-rate rules watch.
 fn telemetry_heartbeat(env: &mut dyn Env) {
-    let Some(reg) = env.telemetry() else { return };
-    let node = env.id().0.to_string();
+    let node = NodeLabel::new(env.id().0);
     let labels = [("node", node.as_str())];
+    let reg = env.telemetry();
     reg.set(sads_sim::HEARTBEAT_GAUGE, &labels, env.now().as_secs_f64());
     reg.set("node.queue_depth_seconds", &labels, env.queue_depth_seconds());
 }
@@ -282,17 +287,15 @@ impl DataProviderService {
         if reclaimed > 0 {
             env.incr("provider.compacted_bytes", reclaimed);
         }
-        if let Some(reg) = env.telemetry() {
-            let node = env.id().0.to_string();
-            let labels = [("node", node.as_str())];
-            reg.set("provider.chunks", &labels, self.store.len() as f64);
-            reg.set("provider.store_bytes", &labels, self.store.used() as f64);
-            reg.set("provider.fill", &labels, self.store.fill_ratio());
-            reg.set("provider.cache_evictions", &labels, self.read_cache.evictions() as f64);
-            let bs = self.store.backend_stats();
-            reg.set("provider.backend_dead_bytes", &labels, bs.dead_bytes as f64);
-            reg.set("provider.backend_segments", &labels, bs.segments as f64);
-        }
+        let node = NodeLabel::new(env.id().0);
+        let (reg, labels) = (env.telemetry(), [("node", node.as_str())]);
+        reg.set("provider.chunks", &labels, self.store.len() as f64);
+        reg.set("provider.store_bytes", &labels, self.store.used() as f64);
+        reg.set("provider.fill", &labels, self.store.fill_ratio());
+        reg.set("provider.cache_evictions", &labels, self.read_cache.evictions() as f64);
+        let bs = self.store.backend_stats();
+        reg.set("provider.backend_dead_bytes", &labels, bs.dead_bytes as f64);
+        reg.set("provider.backend_segments", &labels, bs.segments as f64);
         self.ops_since_hb = 0;
         self.bytes_since_hb = 0;
         env.set_timer(self.cfg.heartbeat_every, TOKEN_HEARTBEAT);
@@ -722,12 +725,10 @@ impl Service for MetaProviderService {
                 };
                 env.send(self.pman, Msg::Heartbeat { load });
                 telemetry_heartbeat(env);
-                if let Some(reg) = env.telemetry() {
-                    let node = env.id().0.to_string();
-                    let labels = [("node", node.as_str())];
-                    reg.set("meta.tree_nodes", &labels, self.store.len() as f64);
-                    reg.set("meta.store_bytes", &labels, self.store.bytes() as f64);
-                }
+                let node = NodeLabel::new(env.id().0);
+                let (reg, labels) = (env.telemetry(), [("node", node.as_str())]);
+                reg.set("meta.tree_nodes", &labels, self.store.len() as f64);
+                reg.set("meta.store_bytes", &labels, self.store.bytes() as f64);
                 self.ops_since_hb = 0;
                 env.set_timer(self.cfg.heartbeat_every, TOKEN_HEARTBEAT);
             }
@@ -859,18 +860,9 @@ impl Service for ProviderManagerService {
                 self.registry.count(ProviderKind::Data) as f64,
             );
             telemetry_heartbeat(env);
-            if let Some(reg) = env.telemetry() {
-                reg.set(
-                    "pool.data_providers",
-                    &[],
-                    self.registry.count(ProviderKind::Data) as f64,
-                );
-                reg.set(
-                    "pool.meta_providers",
-                    &[],
-                    self.registry.count(ProviderKind::Metadata) as f64,
-                );
-            }
+            let reg = env.telemetry();
+            reg.set("pool.data_providers", &[], self.registry.count(ProviderKind::Data) as f64);
+            reg.set("pool.meta_providers", &[], self.registry.count(ProviderKind::Metadata) as f64);
             env.set_timer(self.sweep_every, TOKEN_EXPIRE);
         }
     }
@@ -1134,12 +1126,10 @@ impl Service for VersionManagerService {
                     env.record("vman.stalled_writes", stalled.len() as f64);
                 }
                 telemetry_heartbeat(env);
-                if let Some(reg) = env.telemetry() {
-                    let node = env.id().0.to_string();
-                    let labels = [("node", node.as_str())];
-                    reg.set("vman.blobs", &labels, self.state.blob_ids().len() as f64);
-                    reg.set("vman.stalled_tickets", &labels, stalled.len() as f64);
-                }
+                let node = NodeLabel::new(env.id().0);
+                let (reg, labels) = (env.telemetry(), [("node", node.as_str())]);
+                reg.set("vman.blobs", &labels, self.state.blob_ids().len() as f64);
+                reg.set("vman.stalled_tickets", &labels, stalled.len() as f64);
                 env.set_timer(SimDuration::from_secs(10), TOKEN_STALL);
             }
             TOKEN_INSTR => {

@@ -31,8 +31,8 @@ use sads_sim::{
 
 use crate::agent::{DeployAgent, Providers};
 
-/// What to deploy. The seed, network, tracing and telemetry belong to
-/// the host: see [`World::new`] and `ClusterBuilder`.
+/// What to deploy. The seed, network, tracing and metrics registry belong
+/// to the host: see [`World::new`] and `ClusterBuilder`.
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
     /// Data providers at start.
@@ -79,10 +79,9 @@ pub struct DeploymentConfig {
     /// Client tuning for the deployment's clients.
     pub client_cfg: ClientConfig,
     /// Deploy the SLO burn-rate alert engine with these rules. It reads
-    /// the host's metrics registry (a simulated host without one gets
-    /// one). Fired alerts are pushed to the elasticity controller, the
-    /// replication manager and the security engine — whichever of them
-    /// are deployed.
+    /// the host's metrics registry. Fired alerts are pushed to the
+    /// elasticity controller, the replication manager and the security
+    /// engine — whichever of them are deployed.
     pub alerts: Option<Vec<BurnRateRule>>,
     /// Chunk-backend family for data providers. `Memory` (the default)
     /// loses all chunks on a crash; `Disk` gives each provider a
@@ -144,9 +143,8 @@ pub trait Host {
     /// Start `service` as a new node. `nic` is its simulated NIC; real
     /// threads have no NIC model.
     fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId;
-    /// The metrics registry every node writes, installing one if the host
-    /// has none (the alert engine reads it).
-    fn registry(&mut self) -> Arc<Registry>;
+    /// The metrics registry every node writes (the alert engine reads it).
+    fn registry(&self) -> Arc<Registry>;
     /// Point the host's own client factory at the installed system.
     fn bind(&mut self, nodes: &Nodes, client_cfg: ClientConfig);
 }
@@ -156,11 +154,8 @@ impl Host for World {
         add_service(self, service, nic)
     }
 
-    fn registry(&mut self) -> Arc<Registry> {
-        if self.telemetry().is_none() {
-            self.set_telemetry(Arc::new(Registry::new()));
-        }
-        Arc::clone(self.telemetry().expect("installed above"))
+    fn registry(&self) -> Arc<Registry> {
+        Arc::clone(self.telemetry())
     }
 
     /// Nothing to point: simulated clients are scripted actors that
@@ -173,7 +168,7 @@ impl Host for Cluster {
         self.add_service(service)
     }
 
-    fn registry(&mut self) -> Arc<Registry> {
+    fn registry(&self) -> Arc<Registry> {
         Arc::clone(self.telemetry())
     }
 
@@ -396,7 +391,7 @@ pub struct Deployment {
 
 impl Deployment {
     /// Install `cfg` on `world`, whose seed, network, span sink and
-    /// telemetry registry the deployment runs with.
+    /// metrics registry the deployment runs with.
     pub fn build(mut world: World, cfg: DeploymentConfig) -> Deployment {
         let nodes = install(&cfg, &mut world);
         Deployment { world, nodes, cfg }
@@ -461,8 +456,8 @@ impl Deployment {
         self.world.span_sink()
     }
 
-    /// The live metrics registry, when the world has one.
-    pub fn telemetry(&self) -> Option<&Arc<Registry>> {
+    /// The world's live metrics registry.
+    pub fn telemetry(&self) -> &Arc<Registry> {
         self.world.telemetry()
     }
 
@@ -472,10 +467,10 @@ impl Deployment {
     }
 
     /// Per-node health derived from heartbeat gauge staleness at the
-    /// world's current time. Empty when telemetry is off.
+    /// world's current time.
     pub fn health(&self, policy: HealthPolicy) -> Vec<NodeHealth> {
-        let Some(reg) = self.world.telemetry() else { return Vec::new() };
-        sads_sim::derive_health(&reg.snapshot(), self.world.now().as_secs_f64(), &policy)
+        let snap = self.world.telemetry().snapshot();
+        sads_sim::derive_health(&snap, self.world.now().as_secs_f64(), &policy)
     }
 
     /// Total instrumentation events seen by the monitoring services — the

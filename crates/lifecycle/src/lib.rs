@@ -48,6 +48,7 @@ mod testenv {
         pub now: SimTime,
         pub sent: Vec<(NodeId, Msg)>,
         rng: SmallRng,
+        reg: sads_sim::Registry,
     }
 
     impl TestEnv {
@@ -56,11 +57,15 @@ mod testenv {
                 now: SimTime(1_000_000_000_000),
                 sent: vec![],
                 rng: SmallRng::seed_from_u64(0),
+                reg: sads_sim::Registry::new(),
             }
         }
     }
 
     impl Env for TestEnv {
+        fn telemetry(&self) -> &sads_sim::Registry {
+            &self.reg
+        }
         fn id(&self) -> NodeId {
             NodeId(0)
         }

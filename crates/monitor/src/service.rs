@@ -139,6 +139,7 @@ mod tests {
         sent: Vec<(NodeId, Msg)>,
         timers: Vec<(SimDuration, u64)>,
         rng: SmallRng,
+        reg: sads_sim::Registry,
     }
 
     impl TestEnv {
@@ -148,11 +149,15 @@ mod tests {
                 sent: vec![],
                 timers: vec![],
                 rng: SmallRng::seed_from_u64(0),
+                reg: sads_sim::Registry::new(),
             }
         }
     }
 
     impl Env for TestEnv {
+        fn telemetry(&self) -> &sads_sim::Registry {
+            &self.reg
+        }
         fn id(&self) -> NodeId {
             NodeId(99)
         }

@@ -221,13 +221,22 @@ mod tests {
         now: SimTime,
         sent: Vec<(NodeId, Msg)>,
         rng: SmallRng,
+        reg: sads_sim::Registry,
     }
     impl TestEnv {
         fn new() -> Self {
-            TestEnv { now: SimTime::ZERO, sent: vec![], rng: SmallRng::seed_from_u64(0) }
+            TestEnv {
+                now: SimTime::ZERO,
+                sent: vec![],
+                rng: SmallRng::seed_from_u64(0),
+                reg: sads_sim::Registry::new(),
+            }
         }
     }
     impl Env for TestEnv {
+        fn telemetry(&self) -> &sads_sim::Registry {
+            &self.reg
+        }
         fn id(&self) -> NodeId {
             NodeId(1)
         }

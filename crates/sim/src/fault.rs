@@ -216,11 +216,11 @@ pub fn run_with_faults(
             match ev.kind {
                 FaultKind::Crash => {
                     world.crash(ev.node);
-                    world.metrics_mut().incr("fault.crashes", 1);
+                    world.telemetry().inc("fault.crashes", &[], 1);
                 }
                 FaultKind::Restart => {
                     world.restart(ev.node, revive(ev.node));
-                    world.metrics_mut().incr("fault.restarts", 1);
+                    world.telemetry().inc("fault.restarts", &[], 1);
                 }
             }
         }

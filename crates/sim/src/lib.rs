@@ -9,7 +9,8 @@
 //! * a store-and-forward NIC bandwidth model ([`Network`]) that produces
 //!   realistic contention (throughput plateaus, DoS ingress saturation),
 //! * timers, runtime node spawning (elasticity) and crash injection,
-//! * a [`MetricSink`] for counters and time series.
+//! * a [`Metrics`] reader over the telemetry registry every node's
+//!   counters and time series are recorded into.
 //!
 //! Determinism: given the same seed and the same actor set, every run
 //! produces the identical event trace, which makes the paper-shaped
@@ -49,7 +50,7 @@ pub mod world;
 pub use equeue::CalendarQueue;
 pub use fault::{run_with_faults, FaultEvent, FaultKind, FaultPlan};
 pub use message::{Message, MessageExt};
-pub use metrics::{MetricId, MetricSink, Sample};
+pub use metrics::{percentile, Metrics, Sample};
 pub use net::{NetConfig, Network, NicState, NodeConfig, NodeId, TransferTiming};
 pub use time::{transfer_time, SimDuration, SimTime};
 pub use world::{Actor, Ctx, RunOutcome, World};

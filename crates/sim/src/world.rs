@@ -12,12 +12,12 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use sads_telemetry::Registry;
+use sads_telemetry::{NodeLabel, Registry};
 use sads_trace::{FlightEvent, FlightRecorder, SpanKind, SpanRecord, SpanSink, TraceCtx};
 
 use crate::equeue::CalendarQueue;
 use crate::message::Message;
-use crate::metrics::MetricSink;
+use crate::metrics::Metrics;
 use crate::net::{NetConfig, Network, NodeConfig, NodeId};
 use crate::time::{SimDuration, SimTime};
 
@@ -88,7 +88,8 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// The simulation world: clock, event queue, actors, network, RNG, metrics.
+/// The simulation world: clock, event queue, actors, network, RNG, and
+/// the telemetry registry its nodes record into.
 pub struct World {
     now: SimTime,
     seq: u64,
@@ -103,7 +104,6 @@ pub struct World {
     epochs: Vec<u32>,
     net: Network,
     rng: SmallRng,
-    metrics: MetricSink,
     events_processed: u64,
     /// Probability that a [`Ctx::send`]/[`Ctx::send_after`] message is
     /// silently lost, with a dedicated RNG so enabling loss never
@@ -116,11 +116,10 @@ pub struct World {
     /// transfer arithmetic, so the event schedule is identical with the
     /// sink present or absent (verified by [`World::event_digest`]).
     span_sink: Option<Arc<SpanSink>>,
-    /// Live metrics registry, when telemetry is enabled. Like tracing it
-    /// is purely observational — registry cells are plain atomics that
-    /// never schedule events or draw RNG — so the event schedule is
-    /// identical with the registry present or absent.
-    telemetry: Option<Arc<Registry>>,
+    /// The live metrics registry every counter and time series of the
+    /// world lands in. Like tracing it is purely observational — it never
+    /// schedules events or draws RNG.
+    telemetry: Arc<Registry>,
     /// Flight recorder, when attached: every dispatched event is mirrored
     /// into the recorder's `"sim"` ring (a cached `Arc` so the per-event
     /// cost is one short mutex hold). Purely observational like the span
@@ -144,11 +143,10 @@ impl World {
             epochs: Vec::new(),
             net: Network::new(net_cfg),
             rng: SmallRng::seed_from_u64(seed),
-            metrics: MetricSink::new(),
             events_processed: 0,
             loss: None,
             span_sink: None,
-            telemetry: None,
+            telemetry: Arc::new(Registry::new()),
             flight: None,
             digest: 0xcbf2_9ce4_8422_2325,
         }
@@ -189,17 +187,10 @@ impl World {
         self.span_sink.as_ref()
     }
 
-    /// Install a live telemetry registry: actors observe it through
-    /// [`Ctx::telemetry`] and instrument themselves with counters, gauges
-    /// and histograms. Telemetry never perturbs the event schedule — see
-    /// [`World::event_digest`].
-    pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        self.telemetry = Some(registry);
-    }
-
-    /// The installed telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Registry>> {
-        self.telemetry.as_ref()
+    /// The world's live telemetry registry: actors reach it through
+    /// [`Ctx::telemetry`], and [`World::metrics`] reads it.
+    pub fn telemetry(&self) -> &Arc<Registry> {
+        &self.telemetry
     }
 
     /// Attach a flight recorder: every dispatched event is mirrored into
@@ -290,7 +281,7 @@ impl World {
             return false;
         };
         if rand::Rng::random_bool(rng, *prob) {
-            self.metrics.incr("net.msg_lost", 1);
+            self.telemetry.inc("net.msg_lost", &[], 1);
             true
         } else {
             false
@@ -317,15 +308,9 @@ impl World {
             .downcast_ref::<T>()
     }
 
-    /// Recorded metrics.
-    pub fn metrics(&self) -> &MetricSink {
-        &self.metrics
-    }
-
-    /// Mutable access to metrics (for experiment harnesses that record
-    /// world-level observations).
-    pub fn metrics_mut(&mut self) -> &mut MetricSink {
-        &mut self.metrics
+    /// A reader over the counters and time series recorded so far.
+    pub fn metrics(&self) -> Metrics {
+        Metrics::new(Arc::clone(&self.telemetry))
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind) {
@@ -380,7 +365,7 @@ impl World {
             }
             if ev.epoch != self.epoch_of(ev.kind.target()) {
                 // Addressed to a crashed incarnation: dead on arrival.
-                self.metrics.incr("sim.stale_events", 1);
+                self.telemetry.inc("sim.stale_events", &[], 1);
                 continue;
             }
             self.dispatch(ev.kind);
@@ -486,9 +471,9 @@ impl Ctx<'_> {
         self.world.span_sink.clone()
     }
 
-    /// The world's live telemetry registry, if enabled.
-    pub fn telemetry(&self) -> Option<Arc<Registry>> {
-        self.world.telemetry.clone()
+    /// The world's live telemetry registry.
+    pub fn telemetry(&self) -> &Registry {
+        &self.world.telemetry
     }
 
     /// Record a `Net` span for a transfer of `msg` departing `start` and
@@ -584,32 +569,18 @@ impl Ctx<'_> {
         &mut self.world.rng
     }
 
-    /// Record a time-series observation.
+    /// Record a time-series observation: this node's `name` gauge, and one
+    /// more sample in the registry's log for `name`.
     pub fn record(&mut self, name: &str, value: f64) {
-        let now = self.world.now;
-        self.world.metrics.record(name, now, value);
+        let node = NodeLabel::new(self.id.0);
+        let now = self.world.now.as_nanos();
+        self.world.telemetry.record(name, &[("node", node.as_str())], now, value);
     }
 
-    /// Increment a counter metric.
+    /// Increment this node's `name` counter.
     pub fn incr(&mut self, name: &str, delta: u64) {
-        self.world.metrics.incr(name, delta);
-    }
-
-    /// Intern a metric name once; the id feeds [`Ctx::record_id`] /
-    /// [`Ctx::incr_id`], skipping the per-call name lookup on hot paths.
-    pub fn metric_id(&mut self, name: &str) -> crate::MetricId {
-        self.world.metrics.intern(name)
-    }
-
-    /// Record a time-series observation under an interned id.
-    pub fn record_id(&mut self, id: crate::MetricId, value: f64) {
-        let now = self.world.now;
-        self.world.metrics.record_id(id, now, value);
-    }
-
-    /// Increment a counter under an interned id.
-    pub fn incr_id(&mut self, id: crate::MetricId, delta: u64) {
-        self.world.metrics.incr_id(id, delta);
+        let node = NodeLabel::new(self.id.0);
+        self.world.telemetry.inc(name, &[("node", node.as_str())], delta);
     }
 
     /// Spawn a new node at runtime (used by the elasticity controller to

@@ -1,14 +1,14 @@
 //! # sads-telemetry — the live telemetry plane
 //!
-//! Post-hoc observability ([`MetricSink`](../sads_sim/struct.MetricSink.html)
-//! CSVs, `sads-trace` spans) only becomes readable after a run ends. This
-//! crate is the *live* counterpart, the substrate the paper's
-//! self-adaptation loop evaluates its policies against:
+//! The one store of a deployment's metrics, live while it runs: the
+//! substrate the paper's self-adaptation loop evaluates its policies
+//! against, and what experiment CSVs are rendered from afterwards.
 //!
 //! * [`Registry`] — a lock-cheap map of `(name, labels)` → counter / gauge /
-//!   histogram cells. Interning takes a short mutex hold; the hot path
-//!   through a [`Counter`], [`Gauge`] or [`Histogram`] handle is a single
-//!   atomic op, safe to call from every actor in both runtimes.
+//!   histogram cells, plus a per-name log of recorded `(time, value)`
+//!   samples. Every `Env::incr` / `Env::record` of both runtimes is one
+//!   short mutex hold; the hot path through a [`Counter`], [`Gauge`] or
+//!   [`Histogram`] handle is a single atomic op.
 //! * [`Snapshot`] — a structured point-in-time copy of the registry that the
 //!   introspection layer ingests into its time-series machinery and the SLO
 //!   alert engine evaluates burn-rate rules over.
@@ -27,8 +27,9 @@
 //!   visible at runtime instead of silent.
 //!
 //! Registry operations never touch an event queue, a clock, or an RNG, so
-//! enabling telemetry cannot perturb a deterministic simulation schedule —
-//! the `telemetry` integration test pins that with `World::event_digest()`.
+//! telemetry cannot perturb a deterministic simulation schedule — the
+//! `golden_wire` integration test pins the schedule with
+//! `World::event_digest()`.
 
 #![warn(missing_docs)]
 

@@ -28,6 +28,9 @@ type Key = (String, Vec<(String, String)>);
 struct Series {
     state: FoldState,
     by_hash: FastMap<u64, Vec<(Key, Cell)>>,
+    /// What [`Registry::record`] logged, per name: `(time_ns, value)` in
+    /// call order.
+    logs: FastMap<String, Vec<(u64, f64)>>,
 }
 
 /// Run `f` over `labels` sorted, on the stack when there are few.
@@ -80,13 +83,43 @@ enum Cell {
 }
 
 impl Cell {
-    fn kind(&self) -> &'static str {
+    fn counter(&self, name: &str) -> &Arc<AtomicU64> {
         match self {
+            Cell::Counter(c) => c,
+            other => other.conflict(name),
+        }
+    }
+
+    fn gauge(&self, name: &str) -> &Arc<AtomicU64> {
+        match self {
+            Cell::Gauge(g) => g,
+            other => other.conflict(name),
+        }
+    }
+
+    fn histogram(&self, name: &str) -> &Arc<HistCell> {
+        match self {
+            Cell::Histogram(h) => h,
+            other => other.conflict(name),
+        }
+    }
+
+    fn conflict(&self, name: &str) -> ! {
+        let kind = match self {
             Cell::Counter(_) => "counter",
             Cell::Gauge(_) => "gauge",
             Cell::Histogram(_) => "histogram",
-        }
+        };
+        panic!("{name} already registered as {kind}")
     }
+}
+
+fn new_counter() -> Cell {
+    Cell::Counter(Arc::new(AtomicU64::new(0)))
+}
+
+fn new_gauge() -> Cell {
+    Cell::Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
 }
 
 /// A latency exemplar: the trace id of one observation that landed in a
@@ -242,13 +275,13 @@ impl Histogram {
 ///
 /// Registration (`counter`/`gauge`/`histogram`) interns the `(name, labels)`
 /// key under a mutex and hands back a lock-free handle; the one-shot
-/// convenience methods (`inc`/`set`/`observe`) pay one mutex hold per call,
-/// which matches what the runtimes already pay for their `MetricSink`, so
-/// bridging existing instrumentation through them is free of new contention
-/// classes. With up to 8 labels, only the first call for a key allocates:
-/// later ones find it from their borrowed arguments. Nothing in here
-/// touches clocks, RNGs, or event queues — telemetry cannot perturb a
-/// deterministic schedule.
+/// methods (`inc`/`set`/`record`/`observe`) pay one mutex hold per call.
+/// Every `Env::incr` and `Env::record` of both runtimes is one such call,
+/// so this is the one store the deployment's counters, gauges and
+/// recorded samples live in. With up to 8 labels, only the first call for
+/// a key allocates: later ones find it from their borrowed arguments.
+/// Nothing in here touches clocks, RNGs, or event queues — telemetry
+/// cannot perturb a deterministic schedule.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Series>,
@@ -260,62 +293,78 @@ impl Registry {
         Self::default()
     }
 
-    fn cell(&self, name: &str, labels: &[(&str, &str)], make: impl FnOnce() -> Cell) -> Cell {
+    /// Run `f` on the cell of `(name, labels)`, made by `make` on first
+    /// use, and on the sample logs, under one hold of the lock.
+    fn with_cell<R>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Cell,
+        f: impl FnOnce(&Cell, &mut FastMap<String, Vec<(u64, f64)>>) -> R,
+    ) -> R {
         with_sorted(labels, |labels| {
             let mut inner = self.inner.lock().expect("telemetry registry poisoned");
-            let hash = inner.state.hash_one((name, labels));
-            let bucket = inner.by_hash.entry(hash).or_default();
-            let found = bucket.iter().find(|((n, ls), _)| {
+            let Series { state, by_hash, logs } = &mut *inner;
+            let bucket = by_hash.entry(state.hash_one((name, labels))).or_default();
+            let found = bucket.iter().position(|((n, ls), _)| {
                 n == name
                     && ls.len() == labels.len()
                     && ls.iter().zip(labels).all(|((k, v), (lk, lv))| k == lk && v == lv)
             });
-            if let Some((_, cell)) = found {
-                return cell.clone();
-            }
-            let owned = labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-            let cell = make();
-            bucket.push(((name.to_string(), owned), cell.clone()));
-            cell
+            let i = found.unwrap_or_else(|| {
+                let owned = labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+                bucket.push(((name.to_string(), owned), make()));
+                bucket.len() - 1
+            });
+            f(&bucket[i].1, logs)
         })
     }
 
     /// Get-or-create a counter. Panics if `(name, labels)` is already
     /// registered as a different kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.cell(name, labels, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
-            Cell::Counter(c) => Counter(c),
-            other => panic!("{name} already registered as {}", other.kind()),
-        }
+        Counter(self.with_cell(name, labels, new_counter, |c, _| Arc::clone(c.counter(name))))
     }
 
     /// Get-or-create a gauge. Panics if `(name, labels)` is already
     /// registered as a different kind.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.cell(name, labels, || Cell::Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))) {
-            Cell::Gauge(g) => Gauge(g),
-            other => panic!("{name} already registered as {}", other.kind()),
-        }
+        Gauge(self.with_cell(name, labels, new_gauge, |c, _| Arc::clone(c.gauge(name))))
     }
 
     /// Get-or-create a histogram with the default (seconds-flavored)
     /// buckets. Panics if `(name, labels)` is already registered as a
     /// different kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.cell(name, labels, || Cell::Histogram(Arc::new(HistCell::new(DEFAULT_BOUNDS)))) {
-            Cell::Histogram(h) => Histogram(h),
-            other => panic!("{name} already registered as {}", other.kind()),
-        }
+        self.histogram_with_bounds(name, labels, DEFAULT_BOUNDS)
     }
 
     /// One-shot counter bump.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], n: u64) {
-        self.counter(name, labels).inc(n);
+        self.with_cell(name, labels, new_counter, |c, _| {
+            c.counter(name).fetch_add(n, Ordering::Relaxed);
+        });
     }
 
     /// One-shot gauge set.
     pub fn set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.gauge(name, labels).set(v);
+        self.with_cell(name, labels, new_gauge, |c, _| {
+            c.gauge(name).store(v.to_bits(), Ordering::Relaxed);
+        });
+    }
+
+    /// One-shot gauge set that also appends `(at_ns, v)` to the sample log
+    /// of `name`, shared by every label set, under the same lock hold.
+    pub fn record(&self, name: &str, labels: &[(&str, &str)], at_ns: u64, v: f64) {
+        self.with_cell(name, labels, new_gauge, |c, logs| {
+            c.gauge(name).store(v.to_bits(), Ordering::Relaxed);
+            match logs.get_mut(name) {
+                Some(log) => log.push((at_ns, v)),
+                None => {
+                    logs.insert(name.to_string(), vec![(at_ns, v)]);
+                }
+            }
+        });
     }
 
     /// Get-or-create a histogram with explicit bucket upper bounds (for
@@ -328,10 +377,8 @@ impl Registry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Histogram {
-        match self.cell(name, labels, || Cell::Histogram(Arc::new(HistCell::new(bounds)))) {
-            Cell::Histogram(h) => Histogram(h),
-            other => panic!("{name} already registered as {}", other.kind()),
-        }
+        let make = || Cell::Histogram(Arc::new(HistCell::new(bounds)));
+        Histogram(self.with_cell(name, labels, make, |c, _| Arc::clone(c.histogram(name))))
     }
 
     /// One-shot histogram observation.
@@ -342,6 +389,25 @@ impl Registry {
     /// One-shot exemplar attach (see [`Histogram::attach_exemplar`]).
     pub fn attach_exemplar(&self, name: &str, labels: &[(&str, &str)], v: f64, trace_id: u64) {
         self.histogram(name, labels).attach_exemplar(v, trace_id);
+    }
+
+    /// The counter family `name` summed over its label sets (0 if absent).
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let inner = self.inner.lock().expect("telemetry registry poisoned");
+        let cells = inner.by_hash.values().flatten().filter(|((n, _), _)| n == name);
+        cells
+            .filter_map(|(_, cell)| match cell {
+                Cell::Counter(c) => Some(c.load(Ordering::Relaxed)),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// The samples [`Registry::record`] logged under `name`, in call order,
+    /// as `(time_ns, value)`.
+    pub fn samples(&self, name: &str) -> Vec<(u64, f64)> {
+        let inner = self.inner.lock().expect("telemetry registry poisoned");
+        inner.logs.get(name).cloned().unwrap_or_default()
     }
 
     /// Structured point-in-time copy, sorted by `(name, labels)` for
@@ -601,6 +667,23 @@ mod tests {
         assert_eq!(snap.gauge_total("fill"), Some(1.0));
         assert_eq!(snap.counter_total("missing"), None);
         assert_eq!(snap.families(), vec!["fill", "reads"]);
+    }
+
+    #[test]
+    fn record_sets_a_gauge_and_logs_every_sample_in_call_order() {
+        let reg = Registry::new();
+        reg.record("lat", &[("node", "2")], 20, 2.0);
+        reg.record("lat", &[("node", "1")], 10, 1.0);
+        reg.record("lat", &[("node", "2")], 30, 3.0);
+        assert_eq!(reg.samples("lat"), vec![(20, 2.0), (10, 1.0), (30, 3.0)]);
+        assert_eq!(reg.samples("absent"), vec![]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("lat", &[("node", "2")]), Some(3.0));
+        assert_eq!(snap.gauge("lat", &[("node", "1")]), Some(1.0));
+        reg.inc("reads", &[("node", "1")], 4);
+        reg.inc("reads", &[("node", "2")], 6);
+        assert_eq!(reg.counter_total("reads"), 10);
+        assert_eq!(reg.counter_total("lat"), 0, "a gauge family is no counter");
     }
 
     #[test]

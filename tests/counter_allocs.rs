@@ -1,8 +1,8 @@
 //! A counter bump allocates nothing once its key is registered: the
 //! telemetry registry finds an existing `(name, labels)` series through a
-//! borrowed view of the call's arguments, and both runtimes' `Env`
-//! bridges label it with a node id formatted on the stack. A counting
-//! `#[global_allocator]` (`tests/common/mod.rs`) sees every byte.
+//! borrowed view of the call's arguments, and `Env::incr` / `Env::record`
+//! label it with a node id formatted on the stack, on both hosts. A
+//! counting `#[global_allocator]` (`tests/common/mod.rs`) sees every byte.
 
 mod common;
 use common::{requested_during, SERIAL};
@@ -40,9 +40,9 @@ fn steady_bytes(warm: usize, mut f: impl FnMut()) -> u64 {
         .unwrap()
 }
 
-/// `Env::record` appends a sample to a time series, whose amortized
-/// growth is storage, not a per-call cost: warm it to 10 000 samples
-/// (capacity 16 384, room for the 5 000 the windows add) first.
+/// `Env::record` appends a sample to the registry's log for its name, whose
+/// amortized growth is storage, not a per-call cost: warm it to 10 000
+/// samples (capacity 16 384, room for the 5 000 the windows add) first.
 const SERIES_WARM: usize = 10_000;
 
 #[test]
@@ -83,18 +83,20 @@ impl Service for Probe {
 #[test]
 fn env_counters_allocate_nothing_in_the_simulator() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let reg = Arc::new(Registry::new());
     let mut world = World::with_seed(5);
-    world.set_telemetry(Arc::clone(&reg));
     let seen = Arc::new(Mutex::new(None));
     let probe = Box::new(SimService::new(Box::new(Probe(Arc::clone(&seen)))));
     let id = world.add_node(probe, NodeConfig::default());
     world.run_to_quiescence(1_000);
     assert_eq!(*seen.lock().unwrap(), Some((0, 0)), "(incr, record) bytes per 1 000 calls");
-    // Both calls reached the sink and the registry.
-    assert_eq!(world.metrics().counter("probe.bumps"), 1 + 5000);
+    assert_registered(world.telemetry(), id);
+}
+
+/// Every call the probe made reached the registry, under its node label.
+fn assert_registered(reg: &Registry, id: NodeId) {
     let node = id.0.to_string();
     assert_eq!(reg.snapshot().counter("probe.bumps", &[("node", &node)]), Some(1 + 5000));
+    assert_eq!(reg.samples("probe.level").len(), SERIES_WARM + 5000);
 }
 
 #[test]
@@ -105,9 +107,6 @@ fn env_counters_allocate_nothing_on_threads() {
     // `add_service` runs `on_start` on this thread before it returns.
     let id = cluster.add_service(Box::new(Probe(Arc::clone(&seen))));
     assert_eq!(*seen.lock().unwrap(), Some((0, 0)), "(incr, record) bytes per 1 000 calls");
-    assert_eq!(cluster.metrics().counter("probe.bumps"), 1 + 5000);
-    let node = id.0.to_string();
-    let bumps = cluster.telemetry().snapshot().counter("probe.bumps", &[("node", &node)]);
-    assert_eq!(bumps, Some(1 + 5000));
+    assert_registered(cluster.telemetry(), id);
     cluster.shutdown();
 }

@@ -167,17 +167,25 @@ proptest! {
 /// Minimal [`Env`] capturing outgoing messages.
 struct TestEnv {
     rng: rand::rngs::SmallRng,
+    reg: sads_sim::Registry,
     sent: Vec<(NodeId, Msg)>,
 }
 
 impl TestEnv {
     fn new() -> Self {
         use rand::SeedableRng;
-        TestEnv { rng: rand::rngs::SmallRng::seed_from_u64(1), sent: Vec::new() }
+        TestEnv {
+            rng: rand::rngs::SmallRng::seed_from_u64(1),
+            reg: sads_sim::Registry::new(),
+            sent: Vec::new(),
+        }
     }
 }
 
 impl Env for TestEnv {
+    fn telemetry(&self) -> &sads_sim::Registry {
+        &self.reg
+    }
     fn id(&self) -> NodeId {
         NodeId(0)
     }

@@ -257,7 +257,7 @@ mod scrub_e2e {
     use sads::lifecycle::ScrubConfig;
     use sads::DeploymentConfig;
     use sads_adaptive::ReplicationConfig;
-    use sads_sim::{MetricSink, SimDuration};
+    use sads_sim::SimDuration;
 
     const PAGE: u64 = 64 * 1024;
     const PAGES: u64 = 8;
@@ -266,12 +266,6 @@ mod scrub_e2e {
         Bytes::from(
             (0..len).map(|i| (i as u8).wrapping_mul(17).wrapping_add(seed)).collect::<Vec<u8>>(),
         )
-    }
-
-    /// Merge freshly drained cluster metrics into `all` and return the
-    /// counter — the sink drains on read, so totals must accumulate.
-    fn drain(cluster: &Cluster, all: &mut MetricSink) {
-        all.merge(cluster.metrics());
     }
 
     #[test]
@@ -301,12 +295,10 @@ mod scrub_e2e {
         // Wait until the replication manager has learned the placement
         // of every chunk from the monitoring write records — corruption
         // reported before that could not be repaired.
-        let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            drain(&cluster, &mut all);
             let tracked =
-                all.series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
+                cluster.metrics().series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
             if tracked >= PAGES as f64 {
                 break;
             }
@@ -331,10 +323,9 @@ mod scrub_e2e {
         // detection has been quarantined, reported and repaired.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let (quarantined, reports, repairs) = loop {
-            drain(&cluster, &mut all);
-            let q = all.counter("provider.quarantined_chunks");
-            let c = all.counter("repl.corrupt_reports");
-            let r = all.counter("repl.repairs");
+            let q = cluster.metrics().counter("provider.quarantined_chunks");
+            let c = cluster.metrics().counter("repl.corrupt_reports");
+            let r = cluster.metrics().counter("repl.repairs");
             if q > 0 && c >= q && r >= c {
                 break (q, c, r);
             }
@@ -347,7 +338,7 @@ mod scrub_e2e {
         assert!(quarantined >= 1, "victim held no replica of the test blob");
         assert_eq!(reports, quarantined, "every quarantine must reach the repl manager");
         assert!(repairs >= reports, "not every corruption was repaired");
-        assert_eq!(all.counter("repl.lost_chunks"), 0, "no chunk may be lost: one replica survived");
+        assert_eq!(cluster.metrics().counter("repl.lost_chunks"), 0, "no chunk may be lost: one replica survived");
 
         // Reads return the original bytes: corrupt replicas were patched
         // out of the leaves and the repaired copies serve.
@@ -398,13 +389,10 @@ mod scrub_e2e {
         let used = |cluster: &Cluster| {
             cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
         };
-
-        let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            drain(&cluster, &mut all);
             let tracked =
-                all.series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
+                cluster.metrics().series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
             if tracked >= PAGES as f64 && used(&cluster) == Some(stored as f64) {
                 break;
             }
@@ -422,9 +410,8 @@ mod scrub_e2e {
         }
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let quarantined = loop {
-            drain(&cluster, &mut all);
-            let q = all.counter("provider.quarantined_chunks");
-            let r = all.counter("repl.repairs");
+            let q = cluster.metrics().counter("provider.quarantined_chunks");
+            let r = cluster.metrics().counter("repl.repairs");
             if q > 0 && r >= q && used(&cluster) == Some(stored as f64) {
                 break q;
             }
@@ -436,25 +423,24 @@ mod scrub_e2e {
             std::thread::sleep(std::time::Duration::from_millis(200));
         };
         // Each relayed copy was 13 bytes, or none for the empty chunk.
-        let chunks = all.counter("provider.repair_chunks");
-        let bytes = all.counter("provider.repair_bytes");
+        let chunks = cluster.metrics().counter("provider.repair_chunks");
+        let bytes = cluster.metrics().counter("provider.repair_bytes");
         assert!(chunks >= quarantined);
         assert!(
             bytes == chunks * TAIL || bytes == (chunks - 1) * TAIL,
             "{chunks} repair copies moved {bytes} B"
         );
-        assert_eq!(all.counter("repl.lost_chunks"), 0);
+        assert_eq!(cluster.metrics().counter("repl.lost_chunks"), 0);
 
         // Ten more scrub passes over every provider: nothing new.
-        let scrubbed = all.counter("provider.scrubbed_chunks");
+        let scrubbed = cluster.metrics().counter("provider.scrubbed_chunks");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while all.counter("provider.scrubbed_chunks") < scrubbed + 10 * 2 * PAGES {
+        while cluster.metrics().counter("provider.scrubbed_chunks") < scrubbed + 10 * 2 * PAGES {
             assert!(std::time::Instant::now() < deadline, "scrub stopped walking");
             std::thread::sleep(std::time::Duration::from_millis(200));
-            drain(&cluster, &mut all);
         }
         assert_eq!(
-            all.counter("provider.quarantined_chunks"),
+            cluster.metrics().counter("provider.quarantined_chunks"),
             quarantined,
             "scrub flagged a repaired short chunk"
         );
@@ -605,7 +591,7 @@ mod true_lengths_e2e {
     use sads::blob::runtime::threaded::Cluster;
     use sads::lifecycle::{LifecycleConfig, RetentionPolicy};
     use sads::DeploymentConfig;
-    use sads_sim::{MetricSink, SimDuration};
+    use sads_sim::SimDuration;
 
     const PAGE: u64 = 64 * 1024;
 
@@ -647,25 +633,23 @@ mod true_lengths_e2e {
         let used = |cluster: &Cluster| {
             cluster.telemetry().snapshot().gauge_total("provider.store_bytes")
         };
-        let mut all = MetricSink::new();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         loop {
-            all.merge(cluster.metrics());
-            let reclaimed = all.counter("lifecycle.reclaimed_bytes");
+            let reclaimed = cluster.metrics().counter("lifecycle.reclaimed_bytes");
             if reclaimed >= put - live && used(&cluster) == Some(live as f64) {
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
                 "sweep stalled: reclaimed {} of {} B, stored {:?}, live {live}",
-                all.counter("lifecycle.reclaimed_bytes"),
+                cluster.metrics().counter("lifecycle.reclaimed_bytes"),
                 put - live,
                 used(&cluster)
             );
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
         assert_eq!(
-            all.counter("lifecycle.reclaimed_bytes"),
+            cluster.metrics().counter("lifecycle.reclaimed_bytes"),
             put - live,
             "reclaimed bytes are the stored bytes of the swept chunks"
         );

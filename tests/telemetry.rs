@@ -1,8 +1,5 @@
 //! Telemetry-plane guarantees the rest of the repo relies on:
 //!
-//! * **Zero interference**: the deployment's event schedule is
-//!   byte-identical whether telemetry is off or on — registry cells are a
-//!   pure side channel, like spans.
 //! * **Repeatability with alerting**: the SLO alert engine is an ordinary
 //!   sim node, so same seed ⇒ same schedule, alerts included.
 //! * **Coverage**: a live deployment's registry spans the whole system —
@@ -14,8 +11,7 @@ use sads::blob::model::{BlobSpec, ClientId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
 use sads::{default_alert_rules, Deployment, DeploymentConfig};
-use sads_sim::{HealthPolicy, HealthState, Registry, SimDuration, World, HEARTBEAT_GAUGE};
-use std::sync::Arc;
+use sads_sim::{HealthPolicy, HealthState, SimDuration, World, HEARTBEAT_GAUGE};
 
 const MB: u64 = 1_000_000;
 
@@ -29,40 +25,17 @@ fn write_read_script() -> Vec<ScriptStep> {
 }
 
 /// One small write/read workload; returns the finished deployment.
-fn run(telemetry: bool) -> Deployment {
+fn run() -> Deployment {
     let cfg = DeploymentConfig {
         data_providers: 4,
         meta_providers: 2,
         ..DeploymentConfig::default()
     };
-    let mut world = World::with_seed(42);
-    if telemetry {
-        world.set_telemetry(Arc::new(Registry::new()));
-    }
-    let mut d = Deployment::build(world, cfg);
+    let mut d = Deployment::build(World::with_seed(42), cfg);
     d.add_client(ClientId(1), write_read_script(), "client");
     d.world.run_for(SimDuration::from_secs(60), 10_000_000);
     assert_eq!(d.world.metrics().counter("client.ops_err"), 0, "workload must succeed");
     d
-}
-
-#[test]
-fn telemetry_toggle_never_changes_the_event_schedule() {
-    let off_a = run(false);
-    let off_b = run(false);
-    let on = run(true);
-    assert_eq!(
-        off_a.world.event_digest(),
-        off_b.world.event_digest(),
-        "same seed, same schedule"
-    );
-    assert_eq!(
-        off_a.world.event_digest(),
-        on.world.event_digest(),
-        "telemetry must be observational only"
-    );
-    assert_eq!(off_a.world.now(), on.world.now());
-    assert!(off_a.telemetry().is_none(), "telemetry off constructs no registry");
 }
 
 #[test]
@@ -92,9 +65,8 @@ fn alerting_deployment_is_repeatable() {
 
 #[test]
 fn registry_covers_a_live_deployment() {
-    let d = run(true);
-    let reg = d.telemetry().expect("telemetry on installs a registry");
-    let snap = reg.snapshot();
+    let d = run();
+    let snap = d.telemetry().snapshot();
 
     // Broad coverage: many families, from several services.
     let families = snap.families();
@@ -128,9 +100,7 @@ fn health_flags_a_crashed_provider() {
         meta_providers: 2,
         ..DeploymentConfig::default()
     };
-    let mut world = World::with_seed(42);
-    world.set_telemetry(Arc::new(Registry::new()));
-    let mut d = Deployment::build(world, cfg);
+    let mut d = Deployment::build(World::with_seed(42), cfg);
     d.add_client(ClientId(1), write_read_script(), "client");
     d.world.run_for(SimDuration::from_secs(30), 10_000_000);
 
