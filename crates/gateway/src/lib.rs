@@ -1158,17 +1158,17 @@ impl ObjectGateway {
         principal: ClientId,
         upload_id: u64,
     ) -> Result<ObjectInfo, GatewayError> {
-        let up = {
-            let mut u = self.uploads.lock();
-            let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
-            if up.owner != principal {
-                return Err(GatewayError::AccessDenied);
-            }
-            u.remove(&upload_id).expect("present")
-        };
+        // Both locks, in `delete_bucket`'s order: the upload leaves the
+        // uploads map only as its object enters the bucket, so a delete
+        // never finds the bucket empty in between.
+        let mut b = self.buckets.lock();
+        let mut u = self.uploads.lock();
+        let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
+        if up.owner != principal {
+            return Err(GatewayError::AccessDenied);
+        }
         let n = up.parts.len() as u32;
         if n == 0 || *up.parts.keys().last().expect("nonempty") != n {
-            self.uploads.lock().insert(upload_id, up);
             return Err(GatewayError::InvalidPart);
         }
         let mut size = 0u64;
@@ -1176,7 +1176,6 @@ impl ObjectGateway {
         let mut version = VersionId(0);
         for (num, (len, part_tag, part_version)) in &up.parts {
             if *num != n && *len != up.part_size {
-                self.uploads.lock().insert(upload_id, up);
                 return Err(GatewayError::InvalidPart);
             }
             size += len;
@@ -1184,8 +1183,8 @@ impl ObjectGateway {
             version = version.max(*part_version);
         }
         let info = ObjectInfo { key: up.key.clone(), size, blob: up.blob, version, etag: tag };
-        let mut b = self.buckets.lock();
         let bucket_ref = b.get_mut(&up.bucket).ok_or(GatewayError::NoSuchBucket)?;
+        let up = u.remove(&upload_id).expect("present");
         bucket_ref.objects.insert(up.key, info.clone());
         Ok(info)
     }
