@@ -271,9 +271,10 @@ fn bench_read_path(c: &mut Criterion) {
 /// What a message costs besides its handler, 1 000 operations an
 /// iteration: a metadata put at a range that already holds 64 Ki versions
 /// (every write of a long history stores a new node at the root's
-/// range), a provider cache miss at capacity (the probe, then an insert
-/// that evicts the least recent of 128) and a counter bump on a
-/// registered `(name, labels)` key.
+/// range), a `range_cover` at such a range, a provider cache miss at
+/// capacity (the probe, then an insert that evicts the least recent of
+/// 128) and a counter bump on a registered `(name, labels)` key; and a GC
+/// batch that retires 16 Ki of such a range's versions.
 fn bench_bookkeeping(c: &mut Criterion) {
     use sads_blob::meta::{MetaNode, NodeKey, NodeRange};
     use sads_blob::provider::ReadCache;
@@ -297,6 +298,40 @@ fn bench_bookkeeping(c: &mut Criterion) {
             }
         })
     });
+
+    // The same range's 64 Ki versions read through `range_cover` (a
+    // one-page query: one hit among the levels it probes), at the newest
+    // version and at an old one; then GC retiring the 16 Ki oldest in one
+    // batch. That iteration also appends 16 Ki new versions, so every
+    // iteration collects from a 64 Ki history: subtract 16 × the put row.
+    let mut history = MetaStore::new();
+    for v in 1..=1 << 16 {
+        history.put(key(v), node.clone());
+    }
+    let page = PageInterval::new(0, 1);
+    for (name, at) in [("newest", 1 << 16), ("old", 1 << 14)] {
+        g.bench_function(format!("meta_range_cover_{name}_on_64k_versions_x1000"), |b| {
+            b.iter(|| {
+                for _ in 0..1000 {
+                    black_box(history.range_cover(BLOB, VersionId(at), &page, None, 8));
+                }
+            })
+        });
+    }
+    g.throughput(Throughput::Elements(1 << 14));
+    let (mut oldest, mut newest) = (1, 1 << 16);
+    g.bench_function("meta_remove_oldest_16k_of_64k_versions", |b| {
+        b.iter(|| {
+            let batch: Vec<NodeKey> = (oldest..oldest + (1 << 14)).map(key).collect();
+            assert_eq!(history.remove_all(&batch), 1 << 14);
+            oldest += 1 << 14;
+            for _ in 0..1 << 14 {
+                newest += 1;
+                history.put(key(newest), node.clone());
+            }
+        })
+    });
+    g.throughput(Throughput::Elements(1000));
 
     let chunk = |p: u64| ChunkKey { blob: BLOB, version: VersionId(1), page: p };
     let mut cache = ReadCache::new(128);

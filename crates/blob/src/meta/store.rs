@@ -6,6 +6,7 @@
 //! consistent key hashing; clients compute the owner locally from the key,
 //! so no directory lookup is needed on the metadata path.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use sads_sim::{FastMap, NodeId};
@@ -61,34 +62,76 @@ pub fn group_by_partition<T>(
 /// Nodes are immutable once written (versions are immutable), so `put` of
 /// an existing key is idempotent: retransmitted writes are accepted and
 /// the stored value kept.
+///
+/// One index holds every node: per BLOB, each aligned range's nodes in
+/// version order. A key is found with one probe at its range and, unless
+/// it is that range's newest, a binary search; `range_cover` finds "the
+/// node at range r in the tree of version v" — the one with the greatest
+/// stored version ≤ v — the same way, and the widest length stored bounds
+/// the levels it enumerates. A range's entry is allocated once, so no
+/// table grows with the number of versions.
 #[derive(Debug, Default)]
 pub struct MetaStore {
-    nodes: FastMap<NodeKey, MetaNode>,
-    /// Secondary index for bulk range descents, per BLOB: the versions
-    /// stored at each aligned range (kept sorted ascending), plus the
-    /// widest length stored. `range_cover` probes the first for "the node
-    /// at range r in the tree of version v" — the one with the greatest
-    /// stored version ≤ v — and the second bounds the levels it
-    /// enumerates.
     by_blob: FastMap<BlobId, BlobRanges>,
+    len: usize,
     bytes: u64,
     /// Accepted puts whose version was not the newest at its range.
     late_puts: u64,
 }
 
-/// One BLOB's share of the range index.
+/// One BLOB's share of the store.
 #[derive(Debug, Default)]
 struct BlobRanges {
-    /// Sorted ascending. A put appends when its range's puts arrive in
-    /// version order, which holds for one sequential writer per BLOB.
-    /// Concurrent writers to one BLOB put their nodes before they commit,
-    /// in no set order, so at the ranges they share a lower version can
-    /// arrive after a higher one; that put, like a late retransmission or
-    /// a recovery replay, binary-inserts.
-    versions: FastMap<NodeRange, Vec<VersionId>>,
+    ranges: FastMap<NodeRange, Versions>,
     /// Greatest `len` of any range ever put for the BLOB while this entry
     /// lived: a bound, not a count, so removing that range leaves it.
     widest: u64,
+}
+
+/// The nodes stored at one range, one per version. A put appends when its
+/// range's puts arrive in version order, which holds for one sequential
+/// writer per BLOB. Concurrent writers to one BLOB put their nodes before
+/// they commit, in no set order, so at the ranges they share a lower
+/// version can arrive after a higher one; that put, like a late
+/// retransmission or a recovery replay, binary-inserts.
+#[derive(Debug)]
+struct Versions {
+    /// The greatest version stored here, inline in the range's hash entry:
+    /// a read of the latest tree finds its node without leaving the table.
+    newest: (VersionId, MetaNode),
+    /// The older versions, strictly ascending.
+    older: Vec<(VersionId, MetaNode)>,
+}
+
+impl Versions {
+    /// Every version stored, ascending.
+    fn versions(&self) -> impl Iterator<Item = VersionId> + '_ {
+        self.older.iter().map(|(v, _)| *v).chain(std::iter::once(self.newest.0))
+    }
+
+    /// Position of `version` in `older`, or where it would go.
+    fn find_older(&self, version: VersionId) -> Result<usize, usize> {
+        self.older.binary_search_by_key(&version, |(v, _)| *v)
+    }
+
+    fn get_mut(&mut self, version: VersionId) -> Option<&mut MetaNode> {
+        if self.newest.0 == version {
+            return Some(&mut self.newest.1);
+        }
+        let at = self.find_older(version).ok()?;
+        Some(&mut self.older[at].1)
+    }
+
+    /// The node with the greatest version at or below `version`. The
+    /// newest is checked first: a read of the latest version, the common
+    /// case, costs one comparison.
+    fn at_or_below(&self, version: VersionId) -> Option<(VersionId, &MetaNode)> {
+        if self.newest.0 <= version {
+            return Some((self.newest.0, &self.newest.1));
+        }
+        let at = self.older.partition_point(|(v, _)| *v <= version);
+        self.older[..at].last().map(|(v, n)| (*v, n))
+    }
 }
 
 impl MetaStore {
@@ -101,61 +144,130 @@ impl MetaStore {
     /// stored node is kept — nodes are immutable, so any retransmission
     /// carries identical content).
     pub fn put(&mut self, key: NodeKey, node: MetaNode) -> bool {
-        match self.nodes.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                // `range_cover` computes candidate ranges from the query
-                // alone; a misaligned one would be stored but never found.
-                let NodeRange { start, len } = key.range;
-                debug_assert!(
-                    len.is_power_of_two() && start.is_multiple_of(len),
-                    "segment-tree ranges are aligned powers of two: {}",
-                    key.range
-                );
-                self.bytes += node.wire_size();
-                e.insert(node);
-                let ranges = self.by_blob.entry(key.blob).or_default();
-                ranges.widest = ranges.widest.max(key.range.len);
-                let versions = ranges.versions.entry(key.range).or_default();
-                if versions.last().is_none_or(|v| *v < key.version) {
-                    versions.push(key.version);
+        // `range_cover` computes candidate ranges from the query alone; a
+        // misaligned one would be stored but never found.
+        let NodeRange { start, len } = key.range;
+        debug_assert!(
+            len.is_power_of_two() && start.is_multiple_of(len),
+            "segment-tree ranges are aligned powers of two: {}",
+            key.range
+        );
+        let ranges = self.by_blob.entry(key.blob).or_default();
+        let size = node.wire_size();
+        match ranges.ranges.entry(key.range) {
+            Entry::Vacant(e) => {
+                e.insert(Versions { newest: (key.version, node), older: Vec::new() });
+            }
+            Entry::Occupied(mut e) => {
+                let vs = e.get_mut();
+                if vs.newest.0 < key.version {
+                    let prev = std::mem::replace(&mut vs.newest, (key.version, node));
+                    vs.older.push(prev);
                 } else {
-                    let at = versions.partition_point(|v| *v < key.version);
-                    versions.insert(at, key.version);
+                    let at = match vs.find_older(key.version) {
+                        Err(at) if vs.newest.0 != key.version => at,
+                        _ => return false,
+                    };
+                    vs.older.insert(at, (key.version, node));
                     self.late_puts += 1;
                 }
-                true
             }
         }
+        ranges.widest = ranges.widest.max(len);
+        self.len += 1;
+        self.bytes += size;
+        true
     }
 
     /// Fetch a node.
     pub fn get(&self, key: &NodeKey) -> Option<&MetaNode> {
-        self.nodes.get(key)
+        let vs = self.by_blob.get(&key.blob)?.ranges.get(&key.range)?;
+        if vs.newest.0 == key.version {
+            return Some(&vs.newest.1);
+        }
+        vs.older.get(vs.find_older(key.version).ok()?).map(|(_, n)| n)
     }
 
     /// Remove a node (used by the data-removal strategies when reclaiming
     /// whole versions). Returns whether it existed.
     pub fn remove(&mut self, key: &NodeKey) -> bool {
-        if let Some(n) = self.nodes.remove(key) {
-            self.bytes -= n.wire_size();
-            if let Some(ranges) = self.by_blob.get_mut(&key.blob) {
-                if let Some(versions) = ranges.versions.get_mut(&key.range) {
-                    if let Ok(at) = versions.binary_search(&key.version) {
-                        versions.remove(at);
-                    }
-                    if versions.is_empty() {
-                        ranges.versions.remove(&key.range);
-                    }
+        let Some(ranges) = self.by_blob.get_mut(&key.blob) else {
+            return false;
+        };
+        let Entry::Occupied(mut e) = ranges.ranges.entry(key.range) else {
+            return false;
+        };
+        let vs = e.get_mut();
+        let node = if vs.newest.0 == key.version {
+            match vs.older.pop() {
+                Some(prev) => std::mem::replace(&mut vs.newest, prev).1,
+                None => e.remove().newest.1,
+            }
+        } else {
+            match vs.find_older(key.version) {
+                Ok(at) => vs.older.remove(at).1,
+                Err(_) => return false,
+            }
+        };
+        self.len -= 1;
+        self.bytes -= node.wire_size();
+        if ranges.ranges.is_empty() {
+            self.by_blob.remove(&key.blob);
+        }
+        true
+    }
+
+    /// Remove every node of `keys` that is stored; returns how many were.
+    /// The keys are grouped by range and each range's versions are walked
+    /// once, so collecting many versions of a long-lived range costs one
+    /// pass over its list, not a shift per version. A range or BLOB left
+    /// empty goes, and a table left less than a quarter full shrinks.
+    pub fn remove_all(&mut self, keys: &[NodeKey]) -> usize {
+        let mut keys = keys.to_vec();
+        keys.sort_unstable_by_key(|k| (k.blob, k.range.start, k.range.len, k.version));
+        keys.dedup();
+        let mut removed = 0;
+        for group in keys.chunk_by(|a, b| (a.blob, a.range) == (b.blob, b.range)) {
+            let (blob, range) = (group[0].blob, group[0].range);
+            let Some(ranges) = self.by_blob.get_mut(&blob) else {
+                continue;
+            };
+            let Entry::Occupied(mut e) = ranges.ranges.entry(range) else {
+                continue;
+            };
+            let vs = e.get_mut();
+            let mut doomed = group.iter().map(|k| k.version).peekable();
+            let (mut count, mut freed) = (0, 0);
+            vs.older.retain(|(v, node)| {
+                while doomed.next_if(|d| d < v).is_some() {}
+                let hit = doomed.next_if_eq(v).is_some();
+                if hit {
+                    count += 1;
+                    freed += node.wire_size();
                 }
-                if ranges.versions.is_empty() {
-                    self.by_blob.remove(&key.blob);
+                !hit
+            });
+            shrink_if_sparse(&mut vs.older);
+            if doomed.any(|d| d == vs.newest.0) {
+                count += 1;
+                freed += vs.newest.1.wire_size();
+                match vs.older.pop() {
+                    Some(prev) => vs.newest = prev,
+                    None => {
+                        e.remove();
+                    }
                 }
             }
-            true
-        } else {
-            false
+            removed += count;
+            self.len -= count;
+            self.bytes -= freed;
+            if ranges.ranges.is_empty() {
+                self.by_blob.remove(&blob);
+            } else if ranges.ranges.len() < ranges.ranges.capacity() / 4 {
+                ranges.ranges.shrink_to_fit();
+            }
         }
+        removed
     }
 
     /// Bulk range descent: every node on the read path of `query` in the
@@ -221,15 +333,14 @@ impl MetaStore {
                 if cursor.is_some_and(|c| (range.start, range.len) <= c) {
                     continue;
                 }
-                let versions = ranges.versions.get(&range);
-                let Some(found) = versions.and_then(|vs| at_or_below(vs, version)) else {
+                let found = ranges.ranges.get(&range).and_then(|vs| vs.at_or_below(version));
+                let Some((found, node)) = found else {
                     continue;
                 };
                 if out.len() == max_nodes {
                     return (out, true);
                 }
-                let key = NodeKey { blob, version: found, range };
-                out.push((key, self.nodes[&key].clone()));
+                out.push((NodeKey { blob, version: found, range }, node.clone()));
             }
             start += step;
         }
@@ -251,42 +362,56 @@ impl MetaStore {
             return (Vec::new(), false);
         };
         let cursor = after.map(|r| (r.start, r.len));
-        let mut matches: Vec<(NodeRange, VersionId)> = ranges
-            .versions
+        let mut matches: Vec<(NodeKey, MetaNode)> = ranges
+            .ranges
             .iter()
             .filter(|(r, _)| r.intersects(query))
             .filter(|(r, _)| cursor.is_none_or(|c| (r.start, r.len) > c))
-            .filter_map(|(r, versions)| {
+            .filter_map(|(r, vs)| {
+                let versions: Vec<VersionId> = vs.versions().collect();
                 let at = versions.partition_point(|v| *v <= version);
-                (at > 0).then(|| (*r, versions[at - 1]))
+                let key = NodeKey { blob, version: *versions[..at].last()?, range: *r };
+                Some((key, self.get(&key)?.clone()))
             })
             .collect();
-        matches.sort_by_key(|(r, _)| (r.start, r.len));
+        matches.sort_by_key(|(k, _)| (k.range.start, k.range.len));
         let more = matches.len() > max_nodes;
         matches.truncate(max_nodes);
-        let out = matches
-            .into_iter()
-            .map(|(range, version)| {
-                let key = NodeKey { blob, version, range };
-                (key, self.nodes[&key].clone())
-            })
-            .collect();
-        (out, more)
+        (matches, more)
+    }
+
+    /// The versions stored at `range` of `blob`, ascending (tests).
+    #[cfg(test)]
+    fn versions(&self, blob: BlobId, range: NodeRange) -> Vec<VersionId> {
+        let vs = self.by_blob.get(&blob).and_then(|r| r.ranges.get(&range));
+        vs.map_or_else(Vec::new, |vs| vs.versions().collect())
     }
 
     /// Number of nodes stored.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
     /// Approximate bytes held.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Estimated heap the store occupies: every hash table's buckets times
+    /// its entry size, plus every older-version list's capacity times its
+    /// element size. A leaf's replica list, a few words on the heap of its
+    /// own, is not counted. Walks every stored range.
+    pub fn resident_bytes(&self) -> u64 {
+        let older = |vs: &Versions| vs.older.capacity() * size_of::<(VersionId, MetaNode)>();
+        let blobs = self.by_blob.values().map(|r| {
+            table_bytes(&r.ranges) + r.ranges.values().map(older).sum::<usize>()
+        });
+        (table_bytes(&self.by_blob) + blobs.sum::<usize>()) as u64
     }
 
     /// Accepted puts that binary-inserted below their range's newest
@@ -296,15 +421,20 @@ impl MetaStore {
     }
 
     /// Iterate all keys, in no particular order.
-    pub fn keys(&self) -> impl Iterator<Item = &NodeKey> {
-        self.nodes.keys()
+    pub fn keys(&self) -> impl Iterator<Item = NodeKey> + '_ {
+        self.by_blob.iter().flat_map(|(&blob, r)| {
+            r.ranges.iter().flat_map(move |(&range, vs)| {
+                vs.versions().map(move |version| NodeKey { blob, version, range })
+            })
+        })
     }
 
     /// Update the replica set stored in a leaf. Location metadata is
     /// mutable (replication repair moves chunks around); version data is
     /// not. Returns `false` if the key is absent or not a leaf.
     pub fn patch_leaf(&mut self, key: &NodeKey, replicas: Vec<sads_sim::NodeId>) -> bool {
-        match self.nodes.get_mut(key) {
+        let vs = self.by_blob.get_mut(&key.blob).and_then(|r| r.ranges.get_mut(&key.range));
+        match vs.and_then(|vs| vs.get_mut(key.version)) {
             Some(MetaNode::Leaf { chunk }) => {
                 chunk.replicas = replicas;
                 true
@@ -314,13 +444,22 @@ impl MetaStore {
     }
 }
 
-/// The greatest of the ascending `versions` at or below `version`. The
-/// newest is checked first: a read of the latest version, the common
-/// case, costs one comparison.
-fn at_or_below(versions: &[VersionId], version: VersionId) -> Option<VersionId> {
-    match versions.last() {
-        Some(newest) if *newest <= version => Some(*newest),
-        _ => versions[..versions.partition_point(|v| *v <= version)].last().copied(),
+/// Bytes a hash table's buckets occupy: each holds one entry and one
+/// control byte. `capacity()` is 7/8 of the bucket count from 8 buckets
+/// up and one less than it below.
+fn table_bytes<K, V>(map: &FastMap<K, V>) -> usize {
+    let buckets = match map.capacity() {
+        0 => 0,
+        c if c < 7 => c + 1,
+        c => c / 7 * 8,
+    };
+    buckets * (size_of::<(K, V)>() + 1)
+}
+
+/// Give back a list's spare capacity once it is less than a quarter used.
+fn shrink_if_sparse<T>(list: &mut Vec<T>) {
+    if list.len() < list.capacity() / 4 {
+        list.shrink_to_fit();
     }
 }
 
@@ -566,12 +705,21 @@ mod tests {
     /// Every range's version list is strictly ascending: the order
     /// `range_cover` relies on, whatever order the puts came in.
     fn assert_index_sorted(s: &MetaStore) -> Result<(), TestCaseError> {
-        for ranges in s.by_blob.values() {
-            for (r, vs) in &ranges.versions {
+        for (&blob, ranges) in &s.by_blob {
+            for &r in ranges.ranges.keys() {
+                let vs = s.versions(blob, r);
                 prop_assert!(vs.windows(2).all(|w| w[0] < w[1]), "{} holds {:?}", r, vs);
             }
         }
         Ok(())
+    }
+
+    /// Everything a store answers: its size, and every node it holds, in
+    /// a fixed order.
+    fn contents(s: &MetaStore) -> (usize, u64, Vec<(NodeKey, MetaNode)>) {
+        let mut all: Vec<_> = s.keys().map(|k| (k, s.get(&k).expect("listed key").clone())).collect();
+        all.sort_by_key(|(k, _)| (k.blob, k.range.start, k.range.len, k.version));
+        (s.len(), s.bytes(), all)
     }
 
     proptest! {
@@ -632,10 +780,27 @@ mod tests {
                         let nodes = blob.write(&mut full, at);
                         put_some(&mut s, &mut live, &mut held, nodes, a ^ (b << 20));
                     }
-                    5 | 6 if !live.is_empty() => {
+                    5 if !live.is_empty() => {
                         let k = live.swap_remove(a as usize % live.len());
                         prop_assert!(s.remove(&k));
                         held.push(k);
+                    }
+                    6 if !live.is_empty() => {
+                        // A batch, as GC sends it: about a third of the
+                        // stored nodes, one of them twice, plus one that
+                        // is not stored.
+                        let mask = a.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let (gone, kept): (Vec<_>, Vec<_>) = live
+                            .iter()
+                            .enumerate()
+                            .partition(|(j, _)| (mask >> (j % 32 * 2)) & 3 == 0);
+                        let gone: Vec<NodeKey> = gone.into_iter().map(|(_, k)| *k).collect();
+                        live = kept.into_iter().map(|(_, k)| *k).collect();
+                        let mut batch = gone.clone();
+                        batch.extend(gone.first().copied());
+                        batch.extend(held.last().copied());
+                        prop_assert_eq!(s.remove_all(&batch), gone.len());
+                        held.extend(gone);
                     }
                     7 => {
                         if !live.is_empty() {
@@ -665,6 +830,7 @@ mod tests {
             }
             prop_assert!(!s.by_blob.contains_key(&blobs[1].id));
             prop_assert_eq!(s.len(), kept.len());
+            prop_assert_eq!(s.keys().count(), kept.len());
             if let Some(k) = gone.iter().find(|k| k.range.is_leaf()) {
                 s.put(*k, full.get(k).unwrap().clone());
                 assert_matches_scan(&s, &blobs[1], seed)?;
@@ -720,6 +886,67 @@ mod tests {
                 }
             }
         }
+
+        /// `remove_all` leaves the store per-key `remove` leaves — same
+        /// nodes, `len`, `bytes` and `range_cover` answers — and counts
+        /// what per-key removal reports `true` for, whatever the batch:
+        /// whole versions, scattered nodes, duplicates, keys not stored.
+        #[test]
+        fn batch_removal_equals_per_key_removal(
+            first in 1u64..24,
+            steps in steps(),
+            picks in prop::collection::vec((0u64..1 << 20, 0u8..2), 1..6),
+        ) {
+            let mut full = MetaStore::new();
+            let mut blobs = [Blob::new(1), Blob::new(2)];
+            let mut written: Vec<NodeKey> = Vec::new();
+            for (blob, pages) in blobs.iter_mut().zip([first, 1 + first % 2]) {
+                written.extend(blob.write(&mut full, PageInterval::new(0, pages)).iter().map(|(k, _)| *k));
+            }
+            for (kind, a, b) in steps {
+                let blob = &mut blobs[usize::from(kind >= 4)];
+                let at = blob.step(kind % 4, a, b);
+                written.extend(blob.write(&mut full, at).iter().map(|(k, _)| *k));
+            }
+            let (mut one, mut batch) = (MetaStore::new(), MetaStore::new());
+            for k in &written {
+                one.put(*k, full.get(k).unwrap().clone());
+                batch.put(*k, full.get(k).unwrap().clone());
+            }
+            for (pick, whole_version) in picks {
+                let whole_version = whole_version == 1;
+                // Either every node of one version, as the version GC
+                // retires it, or a scattered third of all written keys.
+                let victims: Vec<NodeKey> = if whole_version {
+                    let v = written[pick as usize % written.len()].version;
+                    written.iter().filter(|k| k.version == v).copied().collect()
+                } else {
+                    let mask = pick.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let skip = |j: usize| (mask >> (j % 32 * 2)) & 3 != 0;
+                    written.iter().enumerate().filter(|(j, _)| !skip(*j)).map(|(_, k)| *k).collect()
+                };
+                let mut expect = 0;
+                for k in &victims {
+                    expect += usize::from(one.remove(k));
+                }
+                let mut sent = victims.clone();
+                sent.extend(victims.last().copied());
+                prop_assert_eq!(batch.remove_all(&sent), expect);
+                prop_assert_eq!(contents(&batch), contents(&one));
+                for blob in &blobs {
+                    let latest = blob.roots.len() as u64;
+                    for q in edge_queries(blob.pages, (pick, latest)) {
+                        for v in [1, 1 + pick % latest, latest + 2] {
+                            let v = VersionId(v);
+                            prop_assert_eq!(
+                                batch.range_cover(blob.id, v, &q, None, usize::MAX),
+                                one.range_cover(blob.id, v, &q, None, usize::MAX)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Partitioning is part of the deployment's shape: which metadata
@@ -745,7 +972,7 @@ mod tests {
             assert!(s.put(key(1, v, 0, 4), inner()));
         }
         let range = NodeRange::new(0, 4);
-        let versions = |s: &MetaStore| s.by_blob[&BlobId(1)].versions[&range].clone();
+        let versions = |s: &MetaStore| s.versions(BlobId(1), range);
         // The version `range_cover` resolves the range to in version `v`'s tree.
         let at = |s: &MetaStore, v| {
             let (nodes, _) = s.range_cover(BlobId(1), VersionId(v), &range.interval(), None, 8);
@@ -758,6 +985,97 @@ mod tests {
         assert!(s.remove(&key(1, 9, 0, 4)));
         assert_eq!(versions(&s), [1, 3, 7].map(VersionId));
         assert_eq!((at(&s, 6), at(&s, 100)), (3, 7));
+    }
+
+    /// Collecting a range's newest version hands both lookups to the one
+    /// below it.
+    #[test]
+    fn removing_the_newest_promotes_the_previous() {
+        let mut s = MetaStore::new();
+        let leaf = |v| MetaNode::Leaf {
+            chunk: ChunkDescriptor {
+                key: ChunkKey { blob: BlobId(1), version: VersionId(v), page: 0 },
+                replicas: vec![NodeId(0)],
+                size: PAGE,
+            },
+        };
+        for v in [2, 4, 6] {
+            s.put(key(1, v, 0, 1), leaf(v));
+        }
+        let q = PageInterval::new(0, 1);
+        let cover = |s: &MetaStore, v| s.range_cover(BlobId(1), VersionId(v), &q, None, 8).0;
+        assert!(s.remove(&key(1, 6, 0, 1)));
+        assert_eq!(s.get(&key(1, 6, 0, 1)), None);
+        assert_eq!(s.get(&key(1, 4, 0, 1)), Some(&leaf(4)));
+        assert_eq!(cover(&s, 9), vec![(key(1, 4, 0, 1), leaf(4))]);
+        assert_eq!(s.remove_all(&[key(1, 4, 0, 1)]), 1);
+        assert_eq!(cover(&s, 9), vec![(key(1, 2, 0, 1), leaf(2))]);
+        assert_eq!(s.get(&key(1, 2, 0, 1)), Some(&leaf(2)));
+        assert_eq!((s.len(), s.bytes()), (1, leaf(2).wire_size()));
+    }
+
+    /// A retransmitted older version is refused like any duplicate: it is
+    /// not stored twice, not counted twice and not a late put.
+    #[test]
+    fn duplicate_put_of_an_older_version_counts_nothing() {
+        let mut s = MetaStore::new();
+        for v in [1, 2, 3] {
+            assert!(s.put(key(1, v, 0, 4), inner()));
+        }
+        let before = (s.len(), s.bytes(), s.late_puts());
+        assert!(!s.put(key(1, 2, 0, 4), inner()));
+        assert!(!s.put(key(1, 1, 0, 4), inner()));
+        assert!(!s.put(key(1, 3, 0, 4), inner()));
+        assert_eq!((s.len(), s.bytes(), s.late_puts()), before);
+        assert_eq!(s.versions(BlobId(1), NodeRange::new(0, 4)), [1, 2, 3].map(VersionId));
+    }
+
+    #[test]
+    fn keys_lists_every_node_once() {
+        let mut s = MetaStore::new();
+        for (b, v, st, l) in [(1, 1, 0, 4), (1, 2, 0, 4), (1, 3, 0, 4), (1, 2, 0, 2), (2, 1, 0, 1)] {
+            s.put(key(b, v, st, l), inner());
+        }
+        s.put(key(1, 0, 0, 4), inner());
+        assert!(s.remove(&key(1, 3, 0, 4)));
+        assert_eq!(s.remove_all(&[key(1, 1, 0, 4), key(2, 1, 0, 1), key(9, 1, 0, 1)]), 2);
+        s.put(key(2, 5, 0, 1), inner());
+        let mut keys: Vec<_> = s.keys().map(|k| (k.blob.0, k.version.0, k.range.start, k.range.len)).collect();
+        keys.sort();
+        assert_eq!(keys, [(1, 0, 0, 4), (1, 2, 0, 2), (1, 2, 0, 4), (2, 5, 0, 1)]);
+        assert_eq!(s.keys().count(), s.len());
+    }
+
+    /// The heap estimate follows the store: it grows as versions and
+    /// ranges arrive, and falls as ranges go.
+    #[test]
+    fn resident_bytes_grows_with_puts_and_falls_with_ranges() {
+        let mut s = MetaStore::new();
+        assert_eq!(s.resident_bytes(), 0);
+        s.put(key(1, 1, 0, 1), inner());
+        let one = s.resident_bytes();
+        assert!(one > 0);
+        for v in 2..=64 {
+            s.put(key(1, v, 0, 1), inner());
+        }
+        let deep = s.resident_bytes();
+        assert!(deep >= one + 63 * size_of::<(VersionId, MetaNode)>() as u64, "{one} → {deep}");
+        for p in 1..256 {
+            s.put(key(1, 1, p, 1), inner());
+        }
+        let wide = s.resident_bytes();
+        assert!(wide > deep + 255 * size_of::<(NodeRange, Versions)>() as u64, "{deep} → {wide}");
+        // Each of those ranges' last version goes: the table gives back
+        // its buckets.
+        let gone: Vec<NodeKey> = (1..256).map(|p| key(1, 1, p, 1)).collect();
+        assert_eq!(s.remove_all(&gone), 255);
+        assert!(s.resident_bytes() < wide / 2, "{wide} → {}", s.resident_bytes());
+        // And with the BLOB's last range, its table.
+        let blob = s.resident_bytes();
+        let last: Vec<NodeKey> = (1..=64).map(|v| key(1, v, 0, 1)).collect();
+        assert_eq!(s.remove_all(&last), 64);
+        assert!(s.is_empty());
+        assert!(s.resident_bytes() < blob, "{blob} → {}", s.resident_bytes());
     }
 
     #[test]

@@ -694,12 +694,7 @@ impl Service for MetaProviderService {
                 env.send(from, Msg::GetMetaRangeOk { req, nodes, more });
             }
             Msg::DeleteMeta { req, keys } => {
-                let mut removed = 0;
-                for k in &keys {
-                    if self.store.remove(k) {
-                        removed += 1;
-                    }
-                }
+                let removed = self.store.remove_all(&keys) as u32;
                 env.send(from, Msg::DeleteMetaOk { req, removed });
             }
             Msg::PatchLeaf { req, key, replicas } => {
@@ -729,6 +724,7 @@ impl Service for MetaProviderService {
                 let (reg, labels) = (env.telemetry(), [("node", node.as_str())]);
                 reg.set("meta.tree_nodes", &labels, self.store.len() as f64);
                 reg.set("meta.store_bytes", &labels, self.store.bytes() as f64);
+                reg.set("mem.meta_store_bytes", &labels, self.store.resident_bytes() as f64);
                 self.ops_since_hb = 0;
                 env.set_timer(self.cfg.heartbeat_every, TOKEN_HEARTBEAT);
             }

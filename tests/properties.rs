@@ -626,7 +626,7 @@ mod repair_equivalence {
                     let dead_v = VersionId(dead_idx as u64 + 1);
                     let some_node = store
                         .keys()
-                        .any(|k| k.version == dead_v && matches!(store.get(k), Some(MetaNode::Inner { .. }) | Some(MetaNode::Leaf { .. })));
+                        .any(|k| k.version == dead_v && matches!(store.get(&k), Some(MetaNode::Inner { .. }) | Some(MetaNode::Leaf { .. })));
                     prop_assert!(some_node, "repair materialized v{}'s nodes", dead_v.0);
                 }
             }
