@@ -114,6 +114,13 @@ impl Versions {
         self.older.binary_search_by_key(&version, |(v, _)| *v)
     }
 
+    fn get(&self, version: VersionId) -> Option<&MetaNode> {
+        if self.newest.0 == version {
+            return Some(&self.newest.1);
+        }
+        Some(&self.older[self.find_older(version).ok()?].1)
+    }
+
     fn get_mut(&mut self, version: VersionId) -> Option<&mut MetaNode> {
         if self.newest.0 == version {
             return Some(&mut self.newest.1);
@@ -181,15 +188,10 @@ impl MetaStore {
 
     /// Fetch a node.
     pub fn get(&self, key: &NodeKey) -> Option<&MetaNode> {
-        let vs = self.by_blob.get(&key.blob)?.ranges.get(&key.range)?;
-        if vs.newest.0 == key.version {
-            return Some(&vs.newest.1);
-        }
-        vs.older.get(vs.find_older(key.version).ok()?).map(|(_, n)| n)
+        self.by_blob.get(&key.blob)?.ranges.get(&key.range)?.get(key.version)
     }
 
-    /// Remove a node (used by the data-removal strategies when reclaiming
-    /// whole versions). Returns whether it existed.
+    /// Remove one node. Returns whether it existed.
     pub fn remove(&mut self, key: &NodeKey) -> bool {
         let Some(ranges) = self.by_blob.get_mut(&key.blob) else {
             return false;
@@ -225,7 +227,6 @@ impl MetaStore {
     pub fn remove_all(&mut self, keys: &[NodeKey]) -> usize {
         let mut keys = keys.to_vec();
         keys.sort_unstable_by_key(|k| (k.blob, k.range.start, k.range.len, k.version));
-        keys.dedup();
         let mut removed = 0;
         for group in keys.chunk_by(|a, b| (a.blob, a.range) == (b.blob, b.range)) {
             let (blob, range) = (group[0].blob, group[0].range);
@@ -247,7 +248,9 @@ impl MetaStore {
                 }
                 !hit
             });
-            shrink_if_sparse(&mut vs.older);
+            if vs.older.len() < vs.older.capacity() / 4 {
+                vs.older.shrink_to_fit();
+            }
             if doomed.any(|d| d == vs.newest.0) {
                 count += 1;
                 freed += vs.newest.1.wire_size();
@@ -454,13 +457,6 @@ fn table_bytes<K, V>(map: &FastMap<K, V>) -> usize {
         c => c / 7 * 8,
     };
     buckets * (size_of::<(K, V)>() + 1)
-}
-
-/// Give back a list's spare capacity once it is less than a quarter used.
-fn shrink_if_sparse<T>(list: &mut Vec<T>) {
-    if list.len() < list.capacity() / 4 {
-        list.shrink_to_fit();
-    }
 }
 
 #[cfg(test)]
@@ -929,8 +925,9 @@ mod tests {
                 for k in &victims {
                     expect += usize::from(one.remove(k));
                 }
-                let mut sent = victims.clone();
-                sent.extend(victims.last().copied());
+                // Each key three times: runs of keys that are not (or no
+                // longer) stored must not hide the stored one after them.
+                let sent: Vec<NodeKey> = victims.iter().flat_map(|k| [*k; 3]).collect();
                 prop_assert_eq!(batch.remove_all(&sent), expect);
                 prop_assert_eq!(contents(&batch), contents(&one));
                 for blob in &blobs {
@@ -1076,6 +1073,22 @@ mod tests {
         assert_eq!(s.remove_all(&last), 64);
         assert!(s.is_empty());
         assert!(s.resident_bytes() < blob, "{blob} → {}", s.resident_bytes());
+    }
+
+    /// The bucket count `table_bytes` infers from `capacity()` is what the
+    /// table allocates: a power of two, at least 8/7 of the entries held
+    /// from 8 buckets up, and never twice what those entries need.
+    #[test]
+    fn table_bytes_infers_the_bucket_count() {
+        let mut m: FastMap<u64, u64> = FastMap::default();
+        assert_eq!(table_bytes(&m), 0);
+        for n in 1..=2000u64 {
+            m.insert(n, n);
+            let buckets = table_bytes(&m) / (size_of::<(u64, u64)>() + 1);
+            assert!(buckets.is_power_of_two(), "{n} entries: {buckets} buckets");
+            assert!(buckets > m.len() && (buckets < 8 || buckets / 8 * 7 >= m.len()));
+            assert!(buckets <= 4 || buckets / 2 / 8 * 7 < m.len(), "{n} entries: {buckets}");
+        }
     }
 
     #[test]
