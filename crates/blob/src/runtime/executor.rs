@@ -280,8 +280,22 @@ pub(crate) struct ExecShared {
 }
 
 impl ExecShared {
-    fn now_ns(&self) -> u64 {
+    /// Wall-clock nanoseconds since the cluster started: the clock every
+    /// span and timer of the cluster is stamped with.
+    pub(crate) fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
+    }
+
+    pub(crate) fn telemetry(&self) -> &Arc<TelemetryRegistry> {
+        &self.telem
+    }
+
+    pub(crate) fn span_sink(&self) -> Option<&Arc<SpanSink>> {
+        self.sink.as_ref()
+    }
+
+    pub(crate) fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
+        self.recorder.as_ref()
     }
 
     /// Route an envelope; it is dropped if the slot is dead or unknown.

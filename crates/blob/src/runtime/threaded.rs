@@ -139,6 +139,27 @@ impl ClientHandle {
         self.client_id
     }
 
+    /// The live telemetry registry of the cluster this client belongs to.
+    pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
+        self.exec.telemetry()
+    }
+
+    /// The cluster's span sink, when tracing is on.
+    pub fn span_sink(&self) -> Option<&Arc<SpanSink>> {
+        self.exec.span_sink()
+    }
+
+    /// The cluster's flight recorder, unless disabled at build time.
+    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
+        self.exec.flight_recorder()
+    }
+
+    /// Wall-clock nanoseconds since the cluster started: the clock its
+    /// spans are stamped with.
+    pub fn now_ns(&self) -> u64 {
+        self.exec.now_ns()
+    }
+
     /// Run `op` to completion, blocking the calling thread.
     pub(crate) fn run(&self, op: ClientOp, trace: Option<TraceCtx>) -> Result<OpOutput, BlobError> {
         let (tx, rx) = bounded(1);
@@ -207,20 +228,9 @@ impl ClientHandle {
 
     /// Write real bytes at an offset (page-aligned, page-multiple length).
     pub fn write(&self, blob: BlobId, offset: u64, data: Bytes) -> Result<VersionId, BlobError> {
-        self.write_traced(blob, offset, data, None)
-    }
-
-    /// [`write`](ClientHandle::write), nesting the op under `trace`.
-    pub fn write_traced(
-        &self,
-        blob: BlobId,
-        offset: u64,
-        data: Bytes,
-        trace: Option<TraceCtx>,
-    ) -> Result<VersionId, BlobError> {
         match self.run(
             ClientOp::Write { blob, kind: WriteKind::At(offset), data: Payload::Data(data) },
-            trace,
+            None,
         )? {
             OpOutput::Written { version, .. } => Ok(version),
             _ => Err(BlobError::Protocol("wrong output for write")),
@@ -415,8 +425,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Share an externally created telemetry registry (e.g. one also
-    /// installed on an `ObjectGateway` in `sads-gateway`) instead of the
+    /// Share an externally created telemetry registry instead of the
     /// cluster's own. Telemetry is always on in the threaded runtime;
     /// this only controls *which* registry the nodes write.
     pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
@@ -472,29 +481,21 @@ impl ClusterBuilder {
 
     /// The running executor, with no node yet.
     fn launch(&self) -> Cluster {
-        let start = Instant::now();
-        let telemetry =
-            self.telemetry.clone().unwrap_or_else(|| Arc::new(TelemetryRegistry::new()));
-        let flight_recorder = self.flight_recorder.then(|| Arc::new(FlightRecorder::new()));
         let exec = Executor::start(
             self.executor_shards,
-            start,
-            Arc::clone(&telemetry),
+            Instant::now(),
+            self.telemetry.clone().unwrap_or_else(|| Arc::new(TelemetryRegistry::new())),
             self.span_sink.clone(),
-            flight_recorder.clone(),
+            self.flight_recorder.then(|| Arc::new(FlightRecorder::new())),
         );
         Cluster {
             exec,
-            start,
             pman: NodeId(0),
             vman: NodeId(0),
             meta: Vec::new(),
             data: Vec::new(),
             service_cfg: self.service_cfg.clone(),
             client_cfg: self.client_cfg,
-            span_sink: self.span_sink.clone(),
-            telemetry,
-            flight_recorder,
             backend: self.backend.clone(),
             provider_backends: std::collections::HashMap::new(),
             next_backend_ordinal: 0,
@@ -502,10 +503,11 @@ impl ClusterBuilder {
     }
 }
 
-/// A running threaded BlobSeer deployment.
+/// A running threaded BlobSeer deployment. Its registry, span sink,
+/// flight recorder and clock belong to its executor, and every
+/// [`ClientHandle`] it hands out reads the same ones.
 pub struct Cluster {
     exec: Executor,
-    start: Instant,
     /// Provider manager address.
     pub pman: NodeId,
     /// Version manager address.
@@ -516,9 +518,6 @@ pub struct Cluster {
     pub data: Vec<NodeId>,
     service_cfg: ServiceConfig,
     client_cfg: ClientConfig,
-    span_sink: Option<Arc<SpanSink>>,
-    telemetry: Arc<TelemetryRegistry>,
-    flight_recorder: Option<Arc<FlightRecorder>>,
     /// Deployment-wide backend selection for data providers.
     backend: BackendSpec,
     /// Which backend each data provider was opened with — consulted by
@@ -531,19 +530,19 @@ pub struct Cluster {
 impl Cluster {
     /// The span sink recording this cluster's traces, when tracing is on.
     pub fn span_sink(&self) -> Option<&Arc<SpanSink>> {
-        self.span_sink.as_ref()
+        self.exec.shared().span_sink()
     }
 
     /// The cluster's live telemetry registry — every node's counters,
     /// gauges and heartbeat health gauges, readable while the cluster
     /// runs.
     pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
-        &self.telemetry
+        self.exec.shared().telemetry()
     }
 
     /// The always-on flight recorder, unless disabled at build time.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight_recorder.as_ref()
+        self.exec.shared().flight_recorder()
     }
 
     /// How many executor shards (worker threads) this cluster runs on.
@@ -622,7 +621,7 @@ impl Cluster {
 
     /// Send a raw message into the cluster (enforcement, tests).
     pub fn send(&self, to: NodeId, msg: Msg) {
-        let sent_ns = self.start.elapsed().as_nanos() as u64;
+        let sent_ns = self.exec.shared().now_ns();
         self.exec.shared().send_to(
             to,
             Envelope::Msg { from: NodeId::EXTERNAL, msg, trace: None, sent_ns },
@@ -668,12 +667,12 @@ impl Cluster {
     /// A reader over the counters and time series the cluster's nodes
     /// recorded so far.
     pub fn metrics(&self) -> Metrics {
-        Metrics::new(Arc::clone(&self.telemetry))
+        Metrics::new(Arc::clone(self.telemetry()))
     }
 
     /// Wall-clock time since cluster start, as the cluster's `SimTime`.
     pub fn now(&self) -> SimTime {
-        SimTime(self.start.elapsed().as_nanos() as u64)
+        SimTime(self.exec.shared().now_ns())
     }
 
     /// Shut the executor down and join its workers. Envelopes still

@@ -18,11 +18,16 @@
 //! read paths zero-extend it (a GET never reads past the object's length
 //! anyway). Overwrites publish new BLOB versions, which gives in-flight
 //! GETs snapshot isolation for free.
+//!
+//! The gateway has no observation plane of its own. Each request is
+//! counted, timed and — on a cluster built with a span sink — traced in
+//! the registry, sink and clock of the cluster it fronts, so its
+//! `/metrics` and `statusz` cover that cluster and a request's trace
+//! runs from the S3 call down to the providers.
 
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -30,10 +35,9 @@ use parking_lot::Mutex;
 use sads_blob::runtime::threaded::{ClientHandle, CLIENT_GONE};
 use sads_blob::stream::BlobReadHandle;
 use sads_blob::{BlobError, BlobId, BlobSpec, ClientId, VersionId, WriteKind};
-use sads_sim::{FlightRecorder, SpanClass, SpanKind, SpanRecord, SpanSink, TraceCtx};
+use sads_sim::{SpanClass, SpanKind, SpanRecord, TraceCtx};
 use sads_telemetry::{
-    derive_health, HealthPolicy, HealthState, Registry as TelemetryRegistry, SampleValue, Snapshot,
-    HEARTBEAT_GAUGE,
+    derive_health, HealthPolicy, HealthState, SampleValue, Snapshot, HEARTBEAT_GAUGE,
 };
 
 /// Bucket-level access control, after S3's canned ACLs.
@@ -174,27 +178,21 @@ impl Default for GatewayConfig {
 
 /// The S3-compatible front end. Cheap to share behind an `Arc`; all
 /// methods take the acting principal explicitly, as the HTTP layer would
-/// after authentication.
+/// after authentication. When the cluster was built with
+/// [`ClusterBuilder::span_sink`], each request records one `gateway`
+/// `Op` span, the backing BLOB ops nest under it, and its latency carries
+/// the trace id as an exemplar.
+///
+/// [`ClusterBuilder::span_sink`]: sads_blob::runtime::threaded::ClusterBuilder::span_sink
 pub struct ObjectGateway {
+    /// Every client belongs to the same cluster; the first one reads its
+    /// observation plane.
     clients: Vec<ClientHandle>,
     next_client: std::sync::atomic::AtomicUsize,
     cfg: GatewayConfig,
     buckets: Mutex<BTreeMap<String, Bucket>>,
     uploads: Mutex<BTreeMap<u64, Multipart>>,
     next_upload: std::sync::atomic::AtomicU64,
-    /// Span sink when request tracing is on (one `Op` span per S3
-    /// request; the backing BLOB ops nest under it).
-    span_sink: Option<Arc<SpanSink>>,
-    /// Live metrics registry: per-op request/error counters and latency
-    /// histograms, plus whatever the backing cluster writes when the
-    /// registry is shared via [`set_telemetry`](ObjectGateway::set_telemetry).
-    telemetry: Arc<TelemetryRegistry>,
-    /// Flight recorder shared with the backing cluster, when attached —
-    /// lets [`statusz`](ObjectGateway::statusz) report ring occupancy and
-    /// recent dumps next to the health verdicts.
-    flight_recorder: Option<Arc<FlightRecorder>>,
-    /// Wall-clock origin for gateway span timestamps.
-    started: Instant,
 }
 
 /// Response of a traced S3 request: the payload plus the trace id the
@@ -205,7 +203,8 @@ pub struct ObjectGateway {
 pub struct Traced<T> {
     /// The S3 response body.
     pub body: T,
-    /// Trace id of the request's span tree (the response-header echo).
+    /// Trace id of the request's span tree (the response-header echo);
+    /// 0 when the cluster does not trace.
     pub trace_id: u64,
 }
 
@@ -392,7 +391,9 @@ impl ObjectGateway {
 
     /// A gateway multiplexing requests over a pool of BlobSeer clients
     /// (round-robin), so concurrent tenants do not serialize on a single
-    /// client thread.
+    /// client thread. The clients must all belong to one cluster: the
+    /// gateway reads that cluster's registry, span sink, flight recorder
+    /// and clock through the first of them.
     pub fn with_clients(clients: Vec<ClientHandle>, cfg: GatewayConfig) -> Self {
         assert!(!clients.is_empty(), "at least one client");
         ObjectGateway {
@@ -402,81 +403,75 @@ impl ObjectGateway {
             buckets: Mutex::new(BTreeMap::new()),
             uploads: Mutex::new(BTreeMap::new()),
             next_upload: std::sync::atomic::AtomicU64::new(1),
-            span_sink: None,
-            telemetry: Arc::new(TelemetryRegistry::new()),
-            flight_recorder: None,
-            started: Instant::now(),
         }
     }
 
-    /// Enable request tracing: each `*_traced` S3 request records one
-    /// `Op` span into `sink` and returns its trace id. Pass the same
-    /// sink to [`ClusterBuilder::span_sink`] so the backing BLOB client
-    /// ops, their RPCs and the server-side handles nest under it.
-    ///
-    /// [`ClusterBuilder::span_sink`]: sads_blob::runtime::threaded::ClusterBuilder::span_sink
-    pub fn set_span_sink(&mut self, sink: Arc<SpanSink>) {
-        self.span_sink = Some(sink);
-    }
-
-    /// Share a metrics registry with the gateway. Pass the cluster's
-    /// registry ([`Cluster::telemetry`]) so one scrape covers both the
-    /// S3 front end and the backing BLOB services.
-    ///
-    /// [`Cluster::telemetry`]: sads_blob::runtime::threaded::Cluster::telemetry
-    pub fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>) {
-        self.telemetry = registry;
-    }
-
-    /// The live metrics registry backing [`get_metrics`](ObjectGateway::get_metrics).
-    pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
-        &self.telemetry
-    }
-
-    /// Share the cluster's flight recorder
-    /// ([`Cluster::flight_recorder`]) so `statusz` reports ring occupancy
-    /// and triggered dumps alongside the health verdicts.
-    ///
-    /// [`Cluster::flight_recorder`]: sads_blob::runtime::threaded::Cluster::flight_recorder
-    pub fn set_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.flight_recorder = Some(recorder);
-    }
-
-    /// Count and time one S3 operation: `gateway.requests{op=..}`,
-    /// `gateway.errors{op=..}` and a `gateway.op_seconds{op=..}` latency
-    /// observation.
-    fn track<T>(
+    /// Run one S3 request: count it in `gateway.requests{op=..}` (and
+    /// `gateway.errors{op=..}` when it fails) and observe its latency on
+    /// the cluster clock in `gateway.op_seconds{op=..}`. When the cluster
+    /// traces, `f` gets the request's root context, under which the
+    /// backing BLOB ops nest; the root is recorded as one `gateway` `Op`
+    /// span, and the trace id the client receives in `x-sads-trace-id`
+    /// is attached to the latency as an exemplar, so "what was one of
+    /// the slow ones?" is answerable straight from a `/metrics` scrape.
+    fn request<T>(
         &self,
         op: &'static str,
-        f: impl FnOnce() -> Result<T, GatewayError>,
+        f: impl FnOnce(Option<TraceCtx>) -> Result<T, GatewayError>,
     ) -> Result<T, GatewayError> {
+        let cluster = &self.clients[0];
+        let (telemetry, sink) = (cluster.telemetry(), cluster.span_sink());
         let labels = [("op", op)];
-        self.telemetry.inc("gateway.requests", &labels, 1);
-        let start = self.started.elapsed();
-        let out = f();
-        let elapsed = (self.started.elapsed() - start).as_secs_f64();
-        self.telemetry.observe("gateway.op_seconds", &labels, elapsed);
+        telemetry.inc("gateway.requests", &labels, 1);
+        let trace =
+            sink.map(|s| TraceCtx { trace_id: s.next_id(), span_id: s.next_id(), parent: 0 });
+        let start_ns = cluster.now_ns();
+        let out = f(trace);
+        let end_ns = cluster.now_ns();
+        let elapsed_s = end_ns.saturating_sub(start_ns) as f64 / 1e9;
+        telemetry.observe("gateway.op_seconds", &labels, elapsed_s);
         if out.is_err() {
-            self.telemetry.inc("gateway.errors", &labels, 1);
+            telemetry.inc("gateway.errors", &labels, 1);
+        }
+        if let (Some(sink), Some(tc)) = (sink, trace) {
+            sink.record(SpanRecord {
+                trace: tc.trace_id,
+                span: tc.span_id,
+                parent: 0,
+                service: "gateway",
+                op,
+                node: u64::MAX,
+                start_ns,
+                end_ns,
+                kind: SpanKind::Op,
+                class: SpanClass::Control,
+                queue_ns: 0,
+                xfer_ns: 0,
+                wire_ns: 0,
+            });
+            telemetry.attach_exemplar("gateway.op_seconds", &labels, elapsed_s, tc.trace_id);
         }
         out
     }
 
-    /// Render the registry in Prometheus text exposition format — the
-    /// `/metrics` endpoint body. When a span sink is attached its drop
-    /// counter and per-operation span statistics are refreshed into the
-    /// registry first, so trace health is scraped alongside the metrics.
+    /// Render the cluster's registry in Prometheus text exposition
+    /// format — the `/metrics` endpoint body. When the cluster traces,
+    /// its span sink's drop counter and per-operation span statistics are
+    /// refreshed into the registry first, so trace health is scraped
+    /// alongside the metrics.
     pub fn get_metrics(&self) -> String {
-        if let Some(sink) = &self.span_sink {
-            sads_telemetry::export_span_stats(&self.telemetry, sink);
+        let telemetry = self.clients[0].telemetry();
+        if let Some(sink) = self.clients[0].span_sink() {
+            sads_telemetry::export_span_stats(telemetry, sink);
         }
-        self.telemetry.render()
+        telemetry.render()
     }
 
-    /// Structured point-in-time view of the registry, for programmatic
-    /// consumers (the introspection timeseries ingester, tests).
+    /// Structured point-in-time view of the cluster's registry, for
+    /// programmatic consumers (the introspection timeseries ingester,
+    /// tests).
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.telemetry.snapshot()
+        self.clients[0].telemetry().snapshot()
     }
 
     /// Render the plain-text `/statusz` page: uptime, per-node health
@@ -488,7 +483,7 @@ impl ObjectGateway {
         let snap = self.metrics_snapshot();
         let mut out = String::with_capacity(1024);
         out.push_str("=== gateway statusz ===\n");
-        out.push_str(&format!("uptime_s: {:.3}\n", self.started.elapsed().as_secs_f64()));
+        out.push_str(&format!("uptime_s: {:.3}\n", self.clients[0].now_ns() as f64 / 1e9));
 
         // Health. Heartbeat gauges carry the cluster's own clock, so the
         // freshest beat is the best "now" available to a reader that must
@@ -546,7 +541,7 @@ impl ObjectGateway {
 
         // Flight recorder: ring occupancy plus the reason and time of the
         // most recent auto-capture, if any fired.
-        match &self.flight_recorder {
+        match self.clients[0].flight_recorder() {
             Some(rec) => {
                 out.push_str(&rec.summary());
                 if let Some(dump) = rec.last_dump() {
@@ -595,49 +590,6 @@ impl ObjectGateway {
         &self.clients[i % self.clients.len()]
     }
 
-    /// Open a per-request trace root, when tracing is on.
-    fn begin_request(&self) -> Option<(Arc<SpanSink>, TraceCtx, u64)> {
-        let sink = self.span_sink.clone()?;
-        let trace_id = sink.next_id();
-        let span_id = sink.next_id();
-        let start_ns = self.started.elapsed().as_nanos() as u64;
-        Some((sink, TraceCtx { trace_id, span_id, parent: 0 }, start_ns))
-    }
-
-    /// Close a per-request trace root opened by `begin_request`. Besides
-    /// recording the root span, the request's latency is attached to the
-    /// `gateway.op_seconds{op=..}` histogram as an exemplar: the same
-    /// trace id the client received in `x-sads-trace-id` shows up on the
-    /// bucket its latency landed in, so "what was one of the slow ones?"
-    /// is answerable straight from a `/metrics` scrape.
-    fn end_request(&self, req: &(Arc<SpanSink>, TraceCtx, u64), op: &'static str) {
-        let (sink, tc, start_ns) = req;
-        let end_ns = self.started.elapsed().as_nanos() as u64;
-        sink.record(SpanRecord {
-            trace: tc.trace_id,
-            span: tc.span_id,
-            parent: 0,
-            service: "gateway",
-            op,
-            node: u64::MAX,
-            start_ns: *start_ns,
-            end_ns,
-            kind: SpanKind::Op,
-            class: SpanClass::Control,
-            queue_ns: 0,
-            xfer_ns: 0,
-            wire_ns: 0,
-        });
-        // `track` already counted this observation; only decorate it.
-        let elapsed_s = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
-        self.telemetry.attach_exemplar(
-            "gateway.op_seconds",
-            &[("op", op)],
-            elapsed_s,
-            tc.trace_id,
-        );
-    }
-
     /// Create a bucket owned by `principal`.
     pub fn create_bucket(
         &self,
@@ -645,7 +597,7 @@ impl ObjectGateway {
         name: &str,
         acl: Acl,
     ) -> Result<(), GatewayError> {
-        self.track("create_bucket", || {
+        self.request("create_bucket", |_| {
             if !valid_name(name) {
                 return Err(GatewayError::InvalidName);
             }
@@ -662,7 +614,7 @@ impl ObjectGateway {
     /// multipart upload (an upload completing into a deleted bucket could
     /// never publish, nor decommission its BLOB).
     pub fn delete_bucket(&self, principal: ClientId, name: &str) -> Result<(), GatewayError> {
-        self.track("delete_bucket", || {
+        self.request("delete_bucket", |_| {
             let mut b = self.buckets.lock();
             let bucket = b.get(name).ok_or(GatewayError::NoSuchBucket)?;
             if bucket.owner != principal {
@@ -679,7 +631,7 @@ impl ObjectGateway {
 
     /// Buckets visible to the principal (owner or public).
     pub fn list_buckets(&self, principal: ClientId) -> Vec<String> {
-        let listed = self.track("list_buckets", || {
+        let listed = self.request("list_buckets", |_| {
             let b = self.buckets.lock();
             let visible = b.iter().filter(|(_, b)| b.owner == principal || b.acl == Acl::PublicRead);
             Ok(visible.map(|(n, _)| n.clone()).collect())
@@ -709,13 +661,13 @@ impl ObjectGateway {
         key: &str,
         data: Bytes,
     ) -> Result<ObjectInfo, GatewayError> {
-        self.track("put_object", || self.put_object_inner(principal, bucket, key, data, None))
+        self.request("put_object", |trace| {
+            self.put_object_inner(principal, bucket, key, data, trace)
+        })
     }
 
-    /// [`put_object`](ObjectGateway::put_object) with request tracing:
-    /// records one `gateway.put_object` span covering the whole request
-    /// (the backing BLOB create/write nest under it) and returns the
-    /// trace id alongside the object info.
+    /// [`put_object`](ObjectGateway::put_object), also returning the
+    /// request's trace id (0 when the cluster does not trace).
     pub fn put_object_traced(
         &self,
         principal: ClientId,
@@ -723,15 +675,10 @@ impl ObjectGateway {
         key: &str,
         data: Bytes,
     ) -> Result<Traced<ObjectInfo>, GatewayError> {
-        let req = self.begin_request();
-        let trace = req.as_ref().map(|(_, tc, _)| *tc);
-        let result =
-            self.track("put_object", || self.put_object_inner(principal, bucket, key, data, trace));
-        if let Some(req) = &req {
-            self.end_request(req, "put_object");
-        }
-        let trace_id = req.map(|(_, tc, _)| tc.trace_id).unwrap_or(0);
-        result.map(|body| Traced { body, trace_id })
+        self.request("put_object", |trace| {
+            let body = self.put_object_inner(principal, bucket, key, data, trace)?;
+            Ok(Traced { body, trace_id: trace.map_or(0, |tc| tc.trace_id) })
+        })
     }
 
     fn put_object_inner(
@@ -755,13 +702,7 @@ impl ObjectGateway {
         };
         let blob = match existing {
             Some(blob) => blob,
-            None => self.client().create_traced(
-                BlobSpec {
-                    page_size: self.cfg.page_size,
-                    replication: self.cfg.replication,
-                },
-                trace,
-            )?,
+            None => self.client().create_traced(self.blob_spec(), trace)?,
         };
         let size = data.len() as u64;
         // At least one page so empty objects still publish a version.
@@ -771,6 +712,10 @@ impl ObjectGateway {
         let bucket_ref = b.get_mut(bucket).ok_or(GatewayError::NoSuchBucket)?;
         bucket_ref.objects.insert(key.to_owned(), info.clone());
         Ok(info)
+    }
+
+    fn blob_spec(&self) -> BlobSpec {
+        BlobSpec { page_size: self.cfg.page_size, replication: self.cfg.replication }
     }
 
     /// Stream `data` into `blob` through a bounded-memory write handle:
@@ -800,7 +745,7 @@ impl ObjectGateway {
         h.feed(data)?;
         h.feed_zeros(pages * page - size)?;
         let version = h.commit()?;
-        self.telemetry.inc("gateway.put_stream_chunks", &[], pages);
+        self.clients[0].telemetry().inc("gateway.put_stream_chunks", &[], pages);
         Ok((version, tag.finish()))
     }
 
@@ -814,27 +759,19 @@ impl ObjectGateway {
         self.get_object_range(principal, bucket, key, 0, u64::MAX)
     }
 
-    /// [`get_object`](ObjectGateway::get_object) with request tracing:
-    /// records one `gateway.get_object` span covering the whole request
-    /// (the backing BLOB read nests under it) and returns the trace id
-    /// alongside the body.
+    /// [`get_object`](ObjectGateway::get_object), also returning the
+    /// request's trace id (0 when the cluster does not trace).
     pub fn get_object_traced(
         &self,
         principal: ClientId,
         bucket: &str,
         key: &str,
     ) -> Result<Traced<Bytes>, GatewayError> {
-        let req = self.begin_request();
-        let trace = req.as_ref().map(|(_, tc, _)| *tc);
-        let result = self.track("get_object", || {
-            self.head_inner(principal, bucket, key)
-                .and_then(|info| self.read_pinned_inner(&info, 0, u64::MAX, trace))
-        });
-        if let Some(req) = &req {
-            self.end_request(req, "get_object");
-        }
-        let trace_id = req.map(|(_, tc, _)| tc.trace_id).unwrap_or(0);
-        result.map(|body| Traced { body, trace_id })
+        self.request("get_object", |trace| {
+            let info = self.head_inner(principal, bucket, key)?;
+            let body = self.read_pinned_inner(&info, 0, u64::MAX, trace)?;
+            Ok(Traced { body, trace_id: trace.map_or(0, |tc| tc.trace_id) })
+        })
     }
 
     /// Fetch a byte range of an object (S3 `Range` semantics: clamped to
@@ -847,9 +784,9 @@ impl ObjectGateway {
         offset: u64,
         len: u64,
     ) -> Result<Bytes, GatewayError> {
-        self.track("get_object", || {
+        self.request("get_object", |trace| {
             let info = self.head_inner(principal, bucket, key)?;
-            self.read_pinned_inner(&info, offset, len, None)
+            self.read_pinned_inner(&info, offset, len, trace)
         })
     }
 
@@ -861,6 +798,8 @@ impl ObjectGateway {
     /// of `chunk_window` pages, handed out a page per
     /// [`ObjectReader::next`] call, so a multi-GB GET pins
     /// `O(chunk_window × page_size)` bytes regardless of object size.
+    /// When the cluster traces, the reader's fetches join the request's
+    /// trace, after its root span has closed.
     pub fn get_object_reader(
         &self,
         principal: ClientId,
@@ -869,16 +808,11 @@ impl ObjectGateway {
         offset: u64,
         len: u64,
     ) -> Result<ObjectReader, GatewayError> {
-        self.track("get_object", || {
+        self.request("get_object", |trace| {
             let info = self.head_inner(principal, bucket, key)?;
             let len = if offset >= info.size { 0 } else { len.min(info.size - offset) };
-            let handle = self.client().open_read_stream(
-                info.blob,
-                Some(info.version),
-                offset,
-                len,
-                None,
-            )?;
+            let handle =
+                self.client().open_read_stream(info.blob, Some(info.version), offset, len, trace)?;
             Ok(ObjectReader { handle })
         })
     }
@@ -892,7 +826,7 @@ impl ObjectGateway {
         offset: u64,
         len: u64,
     ) -> Result<Bytes, GatewayError> {
-        self.track("read_pinned", || self.read_pinned_inner(info, offset, len, None))
+        self.request("read_pinned", |trace| self.read_pinned_inner(info, offset, len, trace))
     }
 
     fn read_pinned_inner(
@@ -919,11 +853,12 @@ impl ObjectGateway {
         bucket: &str,
         key: &str,
     ) -> Result<ObjectInfo, GatewayError> {
-        self.track("head_object", || self.head_inner(principal, bucket, key))
+        self.request("head_object", |_| self.head_inner(principal, bucket, key))
     }
 
-    /// [`head_object`](ObjectGateway::head_object) body, untracked so the
-    /// GET paths that call it internally count as one request, not two.
+    /// [`head_object`](ObjectGateway::head_object) body, outside a
+    /// request so the GET paths that call it count as one request, not
+    /// two.
     fn head_inner(
         &self,
         principal: ClientId,
@@ -948,7 +883,7 @@ impl ObjectGateway {
         bucket: &str,
         key: &str,
     ) -> Result<(), GatewayError> {
-        self.track("delete_object", || {
+        self.request("delete_object", |trace| {
             let blob = {
                 let b = self.buckets.lock();
                 let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
@@ -959,7 +894,7 @@ impl ObjectGateway {
             // version manager), before unlinking the key: a transient
             // failure leaves the object visible so the client's retry
             // finds it again.
-            self.client().decommission(blob)?;
+            self.client().decommission_traced(blob, trace)?;
             let mut b = self.buckets.lock();
             let bucket_ref = b.get_mut(bucket).ok_or(GatewayError::NoSuchBucket)?;
             bucket_ref.objects.remove(key);
@@ -980,14 +915,14 @@ impl ObjectGateway {
         bucket: &str,
         key: &str,
     ) -> Result<ObjectInfo, GatewayError> {
-        self.track("snapshot_object", || {
+        self.request("snapshot_object", |trace| {
             let info = {
                 let b = self.buckets.lock();
                 let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
                 self.check_write(principal, bucket_ref)?;
                 bucket_ref.objects.get(key).cloned().ok_or(GatewayError::NoSuchKey)?
             };
-            let pinned = self.client().snapshot(info.blob, Some(info.version))?;
+            let pinned = self.client().snapshot_traced(info.blob, Some(info.version), trace)?;
             Ok(ObjectInfo { version: pinned, ..info })
         })
     }
@@ -1004,59 +939,46 @@ impl ObjectGateway {
         key: &str,
         part_size: u64,
     ) -> Result<u64, GatewayError> {
-        self.track("create_multipart", || {
-            self.create_multipart_inner(principal, bucket, key, part_size)
-        })
-    }
-
-    fn create_multipart_inner(
-        &self,
-        principal: ClientId,
-        bucket: &str,
-        key: &str,
-        part_size: u64,
-    ) -> Result<u64, GatewayError> {
-        if !valid_name(key) {
-            return Err(GatewayError::InvalidName);
-        }
-        if part_size == 0 || !part_size.is_multiple_of(self.cfg.page_size) {
-            return Err(GatewayError::InvalidPart);
-        }
-        {
+        self.request("create_multipart", |trace| {
+            if !valid_name(key) {
+                return Err(GatewayError::InvalidName);
+            }
+            if part_size == 0 || !part_size.is_multiple_of(self.cfg.page_size) {
+                return Err(GatewayError::InvalidPart);
+            }
+            {
+                let b = self.buckets.lock();
+                let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
+                self.check_write(principal, bucket_ref)?;
+            }
+            // Lazy TTL sweep: uploads that were never completed or
+            // aborted would otherwise sit in the map forever.
+            self.sweep_stale_uploads();
+            let blob = self.client().create_traced(self.blob_spec(), trace)?;
+            let id = self.next_upload.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            // The upload is registered under the bucket lock, so a
+            // `delete_bucket` since the check above either went first (the
+            // BLOB is given back) or now sees the upload and refuses.
             let b = self.buckets.lock();
-            let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
-            self.check_write(principal, bucket_ref)?;
-        }
-        // Lazy TTL sweep: uploads that were never completed or aborted
-        // would otherwise sit in the map forever.
-        self.sweep_stale_uploads();
-        let blob = self.client().create(BlobSpec {
-            page_size: self.cfg.page_size,
-            replication: self.cfg.replication,
-        })?;
-        let id = self.next_upload.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // The upload is registered under the bucket lock, so a
-        // `delete_bucket` since the check above either went first (the
-        // BLOB is given back) or now sees the upload and refuses.
-        let b = self.buckets.lock();
-        if !b.contains_key(bucket) {
-            drop(b);
-            self.client().decommission(blob)?;
-            return Err(GatewayError::NoSuchBucket);
-        }
-        self.uploads.lock().insert(
-            id,
-            Multipart {
-                owner: principal,
-                bucket: bucket.to_owned(),
-                key: key.to_owned(),
-                blob,
-                part_size,
-                parts: BTreeMap::new(),
-                last_touched: Instant::now(),
-            },
-        );
-        Ok(id)
+            if !b.contains_key(bucket) {
+                drop(b);
+                self.client().decommission_traced(blob, trace)?;
+                return Err(GatewayError::NoSuchBucket);
+            }
+            self.uploads.lock().insert(
+                id,
+                Multipart {
+                    owner: principal,
+                    bucket: bucket.to_owned(),
+                    key: key.to_owned(),
+                    blob,
+                    part_size,
+                    parts: BTreeMap::new(),
+                    last_touched: Instant::now(),
+                },
+            );
+            Ok(id)
+        })
     }
 
     /// Drop every multipart upload idle for longer than
@@ -1092,7 +1014,7 @@ impl ObjectGateway {
                 // decommission round trip hit a transient outage.
                 let _ = self.client().decommission(blob);
                 expired += 1;
-                self.telemetry.inc("gateway.multipart_expired", &[], 1);
+                self.clients[0].telemetry().inc("gateway.multipart_expired", &[], 1);
             }
         }
         expired
@@ -1108,38 +1030,30 @@ impl ObjectGateway {
         part_number: u32,
         data: Bytes,
     ) -> Result<(), GatewayError> {
-        self.track("upload_part", || self.upload_part_inner(principal, upload_id, part_number, data))
-    }
-
-    fn upload_part_inner(
-        &self,
-        principal: ClientId,
-        upload_id: u64,
-        part_number: u32,
-        data: Bytes,
-    ) -> Result<(), GatewayError> {
-        let (blob, part_size, offset) = {
-            let u = self.uploads.lock();
-            let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
-            if up.owner != principal {
-                return Err(GatewayError::AccessDenied);
-            }
-            if part_number == 0 || data.is_empty() || data.len() as u64 > up.part_size {
-                return Err(GatewayError::InvalidPart);
-            }
-            (up.blob, up.part_size, (part_number as u64 - 1) * up.part_size)
-        };
-        let size = data.len() as u64;
-        // Stream the part into the blob at its slot: a short last part
-        // ends in a chunk of its true length (the rest of that page is
-        // declared zeros); nothing is buffered in the uploads map.
-        let (version, tag) = self.stream_in(blob, WriteKind::At(offset), data, 0, None)?;
-        let mut u = self.uploads.lock();
-        let up = u.get_mut(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
-        debug_assert_eq!(up.part_size, part_size);
-        up.parts.insert(part_number, (size, tag, version));
-        up.last_touched = Instant::now();
-        Ok(())
+        self.request("upload_part", |trace| {
+            let (blob, part_size, offset) = {
+                let u = self.uploads.lock();
+                let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
+                if up.owner != principal {
+                    return Err(GatewayError::AccessDenied);
+                }
+                if part_number == 0 || data.is_empty() || data.len() as u64 > up.part_size {
+                    return Err(GatewayError::InvalidPart);
+                }
+                (up.blob, up.part_size, (part_number as u64 - 1) * up.part_size)
+            };
+            let size = data.len() as u64;
+            // Stream the part into the blob at its slot: a short last part
+            // ends in a chunk of its true length (the rest of that page is
+            // declared zeros); nothing is buffered in the uploads map.
+            let (version, tag) = self.stream_in(blob, WriteKind::At(offset), data, 0, trace)?;
+            let mut u = self.uploads.lock();
+            let up = u.get_mut(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
+            debug_assert_eq!(up.part_size, part_size);
+            up.parts.insert(part_number, (size, tag, version));
+            up.last_touched = Instant::now();
+            Ok(())
+        })
     }
 
     /// Complete a multipart upload (S3 `CompleteMultipartUpload`): part
@@ -1150,67 +1064,59 @@ impl ObjectGateway {
         principal: ClientId,
         upload_id: u64,
     ) -> Result<ObjectInfo, GatewayError> {
-        self.track("complete_multipart", || self.complete_multipart_inner(principal, upload_id))
-    }
-
-    fn complete_multipart_inner(
-        &self,
-        principal: ClientId,
-        upload_id: u64,
-    ) -> Result<ObjectInfo, GatewayError> {
-        // Both locks, in `delete_bucket`'s order: the upload leaves the
-        // uploads map only as its object enters the bucket, so a delete
-        // never finds the bucket empty in between.
-        let mut b = self.buckets.lock();
-        let mut u = self.uploads.lock();
-        let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
-        if up.owner != principal {
-            return Err(GatewayError::AccessDenied);
-        }
-        let n = up.parts.len() as u32;
-        if n == 0 || *up.parts.keys().last().expect("nonempty") != n {
-            return Err(GatewayError::InvalidPart);
-        }
-        let mut size = 0u64;
-        let mut tag = 0xcbf2_9ce4_8422_2325u64;
-        let mut version = VersionId(0);
-        for (num, (len, part_tag, part_version)) in &up.parts {
-            if *num != n && *len != up.part_size {
+        self.request("complete_multipart", |_| {
+            // Both locks, in `delete_bucket`'s order: the upload leaves the
+            // uploads map only as its object enters the bucket, so a delete
+            // never finds the bucket empty in between.
+            let mut b = self.buckets.lock();
+            let mut u = self.uploads.lock();
+            let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
+            if up.owner != principal {
+                return Err(GatewayError::AccessDenied);
+            }
+            let n = up.parts.len() as u32;
+            if n == 0 || *up.parts.keys().last().expect("nonempty") != n {
                 return Err(GatewayError::InvalidPart);
             }
-            size += len;
-            tag = tag.rotate_left(13) ^ part_tag;
-            version = version.max(*part_version);
-        }
-        let info = ObjectInfo { key: up.key.clone(), size, blob: up.blob, version, etag: tag };
-        let bucket_ref = b.get_mut(&up.bucket).ok_or(GatewayError::NoSuchBucket)?;
-        let up = u.remove(&upload_id).expect("present");
-        bucket_ref.objects.insert(up.key, info.clone());
-        Ok(info)
+            let mut size = 0u64;
+            let mut tag = 0xcbf2_9ce4_8422_2325u64;
+            let mut version = VersionId(0);
+            for (num, (len, part_tag, part_version)) in &up.parts {
+                if *num != n && *len != up.part_size {
+                    return Err(GatewayError::InvalidPart);
+                }
+                size += len;
+                tag = tag.rotate_left(13) ^ part_tag;
+                version = version.max(*part_version);
+            }
+            let info = ObjectInfo { key: up.key.clone(), size, blob: up.blob, version, etag: tag };
+            let bucket_ref = b.get_mut(&up.bucket).ok_or(GatewayError::NoSuchBucket)?;
+            let up = u.remove(&upload_id).expect("present");
+            bucket_ref.objects.insert(up.key, info.clone());
+            Ok(info)
+        })
     }
 
     /// Abort a multipart upload (S3 `AbortMultipartUpload`): decommissions
     /// the upload's BLOB, so the lifecycle sweeper may reclaim its parts,
     /// then drops the upload state.
     pub fn abort_multipart(&self, principal: ClientId, upload_id: u64) -> Result<(), GatewayError> {
-        self.track("abort_multipart", || self.abort_multipart_inner(principal, upload_id))
-    }
-
-    fn abort_multipart_inner(&self, principal: ClientId, upload_id: u64) -> Result<(), GatewayError> {
-        let blob = {
-            let u = self.uploads.lock();
-            let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
-            if up.owner != principal {
-                return Err(GatewayError::AccessDenied);
-            }
-            up.blob
-        };
-        // Decommission outside the lock and before unlinking, as
-        // `delete_object` does: a transient failure leaves the upload in
-        // place for a retry.
-        self.client().decommission(blob)?;
-        self.uploads.lock().remove(&upload_id);
-        Ok(())
+        self.request("abort_multipart", |trace| {
+            let blob = {
+                let u = self.uploads.lock();
+                let up = u.get(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
+                if up.owner != principal {
+                    return Err(GatewayError::AccessDenied);
+                }
+                up.blob
+            };
+            // Decommission outside the lock and before unlinking, as
+            // `delete_object` does: a transient failure leaves the upload
+            // in place for a retry.
+            self.client().decommission_traced(blob, trace)?;
+            self.uploads.lock().remove(&upload_id);
+            Ok(())
+        })
     }
 
     /// Keys in a bucket starting with `prefix`, up to `max_keys`, in key
@@ -1222,7 +1128,7 @@ impl ObjectGateway {
         prefix: &str,
         max_keys: usize,
     ) -> Result<Vec<ObjectInfo>, GatewayError> {
-        self.track("list_objects", || {
+        self.request("list_objects", |_| {
             let b = self.buckets.lock();
             let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
             self.check_read(principal, bucket_ref)?;
@@ -1241,13 +1147,21 @@ impl ObjectGateway {
 mod tests {
     use super::*;
     use sads_blob::runtime::threaded::{Cluster, ClusterBuilder};
+    use sads_sim::SpanSink;
+    use std::sync::Arc;
 
     fn cluster_and_gateway() -> (Cluster, ObjectGateway) {
-        let mut cluster = ClusterBuilder::new()
-            .data_providers(4)
-            .meta_providers(2)
-            .provider_capacity(256 << 20)
-            .start();
+        gateway_over(None)
+    }
+
+    /// A gateway over a fresh cluster, which traces into `sink` if given.
+    fn gateway_over(sink: Option<&Arc<SpanSink>>) -> (Cluster, ObjectGateway) {
+        let mut builder =
+            ClusterBuilder::new().data_providers(4).meta_providers(2).provider_capacity(256 << 20);
+        if let Some(sink) = sink {
+            builder = builder.span_sink(Arc::clone(sink));
+        }
+        let mut cluster = builder.start();
         let client = cluster.client(ClientId(1000));
         let gw = ObjectGateway::new(
             client,
@@ -1266,18 +1180,7 @@ mod tests {
     #[test]
     fn traced_requests_echo_trace_id_and_span_the_backend() {
         let sink = Arc::new(SpanSink::new());
-        let mut cluster = ClusterBuilder::new()
-            .data_providers(4)
-            .meta_providers(2)
-            .provider_capacity(256 << 20)
-            .span_sink(Arc::clone(&sink))
-            .start();
-        let client = cluster.client(ClientId(1000));
-        let mut gw = ObjectGateway::new(
-            client,
-            GatewayConfig { page_size: 64 * 1024, replication: 1, ..Default::default() },
-        );
-        gw.set_span_sink(Arc::clone(&sink));
+        let (cluster, gw) = gateway_over(Some(&sink));
         gw.create_bucket(ALICE, "t", Acl::Private).unwrap();
         let data = body(200_000, 5);
         let put = gw.put_object_traced(ALICE, "t", "k", data.clone()).unwrap();
@@ -1286,6 +1189,10 @@ mod tests {
         assert_eq!(got.body, data);
         assert_ne!(got.trace_id, 0);
         assert_ne!(got.trace_id, put.trace_id, "one trace per request");
+        // A streaming GET's fetches join its request's trace, even those
+        // made after the request returned the reader.
+        let mut reader = gw.get_object_reader(ALICE, "t", "k", 0, u64::MAX).unwrap();
+        while reader.next().unwrap().is_some() {}
         cluster.shutdown();
 
         let spans = sink.spans();
@@ -1305,13 +1212,25 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.trace == got.trace_id && s.service == "client" && s.op == "read"));
+        let streamed = spans
+            .iter()
+            .find(|s| s.service == "client" && s.op == "read_stream")
+            .expect("the reader's stream is traced");
+        let root = spans
+            .iter()
+            .find(|s| s.span == streamed.parent)
+            .expect("the stream hangs off a root");
+        assert_eq!((root.service, root.op, root.trace), ("gateway", "get_object", streamed.trace));
+        assert!(
+            spans.iter().any(|s| s.trace == root.trace && s.op == "stream_next"),
+            "the reader's fetches are in the request's trace"
+        );
     }
 
     #[test]
     fn traced_latencies_surface_as_metrics_exemplars() {
         let sink = Arc::new(SpanSink::new());
-        let (cluster, mut gw) = cluster_and_gateway();
-        gw.set_span_sink(Arc::clone(&sink));
+        let (cluster, gw) = gateway_over(Some(&sink));
         gw.create_bucket(ALICE, "x", Acl::Private).unwrap();
         let put = gw.put_object_traced(ALICE, "x", "k", body(10_000, 4)).unwrap();
         let get = gw.get_object_traced(ALICE, "x", "k").unwrap();
@@ -1337,11 +1256,9 @@ mod tests {
 
     #[test]
     fn statusz_renders_health_alerts_recorder_and_top_counters() {
-        let (cluster, mut gw) = cluster_and_gateway();
-        let reg = Arc::clone(cluster.telemetry());
-        gw.set_telemetry(Arc::clone(&reg));
-        let rec = Arc::clone(cluster.flight_recorder().expect("recorder is on by default"));
-        gw.set_flight_recorder(Arc::clone(&rec));
+        let (cluster, gw) = cluster_and_gateway();
+        let reg = cluster.telemetry();
+        let rec = cluster.flight_recorder().expect("recorder is on by default");
 
         gw.create_bucket(ALICE, "s", Acl::Private).unwrap();
         gw.put_object(ALICE, "s", "k", body(4096, 7)).unwrap();
@@ -1603,98 +1520,142 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The `/metrics` contract: sharing the cluster's registry with the
-    /// gateway makes one scrape cover the S3 front end and the BLOB
-    /// services behind it — ≥10 metric families across ≥4 services, all
-    /// surviving a Prometheus-text render/parse round trip.
+    /// The `/metrics` contract: the gateway counts in the registry of the
+    /// cluster it fronts, so one scrape covers the S3 front end and the
+    /// BLOB services behind it — ≥10 metric families across ≥4 services,
+    /// all surviving a Prometheus-text render/parse round trip. Run on an
+    /// untraced and on a traced cluster: on the traced one every counted
+    /// request records exactly one `gateway` root labelled with its op,
+    /// and every other span of its trace lies inside the root's interval
+    /// (one clock for the gateway and the cluster).
     #[test]
     fn metrics_exposition_covers_gateway_and_cluster() {
-        let mut cluster = ClusterBuilder::new()
-            .data_providers(4)
-            .meta_providers(2)
-            .provider_capacity(256 << 20)
-            .start();
-        let client = cluster.client(ClientId(1000));
-        let mut gw = ObjectGateway::new(
-            client,
-            GatewayConfig { page_size: 64 * 1024, replication: 1, ..Default::default() },
-        );
-        gw.set_telemetry(Arc::clone(cluster.telemetry()));
+        for sink in [None, Some(Arc::new(SpanSink::new()))] {
+            let (cluster, gw) = gateway_over(sink.as_ref());
+            gw.create_bucket(ALICE, "m", Acl::Private).unwrap();
+            for i in 0..4u8 {
+                let key = format!("k{i}");
+                gw.put_object(ALICE, "m", &key, body(100_000, i)).unwrap();
+                assert!(gw.get_object(ALICE, "m", &key).is_ok());
+            }
+            let put = gw.put_object_traced(ALICE, "m", "k4", body(1000, 4)).unwrap();
+            let got = gw.get_object_traced(ALICE, "m", "k4").unwrap();
+            assert_eq!(put.trace_id == 0, sink.is_none(), "a trace id iff the cluster traces");
+            assert_eq!(got.trace_id == 0, sink.is_none());
+            assert!(gw.head_object(ALICE, "m", "missing").is_err());
+            // Every other public op, once.
+            gw.list_buckets(ALICE);
+            gw.list_objects(ALICE, "m", "k", 10).unwrap();
+            let pin = gw.snapshot_object(ALICE, "m", "k0").unwrap();
+            gw.read_pinned(&pin, 0, 10).unwrap();
+            gw.delete_object(ALICE, "m", "k3").unwrap();
+            let id = gw.create_multipart(ALICE, "m", "mp", 64 * 1024).unwrap();
+            gw.upload_part(ALICE, id, 1, body(10, 1)).unwrap();
+            gw.complete_multipart(ALICE, id).unwrap();
+            let id = gw.create_multipart(ALICE, "m", "mp2", 64 * 1024).unwrap();
+            gw.abort_multipart(ALICE, id).unwrap();
+            gw.create_bucket(ALICE, "gone", Acl::Private).unwrap();
+            gw.delete_bucket(ALICE, "gone").unwrap();
+            // Let one service heartbeat land so node/pool/meta gauges exist.
+            std::thread::sleep(std::time::Duration::from_millis(1500));
 
-        gw.create_bucket(ALICE, "m", Acl::Private).unwrap();
-        for i in 0..4u8 {
-            let key = format!("k{i}");
-            gw.put_object(ALICE, "m", &key, body(100_000, i)).unwrap();
-            assert!(gw.get_object(ALICE, "m", &key).is_ok());
+            let snap = gw.metrics_snapshot();
+            assert_eq!(snap.counter("gateway.requests", &[("op", "put_object")]), Some(5));
+            assert_eq!(snap.counter("gateway.requests", &[("op", "get_object")]), Some(5));
+            assert_eq!(snap.counter("gateway.errors", &[("op", "head_object")]), Some(1));
+            let ops = [
+                "create_bucket",
+                "delete_bucket",
+                "list_buckets",
+                "list_objects",
+                "put_object",
+                "get_object",
+                "head_object",
+                "snapshot_object",
+                "read_pinned",
+                "delete_object",
+                "create_multipart",
+                "upload_part",
+                "complete_multipart",
+                "abort_multipart",
+            ];
+            for op in ops {
+                let n = snap.counter("gateway.requests", &[("op", op)]);
+                assert!(n >= Some(1), "{op} is not counted: {n:?}");
+                let lat = snap.family("gateway.op_seconds").find(|s| s.labels[0].1 == op);
+                assert!(lat.is_some(), "{op} is not timed");
+            }
+            assert!(snap.counter_total("provider.reads").unwrap_or(0) > 0, "backend reads counted");
+            assert!(snap.counter_total("vman.tickets").unwrap_or(0) >= 4, "writes took tickets");
+
+            let families = snap.families();
+            assert!(
+                families.len() >= 10,
+                "expected ≥10 metric families, got {}: {families:?}",
+                families.len()
+            );
+            let mut services: Vec<&str> =
+                families.iter().map(|f| f.split('.').next().unwrap()).collect();
+            services.sort();
+            services.dedup();
+            assert!(
+                services.len() >= 4,
+                "expected families from ≥4 services, got {services:?}"
+            );
+
+            // The text endpoint renders the same data and parses back.
+            let text = gw.get_metrics();
+            let parsed = sads_telemetry::parse_prometheus(&text).expect("parseable exposition");
+            assert!(parsed
+                .iter()
+                .any(|s| s.name == "sads_gateway_requests"
+                    && s.labels.iter().any(|(k, v)| k == "op" && v == "put_object")
+                    && s.value == 5.0));
+            assert!(parsed.iter().any(|s| s.name == "sads_gateway_op_seconds_bucket"));
+            cluster.shutdown();
+
+            let Some(sink) = sink else { continue };
+            let spans = sink.spans();
+            let roots: Vec<_> =
+                spans.iter().filter(|s| s.service == "gateway" && s.kind == SpanKind::Op).collect();
+            for op in ops {
+                let n = roots.iter().filter(|r| r.op == op).count() as u64;
+                let counted = snap.counter("gateway.requests", &[("op", op)]);
+                assert_eq!(Some(n), counted, "{op}: one gateway root per request");
+            }
+            assert!(roots.iter().any(|r| r.trace == put.trace_id && r.op == "put_object"));
+            // The ops that call the backend nest those calls under their root.
+            let backed = [
+                "put_object",
+                "get_object",
+                "read_pinned",
+                "snapshot_object",
+                "delete_object",
+                "create_multipart",
+                "upload_part",
+                "abort_multipart",
+            ];
+            for root in roots.iter().filter(|r| backed.contains(&r.op)) {
+                let nested = spans.iter().any(|s| s.parent == root.span);
+                assert!(nested, "{}: no backend span under its root", root.op);
+            }
+            for root in &roots {
+                assert_eq!(root.parent, 0, "{}: a gateway span is a root", root.op);
+                for s in spans.iter().filter(|s| s.trace == root.trace && s.span != root.span) {
+                    assert!(
+                        root.start_ns <= s.start_ns && s.end_ns <= root.end_ns,
+                        "{}: {} {} [{}, {}] outside its root [{}, {}]",
+                        root.op,
+                        s.service,
+                        s.op,
+                        s.start_ns,
+                        s.end_ns,
+                        root.start_ns,
+                        root.end_ns
+                    );
+                }
+            }
         }
-        assert!(gw.head_object(ALICE, "m", "missing").is_err());
-        // Every other public op, once.
-        gw.list_buckets(ALICE);
-        gw.list_objects(ALICE, "m", "k", 10).unwrap();
-        let pin = gw.snapshot_object(ALICE, "m", "k0").unwrap();
-        gw.read_pinned(&pin, 0, 10).unwrap();
-        gw.delete_object(ALICE, "m", "k3").unwrap();
-        let id = gw.create_multipart(ALICE, "m", "mp", 64 * 1024).unwrap();
-        gw.upload_part(ALICE, id, 1, body(10, 1)).unwrap();
-        gw.complete_multipart(ALICE, id).unwrap();
-        let id = gw.create_multipart(ALICE, "m", "mp2", 64 * 1024).unwrap();
-        gw.abort_multipart(ALICE, id).unwrap();
-        gw.create_bucket(ALICE, "gone", Acl::Private).unwrap();
-        gw.delete_bucket(ALICE, "gone").unwrap();
-        // Let one service heartbeat land so node/pool/meta gauges exist.
-        std::thread::sleep(std::time::Duration::from_millis(1500));
-
-        let snap = gw.metrics_snapshot();
-        assert_eq!(snap.counter("gateway.requests", &[("op", "put_object")]), Some(4));
-        assert_eq!(snap.counter("gateway.requests", &[("op", "get_object")]), Some(4));
-        assert_eq!(snap.counter("gateway.errors", &[("op", "head_object")]), Some(1));
-        let ops = [
-            "create_bucket",
-            "delete_bucket",
-            "list_buckets",
-            "list_objects",
-            "snapshot_object",
-            "read_pinned",
-            "delete_object",
-            "create_multipart",
-            "upload_part",
-            "complete_multipart",
-            "abort_multipart",
-        ];
-        for op in ops {
-            let n = snap.counter("gateway.requests", &[("op", op)]);
-            assert!(n >= Some(1), "{op} is not counted: {n:?}");
-            let lat = snap.family("gateway.op_seconds").find(|s| s.labels[0].1 == op);
-            assert!(lat.is_some(), "{op} is not timed");
-        }
-        assert!(snap.counter_total("provider.reads").unwrap_or(0) > 0, "backend reads counted");
-        assert!(snap.counter_total("vman.tickets").unwrap_or(0) >= 4, "writes took tickets");
-
-        let families = snap.families();
-        assert!(
-            families.len() >= 10,
-            "expected ≥10 metric families, got {}: {families:?}",
-            families.len()
-        );
-        let mut services: Vec<&str> =
-            families.iter().map(|f| f.split('.').next().unwrap()).collect();
-        services.sort();
-        services.dedup();
-        assert!(
-            services.len() >= 4,
-            "expected families from ≥4 services, got {services:?}"
-        );
-
-        // The text endpoint renders the same data and parses back.
-        let text = gw.get_metrics();
-        let parsed = sads_telemetry::parse_prometheus(&text).expect("parseable exposition");
-        assert!(parsed
-            .iter()
-            .any(|s| s.name == "sads_gateway_requests"
-                && s.labels.iter().any(|(k, v)| k == "op" && v == "put_object")
-                && s.value == 4.0));
-        assert!(parsed.iter().any(|s| s.name == "sads_gateway_op_seconds_bucket"));
-        cluster.shutdown();
     }
 }
 
@@ -1839,7 +1800,7 @@ mod multipart_tests {
             .provider_capacity(512 << 20)
             .start();
         let client = cluster.client(ClientId(1000));
-        let mut gw = ObjectGateway::new(
+        let gw = ObjectGateway::new(
             client,
             GatewayConfig {
                 page_size: PAGE,
@@ -1847,7 +1808,6 @@ mod multipart_tests {
                 multipart_ttl: Duration::from_millis(50),
             },
         );
-        gw.set_telemetry(Arc::clone(cluster.telemetry()));
         gw.create_bucket(ALICE, "b", Acl::Private).unwrap();
 
         let stale = gw.create_multipart(ALICE, "b", "stale", PART).unwrap();

@@ -53,15 +53,15 @@ impl CriticalPath {
     }
 }
 
-/// Attribute latency for every trace that has a root `Op` span.
-/// Returns one [`CriticalPath`] per operation, ordered by start time.
+/// One [`CriticalPath`] per parentless `Op` span, ordered by start time;
+/// a nested `Op` (a client op in a gateway request) is part of its root's.
 ///
 /// Single pass over the span list (plus a trace-id index), so analyzing
 /// the millions of spans a long experiment records stays linear.
 pub fn critical_paths(spans: &[SpanRecord]) -> Vec<CriticalPath> {
     let mut out: Vec<CriticalPath> = spans
         .iter()
-        .filter(|s| s.kind == SpanKind::Op)
+        .filter(|s| s.kind == SpanKind::Op && s.parent == 0)
         .map(|root| CriticalPath {
             trace: root.trace,
             op: root.op,
@@ -150,6 +150,15 @@ mod tests {
         assert_eq!(cps[0].meta_ns, 300);
         assert_eq!(cps[0].dominant(), "store");
         assert_eq!(cps[1].dominant(), "queueing");
+    }
+
+    #[test]
+    fn a_nested_op_shares_its_roots_path() {
+        let nested = SpanRecord { span: 2, parent: 1, ..root(1, 150, 8_000) };
+        let spans = vec![root(1, 100, 10_000), nested, net(1, SpanClass::Store, 100, 6_000, 50)];
+        let cps = critical_paths(&spans);
+        assert_eq!(cps.len(), 1, "one path per request");
+        assert_eq!((cps[0].start_ns, cps[0].queueing_ns), (100, 100));
     }
 
     #[test]
