@@ -20,8 +20,8 @@ use sads_trace::{chrome_trace_json, critical_paths, spans_csv, CriticalPath};
 /// End of the "under attack" analysis window (matches E2's phases).
 const ATTACK_END_S: u64 = 55;
 
-fn ms(ns: u64) -> String {
-    format!("{:.2}", ns as f64 / 1e6)
+fn ms(ns: f64) -> String {
+    format!("{:.2}", ns / 1e6)
 }
 
 /// Aggregate critical paths of one phase: dominant-bucket counts plus
@@ -160,10 +160,10 @@ fn main() {
             st.wire,
             st.store,
             st.meta,
-            ms(st.mean_ns()),
-            ms(st.mean_of(st.queueing_ns_sum)),
-            ms(st.mean_of(st.store_ns_sum)),
-            ms(st.max_total_ns)
+            ms(st.mean_ns() as f64),
+            ms(st.mean_of(st.queueing_ns_sum) as f64),
+            ms(st.mean_of(st.store_ns_sum) as f64),
+            ms(st.max_total_ns as f64)
         ]);
         csv.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{}\n",
@@ -173,10 +173,10 @@ fn main() {
             st.wire,
             st.store,
             st.meta,
-            ms(st.mean_ns()),
-            ms(st.mean_of(st.queueing_ns_sum)),
-            ms(st.mean_of(st.store_ns_sum)),
-            ms(st.max_total_ns)
+            ms(st.mean_ns() as f64),
+            ms(st.mean_of(st.queueing_ns_sum) as f64),
+            ms(st.mean_of(st.store_ns_sum) as f64),
+            ms(st.max_total_ns as f64)
         ));
     }
     print_table(&rows);
@@ -216,12 +216,12 @@ fn main() {
          is queueing ({} ms -> {} ms) while store serialization stays flat ({} ms -> {} ms). \
          {}/{} in-attack writes are queueing-dominated — the read flood jams provider NICs \
          and honest traffic waits in line.",
-        ms(pre.mean_ns()),
-        ms(during.mean_ns()),
-        ms(pre.mean_of(pre.queueing_ns_sum)),
-        ms(during.mean_of(during.queueing_ns_sum)),
-        ms(pre.mean_of(pre.store_ns_sum)),
-        ms(during.mean_of(during.store_ns_sum)),
+        ms(pre.mean_ns() as f64),
+        ms(during.mean_ns() as f64),
+        ms(pre.mean_of(pre.queueing_ns_sum) as f64),
+        ms(during.mean_of(during.queueing_ns_sum) as f64),
+        ms(pre.mean_of(pre.store_ns_sum) as f64),
+        ms(during.mean_of(during.store_ns_sum) as f64),
         during.queueing,
         during.count.max(1)
     );

@@ -224,10 +224,6 @@ impl Shard {
     }
 }
 
-/// Bucket bounds for `runtime.dispatch_batch` (envelopes per scheduling
-/// turn): powers of two up to the [`MAX_PER_RUN`] fairness cap.
-const DISPATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
 /// Pre-interned per-shard `runtime.*` handles, so the scheduler hot paths
 /// pay one atomic op per update instead of a registry lookup.
 struct ShardStats {
@@ -253,11 +249,7 @@ impl ShardStats {
             steals: telem.counter("runtime.steals", labels),
             parks: telem.counter("runtime.parks", labels),
             unparks: telem.counter("runtime.unparks", labels),
-            dispatch_batch: telem.histogram_with_bounds(
-                "runtime.dispatch_batch",
-                labels,
-                DISPATCH_BOUNDS,
-            ),
+            dispatch_batch: telem.histogram("runtime.dispatch_batch", labels),
             timer_lag: telem.histogram("runtime.timer_lag_seconds", labels),
         }
     }

@@ -429,7 +429,8 @@ impl ObjectGateway {
         let out = f(trace);
         let end_ns = cluster.now_ns();
         let elapsed_s = end_ns.saturating_sub(start_ns) as f64 / 1e9;
-        telemetry.observe("gateway.op_seconds", &labels, elapsed_s);
+        let trace_id = trace.map_or(0, |tc| tc.trace_id);
+        telemetry.histogram("gateway.op_seconds", &labels).observe_traced(elapsed_s, trace_id);
         if out.is_err() {
             telemetry.inc("gateway.errors", &labels, 1);
         }
@@ -449,7 +450,6 @@ impl ObjectGateway {
                 xfer_ns: 0,
                 wire_ns: 0,
             });
-            telemetry.attach_exemplar("gateway.op_seconds", &labels, elapsed_s, tc.trace_id);
         }
         out
     }

@@ -293,6 +293,15 @@ mod tests {
         assert!((sum - 3.02).abs() < 1e-12);
         // The +Inf bucket holds every observation.
         assert_eq!(find("sads_gateway_op_seconds_bucket", &[("le", "+Inf"), ("op", "get")]), Some(2.0));
+        // Only the occupied buckets are listed, then +Inf: cumulative,
+        // non-decreasing, and ending at `_count`.
+        let buckets: Vec<(String, f64)> = parsed
+            .iter()
+            .filter(|p| p.name == "sads_gateway_op_seconds_bucket")
+            .map(|p| (p.labels.iter().find(|(k, _)| k == "le").unwrap().1.clone(), p.value))
+            .collect();
+        // 0.02 lies in [0.01953125, 0.0234375), 3.0 in [3, 3.5).
+        assert_eq!(buckets, [("0.0234375".into(), 1.0), ("3.5".into(), 2.0), ("+Inf".into(), 2.0)]);
         // TYPE lines present for each family.
         assert!(text.contains("# TYPE sads_provider_cache_hits counter"));
         assert!(text.contains("# TYPE sads_gateway_op_seconds histogram"));

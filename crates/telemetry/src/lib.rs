@@ -7,8 +7,9 @@
 //! * [`Registry`] — a lock-cheap map of `(name, labels)` → counter / gauge /
 //!   histogram cells, plus a per-name log of recorded `(time, value)`
 //!   samples. Every `Env::incr` / `Env::record` of both runtimes is one
-//!   short mutex hold; the hot path through a [`Counter`], [`Gauge`] or
-//!   [`Histogram`] handle is a single atomic op.
+//!   short mutex hold; the hot path through a [`Counter`] or [`Gauge`]
+//!   handle is a single atomic op, through a [`Histogram`] (the shared
+//!   `sads_trace::Histogram`, log-bucketed) a few relaxed ones.
 //! * [`Snapshot`] — a structured point-in-time copy of the registry that the
 //!   introspection layer ingests into its time-series machinery and the SLO
 //!   alert engine evaluates burn-rate rules over.
@@ -64,7 +65,7 @@ pub fn export_span_stats(reg: &Registry, sink: &SpanSink) {
         let labels = [("service", service), ("op", op)];
         reg.set("trace.span_count", &labels, h.count as f64);
         reg.set("trace.span_mean_ns", &labels, h.mean_ns);
-        reg.set("trace.span_p99_ns", &labels, h.p99 as f64);
+        reg.set("trace.span_p99_ns", &labels, h.p99);
     }
 }
 

@@ -4,14 +4,9 @@ use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hash::{FastMap, FoldState};
+use sads_trace::{atomic_f64_add, Histogram as LogHistogram};
 
-/// Default histogram bucket upper bounds (seconds-flavored: covers
-/// sub-millisecond RPCs through multi-minute transfers).
-pub(crate) const DEFAULT_BOUNDS: &[f64] = &[
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-    120.0, 300.0,
-];
+use crate::hash::{FastMap, FoldState};
 
 /// A registered series: its name and its labels, sorted.
 type Key = (String, Vec<(String, String)>);
@@ -132,74 +127,32 @@ pub struct Exemplar {
     pub trace_id: u64,
 }
 
+/// A registry histogram: the shared log-bucketed histogram plus the
+/// latest exemplar of each slot that has had one, as `(slot, exemplar)`.
+/// Exemplars come only with traced observations, rare next to plain
+/// ones, so their mutex is off the hot path.
+#[derive(Default)]
 pub(crate) struct HistCell {
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    /// Latest exemplar per bucket (incl. +Inf). Updated only on traced
-    /// observations — rare relative to plain `observe` — so the mutex is
-    /// off the hot path entirely.
-    exemplars: Mutex<Vec<Option<Exemplar>>>,
+    hist: LogHistogram,
+    exemplars: Mutex<Vec<(usize, Exemplar)>>,
 }
 
 impl HistCell {
-    fn new(bounds: &[f64]) -> Self {
-        HistCell {
-            bounds: bounds.to_vec(),
-            // One extra slot for the implicit +Inf bucket.
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            exemplars: Mutex::new(vec![None; bounds.len() + 1]),
-        }
-    }
-
-    fn observe(&self, v: f64) {
-        let idx = self.bounds.partition_point(|b| *b < v);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.sum_bits, v);
-    }
-
-    /// Remember `trace_id` as the exemplar for the bucket `v` falls in
-    /// (does not count the observation — pair with `observe` when the
-    /// value was not already counted).
-    fn attach(&self, v: f64, trace_id: u64) {
-        if trace_id == 0 {
-            return;
-        }
-        let idx = self.bounds.partition_point(|b| *b < v);
-        let mut ex = self.exemplars.lock().expect("exemplar slots poisoned");
-        ex[idx] = Some(Exemplar { value: v, trace_id });
-    }
-
+    /// The occupied slots, those with an exemplar, and `+Inf`, each as
+    /// its upper bound and cumulative count.
     fn snapshot(&self) -> HistogramSnapshot {
-        let mut cumulative = 0u64;
-        let mut buckets = Vec::with_capacity(self.bounds.len() + 1);
-        for (i, b) in self.bounds.iter().enumerate() {
-            cumulative += self.counts[i].load(Ordering::Relaxed);
-            buckets.push((*b, cumulative));
+        let slots = self.exemplars.lock().expect("exemplar slots poisoned");
+        let (mut buckets, mut exemplars, mut cumulative) = (Vec::new(), Vec::new(), 0);
+        for (i, n) in self.hist.buckets().enumerate() {
+            let upper = LogHistogram::bucket_range(i).1;
+            let ex = slots.iter().find(|(s, _)| *s == i).map(|(_, e)| *e);
+            cumulative += n;
+            if n > 0 || ex.is_some() || upper.is_infinite() {
+                buckets.push((upper, cumulative));
+                exemplars.push(ex);
+            }
         }
-        cumulative += self.counts[self.bounds.len()].load(Ordering::Relaxed);
-        buckets.push((f64::INFINITY, cumulative));
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            buckets,
-            exemplars: self.exemplars.lock().expect("exemplar slots poisoned").clone(),
-        }
-    }
-}
-
-fn atomic_f64_add(bits: &AtomicU64, v: f64) {
-    let mut cur = bits.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
+        HistogramSnapshot { count: cumulative, sum: self.hist.sum(), buckets, exemplars }
     }
 }
 
@@ -240,34 +193,35 @@ impl Gauge {
     }
 }
 
-/// Bucketed histogram handle; cloning shares the underlying cell.
+/// Histogram handle (a [`sads_trace::Histogram`] plus exemplars);
+/// cloning shares the underlying cell.
 #[derive(Clone)]
 pub struct Histogram(Arc<HistCell>);
 
 impl Histogram {
     /// Record one observation.
     pub fn observe(&self, v: f64) {
-        self.0.observe(v);
+        self.0.hist.observe(v);
     }
 
     /// Record one observation and remember `trace_id` as the exemplar of
-    /// the bucket it lands in.
+    /// the bucket it lands in (a `trace_id` of 0 attaches nothing).
     pub fn observe_traced(&self, v: f64, trace_id: u64) {
-        self.0.observe(v);
-        self.0.attach(v, trace_id);
-    }
-
-    /// Attach an exemplar for an observation that was **already counted**
-    /// via [`Histogram::observe`] (e.g. a request timed by generic
-    /// instrumentation whose trace id only becomes known later). A
-    /// `trace_id` of 0 is ignored.
-    pub fn attach_exemplar(&self, v: f64, trace_id: u64) {
-        self.0.attach(v, trace_id);
+        self.0.hist.observe(v);
+        if trace_id == 0 {
+            return;
+        }
+        let (slot, ex) = (LogHistogram::bucket_of(v), Exemplar { value: v, trace_id });
+        let mut slots = self.0.exemplars.lock().expect("exemplar slots poisoned");
+        match slots.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, old)) => *old = ex,
+            None => slots.push((slot, ex)),
+        }
     }
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.hist.count()
     }
 }
 
@@ -332,11 +286,11 @@ impl Registry {
         Gauge(self.with_cell(name, labels, new_gauge, |c, _| Arc::clone(c.gauge(name))))
     }
 
-    /// Get-or-create a histogram with the default (seconds-flavored)
-    /// buckets. Panics if `(name, labels)` is already registered as a
-    /// different kind.
+    /// Get-or-create a histogram. Panics if `(name, labels)` is already
+    /// registered as a different kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.histogram_with_bounds(name, labels, DEFAULT_BOUNDS)
+        let make = || Cell::Histogram(Arc::default());
+        Histogram(self.with_cell(name, labels, make, |c, _| Arc::clone(c.histogram(name))))
     }
 
     /// One-shot counter bump.
@@ -367,28 +321,9 @@ impl Registry {
         });
     }
 
-    /// Get-or-create a histogram with explicit bucket upper bounds (for
-    /// count-flavored distributions like dispatch batch sizes where the
-    /// seconds-flavored defaults are meaningless). If the `(name, labels)`
-    /// key already exists as a histogram its original bounds are kept.
-    pub fn histogram_with_bounds(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Histogram {
-        let make = || Cell::Histogram(Arc::new(HistCell::new(bounds)));
-        Histogram(self.with_cell(name, labels, make, |c, _| Arc::clone(c.histogram(name))))
-    }
-
     /// One-shot histogram observation.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.histogram(name, labels).observe(v);
-    }
-
-    /// One-shot exemplar attach (see [`Histogram::attach_exemplar`]).
-    pub fn attach_exemplar(&self, name: &str, labels: &[(&str, &str)], v: f64, trace_id: u64) {
-        self.histogram(name, labels).attach_exemplar(v, trace_id);
     }
 
     /// The counter family `name` summed over its label sets (0 if absent).
@@ -470,7 +405,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of observed values.
     pub sum: f64,
-    /// `(upper_bound, cumulative_count)` pairs ending with `+Inf`.
+    /// `(upper_bound, cumulative_count)` of each bucket that holds an
+    /// observation or an exemplar, ending with `+Inf`.
     pub buckets: Vec<(f64, u64)>,
     /// Latest exemplar per bucket, aligned with `buckets`.
     pub exemplars: Vec<Option<Exemplar>>,
@@ -592,41 +528,44 @@ mod tests {
         let h = reg.histogram("gateway.op_seconds", &[("op", "get")]);
         h.observe(0.0004);
         h.observe_traced(0.03, 0xabcd);
-        // Attach-only must not change the count.
-        h.attach_exemplar(0.0004, 0x1111);
-        reg.attach_exemplar("gateway.op_seconds", &[("op", "get")], 999.0, 0x2222);
+        h.observe_traced(0.0004, 0x1111);
+        h.observe_traced(1e13, 0x2222);
+        // The latest exemplar of a bucket replaces the one before.
+        h.observe_traced(0.031, 0x3333);
 
         let snap = reg.snapshot();
         match snap.find("gateway.op_seconds", &[("op", "get")]).unwrap() {
             SampleValue::Histogram(hs) => {
-                assert_eq!(hs.count, 2, "attach_exemplar must not count");
+                assert_eq!(hs.count, 5);
+                assert_eq!(hs.buckets.len(), 3, "0.0004, 0.03 and +Inf: {:?}", hs.buckets);
                 assert_eq!(hs.exemplars.len(), hs.buckets.len());
-                // 0.03 → the le=0.05 bucket; 0.0004 → le=0.001; 999 → +Inf.
-                let at = |bound: f64| {
-                    let i = hs.buckets.iter().position(|(b, _)| *b == bound).unwrap();
+                let at = |v: f64| {
+                    let upper = LogHistogram::bucket_range(LogHistogram::bucket_of(v)).1;
+                    let i = hs.buckets.iter().position(|(b, _)| *b == upper).unwrap();
                     hs.exemplars[i].unwrap()
                 };
-                assert_eq!(at(0.05).trace_id, 0xabcd);
-                assert_eq!(at(0.001).trace_id, 0x1111);
+                assert_eq!(at(0.03), Exemplar { value: 0.031, trace_id: 0x3333 });
+                assert_eq!(at(0.0004).trace_id, 0x1111);
                 let inf = hs.exemplars.last().unwrap().unwrap();
-                assert_eq!(inf.trace_id, 0x2222);
-                assert_eq!(inf.value, 999.0);
+                assert_eq!(inf, Exemplar { value: 1e13, trace_id: 0x2222 });
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn custom_bounds_histograms_bucket_counts() {
+    fn snapshots_list_only_occupied_buckets() {
         let reg = Registry::new();
-        let h = reg.histogram_with_bounds("runtime.dispatch_batch", &[("shard", "0")], &[1.0, 4.0]);
-        h.observe(1.0);
-        h.observe(3.0);
-        h.observe(100.0);
+        let h = reg.histogram("runtime.dispatch_batch", &[("shard", "0")]);
+        for v in [1.0, 3.0, 3.0, 256.0] {
+            h.observe(v);
+        }
         let snap = reg.snapshot();
         match snap.find("runtime.dispatch_batch", &[("shard", "0")]).unwrap() {
             SampleValue::Histogram(hs) => {
-                assert_eq!(hs.buckets, vec![(1.0, 1), (4.0, 2), (f64::INFINITY, 3)]);
+                let want = vec![(1.25, 1), (3.5, 3), (320.0, 4), (f64::INFINITY, 4)];
+                assert_eq!(hs.buckets, want);
+                assert_eq!(hs.exemplars, vec![None; 4]);
             }
             other => panic!("{other:?}"),
         }

@@ -55,6 +55,9 @@ fn registry_hits_allocate_nothing() {
     assert_eq!(steady_bytes(0, || reg.inc("provider.gets", &unsorted, 1)), 0);
     assert_eq!(steady_bytes(1, || reg.set("provider.fill", &labels, 0.5)), 0);
     assert_eq!(steady_bytes(1, || reg.observe("provider.get_seconds", &[], 0.001)), 0);
+    // An exemplar slot allocates on its bucket's first exemplar only.
+    let h = reg.histogram("gateway.op_seconds", &labels);
+    assert_eq!(steady_bytes(1, || h.observe_traced(0.002, 0xabc)), 0);
     // The borrowed lookup finds the series the first call made, whatever
     // the label order: one series, every bump counted.
     let snap = reg.snapshot();
