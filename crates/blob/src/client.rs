@@ -30,8 +30,8 @@ use sads_sim::{
 };
 
 use crate::meta::{
-    group_by_partition, partition, MetaNode, NodeKey, NodeRange, PageSource, TreeBuilder,
-    TreeReader,
+    group_by_partition, partition, Descent, MetaNode, NodeKey, NodeRange, NodeRef,
+    PageSource, RangeQuery, TreeBuilder, TreeReader,
 };
 use crate::model::{
     BlobError, BlobId, BlobSpec, ChunkDescriptor, ChunkKey, ClientId, PageInterval,
@@ -412,13 +412,14 @@ pub struct ClientConfig {
     /// Chunk-RPC fault tolerance (deadlines, backoff, re-allocation and
     /// degraded-read placement refresh). Disabled by default.
     pub retry: RetryPolicy,
-    /// Cold-cache reads open the metadata descent with one bulk
-    /// [`Msg::GetMetaRange`] broadcast to the metadata providers instead
-    /// of walking the tree one remote level at a time. The replies only
-    /// warm the node cache — anything missing falls back to the per-node
-    /// descent, so this is purely a round-trip optimization. `false`
-    /// selects the per-node descent alone (one [`Msg::GetMeta`] round per
-    /// uncached tree level); `tests/properties.rs` reads that way as the
+    /// A descent the node cache stops asks for the rest in one bulk
+    /// [`Msg::GetMetaRange`] broadcast to the metadata providers instead of
+    /// walking the tree one remote level at a time: a read on its first
+    /// miss, a write's base-tree resolve when more levels are left than
+    /// there are providers. The replies only warm the node cache — anything
+    /// missing falls back to the per-node descent. `false` selects the
+    /// per-node descent alone for both (one [`Msg::GetMeta`] round per
+    /// uncached level); `tests/properties.rs` reads that way as the
     /// sequential reference for the bulk path.
     pub meta_range_fetch: bool,
     /// Reply-size cap (node count) each provider applies to one
@@ -495,52 +496,7 @@ impl MetaCache {
         }
         None
     }
-
-    /// Hand fetched nodes to a descent and keep them. `false` if the
-    /// reply lacks one: the metadata is unavailable.
-    fn supply(&mut self, d: &mut impl Descent, nodes: Vec<(NodeKey, Option<MetaNode>)>) -> bool {
-        for (k, n) in nodes {
-            let Some(node) = n else { return false };
-            d.supply(k, &node);
-            self.insert(k, node);
-        }
-        true
-    }
 }
-
-/// A metadata descent the node cache can feed: the write side's
-/// [`TreeBuilder`] resolving its base tree, the read side's
-/// [`TreeReader`] resolving its chunk plan.
-trait Descent {
-    fn done(&self) -> bool;
-    fn needed(&self) -> Vec<NodeKey>;
-    fn supply(&mut self, key: NodeKey, node: &MetaNode);
-}
-
-impl Descent for TreeBuilder {
-    fn done(&self) -> bool {
-        self.is_ready()
-    }
-    fn needed(&self) -> Vec<NodeKey> {
-        self.needed_fetches()
-    }
-    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
-        TreeBuilder::supply(self, key, node)
-    }
-}
-
-impl Descent for TreeReader {
-    fn done(&self) -> bool {
-        self.is_done()
-    }
-    fn needed(&self) -> Vec<NodeKey> {
-        self.needed_fetches()
-    }
-    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
-        TreeReader::supply(self, key, node)
-    }
-}
-
 
 /// What a parked (sub-)operation is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -675,7 +631,9 @@ struct WriteStreamSess {
     ticket: Option<WriteTicket>,
     chunks: Vec<ChunkDescriptor>,
     builder: Option<TreeBuilder>,
-    root: Option<crate::meta::NodeRef>,
+    /// Whether the base-tree resolve already broadcast its bulk query.
+    range_used: bool,
+    root: Option<NodeRef>,
     phase: WStreamPhase,
     /// Partial page under accumulation (real-data streams).
     acc: PageAcc,
@@ -716,6 +674,7 @@ impl WriteStreamSess {
             ticket: None,
             chunks: Vec::new(),
             builder: None,
+            range_used: false,
             root: None,
             phase: WStreamPhase::Ticket,
             acc: PageAcc::default(),
@@ -942,8 +901,7 @@ struct ReadStreamSess {
     /// pages, so only a one-shot read ever queues.
     pending_gets: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)>,
     /// Whether this read already issued its one bulk `GetMetaRange`
-    /// broadcast (at most one per read; later descent gaps use the
-    /// per-node path).
+    /// broadcast (later descent gaps use the per-node path).
     range_used: bool,
 }
 
@@ -964,22 +922,6 @@ impl ReadStreamSess {
             pending_gets: Vec::new(),
             range_used: false,
         }
-    }
-
-    /// The open descent's bulk range query, as request `req` (`after`
-    /// continues a truncated reply). The tree being descended is the one
-    /// rooted at the version that *created* the root node — equal to the
-    /// read version except when a recovered no-op version republished its
-    /// predecessor's root.
-    fn range_msg(&self, req: u64, after: Option<NodeRange>, max_nodes: u32) -> Msg {
-        let info = self.info.as_ref().expect("info set");
-        let version = match info.root {
-            Some(crate::meta::NodeRef::Node { version, .. }) => version,
-            _ => info.version,
-        };
-        let last = (self.offset + self.len - 1) / info.page_size;
-        let query = PageInterval::new(self.page0, last - self.page0 + 1);
-        Msg::GetMetaRange { req, blob: self.blob, version, query, after, max_nodes }
     }
 }
 
@@ -1170,10 +1112,11 @@ enum ReqRole {
     },
     /// A metadata fetch carrying the requested keys (during resolve).
     MetaGet,
-    /// One provider's slice of the bulk metadata range query a cold read
-    /// opens with (`target` kept for continuation requests).
+    /// One provider's slice of a session's bulk metadata range query
+    /// (`target` kept for continuation requests).
     MetaRange {
         target: NodeId,
+        q: RangeQuery,
     },
     /// One provider's batch of chunk stores, kept so a timed-out or
     /// refused store can be re-sent (same target, then a replacement).
@@ -1678,13 +1621,79 @@ impl Cx {
         }
     }
 
-    /// Fetch the metadata nodes a descent's cache pass missed, one
-    /// `GetMeta` per owning provider.
-    fn get_meta(&mut self, aw: &mut Awaited, missing: Vec<NodeKey>, env: &mut dyn Env) {
-        for (target, keys) in group_by_partition(missing, |k| k, &self.meta_providers) {
-            let req = self.reqs.issue(aw, ReqRole::MetaGet);
-            env.send(target, Msg::GetMeta { req, keys });
+    /// Run a session's metadata descent through the node cache; where it
+    /// stops, fetch what it misses: in the session's one bulk broadcast if
+    /// the descent asks for it ([`Descent::bulk_query`]), else one `GetMeta` per
+    /// owning provider. `true` once the descent is done.
+    fn descend(
+        &mut self,
+        aw: &mut Awaited,
+        d: &mut impl Descent,
+        range_used: &mut bool,
+        env: &mut dyn Env,
+    ) -> bool {
+        let Some(missing) = self.meta_cache.descend(d) else { return true };
+        let bulk = d.bulk_query(self.meta_providers.len());
+        match bulk.filter(|_| self.cfg.meta_range_fetch && !*range_used) {
+            // Nodes are hash-partitioned, so no provider holds a whole
+            // path: the broadcast is still one logical round trip.
+            Some(q) => {
+                *range_used = true;
+                for i in 0..self.meta_providers.len() {
+                    self.get_range(aw, self.meta_providers[i], q, env);
+                }
+            }
+            None => {
+                for (target, keys) in group_by_partition(missing, |k| k, &self.meta_providers) {
+                    let req = self.reqs.issue(aw, ReqRole::MetaGet);
+                    env.send(target, Msg::GetMeta { req, keys });
+                }
+            }
         }
+        false
+    }
+
+    /// Ask `target` for its slice of a bulk range query.
+    fn get_range(&mut self, aw: &mut Awaited, target: NodeId, q: RangeQuery, env: &mut dyn Env) {
+        let req = self.reqs.issue(aw, ReqRole::MetaRange { target, q });
+        let (blob, version, query, after) = (q.blob, q.version, q.query, q.after);
+        let max_nodes = self.cfg.meta_range_max_nodes;
+        env.send(target, Msg::GetMetaRange { req, blob, version, query, after, max_nodes });
+    }
+
+    /// Take a metadata reply into a session's descent: a `GetMeta` answer
+    /// feeds the descent and the cache, and `false` if it lacks a node —
+    /// the metadata is unavailable. A bulk answer fills only the cache,
+    /// replacing any cached copy of a node because repair patches a leaf's
+    /// replicas in place, and asks its provider for the rest if truncated.
+    fn meta_reply(
+        &mut self,
+        aw: &mut Awaited,
+        d: &mut impl Descent,
+        role: ReqRole,
+        reply: Msg,
+        env: &mut dyn Env,
+    ) -> bool {
+        match (reply, role) {
+            (Msg::GetMetaOk { nodes, .. }, _) => {
+                for (k, n) in nodes {
+                    let Some(node) = n else { return false };
+                    d.supply(k, &node);
+                    self.meta_cache.insert(k, node);
+                }
+            }
+            (Msg::GetMetaRangeOk { nodes, more, .. }, ReqRole::MetaRange { target, q }) => {
+                let last = nodes.last().map(|(k, _)| k.range);
+                for (k, n) in nodes {
+                    self.meta_cache.insert(k, n);
+                }
+                if let (true, Some(after)) = (more, last) {
+                    self.get_range(aw, target, RangeQuery { after: Some(after), ..q }, env);
+                }
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// The metadata/commit tail of a draining write stream, once no
@@ -1704,8 +1713,7 @@ impl Cx {
             let (interval, pending) = (t.interval(), t.pending.clone());
             TreeBuilder::new(w.blob, t.version, interval, t.page_size, t.new_size, t.base, pending)
         });
-        if let Some(missing) = self.meta_cache.descend(builder) {
-            self.get_meta(aw, missing, env);
+        if !self.descend(aw, builder, &mut w.range_used, env) {
             w.phase = WStreamPhase::MetaResolve;
             return StreamStep::Park;
         }
@@ -1892,9 +1900,12 @@ impl Cx {
                 fail(parked, BlobError::AllocationFailed { requested: 0, available })
             }
 
-            (WStreamPhase::MetaResolve, Msg::GetMetaOk { nodes, .. }) => {
+            (
+                WStreamPhase::MetaResolve,
+                reply @ (Msg::GetMetaOk { .. } | Msg::GetMetaRangeOk { .. }),
+            ) => {
                 let builder = w.builder.as_mut().expect("builder set");
-                if !self.meta_cache.supply(builder, nodes) {
+                if !self.meta_reply(aw, builder, role, reply, env) {
                     return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0);
                 }
                 self.wstream_meta_step(aw, w, env)
@@ -2092,23 +2103,7 @@ impl Cx {
             return StreamStep::Park;
         }
         let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
-        if let Some(missing) = self.meta_cache.descend(r.reader.as_mut().expect("reader set")) {
-            if self.cfg.meta_range_fetch && !r.range_used {
-                // Cold cache: instead of walking the tree one level
-                // per round trip, ask every metadata provider for its
-                // slice of the read path in one bulk query. Nodes are
-                // hash-partitioned, so no single provider holds a full
-                // root-to-leaf path — the broadcast is still one
-                // logical round trip, replacing O(depth) of them.
-                r.range_used = true;
-                let max_nodes = self.cfg.meta_range_max_nodes;
-                for &target in &self.meta_providers {
-                    let req = self.reqs.issue(aw, ReqRole::MetaRange { target });
-                    env.send(target, r.range_msg(req, None, max_nodes));
-                }
-            } else {
-                self.get_meta(aw, missing, env);
-            }
+        if !self.descend(aw, r.reader.as_mut().expect("reader set"), &mut r.range_used, env) {
             r.phase = RStreamPhase::Meta;
             return StreamStep::Park;
         }
@@ -2238,28 +2233,14 @@ impl Cx {
                 StreamStep::Finish(Err(err), 0)
             }
 
-            (RStreamPhase::Meta, Msg::GetMetaOk { nodes, .. }, ReqRole::MetaGet) => {
-                let reader = r.reader.as_mut().expect("reader set");
-                if !self.meta_cache.supply(reader, nodes) {
-                    return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0);
-                }
-                self.rstream_meta_step(sess, env)
-            }
             (
                 RStreamPhase::Meta,
-                Msg::GetMetaRangeOk { nodes, more, .. },
-                ReqRole::MetaRange { target },
+                reply @ (Msg::GetMetaOk { .. } | Msg::GetMetaRangeOk { .. }),
+                role,
             ) => {
-                let mut last = None;
-                for (k, n) in nodes {
-                    last = Some(k.range);
-                    self.meta_cache.insert(k, n);
-                }
-                if let (true, Some(after)) = (more, last) {
-                    let req = self.reqs.issue(aw, ReqRole::MetaRange { target });
-                    let max_nodes = self.cfg.meta_range_max_nodes;
-                    env.send(target, r.range_msg(req, Some(after), max_nodes));
-                    return StreamStep::Park;
+                let reader = r.reader.as_mut().expect("reader set");
+                if !self.meta_reply(aw, reader, role, reply, env) {
+                    return StreamStep::Finish(Err(BlobError::MetaUnavailable), 0);
                 }
                 self.rstream_meta_step(sess, env)
             }
@@ -2492,7 +2473,7 @@ fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::{partition, MetaNode, MetaStore, NodeRef};
+    use crate::meta::{partition, BaseSnapshot, MetaNode, MetaStore, NodeRef};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -3303,8 +3284,7 @@ mod tests {
     /// across the root's midpoint — the longest read path the tree has.
     #[test]
     fn cold_read_of_a_depth_15_tree_needs_no_per_node_fetch() {
-        const META_B: NodeId = NodeId(4);
-        let ring = [META, META_B];
+        let ring = RING;
         let (pages, page) = (1u64 << 15, 8u64);
         let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
         let mut stores = [MetaStore::new(), MetaStore::new()];
@@ -3360,6 +3340,174 @@ mod tests {
                 .sum();
             assert_eq!(fetched as u64, query.len, "{entry:?}");
         }
+    }
+
+    /// A two-provider metadata ring, each provider answering from a real
+    /// `MetaStore` that holds its partition of `nodes`.
+    const META_B: NodeId = NodeId(4);
+    const RING: [NodeId; 2] = [META, META_B];
+
+    fn ring_stores(nodes: Vec<(NodeKey, MetaNode)>) -> [MetaStore; 2] {
+        let mut stores = [MetaStore::new(), MetaStore::new()];
+        for (k, n) in nodes {
+            stores[partition(&k, RING.len())].put(k, n);
+        }
+        stores
+    }
+
+    /// Run a one-shot write of page `pg` of a `pages`-page BLOB, publishing
+    /// `version` on `base`, against a scripted deployment whose metadata
+    /// ring answers from `stores` and keeps what the write puts. Returns
+    /// every `(target, message)` the client sent after its chunk was
+    /// acknowledged.
+    fn write_page(
+        c: &mut ClientCore,
+        env: &mut TestEnv,
+        stores: &mut [MetaStore; 2],
+        (version, pg, pages, page): (u64, u64, u64, u64),
+        base: BaseSnapshot,
+    ) -> Vec<(NodeId, &'static str)> {
+        use sads_sim::Message;
+        let (blob, kind, data) = (BlobId(5), WriteKind::At(pg * page), Payload::Sim(page));
+        assert!(c.start_op(env, ClientOp::Write { blob, kind, data }, 1).is_empty());
+        let mut queue: std::collections::VecDeque<_> = env.take_sent().into();
+        let (mut after_chunk, mut acked, mut done) = (vec![], false, vec![]);
+        while let Some((to, msg)) = queue.pop_front() {
+            if acked {
+                after_chunk.push((to, msg.op_name()));
+            }
+            let at = RING.iter().position(|m| *m == to);
+            let reply = match msg {
+                Msg::Ticket { req, .. } => {
+                    let (version, offset, new_size) = (VersionId(version), pg * page, pages * page);
+                    let (len, page_size, replication, pending) = (page, page, 1, vec![]);
+                    let ticket = WriteTicket {
+                        blob, version, offset, len, page_size, replication, new_size, base, pending,
+                    };
+                    Msg::TicketOk { req, ticket }
+                }
+                Msg::Alloc { req, .. } => Msg::AllocOk { req, placement: vec![vec![PROV_A]] },
+                Msg::PutChunk { req, .. } => {
+                    acked = true;
+                    Msg::PutChunkOk { req }
+                }
+                Msg::GetMeta { req, keys } => {
+                    let s = &stores[at.unwrap()];
+                    let nodes = keys.iter().map(|k| (*k, s.get(k).cloned())).collect();
+                    Msg::GetMetaOk { req, nodes }
+                }
+                Msg::GetMetaRange { req, blob, version, query, after, max_nodes } => {
+                    let s = &stores[at.unwrap()];
+                    let (nodes, more) = s.range_cover(blob, version, &query, after, max_nodes as _);
+                    Msg::GetMetaRangeOk { req, nodes, more }
+                }
+                Msg::PutMeta { req, nodes } => {
+                    for (k, n) in nodes {
+                        assert!(stores[at.unwrap()].put(k, n), "{k:?} stored twice");
+                    }
+                    Msg::PutMetaOk { req }
+                }
+                Msg::Commit { req, version, .. } => Msg::CommitOk { req, version },
+                other => panic!("unscripted message {other:?}"),
+            };
+            done.extend(c.handle_msg(env, to, reply));
+            queue.extend(env.take_sent());
+        }
+        let [Completion { result: Ok(OpOutput::Written { version: v, .. }), .. }] = done[..] else {
+            panic!("{done:?}")
+        };
+        assert_eq!(v, VersionId(version));
+        after_chunk
+    }
+
+    /// The write-side twin of the read test above: a single-page write
+    /// into a depth-15 tree whose client cache is cold resolves its base
+    /// tree in one range query per provider — no per-level `GetMeta` —
+    /// then stores its nodes and commits.
+    #[test]
+    fn cold_write_of_a_depth_15_tree_resolves_in_one_broadcast() {
+        let (pages, page) = (1u64 << 15, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
+        let mut stores = ring_stores(nodes);
+        for pg in [pages / 2 - 3, 0, pages - 1] {
+            let mut env = TestEnv::new();
+            let mut c =
+                ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), ClientConfig::default());
+            let base = BaseSnapshot { version: VersionId(1), size: pages * page, root: Some(root) };
+            let sent = write_page(&mut c, &mut env, &mut stores, (2, pg, pages, page), base);
+            let (resolve, rest) = sent.split_at(2);
+            assert_eq!(resolve, [(META, "GetMetaRange"), (META_B, "GetMetaRange")], "page {pg}");
+            let (commit, puts) = rest.split_last().unwrap();
+            assert_eq!(*commit, (VMAN, "Commit"));
+            assert!(!puts.is_empty() && puts.iter().all(|(_, m)| *m == "PutMeta"), "{sent:?}");
+            // Each page's version-2 nodes went to a fresh pair of stores.
+            stores = ring_stores(stored_tree(pages, page, vec![PROV_A]).0);
+        }
+    }
+
+    /// The message rule's other side: once the cache holds all but the
+    /// bottom of the path, a write walks the rest per node. A broadcast
+    /// costs one message per provider, so it goes out only when more
+    /// levels are left than there are providers — here two.
+    #[test]
+    fn a_write_missing_only_the_bottom_levels_walks_them_per_node() {
+        let (pages, page) = (1u64 << 15, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
+        let mut stores = ring_stores(nodes);
+        let mut env = TestEnv::new();
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), ClientConfig::default());
+        let (p, size) = (pages / 2 - 3, pages * page);
+        let mut base = BaseSnapshot { version: VersionId(1), size, root: Some(root) };
+        // Cold: one broadcast fetches the path to `p`.
+        let sent = write_page(&mut c, &mut env, &mut stores, (2, p, pages, page), base);
+        assert_eq!(sent.iter().filter(|(_, m)| *m == "GetMetaRange").count(), 2, "{sent:?}");
+        // `p ^ 2` shares all of it but the parent of its leaf; `p ^ 4` all
+        // but the last two levels — as many as there are providers.
+        for (version, pg, walked) in [(3, p ^ 2, 1), (4, p ^ 4, 2)] {
+            let root = c.cx.meta_cache.map.keys().filter(|k| k.version.0 == version - 1);
+            let root = root.max_by_key(|k| k.range.len).expect("the last write's root");
+            let root = NodeRef::Node { version: root.version, range: root.range };
+            base = BaseSnapshot { version: VersionId(version - 1), size, root: Some(root) };
+            let sent = write_page(&mut c, &mut env, &mut stores, (version, pg, pages, page), base);
+            let gets = sent.iter().take_while(|(_, m)| *m == "GetMeta").count();
+            assert_eq!(gets, walked, "{sent:?}");
+            assert!(sent[gets..].iter().all(|(_, m)| *m == "PutMeta" || *m == "Commit"));
+        }
+    }
+
+    /// Repair patches a leaf's replicas in place, so a range reply must
+    /// replace a cached copy of a node, not yield to it. A write's bulk
+    /// resolve carries the leaf of its own page at the base version; a
+    /// later read of that version then fetches from the patched replica.
+    #[test]
+    fn a_range_reply_replaces_a_cached_leaf_whose_replicas_were_patched() {
+        let (pages, page) = (1u64 << 15, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_B]);
+        let p = pages / 2 - 3;
+        let leaf = NodeKey { blob: BlobId(5), version: VersionId(1), range: NodeRange::new(p, 1) };
+        let mut stale = nodes.iter().find(|(k, _)| *k == leaf).unwrap().1.clone();
+        let MetaNode::Leaf { chunk } = &mut stale else { panic!("{stale:?}") };
+        chunk.replicas = vec![PROV_A];
+        let mut stores = ring_stores(nodes);
+        let mut env = TestEnv::new();
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), ClientConfig::default());
+        c.cx.meta_cache.insert(leaf, stale);
+        let base = BaseSnapshot { version: VersionId(1), size: pages * page, root: Some(root) };
+        write_page(&mut c, &mut env, &mut stores, (2, p, pages, page), base);
+        let Some(MetaNode::Leaf { chunk }) = c.cx.meta_cache.get(&leaf) else { panic!() };
+        assert_eq!(chunk.replicas, [PROV_B]);
+        // Version 1's path to `p` is cached whole: the read goes straight
+        // to the chunk, at the replica repair left.
+        let (blob, version, offset, len) = (BlobId(5), Some(VersionId(1)), p * page, page);
+        assert!(c.start_op(&mut env, ClientOp::Read { blob, version, offset, len }, 2).is_empty());
+        let (_, msg) = env.take_sent().pop().unwrap();
+        let Msg::GetVersion { req, .. } = msg else { panic!("{msg:?}") };
+        let (size, page_size, root) = (pages * page, page, Some(root));
+        let info = VersionInfo { version: VersionId(1), size, page_size, root };
+        assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionOk { req, info }).is_empty());
+        let sent = env.take_sent();
+        let fetch = matches!(sent[..], [(_, Msg::GetChunk { .. } | Msg::GetChunkBatch { .. })]);
+        assert!(fetch && sent[0].0 == PROV_B, "{sent:?}");
     }
 
     #[test]

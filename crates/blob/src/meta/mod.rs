@@ -6,6 +6,6 @@ pub mod tree;
 
 pub use store::{group_by_partition, node_key_hash, partition, MetaStore};
 pub use tree::{
-    created_ranges, BaseSnapshot, MetaNode, NodeKey, NodeRange, NodeRef, PageSource,
-    PendingWrite, TreeBuilder, TreeReader,
+    created_ranges, BaseSnapshot, Descent, MetaNode, NodeKey, NodeRange, NodeRef, PageSource,
+    PendingWrite, RangeQuery, TreeBuilder, TreeReader,
 };

@@ -462,7 +462,10 @@ fn table_bytes<K, V>(map: &FastMap<K, V>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::tree::{BaseSnapshot, NodeRef, PageSource, TreeBuilder, TreeReader};
+    use crate::meta::tree::{
+        BaseSnapshot, Descent, NodeRef, PageSource, PendingWrite, RangeQuery, TreeBuilder,
+        TreeReader,
+    };
     use crate::model::{next_pow2, ChunkDescriptor, ChunkKey};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -718,6 +721,79 @@ mod tests {
         (s.len(), s.bytes(), all)
     }
 
+    /// Store a writer's nodes — those `keep` picks by position — in the
+    /// whole store and in its partition, the first write of a key winning
+    /// as on the providers.
+    fn store_nodes(
+        full: &mut MetaStore,
+        parts: &mut [MetaStore; 2],
+        nodes: Vec<(NodeKey, MetaNode)>,
+        keep: impl Fn(usize) -> bool,
+    ) {
+        for (j, (k, n)) in nodes.into_iter().enumerate() {
+            if keep(j) && full.put(k, n.clone()) {
+                parts[partition(&k, 2)].put(k, n);
+            }
+        }
+    }
+
+    /// Every node the partitions answer a bulk query with.
+    fn cover(parts: &[MetaStore; 2], q: RangeQuery) -> std::collections::HashMap<NodeKey, MetaNode> {
+        let answer = |p: &MetaStore| p.range_cover(q.blob, q.version, &q.query, q.after, usize::MAX);
+        parts.iter().flat_map(|p| answer(p).0).collect()
+    }
+
+    /// Build version `version`'s nodes, writing `at` to make the BLOB
+    /// `pages` pages, over `base` with `pending` ticketed ahead of it, its
+    /// chunks on replica `replica`, twice: resolved through
+    /// `MetaStore::get` alone, and the way a cold client resolves —
+    /// `rounds` rounds per node, then the one bulk query from there,
+    /// answered by the partitions. Both must build the same nodes and root.
+    fn build_both(
+        full: &MetaStore,
+        parts: &[MetaStore; 2],
+        blob: BlobId,
+        (version, at, pages): (VersionId, PageInterval, u64),
+        base: BaseSnapshot,
+        pending: &[PendingWrite],
+        (rounds, replica): (u64, u32),
+    ) -> Result<(Vec<(NodeKey, MetaNode)>, NodeRef), TestCaseError> {
+        let new = || TreeBuilder::new(blob, version, at, PAGE, pages * PAGE, base, pending.to_vec());
+        type Fetch<'a> = &'a dyn Fn(&NodeKey) -> Option<MetaNode>;
+        let walk = |b: &mut TreeBuilder, rounds: u64, fetch: Fetch| {
+            for _ in 0..rounds {
+                if b.is_ready() {
+                    break;
+                }
+                for k in b.needed_fetches() {
+                    let n = fetch(&k).ok_or_else(|| {
+                        TestCaseError::fail(format!("{k:?} of {version:?}'s base not at hand"))
+                    })?;
+                    b.supply(k, &n);
+                }
+            }
+            Ok::<(), TestCaseError>(())
+        };
+        let get = |k: &NodeKey| full.get(k).cloned();
+        let (mut by_get, mut by_cover) = (new(), new());
+        walk(&mut by_get, u64::MAX, &get)?;
+        walk(&mut by_cover, rounds, &get)?;
+        if !by_cover.is_ready() {
+            let covered = cover(parts, by_cover.range_query());
+            walk(&mut by_cover, u64::MAX, &|k| covered.get(k).cloned())?;
+        }
+        let chunks: Vec<ChunkDescriptor> = (at.start..at.end())
+            .map(|page| ChunkDescriptor {
+                key: ChunkKey { blob, version, page },
+                replicas: vec![NodeId(replica)],
+                size: PAGE,
+            })
+            .collect();
+        let built = by_get.build(&chunks);
+        prop_assert_eq!(&by_cover.build(&chunks), &built);
+        Ok(built)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -835,10 +911,18 @@ mod tests {
         }
 
         /// What the scan was for: the union of two partitioned stores'
-        /// `range_cover(v, q)` — all a cold client has after its one
-        /// broadcast — holds every node `TreeReader` asks for on the way
-        /// down version `v`'s tree, so the read finishes without a single
-        /// per-node fetch and finds the pages `MetaStore::get` finds.
+        /// answers to one bulk query — all a cold client has after its
+        /// broadcast — holds every node a descent still needs. A read
+        /// (`TreeReader`) finishes on it without a per-node fetch and finds
+        /// the pages `MetaStore::get` finds. A write (`TreeBuilder`) that
+        /// walked a few rounds per node first, as far as a client's cache
+        /// took it, finishes on the query from there and builds the nodes
+        /// and root one resolved through `MetaStore::get` alone builds. The
+        /// history holds appends that grow the root, writers ticketed
+        /// together with the ones ahead of them pending, and stalled writes
+        /// recovered as no-op versions: rebuilt by the recovery agent over
+        /// the nodes the dead writer got stored (first write wins), or
+        /// republishing the predecessor's root over them.
         #[test]
         fn range_cover_alone_feeds_a_whole_descent(
             first in 1u64..24,
@@ -848,12 +932,72 @@ mod tests {
             let mut full = MetaStore::new();
             let mut parts = [MetaStore::new(), MetaStore::new()];
             let mut blob = Blob::new(1);
-            let mut at = PageInterval::new(0, first);
-            for (kind, a, b) in steps {
-                for (k, n) in blob.write(&mut full, at) {
-                    parts[partition(&k, 2)].put(k, n);
+            let base0 = BaseSnapshot { version: VersionId(0), size: 0, root: None };
+            let write = (VersionId(1), PageInterval::new(0, first), first);
+            let (nodes, root) = build_both(&full, &parts, blob.id, write, base0, &[], (0, 0))?;
+            store_nodes(&mut full, &mut parts, nodes, |_| true);
+            (blob.pages, blob.roots) = (first, vec![root]);
+            for (i, (kind, a, b)) in steps.into_iter().enumerate() {
+                // Per-node rounds before the bulk query.
+                let rounds = (seed.0 >> (i % 8 * 2)) & 3;
+                let next = blob.roots.len() as u64 + 1;
+                let base = BaseSnapshot {
+                    version: VersionId(next - 1),
+                    size: blob.pages * PAGE,
+                    root: blob.roots.last().copied(),
+                };
+                match kind {
+                    4 | 5 => {
+                        // Writers ticketed together: each builds with the
+                        // ones ahead of it pending, all publish in order.
+                        let (mut pending, mut pages) = (Vec::new(), blob.pages);
+                        for j in 0..u64::from(kind - 2) {
+                            let at = blob.step((a >> (2 * j) & 3) as u8, a.rotate_left(7 * j as u32), b);
+                            pages = pages.max(at.end());
+                            let write = (VersionId(next + j), at, pages);
+                            let (nodes, root) =
+                                build_both(&full, &parts, blob.id, write, base, &pending, (rounds, 0))?;
+                            store_nodes(&mut full, &mut parts, nodes, |_| true);
+                            let size_after = pages * PAGE;
+                            pending.push(PendingWrite { version: write.0, interval: at, size_after });
+                            blob.roots.push(root);
+                        }
+                        blob.pages = pages;
+                    }
+                    6 => {
+                        // A writer stores about half its nodes and stalls;
+                        // the recovery agent rebuilds its version over them.
+                        // The agent's leaves point elsewhere, so which copy
+                        // of a range won stays visible.
+                        let at = blob.step((a & 3) as u8, a, b);
+                        let write = (VersionId(next), at, blob.pages.max(at.end()));
+                        let (nodes, root) =
+                            build_both(&full, &parts, blob.id, write, base, &[], (rounds, 0))?;
+                        let mask = b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        store_nodes(&mut full, &mut parts, nodes, |j| (mask >> (j % 64)) & 1 == 0);
+                        let (nodes, _) =
+                            build_both(&full, &parts, blob.id, write, base, &[], (rounds, 1))?;
+                        store_nodes(&mut full, &mut parts, nodes, |_| true);
+                        blob.pages = write.2;
+                        blob.roots.push(root);
+                    }
+                    7 => {
+                        // A writer stalled before storing any node, and its
+                        // version republishes its predecessor's root: the
+                        // version that created a base root is older than the
+                        // base from here on.
+                        blob.roots.push(base.root.expect("a version is published"));
+                    }
+                    _ => {
+                        let at = blob.step(kind & 3, a, b);
+                        let write = (VersionId(next), at, blob.pages.max(at.end()));
+                        let (nodes, root) =
+                            build_both(&full, &parts, blob.id, write, base, &[], (rounds, 0))?;
+                        store_nodes(&mut full, &mut parts, nodes, |_| true);
+                        blob.pages = write.2;
+                        blob.roots.push(root);
+                    }
                 }
-                at = blob.step(kind % 4, a, b);
             }
             type Fetch<'a> = &'a dyn Fn(&NodeKey) -> Option<MetaNode>;
             let descend = |root: NodeRef, q: PageInterval, fetch: Fetch| {
@@ -872,10 +1016,8 @@ mod tests {
                 let v = VersionId(i as u64 + 1);
                 let seed = (seed.0 + i as u64, seed.1 ^ i as u64);
                 for q in edge_queries(blob.pages, seed) {
-                    let covered: std::collections::HashMap<NodeKey, MetaNode> = parts
-                        .iter()
-                        .flat_map(|p| p.range_cover(blob.id, v, &q, None, usize::MAX).0)
-                        .collect();
+                    let bulk = TreeReader::new(blob.id, Some(*root), q).bulk_query(parts.len());
+                    let covered = cover(&parts, bulk.expect("a read always broadcasts"));
                     let from_cover = descend(*root, q, &|k| covered.get(k).cloned())?;
                     let from_get = descend(*root, q, &|k| full.get(k).cloned())?;
                     prop_assert_eq!(from_cover, from_get, "{:?} of {:?}", q, v);

@@ -268,6 +268,8 @@ impl TreeBuilder {
         let new_pages = crate::model::pages_for(new_size, page_size);
         let new_root = NodeRange::root_for(new_pages);
         debug_assert!(new_root.interval().contains(&interval));
+        // A reference per sibling of the interval's two boundary paths.
+        let depth = new_root.len.trailing_zeros() as usize;
         let mut b = TreeBuilder {
             blob,
             version,
@@ -276,8 +278,8 @@ impl TreeBuilder {
             new_root,
             base,
             pending,
-            resolved: FastMap::default(),
-            in_flight: Vec::new(),
+            resolved: FastMap::with_capacity_and_hasher(2 * depth + 1, Default::default()),
+            in_flight: Vec::with_capacity(2 * depth),
         };
         b.collect_targets(b.new_root);
         b
@@ -374,47 +376,75 @@ impl TreeBuilder {
         BaseStep::Resolved(NodeRef::Hole)
     }
 
-    /// Keys that must be fetched from the metadata providers right now.
+    /// Keys that must be fetched from the metadata providers right now,
+    /// each once, ordered by `(version, start, len)`. Every descent walks
+    /// one of the interval's two boundary paths, so there are at most two.
     pub fn needed_fetches(&self) -> Vec<NodeKey> {
-        let mut keys: Vec<NodeKey> = self.in_flight.iter().map(|r| r.cursor).collect();
-        keys.sort_by_key(|k| (k.version, k.range.start, k.range.len));
-        keys.dedup();
+        let mut keys: Vec<NodeKey> = Vec::with_capacity(2);
+        for res in &self.in_flight {
+            if !keys.contains(&res.cursor) {
+                keys.push(res.cursor);
+            }
+        }
+        keys.sort_unstable_by_key(|k| (k.version, k.range.start, k.range.len));
         keys
+    }
+
+    /// Fetch rounds the base-tree descents still need if no node below
+    /// their cursors is at hand: the most levels a cursor stands above
+    /// its target.
+    pub fn rounds_left(&self) -> u32 {
+        let levels = |r: &Resolution| {
+            r.cursor.range.len.trailing_zeros() - r.target.len.trailing_zeros()
+        };
+        self.in_flight.iter().map(levels).max().unwrap_or(0)
+    }
+
+    /// The bulk range query that returns every node the descents still
+    /// need: the write interval at the version that created the base
+    /// root, after a cursor that sorts just before the leftmost descent
+    /// cursor — the needed nodes lie below the cursors, and the resolved
+    /// ancestors left of them are skipped.
+    pub fn range_query(&self) -> RangeQuery {
+        let version = match self.base.root {
+            Some(NodeRef::Node { version, .. }) => version,
+            _ => self.base.version,
+        };
+        // Ranges order by `(start, len)`, and no range is empty.
+        let start = self.in_flight.iter().map(|r| r.cursor.range.start).min();
+        let after = start.map(|start| NodeRange { start, len: 0 });
+        RangeQuery { blob: self.blob, version, query: self.interval, after }
     }
 
     /// Feed a fetched node back in; advances every descent waiting on it.
     pub fn supply(&mut self, key: NodeKey, node: &MetaNode) {
-        let mut still = Vec::with_capacity(self.in_flight.len());
-        for mut res in std::mem::take(&mut self.in_flight) {
+        let (blob, resolved) = (self.blob, &mut self.resolved);
+        self.in_flight.retain_mut(|res| {
             if res.cursor != key {
-                still.push(res);
-                continue;
+                return true;
             }
             let MetaNode::Inner { left, right } = node else {
                 // A leaf above a strictly smaller target range is a
                 // protocol corruption; treat as hole to stay total.
-                self.resolved.insert(res.target, NodeRef::Hole);
-                continue;
+                resolved.insert(res.target, NodeRef::Hole);
+                return false;
             };
             // Pick the side by geometry: the target is strictly inside
             // one half of the cursor's range.
             let child = if key.range.left().contains(&res.target) { *left } else { *right };
             match child {
-                NodeRef::Hole => {
-                    self.resolved.insert(res.target, NodeRef::Hole);
+                NodeRef::Node { version, range } if range != res.target => {
+                    debug_assert!(range.contains(&res.target));
+                    res.cursor = NodeKey { blob, version, range };
+                    true
                 }
-                NodeRef::Node { version, range } => {
-                    if range == res.target {
-                        self.resolved.insert(res.target, child);
-                    } else {
-                        debug_assert!(range.contains(&res.target));
-                        res.cursor = NodeKey { blob: self.blob, version, range };
-                        still.push(res);
-                    }
+                // A hole, or the target's own node.
+                _ => {
+                    resolved.insert(res.target, child);
+                    false
                 }
             }
-        }
-        self.in_flight = still;
+        });
     }
 
     /// Have all references been resolved?
@@ -470,6 +500,59 @@ enum BaseStep {
     Materialize,
 }
 
+/// The fetch/supply protocol [`TreeBuilder`] and [`TreeReader`] share:
+/// whoever drives a descent — a client through its node cache, a test
+/// through a store — fetches what it needs and supplies it until done.
+pub trait Descent {
+    /// Is the descent complete?
+    fn done(&self) -> bool;
+    /// Keys to fetch next.
+    fn needed(&self) -> Vec<NodeKey>;
+    /// Feed one fetched node.
+    fn supply(&mut self, key: NodeKey, node: &MetaNode);
+    /// The bulk range query to send each of `providers` metadata
+    /// providers for the rest of the descent, instead of walking on one
+    /// level per round trip; `None` when the walk sends fewer messages.
+    fn bulk_query(&self, providers: usize) -> Option<RangeQuery>;
+}
+
+impl Descent for TreeBuilder {
+    fn done(&self) -> bool {
+        self.is_ready()
+    }
+    fn needed(&self) -> Vec<NodeKey> {
+        self.needed_fetches()
+    }
+    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
+        TreeBuilder::supply(self, key, node)
+    }
+    /// Only with more levels left than providers: a base-tree descent
+    /// fetches one node per level, one level per round trip.
+    fn bulk_query(&self, providers: usize) -> Option<RangeQuery> {
+        (self.rounds_left() as usize > providers).then(|| self.range_query())
+    }
+}
+
+/// A bulk range query for the rest of a descent: the arguments of
+/// [`MetaStore::range_cover`] but the reply cap, which a cold client
+/// sends every metadata provider instead of walking the tree one remote
+/// level at a time.
+///
+/// [`MetaStore::range_cover`]: crate::meta::MetaStore::range_cover
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RangeQuery {
+    /// The BLOB.
+    pub blob: BlobId,
+    /// The version that created the root being descended: the version
+    /// read or written on, except when a recovered no-op version
+    /// republished its predecessor's root.
+    pub version: VersionId,
+    /// Pages read or written.
+    pub query: PageInterval,
+    /// Only ranges after this one, in `(start, len)` order.
+    pub after: Option<NodeRange>,
+}
+
 // ---------------------------------------------------------------------
 // Read side
 // ---------------------------------------------------------------------
@@ -503,6 +586,8 @@ impl PageSource {
 #[derive(Debug)]
 pub struct TreeReader {
     blob: BlobId,
+    /// The version that created the root.
+    version: VersionId,
     query: PageInterval,
     frontier: Vec<NodeKey>,
     sources: Vec<PageSource>,
@@ -512,10 +597,13 @@ impl TreeReader {
     /// Start a descent from `root` (of the version being read) for the
     /// pages in `query`.
     pub fn new(blob: BlobId, root: Option<NodeRef>, query: PageInterval) -> TreeReader {
-        let mut r = TreeReader { blob, query, frontier: Vec::new(), sources: Vec::new() };
+        let (frontier, sources) = (Vec::new(), Vec::new());
+        let version = VersionId(0);
+        let mut r = TreeReader { blob, version, query, frontier, sources };
         match root {
             None | Some(NodeRef::Hole) => r.fill_holes(query),
             Some(NodeRef::Node { version, range }) => {
+                r.version = version;
                 // Pages beyond the root coverage are holes.
                 if query.end() > range.end() {
                     let beyond = PageInterval::new(range.end().max(query.start), {
@@ -596,6 +684,24 @@ impl TreeReader {
         self.sources.sort_by_key(|s| s.page());
         debug_assert_eq!(self.sources.len() as u64, self.query.len, "one source per page");
         self.sources
+    }
+}
+
+impl Descent for TreeReader {
+    fn done(&self) -> bool {
+        self.is_done()
+    }
+    fn needed(&self) -> Vec<NodeKey> {
+        self.needed_fetches()
+    }
+    fn supply(&mut self, key: NodeKey, node: &MetaNode) {
+        TreeReader::supply(self, key, node)
+    }
+    /// Always, for the queried pages from the root down: a read's
+    /// frontier widens with every level it descends.
+    fn bulk_query(&self, _providers: usize) -> Option<RangeQuery> {
+        let (blob, version, query) = (self.blob, self.version, self.query);
+        Some(RangeQuery { blob, version, query, after: None })
     }
 }
 
