@@ -5,7 +5,8 @@ pub mod store;
 pub mod tree;
 
 pub use store::{group_by_partition, node_key_hash, partition, MetaStore};
+pub(crate) use tree::{Descent, RangeQuery};
 pub use tree::{
-    created_ranges, BaseSnapshot, Descent, MetaNode, NodeKey, NodeRange, NodeRef, PageSource,
-    PendingWrite, RangeQuery, TreeBuilder, TreeReader,
+    created_ranges, BaseSnapshot, MetaNode, NodeKey, NodeRange, NodeRef, PageSource,
+    PendingWrite, TreeBuilder, TreeReader,
 };

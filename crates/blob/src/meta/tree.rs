@@ -393,7 +393,7 @@ impl TreeBuilder {
     /// Fetch rounds the base-tree descents still need if no node below
     /// their cursors is at hand: the most levels a cursor stands above
     /// its target.
-    pub fn rounds_left(&self) -> u32 {
+    pub(crate) fn rounds_left(&self) -> u32 {
         let levels = |r: &Resolution| {
             r.cursor.range.len.trailing_zeros() - r.target.len.trailing_zeros()
         };
@@ -405,7 +405,7 @@ impl TreeBuilder {
     /// root, after a cursor that sorts just before the leftmost descent
     /// cursor — the needed nodes lie below the cursors, and the resolved
     /// ancestors left of them are skipped.
-    pub fn range_query(&self) -> RangeQuery {
+    pub(crate) fn range_query(&self) -> RangeQuery {
         let version = match self.base.root {
             Some(NodeRef::Node { version, .. }) => version,
             _ => self.base.version,
@@ -503,7 +503,7 @@ enum BaseStep {
 /// The fetch/supply protocol [`TreeBuilder`] and [`TreeReader`] share:
 /// whoever drives a descent — a client through its node cache, a test
 /// through a store — fetches what it needs and supplies it until done.
-pub trait Descent {
+pub(crate) trait Descent {
     /// Is the descent complete?
     fn done(&self) -> bool;
     /// Keys to fetch next.
@@ -540,7 +540,7 @@ impl Descent for TreeBuilder {
 ///
 /// [`MetaStore::range_cover`]: crate::meta::MetaStore::range_cover
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RangeQuery {
+pub(crate) struct RangeQuery {
     /// The BLOB.
     pub blob: BlobId,
     /// The version that created the root being descended: the version
