@@ -3455,7 +3455,8 @@ mod tests {
         let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
         let mut stores = ring_stores(nodes);
         let mut env = TestEnv::new();
-        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), ClientConfig::default());
+        let cfg = ClientConfig::default();
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), cfg);
         let (p, size) = (pages / 2 - 3, pages * page);
         let mut base = BaseSnapshot { version: VersionId(1), size, root: Some(root) };
         // Cold: one broadcast fetches the path to `p`.
@@ -3490,7 +3491,8 @@ mod tests {
         chunk.replicas = vec![PROV_A];
         let mut stores = ring_stores(nodes);
         let mut env = TestEnv::new();
-        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), ClientConfig::default());
+        let cfg = ClientConfig::default();
+        let mut c = ClientCore::new(ClientId(7), VMAN, PMAN, RING.to_vec(), cfg);
         c.cx.meta_cache.insert(leaf, stale);
         let base = BaseSnapshot { version: VersionId(1), size: pages * page, root: Some(root) };
         write_page(&mut c, &mut env, &mut stores, (2, p, pages, page), base);

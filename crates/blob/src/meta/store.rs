@@ -468,6 +468,7 @@ mod tests {
     };
     use crate::model::{next_pow2, ChunkDescriptor, ChunkKey};
     use proptest::prelude::*;
+    use std::collections::HashMap;
     use proptest::test_runner::TestCaseError;
 
     fn key(b: u64, v: u64, s: u64, l: u64) -> NodeKey {
@@ -738,7 +739,7 @@ mod tests {
     }
 
     /// Every node the partitions answer a bulk query with.
-    fn cover(parts: &[MetaStore; 2], q: RangeQuery) -> std::collections::HashMap<NodeKey, MetaNode> {
+    fn cover(parts: &[MetaStore; 2], q: RangeQuery) -> HashMap<NodeKey, MetaNode> {
         let answer = |p: &MetaStore| p.range_cover(q.blob, q.version, &q.query, q.after, usize::MAX);
         parts.iter().flat_map(|p| answer(p).0).collect()
     }
@@ -758,7 +759,8 @@ mod tests {
         pending: &[PendingWrite],
         (rounds, replica): (u64, u32),
     ) -> Result<(Vec<(NodeKey, MetaNode)>, NodeRef), TestCaseError> {
-        let new = || TreeBuilder::new(blob, version, at, PAGE, pages * PAGE, base, pending.to_vec());
+        let size = pages * PAGE;
+        let new = || TreeBuilder::new(blob, version, at, PAGE, size, base, pending.to_vec());
         type Fetch<'a> = &'a dyn Fn(&NodeKey) -> Option<MetaNode>;
         let walk = |b: &mut TreeBuilder, rounds: u64, fetch: Fetch| {
             for _ in 0..rounds {
@@ -952,14 +954,16 @@ mod tests {
                         // ones ahead of it pending, all publish in order.
                         let (mut pending, mut pages) = (Vec::new(), blob.pages);
                         for j in 0..u64::from(kind - 2) {
-                            let at = blob.step((a >> (2 * j) & 3) as u8, a.rotate_left(7 * j as u32), b);
+                            let kind = (a >> (2 * j) & 3) as u8;
+                            let at = blob.step(kind, a.rotate_left(7 * j as u32), b);
                             pages = pages.max(at.end());
-                            let write = (VersionId(next + j), at, pages);
+                            let (version, size_after) = (VersionId(next + j), pages * PAGE);
+                            let write = (version, at, pages);
+                            let (ahead, how) = (&pending[..], (rounds, 0));
                             let (nodes, root) =
-                                build_both(&full, &parts, blob.id, write, base, &pending, (rounds, 0))?;
+                                build_both(&full, &parts, blob.id, write, base, ahead, how)?;
                             store_nodes(&mut full, &mut parts, nodes, |_| true);
-                            let size_after = pages * PAGE;
-                            pending.push(PendingWrite { version: write.0, interval: at, size_after });
+                            pending.push(PendingWrite { version, interval: at, size_after });
                             blob.roots.push(root);
                         }
                         blob.pages = pages;
