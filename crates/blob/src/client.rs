@@ -2010,29 +2010,25 @@ impl Cx {
         }
         groups.reverse(); // pop() = next group, in first-seen order
         r.pending_gets = groups;
-        let slots = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
-        while aw.reqs.len() < slots && !r.pending_gets.is_empty() {
-            self.rstream_refill(aw, r, env);
-        }
+        self.rstream_refill(aw, r, env);
         r.phase = RStreamPhase::Fetching;
         StreamStep::Park
     }
 
-    /// A window slot is free: send the next queued provider group, if
-    /// any — a lone chunk as a plain `GetChunk` (the per-chunk replica
-    /// walk), several as one `GetChunkBatch` round trip. One deadline
-    /// guards the whole batch; items that fail or go unanswered re-enter
-    /// the per-chunk walk individually, each arming its own deadline.
+    /// Send queued provider groups while the window has room, each as
+    /// one `GetChunkBatch` round trip. One deadline guards a whole batch;
+    /// items that fail or go unanswered re-enter the per-chunk walk
+    /// individually, each arming its own deadline and taking the window
+    /// slot a refill would otherwise use.
     fn rstream_refill(&mut self, aw: &mut Awaited, r: &mut ReadStreamSess, env: &mut dyn Env) {
-        let Some((target, mut items)) = r.pending_gets.pop() else { return };
-        if items.len() == 1 {
-            let (idx, desc) = items.pop().expect("one item");
-            return self.get_chunk(aw, ChunkFetch::at(target, idx, desc), env);
+        let slots = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
+        while aw.reqs.len() < slots {
+            let Some((target, items)) = r.pending_gets.pop() else { return };
+            let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
+            let req = self.reqs.issue(aw, ReqRole::ChunkGetBatch { target, items });
+            env.send(target, Msg::GetChunkBatch { req, client: self.id, keys });
+            env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
         }
-        let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
-        let req = self.reqs.issue(aw, ReqRole::ChunkGetBatch { target, items });
-        env.send(target, Msg::GetChunkBatch { req, client: self.id, keys });
-        env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
     }
 
     /// Send a chunk fetch to the replica its walk is at, arming its
@@ -2041,7 +2037,7 @@ impl Cx {
         let target = f.desc.replicas[(f.first + f.attempts - 1) % f.desc.replicas.len()];
         let key = f.desc.key;
         let req = self.reqs.issue(aw, ReqRole::ChunkGet(f));
-        env.send(target, Msg::GetChunk { req, client: self.id, key });
+        env.send(target, Msg::GetChunkBatch { req, client: self.id, keys: vec![key] });
         env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
     }
 
@@ -2245,8 +2241,18 @@ impl Cx {
                 self.rstream_meta_step(sess, env)
             }
 
-            (RStreamPhase::Fetching, Msg::GetChunkOk { data, .. }, ReqRole::ChunkGet(f)) => {
-                r.parts[f.idx] = Some(data);
+            (RStreamPhase::Fetching, Msg::GetChunkBatchOk { items, .. }, ReqRole::ChunkGet(f)) => {
+                match items.into_iter().next() {
+                    Some((_, Ok(data))) => r.parts[f.idx] = Some(data),
+                    Some((_, Err(ChunkErr::Blocked))) => {
+                        return fail(parked, BlobError::Blocked(client))
+                    }
+                    _ => {
+                        if let Err(key) = self.failover(aw, f, env) {
+                            return fail(parked, BlobError::ChunkUnavailable(key));
+                        }
+                    }
+                }
                 self.rstream_refill(aw, r, env);
                 self.rstream_batch_done(sess, env)
             }
@@ -2452,13 +2458,8 @@ fn req_of(msg: &Msg) -> Option<u64> {
 
 /// One provider's chunk stores as one message: a lone chunk as a plain
 /// `PutChunk`, several as a `PutChunkBatch`.
-fn put_msg(req: u64, client: ClientId, mut items: Vec<PutItem>) -> Msg {
-    if items.len() == 1 {
-        let (key, data, crc) = items.pop().expect("one item");
-        Msg::PutChunk { req, client, key, data, crc }
-    } else {
-        Msg::PutChunkBatch { req, client, items }
-    }
+fn put_msg(req: u64, client: ClientId, items: Vec<PutItem>) -> Msg {
+    Msg::PutChunkBatch { req, client, items }
 }
 
 fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
@@ -2592,6 +2593,12 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A provider's reply to a one-chunk fetch of `key`: a `page`-byte
+    /// chunk.
+    fn got(req: u64, key: ChunkKey, page: u64) -> Msg {
+        Msg::GetChunkBatchOk { req, items: vec![(key, Ok(Payload::Sim(page)))] }
     }
 
     fn ticket(pages: u64, page: u64, replication: u32) -> WriteTicket {
@@ -3166,21 +3173,18 @@ mod tests {
             // A chunk fetch went out to one replica, with a failover timer.
             let (first_target, msg) = env.take_sent().pop().unwrap();
             assert!(first_target == PROV_A || first_target == PROV_B);
-            let Msg::GetChunk { .. } = msg else { panic!("{msg:?}") };
+            let Msg::GetChunkBatch { keys, .. } = msg else { panic!("{msg:?}") };
+            assert_eq!(keys.len(), 1);
             let (_, token) = *env.timers.last().unwrap();
             assert!(ClientCore::owns_timer(token));
             // The replica never answers: the chunk timer fires and the
             // client retries another replica.
             assert!(c.handle_timer(&mut env, token).is_empty());
             let (second_target, msg) = env.take_sent().pop().unwrap();
-            let Msg::GetChunk { req, .. } = msg else { panic!("{msg:?}") };
+            let Msg::GetChunkBatch { req, keys, .. } = msg else { panic!("{msg:?}") };
             assert_ne!(second_target, first_target, "failover goes to the other replica");
             // That one answers: the read completes.
-            let done = c.handle_msg(
-                &mut env,
-                second_target,
-                Msg::GetChunkOk { req, data: Payload::Sim(8) },
-            );
+            let done = c.handle_msg(&mut env, second_target, got(req, keys[0], 8));
             assert_eq!(read_len(&done), 8, "{entry:?}");
             assert_eq!(c.active_ops(), 0);
         }
@@ -3387,7 +3391,7 @@ mod tests {
                     Msg::TicketOk { req, ticket }
                 }
                 Msg::Alloc { req, .. } => Msg::AllocOk { req, placement: vec![vec![PROV_A]] },
-                Msg::PutChunk { req, .. } => {
+                Msg::PutChunkBatch { req, .. } => {
                     acked = true;
                     Msg::PutChunkOk { req }
                 }
@@ -3508,7 +3512,7 @@ mod tests {
         let info = VersionInfo { version: VersionId(1), size, page_size, root };
         assert!(c.handle_msg(&mut env, VMAN, Msg::GetVersionOk { req, info }).is_empty());
         let sent = env.take_sent();
-        let fetch = matches!(sent[..], [(_, Msg::GetChunk { .. } | Msg::GetChunkBatch { .. })]);
+        let fetch = matches!(sent[..], [(_, Msg::GetChunkBatch { .. })]);
         assert!(fetch && sent[0].0 == PROV_B, "{sent:?}");
     }
 
@@ -3535,12 +3539,13 @@ mod tests {
             assert!(c.handle_timer(&mut env, token).is_empty());
             let sent = env.take_sent();
             assert_eq!(sent.len(), 2, "per-item resubmission: {sent:?}");
-            let reqs: Vec<u64> = sent
+            let reqs: Vec<(u64, ChunkKey)> = sent
                 .iter()
                 .map(|(to, m)| {
                     assert_eq!(*to, PROV_A);
-                    let Msg::GetChunk { req, .. } = m else { panic!("{m:?}") };
-                    *req
+                    let Msg::GetChunkBatch { req, keys, .. } = m else { panic!("{m:?}") };
+                    assert_eq!(keys.len(), 1, "{m:?}");
+                    (*req, keys[0])
                 })
                 .collect();
             assert_eq!(
@@ -3549,8 +3554,8 @@ mod tests {
                 "each resubmission arms its own deadline"
             );
             let mut done = vec![];
-            for req in reqs {
-                done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
+            for (req, key) in reqs {
+                done = c.handle_msg(&mut env, PROV_A, got(req, key, page));
             }
             assert_eq!(done.len(), 1);
             assert!(done[0].result.is_ok(), "{:?}", done[0].result);
@@ -3577,12 +3582,14 @@ mod tests {
             assert!(c.handle_msg(&mut env, PROV_A, Msg::GetChunkBatchOk { req, items }).is_empty());
             let sent = env.take_sent();
             assert_eq!(sent.len(), 1, "{sent:?}");
-            let (to, Msg::GetChunk { req, key, .. }) = sent.into_iter().next().unwrap() else {
+            let (to, Msg::GetChunkBatch { req, keys: retry, .. }) =
+                sent.into_iter().next().unwrap()
+            else {
                 panic!()
             };
             assert_eq!(to, PROV_A);
-            assert_eq!(key, keys[1]);
-            let done = c.handle_msg(&mut env, PROV_A, Msg::GetChunkOk { req, data: Payload::Sim(page) });
+            assert_eq!(retry, [keys[1]]);
+            let done = c.handle_msg(&mut env, PROV_A, got(req, keys[1], page));
             assert_eq!(done.len(), 1);
             assert!(done[0].result.is_ok(), "{:?}", done[0].result);
         }
@@ -3732,7 +3739,7 @@ mod tests {
                 }
                 if matches!(found, WriteFailed) {
                     let (_, put) = env.take_sent().remove(0);
-                    let Msg::PutChunk { req, .. } = put else { panic!("{put:?}") };
+                    let Msg::PutChunkBatch { req, .. } = put else { panic!("{put:?}") };
                     let refused = Msg::PutChunkErr { req, err: ChunkErr::Blocked };
                     assert!(c.handle_msg(&mut env, PROV_A, refused).is_empty());
                 }

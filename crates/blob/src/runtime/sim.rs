@@ -710,7 +710,8 @@ mod tests {
         );
         let data_page = Payload::Sim(MB);
         let crc = crate::storage::payload_crc(&data_page);
-        let refused = Msg::PutChunk { req: 2, client: ClientId(9), key, data: data_page, crc };
+        let items = vec![(key, data_page, crc)];
+        let refused = Msg::PutChunkBatch { req: 2, client: ClientId(9), items };
         let relay = Msg::ReplicateChunk { req: 1, key, to: dest };
         let sender = Sender(vec![(src, relay), (full, refused)]);
         world.add_node(Box::new(sender), NodeConfig::default());

@@ -384,10 +384,11 @@ impl Service for DataProviderService {
                 }
             }
             Msg::PutChunkBatch { req, client, items } => {
-                // Accounting mirrors the per-chunk path: one op and one
-                // probe event per chunk, so load reports and the security
-                // detectors see the same totals either way.
+                // One op, and its bytes on the NIC-load counter, per
+                // chunk on arrival — refused or not: a blocked flood
+                // still loads the link it arrives on.
                 self.ops_since_hb += items.len() as u64;
+                self.bytes_since_hb += items.iter().map(|(_, d, _)| d.len()).sum::<u64>();
                 if self.blacklist.contains(&client) {
                     self.instr.emit(ProbeEvent::ChunkRejected {
                         provider: env.id(),
@@ -399,7 +400,6 @@ impl Service for DataProviderService {
                 }
                 for (key, data, crc) in items {
                     let bytes = data.len();
-                    self.bytes_since_hb += bytes;
                     match self.store.put_with_crc(key, data, crc, env.now()) {
                         Ok(()) => {
                             if client == ClientId::SYSTEM {
@@ -561,7 +561,8 @@ impl Service for DataProviderService {
                         self.next_req += 1;
                         self.relays.insert(relay, (from, req));
                         let client = ClientId::SYSTEM;
-                        env.send(to, Msg::PutChunk { req: relay, client, key, data, crc });
+                        let items = vec![(key, data, crc)];
+                        env.send(to, Msg::PutChunkBatch { req: relay, client, items });
                     }
                     None => env.send(from, Msg::ReplicateChunkOk { req, ok: false }),
                 }

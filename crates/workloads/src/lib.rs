@@ -198,7 +198,8 @@ impl DosAttacker {
                 };
                 let data = Payload::Sim(*chunk_bytes);
                 let crc = payload_crc(&data);
-                ctx.send(target, Box::new(Msg::PutChunk { req, client: self.id, key, data, crc }));
+                let items = vec![(key, data, crc)];
+                ctx.send(target, Box::new(Msg::PutChunkBatch { req, client: self.id, items }));
             }
             AttackMode::AmplifiedReads { targets } => {
                 let open_targets: Vec<&(NodeId, ChunkKey)> = targets
@@ -211,7 +212,8 @@ impl DosAttacker {
                 }
                 let (target, key) =
                     *open_targets[ctx.rng().random_range(0..open_targets.len())];
-                ctx.send(target, Box::new(Msg::GetChunk { req, client: self.id, key }));
+                let keys = vec![key];
+                ctx.send(target, Box::new(Msg::GetChunkBatch { req, client: self.id, keys }));
             }
         }
         self.sent += 1;

@@ -226,10 +226,11 @@ fn retransmitted_put_is_acked_once_applied_once() {
     let from = NodeId(7);
 
     let (data, crc) = (Payload::Sim(PAGE), payload_crc(&Payload::Sim(PAGE)));
-    p.on_msg(&mut env, from, Msg::PutChunk { req: 1, client, key, data: data.clone(), crc });
+    let put = |req| Msg::PutChunkBatch { req, client, items: vec![(key, data.clone(), crc)] };
+    p.on_msg(&mut env, from, put(1));
     // Retransmission: same chunk key, fresh request id, the same envelope
     // (as the client's backoff resend path produces).
-    p.on_msg(&mut env, from, Msg::PutChunk { req: 2, client, key, data: data.clone(), crc });
+    p.on_msg(&mut env, from, put(2));
 
     let acks: Vec<u64> = env
         .sent
@@ -243,11 +244,6 @@ fn retransmitted_put_is_acked_once_applied_once() {
     assert_eq!(p.store().len(), 1, "one chunk stored");
     assert_eq!(p.store().used(), PAGE, "charged exactly once");
     assert_eq!(p.store().total_puts(), 2, "both puts hit the store");
-
-    // The batch path follows the same contract.
-    p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 3, client, items: vec![(key, data, crc)] });
-    assert_eq!(p.store().len(), 1);
-    assert_eq!(p.store().used(), PAGE);
 }
 
 /// The provider stores the envelope's CRC without checking it: a put
@@ -263,10 +259,11 @@ fn a_lying_envelope_is_stored_then_quarantined_by_the_scrub() {
     let key = |page| ChunkKey { blob: BlobId(1), version: VersionId(1), page };
     let data = Payload::Data(bytes::Bytes::from(vec![0x5a; 4096]));
     let crc = payload_crc(&data);
-    let honest = Msg::PutChunk { req: 1, client, key: key(0), data: data.clone(), crc };
-    p.on_msg(&mut env, from, honest);
+    let honest = vec![(key(0), data.clone(), crc)];
+    p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 1, client, items: honest });
     let lie = crc ^ 1;
-    p.on_msg(&mut env, from, Msg::PutChunk { req: 2, client, key: key(1), data, crc: lie });
+    let lying = vec![(key(1), data, lie)];
+    p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 2, client, items: lying });
     let acks = env.sent.iter().filter(|(_, m)| matches!(m, Msg::PutChunkOk { .. })).count();
     assert_eq!(acks, 2, "the provider does not re-verify the envelope");
     assert_eq!(p.store().meta(&key(1)).unwrap().crc, lie, "stored as it came");
@@ -278,6 +275,38 @@ fn a_lying_envelope_is_stored_then_quarantined_by_the_scrub() {
     assert_eq!((scanned, corrupt), (2, vec![key(1)]));
     assert!(p.store().get(&key(1), SimTime::ZERO).is_none(), "quarantined");
     assert!(p.store().get(&key(0), SimTime::ZERO).is_some(), "the honest chunk stays");
+}
+
+/// A put's bytes load the provider's link whether or not it stores them:
+/// a blocked client's batch shows in the NIC-load share (`cpu`) of the
+/// next heartbeat's load report, as the attack traffic of a flood does.
+#[test]
+fn a_refused_batch_counts_its_bytes_in_the_next_load_report() {
+    let (monitor, nic_bandwidth) = (NodeId(50), 4 * MB);
+    let cfg = ServiceConfig { monitor: Some(monitor), nic_bandwidth, ..ServiceConfig::default() };
+    let mut p = DataProviderService::new(NodeId(99), 64 * MB, cfg);
+    let mut env = TestEnv::new();
+    let (client, from) = (ClientId(5), NodeId(7));
+    p.on_msg(&mut env, NodeId(60), Msg::BlockClient { client });
+    let data = Payload::Sim(PAGE);
+    let crc = payload_crc(&data);
+    let items = (0..2)
+        .map(|page| (ChunkKey { blob: BlobId(1), version: VersionId(1), page }, data.clone(), crc))
+        .collect();
+    p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 1, client, items });
+    assert!(matches!(env.sent.pop(), Some((_, Msg::PutChunkErr { .. }))), "{:?}", env.sent);
+    assert_eq!(p.store().len(), 0, "refused");
+    p.on_timer(&mut env, sads::blob::services::TOKEN_HEARTBEAT);
+    p.on_timer(&mut env, sads::blob::services::TOKEN_INSTR);
+    let cpu = env.sent.iter().find_map(|(to, m)| match m {
+        Msg::Probe { events, .. } if *to == monitor => events.iter().find_map(|e| match e {
+            sads::blob::probe::ProbeEvent::ProviderLoad { cpu, .. } => Some(*cpu),
+            _ => None,
+        }),
+        _ => None,
+    });
+    // Two 1 MB pages over a 1 s heartbeat on a 4 MB/s link.
+    assert_eq!(cpu, Some(0.5), "{:?}", env.sent);
 }
 
 /// A provider that dies before a batched read reaches it: every batch

@@ -563,7 +563,8 @@ mod relay_sim {
         let crc = payload_crc(&data) ^ 1;
         let (a, b) = (d.nodes.data[0], d.nodes.data[1]);
         let puts = [(1, a), (2, b)].map(|(req, to)| {
-            (to, Msg::PutChunk { req, client: ClientId(1), key, data: data.clone(), crc })
+            let items = vec![(key, data.clone(), crc)];
+            (to, Msg::PutChunkBatch { req, client: ClientId(1), items })
         });
         d.world.add_node(Box::new(LyingWriter(puts.into())), NodeConfig::default());
         d.world.run_for(SimDuration::from_secs(10), 10_000_000);

@@ -139,16 +139,14 @@ fn threaded_pipeline_detects_and_blocks_unticketed_writers() {
     for i in 0..30u64 {
         cluster.send(
             cluster.data[(i % cluster.data.len() as u64) as usize],
-            Msg::PutChunk {
+            Msg::PutChunkBatch {
                 req: i,
                 client: attacker_id,
-                key: ChunkKey {
-                    blob: BlobId(u64::MAX),
-                    version: VersionId(u64::MAX),
-                    page: i,
-                },
-                data: data.clone(),
-                crc,
+                items: vec![(
+                    ChunkKey { blob: BlobId(u64::MAX), version: VersionId(u64::MAX), page: i },
+                    data.clone(),
+                    crc,
+                )],
             },
         );
     }
