@@ -899,7 +899,7 @@ struct ReadStreamSess {
     /// (reversed; `pop()` yields the next group); each reply refills one
     /// window slot from here. A stream batch has at most `chunk_window`
     /// pages, so only a one-shot read ever queues.
-    pending_gets: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)>,
+    pending_gets: Vec<(NodeId, Vec<ChunkFetch>)>,
     /// Whether this read already issued its one bulk `GetMetaRange`
     /// broadcast (later descent gaps use the per-node path).
     range_used: bool,
@@ -1088,10 +1088,9 @@ struct ChunkFetch {
 }
 
 impl ChunkFetch {
-    /// The first try of a fetch, at `target`, one of the chunk's replicas.
-    fn at(target: NodeId, idx: usize, desc: ChunkDescriptor) -> Self {
-        let first = desc.replicas.iter().position(|t| *t == target).unwrap_or(0);
-        ChunkFetch { idx, desc, first, attempts: 1, refreshed: false }
+    /// The replica the try in flight went to.
+    fn target(&self) -> NodeId {
+        self.desc.replicas[(self.first + self.attempts - 1) % self.desc.replicas.len()]
     }
 }
 
@@ -1100,16 +1099,11 @@ impl ChunkFetch {
 #[derive(Debug)]
 enum ReqRole {
     Plain,
-    /// A chunk fetch on its replica walk.
-    ChunkGet(ChunkFetch),
-    /// One provider's batch of chunk fetches (window slots grouped by
-    /// the replica chosen for each chunk). A single deadline guards the
-    /// whole batch; failed or unanswered items re-enter the per-chunk
-    /// replica walk individually.
-    ChunkGetBatch {
-        target: NodeId,
-        items: Vec<(usize, ChunkDescriptor)>,
-    },
+    /// One provider's batch of chunk fetches, each on its own replica
+    /// walk: window slots grouped by the replica chosen for each chunk,
+    /// or one walk's next try. A single deadline guards the whole batch;
+    /// a failed or unanswered fetch walks on from its own state.
+    ChunkGet(Vec<ChunkFetch>),
     /// A metadata fetch carrying the requested keys (during resolve).
     MetaGet,
     /// One provider's slice of a session's bulk metadata range query
@@ -1353,7 +1347,7 @@ impl ClientCore {
         else {
             return;
         };
-        let msg = put_msg(req, self.cx.id, items.clone());
+        let msg = Msg::PutChunkBatch { req, client: self.cx.id, items: items.clone() };
         // The resend belongs to the operation's causal tree.
         let tc = self.sessions.get(sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
         env.set_trace_ctx(tc);
@@ -1579,8 +1573,8 @@ impl Cx {
         self.wstream_meta_step(&mut sess.awaited, w, env)
     }
 
-    /// Send one provider's queued chunk stores: a lone chunk as a plain
-    /// `PutChunk`, several as one `PutChunkBatch` round trip. The items
+    /// Send one provider's queued chunk stores as one `PutChunkBatch`
+    /// round trip. The items
     /// are kept in the request's role so an enabled [`RetryPolicy`] can
     /// re-send them (payloads are refcounted views — no data is copied —
     /// and their CRCs ride along, so no resend checksums again); the
@@ -1594,7 +1588,7 @@ impl Cx {
     ) {
         let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts: 1 };
         let req = self.reqs.issue(aw, role);
-        env.send(to, put_msg(req, self.id, items));
+        env.send(to, Msg::PutChunkBatch { req, client: self.id, items });
         if self.cfg.retry.enabled() {
             env.set_timer(self.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
         }
@@ -1985,7 +1979,7 @@ impl Cx {
         // group the fetches by chosen provider in first-seen order, so the
         // schedule stays deterministic. A provider serving several of the
         // batch's chunks gets them in one batched round trip.
-        let mut groups: Vec<(NodeId, Vec<(usize, ChunkDescriptor)>)> = Vec::new();
+        let mut groups: Vec<(NodeId, Vec<ChunkFetch>)> = Vec::new();
         for (i, source) in r.sources.by_ref().take(batch).enumerate() {
             match source {
                 // Holes are size-only placeholders; assembly turns them
@@ -1996,11 +1990,11 @@ impl Cx {
                     r.parts[i] = Some(Payload::Sim(page));
                 }
                 PageSource::Chunk(desc) => {
-                    let pick = env.rng().random_range(0..desc.replicas.len());
-                    let target = desc.replicas[pick];
-                    match groups.iter_mut().find(|(t, _)| *t == target) {
-                        Some((_, items)) => items.push((i, desc)),
-                        None => groups.push((target, vec![(i, desc)])),
+                    let first = env.rng().random_range(0..desc.replicas.len());
+                    let f = ChunkFetch { idx: i, desc, first, attempts: 1, refreshed: false };
+                    match groups.iter_mut().find(|(t, _)| *t == f.target()) {
+                        Some((_, fetches)) => fetches.push(f),
+                        None => groups.push((f.target(), vec![f])),
                     }
                 }
             }
@@ -2015,29 +2009,24 @@ impl Cx {
         StreamStep::Park
     }
 
-    /// Send queued provider groups while the window has room, each as
-    /// one `GetChunkBatch` round trip. One deadline guards a whole batch;
-    /// items that fail or go unanswered re-enter the per-chunk walk
-    /// individually, each arming its own deadline and taking the window
-    /// slot a refill would otherwise use.
+    /// Send queued provider groups while the window has room. A fetch
+    /// that fails walks on as a batch of one, taking the window slot a
+    /// refill would otherwise use.
     fn rstream_refill(&mut self, aw: &mut Awaited, r: &mut ReadStreamSess, env: &mut dyn Env) {
         let slots = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
         while aw.reqs.len() < slots {
-            let Some((target, items)) = r.pending_gets.pop() else { return };
-            let keys: Vec<ChunkKey> = items.iter().map(|(_, d)| d.key).collect();
-            let req = self.reqs.issue(aw, ReqRole::ChunkGetBatch { target, items });
-            env.send(target, Msg::GetChunkBatch { req, client: self.id, keys });
-            env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+            let Some((target, fetches)) = r.pending_gets.pop() else { return };
+            self.get_chunks(aw, target, fetches, env);
         }
     }
 
-    /// Send a chunk fetch to the replica its walk is at, arming its
-    /// failover deadline: every `GetChunk` the client sends goes out here.
-    fn get_chunk(&mut self, aw: &mut Awaited, f: ChunkFetch, env: &mut dyn Env) {
-        let target = f.desc.replicas[(f.first + f.attempts - 1) % f.desc.replicas.len()];
-        let key = f.desc.key;
+    /// Send one provider's chunk fetches as one `GetChunkBatch` round
+    /// trip under one deadline: every chunk fetch the client sends goes
+    /// out here.
+    fn get_chunks(&mut self, aw: &mut Awaited, to: NodeId, f: Vec<ChunkFetch>, env: &mut dyn Env) {
+        let keys = f.iter().map(|f| f.desc.key).collect();
         let req = self.reqs.issue(aw, ReqRole::ChunkGet(f));
-        env.send(target, Msg::GetChunkBatch { req, client: self.id, keys: vec![key] });
+        env.send(to, Msg::GetChunkBatch { req, client: self.id, keys });
         env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
     }
 
@@ -2053,7 +2042,8 @@ impl Cx {
     ) -> Result<(), ChunkKey> {
         if f.attempts < f.desc.replicas.len() {
             env.incr("client.replica_walks", 1);
-            self.get_chunk(aw, ChunkFetch { attempts: f.attempts + 1, ..f }, env);
+            let f = ChunkFetch { attempts: f.attempts + 1, ..f };
+            self.get_chunks(aw, f.target(), vec![f], env);
             return Ok(());
         }
         if self.cfg.retry.enabled() && !f.refreshed {
@@ -2073,21 +2063,6 @@ impl Cx {
             return Ok(());
         }
         Err(f.desc.key)
-    }
-
-    /// Send every item of a failed, or partly failed, batch fetch from
-    /// `target` down its own replica walk.
-    fn failover_items(
-        &mut self,
-        aw: &mut Awaited,
-        target: NodeId,
-        items: Vec<(usize, ChunkDescriptor)>,
-        env: &mut dyn Env,
-    ) -> Result<(), ChunkKey> {
-        for (idx, desc) in items {
-            self.failover(aw, ChunkFetch::at(target, idx, desc), env)?;
-        }
-        Ok(())
     }
 
     /// The open-time metadata descent of a read session, once no request
@@ -2241,61 +2216,32 @@ impl Cx {
                 self.rstream_meta_step(sess, env)
             }
 
-            (RStreamPhase::Fetching, Msg::GetChunkBatchOk { items, .. }, ReqRole::ChunkGet(f)) => {
-                match items.into_iter().next() {
-                    Some((_, Ok(data))) => r.parts[f.idx] = Some(data),
-                    Some((_, Err(ChunkErr::Blocked))) => {
+            (
+                RStreamPhase::Fetching,
+                reply @ (Msg::GetChunkBatchOk { .. } | Msg::GetChunkErr { .. }),
+                ReqRole::ChunkGet(fetches),
+            ) => {
+                // A whole-request refusal or an unanswered deadline fails
+                // every fetch of the batch; a reply, only its misses.
+                let items = match reply {
+                    Msg::GetChunkBatchOk { items, .. } => items,
+                    Msg::GetChunkErr { err: ChunkErr::Blocked, .. } => {
                         return fail(parked, BlobError::Blocked(client))
                     }
-                    _ => {
-                        if let Err(key) = self.failover(aw, f, env) {
-                            return fail(parked, BlobError::ChunkUnavailable(key));
-                        }
-                    }
-                }
-                self.rstream_refill(aw, r, env);
-                self.rstream_batch_done(sess, env)
-            }
-            (
-                RStreamPhase::Fetching,
-                Msg::GetChunkBatchOk { items, .. },
-                ReqRole::ChunkGetBatch { target, items: asked },
-            ) => {
-                let mut failed: Vec<(usize, ChunkDescriptor)> = Vec::new();
-                for (idx, desc) in asked {
-                    match items.iter().find(|(k, _)| *k == desc.key) {
-                        Some((_, Ok(data))) => r.parts[idx] = Some(data.clone()),
-                        Some((_, Err(ChunkErr::Blocked))) => {
-                            return fail(parked, BlobError::Blocked(client))
-                        }
-                        _ => failed.push((idx, desc)),
-                    }
-                }
-                if let Err(key) = self.failover_items(aw, target, failed, env) {
-                    return fail(parked, BlobError::ChunkUnavailable(key));
-                }
-                self.rstream_refill(aw, r, env);
-                self.rstream_batch_done(sess, env)
-            }
-            (
-                RStreamPhase::Fetching,
-                Msg::GetChunkErr { err, .. },
-                role @ (ReqRole::ChunkGet(_) | ReqRole::ChunkGetBatch { .. }),
-            ) => {
-                if err == ChunkErr::Blocked {
-                    return fail(parked, BlobError::Blocked(client));
-                }
-                let walked = match role {
-                    ReqRole::ChunkGetBatch { target, items } => {
-                        self.failover_items(aw, target, items, env)
-                    }
-                    ReqRole::ChunkGet(f) => self.failover(aw, f, env),
-                    _ => unreachable!("a chunk fetch"),
+                    _ => Vec::new(),
                 };
-                match walked {
-                    Ok(()) => StreamStep::Park,
-                    Err(key) => fail(parked, BlobError::ChunkUnavailable(key)),
+                for f in fetches {
+                    match items.iter().find(|(k, _)| *k == f.desc.key) {
+                        Some((_, Ok(data))) => r.parts[f.idx] = Some(data.clone()),
+                        _ => {
+                            if let Err(key) = self.failover(aw, f, env) {
+                                return fail(parked, BlobError::ChunkUnavailable(key));
+                            }
+                        }
+                    }
                 }
+                self.rstream_refill(aw, r, env);
+                self.rstream_batch_done(sess, env)
             }
             (
                 RStreamPhase::Fetching,
@@ -2314,7 +2260,7 @@ impl Cx {
                         let first = env.rng().random_range(0..chunk.replicas.len());
                         let f =
                             ChunkFetch { idx, desc: chunk, first, attempts: 1, refreshed: true };
-                        self.get_chunk(aw, f, env);
+                        self.get_chunks(aw, f.target(), vec![f], env);
                         StreamStep::Park
                     }
                     _ => fail(parked, BlobError::ChunkUnavailable(desc.key)),
@@ -2435,7 +2381,6 @@ fn req_of(msg: &Msg) -> Option<u64> {
         | Msg::Directory { req, .. }
         | Msg::PutChunkOk { req }
         | Msg::PutChunkErr { req, .. }
-        | Msg::GetChunkOk { req, .. }
         | Msg::GetChunkErr { req, .. }
         | Msg::GetChunkBatchOk { req, .. }
         | Msg::GetMetaRangeOk { req, .. }
@@ -2454,12 +2399,6 @@ fn req_of(msg: &Msg) -> Option<u64> {
         | Msg::GetVersionErr { req, .. } => *req,
         _ => return None,
     })
-}
-
-/// One provider's chunk stores as one message: a lone chunk as a plain
-/// `PutChunk`, several as a `PutChunkBatch`.
-fn put_msg(req: u64, client: ClientId, items: Vec<PutItem>) -> Msg {
-    Msg::PutChunkBatch { req, client, items }
 }
 
 fn chunk_err(err: ChunkErr, client: ClientId) -> BlobError {
@@ -2643,11 +2582,6 @@ mod tests {
                             .map(|i| if i % 2 == 0 { vec![PROV_A, PROV_B] } else { vec![PROV_B] })
                             .collect(),
                     },
-                    Msg::PutChunk { req, data, crc, .. } => {
-                        assert_eq!(crc, payload_crc(&data), "envelope of {line}");
-                        line += &format!(" {:?}", data.bytes());
-                        Msg::PutChunkOk { req }
-                    }
                     Msg::PutChunkBatch { req, items, .. } => {
                         for (_, data, crc) in &items {
                             assert_eq!(*crc, payload_crc(data), "envelope of {line}");
@@ -2669,7 +2603,6 @@ mod tests {
                     Msg::GetMetaRange { req, .. } => {
                         Msg::GetMetaRangeOk { req, nodes: nodes.to_vec(), more: false }
                     }
-                    Msg::GetChunk { req, .. } => Msg::GetChunkOk { req, data: Payload::Sim(page) },
                     Msg::GetChunkBatch { req, keys, .. } => Msg::GetChunkBatchOk {
                         req,
                         items: keys.iter().map(|k| (*k, Ok(Payload::Sim(page)))).collect(),
@@ -2778,11 +2711,8 @@ mod tests {
 
     /// The `(key, payload, crc)` items of a chunk-store message.
     fn put_items(msg: &Msg) -> Vec<PutItem> {
-        match msg {
-            Msg::PutChunk { key, data, crc, .. } => vec![(*key, data.clone(), *crc)],
-            Msg::PutChunkBatch { items, .. } => items.clone(),
-            other => panic!("not a chunk store: {other:?}"),
-        }
+        let Msg::PutChunkBatch { items, .. } = msg else { panic!("not a chunk store: {msg:?}") };
+        items.clone()
     }
 
     /// Every chunk store the client emits carries `payload_crc` of its
@@ -2883,7 +2813,7 @@ mod tests {
 
         // The target is full: the client asks for a replacement placement
         // and sends the same envelope there.
-        let (Msg::PutChunk { req, .. } | Msg::PutChunkBatch { req, .. }) = resend else {
+        let Msg::PutChunkBatch { req, .. } = resend else {
             panic!()
         };
         let full = Msg::PutChunkErr { req, err: ChunkErr::Full };
@@ -3338,7 +3268,6 @@ mod tests {
                 .iter()
                 .map(|(to, msg)| match msg {
                     Msg::GetChunkBatch { keys, .. } => keys.len(),
-                    Msg::GetChunk { .. } => 1,
                     other => panic!("{entry:?}: {other:?} to {to:?} after the broadcast"),
                 })
                 .sum();

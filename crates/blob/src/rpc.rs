@@ -103,36 +103,27 @@ pub enum Msg {
     },
 
     // ---- data provider ----
-    /// Store one chunk replica. The envelope carries the payload's
-    /// checksum, computed once by the writer for every replica and resend
-    /// of the page: the provider stores it as the chunk's CRC without
-    /// reading the bytes, so a byte damaged between the writer and the
-    /// store fails the next scrub (or, on disk, the next restart).
-    PutChunk {
-        /// Correlation id.
-        req: u64,
-        /// Writing client.
-        client: ClientId,
-        /// Chunk identity.
-        key: crate::model::ChunkKey,
-        /// Payload.
-        data: Payload,
-        /// [`crate::storage::payload_crc`] of `data`, by the writer (or,
-        /// for a repair relay, the source's stored CRC).
-        crc: u32,
-    },
-    /// Store several chunk replicas bound for the same provider in one
-    /// round trip. Writers group a version's chunks by target provider so
-    /// a multi-page write costs one request per provider instead of one
-    /// per chunk. Answered with a single [`Msg::PutChunkOk`] (all stored)
-    /// or [`Msg::PutChunkErr`] (first failure aborts the rest).
+    // The two batch messages are the only form of a chunk store and a
+    // chunk fetch: a lone chunk travels as a batch of one. The simulated
+    // wire charges a batch 32 B per item (a 24-byte key and its 4-byte
+    // CRC) on top of the payloads.
+    /// Store chunk replicas bound for one provider in one round trip.
+    /// Writers group a version's chunks by target provider, so a write
+    /// costs one request per provider, not one per chunk. Answered with a
+    /// single [`Msg::PutChunkOk`] (all stored) or [`Msg::PutChunkErr`]
+    /// (the first failure aborts the rest).
     PutChunkBatch {
         /// Correlation id.
         req: u64,
-        /// Writing client.
+        /// Writing client ([`ClientId::SYSTEM`] for a repair relay).
         client: ClientId,
-        /// The chunks, in page order, each with its writer-computed
-        /// [`crate::storage::payload_crc`] (as in [`Msg::PutChunk`]).
+        /// The chunks, in page order. Each carries the payload's
+        /// [`crate::storage::payload_crc`], computed once by the writer
+        /// for every replica and resend of the page (for a repair relay,
+        /// the source's stored CRC): the provider stores it as the
+        /// chunk's CRC without reading the bytes, so a byte damaged
+        /// between the writer and the store fails the next scrub (or, on
+        /// disk, the next restart).
         items: Vec<(crate::model::ChunkKey, Payload, u32)>,
     },
     /// Chunk stored.
@@ -147,33 +138,20 @@ pub enum Msg {
         /// Why.
         err: ChunkErr,
     },
-    /// Fetch one chunk.
-    GetChunk {
-        /// Correlation id.
-        req: u64,
-        /// Reading client.
-        client: ClientId,
-        /// Chunk identity.
-        key: crate::model::ChunkKey,
-    },
-    /// Chunk payload.
-    GetChunkOk {
-        /// Correlation id.
-        req: u64,
-        /// The data.
-        data: Payload,
-    },
-    /// Chunk fetch failed.
+    /// A whole [`Msg::GetChunkBatch`] refused (a blocked client). The
+    /// client also synthesizes it locally, with [`ChunkErr::NotFound`],
+    /// when a fetch's deadline fires; a missing chunk is reported per
+    /// item in [`Msg::GetChunkBatchOk`] instead.
     GetChunkErr {
         /// Correlation id.
         req: u64,
         /// Why.
         err: ChunkErr,
     },
-    /// Fetch several chunks held by the same provider in one round trip.
-    /// Readers group the open window's slots by the replica chosen for
-    /// each chunk, so a multi-page read costs one request per provider
-    /// instead of one per chunk (the read-side mirror of
+    /// Fetch chunks held by one provider in one round trip. Readers group
+    /// the open window's slots by the replica chosen for each chunk, so a
+    /// read costs one request per provider, not one per chunk; a replica
+    /// walk's retry is a batch of one (the read-side mirror of
     /// [`Msg::PutChunkBatch`]).
     GetChunkBatch {
         /// Correlation id.
@@ -183,10 +161,11 @@ pub enum Msg {
         /// Chunks wanted, in page order.
         keys: Vec<crate::model::ChunkKey>,
     },
-    /// Per-item batch fetch results. Unlike the write-side batch reply,
-    /// errors are reported per chunk: a missing replica must not poison
-    /// the rest of the batch, so the client can keep the hits and walk
-    /// the replica set only for the misses.
+    /// Per-item batch fetch results, charged 40 B of header per item.
+    /// Unlike the write-side batch reply, errors are reported per chunk: a
+    /// missing replica must not poison the rest of the batch, so the
+    /// client can keep the hits and walk the replica set only for the
+    /// misses.
     GetChunkBatchOk {
         /// Correlation id.
         req: u64,
@@ -209,7 +188,7 @@ pub enum Msg {
     },
     /// Replication manager → data provider: copy a chunk you hold to
     /// another provider (repair / degree increase). The copy goes out as a
-    /// [`Msg::PutChunk`] carrying the CRC stored with the source's replica,
+    /// [`Msg::PutChunkBatch`] of one carrying the CRC stored with the source's replica,
     /// not a fresh one, so a source copy that rotted in memory arrives as
     /// corrupt and the destination's next scrub quarantines it.
     ReplicateChunk {
@@ -664,7 +643,6 @@ impl sads_sim::Message for Msg {
     fn wire_size(&self) -> u64 {
         match self {
             Msg::Ext(p) => p.wire_size(),
-            Msg::PutChunk { data, .. } | Msg::GetChunkOk { data, .. } => data.len(),
             // 32 B of header per chunk: a 24-byte key and its 4-byte CRC.
             Msg::PutChunkBatch { items, .. } => {
                 items.iter().map(|(_, d, _)| d.len() + 32).sum()
@@ -711,12 +689,9 @@ impl sads_sim::Message for Msg {
             Msg::Directory { .. } => "Directory",
             Msg::SetDraining { .. } => "SetDraining",
             Msg::Deregister { .. } => "Deregister",
-            Msg::PutChunk { .. } => "PutChunk",
             Msg::PutChunkBatch { .. } => "PutChunkBatch",
             Msg::PutChunkOk { .. } => "PutChunkOk",
             Msg::PutChunkErr { .. } => "PutChunkErr",
-            Msg::GetChunk { .. } => "GetChunk",
-            Msg::GetChunkOk { .. } => "GetChunkOk",
             Msg::GetChunkErr { .. } => "GetChunkErr",
             Msg::GetChunkBatch { .. } => "GetChunkBatch",
             Msg::GetChunkBatchOk { .. } => "GetChunkBatchOk",
@@ -772,12 +747,9 @@ impl sads_sim::Message for Msg {
         use sads_sim::SpanClass;
         match self {
             // Bulk chunk traffic to/from data providers.
-            Msg::PutChunk { .. }
-            | Msg::PutChunkBatch { .. }
+            Msg::PutChunkBatch { .. }
             | Msg::PutChunkOk { .. }
             | Msg::PutChunkErr { .. }
-            | Msg::GetChunk { .. }
-            | Msg::GetChunkOk { .. }
             | Msg::GetChunkErr { .. }
             | Msg::GetChunkBatch { .. }
             | Msg::GetChunkBatchOk { .. }
@@ -820,18 +792,13 @@ mod tests {
 
     #[test]
     fn bulk_messages_report_payload_size() {
-        let m = Msg::PutChunk {
-            req: 1,
-            client: ClientId(1),
-            key: crate::model::ChunkKey {
-                blob: BlobId(1),
-                version: VersionId(1),
-                page: 0,
-            },
-            data: Payload::Sim(8 << 20),
-            crc: 0,
-        };
-        assert_eq!(m.wire_size(), 8 << 20);
+        let key = crate::model::ChunkKey { blob: BlobId(1), version: VersionId(1), page: 0 };
+        let items = vec![(key, Payload::Sim(8 << 20), 0)];
+        let m = Msg::PutChunkBatch { req: 1, client: ClientId(1), items };
+        assert_eq!(m.wire_size(), (8 << 20) + 32, "the payload and its key and CRC");
+        let items = vec![(key, Ok(Payload::Sim(8 << 20))), (key, Err(ChunkErr::NotFound))];
+        let m = Msg::GetChunkBatchOk { req: 1, items };
+        assert_eq!(m.wire_size(), (8 << 20) + 2 * 40);
         let m = Msg::Probe { origin: NodeId(1), at: sads_sim::SimTime::ZERO, events: vec![] };
         assert_eq!(m.wire_size(), 0);
         let m = Msg::PutChunkOk { req: 1 };

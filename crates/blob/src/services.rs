@@ -196,7 +196,8 @@ pub struct DataProviderService {
     instr: Instrument,
     ops_since_hb: u64,
     bytes_since_hb: u64,
-    /// In-flight replication relays: our PutChunk req → (manager, its req).
+    /// In-flight replication relays: our PutChunkBatch req → (manager, its
+    /// req).
     relays: HashMap<u64, (NodeId, u64)>,
     next_req: u64,
     /// Chunks recovered from the durable backend at construction,
@@ -342,47 +343,6 @@ impl Service for DataProviderService {
 
     fn on_msg(&mut self, env: &mut dyn Env, from: NodeId, msg: Msg) {
         match msg {
-            Msg::PutChunk { req, client, key, data, crc } => {
-                self.ops_since_hb += 1;
-                self.bytes_since_hb += data.len();
-                if self.blacklist.contains(&client) {
-                    self.instr.emit(ProbeEvent::ChunkRejected {
-                        provider: env.id(),
-                        client,
-                        reason: RejectReason::Blocked,
-                    });
-                    env.send_expedited(from, Msg::PutChunkErr { req, err: ChunkErr::Blocked });
-                    return;
-                }
-                let bytes = data.len();
-                // The envelope's CRC is stored as it came, never checked
-                // here: a wrong one is the scrub's to find.
-                match self.store.put_with_crc(key, data, crc, env.now()) {
-                    Ok(()) => {
-                        // SYSTEM puts are replication repair relays —
-                        // exactly the traffic a durable restart avoids.
-                        if client == ClientId::SYSTEM {
-                            env.incr("provider.repair_chunks", 1);
-                            env.incr("provider.repair_bytes", bytes);
-                        }
-                        self.instr.emit(ProbeEvent::ChunkWritten {
-                            provider: env.id(),
-                            client,
-                            key,
-                            bytes,
-                        });
-                        env.send(from, Msg::PutChunkOk { req });
-                    }
-                    Err(PutError::Full) => {
-                        self.instr.emit(ProbeEvent::ChunkRejected {
-                            provider: env.id(),
-                            client,
-                            reason: RejectReason::Full,
-                        });
-                        env.send(from, Msg::PutChunkErr { req, err: ChunkErr::Full });
-                    }
-                }
-            }
             Msg::PutChunkBatch { req, client, items } => {
                 // One op, and its bytes on the NIC-load counter, per
                 // chunk on arrival — refused or not: a blocked flood
@@ -400,8 +360,12 @@ impl Service for DataProviderService {
                 }
                 for (key, data, crc) in items {
                     let bytes = data.len();
+                    // The envelope's CRC is stored as it came, never
+                    // checked here: a wrong one is the scrub's to find.
                     match self.store.put_with_crc(key, data, crc, env.now()) {
                         Ok(()) => {
+                            // SYSTEM puts are replication repair relays —
+                            // exactly the traffic a durable restart avoids.
                             if client == ClientId::SYSTEM {
                                 env.incr("provider.repair_chunks", 1);
                                 env.incr("provider.repair_bytes", bytes);
@@ -426,51 +390,10 @@ impl Service for DataProviderService {
                 }
                 env.send(from, Msg::PutChunkOk { req });
             }
-            Msg::GetChunk { req, client, key } => {
-                self.ops_since_hb += 1;
-                env.incr("provider.reads", 1);
-                if self.blacklist.contains(&client) {
-                    self.instr.emit(ProbeEvent::ChunkRejected {
-                        provider: env.id(),
-                        client,
-                        reason: RejectReason::Blocked,
-                    });
-                    env.send_expedited(from, Msg::GetChunkErr { req, err: ChunkErr::Blocked });
-                    return;
-                }
-                match self.fetch_chunk(&key, env.now()) {
-                    Some((data, cached)) => {
-                        self.bytes_since_hb += data.len();
-                        if cached {
-                            env.incr("provider.cache_hits", 1);
-                        } else {
-                            env.incr("provider.cache_misses", 1);
-                        }
-                        self.instr.emit(ProbeEvent::ChunkRead {
-                            provider: env.id(),
-                            client,
-                            key,
-                            bytes: data.len(),
-                            hit: true,
-                        });
-                        env.send(from, Msg::GetChunkOk { req, data });
-                    }
-                    None => {
-                        self.instr.emit(ProbeEvent::ChunkRead {
-                            provider: env.id(),
-                            client,
-                            key,
-                            bytes: 0,
-                            hit: false,
-                        });
-                        env.send(from, Msg::GetChunkErr { req, err: ChunkErr::NotFound });
-                    }
-                }
-            }
             Msg::GetChunkBatch { req, client, keys } => {
-                // Accounting mirrors the per-chunk path: one op and one
-                // probe event per chunk, so load reports and the security
-                // detectors see identical totals either way.
+                // One op, one read and one probe event per chunk, so load
+                // reports and the security detectors count chunks, not
+                // requests.
                 self.ops_since_hb += keys.len() as u64;
                 env.incr("provider.reads", keys.len() as u64);
                 if self.blacklist.contains(&client) {
@@ -487,34 +410,17 @@ impl Service for DataProviderService {
                 let now = env.now();
                 let mut items = Vec::with_capacity(keys.len());
                 for key in keys {
-                    match self.fetch_chunk(&key, now) {
-                        Some((data, cached)) => {
-                            self.bytes_since_hb += data.len();
-                            if cached {
-                                env.incr("provider.cache_hits", 1);
-                            } else {
-                                env.incr("provider.cache_misses", 1);
-                            }
-                            self.instr.emit(ProbeEvent::ChunkRead {
-                                provider: env.id(),
-                                client,
-                                key,
-                                bytes: data.len(),
-                                hit: true,
-                            });
-                            items.push((key, Ok(data)));
-                        }
-                        None => {
-                            self.instr.emit(ProbeEvent::ChunkRead {
-                                provider: env.id(),
-                                client,
-                                key,
-                                bytes: 0,
-                                hit: false,
-                            });
-                            items.push((key, Err(ChunkErr::NotFound)));
-                        }
+                    let got = self.fetch_chunk(&key, now);
+                    let (bytes, hit) = (got.as_ref().map_or(0, |(d, _)| d.len()), got.is_some());
+                    if let Some((_, cached)) = &got {
+                        self.bytes_since_hb += bytes;
+                        let counter =
+                            if *cached { "provider.cache_hits" } else { "provider.cache_misses" };
+                        env.incr(counter, 1);
                     }
+                    let provider = env.id();
+                    self.instr.emit(ProbeEvent::ChunkRead { provider, client, key, bytes, hit });
+                    items.push((key, got.map(|(d, _)| d).ok_or(ChunkErr::NotFound)));
                 }
                 env.send(from, Msg::GetChunkBatchOk { req, items });
             }

@@ -129,7 +129,7 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Emitting component ("client", "net", "provider", …).
     pub service: &'static str,
-    /// Operation label ("write", "PutChunk", "ticket", …).
+    /// Operation label ("write", "PutChunkBatch", "ticket", …).
     pub op: &'static str,
     /// Node the span was recorded on.
     pub node: u64,
