@@ -404,11 +404,6 @@ pub struct ClientConfig {
     /// chunk I/O to distinct providers pipelines while memory and provider
     /// backlog stay bounded. `0` means unbounded (burst everything).
     pub chunk_window: usize,
-    /// Capacity (node count) of the client-side metadata-node cache.
-    /// Metadata nodes are immutable once published, so cached nodes are
-    /// never stale; hits skip whole rounds of the tree descent. `0`
-    /// disables the cache.
-    pub meta_cache_nodes: usize,
     /// Chunk-RPC fault tolerance (deadlines, backoff, re-allocation and
     /// degraded-read placement refresh). Disabled by default.
     pub retry: RetryPolicy,
@@ -422,9 +417,6 @@ pub struct ClientConfig {
     /// uncached level); `tests/properties.rs` reads that way as the
     /// sequential reference for the bulk path.
     pub meta_range_fetch: bool,
-    /// Reply-size cap (node count) each provider applies to one
-    /// `GetMetaRange` answer; truncated scans continue via cursor.
-    pub meta_range_max_nodes: u32,
 }
 
 impl Default for ClientConfig {
@@ -434,40 +426,35 @@ impl Default for ClientConfig {
             chunk_timeout: SimDuration::from_secs(15),
             materialize_zeros: false,
             chunk_window: 32,
-            meta_cache_nodes: 4096,
             retry: RetryPolicy::disabled(),
             meta_range_fetch: true,
-            meta_range_max_nodes: 512,
         }
     }
 }
 
-/// Bounded FIFO cache of immutable metadata nodes. Because a `NodeKey`
-/// names a node created by exactly one (never-rewritten) version, any
-/// cached entry is valid forever; eviction exists only to bound memory.
+/// Capacity (node count) of the client-side metadata-node cache.
+const META_CACHE_NODES: usize = 4096;
+
+/// Bounded FIFO cache of immutable metadata nodes, at most
+/// [`META_CACHE_NODES`]. Because a `NodeKey` names a node created by
+/// exactly one (never-rewritten) version, any cached entry is valid
+/// forever, and hits skip whole rounds of the tree descent; eviction
+/// exists only to bound memory.
 #[derive(Debug, Default)]
 struct MetaCache {
-    cap: usize,
     map: FastMap<NodeKey, MetaNode>,
     order: std::collections::VecDeque<NodeKey>,
 }
 
 impl MetaCache {
-    fn new(cap: usize) -> Self {
-        MetaCache { cap, map: FastMap::default(), order: std::collections::VecDeque::new() }
-    }
-
     fn get(&self, k: &NodeKey) -> Option<&MetaNode> {
         self.map.get(k)
     }
 
     fn insert(&mut self, k: NodeKey, n: MetaNode) {
-        if self.cap == 0 {
-            return;
-        }
         if self.map.insert(k, n).is_none() {
             self.order.push_back(k);
-            while self.map.len() > self.cap {
+            while self.map.len() > META_CACHE_NODES {
                 if let Some(old) = self.order.pop_front() {
                     self.map.remove(&old);
                 }
@@ -1189,7 +1176,7 @@ impl ClientCore {
         cfg: ClientConfig,
     ) -> Self {
         assert!(!meta_providers.is_empty(), "at least one metadata provider");
-        let meta_cache = MetaCache::new(cfg.meta_cache_nodes);
+        let meta_cache = MetaCache::default();
         let reqs = Requests { next: 1, roles: FastMap::default() };
         let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, reqs };
         ClientCore { cx, sessions: FastMap::default(), next_sid: 1 }
@@ -1647,11 +1634,13 @@ impl Cx {
         false
     }
 
-    /// Ask `target` for its slice of a bulk range query.
+    /// Ask `target` for its slice of a bulk range query, capped at
+    /// `MAX_NODES` nodes a reply; a truncated reply continues via cursor.
     fn get_range(&mut self, aw: &mut Awaited, target: NodeId, q: RangeQuery, env: &mut dyn Env) {
+        const MAX_NODES: u32 = 512;
         let req = self.reqs.issue(aw, ReqRole::MetaRange { target, q });
         let (blob, version, query, after) = (q.blob, q.version, q.query, q.after);
-        let max_nodes = self.cfg.meta_range_max_nodes;
+        let max_nodes = MAX_NODES;
         env.send(target, Msg::GetMetaRange { req, blob, version, query, after, max_nodes });
     }
 
