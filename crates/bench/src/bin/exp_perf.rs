@@ -1,5 +1,6 @@
 //! Hot-path performance harness: measures the three paths the runtime
-//! optimisation work targets and emits `results/BENCH_hotpath.json`.
+//! optimisation work targets and writes `BENCH_perf.json` at the
+//! repository root, its one artifact.
 //!
 //! 1. **Threaded blob layer** — aggregate write and read throughput with
 //!    1–64 concurrent clients against an 8-provider cluster (real threads,
@@ -8,9 +9,8 @@
 //! 3. **Simulation engine** — events per wall-clock second replaying the
 //!    E1 intrusiveness workload (§IV-B of the paper) with full monitoring.
 //!
-//! To compare against a recorded baseline, copy a previous run's output to
-//! `results/BENCH_hotpath_baseline.json`; the next run embeds it under the
-//! `"baseline"` key so before/after numbers live in one artifact.
+//! A run overwrites the checked-in `BENCH_perf.json`; the one it replaces
+//! is in git history, so a before/after pair is two commits of one file.
 //!
 //! Noise control: client threads are pre-spawned and released through a
 //! barrier, so thread startup and scheduler warm-up sit outside every
@@ -44,7 +44,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use bytes::Bytes;
-use sads_bench::{out_dir, print_table, row, write_artifact, BenchArgs};
+use sads_bench::{print_table, row, write_artifact, BenchArgs};
 use sads_blob::model::BlobSpec;
 use sads_blob::runtime::threaded::ClusterBuilder;
 use sads_blob::ClientId;
@@ -504,18 +504,6 @@ fn smoke() {
     println!("regression gates passed (throughput: 50% of baseline; recorder: 2%)");
 }
 
-/// Keep only the immediately-preceding run when embedding a baseline:
-/// truncate the previous artifact at its own `"baseline"` key (which also
-/// drops anything appended after it, e.g. a merged `"scale"` curve).
-/// Without this, every run nests the full artifact chain one level deeper
-/// and the checked-in `BENCH_perf.json` grows without bound.
-fn flatten_baseline(prev: &str) -> String {
-    match prev.find(",\n  \"baseline\":") {
-        Some(i) => format!("{}\n}}", &prev[..i]),
-        None => prev.to_owned(),
-    }
-}
-
 fn main() {
     let args = BenchArgs::parse();
     if args.smoke {
@@ -550,22 +538,14 @@ fn main() {
         s
     };
 
-    let baseline = std::fs::read_to_string(out_dir().join("BENCH_hotpath_baseline.json"))
-        .map(|s| flatten_baseline(s.trim()))
-        .unwrap_or_else(|_| "null".to_owned());
-
     let json = format!(
         "{{\n  \"repeats\": {REPEATS}, \"policy\": \"best\",\n  \
          \"threaded\": {threaded_json},\n  \
          \"gateway\": {{\"clients\": 8, \"put_mbps\": {:.1}, \"get_mbps\": {:.1}, \
          \"get_med\": {:.1}, \"get_min\": {:.1}}},\n  \
-         \"sim_e1\": {{\"events_per_sec\": {:.0}, \"eps_med\": {:.0}, \"eps_min\": {:.0}}},\n  \
-         \"baseline\": {baseline}\n}}\n",
+         \"sim_e1\": {{\"events_per_sec\": {:.0}, \"eps_med\": {:.0}, \"eps_min\": {:.0}}}\n}}\n",
         put.best, get.best, get.median, get.min, eps.best, eps.median, eps.min
     );
-    write_artifact("BENCH_hotpath.json", &json);
-    // Same payload at the repo root so tooling can diff perf runs without
-    // knowing the results/ layout.
     std::fs::write("BENCH_perf.json", &json).expect("write BENCH_perf.json");
     println!("  -> wrote BENCH_perf.json");
 }
