@@ -886,7 +886,7 @@ struct ReadStreamSess {
     /// (reversed; `pop()` yields the next group); each reply refills one
     /// window slot from here. A stream batch has at most `chunk_window`
     /// pages, so only a one-shot read ever queues.
-    pending_gets: Vec<(NodeId, Vec<ChunkFetch>)>,
+    pending_gets: Vec<Vec<ChunkFetch>>,
     /// Whether this read already issued its one bulk `GetMetaRange`
     /// broadcast (later descent gaps use the per-node path).
     range_used: bool,
@@ -1968,7 +1968,7 @@ impl Cx {
         // group the fetches by chosen provider in first-seen order, so the
         // schedule stays deterministic. A provider serving several of the
         // batch's chunks gets them in one batched round trip.
-        let mut groups: Vec<(NodeId, Vec<ChunkFetch>)> = Vec::new();
+        let mut groups: Vec<Vec<ChunkFetch>> = Vec::new();
         for (i, source) in r.sources.by_ref().take(batch).enumerate() {
             match source {
                 // Holes are size-only placeholders; assembly turns them
@@ -1981,9 +1981,9 @@ impl Cx {
                 PageSource::Chunk(desc) => {
                     let first = env.rng().random_range(0..desc.replicas.len());
                     let f = ChunkFetch { idx: i, desc, first, attempts: 1, refreshed: false };
-                    match groups.iter_mut().find(|(t, _)| *t == f.target()) {
-                        Some((_, fetches)) => fetches.push(f),
-                        None => groups.push((f.target(), vec![f])),
+                    match groups.iter_mut().find(|g| g[0].target() == f.target()) {
+                        Some(group) => group.push(f),
+                        None => groups.push(vec![f]),
                     }
                 }
             }
@@ -2004,17 +2004,18 @@ impl Cx {
     fn rstream_refill(&mut self, aw: &mut Awaited, r: &mut ReadStreamSess, env: &mut dyn Env) {
         let slots = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
         while aw.reqs.len() < slots {
-            let Some((target, fetches)) = r.pending_gets.pop() else { return };
-            self.get_chunks(aw, target, fetches, env);
+            let Some(fetches) = r.pending_gets.pop() else { return };
+            self.get_chunks(aw, fetches, env);
         }
     }
 
-    /// Send one provider's chunk fetches as one `GetChunkBatch` round
-    /// trip under one deadline: every chunk fetch the client sends goes
-    /// out here.
-    fn get_chunks(&mut self, aw: &mut Awaited, to: NodeId, f: Vec<ChunkFetch>, env: &mut dyn Env) {
-        let keys = f.iter().map(|f| f.desc.key).collect();
-        let req = self.reqs.issue(aw, ReqRole::ChunkGet(f));
+    /// Send chunk fetches whose walks are at the same replica as one
+    /// `GetChunkBatch` round trip under one deadline: every chunk fetch
+    /// the client sends goes out here.
+    fn get_chunks(&mut self, aw: &mut Awaited, fetches: Vec<ChunkFetch>, env: &mut dyn Env) {
+        let to = fetches[0].target();
+        let keys = fetches.iter().map(|f| f.desc.key).collect();
+        let req = self.reqs.issue(aw, ReqRole::ChunkGet(fetches));
         env.send(to, Msg::GetChunkBatch { req, client: self.id, keys });
         env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
     }
@@ -2031,8 +2032,7 @@ impl Cx {
     ) -> Result<(), ChunkKey> {
         if f.attempts < f.desc.replicas.len() {
             env.incr("client.replica_walks", 1);
-            let f = ChunkFetch { attempts: f.attempts + 1, ..f };
-            self.get_chunks(aw, f.target(), vec![f], env);
+            self.get_chunks(aw, vec![ChunkFetch { attempts: f.attempts + 1, ..f }], env);
             return Ok(());
         }
         if self.cfg.retry.enabled() && !f.refreshed {
@@ -2249,7 +2249,7 @@ impl Cx {
                         let first = env.rng().random_range(0..chunk.replicas.len());
                         let f =
                             ChunkFetch { idx, desc: chunk, first, attempts: 1, refreshed: true };
-                        self.get_chunks(aw, f.target(), vec![f], env);
+                        self.get_chunks(aw, vec![f], env);
                         StreamStep::Park
                     }
                     _ => fail(parked, BlobError::ChunkUnavailable(desc.key)),
