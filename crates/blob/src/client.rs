@@ -2211,17 +2211,18 @@ impl Cx {
                 ReqRole::ChunkGet(fetches),
             ) => {
                 // A whole-request refusal or an unanswered deadline fails
-                // every fetch of the batch; a reply, only its misses.
-                let items = match reply {
-                    Msg::GetChunkBatchOk { items, .. } => items,
+                // every fetch of the batch; a reply (in request order),
+                // only its misses.
+                let mut items = match reply {
+                    Msg::GetChunkBatchOk { items, .. } => items.into_iter(),
                     Msg::GetChunkErr { err: ChunkErr::Blocked, .. } => {
                         return fail(parked, BlobError::Blocked(client))
                     }
-                    _ => Vec::new(),
+                    _ => Vec::new().into_iter(),
                 };
                 for f in fetches {
-                    match items.iter().find(|(k, _)| *k == f.desc.key) {
-                        Some((_, Ok(data))) => r.parts[f.idx] = Some(data.clone()),
+                    match items.next() {
+                        Some((key, Ok(data))) if key == f.desc.key => r.parts[f.idx] = Some(data),
                         _ => {
                             if let Err(key) = self.failover(aw, f, env) {
                                 return fail(parked, BlobError::ChunkUnavailable(key));
