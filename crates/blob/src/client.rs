@@ -2211,8 +2211,7 @@ impl Cx {
                 ReqRole::ChunkGet(fetches),
             ) => {
                 // A whole-request refusal or an unanswered deadline fails
-                // every fetch of the batch; a reply (in request order),
-                // only its misses.
+                // every fetch; a reply, in request order, only its misses.
                 let mut items = match reply {
                     Msg::GetChunkBatchOk { items, .. } => items.into_iter(),
                     Msg::GetChunkErr { err: ChunkErr::Blocked, .. } => {
