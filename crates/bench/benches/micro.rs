@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot paths: metadata segment-tree
 //! construction and descent, the request path's bookkeeping (metadata
-//! version index, provider cache, counters), allocation strategies, the
+//! version index, counters), allocation strategies, the
 //! chunk store, a blocking client call's round trip through the threaded
 //! executor, the put path's checksum and the gateway's content tag,
 //! the monitoring filters and burst cache, the policy engine, and the raw
@@ -146,11 +146,10 @@ fn bench_tree(c: &mut Criterion) {
     g.finish();
 }
 
-/// The read path's metadata round trips and the provider's chunk cache:
-/// a single server-side `range_cover` bulk query versus the classic
-/// level-by-level descent it replaces, and `ReadCache` hit/miss costs.
+/// The read path's metadata round trips: a single server-side
+/// `range_cover` bulk query versus the classic level-by-level descent it
+/// replaces.
 fn bench_read_path(c: &mut Criterion) {
-    use sads_blob::provider::ReadCache;
     use std::collections::HashMap;
 
     let mut g = c.benchmark_group("read_path");
@@ -240,44 +239,17 @@ fn bench_read_path(c: &mut Criterion) {
             }
         });
     });
-
-    let key = |p: u64| ChunkKey { blob: BLOB, version: VersionId(1), page: p };
-    let mut cache = ReadCache::new(128);
-    for p in 0..128 {
-        cache.insert(key(p), Payload::Sim(PAGE));
-    }
-    let mut p = 0u64;
-    g.bench_function("chunk_cache_hit", |b| {
-        b.iter(|| {
-            p = (p + 1) % 128;
-            cache.get(&key(p)).is_some()
-        });
-    });
-    g.bench_function("chunk_cache_miss", |b| {
-        b.iter(|| {
-            p = (p + 1) % 128;
-            cache.get(&key(p + 1000)).is_none()
-        });
-    });
-    g.bench_function("chunk_cache_insert_evict", |b| {
-        b.iter(|| {
-            p += 1;
-            cache.insert(key(p + 10_000), Payload::Sim(PAGE));
-        });
-    });
     g.finish();
 }
 
 /// What a message costs besides its handler, 1 000 operations an
 /// iteration: a metadata put at a range that already holds 64 Ki versions
 /// (every write of a long history stores a new node at the root's
-/// range), a `range_cover` at such a range, a provider cache miss at
-/// capacity (the probe, then an insert that evicts the least recent of
-/// 128) and a counter bump on a registered `(name, labels)` key; and a GC
-/// batch that retires 16 Ki of such a range's versions.
+/// range), a `range_cover` at such a range and a counter bump on a
+/// registered `(name, labels)` key; and a GC batch that retires 16 Ki of
+/// such a range's versions.
 fn bench_bookkeeping(c: &mut Criterion) {
     use sads_blob::meta::{MetaNode, NodeKey, NodeRange};
-    use sads_blob::provider::ReadCache;
     use sads_sim::Registry;
 
     let mut g = c.benchmark_group("bookkeeping");
@@ -332,23 +304,6 @@ fn bench_bookkeeping(c: &mut Criterion) {
         })
     });
     g.throughput(Throughput::Elements(1000));
-
-    let chunk = |p: u64| ChunkKey { blob: BLOB, version: VersionId(1), page: p };
-    let mut cache = ReadCache::new(128);
-    for p in 0..128 {
-        cache.insert(chunk(p), Payload::Sim(PAGE));
-    }
-    let mut p = 128;
-    g.bench_function("chunk_cache_miss_at_capacity_x1000", |b| {
-        b.iter(|| {
-            for _ in 0..1000 {
-                p += 1;
-                if cache.get(&chunk(p)).is_none() {
-                    cache.insert(chunk(p), Payload::Sim(PAGE));
-                }
-            }
-        })
-    });
 
     let reg = Registry::new();
     reg.inc("provider.chunk_reads", &[("node", "3")], 1);
@@ -420,9 +375,8 @@ fn bench_chunk_store(c: &mut Criterion) {
             got.len()
         });
     });
-    // Reads spread across a populated store, touching every stripe of the
-    // sharded map in turn.
-    g.bench_function("get_sharded_resident", |b| {
+    // Reads spread across a populated store.
+    g.bench_function("get_resident", |b| {
         let store = ChunkStore::new(1 << 40);
         const RESIDENT: u64 = 4096;
         for page in 0..RESIDENT {

@@ -702,7 +702,7 @@ mod tests {
             .iter()
             .find_map(|p| store(&world, *p).all_keys().first().map(|k| (*p, *k)))
             .expect("a stored chunk");
-        let dest = *data.iter().find(|p| store(&world, **p).meta(&key).is_none()).unwrap();
+        let dest = *data.iter().find(|p| store(&world, **p).peek(&key).is_none()).unwrap();
         let full = add_service(
             &mut world,
             Box::new(DataProviderService::new(pman, 0, ServiceConfig::default())),
@@ -720,8 +720,8 @@ mod tests {
         assert_eq!(crc_calls() - before, 0, "relay and refusal read no bytes");
         assert_eq!(world.metrics().counter("sender.ReplicateChunkOk"), 1);
         assert_eq!(world.metrics().counter("sender.PutChunkErr"), 1, "the full store refused");
-        let (copied, stored) = (store(&world, dest).meta(&key), store(&world, src).meta(&key));
-        assert_eq!(copied.map(|m| m.crc), stored.map(|m| m.crc), "the source's CRC travelled");
+        let crc = |p| store(&world, p).peek(&key).map(|(_, crc)| crc);
+        assert_eq!(crc(dest), crc(src), "the source's CRC travelled");
         assert!(store(&world, full).is_empty());
     }
 }

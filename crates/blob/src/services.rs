@@ -17,7 +17,7 @@ use sads_sim::{NodeId, NodeLabel, Registry, SimDuration, SimTime};
 use crate::model::{BlobId, ChunkKey, ClientId, Payload, VersionId};
 use crate::pmanager::{AllocationStrategy, ProviderKind, ProviderLoad, ProviderRegistry};
 use crate::probe::{Instrument, ProbeEvent, RejectReason};
-use crate::provider::{ChunkStore, PutError, ReadCache, VerifyOutcome};
+use crate::provider::{ChunkStore, PutError, VerifyOutcome};
 use crate::rpc::{ChunkErr, Msg};
 use crate::storage::BackendConfig;
 use crate::vmanager::VersionManagerState;
@@ -141,11 +141,6 @@ pub struct ServiceConfig {
     /// Nominal NIC bandwidth (bytes/s) used to normalize the provider's
     /// synthetic CPU/utilization signal.
     pub nic_bandwidth: u64,
-    /// Capacity (in chunks) of the data provider's hot-chunk read cache
-    /// fronting the store on the GET path. `0` disables it. Safe by
-    /// construction: chunks are immutable once written, so cached entries
-    /// can never go stale (see [`crate::provider::ReadCache`]).
-    pub read_cache_chunks: usize,
     /// Durable chunk backend for the data provider's store. The default
     /// [`BackendConfig::Memory`] keeps the historical crash-loses-all
     /// semantics; [`BackendConfig::Disk`] makes a restarted provider
@@ -160,7 +155,6 @@ impl Default for ServiceConfig {
             heartbeat_every: SimDuration::from_secs(1),
             instr_flush_every: SimDuration::from_secs(1),
             nic_bandwidth: 125_000_000,
-            read_cache_chunks: 128,
             backend: BackendConfig::Memory,
         }
     }
@@ -189,9 +183,6 @@ pub struct DataProviderService {
     pman: NodeId,
     cfg: ServiceConfig,
     store: ChunkStore,
-    /// Hot-chunk LRU fronting the store on GETs. Immutable chunks make it
-    /// coherence-free; `ChunkStore::touch` keeps heat accounting intact.
-    read_cache: ReadCache,
     blacklist: HashSet<ClientId>,
     instr: Instrument,
     ops_since_hb: u64,
@@ -218,7 +209,6 @@ impl DataProviderService {
         DataProviderService {
             pman,
             store,
-            read_cache: ReadCache::new(cfg.read_cache_chunks),
             blacklist: HashSet::new(),
             instr: Instrument::new(cfg.monitor.is_some()),
             ops_since_hb: 0,
@@ -234,26 +224,6 @@ impl DataProviderService {
     /// The underlying chunk store (tests, decommission drains).
     pub fn store(&self) -> &ChunkStore {
         &self.store
-    }
-
-    /// The read cache (tests).
-    pub fn read_cache(&self) -> &ReadCache {
-        &self.read_cache
-    }
-
-    /// Serve one chunk from the read cache or the store. A cache hit
-    /// still updates the store's access accounting (`touch`), so the heat
-    /// signal the removal strategies see is unchanged; a store hit
-    /// promotes the chunk into the cache. Returns the payload and whether
-    /// the cache served it.
-    fn fetch_chunk(&mut self, key: &ChunkKey, now: SimTime) -> Option<(Payload, bool)> {
-        if let Some(data) = self.read_cache.get(key) {
-            self.store.touch(key, now);
-            return Some((data, true));
-        }
-        let data = self.store.get(key, now)?;
-        self.read_cache.insert(*key, data.clone());
-        Some((data, false))
     }
 
     fn heartbeat(&mut self, env: &mut dyn Env) {
@@ -293,7 +263,6 @@ impl DataProviderService {
         reg.set("provider.chunks", &labels, self.store.len() as f64);
         reg.set("provider.store_bytes", &labels, self.store.used() as f64);
         reg.set("provider.fill", &labels, self.store.fill_ratio());
-        reg.set("provider.cache_evictions", &labels, self.read_cache.evictions() as f64);
         let bs = self.store.backend_stats();
         reg.set("provider.backend_dead_bytes", &labels, bs.dead_bytes as f64);
         reg.set("provider.backend_segments", &labels, bs.segments as f64);
@@ -362,7 +331,7 @@ impl Service for DataProviderService {
                     let bytes = data.len();
                     // The envelope's CRC is stored as it came, never
                     // checked here: a wrong one is the scrub's to find.
-                    match self.store.put_with_crc(key, data, crc, env.now()) {
+                    match self.store.put_with_crc(key, data, crc) {
                         Ok(()) => {
                             // SYSTEM puts are replication repair relays —
                             // exactly the traffic a durable restart avoids.
@@ -410,23 +379,17 @@ impl Service for DataProviderService {
                 let now = env.now();
                 let mut items = Vec::with_capacity(keys.len());
                 for key in keys {
-                    let got = self.fetch_chunk(&key, now);
-                    let (bytes, hit) = (got.as_ref().map_or(0, |(d, _)| d.len()), got.is_some());
-                    if let Some((_, cached)) = &got {
-                        self.bytes_since_hb += bytes;
-                        let counter =
-                            if *cached { "provider.cache_hits" } else { "provider.cache_misses" };
-                        env.incr(counter, 1);
-                    }
+                    let got = self.store.get(&key, now);
+                    let (bytes, hit) = (got.as_ref().map_or(0, Payload::len), got.is_some());
+                    self.bytes_since_hb += bytes;
                     let provider = env.id();
                     self.instr.emit(ProbeEvent::ChunkRead { provider, client, key, bytes, hit });
-                    items.push((key, got.map(|(d, _)| d).ok_or(ChunkErr::NotFound)));
+                    items.push((key, got.ok_or(ChunkErr::NotFound)));
                 }
                 env.send(from, Msg::GetChunkBatchOk { req, items });
             }
             Msg::DeleteChunk { req, key } => {
                 let existed = self.store.delete(&key).is_some();
-                self.read_cache.remove(&key);
                 env.send(from, Msg::DeleteChunkOk { req, existed });
             }
             Msg::ScrubChunks { req, after, max } => {
@@ -438,8 +401,7 @@ impl Service for DataProviderService {
                 let mut corrupt = Vec::new();
                 for key in &keys {
                     if self.store.verify(key) == Some(VerifyOutcome::Corrupt) {
-                        self.store.quarantine(key);
-                        self.read_cache.remove(key);
+                        self.store.delete(key);
                         corrupt.push(*key);
                     }
                 }
@@ -456,7 +418,6 @@ impl Service for DataProviderService {
                 // Fault injection only (tests, E14): damage the stored
                 // replica so the next scrub pass has something to find.
                 self.store.inject_corruption(&key);
-                self.read_cache.remove(&key);
             }
             Msg::ReplicateChunk { req, key, to } => {
                 // Relay the stored CRC with the bytes: a copy that rotted

@@ -5,7 +5,7 @@ use crate::registry::{Sample, SampleValue, Snapshot};
 
 /// Map a dotted internal metric name onto the Prometheus name charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`), prefixing `sads_`:
-/// `provider.cache_hits` → `sads_provider_cache_hits`.
+/// `provider.repair_chunks` → `sads_provider_repair_chunks`.
 pub fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("sads_");
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn names_are_sanitized() {
-        assert_eq!(sanitize_metric_name("provider.cache_hits"), "sads_provider_cache_hits");
+        assert_eq!(sanitize_metric_name("provider.repair_chunks"), "sads_provider_repair_chunks");
         assert_eq!(sanitize_metric_name("client.err.no-provider"), "sads_client_err_no_provider");
         assert_eq!(sanitize_metric_name("9lives"), "sads__9lives");
     }
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn render_parse_roundtrip() {
         let reg = Registry::new();
-        reg.inc("provider.cache_hits", &[("node", "4")], 7);
+        reg.inc("provider.repair_chunks", &[("node", "4")], 7);
         reg.set("pool.providers", &[], 12.5);
         reg.observe("gateway.op_seconds", &[("op", "get")], 0.02);
         reg.observe("gateway.op_seconds", &[("op", "get")], 3.0);
@@ -286,7 +286,7 @@ mod tests {
                 .map(|p| p.value)
         };
 
-        assert_eq!(find("sads_provider_cache_hits", &[("node", "4")]), Some(7.0));
+        assert_eq!(find("sads_provider_repair_chunks", &[("node", "4")]), Some(7.0));
         assert_eq!(find("sads_pool_providers", &[]), Some(12.5));
         assert_eq!(find("sads_gateway_op_seconds_count", &[("op", "get")]), Some(2.0));
         let sum = find("sads_gateway_op_seconds_sum", &[("op", "get")]).unwrap();
@@ -303,7 +303,7 @@ mod tests {
         // 0.02 lies in [0.01953125, 0.0234375), 3.0 in [3, 3.5).
         assert_eq!(buckets, [("0.0234375".into(), 1.0), ("3.5".into(), 2.0), ("+Inf".into(), 2.0)]);
         // TYPE lines present for each family.
-        assert!(text.contains("# TYPE sads_provider_cache_hits counter"));
+        assert!(text.contains("# TYPE sads_provider_repair_chunks counter"));
         assert!(text.contains("# TYPE sads_gateway_op_seconds histogram"));
     }
 

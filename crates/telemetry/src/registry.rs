@@ -379,7 +379,7 @@ impl Registry {
 /// One `(name, labels)` series in a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
-    /// Dotted metric name as registered (e.g. `provider.cache_hits`).
+    /// Dotted metric name as registered (e.g. `provider.repair_chunks`).
     pub name: String,
     /// Sorted label pairs.
     pub labels: Vec<(String, String)>,

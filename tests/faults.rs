@@ -9,13 +9,16 @@
 //!   outcomes (same crashes, same client counters, same final clock).
 //! * **Idempotency**: a retransmitted chunk put (fresh request id, same
 //!   chunk key) is acknowledged again but never double-applies.
+//! * **Removal and restart at the provider**: a deleted or
+//!   scrub-quarantined chunk reads `NotFound`, and a restart with less
+//!   capacity than its log announces only the chunks it re-admitted.
 
 use proptest::prelude::*;
 
 use sads::blob::client::{ClientConfig, RetryPolicy};
 use sads::blob::model::{BlobId, BlobSpec, ChunkKey, ClientId, Payload, VersionId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
-use sads::blob::rpc::Msg;
+use sads::blob::rpc::{ChunkErr, Msg};
 use sads::blob::services::{
     DataProviderService, Env, Service, ServiceConfig, VersionManagerService,
 };
@@ -266,7 +269,7 @@ fn a_lying_envelope_is_stored_then_quarantined_by_the_scrub() {
     p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 2, client, items: lying });
     let acks = env.sent.iter().filter(|(_, m)| matches!(m, Msg::PutChunkOk { .. })).count();
     assert_eq!(acks, 2, "the provider does not re-verify the envelope");
-    assert_eq!(p.store().meta(&key(1)).unwrap().crc, lie, "stored as it came");
+    assert_eq!(p.store().peek(&key(1)).unwrap().1, lie, "stored as it came");
 
     p.on_msg(&mut env, from, Msg::ScrubChunks { req: 3, after: None, max: 16 });
     let Some((_, Msg::ScrubChunksOk { scanned, corrupt, .. })) = env.sent.pop() else {
@@ -275,6 +278,98 @@ fn a_lying_envelope_is_stored_then_quarantined_by_the_scrub() {
     assert_eq!((scanned, corrupt), (2, vec![key(1)]));
     assert!(p.store().get(&key(1), SimTime::ZERO).is_none(), "quarantined");
     assert!(p.store().get(&key(0), SimTime::ZERO).is_some(), "the honest chunk stays");
+}
+
+/// One `GetChunkBatch` of `keys` at provider `p`: which of them it served.
+fn served(p: &mut DataProviderService, env: &mut TestEnv, keys: &[ChunkKey]) -> Vec<bool> {
+    let (req, client) = (100 + env.sent.len() as u64, ClientId(5));
+    p.on_msg(env, NodeId(7), Msg::GetChunkBatch { req, client, keys: keys.to_vec() });
+    let Some((_, Msg::GetChunkBatchOk { items, .. })) = env.sent.pop() else {
+        panic!("no batch reply: {:?}", env.sent)
+    };
+    assert_eq!(items.iter().map(|(k, _)| *k).collect::<Vec<_>>(), keys, "request order");
+    items
+        .into_iter()
+        .map(|(_, got)| {
+            assert!(matches!(got, Ok(_) | Err(ChunkErr::NotFound)), "{got:?}");
+            got.is_ok()
+        })
+        .collect()
+}
+
+/// A chunk the provider deleted, by GC's `DeleteChunk` or by the scrub's
+/// quarantine, answers the next batched read `NotFound`, although the
+/// same chunks were read just before: nothing serves a removed copy.
+#[test]
+fn a_deleted_or_quarantined_chunk_reads_as_not_found() {
+    let cfg = ServiceConfig { monitor: None, ..ServiceConfig::default() };
+    let mut p = DataProviderService::new(NodeId(99), 64 * MB, cfg);
+    let mut env = TestEnv::new();
+    let (client, from) = (ClientId(5), NodeId(7));
+    let keys: Vec<ChunkKey> =
+        (0..3).map(|page| ChunkKey { blob: BlobId(1), version: VersionId(1), page }).collect();
+    let data = Payload::Data(bytes::Bytes::from(vec![0x5a; 4096]));
+    let items = keys.iter().map(|k| (*k, data.clone(), payload_crc(&data))).collect();
+    p.on_msg(&mut env, from, Msg::PutChunkBatch { req: 1, client, items });
+    assert_eq!(served(&mut p, &mut env, &keys), [true, true, true]);
+
+    p.on_msg(&mut env, from, Msg::DeleteChunk { req: 2, key: keys[0] });
+    p.on_msg(&mut env, from, Msg::CorruptChunk { key: keys[1] });
+    p.on_msg(&mut env, from, Msg::ScrubChunks { req: 3, after: None, max: 16 });
+    let Some((_, Msg::ScrubChunksOk { corrupt, .. })) = env.sent.pop() else {
+        panic!("no scrub reply: {:?}", env.sent)
+    };
+    assert_eq!(corrupt, [keys[1]]);
+    assert_eq!(served(&mut p, &mut env, &keys), [false, false, true]);
+}
+
+/// A provider restarted over a log that holds more than its capacity
+/// re-admits the prefix that fits and announces exactly that prefix:
+/// `provider.recovered_chunks` counts it, and every chunk a
+/// `ChunkRecovered` event names is one a read is served.
+#[test]
+fn a_capacity_bounded_recovery_announces_only_what_it_serves() {
+    use sads::blob::probe::ProbeEvent;
+    use sads::blob::services::TOKEN_INSTR;
+    use sads::blob::storage::{BackendConfig, DiskConfig};
+    const LOGGED: u64 = 6;
+    const ROOM: u64 = 4;
+    let dir = std::env::temp_dir()
+        .join(format!("sads-faults-test-{}-bounded-recovery", std::process::id()));
+    let monitor = NodeId(50);
+    let backend = BackendConfig::Disk(DiskConfig::new(&dir));
+    let cfg = ServiceConfig { monitor: Some(monitor), backend, ..ServiceConfig::default() };
+    let keys: Vec<ChunkKey> =
+        (0..LOGGED).map(|page| ChunkKey { blob: BlobId(1), version: VersionId(1), page }).collect();
+    {
+        let mut p = DataProviderService::new(NodeId(99), LOGGED * PAGE, cfg.clone());
+        let data = Payload::Sim(PAGE);
+        let items = keys.iter().map(|k| (*k, data.clone(), payload_crc(&data))).collect();
+        let client = ClientId(5);
+        p.on_msg(&mut TestEnv::new(), NodeId(7), Msg::PutChunkBatch { req: 1, client, items });
+        assert_eq!(p.store().len() as u64, LOGGED);
+    }
+    let mut p = DataProviderService::new(NodeId(99), ROOM * PAGE, cfg);
+    let mut env = TestEnv::new();
+    p.on_start(&mut env);
+    p.on_timer(&mut env, TOKEN_INSTR);
+    let announced: Vec<ChunkKey> = env
+        .sent
+        .iter()
+        .filter(|(to, _)| *to == monitor)
+        .flat_map(|(_, m)| match m {
+            Msg::Probe { events, .. } => events.clone(),
+            _ => Vec::new(),
+        })
+        .filter_map(|e| match e {
+            ProbeEvent::ChunkRecovered { key, .. } => Some(key),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(env.reg.counter_total("provider.recovered_chunks"), ROOM);
+    assert_eq!(announced, keys[..ROOM as usize]);
+    assert!(served(&mut p, &mut env, &announced).into_iter().all(|hit| hit));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A put's bytes load the provider's link whether or not it stores them:

@@ -472,7 +472,7 @@ mod relay_sim {
     fn holds(world: &World, provider: NodeId, key: &ChunkKey) -> bool {
         world
             .actor_as::<DataProviderService>(provider)
-            .is_some_and(|p| p.store().meta(key).is_some())
+            .is_some_and(|p| p.store().peek(key).is_some())
     }
 
     /// Replication 2 over three providers: replica A rots in memory, then
