@@ -69,7 +69,6 @@ fn churn(args: &BenchArgs, label: &'static str, policy: RetentionPolicy) -> Chur
         meta_providers: 2,
         lifecycle: Some(LifecycleConfig {
             policy,
-            per_blob: vec![],
             sweep_every: SimDuration::from_secs(2),
             max_chunks_per_sweep: 10_000,
         }),
@@ -140,7 +139,6 @@ fn snapshot_pin() -> SnapshotOutcome {
         storage_servers: 1,
         lifecycle: Some(LifecycleConfig {
             policy: RetentionPolicy::KeepLastN(2),
-            per_blob: vec![],
             sweep_every: SimDuration::from_millis(150),
             max_chunks_per_sweep: 10_000,
         }),

@@ -409,19 +409,21 @@ pub enum Msg {
         blob: BlobId,
         /// Page size of the BLOB.
         page_size: u64,
-        /// `(version, size, interval, published_at)` per published
-        /// version, in order.
+        /// `(version, size, interval)` per published version, in order.
         versions: Vec<crate::vmanager::VersionSummary>,
-        /// Versions pinned as snapshots (GC roots), in order.
-        snapshots: Vec<VersionId>,
-        /// Whether the BLOB was decommissioned (no version is a root).
-        decommissioned: bool,
+        /// The GC roots, ascending: the versions the retention policy
+        /// keeps, the snapshots and the latest, or none once the BLOB is
+        /// decommissioned (`BlobState::is_root`).
+        roots: Vec<VersionId>,
     },
-    /// Client/gateway → version manager: pin a published version (or the
-    /// latest when `None`) as a **snapshot** — an O(1) metadata-only
-    /// operation. Snapshotted versions are GC roots: the lifecycle
-    /// sweeper never reclaims their chunks or tree nodes, and the version
-    /// manager refuses to forget them.
+    /// Client/gateway → version manager: pin a version (or the latest when
+    /// `None`) as a **snapshot** — an O(1) metadata-only operation.
+    /// Granted only on a GC root: a version the retention policy keeps, a
+    /// snapshot or the latest, which always qualifies. Any other version
+    /// is refused with `UnknownVersion`, so a pin never lands on a version
+    /// a sweep may already have collected. A snapshot stays a root: the
+    /// lifecycle sweeper never reclaims its chunks or tree nodes, and the
+    /// version manager refuses to forget it.
     SnapshotVersion {
         /// Correlation id.
         req: u64,
@@ -654,8 +656,8 @@ impl sads_sim::Message for Msg {
                 .sum(),
             Msg::GetMetaRange { .. } => 64,
             Msg::ScrubChunksOk { corrupt, .. } => 48 + 32 * corrupt.len() as u64,
-            Msg::VersionList { versions, snapshots, .. } => {
-                40 * versions.len() as u64 + 8 * snapshots.len() as u64
+            Msg::VersionList { versions, roots, .. } => {
+                40 * versions.len() as u64 + 8 * roots.len() as u64
             }
             Msg::GetMetaRangeOk { nodes, .. } => {
                 nodes.iter().map(|(_, n)| 32 + n.wire_size()).sum()

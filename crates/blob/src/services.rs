@@ -20,7 +20,7 @@ use crate::probe::{Instrument, ProbeEvent, RejectReason};
 use crate::provider::{ChunkStore, PutError, VerifyOutcome};
 use crate::rpc::{ChunkErr, Msg};
 use crate::storage::BackendConfig;
-use crate::vmanager::VersionManagerState;
+use crate::vmanager::{RetentionPolicy, VersionManagerState};
 
 /// Everything a service may do to the outside world. Implemented by the
 /// simulated runtime (over `sads_sim::Ctx`) and the threaded runtime.
@@ -746,6 +746,7 @@ pub struct VersionManagerService {
     /// Commit waiters: who to notify when a version publishes.
     waiters: HashMap<(BlobId, VersionId), (NodeId, u64)>,
     stall_timeout: SimDuration,
+    retention: RetentionPolicy,
 }
 
 impl VersionManagerService {
@@ -758,6 +759,7 @@ impl VersionManagerService {
             cfg,
             waiters: HashMap::new(),
             stall_timeout: SimDuration::from_secs(60),
+            retention: RetentionPolicy::KeepAll,
         }
     }
 
@@ -765,6 +767,13 @@ impl VersionManagerService {
     /// stalled.
     pub fn with_stall_timeout(mut self, timeout: SimDuration) -> Self {
         self.stall_timeout = timeout;
+        self
+    }
+
+    /// Set the retention policy that decides the GC roots (default
+    /// `KeepAll`: every published version stays readable).
+    pub fn with_retention(mut self, policy: RetentionPolicy) -> Self {
+        self.retention = policy;
         self
     }
 
@@ -894,29 +903,13 @@ impl Service for VersionManagerService {
                 env.send(from, Msg::StalledList { req, stalled });
             }
             Msg::ListVersions { req, blob } => {
-                let (page_size, versions) = match self.state.blob(blob) {
-                    Some(st) => (
-                        st.spec.page_size,
-                        st.versions()
-                            .map(|v| crate::vmanager::VersionSummary {
-                                version: v.version,
-                                size: v.size,
-                                interval: v.interval,
-                                published_at: v.published_at,
-                            })
-                            .collect(),
-                    ),
-                    None => (0, vec![]),
+                let (page_size, versions, roots) = match self.state.blob(blob) {
+                    Some(st) => {
+                        (st.spec.page_size, st.catalog(), st.roots(self.retention, env.now()))
+                    }
+                    None => (0, vec![], vec![]),
                 };
-                let (snapshots, decommissioned) = self
-                    .state
-                    .blob(blob)
-                    .map(|st| (st.snapshots(), st.is_decommissioned()))
-                    .unwrap_or((vec![], false));
-                env.send(
-                    from,
-                    Msg::VersionList { req, blob, page_size, versions, snapshots, decommissioned },
-                );
+                env.send(from, Msg::VersionList { req, blob, page_size, versions, roots });
             }
             Msg::SnapshotVersion { req, client, blob, version } => {
                 if self.blacklist.contains(&client) {
@@ -940,7 +933,7 @@ impl Service for VersionManagerService {
                     return;
                 };
                 let v = version.unwrap_or(st.latest().version);
-                if st.snapshot(v) {
+                if st.snapshot(v, self.retention, env.now()) {
                     env.incr("vman.snapshots", 1);
                     env.send(from, Msg::SnapshotVersionOk { req, version: v });
                 } else {
@@ -971,11 +964,11 @@ impl Service for VersionManagerService {
                 env.send(from, Msg::DecommissionBlobOk { req, ok });
             }
             Msg::RetireVersion { req, blob, version } => {
+                let (policy, now) = (self.retention, env.now());
                 let ok = self
                     .state
                     .blob_mut(blob)
-                    .map(|st| st.forget_version(version))
-                    .unwrap_or(false);
+                    .is_some_and(|st| st.forget_version(version, policy, now));
                 env.send(from, Msg::RetireVersionOk { req, ok });
             }
             _ => {}

@@ -6,6 +6,12 @@
 //! This module is pure state-machine logic: the service wrapper that talks
 //! RPC lives in [`crate::services`], and the same code backs the threaded
 //! and simulated runtimes.
+//!
+//! It is also the one owner of the **GC root** rule
+//! ([`BlobState::is_root`]): which versions must stay readable. The same
+//! test grants snapshot pins, refuses record retirement, and selects the
+//! roots the lifecycle sweeper plans against, so a pin can only land on
+//! a version no sweep may collect.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,8 +78,26 @@ pub struct VersionSummary {
     pub size: u64,
     /// Pages the version wrote.
     pub interval: PageInterval,
-    /// Publication time.
-    pub published_at: SimTime,
+}
+
+/// Retention policy: which published versions stay readable, and so pin
+/// their chunks and tree nodes as GC roots. Fixed per install; without
+/// a lifecycle layer the version manager runs [`RetentionPolicy::KeepAll`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RetentionPolicy {
+    /// Every published version is a root; only decommissioning reclaims.
+    KeepAll,
+    /// The newest `n` published versions are roots (at least the
+    /// latest, even for `n = 0`). Snapshots stay roots regardless.
+    KeepLastN(usize),
+    /// Only snapshots (and the latest version) are roots: the archival
+    /// policy for churning scratch data with explicit save points.
+    KeepSnapshots,
+    /// Versions published within this window of the version manager's
+    /// clock are roots, beside snapshots and the latest: the paper's
+    /// "temporary data" strategy — whatever nobody pinned ages out once
+    /// something newer supersedes it.
+    KeepNewerThan(SimDuration),
 }
 
 /// A version that has been published and can be read.
@@ -118,7 +142,7 @@ pub struct BlobState {
     projected_size: u64,
     /// Ticketed-but-unpublished writes.
     pending: BTreeMap<VersionId, PendingEntry>,
-    /// Versions pinned as snapshots (lifecycle GC roots).
+    /// Versions pinned as snapshots (GC roots whatever the policy).
     snapshots: BTreeSet<VersionId>,
     /// Decommissioned BLOBs keep their record (ids are never reused) but
     /// no version of theirs is a GC root any more.
@@ -171,59 +195,76 @@ impl BlobState {
         self.published.values()
     }
 
+    /// The catalog the lifecycle sweeper plans against, in order.
+    pub fn catalog(&self) -> Vec<VersionSummary> {
+        self.published
+            .values()
+            .map(|v| VersionSummary { version: v.version, size: v.size, interval: v.interval })
+            .collect()
+    }
+
     /// Number of unpublished ticketed writes.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
     }
 
-    /// Remove a published version's record (data-removal strategies call
-    /// this after deleting its chunks and nodes). v0 is never removable;
-    /// snapshots and the latest version are protected unless the BLOB was
-    /// decommissioned.
-    pub fn forget_version(&mut self, v: VersionId) -> bool {
-        if v == VersionId::INITIAL {
+    /// Whether `v` is a GC root under `policy` at `now`: a published
+    /// version the policy keeps, a snapshot, or the latest — and nothing
+    /// once the BLOB is decommissioned. O(log n). Between a sweep's
+    /// catalog and its deletes the roots only shrink: pins land only on
+    /// roots, `KeepLastN`'s window and `KeepNewerThan`'s clock only drop
+    /// versions, and a publication is newer than whatever overwrote a
+    /// planned item, so it reaches none.
+    pub fn is_root(&self, v: VersionId, policy: RetentionPolicy, now: SimTime) -> bool {
+        let Some(rec) = self.published.get(&v) else { return false };
+        !self.decommissioned
+            && (v == self.last_published
+                || self.snapshots.contains(&v)
+                || match policy {
+                    RetentionPolicy::KeepAll => true,
+                    // Published numbers are contiguous and the window's
+                    // versions are never forgotten, so it is a suffix.
+                    RetentionPolicy::KeepLastN(n) => v.0 + n.max(1) as u64 > self.last_published.0,
+                    RetentionPolicy::KeepSnapshots => false,
+                    RetentionPolicy::KeepNewerThan(window) => now.since(rec.published_at) <= window,
+                })
+    }
+
+    /// The GC roots the sweeper plans against, ascending. v0 owns no
+    /// items, so it is never reported.
+    pub fn roots(&self, policy: RetentionPolicy, now: SimTime) -> Vec<VersionId> {
+        let after_v0 = self.published.keys().skip(1).copied();
+        after_v0.filter(|v| self.is_root(*v, policy, now)).collect()
+    }
+
+    /// Remove a published version's record (the lifecycle sweeper calls
+    /// this after deleting its chunks and nodes). v0 and roots are never
+    /// removable.
+    pub fn forget_version(&mut self, v: VersionId, policy: RetentionPolicy, now: SimTime) -> bool {
+        if v == VersionId::INITIAL || self.is_root(v, policy, now) {
             return false;
         }
-        if !self.decommissioned && (v == self.last_published || self.snapshots.contains(&v)) {
-            return false;
-        }
-        self.snapshots.remove(&v);
         self.published.remove(&v).is_some()
     }
 
-    /// Pin a published version as a snapshot — an O(1) metadata-only
-    /// operation; the version's whole segment tree is shared, not copied.
-    /// Snapshots are lifecycle GC roots. Idempotent; fails on unpublished
-    /// versions and on decommissioned BLOBs.
-    pub fn snapshot(&mut self, v: VersionId) -> bool {
-        if self.decommissioned || !self.published.contains_key(&v) {
+    /// Pin a version as a snapshot — an O(1) metadata-only operation; the
+    /// version's whole segment tree is shared, not copied. Granted only
+    /// on a root, so nothing a sweep planned is ever pinned; the latest
+    /// always qualifies. Idempotent.
+    pub fn snapshot(&mut self, v: VersionId, policy: RetentionPolicy, now: SimTime) -> bool {
+        if !self.is_root(v, policy, now) {
             return false;
         }
         self.snapshots.insert(v);
         true
     }
 
-    /// Versions currently pinned as snapshots, in order.
-    pub fn snapshots(&self) -> Vec<VersionId> {
-        self.snapshots.iter().copied().collect()
-    }
-
-    /// Whether `v` is pinned as a snapshot.
-    pub fn is_snapshot(&self, v: VersionId) -> bool {
-        self.snapshots.contains(&v)
-    }
-
-    /// Mark the BLOB decommissioned: snapshots unpin and every version
-    /// (the latest included) becomes reclaimable by the lifecycle
-    /// sweeper. The record itself stays so the id is never reused.
+    /// Mark the BLOB decommissioned: every version (snapshots and the
+    /// latest included) stops being a root, so the lifecycle sweeper
+    /// reclaims them all. The record itself stays so the id is never
+    /// reused.
     pub fn decommission(&mut self) {
         self.decommissioned = true;
-        self.snapshots.clear();
-    }
-
-    /// Whether the BLOB was decommissioned.
-    pub fn is_decommissioned(&self) -> bool {
-        self.decommissioned
     }
 }
 
@@ -577,64 +618,91 @@ mod tests {
         assert!(vm.stalled_tickets(t(40), SimDuration::from_secs(10)).is_empty());
     }
 
-    #[test]
-    fn forget_version_protects_latest_and_initial() {
+    /// `n` overwrites of page 0; version k publishes at k seconds.
+    fn overwrites(n: u64) -> (VersionManagerState, BlobId) {
         let mut vm = VersionManagerState::new();
         let b = vm.create_blob(spec(), t(0));
-        let c = ClientId(1);
-        for _ in 0..3 {
-            let tk = vm.ticket(b, WriteKind::At(0), PAGE, c, t(0)).unwrap();
-            vm.commit(b, tk.version, root_ref(tk.version.0, 1), PAGE, t(1)).unwrap();
+        for k in 1..=n {
+            let tk = vm.ticket(b, WriteKind::At(0), PAGE, ClientId(1), t(k)).unwrap();
+            vm.commit(b, tk.version, root_ref(k, 1), PAGE, t(k)).unwrap();
         }
+        (vm, b)
+    }
+
+    fn ids(vs: &[u64]) -> Vec<VersionId> {
+        vs.iter().copied().map(VersionId).collect()
+    }
+
+    #[test]
+    fn roots_follow_the_policy() {
+        use RetentionPolicy::*;
+        let (mut vm, b) = overwrites(3);
         let st = vm.blob_mut(b).unwrap();
-        assert!(!st.forget_version(VersionId::INITIAL));
-        assert!(!st.forget_version(VersionId(3)), "latest is protected");
-        assert!(st.forget_version(VersionId(1)));
+        assert_eq!(st.roots(KeepAll, t(10)), ids(&[1, 2, 3]), "v0 is never reported");
+        assert_eq!(st.roots(KeepLastN(2), t(10)), ids(&[2, 3]));
+        assert_eq!(st.roots(KeepLastN(0), t(10)), ids(&[3]), "the latest, even for n = 0");
+        assert_eq!(st.roots(KeepLastN(10), t(10)), ids(&[1, 2, 3]));
+        assert_eq!(st.roots(KeepSnapshots, t(10)), ids(&[3]));
+        // Age runs from publication (v at v s) to the clock (10 s): v1
+        // has left an 8 s window, v2 and v3 have not. A window nothing
+        // falls in leaves the pins and the latest, however old.
+        let newer = |s| KeepNewerThan(SimDuration::from_secs(s));
+        assert_eq!(st.roots(newer(8), t(10)), ids(&[2, 3]));
+        assert!(st.snapshot(VersionId(1), KeepAll, t(10)));
+        assert_eq!(st.roots(newer(1), t(10)), ids(&[1, 3]));
+        assert_eq!(st.roots(KeepSnapshots, t(10)), ids(&[1, 3]));
+        assert!(st.is_root(VersionId::INITIAL, KeepAll, t(10)), "v0 is kept, not reported");
+        assert!(!st.is_root(VersionId(9), KeepAll, t(10)), "unpublished versions are not");
+    }
+
+    #[test]
+    fn forget_version_protects_latest_and_initial() {
+        use RetentionPolicy::*;
+        let (mut vm, b) = overwrites(3);
+        let st = vm.blob_mut(b).unwrap();
+        assert!(!st.forget_version(VersionId::INITIAL, KeepSnapshots, t(10)));
+        assert!(!st.forget_version(VersionId(3), KeepSnapshots, t(10)), "latest is a root");
+        assert!(!st.forget_version(VersionId(1), KeepAll, t(10)), "KeepAll keeps everything");
+        assert!(!st.forget_version(VersionId(2), KeepLastN(2), t(10)), "inside the window");
+        assert!(st.forget_version(VersionId(1), KeepLastN(2), t(10)));
         assert!(st.version(VersionId(1)).is_none());
         assert!(st.version(VersionId(2)).is_some());
+        assert!(!st.forget_version(VersionId(1), KeepSnapshots, t(10)), "already gone");
     }
 
     #[test]
     fn snapshots_pin_versions_against_forget() {
-        let mut vm = VersionManagerState::new();
-        let b = vm.create_blob(spec(), t(0));
-        let c = ClientId(1);
-        for _ in 0..3 {
-            let tk = vm.ticket(b, WriteKind::At(0), PAGE, c, t(0)).unwrap();
-            vm.commit(b, tk.version, root_ref(tk.version.0, 1), PAGE, t(1)).unwrap();
-        }
+        use RetentionPolicy::*;
+        let (mut vm, b) = overwrites(3);
         let st = vm.blob_mut(b).unwrap();
-        assert!(st.snapshot(VersionId(1)));
-        assert!(st.snapshot(VersionId(1)), "snapshot is idempotent");
-        assert!(!st.snapshot(VersionId(9)), "unpublished versions cannot be pinned");
-        assert_eq!(st.snapshots(), vec![VersionId(1)]);
-        assert!(st.is_snapshot(VersionId(1)));
-        assert!(!st.forget_version(VersionId(1)), "snapshots are protected");
-        assert!(st.forget_version(VersionId(2)), "unpinned middles still collect");
+        assert!(!st.snapshot(VersionId(1), KeepLastN(1), t(10)), "outside the window");
+        assert!(!st.snapshot(VersionId(9), KeepAll, t(10)), "unpublished versions are no roots");
+        assert!(st.snapshot(VersionId(3), KeepSnapshots, t(10)), "the latest always can");
+        assert!(st.snapshot(VersionId(1), KeepAll, t(10)));
+        assert!(st.snapshot(VersionId(1), KeepSnapshots, t(10)), "snapshot is idempotent");
+        assert!(!st.forget_version(VersionId(1), KeepSnapshots, t(10)), "snapshots are roots");
+        assert!(st.forget_version(VersionId(2), KeepSnapshots, t(10)), "unpinned middles collect");
         assert!(st.version(VersionId(1)).is_some());
     }
 
     #[test]
     fn decommission_unpins_everything_and_refuses_writes() {
-        let mut vm = VersionManagerState::new();
-        let b = vm.create_blob(spec(), t(0));
-        let c = ClientId(1);
-        for _ in 0..2 {
-            let tk = vm.ticket(b, WriteKind::At(0), PAGE, c, t(0)).unwrap();
-            vm.commit(b, tk.version, root_ref(tk.version.0, 1), PAGE, t(1)).unwrap();
-        }
+        use RetentionPolicy::*;
+        let (mut vm, b) = overwrites(2);
         let st = vm.blob_mut(b).unwrap();
-        st.snapshot(VersionId(1));
+        assert!(st.snapshot(VersionId(1), KeepAll, t(10)));
         st.decommission();
-        assert!(st.is_decommissioned());
-        assert!(st.snapshots().is_empty(), "decommission unpins snapshots");
-        assert!(!st.snapshot(VersionId(1)), "no new pins after decommission");
-        assert!(st.forget_version(VersionId(1)));
-        assert!(st.forget_version(VersionId(2)), "even the latest collects");
-        assert!(!st.forget_version(VersionId::INITIAL), "v0 stays as the tombstone");
+        assert!(st.roots(KeepAll, t(10)).is_empty(), "no version is a root any more");
+        assert!(!st.snapshot(VersionId(2), KeepAll, t(10)), "no new pins after decommission");
+        assert!(st.forget_version(VersionId(1), KeepAll, t(10)));
+        assert!(st.forget_version(VersionId(2), KeepAll, t(10)), "even the latest collects");
+        assert!(!st.forget_version(VersionId::INITIAL, KeepAll, t(10)), "v0 is the tombstone");
         assert_eq!(st.latest().version, VersionId::INITIAL, "latest degrades to v0");
         assert!(
-            matches!(vm.ticket(b, WriteKind::At(0), PAGE, c, t(2)), Err(BlobError::UnknownBlob(_))),
+            matches!(
+                vm.ticket(b, WriteKind::At(0), PAGE, ClientId(1), t(11)),
+                Err(BlobError::UnknownBlob(_))
+            ),
             "decommissioned BLOBs take no new writes"
         );
     }

@@ -21,7 +21,9 @@ use sads_blob::services::{
 use sads_blob::BackendSpec;
 use sads_blob::ClientId;
 use sads_introspect::{BurnRateRule, IntrospectionService, RuleSource, SloAlertService};
-use sads_lifecycle::{LifecycleConfig, LifecycleGcService, ScrubConfig, ScrubberService};
+use sads_lifecycle::{
+    LifecycleConfig, LifecycleGcService, RetentionPolicy, ScrubConfig, ScrubberService,
+};
 use sads_monitor::{MonitoringService, StorageConfig, StorageServerService};
 use sads_security::{PolicySet, SecurityConfig, SecurityEngineService};
 use sads_sim::{
@@ -319,7 +321,8 @@ pub fn install(spec: &DeploymentConfig, host: &mut impl Host) -> Nodes {
         providers: Providers::new(pman, spec.provider_capacity, spec.backend.clone()),
     };
 
-    let mut vman = VersionManagerService::new(n.service_cfg());
+    let retention = spec.lifecycle.as_ref().map_or(RetentionPolicy::KeepAll, |lc| lc.policy);
+    let mut vman = VersionManagerService::new(n.service_cfg()).with_retention(retention);
     if let Some(poll) = spec.recovery {
         vman = vman.with_stall_timeout(poll * 12);
     }
@@ -519,11 +522,6 @@ impl Deployment {
     /// Post-run access to the recovery agent.
     pub fn recovery_agent(&self) -> Option<&RecoveryAgentService> {
         self.world.actor_as::<RecoveryAgentService>(self.nodes.recovery?)
-    }
-
-    /// Post-run access to the lifecycle GC sweeper (reclamation totals).
-    pub fn lifecycle_gc(&self) -> Option<&LifecycleGcService> {
-        self.world.actor_as::<LifecycleGcService>(self.nodes.lifecycle?)
     }
 
     /// Post-run access to the integrity scrubber (scan/corruption totals).

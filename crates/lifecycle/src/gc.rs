@@ -1,8 +1,9 @@
 //! The lifecycle GC sweeper: a background service that periodically
-//! applies each BLOB's [`RetentionPolicy`] and executes the resulting
-//! [`BlobPlan`] — learn the doomed chunks' replica locations from their
-//! leaf nodes, delete the chunk replicas, delete the metadata nodes,
-//! and retire fully-dead version records.
+//! plans each BLOB's reclamation from the roots the version manager
+//! reports and executes the resulting [`BlobPlan`] — learn the doomed
+//! chunks' replica locations from their leaf nodes, delete the chunk
+//! replicas, delete the metadata nodes, and retire fully-dead version
+//! records.
 //!
 //! The sweep is paced two ways: the sweep period itself, and a per-sweep
 //! chunk budget (`max_chunks_per_sweep`) so a decommissioned terabyte
@@ -10,6 +11,10 @@
 //! one. Deletions are deduplicated against what earlier sweeps already
 //! issued, so a zombie record (kept because some of its items are still
 //! shared) does not re-delete its dead items every sweep.
+//!
+//! No fence is needed between a plan and its deletes: the version
+//! manager grants pins only on roots, so the roots a plan was made
+//! against only shrink until the deletes land (`BlobState::is_root`).
 
 use std::collections::HashSet;
 
@@ -17,9 +22,10 @@ use sads_blob::meta::{group_by_partition, MetaNode, NodeKey, NodeRange};
 use sads_blob::model::{BlobId, ChunkKey, VersionId};
 use sads_blob::rpc::Msg;
 use sads_blob::services::{Env, Service};
+use sads_blob::vmanager::RetentionPolicy;
 use sads_sim::{NodeId, SimDuration};
 
-use crate::plan::{plan_blob, BlobPlan, CatalogView, RetentionPolicy};
+use crate::plan::{plan_blob, BlobPlan, CatalogView};
 
 /// Timer token: lifecycle GC sweep.
 pub const TOKEN_LIFECYCLE_SWEEP: u64 = u64::MAX - 43;
@@ -27,11 +33,10 @@ pub const TOKEN_LIFECYCLE_SWEEP: u64 = u64::MAX - 43;
 /// Tuning for the lifecycle layer (carried by the deployment config).
 #[derive(Clone, Debug)]
 pub struct LifecycleConfig {
-    /// Default retention policy for every BLOB.
+    /// Retention policy for every BLOB. The install hands it to the
+    /// version manager, which owns the GC root rule; the sweeper reads
+    /// no policy.
     pub policy: RetentionPolicy,
-    /// Per-BLOB overrides (BLOB ids are assigned sequentially and
-    /// deterministically, so experiments can pin them up front).
-    pub per_blob: Vec<(BlobId, RetentionPolicy)>,
     /// Sweep period.
     pub sweep_every: SimDuration,
     /// Chunk-deletion budget per sweep (pacing); the remainder carries
@@ -43,25 +48,15 @@ impl Default for LifecycleConfig {
     fn default() -> Self {
         LifecycleConfig {
             policy: RetentionPolicy::KeepAll,
-            per_blob: vec![],
             sweep_every: SimDuration::from_secs(30),
             max_chunks_per_sweep: 10_000,
         }
     }
 }
 
-impl LifecycleConfig {
-    /// The policy governing one BLOB.
-    pub fn policy_for(&self, blob: BlobId) -> RetentionPolicy {
-        self.per_blob
-            .iter()
-            .find(|(b, _)| *b == blob)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.policy)
-    }
-}
-
-/// The background sweeper node.
+/// The background sweeper node. Its totals are the registry counters
+/// `lifecycle.versions_retired`, `lifecycle.chunks_reclaimed`,
+/// `lifecycle.nodes_reclaimed` and `lifecycle.reclaimed_bytes`.
 pub struct LifecycleGcService {
     vman: NodeId,
     meta_providers: Vec<NodeId>,
@@ -76,8 +71,6 @@ pub struct LifecycleGcService {
     issued_nodes: HashSet<NodeKey>,
     /// Budget left in the current sweep.
     budget: usize,
-    versions_retired: u64,
-    chunks_reclaimed: u64,
 }
 
 impl LifecycleGcService {
@@ -93,25 +86,7 @@ impl LifecycleGcService {
             issued_chunks: HashSet::new(),
             issued_nodes: HashSet::new(),
             budget: 0,
-            versions_retired: 0,
-            chunks_reclaimed: 0,
         }
-    }
-
-    /// Versions retired so far (post-run inspection).
-    pub fn versions_retired(&self) -> u64 {
-        self.versions_retired
-    }
-
-    /// Chunk deletions issued so far (post-run inspection).
-    pub fn chunks_reclaimed(&self) -> u64 {
-        self.chunks_reclaimed
-    }
-
-    /// Override one BLOB's retention policy (tests, operator actions).
-    pub fn set_policy(&mut self, blob: BlobId, policy: RetentionPolicy) {
-        self.cfg.per_blob.retain(|(b, _)| *b != blob);
-        self.cfg.per_blob.push((blob, policy));
     }
 
     fn req(&mut self) -> u64 {
@@ -164,7 +139,6 @@ impl LifecycleGcService {
             }
             let req = self.req();
             env.send(self.vman, Msg::RetireVersion { req, blob, version });
-            self.versions_retired += 1;
             env.incr("lifecycle.versions_retired", 1);
         }
     }
@@ -173,10 +147,6 @@ impl LifecycleGcService {
 impl Service for LifecycleGcService {
     fn name(&self) -> &'static str {
         "lifecycle-gc"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn on_start(&mut self, env: &mut dyn Env) {
@@ -191,7 +161,7 @@ impl Service for LifecycleGcService {
                     env.send(self.vman, Msg::ListVersions { req, blob });
                 }
             }
-            Msg::VersionList { blob, page_size, versions, snapshots, decommissioned, .. } => {
+            Msg::VersionList { blob, page_size, versions, roots, .. } => {
                 if versions.is_empty() || page_size == 0 {
                     return;
                 }
@@ -202,15 +172,8 @@ impl Service for LifecycleGcService {
                     .retain(|c| c.blob != blob || alive.contains(&c.version));
                 self.issued_nodes
                     .retain(|k| k.blob != blob || alive.contains(&k.version));
-                let view = CatalogView {
-                    blob,
-                    page_size,
-                    versions: &versions,
-                    snapshots: &snapshots,
-                    decommissioned,
-                    now: env.now(),
-                };
-                let plan = plan_blob(&view, self.cfg.policy_for(blob));
+                let view = CatalogView { blob, page_size, versions: &versions, roots: &roots };
+                let plan = plan_blob(&view);
                 if !plan.is_empty() {
                     self.execute(env, blob, plan);
                 }
@@ -223,7 +186,6 @@ impl Service for LifecycleGcService {
                             env.send(*replica, Msg::DeleteChunk { req, key: chunk.key });
                             env.incr("lifecycle.reclaimed_bytes", chunk.size);
                         }
-                        self.chunks_reclaimed += 1;
                         env.incr("lifecycle.chunks_reclaimed", 1);
                     }
                 }
@@ -248,7 +210,6 @@ mod tests {
     use crate::testenv::TestEnv;
     use sads_blob::model::{ChunkDescriptor, PageInterval};
     use sads_blob::vmanager::VersionSummary;
-    use sads_sim::SimTime;
 
     const PAGE: u64 = 8;
 
@@ -257,40 +218,40 @@ mod tests {
             version: VersionId(v),
             size: size_pages * PAGE,
             interval: PageInterval::new(start, len),
-            published_at: SimTime::ZERO,
         }
     }
 
-    fn catalog(snapshots: Vec<VersionId>, decommissioned: bool) -> Msg {
+    /// v1 and v2 each write pages 0..4; `roots` as the version manager
+    /// reports them.
+    fn catalog(roots: &[u64]) -> Msg {
         Msg::VersionList {
             req: 2,
             blob: BlobId(1),
             page_size: PAGE,
             versions: vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 4, 4)],
-            snapshots,
-            decommissioned,
+            roots: roots.iter().copied().map(VersionId).collect(),
         }
     }
 
-    fn sweeper(policy: RetentionPolicy) -> LifecycleGcService {
-        LifecycleGcService::new(
-            NodeId(1),
-            vec![NodeId(5), NodeId(6)],
-            LifecycleConfig { policy, ..LifecycleConfig::default() },
-        )
+    fn sweeper() -> LifecycleGcService {
+        LifecycleGcService::new(NodeId(1), vec![NodeId(5), NodeId(6)], LifecycleConfig::default())
+    }
+
+    fn retired(env: &TestEnv) -> u64 {
+        env.telemetry().counter_total("lifecycle.versions_retired")
     }
 
     #[test]
     fn sweep_drives_the_full_reclamation_protocol() {
         let mut env = TestEnv::new();
-        let mut m = sweeper(RetentionPolicy::KeepLastN(1));
+        let mut m = sweeper();
         m.on_start(&mut env);
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
         assert!(matches!(env.sent[0].1, Msg::ListBlobs { .. }));
         m.on_msg(&mut env, NodeId(1), Msg::BlobList { req: 1, blobs: vec![BlobId(1)] });
         assert!(matches!(env.sent[1].1, Msg::ListVersions { blob: BlobId(1), .. }));
         // v1 fully overwritten by v2 (the only root) → fully reclaimed.
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
+        m.on_msg(&mut env, NodeId(1), catalog(&[2]));
         let delete_meta: usize = env
             .sent
             .iter()
@@ -302,7 +263,7 @@ mod tests {
         assert_eq!(delete_meta, 7, "root + 2 inner + 4 leaves of v1");
         assert!(env.sent.iter().any(|(to, m)| *to == NodeId(1)
             && matches!(m, Msg::RetireVersion { version: VersionId(1), .. })));
-        assert_eq!(m.versions_retired(), 1);
+        assert_eq!(retired(&env), 1);
         // Supply the leaf descriptors: deletes go to every replica.
         let (owner, req, keys) = env
             .sent
@@ -338,32 +299,31 @@ mod tests {
             .filter(|(_, m)| matches!(m, Msg::DeleteChunk { .. }))
             .count();
         assert_eq!(deletes, keys.len() * 2, "one delete per replica");
+        let chunks = env.telemetry().counter_total("lifecycle.chunks_reclaimed");
+        assert_eq!(chunks, keys.len() as u64);
     }
 
     #[test]
     fn snapshots_suppress_reclamation() {
         let mut env = TestEnv::new();
-        let mut m = sweeper(RetentionPolicy::KeepLastN(1));
+        let mut m = sweeper();
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
         env.sent.clear();
-        m.on_msg(&mut env, NodeId(1), catalog(vec![VersionId(1)], false));
-        assert!(env.sent.is_empty(), "a snapshotted version is a root");
-        // So is everything a longer retention window still covers.
-        let mut m = sweeper(RetentionPolicy::KeepLastN(5));
-        m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
-        env.sent.clear();
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
-        assert!(env.sent.is_empty(), "nothing to retire sends nothing");
-        assert_eq!(m.versions_retired(), 0);
+        // A snapshotted v1 is a root, as is everything a retention window
+        // covers: nothing to retire sends nothing.
+        m.on_msg(&mut env, NodeId(1), catalog(&[1, 2]));
+        assert!(env.sent.is_empty(), "a root is never reclaimed");
+        assert_eq!(retired(&env), 0);
     }
 
     #[test]
     fn decommission_reclaims_under_keep_all() {
         let mut env = TestEnv::new();
-        let mut m = sweeper(RetentionPolicy::KeepAll);
+        let mut m = sweeper();
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
         env.sent.clear();
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], true));
+        // A decommissioned BLOB reports no roots, whatever the policy.
+        m.on_msg(&mut env, NodeId(1), catalog(&[]));
         let retires: Vec<VersionId> = env
             .sent
             .iter()
@@ -378,13 +338,13 @@ mod tests {
     #[test]
     fn repeated_sweeps_do_not_reissue_deletions() {
         let mut env = TestEnv::new();
-        let mut m = sweeper(RetentionPolicy::KeepLastN(1));
+        let mut m = sweeper();
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
+        m.on_msg(&mut env, NodeId(1), catalog(&[2]));
         let first = env.sent.len();
         // Same catalog again (the retire has not landed yet): nothing new.
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
+        m.on_msg(&mut env, NodeId(1), catalog(&[2]));
         let second: Vec<_> = env.sent[first..]
             .iter()
             .filter(|(_, m)| matches!(m, Msg::GetMeta { .. } | Msg::DeleteMeta { .. }))
@@ -398,14 +358,10 @@ mod tests {
         let mut m = LifecycleGcService::new(
             NodeId(1),
             vec![NodeId(5)],
-            LifecycleConfig {
-                policy: RetentionPolicy::KeepLastN(1),
-                max_chunks_per_sweep: 2,
-                ..LifecycleConfig::default()
-            },
+            LifecycleConfig { max_chunks_per_sweep: 2, ..LifecycleConfig::default() },
         );
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
+        m.on_msg(&mut env, NodeId(1), catalog(&[2]));
         let asked: usize = env
             .sent
             .iter()
@@ -417,7 +373,7 @@ mod tests {
         assert_eq!(asked, 2, "only the budgeted chunks are processed this sweep");
         // Next sweep drains the carry-over.
         m.on_timer(&mut env, TOKEN_LIFECYCLE_SWEEP);
-        m.on_msg(&mut env, NodeId(1), catalog(vec![], false));
+        m.on_msg(&mut env, NodeId(1), catalog(&[2]));
         let asked: usize = env
             .sent
             .iter()

@@ -7,10 +7,9 @@
 //! replication; this crate is the removal half grown into a full
 //! lifecycle layer:
 //!
-//! * [`plan`] — the pure planner: [`plan::RetentionPolicy`] selects GC
-//!   roots per BLOB, and a single liveness rule (shared by chunks and
-//!   tree nodes) derives what each sweep may reclaim from the version
-//!   catalog alone.
+//! * [`plan`] — the pure planner: a single liveness rule (shared by
+//!   chunks and tree nodes) derives what each sweep may reclaim from the
+//!   version catalog and its GC roots alone.
 //! * [`gc`] — [`gc::LifecycleGcService`], the paced background sweeper
 //!   executing those plans: replica discovery, chunk/node deletion with
 //!   cross-sweep dedup, and version-record retirement.
@@ -18,10 +17,12 @@
 //!   over every provider's chunks; confirmed corruption is quarantined
 //!   at the provider and routed to the replication manager for repair.
 //!
-//! Snapshots themselves live in the version manager
-//! (`sads_blob::vmanager`): pinning is a set insertion, so snapshot and
-//! clone cost O(1) regardless of BLOB size — the segment tree is shared,
-//! never copied. This crate treats them as GC roots.
+//! Snapshots and the GC root rule live in the version manager
+//! (`sads_blob::vmanager`): [`RetentionPolicy`] is fixed per install and
+//! handed to it, pinning is a set insertion granted only on a root, so
+//! snapshot and clone cost O(1) regardless of BLOB size — the segment
+//! tree is shared, never copied. This crate plans against the roots the
+//! version manager reports.
 //!
 //! All services speak the runtime-agnostic `sads_blob::services`
 //! interfaces, so they run identically in the simulated and threaded
@@ -32,7 +33,8 @@ pub mod plan;
 pub mod scrub;
 
 pub use gc::{LifecycleConfig, LifecycleGcService, TOKEN_LIFECYCLE_SWEEP};
-pub use plan::{mark_live_chunks, plan_blob, roots, BlobPlan, CatalogView, RetentionPolicy};
+pub use plan::{mark_live_chunks, plan_blob, BlobPlan, CatalogView};
+pub use sads_blob::vmanager::RetentionPolicy;
 pub use scrub::{ScrubConfig, ScrubberService, TOKEN_SCRUB_TICK};
 
 #[cfg(test)]

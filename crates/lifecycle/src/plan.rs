@@ -1,5 +1,6 @@
-//! The pure reclamation planner: retention policies, GC roots, and the
-//! unified liveness rule shared by chunks and metadata tree nodes.
+//! The pure reclamation planner: the unified liveness rule shared by
+//! chunks and metadata tree nodes, applied to the GC roots the version
+//! manager reports.
 //!
 //! ## The liveness rule
 //!
@@ -12,12 +13,13 @@
 //!
 //! > the item is **live** iff some GC root lies in `[v, u)`.
 //!
-//! Roots are the versions that must stay readable: whatever the
-//! [`RetentionPolicy`] selects, plus every snapshot, plus the latest
-//! published version — or nothing at all once the BLOB is
-//! decommissioned. Everything not live is safe to reclaim, and a version
-//! none of whose items are live (and which is not itself a root) can
-//! have its catalog record retired.
+//! Roots are the versions that must stay readable. The version manager
+//! owns that rule (`BlobState::is_root`: the retention policy's
+//! versions, every snapshot and the latest, or nothing once the BLOB is
+//! decommissioned) and ships the roots in its `VersionList`; the planner
+//! reads no policy. Everything not live is safe to reclaim, and a
+//! version none of whose items are live (and which is not itself a
+//! root) can have its catalog record retired.
 //!
 //! A version record is retired only once **all** of its items are dead.
 //! Retiring earlier would orphan the still-shared items: they outlive
@@ -29,26 +31,6 @@ use std::collections::BTreeSet;
 use sads_blob::meta::{created_ranges, NodeKey};
 use sads_blob::model::{BlobId, ChunkKey, VersionId};
 use sads_blob::vmanager::VersionSummary;
-use sads_sim::{SimDuration, SimTime};
-
-/// Per-BLOB retention policy: which published versions stay readable
-/// (and therefore pin their chunks and tree nodes as GC roots).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetentionPolicy {
-    /// Every published version is a root; only decommissioning reclaims.
-    KeepAll,
-    /// The newest `n` published versions are roots (at least the
-    /// latest, even for `n = 0`). Snapshots stay roots regardless.
-    KeepLastN(usize),
-    /// Only snapshots (and the latest version) are roots: the archival
-    /// policy for churning scratch data with explicit save points.
-    KeepSnapshots,
-    /// Versions published within this window of the catalog's clock
-    /// ([`CatalogView::now`]) are roots, beside snapshots and the latest:
-    /// the paper's "temporary data" strategy — whatever nobody pinned
-    /// ages out once something newer supersedes it.
-    KeepNewerThan(SimDuration),
-}
 
 /// One BLOB's version catalog as the version manager reports it.
 #[derive(Clone, Debug)]
@@ -59,13 +41,8 @@ pub struct CatalogView<'a> {
     pub page_size: u64,
     /// Published versions (including v0), any order.
     pub versions: &'a [VersionSummary],
-    /// Versions pinned as snapshots.
-    pub snapshots: &'a [VersionId],
-    /// Whether the BLOB was decommissioned.
-    pub decommissioned: bool,
-    /// The clock version ages are measured against (the sweeper's
-    /// `env.now()`); only [`RetentionPolicy::KeepNewerThan`] reads it.
-    pub now: SimTime,
+    /// The GC roots, ascending.
+    pub roots: &'a [VersionId],
 }
 
 /// Everything one sweep may reclaim for one BLOB.
@@ -87,57 +64,19 @@ impl BlobPlan {
     }
 }
 
-/// The GC roots of a catalog under a policy: retention-selected versions
-/// ∪ snapshots ∪ latest — or ∅ when decommissioned. v0 owns no items, so
-/// it is never reported as a root.
-pub fn roots(view: &CatalogView<'_>, policy: RetentionPolicy) -> BTreeSet<VersionId> {
-    if view.decommissioned {
-        return BTreeSet::new();
-    }
-    let latest =
-        view.versions.iter().map(|v| v.version).max().unwrap_or(VersionId::INITIAL);
-    let mut roots: BTreeSet<VersionId> = view.snapshots.iter().copied().collect();
-    roots.insert(latest);
-    match policy {
-        RetentionPolicy::KeepAll => roots.extend(view.versions.iter().map(|v| v.version)),
-        RetentionPolicy::KeepLastN(n) => {
-            let mut all: Vec<VersionId> = view
-                .versions
-                .iter()
-                .map(|v| v.version)
-                .filter(|v| *v != VersionId::INITIAL)
-                .collect();
-            all.sort_unstable();
-            roots.extend(all.iter().rev().take(n.max(1)));
-        }
-        RetentionPolicy::KeepSnapshots => {}
-        RetentionPolicy::KeepNewerThan(window) => roots.extend(
-            view.versions
-                .iter()
-                .filter(|v| view.now.since(v.published_at) <= window)
-                .map(|v| v.version),
-        ),
-    }
-    roots.remove(&VersionId::INITIAL);
-    roots
-}
-
 /// Live iff some root lies in `[v, u)` — see the module docs.
-fn live(v: VersionId, invalidated_at: Option<VersionId>, roots: &BTreeSet<VersionId>) -> bool {
-    match invalidated_at {
-        Some(u) => roots.range(v..u).next().is_some(),
-        None => roots.range(v..).next().is_some(),
-    }
+fn live(v: VersionId, invalidated_at: Option<VersionId>, roots: &[VersionId]) -> bool {
+    let first = roots.partition_point(|r| *r < v);
+    roots.get(first).is_some_and(|r| invalidated_at.is_none_or(|u| *r < u))
 }
 
-/// Compute the full reclamation plan for one BLOB under a policy.
-pub fn plan_blob(view: &CatalogView<'_>, policy: RetentionPolicy) -> BlobPlan {
-    let roots = roots(view, policy);
+/// Compute the full reclamation plan for one BLOB.
+pub fn plan_blob(view: &CatalogView<'_>) -> BlobPlan {
     let mut sorted = view.versions.to_vec();
     sorted.sort_by_key(|v| v.version);
     let mut plan = BlobPlan::default();
     for (i, v) in sorted.iter().enumerate() {
-        if v.version == VersionId::INITIAL || roots.contains(&v.version) {
+        if v.version == VersionId::INITIAL || view.roots.binary_search(&v.version).is_ok() {
             continue;
         }
         let later = &sorted[i + 1..];
@@ -147,7 +86,7 @@ pub fn plan_blob(view: &CatalogView<'_>, policy: RetentionPolicy) -> BlobPlan {
                 .iter()
                 .find(|w| w.interval.contains_page(p))
                 .map(|w| w.version);
-            if live(v.version, u, &roots) {
+            if live(v.version, u, view.roots) {
                 all_dead = false;
             } else {
                 plan.chunks.push(ChunkKey { blob: view.blob, version: v.version, page: p });
@@ -155,7 +94,7 @@ pub fn plan_blob(view: &CatalogView<'_>, policy: RetentionPolicy) -> BlobPlan {
         }
         for r in created_ranges(v.interval, v.size, view.page_size) {
             let u = later.iter().find(|w| r.intersects(&w.interval)).map(|w| w.version);
-            if live(v.version, u, &roots) {
+            if live(v.version, u, view.roots) {
                 all_dead = false;
             } else {
                 plan.nodes.push(NodeKey { blob: view.blob, version: v.version, range: r });
@@ -172,12 +111,11 @@ pub fn plan_blob(view: &CatalogView<'_>, policy: RetentionPolicy) -> BlobPlan {
 /// of its pages reads, and return that full live set. The planner's
 /// output is model-checked against this in the crate's proptests — a
 /// planned chunk must never be live here.
-pub fn mark_live_chunks(view: &CatalogView<'_>, policy: RetentionPolicy) -> BTreeSet<ChunkKey> {
-    let roots = roots(view, policy);
+pub fn mark_live_chunks(view: &CatalogView<'_>) -> BTreeSet<ChunkKey> {
     let mut sorted = view.versions.to_vec();
     sorted.sort_by_key(|v| v.version);
     let mut out = BTreeSet::new();
-    for root in &roots {
+    for root in view.roots {
         let Some(at) = sorted.iter().position(|v| v.version == *root) else { continue };
         let pages = sads_blob::model::pages_for(sorted[at].size, view.page_size.max(1));
         for p in 0..pages {
@@ -205,62 +143,52 @@ mod tests {
             version: VersionId(v),
             size: size_pages * PAGE,
             interval: PageInterval::new(start, len),
-            published_at: SimTime::from_secs(v),
         }
     }
 
-    fn view<'a>(
-        versions: &'a [VersionSummary],
-        snapshots: &'a [VersionId],
-        decommissioned: bool,
-    ) -> CatalogView<'a> {
-        let now = SimTime::from_secs(10);
-        CatalogView { blob: BlobId(1), page_size: PAGE, versions, snapshots, decommissioned, now }
+    fn view<'a>(versions: &'a [VersionSummary], roots: &'a [VersionId]) -> CatalogView<'a> {
+        CatalogView { blob: BlobId(1), page_size: PAGE, versions, roots }
     }
 
-    fn ids(vs: &[u64]) -> BTreeSet<VersionId> {
+    fn ids(vs: &[u64]) -> Vec<VersionId> {
         vs.iter().copied().map(VersionId).collect()
     }
 
     #[test]
     fn keep_all_reclaims_nothing() {
+        // Every version is a root.
         let versions = vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 4, 4)];
-        assert!(plan_blob(&view(&versions, &[], false), RetentionPolicy::KeepAll).is_empty());
+        assert!(plan_blob(&view(&versions, &ids(&[1, 2]))).is_empty());
     }
 
     #[test]
     fn keep_last_n_reclaims_fully_overwritten_versions() {
         let versions =
             vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 4, 4), vs(3, 0, 4, 4)];
-        let plan = plan_blob(&view(&versions, &[], false), RetentionPolicy::KeepLastN(2));
-        // Roots = {v2, v3}; v1 is fully overwritten by v2 before any root.
+        // Roots {v2, v3} (KeepLastN(2)): v1 is fully overwritten by v2.
+        let plan = plan_blob(&view(&versions, &ids(&[2, 3])));
         assert_eq!(plan.retire, vec![VersionId(1)]);
         assert_eq!(plan.chunks.len(), 4);
         assert!(plan.chunks.iter().all(|c| c.version == VersionId(1)));
         assert_eq!(plan.nodes.len(), 7, "root + 2 inner + 4 leaves");
-        // The newest n and v0 are never touched, and an n beyond the
-        // history reclaims nothing.
-        let v = view(&versions, &[], false);
-        assert_eq!(roots(&v, RetentionPolicy::KeepLastN(2)), ids(&[2, 3]));
-        assert!(plan_blob(&v, RetentionPolicy::KeepLastN(10)).is_empty());
     }
 
     #[test]
     fn snapshot_pins_an_otherwise_dead_version() {
         let versions =
             vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 4, 4), vs(3, 0, 4, 4)];
-        let snaps = [VersionId(1)];
-        let plan = plan_blob(&view(&versions, &snaps, false), RetentionPolicy::KeepLastN(1));
-        // v1 is a snapshot root; v2 dies (overwritten by v3, no root in [2,3)).
+        // KeepLastN(1) with v1 pinned: roots {v1, v3}; v2 dies
+        // (overwritten by v3, no root in [2,3)).
+        let plan = plan_blob(&view(&versions, &ids(&[1, 3])));
         assert_eq!(plan.retire, vec![VersionId(2)]);
         assert!(plan.chunks.iter().all(|c| c.version == VersionId(2)));
     }
 
     #[test]
     fn partial_overwrites_keep_shared_items_and_the_record() {
-        // v1 writes [0,4); v2 overwrites [0,2) only. KeepLastN(1): root={v2}.
+        // v1 writes [0,4); v2 overwrites [0,2) only. Roots = {v2}.
         let versions = vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 2, 4)];
-        let plan = plan_blob(&view(&versions, &[], false), RetentionPolicy::KeepLastN(1));
+        let plan = plan_blob(&view(&versions, &ids(&[2])));
         let pages: Vec<u64> = plan.chunks.iter().map(|c| c.page).collect();
         assert_eq!(pages, vec![0, 1], "pages 2,3 still serve v2 reads");
         assert!(plan.retire.is_empty(), "record kept while items are shared");
@@ -272,30 +200,16 @@ mod tests {
         // An append overwrites nothing: v2's new root [0,4) references
         // v1's whole tree, so none of v1 is reclaimable.
         let versions = vec![vs(0, 0, 0, 0), vs(1, 0, 2, 2), vs(2, 2, 2, 4)];
-        assert!(plan_blob(&view(&versions, &[], false), RetentionPolicy::KeepLastN(1)).is_empty());
+        assert!(plan_blob(&view(&versions, &ids(&[2]))).is_empty());
     }
 
     #[test]
     fn decommission_reclaims_everything() {
+        // A decommissioned BLOB reports no roots.
         let versions = vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 2, 4)];
-        let snaps = [VersionId(1)]; // stale: decommission clears pins
-        let plan = plan_blob(&view(&versions, &snaps, true), RetentionPolicy::KeepAll);
+        let plan = plan_blob(&view(&versions, &[]));
         assert_eq!(plan.retire, vec![VersionId(1), VersionId(2)]);
         assert_eq!(plan.chunks.len(), 6, "all pages of both versions");
-    }
-
-    #[test]
-    fn keep_snapshots_keeps_only_pins_and_latest() {
-        let versions =
-            vec![vs(0, 0, 0, 0), vs(1, 0, 4, 4), vs(2, 0, 4, 4), vs(3, 0, 4, 4)];
-        let r = roots(&view(&versions, &[VersionId(2)], false), RetentionPolicy::KeepSnapshots);
-        assert_eq!(r, ids(&[2, 3]));
-        // Age runs from publication (v at v s) to the view's clock (10 s):
-        // v1 has left an 8 s window, v2 and v3 have not. A window nothing
-        // falls in leaves the pins and the latest, however old.
-        let newer = |s| RetentionPolicy::KeepNewerThan(SimDuration::from_secs(s));
-        assert_eq!(roots(&view(&versions, &[], false), newer(8)), ids(&[2, 3]));
-        assert_eq!(roots(&view(&versions, &[VersionId(1)], false), newer(1)), ids(&[1, 3]));
     }
 
     #[test]
@@ -307,18 +221,14 @@ mod tests {
             vs(3, 0, 2, 4),
             vs(4, 2, 2, 4),
         ];
-        for policy in [
-            RetentionPolicy::KeepAll,
-            RetentionPolicy::KeepLastN(1),
-            RetentionPolicy::KeepLastN(2),
-            RetentionPolicy::KeepSnapshots,
-            RetentionPolicy::KeepNewerThan(SimDuration::from_secs(7)),
-        ] {
-            let v = view(&versions, &[VersionId(2)], false);
-            let live = mark_live_chunks(&v, policy);
-            let plan = plan_blob(&v, policy);
-            for c in &plan.chunks {
-                assert!(!live.contains(c), "{policy:?} planned live chunk {c:?}");
+        // Every root set over v1..v4.
+        for mask in 0u64..16 {
+            let roots: Vec<VersionId> =
+                (1..=4).filter(|v| mask & (1 << (v - 1)) != 0).map(VersionId).collect();
+            let v = view(&versions, &roots);
+            let live = mark_live_chunks(&v);
+            for c in &plan_blob(&v).chunks {
+                assert!(!live.contains(c), "roots {roots:?}: planned live chunk {c:?}");
             }
         }
     }
@@ -338,7 +248,8 @@ mod tests {
         let blob = BlobId(1);
         // Three writes: v1 [0,4), v2 [0,2), v3 [1,3).
         let writes = [(1u64, 0u64, 4u64), (2, 0, 2), (3, 1, 2)];
-        for policy in [RetentionPolicy::KeepLastN(2), RetentionPolicy::KeepLastN(1)] {
+        // The roots of KeepLastN(2) and of KeepLastN(1).
+        for roots in [ids(&[2, 3]), ids(&[3])] {
             let mut store = MetaStore::new();
             let mut catalog = vec![vs(0, 0, 0, 0)];
             let mut tree_roots: Vec<Option<NodeRef>> = vec![None];
@@ -372,13 +283,12 @@ mod tests {
                 catalog.push(vs(v, start, len, 4));
             }
 
-            let view = view(&catalog, &[], false);
-            let plan = plan_blob(&view, policy);
+            let plan = plan_blob(&view(&catalog, &roots));
             assert!(!plan.is_empty());
             for k in &plan.nodes {
                 assert!(store.remove(k), "planned node {k:?} existed");
             }
-            for root in roots(&view, policy) {
+            for root in roots {
                 let mut r =
                     TreeReader::new(blob, tree_roots[root.0 as usize], PageInterval::new(0, 4));
                 while !r.is_done() {

@@ -1,9 +1,14 @@
 //! Integration tests for the storage lifecycle layer (`sads-lifecycle`):
 //!
 //! * property tests driving random interleavings of writes, snapshot
-//!   pins, retention-policy changes and GC sweeps against the reference
-//!   mark-and-sweep — the sweeper must never collect a chunk reachable
-//!   from a live version or a snapshot;
+//!   pins (of the latest and of any version number), retention-policy
+//!   changes, decommissions and GC sweeps through the real version
+//!   manager state, against the reference mark-and-sweep — the sweeper
+//!   must never collect a chunk reachable from a GC root, not even when
+//!   a sweep's deletes land after writes and pins made since its plan;
+//! * a deterministic sim regression for the pin gap: a pin on a version
+//!   whose overwritten pages were already collected is refused, and the
+//!   latest stays readable;
 //! * an end-to-end scrub test on the threaded runtime: a byte-flipped
 //!   disk chunk is detected by the background scrub, quarantined at the
 //!   provider, reported to the replication manager, and repaired back
@@ -20,19 +25,20 @@
 
 use proptest::prelude::*;
 
-use sads::blob::model::{BlobId, ChunkKey, PageInterval, VersionId};
-use sads::blob::vmanager::VersionSummary;
-use sads::lifecycle::{mark_live_chunks, plan_blob, CatalogView, RetentionPolicy};
+use sads::blob::meta::{NodeRange, NodeRef};
+use sads::blob::model::{BlobId, BlobSpec, ChunkKey, ClientId, VersionId};
+use sads::blob::vmanager::{BlobState, VersionManagerState, VersionSummary};
+use sads::blob::WriteKind;
+use sads::lifecycle::{mark_live_chunks, plan_blob, BlobPlan, CatalogView, RetentionPolicy};
 use sads_sim::{SimDuration, SimTime};
 
 use std::collections::BTreeSet;
 
 const PAGE: u64 = 8;
-const BLOB: BlobId = BlobId(1);
 
 // ---------------------------------------------------------------------
-// Harness: an in-memory version catalog the ops mutate, mirroring what
-// the version manager reports to the sweeper.
+// Harness: the version manager's own state, driven the way its service
+// drives it, and the sweeper's planner fed from it.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -42,112 +48,142 @@ enum Op {
     /// Pin the latest published version (what the gateway snapshot
     /// endpoint does).
     Snapshot,
+    /// Pin version `v`, through the version manager's rule.
+    PinAt(u64),
     /// Switch the retention policy.
     SetPolicy(RetentionPolicy),
-    /// Run one GC sweep.
+    /// Plan a sweep now; the next `Sweep` applies it, so the writes and
+    /// pins in between race its deletes.
+    Plan,
+    /// Run one GC sweep: apply the plan in flight, or plan and apply.
     Sweep,
     /// Decommission the BLOB (everything becomes reclaimable).
     Decommission,
 }
 
-/// Decode `(selector, a, b)` triples into ops. `allow_mutating_policy`
-/// gates the policy-change and decommission variants so the stable-policy
-/// property can reuse the same generator.
-fn decode(ops: &[(u8, u64, u64)], allow_mutating_policy: bool) -> Vec<Op> {
+/// Decode `(selector, a, b)` triples into ops. Selectors 9 and 10 are
+/// the policy-change and decommission variants, so the stable-policy
+/// property draws selectors below 9.
+fn decode(ops: &[(u8, u64, u64)]) -> Vec<Op> {
     ops.iter()
-        .map(|&(sel, a, b)| match sel % 10 {
+        .map(|&(sel, a, b)| match sel {
             0..=3 => Op::Write { start: a % 16, len: 1 + b % 5 },
-            4..=6 => Op::Sweep,
+            4 | 5 => Op::Sweep,
+            6 => Op::Plan,
             7 => Op::Snapshot,
-            8 if allow_mutating_policy => Op::SetPolicy(match a % 4 {
+            8 => Op::PinAt(a % 16),
+            9 => Op::SetPolicy(match a % 4 {
                 0 => RetentionPolicy::KeepAll,
                 1 => RetentionPolicy::KeepLastN((b % 4) as usize),
                 2 => RetentionPolicy::KeepNewerThan(SimDuration::from_secs(b % 4)),
                 _ => RetentionPolicy::KeepSnapshots,
             }),
-            9 if allow_mutating_policy => Op::Decommission,
-            _ => Op::Sweep,
+            _ => Op::Decommission,
         })
         .collect()
 }
 
-struct Catalog {
-    versions: Vec<VersionSummary>,
-    snapshots: Vec<VersionId>,
-    decommissioned: bool,
+struct Harness {
+    vm: VersionManagerState,
+    blob: BlobId,
+    policy: RetentionPolicy,
+    /// Version v publishes at v seconds; the clock reads the second of
+    /// the next publication.
     next: u64,
+    /// A plan made by `Plan`, not yet applied.
+    in_flight: Option<BlobPlan>,
 }
 
-impl Catalog {
-    fn new() -> Self {
-        Catalog {
-            versions: vec![VersionSummary {
-                version: VersionId::INITIAL,
-                size: 0,
-                interval: PageInterval::EMPTY,
-                published_at: SimTime::ZERO,
-            }],
-            snapshots: vec![],
-            decommissioned: false,
-            next: 1,
-        }
+impl Harness {
+    fn new(policy: RetentionPolicy) -> Self {
+        let mut vm = VersionManagerState::new();
+        let blob = vm.create_blob(BlobSpec { page_size: PAGE, replication: 1 }, SimTime::ZERO);
+        Harness { vm, blob, policy, next: 1, in_flight: None }
     }
 
-    fn view(&self) -> CatalogView<'_> {
-        CatalogView {
-            blob: BLOB,
-            page_size: PAGE,
-            versions: &self.versions,
-            snapshots: &self.snapshots,
-            decommissioned: self.decommissioned,
-            // Version v is published at v seconds; the sweeper looks
-            // just before the next publication.
-            now: SimTime::from_secs(self.next),
-        }
+    fn now(&self) -> SimTime {
+        SimTime::from_secs(self.next)
+    }
+
+    fn st(&mut self) -> &mut BlobState {
+        self.vm.blob_mut(self.blob).expect("the BLOB")
     }
 
     fn write(&mut self, start: u64, len: u64) {
-        let interval = PageInterval::new(start, len);
-        let prev = self.versions.iter().map(|v| v.size).max().unwrap_or(0);
-        let v = VersionId(self.next);
+        let (blob, now) = (self.blob, self.now());
+        let kind = WriteKind::At(start * PAGE);
+        // A decommissioned BLOB refuses the ticket.
+        let Ok(t) = self.vm.ticket(blob, kind, len * PAGE, ClientId(1), now) else { return };
+        let range = NodeRange::root_for(t.new_size / PAGE);
+        let root = NodeRef::Node { version: t.version, range };
+        self.vm.commit(blob, t.version, root, t.new_size, now).expect("commit");
         self.next += 1;
-        self.versions.push(VersionSummary {
-            version: v,
-            size: prev.max(interval.end() * PAGE),
-            interval,
-            published_at: SimTime::from_secs(v.0),
-        });
     }
 
-    fn snapshot(&mut self) {
-        let latest = self.versions.iter().map(|v| v.version).max().unwrap();
-        if latest != VersionId::INITIAL && !self.snapshots.contains(&latest) {
-            self.snapshots.push(latest);
-        }
+    fn pin(&mut self, v: Option<u64>) {
+        let (policy, now) = (self.policy, self.now());
+        let st = self.st();
+        let v = v.map_or(st.latest().version, VersionId);
+        st.snapshot(v, policy, now);
     }
 
-    /// One sweep: plan, model-check the plan, apply it. Returns the
-    /// chunks the sweep deleted.
-    fn sweep(&mut self, policy: RetentionPolicy) -> Vec<ChunkKey> {
-        let plan = plan_blob(&self.view(), policy);
-        let live = mark_live_chunks(&self.view(), policy);
-        for c in &plan.chunks {
-            assert!(
-                !live.contains(c),
-                "sweep under {policy:?} collected live chunk {c:?}\ncatalog: {:?}\nsnapshots: {:?}",
-                self.versions,
-                self.snapshots
+    /// What the version manager reports: the catalog and its roots.
+    fn catalog(&self) -> (Vec<VersionSummary>, Vec<VersionId>) {
+        let st = self.vm.blob(self.blob).expect("the BLOB");
+        (st.catalog(), st.roots(self.policy, self.now()))
+    }
+
+    fn with_view<R>(&self, f: impl FnOnce(&CatalogView<'_>) -> R) -> R {
+        let (versions, roots) = self.catalog();
+        f(&CatalogView { blob: self.blob, page_size: PAGE, versions: &versions, roots: &roots })
+    }
+
+    /// Every chunk some root reads now.
+    fn live(&self) -> BTreeSet<ChunkKey> {
+        self.with_view(mark_live_chunks)
+    }
+
+    fn plan(&self) -> BlobPlan {
+        self.with_view(plan_blob)
+    }
+
+    /// One sweep: apply the plan in flight (or a fresh one), checking it
+    /// against the mark-and-sweep at the moment its deletes land. Every
+    /// planned retire must be granted. Returns the chunks it deleted.
+    fn sweep(&mut self) -> Vec<ChunkKey> {
+        let plan = self.in_flight.take().unwrap_or_else(|| self.plan());
+        let live = self.live();
+        if let Some(c) = plan.chunks.iter().find(|c| live.contains(c)) {
+            panic!(
+                "sweep under {:?} collected live chunk {c:?}\ncatalog and roots: {:?}",
+                self.policy,
+                self.catalog()
             );
         }
+        let (policy, now) = (self.policy, self.now());
         for r in &plan.retire {
-            assert!(
-                self.decommissioned || !self.snapshots.contains(r),
-                "retired pinned version {r:?}"
-            );
+            assert!(self.st().forget_version(*r, policy, now), "planned retire of {r:?} refused");
         }
-        self.versions.retain(|v| !plan.retire.contains(&v.version));
-        self.snapshots.retain(|s| !plan.retire.contains(s));
         plan.chunks
+    }
+
+    fn run(&mut self, op: Op) -> Vec<ChunkKey> {
+        match op {
+            Op::Write { start, len } => self.write(start, len),
+            Op::Snapshot => self.pin(None),
+            Op::PinAt(v) => self.pin(Some(v)),
+            // A policy comes with an install: a new one starts with no
+            // sweep in flight.
+            Op::SetPolicy(p) => (self.policy, self.in_flight) = (p, None),
+            Op::Plan => {
+                if self.in_flight.is_none() {
+                    self.in_flight = Some(self.plan());
+                }
+            }
+            Op::Sweep => return self.sweep(),
+            Op::Decommission => self.st().decommission(),
+        }
+        vec![]
     }
 }
 
@@ -155,33 +191,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The headline safety property: across any interleaving of writes,
-    /// snapshot pins, retention changes, decommissions and sweeps, a
-    /// sweep never plans a chunk the reference mark-and-sweep still
-    /// reaches from some GC root at that instant.
+    /// pins, retention changes, decommissions and sweeps — a sweep's
+    /// deletes landing after the ops since its plan — a sweep never
+    /// deletes a chunk the reference mark-and-sweep reaches from some GC
+    /// root at that instant.
     #[test]
     fn gc_never_collects_a_reachable_chunk(
-        raw in prop::collection::vec((0u8..10, 0u64..64, 0u64..64), 1..40),
+        raw in prop::collection::vec((0u8..11, 0u64..64, 0u64..64), 1..40),
     ) {
-        let mut cat = Catalog::new();
-        let mut policy = RetentionPolicy::KeepLastN(1);
-        for op in decode(&raw, true) {
-            match op {
-                Op::Write { start, len } if !cat.decommissioned => cat.write(start, len),
-                Op::Write { .. } => {}
-                Op::Snapshot if !cat.decommissioned => cat.snapshot(),
-                Op::Snapshot => {}
-                Op::SetPolicy(p) => policy = p,
-                Op::Decommission => {
-                    cat.decommissioned = true;
-                    cat.snapshots.clear();
-                }
-                Op::Sweep => { cat.sweep(policy); }
-            }
+        let mut h = Harness::new(RetentionPolicy::KeepLastN(1));
+        for op in decode(&raw) {
+            h.run(op);
         }
         // Drain to a fixpoint: repeated sweeps must terminate with
         // nothing reclaimable left (and stay safe the whole way down).
         for _ in 0..64 {
-            if cat.sweep(policy).is_empty() && plan_blob(&cat.view(), policy).is_empty() {
+            if h.sweep().is_empty() && h.plan().is_empty() {
                 break;
             }
         }
@@ -189,13 +214,12 @@ proptest! {
 
     /// Under a fixed policy, collection is permanent-safe: a chunk
     /// deleted by any sweep is never reachable at ANY later instant —
-    /// new versions, new pins of the latest, and record retirement
-    /// cannot resurrect it. (Widening the policy after collection could,
-    /// which is why retention changes are excluded here and applied only
-    /// between sweeps in the property above.)
+    /// new versions, pins of any version number, and record retirement
+    /// cannot resurrect it, because the version manager grants a pin
+    /// only on a root.
     #[test]
     fn collected_chunks_stay_dead_under_a_stable_policy(
-        raw in prop::collection::vec((0u8..8, 0u64..64, 0u64..64), 1..40),
+        raw in prop::collection::vec((0u8..9, 0u64..64, 0u64..64), 1..40),
         pol in 0u8..6,
     ) {
         let policy = match pol {
@@ -206,24 +230,105 @@ proptest! {
             4 => RetentionPolicy::KeepNewerThan(SimDuration::from_secs(3)),
             _ => RetentionPolicy::KeepSnapshots,
         };
-        let mut cat = Catalog::new();
+        let mut h = Harness::new(policy);
         let mut deleted: BTreeSet<ChunkKey> = BTreeSet::new();
-        for op in decode(&raw, false) {
-            match op {
-                Op::Write { start, len } => cat.write(start, len),
-                Op::Snapshot => cat.snapshot(),
-                Op::Sweep => { deleted.extend(cat.sweep(policy)); }
-                Op::SetPolicy(_) | Op::Decommission => unreachable!(),
-            }
-            let live = mark_live_chunks(&cat.view(), policy);
-            if let Some(c) = deleted.intersection(&live).next() {
+        for op in decode(&raw) {
+            deleted.extend(h.run(op));
+            if let Some(c) = deleted.intersection(&h.live()).next() {
                 panic!(
-                    "{policy:?}: previously collected chunk {c:?} became reachable again\n\
-                     catalog: {:?}\nsnapshots: {:?}",
-                    cat.versions, cat.snapshots
+                    "{policy:?}: previously collected chunk {c:?} became reachable again \
+                     after {op:?}\ncatalog and roots: {:?}",
+                    h.catalog()
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Simulated: a pin on a partially collected version.
+// ---------------------------------------------------------------------
+
+mod pin_gap_sim {
+    use sads::blob::model::{BlobError, BlobId, BlobSpec, ClientId, VersionId};
+    use sads::blob::rpc::Msg;
+    use sads::blob::runtime::sim::{BlobRef, ScriptStep};
+    use sads::blob::WriteKind;
+    use sads::lifecycle::{LifecycleConfig, RetentionPolicy};
+    use sads::{Deployment, DeploymentConfig};
+    use sads_sim::{Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, SimDuration, World};
+
+    const PAGE: u64 = 64 * 1024;
+
+    /// Sends one `SnapshotVersion` at start and counts the reply as
+    /// `pin.granted` or `pin.refused`.
+    struct Pinner(NodeId, Option<Msg>);
+
+    impl Actor for Pinner {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let msg = self.1.take().expect("one pin");
+            ctx.send(self.0, Box::new(msg));
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Box<dyn Message>) {
+            match msg.downcast_ref::<Msg>() {
+                Some(Msg::SnapshotVersionOk { .. }) => ctx.incr("pin.granted", 1),
+                Some(Msg::SnapshotVersionErr { err: BlobError::UnknownVersion(..), .. }) => {
+                    ctx.incr("pin.refused", 1)
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    /// Under `KeepLastN(1)`, v1 writes pages 0–3 and v2 overwrites pages
+    /// 0–1. Sweeps collect v1's pages 0–1, and v1's record stays for the
+    /// pages v2 still shares. A pin on v1 then must either keep v1
+    /// readable or be refused; the version manager grants pins only on
+    /// GC roots, so it is refused, and the latest reads.
+    #[test]
+    fn a_pin_on_a_partially_collected_version_is_refused() {
+        let mut d = Deployment::build(World::with_seed(5), DeploymentConfig {
+            data_providers: 2,
+            meta_providers: 1,
+            lifecycle: Some(LifecycleConfig {
+                policy: RetentionPolicy::KeepLastN(1),
+                sweep_every: SimDuration::from_secs(1),
+                ..LifecycleConfig::default()
+            }),
+            ..DeploymentConfig::default()
+        });
+        let write = |pages| ScriptStep::Write {
+            blob: BlobRef::Created(0),
+            kind: WriteKind::At(0),
+            bytes: pages * PAGE,
+        };
+        let spec = BlobSpec { page_size: PAGE, replication: 1 };
+        d.add_client(ClientId(1), vec![ScriptStep::Create(spec), write(4), write(2)], "writer");
+        d.world.run_for(SimDuration::from_secs(10), 10_000_000);
+        let m = d.world.metrics();
+        assert_eq!(m.counter("writer.ops_ok"), 3, "create + two writes");
+        assert_eq!(m.counter("lifecycle.chunks_reclaimed"), 2, "v1's pages 0-1");
+        assert_eq!(m.counter("lifecycle.versions_retired"), 0, "v1's record stays");
+
+        let (blob, v1) = (BlobId(1), VersionId(1));
+        let pin = Msg::SnapshotVersion { req: 1, client: ClientId(3), blob, version: Some(v1) };
+        d.world.add_node(Box::new(Pinner(d.nodes.vman, Some(pin))), NodeConfig::default());
+        d.world.run_for(SimDuration::from_secs(1), 10_000_000);
+        let read = |version| {
+            ScriptStep::Read { blob: BlobRef::Id(blob), version, offset: 0, len: 4 * PAGE }
+        };
+        d.add_client(ClientId(2), vec![read(Some(v1))], "pinned");
+        d.add_client(ClientId(4), vec![read(None)], "latest");
+        d.world.run_for(SimDuration::from_secs(5), 10_000_000);
+
+        let m = d.world.metrics();
+        if m.counter("vman.snapshots") > 0 {
+            assert_eq!(m.counter("pinned.ops_ok"), 1, "a granted pin must keep v1 readable");
+        }
+        assert_eq!(m.counter("vman.snapshots"), 0, "the pin is refused");
+        assert_eq!(m.counter("pin.refused"), 1, "with UnknownVersion");
+        assert_eq!(m.counter("latest.ops_ok"), 1, "the latest reads");
     }
 }
 

@@ -193,7 +193,7 @@ proptest! {
         keep in 1usize..5,
     ) {
         use sads::blob::vmanager::VersionSummary;
-        use sads::lifecycle::{plan_blob, CatalogView, RetentionPolicy};
+        use sads::lifecycle::{plan_blob, CatalogView};
 
         let n = writes.len();
         let mut store = MetaStore::new();
@@ -203,7 +203,6 @@ proptest! {
             version: VersionId(0),
             size: 0,
             interval: PageInterval::EMPTY,
-            published_at: SimTime::ZERO,
         }];
         let intervals: Vec<PageInterval> =
             writes.iter().map(|(s, l)| PageInterval::new(*s, *l)).collect();
@@ -219,22 +218,16 @@ proptest! {
                 version: VersionId(v),
                 size: new_size,
                 interval: *w,
-                published_at: SimTime::ZERO,
             });
         }
 
-        // Keep the newest `keep` versions; reclaim whatever only the
-        // older ones reach.
+        // The roots are the newest `keep` versions (KeepLastN(keep));
+        // reclaim whatever only the older ones reach.
         let cut = n.saturating_sub(keep);
-        let view = CatalogView {
-            blob: BLOB,
-            page_size: PAGE,
-            versions: &catalog,
-            snapshots: &[],
-            decommissioned: false,
-            now: SimTime::ZERO,
-        };
-        let plan = plan_blob(&view, RetentionPolicy::KeepLastN(keep));
+        let gc_roots: Vec<VersionId> = (cut + 1..=n).map(|v| VersionId(v as u64)).collect();
+        let view =
+            CatalogView { blob: BLOB, page_size: PAGE, versions: &catalog, roots: &gc_roots };
+        let plan = plan_blob(&view);
         for k in &plan.nodes {
             prop_assert!(store.remove(k), "planned node {:?} existed", k);
         }
