@@ -9,6 +9,8 @@
 //! to a deployment agent (cloud API stand-in) via [`AdaptMsg::Scale`],
 //! since only the hosting runtime can create or destroy nodes.
 
+use std::collections::VecDeque;
+
 use sads_blob::rpc::Msg;
 use sads_blob::services::{Env, Service};
 use sads_blob::impl_ext_payload;
@@ -17,6 +19,10 @@ use sads_sim::{NodeId, SimDuration, SimTime};
 
 /// Timer token: control loop tick.
 pub const TOKEN_ELASTIC_TICK: u64 = u64::MAX - 40;
+
+/// Decisions the controller keeps; the `elastic.expand` and
+/// `elastic.retire` counters are the full record.
+const DECISION_LOG_CAP: usize = 256;
 
 /// Actuation requests to the deployment agent, carried as [`Msg::Ext`].
 #[derive(Debug, PartialEq)]
@@ -148,8 +154,8 @@ pub struct ElasticityControllerService {
     policy: ElasticityPolicy,
     tick_every: SimDuration,
     next_req: u64,
-    /// Decision log (post-run inspection for E7).
-    decisions: Vec<(SimTime, ScaleDecision)>,
+    /// The newest [`DECISION_LOG_CAP`] decisions (post-run inspection for E7).
+    decisions: VecDeque<(SimTime, ScaleDecision)>,
 }
 
 impl ElasticityControllerService {
@@ -166,13 +172,20 @@ impl ElasticityControllerService {
             policy,
             tick_every,
             next_req: 1,
-            decisions: Vec::new(),
+            decisions: VecDeque::new(),
         }
     }
 
-    /// The decision log.
-    pub fn decisions(&self) -> &[(SimTime, ScaleDecision)] {
+    /// The newest 256 decisions, oldest first.
+    pub fn decisions(&self) -> &VecDeque<(SimTime, ScaleDecision)> {
         &self.decisions
+    }
+
+    fn log(&mut self, at: SimTime, d: &ScaleDecision) {
+        if self.decisions.len() == DECISION_LOG_CAP {
+            self.decisions.pop_front();
+        }
+        self.decisions.push_back((at, d.clone()));
     }
 
     fn act_on(&mut self, env: &mut dyn Env, snapshot: &SystemSnapshot) {
@@ -192,7 +205,7 @@ impl ElasticityControllerService {
         match self.policy.decide(util, pool, now) {
             Some(ScaleAction::Grow(n)) => {
                 let d = ScaleDecision::Expand { count: n };
-                self.decisions.push((now, d.clone()));
+                self.log(now, &d);
                 env.incr("elastic.expand", n as u64);
                 env.send(self.deploy_agent, adapt_msg(AdaptMsg::Scale(d)));
             }
@@ -207,7 +220,7 @@ impl ElasticityControllerService {
                     return;
                 }
                 let d = ScaleDecision::Retire { providers };
-                self.decisions.push((now, d.clone()));
+                self.log(now, &d);
                 env.incr("elastic.retire", n as u64);
                 env.send(self.deploy_agent, adapt_msg(AdaptMsg::Scale(d)));
             }
@@ -225,7 +238,7 @@ impl ElasticityControllerService {
         }
         self.policy.last_action = now;
         let d = ScaleDecision::Expand { count: self.policy.step };
-        self.decisions.push((now, d.clone()));
+        self.log(now, &d);
         env.incr("elastic.alert_scaleouts", 1);
         env.incr("elastic.expand", self.policy.step as u64);
         env.send(self.deploy_agent, adapt_msg(AdaptMsg::Scale(d)));
@@ -282,6 +295,22 @@ mod tests {
             cooldown: SimDuration::from_secs(20),
             last_action: SimTime::ZERO,
         }
+    }
+
+    #[test]
+    fn the_decision_log_keeps_the_newest() {
+        let mut c = ElasticityControllerService::new(
+            NodeId(0),
+            NodeId(1),
+            policy(),
+            SimDuration::from_secs(1),
+        );
+        for s in 0..=DECISION_LOG_CAP as u64 {
+            c.log(t(s), &ScaleDecision::Expand { count: 1 });
+        }
+        assert_eq!(c.decisions().len(), DECISION_LOG_CAP);
+        assert_eq!(c.decisions().front().map(|(at, _)| *at), Some(t(1)), "oldest dropped");
+        assert_eq!(c.decisions().back().map(|(at, _)| *at), Some(t(DECISION_LOG_CAP as u64)));
     }
 
     #[test]

@@ -498,11 +498,7 @@ fn bench_security(c: &mut Criterion) {
 }
 
 fn bench_simulator(c: &mut Criterion) {
-    use sads_blob::runtime::sim::{add_service, BlobRef, ScriptStep, ScriptedClient};
-    use sads_blob::services::{
-        DataProviderService, MetaProviderService, ProviderManagerService, ServiceConfig,
-        VersionManagerService,
-    };
+    use sads_blob::runtime::sim::{bare, BlobRef, ScriptStep, ScriptedClient};
     let mut g = c.benchmark_group("simulator");
     g.sample_size(10);
     // End-to-end: 4 clients write 256 MB each through a 8-provider world;
@@ -510,37 +506,15 @@ fn bench_simulator(c: &mut Criterion) {
     g.bench_function("e2e_4clients_1gb_total", |b| {
         b.iter(|| {
             let mut world = sads_sim::World::with_seed(1);
-            let scfg = ServiceConfig::default();
-            let pman = add_service(
-                &mut world,
-                Box::new(ProviderManagerService::new(Box::<RoundRobin>::default())),
-                sads_sim::NodeConfig::unlimited(),
-            );
-            let vman = add_service(
-                &mut world,
-                Box::new(VersionManagerService::new(scfg.clone())),
-                sads_sim::NodeConfig::unlimited(),
-            );
-            let meta = vec![add_service(
-                &mut world,
-                Box::new(MetaProviderService::new(pman, 1 << 30, scfg.clone())),
-                sads_sim::NodeConfig::default(),
-            )];
-            for _ in 0..8 {
-                add_service(
-                    &mut world,
-                    Box::new(DataProviderService::new(pman, 1 << 40, scfg.clone())),
-                    sads_sim::NodeConfig::default(),
-                );
-            }
+            let n = bare(&mut world, 1, 8, 1 << 40);
             let spec = BlobSpec { page_size: 8 << 20, replication: 1 };
             for i in 0..4 {
                 world.add_node(
                     Box::new(ScriptedClient::new(
                         ClientId(10 + i),
-                        vman,
-                        pman,
-                        meta.clone(),
+                        n.vman,
+                        n.pman,
+                        n.meta.clone(),
                         sads_blob::ClientConfig::default(),
                         vec![
                             ScriptStep::Create(spec),

@@ -1,84 +1,6 @@
-//! E4 — paper §IV-C bullet 3: "We measured the detection delay when the
-//! percentage of malicious clients increases from 10% to 70% out of a
-//! total of 50 concurrent clients … The first malicious client is
-//! detected in 20 seconds and the last one is detected in about 55
-//! seconds, while the duration of the write operation increases towards
-//! 40 seconds when 70% of clients perform a DoS attack."
-
-use sads_bench::dos::{build, DosScenario, ATTACK_START_S, MB};
-use sads_bench::{print_table, row, write_artifact, BenchArgs};
-use sads_sim::SimDuration;
+//! E4 — paper §IV-C bullet 3: detection delay vs malicious fraction.
+//! The scenario and its claims are `sads_bench::e4`; the bin exits 1 when a claim fails.
 
 fn main() {
-    let args = BenchArgs::parse();
-    let total = args.scaled(50);
-    println!("E4: detection delay vs fraction of malicious clients ({total} clients total)\n");
-    let mut rows = vec![row![
-        "malicious_%",
-        "detected",
-        "first_detect_s",
-        "last_detect_s",
-        "mean_write_op_s"
-    ]];
-    let mut csv =
-        String::from("malicious_pct,detected,first_detect_s,last_detect_s,mean_write_op_s\n");
-    for pct in [10usize, 30, 50, 70] {
-        let attackers = total * pct / 100;
-        let s = DosScenario {
-            seed: args.seed_or(70) + pct as u64,
-            data_providers: args.scaled(48),
-            writers: total - attackers,
-            attackers,
-            security: true,
-            // Attackers ramp in over 30 s, like a real botnet ramp — this
-            // is what separates first from last detection.
-            stagger: SimDuration::from_secs(30),
-            writer_bytes: 16_000 * MB,
-            op_bytes: 1_000 * MB, // 1 GB ops: the paper's "write operation"
-            ..DosScenario::default()
-        };
-        let mut d = build(&s);
-        d.world.run_for(SimDuration::from_secs(280), 600_000_000);
-        let engine = d.security_engine().expect("engine");
-        let times: Vec<f64> = engine
-            .detections()
-            .iter()
-            .map(|det| det.at.as_secs_f64() - ATTACK_START_S as f64)
-            .collect();
-        let first = times.iter().copied().fold(f64::INFINITY, f64::min);
-        let last = times.iter().copied().fold(0.0, f64::max);
-        // Mean duration of write ops affected by the attack: completions
-        // between the attack start and full recovery (ops slowed by the
-        // flood finish late, during the recovery phase).
-        let durs: Vec<f64> = d
-            .world
-            .metrics()
-            .series("op_seconds")
-            .iter()
-            .filter(|x| {
-                let t = x.at.as_secs_f64();
-                t >= ATTACK_START_S as f64 && t < last + ATTACK_START_S as f64 + 40.0
-            })
-            .map(|x| x.value)
-            .collect();
-        let mean_dur = durs.iter().sum::<f64>() / durs.len().max(1) as f64;
-        rows.push(row![
-            pct,
-            format!("{}/{}", times.len(), attackers),
-            format!("{first:.1}"),
-            format!("{last:.1}"),
-            format!("{mean_dur:.1}")
-        ]);
-        csv.push_str(&format!(
-            "{pct},{},{first:.2},{last:.2},{mean_dur:.2}\n",
-            times.len()
-        ));
-    }
-    print_table(&rows);
-    write_artifact("e4_detection_delay.csv", &csv);
-    println!(
-        "\npaper check: first detection ~20 s, last ~55 s after the attack\n\
-         begins; the correct clients' write duration grows with the malicious\n\
-         fraction."
-    );
+    sads_bench::e4::run(&sads_bench::BenchArgs::parse()).finish();
 }

@@ -4,11 +4,26 @@
 //! index in `DESIGN.md`), plus criterion micro-benchmarks
 //! (`benches/micro.rs`). Each experiment prints the same rows/series the
 //! paper reports and drops CSVs under `results/`.
+//!
+//! The simulated paper experiments (E1–E4, E7–E9) live here, one module
+//! each: `run` builds the deployment, drives its workload and returns a
+//! [`Report`] of its tables, its CSVs and the paper's stated outcome as
+//! [`Claim`]s on that run. The bin prints and writes the report and exits
+//! non-zero when a claim fails ([`Report::finish`]); the root package's
+//! `tests/paper.rs` asserts the same claims.
 
 #![warn(missing_docs)]
 
 use std::io::Write;
 use std::path::PathBuf;
+
+pub mod e1;
+pub mod e2;
+pub mod e3;
+pub mod e4;
+pub mod e7;
+pub mod e8;
+pub mod e9;
 
 /// Command-line arguments every `exp_*` binary accepts, so whole
 /// experiment sweeps can be re-seeded or resized without editing code:
@@ -39,7 +54,7 @@ impl BenchArgs {
 
     /// Parse from any iterator of argument strings (testable).
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut out = BenchArgs { seed: None, scale: 1.0, smoke: false };
+        let mut out = BenchArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             if let Some(v) = a.strip_prefix("--seed=") {
@@ -65,6 +80,13 @@ impl BenchArgs {
     /// Scale a size/count, never below 1.
     pub fn scaled(&self, n: usize) -> usize {
         ((n as f64 * self.scale).round() as usize).max(1)
+    }
+}
+
+impl Default for BenchArgs {
+    /// The experiment as the paper runs it: default seed, full size.
+    fn default() -> Self {
+        BenchArgs { seed: None, scale: 1.0, smoke: false }
     }
 }
 
@@ -109,6 +131,43 @@ pub fn window_mean(metrics: &sads_sim::Metrics, name: &str, from_s: f64, to_s: f
         None
     } else {
         Some(vals.iter().sum::<f64>() / vals.len() as f64)
+    }
+}
+
+/// One stated outcome of a paper experiment, checked on a run.
+#[derive(Debug)]
+pub struct Claim {
+    /// Did the run show it?
+    pub holds: bool,
+    /// The claim, with the run's numbers.
+    pub what: String,
+}
+
+/// A finished run of a paper experiment.
+pub struct Report {
+    /// Its tables and notes, as the bin prints them.
+    pub text: String,
+    /// Its CSV artifacts, by file name under `results/`.
+    pub artifacts: Vec<(&'static str, String)>,
+    /// The paper's stated outcome as checks on this run.
+    pub claims: Vec<Claim>,
+}
+
+impl Report {
+    /// A bin's whole output: print the run, write its CSVs, print each
+    /// claim and exit with status 1 if one fails.
+    pub fn finish(self) {
+        print!("{}", self.text);
+        for (name, csv) in &self.artifacts {
+            write_artifact(name, csv);
+        }
+        println!();
+        for c in &self.claims {
+            println!("claim {}: {}", if c.holds { "holds" } else { "FAILS" }, c.what);
+        }
+        if self.claims.iter().any(|c| !c.holds) {
+            std::process::exit(1);
+        }
     }
 }
 

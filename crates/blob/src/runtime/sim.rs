@@ -11,8 +11,12 @@ use sads_sim::{
 
 use crate::client::{ClientConfig, ClientCore, ClientOp, Completion};
 use crate::model::{BlobId, BlobSpec, ClientId, Payload, VersionId};
+use crate::pmanager::RoundRobin;
 use crate::rpc::Msg;
-use crate::services::{Env, Service};
+use crate::services::{
+    DataProviderService, Env, MetaProviderService, ProviderManagerService, Service, ServiceConfig,
+    VersionManagerService,
+};
 use crate::vmanager::WriteKind;
 
 /// Adapter: an [`Env`] view over the simulator's [`Ctx`].
@@ -133,6 +137,51 @@ impl Actor for SimService {
 /// Convenience: add a service node to a world.
 pub fn add_service(world: &mut World, service: Box<dyn Service>, nic: NodeConfig) -> NodeId {
     world.add_node(Box::new(SimService::new(service)), nic)
+}
+
+/// The nodes of a bare BlobSeer wiring ([`bare`]).
+#[derive(Debug)]
+pub struct BareNodes {
+    /// The provider manager.
+    pub pman: NodeId,
+    /// The version manager.
+    pub vman: NodeId,
+    /// The metadata providers.
+    pub meta: Vec<NodeId>,
+    /// The data providers.
+    pub data: Vec<NodeId>,
+}
+
+/// Start BlobSeer with no self-* layer on `world`, in this order: the
+/// provider manager (round-robin allocation) and the version manager on
+/// unlimited NICs, then `n_meta` metadata providers of 1 GiB and `n_data`
+/// data providers of `data_capacity` bytes on default NICs, all with
+/// default service settings.
+pub fn bare(world: &mut World, n_meta: usize, n_data: usize, data_capacity: u64) -> BareNodes {
+    let scfg = ServiceConfig::default();
+    let pman = add_service(
+        world,
+        Box::new(ProviderManagerService::new(Box::<RoundRobin>::default())),
+        NodeConfig::unlimited(),
+    );
+    let vman = add_service(
+        world,
+        Box::new(VersionManagerService::new(scfg.clone())),
+        NodeConfig::unlimited(),
+    );
+    let meta = (0..n_meta)
+        .map(|_| {
+            let service = MetaProviderService::new(pman, 1 << 30, scfg.clone());
+            add_service(world, Box::new(service), NodeConfig::default())
+        })
+        .collect();
+    let data = (0..n_data)
+        .map(|_| {
+            let service = DataProviderService::new(pman, data_capacity, scfg.clone());
+            add_service(world, Box::new(service), NodeConfig::default())
+        })
+        .collect();
+    BareNodes { pman, vman, meta, data }
 }
 
 /// Which BLOB a scripted step targets.
@@ -371,11 +420,6 @@ impl Actor for ScriptedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pmanager::RoundRobin;
-    use crate::services::{
-        DataProviderService, MetaProviderService, ProviderManagerService, ServiceConfig,
-        VersionManagerService,
-    };
     use sads_sim::RunOutcome;
 
     /// Stand up a small simulated deployment; returns
@@ -386,36 +430,8 @@ mod tests {
         seed: u64,
     ) -> (World, NodeId, NodeId, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::with_seed(seed);
-        let scfg = ServiceConfig::default();
-        let pman = add_service(
-            &mut world,
-            Box::new(ProviderManagerService::new(Box::<RoundRobin>::default())),
-            NodeConfig::unlimited(),
-        );
-        let vman = add_service(
-            &mut world,
-            Box::new(VersionManagerService::new(scfg.clone())),
-            NodeConfig::unlimited(),
-        );
-        let meta: Vec<NodeId> = (0..n_meta)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(MetaProviderService::new(pman, 1 << 30, scfg.clone())),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-        let data = (0..n_data)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(DataProviderService::new(pman, 1 << 40, scfg.clone())),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-        (world, vman, pman, meta, data)
+        let n = bare(&mut world, n_meta, n_data, 1 << 40);
+        (world, n.vman, n.pman, n.meta, n.data)
     }
 
     const MB: u64 = 1_000_000;

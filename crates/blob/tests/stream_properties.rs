@@ -21,13 +21,8 @@ use std::sync::OnceLock;
 use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sads_blob::pmanager::RoundRobin;
-use sads_blob::runtime::sim::{add_service, SimEnv};
+use sads_blob::runtime::sim::{bare, SimEnv};
 use sads_blob::runtime::threaded::{ClientHandle, ClusterBuilder};
-use sads_blob::services::{
-    DataProviderService, MetaProviderService, ProviderManagerService, ServiceConfig,
-    VersionManagerService,
-};
 use sads_blob::{
     BlobId, BlobSpec, ClientConfig, ClientCore, ClientId, ClientOp, Completion, OpOutput, Payload,
     VersionId, WriteKind,
@@ -442,36 +437,16 @@ struct SimRun {
 impl SimRun {
     fn of(case: &ReadCase) -> SimRun {
         let mut world = World::with_seed(case.offset ^ case.len);
-        let scfg = ServiceConfig::default();
-        let pman = add_service(
-            &mut world,
-            Box::new(ProviderManagerService::new(Box::<RoundRobin>::default())),
-            NodeConfig::unlimited(),
-        );
-        let vman = add_service(
-            &mut world,
-            Box::new(VersionManagerService::new(scfg.clone())),
-            NodeConfig::unlimited(),
-        );
-        let meta = (0..2)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(MetaProviderService::new(pman, 1 << 30, scfg.clone())),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-        for _ in 0..4 {
-            add_service(
-                &mut world,
-                Box::new(DataProviderService::new(pman, 1 << 30, scfg.clone())),
-                NodeConfig::default(),
-            );
-        }
+        let n = bare(&mut world, 2, 4, 1 << 30);
         let driver = world.add_node(
             Box::new(CaseDriver {
-                core: ClientCore::new(ClientId(1), vman, pman, meta, client_config(WINDOWS[case.window])),
+                core: ClientCore::new(
+                    ClientId(1),
+                    n.vman,
+                    n.pman,
+                    n.meta,
+                    client_config(WINDOWS[case.window]),
+                ),
                 case: case.clone(),
                 stage: Stage::Create,
                 blob: BlobId(0),

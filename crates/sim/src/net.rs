@@ -200,7 +200,7 @@ impl Network {
 
     /// Compute the delivery time of a `payload_bytes`-sized message sent at
     /// `now` from `from` to `to`, mutating both pipes' occupancy. Returns
-    /// `None` if either endpoint is down (the message is lost).
+    /// `None` if an endpoint is down or `to` is `EXTERNAL` (the message is lost).
     ///
     /// `from == to` (loopback) and `from == EXTERNAL` skip the network
     /// entirely and deliver after a negligible fixed delay.
@@ -225,7 +225,7 @@ impl Network {
         to: NodeId,
         payload_bytes: u64,
     ) -> Option<(SimTime, TransferTiming)> {
-        if !self.is_up(to) || !self.is_up(from) {
+        if to == NodeId::EXTERNAL || !self.is_up(to) || !self.is_up(from) {
             return None;
         }
         if from == to || from == NodeId::EXTERNAL {
@@ -270,7 +270,7 @@ impl Network {
         to: NodeId,
         payload_bytes: u64,
     ) -> Option<SimTime> {
-        if !self.is_up(to) || !self.is_up(from) {
+        if to == NodeId::EXTERNAL || !self.is_up(to) || !self.is_up(from) {
             return None;
         }
         if from == to || from == NodeId::EXTERNAL {

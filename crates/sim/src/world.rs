@@ -700,6 +700,26 @@ mod tests {
         assert_eq!(w.metrics().counter("echo.seen"), 0);
     }
 
+    /// A reply to a message from outside the simulation leaves it: every
+    /// send path drops it before touching a NIC.
+    #[test]
+    fn a_reply_to_external_leaves_the_simulation() {
+        struct Answer;
+        impl Actor for Answer {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, _msg: Box<dyn Message>) {
+                ctx.incr("answer.seen", 1);
+                ctx.send(from, Box::new(Tick));
+                ctx.send_after(SimDuration::from_millis(1), from, Box::new(Tick));
+                ctx.send_expedited(from, Box::new(Tick));
+            }
+        }
+        let mut w = World::with_seed(3);
+        let a = w.add_node(Box::new(Answer), NodeConfig::default());
+        w.send_external(a, Box::new(Tick));
+        assert_eq!(w.run_to_quiescence(10), RunOutcome::Quiescent);
+        assert_eq!(w.metrics().counter("answer.seen"), 1);
+    }
+
     #[test]
     fn deadline_stops_before_future_events() {
         let mut w = World::with_seed(3);

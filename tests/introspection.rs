@@ -1,7 +1,7 @@
-//! Introspection-stack integration (paper §IV-A, §IV-B): the monitoring
-//! pipeline must observe the system without perturbing it, and the
-//! introspection layer must produce the aggregates the visualization tool
-//! renders.
+//! Introspection-stack integration (paper §IV-A): the introspection
+//! layer must produce the aggregates the visualization tool renders.
+//! That monitoring does not perturb the system (§IV-B) is E1's claim,
+//! checked in `tests/paper.rs`.
 
 use sads::blob::model::{BlobId, BlobSpec, ClientId};
 use sads::{Deployment, DeploymentConfig};
@@ -12,15 +12,17 @@ use sads_workloads::{mixed_script, writer_script};
 
 const MB: u64 = 1_000_000;
 
-fn run_writers(monitors: usize, seed: u64) -> (f64, Deployment) {
+#[test]
+fn introspection_snapshot_reflects_the_system() {
+    // Six writers of 2 GB each on 12 providers, monitored.
     let cfg = DeploymentConfig {
         data_providers: 12,
         meta_providers: 2,
-        monitors,
+        monitors: 2,
         storage_servers: 2,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(World::with_seed(seed), cfg);
+    let mut d = Deployment::build(World::with_seed(33), cfg);
     let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
     for i in 0..6u64 {
         let script = writer_script(spec, 2_000 * MB, 128 * MB, SimTime(2_000_000_000));
@@ -28,30 +30,7 @@ fn run_writers(monitors: usize, seed: u64) -> (f64, Deployment) {
     }
     d.world.run_for(SimDuration::from_secs(120), 20_000_000);
     assert_eq!(d.world.metrics().counter("writer.ops_err"), 0);
-    let tp = d.world.metrics().mean("writer.write_mbps").expect("ops ran");
-    (tp, d)
-}
 
-#[test]
-fn monitoring_is_non_intrusive() {
-    // Paper §IV-B: "the performance of the BlobSeer operations is not
-    // influenced by the introspection architecture".
-    let (with_mon, d) = run_writers(2, 31);
-    let (without_mon, _) = run_writers(0, 31);
-    let overhead = (without_mon - with_mon) / without_mon;
-    assert!(
-        overhead.abs() < 0.03,
-        "monitoring overhead {:.2}% (with {with_mon}, without {without_mon})",
-        overhead * 100.0
-    );
-    // And the monitored run really did generate a stream of parameters.
-    let events = d.monitoring_events();
-    assert!(events > 1_000, "monitoring events: {events}");
-}
-
-#[test]
-fn introspection_snapshot_reflects_the_system() {
-    let (_, d) = run_writers(2, 33);
     let intro = d.introspection().expect("introspection deployed");
     let snap = intro.snapshot();
     // All 12 data providers were observed.
@@ -140,25 +119,4 @@ fn visualization_tool_renders_all_four_panels() {
     let csv = viz::series_csv(&series);
     assert!(csv.starts_with("time_s,value\n"));
     assert!(csv.lines().count() > 10);
-}
-
-#[test]
-fn e1_chunk_event_volume_matches_paper_scale() {
-    // The paper reports >10,000 monitored parameters at 80 clients × 1 GB
-    // with 8 MiB chunks. Check the proportional rule at a smaller scale:
-    // 6 clients × 2 GB / 8 MB = 1500 chunk writes.
-    let (_, d) = run_writers(2, 37);
-    let chunk_writes: usize = (0..2)
-        .map(|i| {
-            d.mon_store(i)
-                .map(|s| {
-                    s.activity()
-                        .filter(|a| a.kind == sads_monitor::ActivityKind::ChunkWrite)
-                        .count()
-                })
-                .unwrap_or(0)
-        })
-        .sum();
-    let expected = 6 * 2_000 / 8 * (MB / MB); // 1500
-    assert_eq!(chunk_writes as u64, expected, "one monitored event per written chunk");
 }

@@ -5,77 +5,36 @@
 use sads::blob::model::{BlobSpec, ClientId};
 use sads::{Deployment, DeploymentConfig};
 use sads_adaptive::ElasticityPolicy;
-use sads_sim::{RunOutcome, SimDuration, SimTime, World};
+use sads_bench::{e7, BenchArgs};
+use sads_sim::{SimDuration, SimTime, World};
 use sads_workloads::writer_script;
 
 const MB: u64 = 1_000_000;
 
-fn pool_series(d: &Deployment) -> Vec<(f64, f64)> {
-    d.world
-        .metrics()
-        .series("elastic.pool")
-        .iter()
-        .map(|s| (s.at.as_secs_f64(), s.value))
-        .collect()
-}
-
+/// E7's burst (`sads_bench::e7`). Its claims (`tests/paper.rs`) check
+/// that the pool doubles and ends at its floor; this checks that every
+/// write succeeds and that the deploy agent actuates every decision.
 #[test]
 fn pool_expands_under_load_and_contracts_afterwards() {
-    let cfg = DeploymentConfig {
-        data_providers: 3,
-        meta_providers: 2,
-        monitors: 2,
-        storage_servers: 2,
-        elasticity: Some(ElasticityPolicy::with(0.6, 0.15, 2, 20, 2, SimDuration::from_secs(12))),
-        ..DeploymentConfig::default()
-    };
-    let mut d = Deployment::build(World::with_seed(11), cfg);
+    let d = e7::deploy(&BenchArgs::default());
+    assert_eq!(d.world.now(), SimTime::from_secs(300), "simulation livelocked");
+    let m = d.world.metrics();
 
-    // 12 writers demand ~12 × 110 MB/s; the initial 3 providers offer
-    // 375 MB/s, so utilization pins at 1.0 until the pool grows.
-    let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
-    for i in 0..12u64 {
-        let script = writer_script(spec, 6_000 * MB, 64 * MB, SimTime(5_000_000_000));
-        d.add_client(ClientId(10 + i), script, "writer");
-    }
+    // Every write eventually succeeded: 12 writers, a create and
+    // ceil(6000 / 64) writes each.
+    assert_eq!(m.counter("writer.ops_err"), 0);
+    assert_eq!(m.counter("writer.ops_ok"), 12 + 12 * (6_000 / 64 + 1));
 
-    let out = d.world.run_for(SimDuration::from_secs(300), 80_000_000);
-    assert_ne!(out, RunOutcome::EventLimit);
-
-    // Every write eventually succeeded.
-    assert_eq!(d.world.metrics().counter("writer.ops_err"), 0);
-    assert_eq!(
-        d.world.metrics().counter("writer.ops_ok"),
-        12 + 12 * (6_000 / 64 + 1), // creates + ceil(6000/64) writes each
-    );
-
-    // The controller expanded…
-    let expanded = d.world.metrics().counter("elastic.expand");
+    // The controller expanded at least twice and retired at least once…
+    let expanded = m.counter("elastic.expand");
     assert!(expanded >= 4, "expanded by {expanded} providers");
-    let pool = pool_series(&d);
-    let peak = pool.iter().map(|(_, v)| *v).fold(0.0, f64::max);
-    assert!(peak >= 7.0, "pool peaked at {peak}");
-
-    // …and contracted after the workload drained.
-    let retired = d.world.metrics().counter("elastic.retire");
+    let retired = m.counter("elastic.retire");
     assert!(retired >= 2, "retired {retired} providers");
-    let final_pool = pool.last().map(|(_, v)| *v).unwrap_or(0.0);
-    assert!(
-        final_pool <= peak - 2.0,
-        "pool contracted from {peak} to {final_pool}"
-    );
 
-    // The deploy agent actually actuated both directions.
-    assert_eq!(
-        d.world.metrics().counter("agent.spawned"),
-        expanded,
-        "every expansion decision was actuated"
-    );
-    assert_eq!(d.world.metrics().counter("agent.retired"), retired);
-
-    // Decision log is consistent with the metrics.
-    let controller = d.elasticity().expect("controller deployed");
-    assert!(!controller.decisions().is_empty());
+    // …and the deploy agent actuated both directions.
+    assert_eq!(m.counter("agent.spawned"), expanded, "every expansion decision was actuated");
+    assert_eq!(m.counter("agent.retired"), retired);
+    assert!(!d.elasticity().expect("controller deployed").decisions().is_empty());
 }
 
 #[test]

@@ -22,13 +22,9 @@ use std::sync::OnceLock;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use sads::blob::pmanager::RoundRobin;
-use sads::blob::runtime::sim::{add_service, SimEnv};
+use sads::blob::runtime::sim::{bare, SimEnv};
 use sads::blob::runtime::threaded::{ClientHandle, ClusterBuilder};
-use sads::blob::services::{
-    DataProviderService, MetaProviderService, ProviderManagerService, ServiceConfig,
-    VersionManagerService,
-};
+use sads::blob::services::DataProviderService;
 use sads::blob::{
     BlobError, BlobId, BlobSpec, ClientConfig, ClientCore, ClientId, ClientOp, Completion,
     OpOutput, Payload, WriteKind,
@@ -509,35 +505,7 @@ impl SimRun {
     /// declared or (`explicit`) fed like any other bytes.
     fn of(case: &FeedCase, real: bool, explicit: bool) -> SimRun {
         let mut world = World::with_seed(case.seed);
-        let scfg = ServiceConfig::default();
-        let pman = add_service(
-            &mut world,
-            Box::new(ProviderManagerService::new(Box::<RoundRobin>::default())),
-            NodeConfig::unlimited(),
-        );
-        let vman = add_service(
-            &mut world,
-            Box::new(VersionManagerService::new(scfg.clone())),
-            NodeConfig::unlimited(),
-        );
-        let meta = (0..2)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(MetaProviderService::new(pman, 1 << 30, scfg.clone())),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
-        let providers: Vec<NodeId> = (0..4)
-            .map(|_| {
-                add_service(
-                    &mut world,
-                    Box::new(DataProviderService::new(pman, 1 << 30, scfg.clone())),
-                    NodeConfig::default(),
-                )
-            })
-            .collect();
+        let n = bare(&mut world, 2, 4, 1 << 30);
 
         let image = Bytes::from(case.image());
         let declared = case.declared();
@@ -564,7 +532,7 @@ impl SimRun {
         };
         let script = world.add_node(
             Box::new(Script {
-                core: ClientCore::new(ClientId(1), vman, pman, meta, cfg),
+                core: ClientCore::new(ClientId(1), n.vman, n.pman, n.meta, cfg),
                 steps,
                 blob: BlobId(0),
                 stream: 0,
@@ -574,7 +542,8 @@ impl SimRun {
         );
         // Providers re-arm heartbeats forever; run a bounded stretch.
         world.run_for(SimDuration::from_secs(60), 2_000_000);
-        let stored = providers
+        let stored = n
+            .data
             .iter()
             .map(|p| world.actor_as::<DataProviderService>(*p).expect("provider").store().used())
             .sum();
