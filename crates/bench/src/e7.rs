@@ -22,7 +22,7 @@ const FLOOR: usize = 2;
 /// The burst, run for 300 s: 12 writers of 6 GB each from t = 5 s on 3
 /// elastic providers (watermarks 0.60 / 0.15, floor 2, step 2, cooldown
 /// 12 s).
-pub fn deploy(args: &BenchArgs) -> Deployment {
+pub fn burst(args: &BenchArgs) -> Deployment {
     let cfg = DeploymentConfig {
         data_providers: args.scaled(3),
         meta_providers: 2,
@@ -51,7 +51,7 @@ pub fn deploy(args: &BenchArgs) -> Deployment {
 
 /// Run the burst and report the pool over time.
 pub fn run(args: &BenchArgs) -> Report {
-    let d = deploy(args);
+    let d = burst(args);
     let writers = args.scaled(12) as f64;
     let m = d.world.metrics();
     let mut rows = vec![row!["time_s", "pool", "utilization", "agg_write_MBps"]];

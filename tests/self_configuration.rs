@@ -16,7 +16,7 @@ const MB: u64 = 1_000_000;
 /// write succeeds and that the deploy agent actuates every decision.
 #[test]
 fn pool_expands_under_load_and_contracts_afterwards() {
-    let d = e7::deploy(&BenchArgs::default());
+    let d = e7::burst(&BenchArgs::default());
     assert_eq!(d.world.now(), SimTime::from_secs(300), "simulation livelocked");
     let m = d.world.metrics();
 
