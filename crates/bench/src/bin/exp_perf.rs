@@ -44,16 +44,13 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use bytes::Bytes;
-use sads_bench::{print_table, row, write_artifact, BenchArgs};
+use sads_bench::{e1, print_table, row, write_artifact, BenchArgs};
 use sads_blob::model::BlobSpec;
 use sads_blob::runtime::threaded::ClusterBuilder;
 use sads_blob::ClientId;
-use sads_core::{Deployment, DeploymentConfig};
 use sads_gateway::{Acl, GatewayConfig, ObjectGateway};
-use sads_sim::{ProcSampler, SimDuration, SimTime, World};
-use sads_workloads::writer_script;
+use sads_sim::{ProcSampler, SimDuration};
 
-const MB: u64 = 1_000_000;
 const PAGE: u64 = 256 * 1024;
 const OP_SIZE: u64 = 4 * 1024 * 1024; // one write/read call
 const OPS_PER_CLIENT: u64 = 8; // 32 MiB moved per client, each direction
@@ -258,19 +255,7 @@ fn gateway_run(concurrency: usize) -> (f64, f64) {
 /// writes against 150 monitored data providers. Returns
 /// `(events, wall_s, events_per_sec)`.
 fn sim_run(seed: u64, clients: u64) -> (u64, f64, f64) {
-    let cfg = DeploymentConfig {
-        data_providers: 150,
-        meta_providers: 8,
-        monitors: 4,
-        storage_servers: 4,
-        ..DeploymentConfig::default()
-    };
-    let mut d = Deployment::build(World::with_seed(seed), cfg);
-    let spec = BlobSpec { page_size: 8 * MB, replication: 1 };
-    for i in 0..clients {
-        let script = writer_script(spec, 1_000 * MB, 128 * MB, SimTime(2_000_000_000));
-        d.add_client(ClientId(10 + i), script, "client");
-    }
+    let mut d = e1::deploy(150, seed, clients as usize, true);
     let start = Instant::now();
     d.world.run_for(SimDuration::from_secs(120), 200_000_000);
     let wall = start.elapsed().as_secs_f64();

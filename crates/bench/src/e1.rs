@@ -26,17 +26,17 @@ const GB: u64 = 1_000 * MB;
 const PAGE: u64 = 8 * MB;
 const STORAGE_SERVERS: usize = 4;
 
-/// Per-client throughput, monitoring events and stored chunk-write
-/// records of one deployment.
-fn run_one(args: &BenchArgs, clients: usize, monitoring: bool) -> (f64, u64, u64) {
+/// E1's deployment, not yet run: `clients` streaming writers of 1 GB
+/// each on `providers` data providers, the monitoring pipeline on or off.
+pub fn deploy(providers: usize, seed: u64, clients: usize, monitoring: bool) -> Deployment {
     let cfg = DeploymentConfig {
-        data_providers: args.scaled(150),
+        data_providers: providers,
         meta_providers: 8,
         monitors: if monitoring { 4 } else { 0 },
         storage_servers: STORAGE_SERVERS,
         ..DeploymentConfig::default()
     };
-    let mut d = Deployment::build(World::with_seed(args.seed_or(1000) + clients as u64), cfg);
+    let mut d = Deployment::build(World::with_seed(seed), cfg);
     let spec = BlobSpec { page_size: PAGE, replication: 1 };
     for i in 0..clients as u64 {
         // Each client writes 1 GB in 128 MB appends, like the paper's
@@ -44,6 +44,14 @@ fn run_one(args: &BenchArgs, clients: usize, monitoring: bool) -> (f64, u64, u64
         let script = writer_script(spec, GB, 128 * MB, SimTime(2_000_000_000));
         d.add_client(ClientId(10 + i), script, "client");
     }
+    d
+}
+
+/// Per-client throughput, monitoring events and stored chunk-write
+/// records of one deployment.
+pub fn run_one(args: &BenchArgs, clients: usize, monitoring: bool) -> (f64, u64, u64) {
+    let seed = args.seed_or(1000) + clients as u64;
+    let mut d = deploy(args.scaled(150), seed, clients, monitoring);
     d.world.run_for(SimDuration::from_secs(120), 200_000_000);
     let errs = d.world.metrics().counter("client.ops_err");
     if errs > 0 {
