@@ -295,11 +295,6 @@ impl TreeBuilder {
         self.version
     }
 
-    /// Root range of the new tree.
-    pub fn root_range(&self) -> NodeRange {
-        self.new_root
-    }
-
     /// Greatest pending version whose write intersects `r`, if any.
     fn pending_covering(&self, r: &NodeRange) -> Option<&PendingWrite> {
         self.pending.iter().rev().find(|p| r.intersects(&p.interval))

@@ -4,19 +4,21 @@
 //! experiments run on.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use sads_sim::{
     Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, Registry, SimDuration, SimTime, World,
 };
 
+use super::{wire, BlobSeer, Host, Providers};
 use crate::client::{ClientConfig, ClientCore, ClientOp, Completion};
 use crate::model::{BlobId, BlobSpec, ClientId, Payload, VersionId};
 use crate::pmanager::RoundRobin;
 use crate::rpc::Msg;
 use crate::services::{
-    DataProviderService, Env, MetaProviderService, ProviderManagerService, Service, ServiceConfig,
-    VersionManagerService,
+    Env, ProviderManagerService, Service, ServiceConfig, VersionManagerService,
 };
+use crate::storage::BackendSpec;
 use crate::vmanager::WriteKind;
 
 /// Adapter: an [`Env`] view over the simulator's [`Ctx`].
@@ -139,49 +141,32 @@ pub fn add_service(world: &mut World, service: Box<dyn Service>, nic: NodeConfig
     world.add_node(Box::new(SimService::new(service)), nic)
 }
 
-/// The nodes of a bare BlobSeer wiring ([`bare`]).
-#[derive(Debug)]
-pub struct BareNodes {
-    /// The provider manager.
-    pub pman: NodeId,
-    /// The version manager.
-    pub vman: NodeId,
-    /// The metadata providers.
-    pub meta: Vec<NodeId>,
-    /// The data providers.
-    pub data: Vec<NodeId>,
+impl Host for World {
+    fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId {
+        add_service(self, service, nic)
+    }
+
+    fn registry(&self) -> Arc<Registry> {
+        Arc::clone(self.telemetry())
+    }
+
+    /// Nothing to point: simulated clients are scripted actors wired with
+    /// the addresses they use.
+    fn bind(&mut self, _blob: &BlobSeer, _cfg: ServiceConfig, _client_cfg: ClientConfig) {}
 }
 
-/// Start BlobSeer with no self-* layer on `world`, in this order: the
-/// provider manager (round-robin allocation) and the version manager on
-/// unlimited NICs, then `n_meta` metadata providers of 1 GiB and `n_data`
-/// data providers of `data_capacity` bytes on default NICs, all with
-/// default service settings.
-pub fn bare(world: &mut World, n_meta: usize, n_data: usize, data_capacity: u64) -> BareNodes {
-    let scfg = ServiceConfig::default();
-    let pman = add_service(
-        world,
-        Box::new(ProviderManagerService::new(Box::<RoundRobin>::default())),
-        NodeConfig::unlimited(),
-    );
-    let vman = add_service(
-        world,
-        Box::new(VersionManagerService::new(scfg.clone())),
-        NodeConfig::unlimited(),
-    );
-    let meta = (0..n_meta)
-        .map(|_| {
-            let service = MetaProviderService::new(pman, 1 << 30, scfg.clone());
-            add_service(world, Box::new(service), NodeConfig::default())
-        })
-        .collect();
-    let data = (0..n_data)
-        .map(|_| {
-            let service = DataProviderService::new(pman, data_capacity, scfg.clone());
-            add_service(world, Box::new(service), NodeConfig::default())
-        })
-        .collect();
-    BareNodes { pman, vman, meta, data }
+/// Start BlobSeer with no self-* layer on `world`: the provider manager
+/// (round-robin allocation) on an unlimited NIC, then, through [`wire`],
+/// the version manager and `n_meta` metadata providers of 1 GiB and
+/// `n_data` memory-backed data providers of `data_capacity` bytes, all
+/// with default service settings.
+pub fn bare(world: &mut World, n_meta: usize, n_data: usize, data_capacity: u64) -> BlobSeer {
+    let cfg = ServiceConfig::default();
+    let pman = Box::new(ProviderManagerService::new(Box::<RoundRobin>::default()));
+    let pman = add_service(world, pman, NodeConfig::unlimited());
+    let providers = Providers::new(pman, data_capacity, BackendSpec::Memory);
+    let vman = Box::new(VersionManagerService::new(cfg.clone()));
+    wire(world, vman, (n_meta, 1 << 30), n_data, providers, || cfg.clone())
 }
 
 /// Which BLOB a scripted step targets.
@@ -420,6 +405,7 @@ impl Actor for ScriptedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::services::{DataProviderService, MetaProviderService};
     use sads_sim::RunOutcome;
 
     /// Stand up a small simulated deployment; returns

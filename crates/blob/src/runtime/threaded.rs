@@ -18,20 +18,20 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use sads_sim::{
-    FlightRecorder, Metrics, NodeId, ProcSampler, Registry as TelemetryRegistry, SimDuration,
-    SimTime, SpanSink, TraceCtx,
+    FlightRecorder, Metrics, NodeConfig, NodeId, ProcSampler, Registry as TelemetryRegistry,
+    SimDuration, SimTime, SpanSink, TraceCtx,
 };
 
 use super::executor::{Envelope, ExecShared, Executor, NodeKind};
+use super::{wire, BlobSeer, Host, Providers};
 use crate::client::{ClientConfig, ClientOp, Completion, OpOutput};
 use crate::model::{BlobError, BlobId, BlobSpec, ClientId, Payload, VersionId};
-use crate::pmanager::AllocationStrategy;
+use crate::pmanager::RoundRobin;
 use crate::rpc::Msg;
 use crate::services::{
-    DataProviderService, Env, MetaProviderService, ProviderManagerService, Service, ServiceConfig,
-    VersionManagerService,
+    Env, ProviderManagerService, Service, ServiceConfig, VersionManagerService,
 };
-use crate::storage::{BackendConfig, BackendSpec};
+use crate::storage::BackendSpec;
 use crate::vmanager::WriteKind;
 
 /// Timer token of the process-telemetry sampler cell.
@@ -328,11 +328,8 @@ pub struct ClusterBuilder {
     data_providers: usize,
     meta_providers: usize,
     provider_capacity: u64,
-    strategy: Box<dyn AllocationStrategy>,
-    service_cfg: ServiceConfig,
     client_cfg: ClientConfig,
     span_sink: Option<Arc<SpanSink>>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
     executor_shards: usize,
     backend: BackendSpec,
     flight_recorder: bool,
@@ -344,11 +341,8 @@ impl Default for ClusterBuilder {
             data_providers: 4,
             meta_providers: 2,
             provider_capacity: 4 << 30,
-            strategy: Box::<crate::pmanager::RoundRobin>::default(),
-            service_cfg: ServiceConfig::default(),
             client_cfg: ClientConfig { materialize_zeros: true, ..ClientConfig::default() },
             span_sink: None,
-            telemetry: None,
             executor_shards: 0,
             backend: BackendSpec::Memory,
             flight_recorder: true,
@@ -380,18 +374,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Chunk allocation strategy.
-    pub fn strategy(mut self, s: Box<dyn AllocationStrategy>) -> Self {
-        self.strategy = s;
-        self
-    }
-
-    /// Service wiring (monitor target, flush periods).
-    pub fn service_config(mut self, cfg: ServiceConfig) -> Self {
-        self.service_cfg = cfg;
-        self
-    }
-
     /// Client tuning.
     pub fn client_config(mut self, cfg: ClientConfig) -> Self {
         self.client_cfg = cfg;
@@ -399,10 +381,10 @@ impl ClusterBuilder {
     }
 
     /// Durable chunk backend for the data providers. Each provider gets
-    /// its own subdirectory of the spec's root, and the cluster remembers
-    /// the assignment so [`Cluster::restart_data_provider`] re-opens the
-    /// same directory — a restarted provider recovers its chunks instead
-    /// of coming back empty.
+    /// its own subdirectory of the spec's root, and the cluster's
+    /// [`Providers`] book remembers the assignment so
+    /// [`Cluster::restart_data_provider`] re-opens the same directory — a
+    /// restarted provider recovers its chunks instead of coming back empty.
     pub fn backend(mut self, spec: BackendSpec) -> Self {
         self.backend = spec;
         self
@@ -425,14 +407,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Share an externally created telemetry registry instead of the
-    /// cluster's own. Telemetry is always on in the threaded runtime;
-    /// this only controls *which* registry the nodes write.
-    pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
-        self.telemetry = Some(registry);
-        self
-    }
-
     /// Whether the always-on flight recorder is attached (default `true`).
     /// `false` exists for the recorder-overhead A/B gate in `exp_perf`
     /// and for embedders that want the last few bytes of scheduler
@@ -443,25 +417,19 @@ impl ClusterBuilder {
     }
 
     /// Spawn the executor workers and start the bare BlobSeer wiring: the
-    /// provider manager, an unmonitored version manager, the metadata and
-    /// data providers, then the process sampler, in that order.
+    /// provider manager (round-robin allocation), then through [`wire`] an
+    /// unmonitored version manager and the metadata and data providers,
+    /// then the process sampler, in that order.
     pub fn start(self) -> Cluster {
         let mut cluster = self.launch();
-        cluster.pman = cluster.add_service(Box::new(ProviderManagerService::new(self.strategy)));
-        cluster.vman =
-            cluster.add_service(Box::new(VersionManagerService::new(self.service_cfg.clone())));
-        for _ in 0..self.meta_providers {
-            let n = cluster.add_service(Box::new(MetaProviderService::new(
-                cluster.pman,
-                self.provider_capacity,
-                self.service_cfg.clone(),
-            )));
-            cluster.meta.push(n);
-        }
-        for _ in 0..self.data_providers {
-            let n = cluster.add_data_provider(self.provider_capacity);
-            cluster.data.push(n);
-        }
+        let cfg = ServiceConfig::default();
+        let pman = Box::new(ProviderManagerService::new(Box::<RoundRobin>::default()));
+        let pman = cluster.add_service(pman);
+        let providers = Providers::new(pman, self.provider_capacity, self.backend);
+        let vman = Box::new(VersionManagerService::new(cfg.clone()));
+        let (meta, data) = ((self.meta_providers, self.provider_capacity), self.data_providers);
+        let blob = wire(&mut cluster, vman, meta, data, providers, || cfg.clone());
+        cluster.bind(&blob, cfg, self.client_cfg);
         // Added last so manager/provider NodeIds stay where tests and
         // embedders learned to find them.
         cluster.add_proc_sampler();
@@ -470,9 +438,10 @@ impl ClusterBuilder {
 
     /// Spawn the executor workers and return a cluster running only the
     /// process sampler: the host `sads_core::install` deploys a whole
-    /// system onto. The builder's node counts, capacity, strategy and
-    /// backend are not used: add or restart the installed system's data
-    /// providers through the node list the install returns.
+    /// system onto. The builder's node counts, capacity and backend are
+    /// not used: the install's own book replaces the cluster's when it
+    /// binds, so [`Cluster::add_data_provider`] and
+    /// [`Cluster::restart_data_provider`] draw on the install's.
     pub fn host(self) -> Cluster {
         let mut cluster = self.launch();
         cluster.add_proc_sampler();
@@ -484,7 +453,7 @@ impl ClusterBuilder {
         let exec = Executor::start(
             self.executor_shards,
             Instant::now(),
-            self.telemetry.clone().unwrap_or_else(|| Arc::new(TelemetryRegistry::new())),
+            Arc::new(TelemetryRegistry::new()),
             self.span_sink.clone(),
             self.flight_recorder.then(|| Arc::new(FlightRecorder::new())),
         );
@@ -494,11 +463,9 @@ impl ClusterBuilder {
             vman: NodeId(0),
             meta: Vec::new(),
             data: Vec::new(),
-            service_cfg: self.service_cfg.clone(),
+            service_cfg: ServiceConfig::default(),
             client_cfg: self.client_cfg,
-            backend: self.backend.clone(),
-            provider_backends: std::collections::HashMap::new(),
-            next_backend_ordinal: 0,
+            providers: Providers::new(NodeId(0), self.provider_capacity, self.backend.clone()),
         }
     }
 }
@@ -516,15 +483,12 @@ pub struct Cluster {
     pub meta: Vec<NodeId>,
     /// Data providers.
     pub data: Vec<NodeId>,
+    /// The wiring of the data providers the cluster adds or restarts.
     service_cfg: ServiceConfig,
     client_cfg: ClientConfig,
-    /// Deployment-wide backend selection for data providers.
-    backend: BackendSpec,
-    /// Which backend each data provider was opened with — consulted by
-    /// [`Cluster::restart_data_provider`] so a restart re-opens the same
-    /// directory instead of a fresh (empty) one.
-    provider_backends: std::collections::HashMap<NodeId, BackendConfig>,
-    next_backend_ordinal: usize,
+    /// The book those providers come from: the builder's, or an
+    /// install's once it binds.
+    providers: Providers,
 }
 
 impl Cluster {
@@ -550,22 +514,9 @@ impl Cluster {
         self.exec.shard_count()
     }
 
-    /// Change the service wiring used by nodes added from now on (e.g.
-    /// point later providers at a monitoring service created after the
-    /// cluster started).
-    pub fn set_service_config(&mut self, cfg: ServiceConfig) {
-        self.service_cfg = cfg;
-    }
-
-    /// The service wiring currently applied to new nodes.
+    /// The wiring of the data providers the cluster adds or restarts.
     pub fn service_config(&self) -> ServiceConfig {
         self.service_cfg.clone()
-    }
-
-    /// Change the client tuning used by [`client`](Cluster::client) from
-    /// now on.
-    pub fn set_client_config(&mut self, cfg: ClientConfig) {
-        self.client_cfg = cfg;
     }
 
     /// Host an arbitrary service (monitoring, security, …) as a new
@@ -581,19 +532,12 @@ impl Cluster {
         self.add_service(Box::new(ProcSamplerService { sampler: ProcSampler::new(), every }));
     }
 
-    /// Add a data provider at runtime (elastic scale-up). The provider's
-    /// backend directory is assigned from the cluster's [`BackendSpec`]
-    /// and remembered for restarts.
+    /// Add a data provider of `capacity` bytes at runtime (elastic
+    /// scale-up). It takes the next backend directory of the cluster's
+    /// [`Providers`] book, which remembers it for restarts.
     pub fn add_data_provider(&mut self, capacity: u64) -> NodeId {
-        let pman = self.pman;
-        let ordinal = self.next_backend_ordinal;
-        self.next_backend_ordinal += 1;
-        let backend = self.backend.for_provider(ordinal);
-        let mut cfg = self.service_cfg.clone();
-        cfg.backend = backend.clone();
-        let node = self.add_service(Box::new(DataProviderService::new(pman, capacity, cfg)));
-        self.provider_backends.insert(node, backend);
-        node
+        let providers = Providers { capacity, ..self.providers.clone() };
+        providers.start(self.service_cfg.clone(), |s| self.add_service(s))
     }
 
     /// Create a client; each client is one more multiplexed cell, so
@@ -650,18 +594,15 @@ impl Cluster {
         self.exec.shared().reinstall(node, NodeKind::Service(service))
     }
 
-    /// Restart a killed data provider at its old address (crash-recovery
-    /// convenience over [`restart_service`](Cluster::restart_service)).
-    /// With the memory backend the store comes back empty; with a disk
-    /// backend the provider re-opens the directory it was originally
-    /// assigned, recovers its chunks and re-announces them.
+    /// Restart a killed data provider at its old address with `capacity`
+    /// bytes (crash-recovery convenience over
+    /// [`restart_service`](Cluster::restart_service)). With the memory
+    /// backend the store comes back empty; with a disk backend the
+    /// provider re-opens the directory the book assigned it, recovers its
+    /// chunks and re-announces them.
     pub fn restart_data_provider(&mut self, node: NodeId, capacity: u64) -> bool {
-        let pman = self.pman;
-        let mut cfg = self.service_cfg.clone();
-        if let Some(backend) = self.provider_backends.get(&node) {
-            cfg.backend = backend.clone();
-        }
-        self.restart_service(node, Box::new(DataProviderService::new(pman, capacity, cfg)))
+        let providers = Providers { capacity, ..self.providers.clone() };
+        self.restart_service(node, providers.revive(node, self.service_cfg.clone()))
     }
 
     /// A reader over the counters and time series the cluster's nodes
@@ -680,6 +621,26 @@ impl Cluster {
     /// their reply channels disconnect.
     pub fn shutdown(mut self) {
         self.exec.shutdown();
+    }
+}
+
+impl Host for Cluster {
+    fn start(&mut self, service: Box<dyn Service>, _nic: NodeConfig) -> NodeId {
+        self.add_service(service)
+    }
+
+    fn registry(&self) -> Arc<TelemetryRegistry> {
+        Arc::clone(self.telemetry())
+    }
+
+    /// Clients created from now on address `blob`'s managers with
+    /// `client_cfg`, and the cluster adds and restarts data providers
+    /// from `blob`'s book.
+    fn bind(&mut self, blob: &BlobSeer, cfg: ServiceConfig, client_cfg: ClientConfig) {
+        (self.pman, self.vman) = (blob.pman, blob.vman);
+        (self.meta, self.data) = (blob.meta.clone(), blob.data.clone());
+        (self.service_cfg, self.client_cfg) = (cfg, client_cfg);
+        self.providers = blob.providers.clone();
     }
 }
 

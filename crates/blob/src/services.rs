@@ -629,13 +629,6 @@ impl ProviderManagerService {
         }
     }
 
-    /// Override failure-detection timing.
-    pub fn with_expiry(mut self, expiry: SimDuration, sweep_every: SimDuration) -> Self {
-        self.expiry = expiry;
-        self.sweep_every = sweep_every;
-        self
-    }
-
     /// The registry (tests, adaptive layer co-located inspection).
     pub fn registry(&self) -> &ProviderRegistry {
         &self.registry
@@ -780,11 +773,6 @@ impl VersionManagerService {
     /// The underlying state (tests, removal strategies co-located).
     pub fn state(&self) -> &VersionManagerState {
         &self.state
-    }
-
-    /// Mutable state access (removal strategies).
-    pub fn state_mut(&mut self) -> &mut VersionManagerState {
-        &mut self.state
     }
 }
 

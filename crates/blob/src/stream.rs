@@ -137,11 +137,6 @@ impl BlobWriteHandle {
         self.offset
     }
 
-    /// Declared stream length in bytes.
-    pub fn declared_len(&self) -> u64 {
-        self.declared
-    }
-
     /// The BLOB's page size (the streaming chunk granularity).
     pub fn page_size(&self) -> u64 {
         self.page_size

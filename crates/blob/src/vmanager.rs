@@ -203,11 +203,6 @@ impl BlobState {
             .collect()
     }
 
-    /// Number of unpublished ticketed writes.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Whether `v` is a GC root under `policy` at `now`: a published
     /// version the policy keeps, a snapshot, or the latest — and nothing
     /// once the BLOB is decommissioned. O(log n). Between a sweep's

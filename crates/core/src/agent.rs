@@ -4,70 +4,22 @@
 //! acts through [`Env::spawn`] and [`Env::power_off`], which both runtimes
 //! implement.
 //!
-//! Expansion starts fresh [`DataProviderService`] nodes (they register
-//! with the provider manager on start). Retirement first marks the
-//! provider draining (no new allocations), waits a grace period for the
-//! replication manager to re-protect its chunks, then deregisters and
-//! powers the node off.
+//! Expansion starts fresh data providers from the deployment's
+//! [`Providers`] book (they register with the provider manager on
+//! start). Retirement first marks the provider draining (no new
+//! allocations), waits a grace period for the replication manager to
+//! re-protect its chunks, then deregisters and powers the node off.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sads_adaptive::{into_adapt, AdaptMsg, ScaleDecision};
 use sads_blob::rpc::Msg;
-use sads_blob::services::{DataProviderService, Env, Service, ServiceConfig};
-use sads_blob::{BackendConfig, BackendSpec};
+use sads_blob::runtime::Providers;
+use sads_blob::services::{Env, Service, ServiceConfig};
 use sads_sim::{NodeId, SimDuration};
 
 /// How long a retiring provider keeps serving before power-off.
 pub const DRAIN_GRACE: SimDuration = SimDuration::from_secs(10);
-
-/// Builds every data provider of one deployment: at install, on a manual
-/// scale-up, from the deploy agent and on a restart. Each fresh provider
-/// takes the next backend directory, and a restart re-opens the one its
-/// address was given. Clones share the counter.
-#[derive(Clone)]
-pub(crate) struct Providers {
-    pub(crate) pman: NodeId,
-    capacity: u64,
-    backend: BackendSpec,
-    /// The next backend ordinal, and the backend each address was given.
-    book: Arc<Mutex<(usize, HashMap<NodeId, BackendConfig>)>>,
-}
-
-impl Providers {
-    pub(crate) fn new(pman: NodeId, capacity: u64, backend: BackendSpec) -> Self {
-        Providers { pman, capacity, backend, book: Arc::default() }
-    }
-
-    /// Start a fresh provider wired by `cfg` through `start`.
-    pub(crate) fn start(
-        &self,
-        mut cfg: ServiceConfig,
-        start: impl FnOnce(Box<dyn Service>) -> NodeId,
-    ) -> NodeId {
-        let ordinal = {
-            let next = &mut self.book.lock().0;
-            *next += 1;
-            *next - 1
-        };
-        cfg.backend = self.backend.for_provider(ordinal);
-        let backend = cfg.backend.clone();
-        let node = start(Box::new(DataProviderService::new(self.pman, self.capacity, cfg)));
-        self.book.lock().1.insert(node, backend);
-        node
-    }
-
-    /// A provider for `node`'s address, re-opening the backend it was
-    /// given (the memory backend comes back empty).
-    pub(crate) fn revive(&self, node: NodeId, mut cfg: ServiceConfig) -> Box<dyn Service> {
-        if let Some(b) = self.book.lock().1.get(&node) {
-            cfg.backend = b.clone();
-        }
-        Box::new(DataProviderService::new(self.pman, self.capacity, cfg))
-    }
-}
 
 /// The deployment agent service.
 pub struct DeployAgent {
@@ -126,7 +78,7 @@ impl Service for DeployAgent {
                 for provider in providers {
                     // Stop new allocations immediately, power off after
                     // the drain grace period.
-                    let pman = self.providers.pman;
+                    let pman = self.providers.pman();
                     env.send(pman, Msg::SetDraining { provider, draining: true });
                     let token = self.next_token;
                     self.next_token += 1;
@@ -139,7 +91,7 @@ impl Service for DeployAgent {
 
     fn on_timer(&mut self, env: &mut dyn Env, token: u64) {
         if let Some(provider) = self.retiring.remove(&token) {
-            env.send(self.providers.pman, Msg::Deregister { provider });
+            env.send(self.providers.pman(), Msg::Deregister { provider });
             env.power_off(provider);
             self.retired += 1;
             env.incr("agent.retired", 1);

@@ -2,8 +2,8 @@
 //! the three-layer introspection stack + the security framework + the
 //! adaptive controllers, wired together by one [`install`] onto either
 //! host, the deterministic cluster simulator ([`World`]) or the threaded
-//! runtime ([`Cluster`]). Every paper-shaped experiment builds a
-//! simulated [`Deployment`].
+//! runtime ([`Cluster`](sads_blob::runtime::threaded::Cluster)). Every
+//! paper-shaped experiment builds a simulated [`Deployment`].
 
 use std::sync::Arc;
 
@@ -13,11 +13,9 @@ use sads_adaptive::{
 };
 use sads_blob::client::ClientConfig;
 use sads_blob::pmanager::{strategy_by_name, RoundRobin};
-use sads_blob::runtime::sim::{add_service, ScriptStep, ScriptedClient, SimService};
-use sads_blob::runtime::threaded::Cluster;
-use sads_blob::services::{
-    MetaProviderService, ProviderManagerService, Service, ServiceConfig, VersionManagerService,
-};
+use sads_blob::runtime::sim::{ScriptStep, ScriptedClient, SimService};
+use sads_blob::runtime::{wire, Host, Providers};
+use sads_blob::services::{ProviderManagerService, Service, ServiceConfig, VersionManagerService};
 use sads_blob::BackendSpec;
 use sads_blob::ClientId;
 use sads_introspect::{BurnRateRule, IntrospectionService, RuleSource, SloAlertService};
@@ -31,7 +29,7 @@ use sads_sim::{
     SimDuration, SimTime, World,
 };
 
-use crate::agent::{DeployAgent, Providers};
+use crate::agent::DeployAgent;
 
 /// What to deploy. The seed, network, tracing and metrics registry belong
 /// to the host: see [`World::new`] and `ClusterBuilder`.
@@ -138,51 +136,6 @@ pub fn default_alert_rules() -> Vec<BurnRateRule> {
         rule("availability_burn", "repl.deficit", RuleSource::GaugeMax, 0.5, 20),
         rule("read_rate_burn", "provider.reads", RuleSource::CounterRate, 150.0, 16),
     ]
-}
-
-/// A runtime [`install`] can deploy onto.
-pub trait Host {
-    /// Start `service` as a new node. `nic` is its simulated NIC; real
-    /// threads have no NIC model.
-    fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId;
-    /// The metrics registry every node writes (the alert engine reads it).
-    fn registry(&self) -> Arc<Registry>;
-    /// Point the host's own client factory at the installed system.
-    fn bind(&mut self, nodes: &Nodes, client_cfg: ClientConfig);
-}
-
-impl Host for World {
-    fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId {
-        add_service(self, service, nic)
-    }
-
-    fn registry(&self) -> Arc<Registry> {
-        Arc::clone(self.telemetry())
-    }
-
-    /// Nothing to point: simulated clients are scripted actors that
-    /// [`Deployment::add_client`] wires itself.
-    fn bind(&mut self, _nodes: &Nodes, _client_cfg: ClientConfig) {}
-}
-
-impl Host for Cluster {
-    fn start(&mut self, service: Box<dyn Service>, _nic: NodeConfig) -> NodeId {
-        self.add_service(service)
-    }
-
-    fn registry(&self) -> Arc<Registry> {
-        Arc::clone(self.telemetry())
-    }
-
-    /// Clients created from now on address the installed managers. Real
-    /// bytes are always materialized, holes included.
-    fn bind(&mut self, nodes: &Nodes, client_cfg: ClientConfig) {
-        self.pman = nodes.pman;
-        self.vman = nodes.vman;
-        self.meta = nodes.meta.clone();
-        self.data = nodes.data.clone();
-        self.set_client_config(ClientConfig { materialize_zeros: true, ..client_cfg });
-    }
 }
 
 /// Every node an [`install`] started, and what starting or restarting a
@@ -326,14 +279,13 @@ pub fn install(spec: &DeploymentConfig, host: &mut impl Host) -> Nodes {
     if let Some(poll) = spec.recovery {
         vman = vman.with_stall_timeout(poll * 12);
     }
-    n.vman = host.start(Box::new(vman), unlimited);
-    for _ in 0..spec.meta_providers {
-        let meta = MetaProviderService::new(pman, spec.provider_capacity, n.service_cfg());
-        n.meta.push(host.start(Box::new(meta), nic));
-    }
-    for _ in 0..spec.data_providers {
-        n.add_data_provider(host);
-    }
+    let (meta, providers) = ((spec.meta_providers, spec.provider_capacity), n.providers.clone());
+    let blob = wire(host, Box::new(vman), meta, spec.data_providers, providers, || n.service_cfg());
+    // Providers the host or the deploy agent starts all report to the
+    // first monitor. The host's clients always materialize real bytes.
+    let cfg = ServiceConfig { monitor: n.monitors.first().copied(), ..n.base.clone() };
+    host.bind(&blob, cfg.clone(), ClientConfig { materialize_zeros: true, ..spec.client_cfg });
+    (n.vman, n.meta, n.data) = (blob.vman, blob.meta, blob.data);
 
     n.intro = intro_on.then(|| {
         let intro = IntrospectionService::new(n.storage.clone(), SimDuration::from_secs(2));
@@ -346,8 +298,6 @@ pub fn install(spec: &DeploymentConfig, host: &mut impl Host) -> Nodes {
         host.start(Box::new(engine), nic)
     });
     if let (Some(policy), Some(intro)) = (&spec.elasticity, n.intro) {
-        // Providers the agent starts all report to the first monitor.
-        let cfg = ServiceConfig { monitor: n.monitors.first().copied(), ..n.base.clone() };
         let agent = host.start(Box::new(DeployAgent::new(n.providers.clone(), cfg)), unlimited);
         let tick = SimDuration::from_secs(5);
         let controller = ElasticityControllerService::new(intro, agent, policy.clone(), tick);
@@ -377,7 +327,6 @@ pub fn install(spec: &DeploymentConfig, host: &mut impl Host) -> Nodes {
         let engine = SloAlertService::new(host.registry(), rules, subscribers, every);
         host.start(Box::new(engine), nic)
     });
-    host.bind(&n, spec.client_cfg);
     n
 }
 
@@ -534,5 +483,43 @@ impl Deployment {
     pub fn live_data_providers(&self) -> usize {
         let spawned = self.deploy_agent().map_or(&[][..], |a| a.spawned());
         self.nodes.data.iter().chain(spawned).filter(|d| self.world.is_up(**d)).count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sads_blob::runtime::threaded::{Cluster, ClusterBuilder};
+
+    /// Each live node's role, in address order: BlobSeer's from the
+    /// cluster's own addresses, the rest from `others`, and the process
+    /// sampler's.
+    fn roles(cluster: &Cluster, others: &[(&'static str, &[NodeId])]) -> Vec<&'static str> {
+        let managers = [cluster.pman, cluster.vman];
+        let (meta, data) = (&cluster.meta[..], &cluster.data[..]);
+        let blob = [("pmanager", &managers[..1]), ("vmanager", &managers[1..]), ("meta", meta)];
+        let blob = [&blob[..], &[("data", data)], others].concat();
+        let role = |n| blob.iter().find(|(_, at)| at.contains(n)).map_or("procsampler", |r| r.0);
+        cluster.nodes().iter().map(role).collect()
+    }
+
+    /// `ClusterBuilder::start()` and an all-defaults install start
+    /// BlobSeer's nodes at fixed addresses: tests, `exp_*` bins and the
+    /// benchmark find the managers and providers where they always were.
+    #[test]
+    fn start_and_install_keep_their_node_order() {
+        let cluster = ClusterBuilder::new().start();
+        let bare = [&["pmanager", "vmanager"][..], &["meta"; 2], &["data"; 4], &["procsampler"]];
+        assert_eq!(roles(&cluster, &[]), bare.concat());
+        cluster.shutdown();
+
+        let mut cluster = ClusterBuilder::new().host();
+        let n = install(&DeploymentConfig::default(), &mut cluster);
+        let intro = n.intro.as_slice();
+        let others = [("storage", &n.storage[..]), ("monitor", &n.monitors), ("intro", intro)];
+        let first = ["procsampler", "pmanager", "storage", "storage", "monitor", "monitor"];
+        let want = [&first[..], &["vmanager"], &["meta"; 4], &["data"; 16], &["intro"]];
+        assert_eq!(roles(&cluster, &others), want.concat());
+        cluster.shutdown();
     }
 }

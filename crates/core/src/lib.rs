@@ -34,7 +34,8 @@ pub mod agent;
 pub mod deployment;
 
 pub use agent::{DeployAgent, DRAIN_GRACE};
-pub use deployment::{default_alert_rules, install, Deployment, DeploymentConfig, Host, Nodes};
+pub use deployment::{default_alert_rules, install, Deployment, DeploymentConfig, Nodes};
+pub use sads_blob::runtime::Host;
 
 // Re-export the subsystem crates under one roof for downstream users.
 pub use sads_adaptive as adaptive;

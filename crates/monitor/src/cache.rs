@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use sads_sim::{SimDuration, SimTime};
+use sads_sim::SimTime;
 
 /// Bounded write-behind queue in front of a slow sink.
 #[derive(Debug)]
@@ -105,11 +105,6 @@ impl<T> BurstCache<T> {
             self.dropped as f64 / total as f64
         }
     }
-}
-
-/// Suggested drain period matching the cache's granularity.
-pub fn default_drain_period() -> SimDuration {
-    SimDuration::from_millis(200)
 }
 
 #[cfg(test)]

@@ -24,11 +24,11 @@ use proptest::prelude::*;
 use sads::blob::model::{BlobId, BlobSpec, ChunkKey, ClientId, Payload, VersionId};
 use sads::blob::provider::ChunkStore;
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
-use sads::blob::runtime::threaded::ClusterBuilder;
+use sads::blob::runtime::threaded::{Cluster, ClusterBuilder};
 use sads::blob::services::DataProviderService;
 use sads::blob::storage::{BackendConfig, BackendSpec, DiskConfig};
 use sads::blob::WriteKind;
-use sads::{Deployment, DeploymentConfig};
+use sads::{install, Deployment, DeploymentConfig};
 use sads_adaptive::ReplicationConfig;
 use sads_sim::{SimDuration, SimTime, World};
 
@@ -164,28 +164,51 @@ fn killed_disk_provider_serves_chunks_after_restart_threaded() {
         .provider_capacity(256 << 20)
         .backend(BackendSpec::disk(&root))
         .start();
+    restart_and_read_back(&mut cluster);
+    cluster.shutdown();
+}
+
+/// The same through a threaded install: the cluster's own restart and
+/// scale-up draw on the install's book of backend directories, so the
+/// victim re-opens its log and a new provider takes the next directory.
+#[test]
+fn installed_disk_provider_restarts_and_scales_through_the_cluster() {
+    let root = tmp("installed");
+    let _cleanup = Cleanup(root.clone());
+    let backend = BackendSpec::disk(&root);
+    let mut cluster = ClusterBuilder::new().backend(backend.clone()).host();
+    let spec = DeploymentConfig { data_providers: 1, backend, ..Default::default() };
+    install(&spec, &mut cluster);
+    restart_and_read_back(&mut cluster);
+    assert_eq!(cluster.metrics().counter("provider.repair_bytes"), 0);
+    cluster.add_data_provider(256 << 20);
+    assert!(root.join("provider-0001").is_dir(), "the added provider's own directory");
+    cluster.shutdown();
+}
+
+/// Write three pages at replication 1, kill and restart the first data
+/// provider through the cluster, and read them back.
+fn restart_and_read_back(cluster: &mut Cluster) {
     let client = cluster.client(ClientId(1));
     let blob = client.create(BlobSpec { page_size: PAGE, replication: 1 }).unwrap();
-    client.write(blob, 0, Bytes::from(vec![7u8; 3 * PAGE as usize])).unwrap();
-
+    let data = Bytes::from(vec![7u8; 3 * PAGE as usize]);
+    client.write(blob, 0, data.clone()).unwrap();
     let victim = cluster.data[0];
     cluster.kill(victim);
     assert!(cluster.restart_data_provider(victim, 256 << 20), "victim restart");
+    let back = read_back(|| client.read(blob, None, 0, 3 * PAGE));
+    assert_eq!(back, data, "recovered payload differs");
+}
 
-    let mut got = None;
+/// Retry `read` every 50 ms until a restarted provider serves it.
+fn read_back<T, E>(mut read: impl FnMut() -> Result<T, E>) -> T {
     for _ in 0..100 {
-        match client.read(blob, None, 0, 3 * PAGE) {
-            Ok(b) => {
-                got = Some(b);
-                break;
-            }
+        match read() {
+            Ok(v) => return v,
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
-    let back = got.expect("read after the provider restarted");
-    assert_eq!(back.len() as u64, 3 * PAGE);
-    assert!(back.iter().all(|b| *b == 7), "recovered payload differs");
-    cluster.shutdown();
+    panic!("no read succeeded after the provider restarted")
 }
 
 /// The E13 headline as a deterministic sim test: with the disk backend a
@@ -222,11 +245,9 @@ fn sim_disk_restart_rejoins_without_repair_traffic() {
     d.world.run_until(t(25), 10_000_000);
 
     let victim = d.nodes.data[0];
-    let before = d
-        .world
-        .actor_as::<DataProviderService>(victim)
-        .map(|p| p.store().len())
-        .unwrap_or(0);
+    let held =
+        |d: &Deployment| d.world.actor_as::<DataProviderService>(victim).map(|p| p.store().len());
+    let before = held(&d).unwrap_or(0);
     assert!(before > 0, "victim holds no chunks after load");
 
     d.crash(victim);
@@ -234,11 +255,7 @@ fn sim_disk_restart_rejoins_without_repair_traffic() {
     d.restart_data_provider(victim);
     d.world.run_for(SimDuration::from_secs(30), 10_000_000);
 
-    let after = d
-        .world
-        .actor_as::<DataProviderService>(victim)
-        .map(|p| p.store().len())
-        .unwrap_or(0);
+    let after = held(&d).unwrap_or(0);
     let m = d.world.metrics();
     assert_eq!(after, before, "restart must recover every chunk from the local log");
     assert_eq!(m.counter("provider.recovered_chunks"), before as u64);
@@ -279,17 +296,8 @@ fn short_and_empty_records_survive_a_kill_and_restart() {
     cluster.kill(victim);
     assert!(cluster.restart_data_provider(victim, 256 << 20), "victim restart");
     for (i, n) in sizes.iter().enumerate() {
-        let mut got = None;
-        for _ in 0..100 {
-            match gw.get_object(alice, "b", &format!("k{i}")) {
-                Ok(b) => {
-                    got = Some(b);
-                    break;
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-        assert_eq!(got.expect("GET after the provider restarted"), body(*n), "object of {n} B");
+        let got = read_back(|| gw.get_object(alice, "b", &format!("k{i}")));
+        assert_eq!(got, body(*n), "object of {n} B");
     }
     cluster.shutdown();
 

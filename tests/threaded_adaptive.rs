@@ -155,17 +155,9 @@ fn threaded_pipeline_detects_and_blocks_unticketed_writers() {
     // Probe with reads: they never take tickets, so the probe itself
     // cannot disturb the unticketed-writes detector.
     let attacker = cluster.client(attacker_id);
-    let mut blocked = false;
-    for _ in 0..100 {
-        match attacker.read(blob, None, 0, PAGE) {
-            Err(BlobError::Blocked(_)) => {
-                blocked = true;
-                break;
-            }
-            _ => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
-    assert!(blocked, "attacker must be blocked by the engine");
+    wait_until(Instant::now() + Duration::from_secs(10), "the engine blocked the attacker", || {
+        matches!(attacker.read(blob, None, 0, PAGE), Err(BlobError::Blocked(_)))
+    });
 
     // The honest client is unaffected.
     honest.write(blob, 0, Bytes::from(vec![3u8; PAGE as usize])).expect("honest still writes");
@@ -219,37 +211,6 @@ fn install_starts_exactly_the_nodes_it_lists() {
         cluster.nodes().into_iter().filter(|n| !sampler.contains(n)).collect();
     assert_eq!(started, nodes.all());
     assert_eq!(started.len(), 2 + 1 + 3 + 2 + 1 + 9, "managers, providers, monitoring, self-*");
-    cluster.shutdown();
-}
-
-/// Each live node's role, in address order: BlobSeer's from the cluster's
-/// own addresses, the rest from `others`, and the process sampler's.
-fn roles(cluster: &Cluster, others: &[(&'static str, &[NodeId])]) -> Vec<&'static str> {
-    let managers = [cluster.pman, cluster.vman];
-    let (meta, data) = (&cluster.meta[..], &cluster.data[..]);
-    let blob = [("pmanager", &managers[..1]), ("vmanager", &managers[1..]), ("meta", meta)];
-    let blob = [&blob[..], &[("data", data)], others].concat();
-    let role = |n| blob.iter().find(|(_, at)| at.contains(n)).map_or("procsampler", |(r, _)| *r);
-    cluster.nodes().iter().map(role).collect()
-}
-
-/// `ClusterBuilder::start()` and an all-defaults install start BlobSeer's
-/// nodes at fixed addresses: tests, `exp_*` bins and the benchmark find
-/// the managers and providers where they always were.
-#[test]
-fn start_and_install_keep_their_node_order() {
-    let cluster = ClusterBuilder::new().start();
-    let bare = [&["pmanager", "vmanager"][..], &["meta"; 2], &["data"; 4], &["procsampler"]];
-    assert_eq!(roles(&cluster, &[]), bare.concat());
-    cluster.shutdown();
-
-    let mut cluster = ClusterBuilder::new().host();
-    let n = install(&DeploymentConfig::default(), &mut cluster);
-    let intro = n.intro.as_slice();
-    let others = [("storage", &n.storage[..]), ("monitor", &n.monitors), ("intro", intro)];
-    let first = ["procsampler", "pmanager", "storage", "storage", "monitor", "monitor", "vmanager"];
-    let want = [&first[..], &["meta"; 4], &["data"; 16], &["intro"]];
-    assert_eq!(roles(&cluster, &others), want.concat());
     cluster.shutdown();
 }
 
