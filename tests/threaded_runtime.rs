@@ -1,11 +1,12 @@
 //! Threaded-runtime robustness: elastic provider addition under live
-//! traffic, replica failover when a provider dies mid-service, and a
-//! streamed write publishing through a provider death.
+//! traffic, replica failover when a provider dies mid-service, a
+//! streamed write publishing through a provider death, and 256 clients
+//! completing on a handful of executor workers.
 
 use bytes::Bytes;
 use sads::blob::client::{ClientConfig, RetryPolicy};
 use sads::blob::runtime::threaded::ClusterBuilder;
-use sads::blob::{BlobSpec, ClientId, WriteKind};
+use sads::blob::{BlobSpec, ClientId, OpOutput, Payload, WriteKind};
 use sads_sim::SimDuration;
 
 const PAGE: u64 = 64 * 1024;
@@ -127,6 +128,49 @@ fn streamed_write_publishes_through_a_provider_death() {
         streamed.extend_from_slice(&chunk);
     }
     assert_eq!(&streamed[..], &data[..]);
+    cluster.shutdown();
+}
+
+/// 256 clients, one op in flight each, submitted in waves through the
+/// non-blocking API: every append and every read completes (an op stuck
+/// behind a deadlock fails at its deadline), and each client reads its
+/// own bytes back.
+#[test]
+fn two_hundred_fifty_six_clients_complete_without_deadlock() {
+    const CLIENTS: usize = 256;
+    const OP: u64 = 4 * PAGE;
+    let mut cluster = ClusterBuilder::new()
+        .data_providers(8)
+        .meta_providers(2)
+        .provider_capacity(256 << 20)
+        .start();
+    let handles: Vec<_> = (0..CLIENTS).map(|i| cluster.client(ClientId(100 + i as u64))).collect();
+    let blobs: Vec<_> = handles
+        .iter()
+        .map(|h| h.create(BlobSpec { page_size: PAGE, replication: 1 }).expect("create"))
+        .collect();
+    let bodies: Vec<_> = (0..CLIENTS).map(|i| Bytes::from(vec![i as u8; OP as usize])).collect();
+    for _ in 0..2 {
+        let tickets: Vec<_> = handles
+            .iter()
+            .zip(&blobs)
+            .zip(&bodies)
+            .map(|((h, &blob), body)| h.submit_append(blob, body.clone()))
+            .collect();
+        for t in tickets {
+            t.wait().expect("append");
+        }
+    }
+    for k in 0..2 {
+        let tickets: Vec<_> =
+            handles.iter().zip(&blobs).map(|(h, &blob)| h.submit_read(blob, None, k * OP, OP)).collect();
+        for (t, body) in tickets.into_iter().zip(&bodies) {
+            let Ok(OpOutput::Read { data: Payload::Data(got), .. }) = t.wait() else {
+                panic!("read failed")
+            };
+            assert_eq!(&got, body);
+        }
+    }
     cluster.shutdown();
 }
 
