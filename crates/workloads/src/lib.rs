@@ -264,93 +264,6 @@ impl Actor for DosAttacker {
     }
 }
 
-/// Zipf-distributed object popularity: item `0` is the hottest, weights
-/// fall off as `1 / (k+1)^s`. The scaling experiment (E12) uses it to
-/// model the skewed access pattern a cloud object store sees — a few hot
-/// BLOBs absorb most reads.
-///
-/// Sampling is a precomputed-CDF binary search: `O(n)` to build once,
-/// `O(log n)` per draw, no floating-point rejection loops, fully
-/// deterministic under the repo's seeded [`SmallRng`](rand::rngs::SmallRng).
-pub struct ZipfSampler {
-    cdf: Vec<f64>,
-}
-
-impl ZipfSampler {
-    /// A sampler over `n` items with exponent `s` (`s = 0` is uniform,
-    /// `s ≈ 1` is the classic web/object-store skew).
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf needs at least one item");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        ZipfSampler { cdf }
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Is the population empty? (Never true: `new` requires `n > 0`.)
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draw one item index in `[0, n)`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random_range(0.0..1.0);
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
-/// Open-loop Poisson arrival process: `count` arrival instants after
-/// `start`, with exponential inter-arrival gaps at an aggregate
-/// `rate_per_sec`. Open-loop means arrivals do **not** wait for earlier
-/// requests to finish — the defining property of real client populations
-/// (and what closed-loop benchmarks get wrong about overload behavior).
-pub fn poisson_arrivals<R: Rng>(
-    rng: &mut R,
-    rate_per_sec: f64,
-    start: SimTime,
-    count: usize,
-) -> Vec<SimTime> {
-    assert!(rate_per_sec > 0.0, "arrival rate must be positive");
-    let mut out = Vec::with_capacity(count);
-    let mut t = start.as_nanos() as f64;
-    for _ in 0..count {
-        let u: f64 = rng.random_range(0.0..1.0);
-        // Inverse-CDF draw of Exp(rate): −ln(1−U)/λ, in nanoseconds.
-        let gap_s = -(1.0 - u).ln() / rate_per_sec;
-        t += gap_s * 1e9;
-        out.push(SimTime(t as u64));
-    }
-    out
-}
-
-/// One open-loop reader for the scaling experiment: sleep until this
-/// client's Poisson `arrival`, then issue `reads` reads of `[0, len)` of
-/// `blob` (typically a zipf-sampled hot object).
-pub fn open_loop_read_script(
-    arrival: SimTime,
-    blob: BlobId,
-    len: u64,
-    reads: usize,
-) -> Vec<ScriptStep> {
-    let mut script = vec![ScriptStep::WaitUntil(arrival)];
-    for _ in 0..reads {
-        script.push(ScriptStep::Read { blob: BlobRef::Id(blob), version: None, offset: 0, len });
-    }
-    script
-}
-
 /// Stagger a value over `[base, base + spread]` for client `i` of `n` —
 /// used to ramp attackers in gradually (the paper's detection-delay
 /// experiment observes first vs last detection).
@@ -394,58 +307,6 @@ mod tests {
         assert_eq!(s.iter().filter(|x| matches!(x, ScriptStep::Write { .. })).count(), 2);
         assert_eq!(s.iter().filter(|x| matches!(x, ScriptStep::Read { .. })).count(), 2);
         assert_eq!(s.iter().filter(|x| matches!(x, ScriptStep::Pause(_))).count(), 2);
-    }
-
-    #[test]
-    fn zipf_is_skewed_and_deterministic() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let z = ZipfSampler::new(100, 1.0);
-        assert_eq!(z.len(), 100);
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut counts = [0usize; 100];
-        for _ in 0..20_000 {
-            let k = z.sample(&mut rng);
-            assert!(k < 100);
-            counts[k] += 1;
-        }
-        // Head is much hotter than the middle, middle hotter than tail.
-        assert!(counts[0] > 5 * counts[50], "rank 0 must dominate rank 50");
-        assert!(counts[0] > counts[1], "monotone head");
-        let tail: usize = counts[90..].iter().sum();
-        assert!(counts[0] > tail, "head outweighs the last decile");
-        // Same seed, same draws.
-        let mut a = SmallRng::seed_from_u64(42);
-        let mut b = SmallRng::seed_from_u64(42);
-        for _ in 0..100 {
-            assert_eq!(z.sample(&mut a), z.sample(&mut b));
-        }
-    }
-
-    #[test]
-    fn poisson_arrivals_are_ordered_with_the_right_mean_gap() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(5);
-        let rate = 1000.0; // 1k/s => 1ms mean gap
-        let start = SimTime(2_000_000_000);
-        let arrivals = poisson_arrivals(&mut rng, rate, start, 10_000);
-        assert_eq!(arrivals.len(), 10_000);
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals are sorted");
-        assert!(arrivals[0] >= start);
-        let span_s = arrivals.last().unwrap().since(start).as_secs_f64();
-        let mean_gap_ms = span_s * 1000.0 / 10_000.0;
-        assert!(
-            (0.9..1.1).contains(&mean_gap_ms),
-            "mean inter-arrival {mean_gap_ms:.3} ms should be ~1 ms"
-        );
-    }
-
-    #[test]
-    fn open_loop_read_script_shape() {
-        let s = open_loop_read_script(SimTime(1_000_000_000), BlobId(3), 4096, 2);
-        assert!(matches!(s[0], ScriptStep::WaitUntil(t) if t == SimTime(1_000_000_000)));
-        assert_eq!(s.iter().filter(|x| matches!(x, ScriptStep::Read { .. })).count(), 2);
     }
 
     #[test]
