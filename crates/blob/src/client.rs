@@ -85,9 +85,10 @@ pub enum ClientOp {
     /// The one-shot entry into the read session: equivalent to
     /// [`ClientOp::OpenReadStream`] + [`ClientOp::ReadStreamNext`] to eof,
     /// except that the whole range is fetched (under `chunk_window`) as a
-    /// single batch and delivered contiguous, as [`OpOutput::Read`]: a
-    /// range inside one page is a view of the stored page, a wider one is
-    /// copied — once — into one buffer (`client.read_copied_bytes`).
+    /// single batch and delivered contiguous, as [`OpOutput::Read`]: pages
+    /// that are consecutive views of one buffer (one write's, or a single
+    /// page) come back as one view of it, others are copied — once — into
+    /// one buffer (`client.read_copied_bytes`).
     Read {
         /// Target BLOB.
         blob: BlobId,
@@ -2091,7 +2092,7 @@ impl Cx {
     /// the requested byte range of its page row — ending the session if
     /// this was the final batch. A stream pull gets the pages themselves
     /// (a rope of views, nothing copied); a one-shot read, which owes its
-    /// caller one contiguous buffer, gets them copied once into it.
+    /// caller one contiguous buffer, gets them joined or copied once.
     fn rstream_batch_done(&self, sess: &mut Session, env: &mut dyn Env) -> StreamStep {
         if !sess.awaited.reqs.is_empty() {
             return StreamStep::Park;
@@ -2135,20 +2136,19 @@ impl Cx {
         } else if !real {
             OpOutput::Read { data: Payload::Sim(total), version }
         } else {
-            let data = match &parts[..] {
-                // Zero-copy fast path: a range inside a single real-data
-                // page is served as a refcounted sub-slice of the stored
-                // chunk — no copy from provider buffer to client buffer
-                // anywhere on the path.
-                [Some(Payload::Data(b))] if (skip + total) as usize <= b.len() => {
-                    b.slice(skip as usize..(skip + total) as usize)
-                }
-                _ => {
-                    let (buf, copied) = assemble(trimmed, total as usize);
-                    env.incr("client.read_copied_bytes", copied);
-                    buf
-                }
-            };
+            // Pages stored whole over their cuts, each the next view of
+            // one buffer (one page always is), are returned as that view.
+            let mut views = trimmed.clone().map(|(part, from, take)| match part {
+                Payload::Data(b) if from + take <= b.len() => Some(b.slice(from..from + take)),
+                _ => None,
+            });
+            let first = views.next().flatten();
+            let joined = first.and_then(|v| views.try_fold(v, |v, w| v.try_join(&w?)));
+            let data = joined.unwrap_or_else(|| {
+                let (buf, copied) = assemble(trimmed, total as usize);
+                env.incr("client.read_copied_bytes", copied);
+                buf
+            });
             OpOutput::Read { data: Payload::Data(data), version }
         };
         if eof {

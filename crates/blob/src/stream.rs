@@ -41,11 +41,16 @@
 //!   by [`Bytes::slice`], a zero segment per hole — and `next` pops one
 //!   segment from the handle's cursor. Only the first `next` of a window
 //!   crosses into the client cell.
-//! * **One-shot read: once**, because `read -> Bytes` promises one
-//!   contiguous buffer. A range inside one page is a view of that page
-//!   (zero copies); a wider one is allocated once at its final size and
-//!   each page's bytes are written once to their place, holes zero-filled
-//!   in place. `client.read_copied_bytes` counts exactly those bytes.
+//! * **One-shot read: never when the pages are one buffer's, else
+//!   once**, because `read -> Bytes` promises one contiguous buffer. When
+//!   every page of the range is stored whole over its cut and each is the
+//!   next view of one buffer ([`Bytes::try_join`]: one write's pages, or
+//!   a single page), the result is one view of that buffer (zero copies).
+//!   Otherwise — pages of different writes or buffers, chunks recovered
+//!   from a disk log, holes, declared-zero tails — it is allocated once at
+//!   its final size and each page's bytes are written once to their
+//!   place, holes zero-filled in place. `client.read_copied_bytes` counts
+//!   exactly those bytes.
 //! * **Stream write: only a sub-page feed with more bytes behind it,
 //!   once.** Whole pages are cut off the fed buffer as views, and so is a
 //!   sub-page tail that declared zeros complete; bytes are copied into

@@ -11,6 +11,12 @@
 //! The only constructors that copy are [`Bytes::from_static`] and the
 //! `&'static` conversions, once, at construction. The unit tests pin this
 //! by pointer identity.
+//!
+//! [`Bytes::try_join`] is the shim's one method that upstream `bytes`
+//! does not have: it rejoins two adjacent views of one buffer into one,
+//! which needs the owner identity and offset that upstream keeps private.
+//! A one-shot read of pages one write cut from one buffer returns that
+//! buffer's view through it instead of copying the pages.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -76,6 +82,16 @@ impl Bytes {
     #[allow(clippy::should_implement_trait)] // inherent method keeps call-site inference simple
     pub fn as_ref(&self) -> &[u8] {
         &self.data[self.off..self.off + self.len]
+    }
+
+    /// `self` followed by `next` as one view, when both view the same
+    /// buffer and `next` starts where `self` ends: O(1), nothing copied.
+    /// `None` for views of different buffers (even with equal bytes), a
+    /// gap, an overlap or the reverse order. Not in upstream `bytes`.
+    pub fn try_join(&self, next: &Bytes) -> Option<Bytes> {
+        let adjacent = Arc::ptr_eq(&self.data, &next.data) && self.off + self.len == next.off;
+        let len = self.len + next.len;
+        adjacent.then(|| Bytes { data: Arc::clone(&self.data), off: self.off, len })
     }
 
     /// Copy the view into an owned `Vec<u8>`.
@@ -297,6 +313,24 @@ mod tests {
         m.extend_from_slice(&[7u8; 64]);
         let at = m.as_ptr();
         assert_eq!(m.freeze().as_ptr(), at, "freeze must move, not copy");
+    }
+
+    /// Adjacent views of one buffer join into a view of that buffer;
+    /// every other pair is refused, however equal its bytes.
+    #[test]
+    fn try_join_rejoins_adjacent_views_of_one_buffer_only() {
+        let b = Bytes::from((0u8..100).collect::<Vec<u8>>());
+        let (l, r) = (b.slice(10..40), b.slice(40..70));
+        let j = l.try_join(&r).expect("adjacent views of one buffer");
+        assert_eq!(j.as_ptr(), b.as_ptr().wrapping_add(10), "a view, not a copy");
+        assert_eq!(j, b.slice(10..70));
+        assert_eq!(j.try_join(&b.slice(70..)).expect("chains").len(), 90);
+
+        let twin = Bytes::from((0u8..100).collect::<Vec<u8>>());
+        assert!(l.try_join(&twin.slice(40..70)).is_none(), "another owner, equal bytes");
+        assert!(l.try_join(&b.slice(41..70)).is_none(), "a gap");
+        assert!(l.try_join(&b.slice(39..70)).is_none(), "an overlap");
+        assert!(r.try_join(&l).is_none(), "reversed order");
     }
 
     #[test]

@@ -186,18 +186,23 @@ fn installed_disk_provider_restarts_and_scales_through_the_cluster() {
     cluster.shutdown();
 }
 
-/// Write three pages at replication 1, kill and restart the first data
-/// provider through the cluster, and read them back.
+/// Write three pages at replication 1 (read back as a view of the
+/// written buffer), kill and restart the first data provider through the
+/// cluster, and read them back again: each recovered chunk has a buffer
+/// of its own, so this read copies every byte, once.
 fn restart_and_read_back(cluster: &mut Cluster) {
     let client = cluster.client(ClientId(1));
     let blob = client.create(BlobSpec { page_size: PAGE, replication: 1 }).unwrap();
-    let data = Bytes::from(vec![7u8; 3 * PAGE as usize]);
+    let len = 3 * PAGE;
+    let data = Bytes::from((0..len).map(|i| (i >> 10) as u8 ^ i as u8).collect::<Vec<u8>>());
     client.write(blob, 0, data.clone()).unwrap();
+    assert_eq!(client.read(blob, None, 0, len).unwrap().as_ptr(), data.as_ptr(), "a view");
     let victim = cluster.data[0];
     cluster.kill(victim);
     assert!(cluster.restart_data_provider(victim, 256 << 20), "victim restart");
-    let back = read_back(|| client.read(blob, None, 0, 3 * PAGE));
+    let back = read_back(|| client.read(blob, None, 0, len));
     assert_eq!(back, data, "recovered payload differs");
+    assert_eq!(cluster.metrics().counter("client.read_copied_bytes"), len, "recovered pages copied");
 }
 
 /// Retry `read` every 50 ms until a restarted provider serves it.
