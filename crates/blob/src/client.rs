@@ -2290,12 +2290,12 @@ fn instant(tag: u64, now: SimTime, result: Result<OpOutput, BlobError>) -> Compl
     Completion { tag, result, started: now, finished: now, bytes: 0 }
 }
 
-/// The contiguous buffer of a multi-page one-shot read: allocated
-/// once at its final size, each page's bytes copied once to their
-/// place, holes zero-filled in place. A chunk shorter than its page
-/// reads as zero-extended to the page: what its writer declared
-/// with [`ClientOp::FeedZeros`] is filled in here, in place. Returns
-/// the buffer and how many bytes were copied into it.
+/// The contiguous buffer of a one-shot read whose pages do not join
+/// into one view: allocated once at its final size, each page's bytes
+/// copied once to their place, holes zero-filled in place. A chunk
+/// shorter than its page reads as zero-extended to the page: what its
+/// writer declared with [`ClientOp::FeedZeros`] is filled in here, in
+/// place. Returns the buffer and how many bytes were copied into it.
 fn assemble<'a>(
     trimmed: impl Iterator<Item = (&'a Payload, usize, usize)>,
     total: usize,
