@@ -2,9 +2,10 @@
 //! construction and descent, the request path's bookkeeping (metadata
 //! version index, counters), allocation strategies, the
 //! chunk store, a blocking client call's round trip through the threaded
-//! executor, the put path's checksum and the gateway's content tag,
-//! the monitoring filters and burst cache, the policy engine, and the raw
-//! event rate of the cluster simulator.
+//! executor, the put path's checksum and the fold that derives a log
+//! frame's and a whole write's CRC from its parts', the monitoring
+//! filters and burst cache, the policy engine, and the raw event rate of
+//! the cluster simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -20,7 +21,6 @@ use sads_blob::pmanager::{
 };
 use sads_blob::provider::ChunkStore;
 use sads_blob::storage::{crc32c, crc32c_combine};
-use sads_gateway::EtagHasher;
 use sads_monitor::{ActivityKind, ActivityRecord, BurstCache, DataFilter, RateFilter};
 use sads_security::{scan, ActivityHistory, PolicySet, TrustConfig, TrustManager};
 use sads_sim::{NodeId, SimDuration, SimTime};
@@ -395,7 +395,10 @@ fn bench_chunk_store(c: &mut Criterion) {
 
 /// The checksum every put pays once, at the three buffer sizes that
 /// matter (a small_meta page, a data page, a 4 MiB write), and the
-/// combination that derives a log frame's CRC from its payload's.
+/// combination that derives a log frame's CRC from its payload's and a
+/// write's (the gateway etag) from its pages': once per cut page, whose
+/// length sets the cost (O(log len)) — a small_meta page, a data page
+/// and the largest `gateway_disk` tail.
 fn bench_crc32c(c: &mut Criterion) {
     let buf: Vec<u8> =
         (0..4u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
@@ -407,30 +410,14 @@ fn bench_crc32c(c: &mut Criterion) {
     }
     let mut g = c.benchmark_group("crc32c_combine");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("256 KiB", |b| {
-        let (a, b_crc, len) = (0x1234_5678, 0x9abc_def0, 256 << 10);
-        b.iter(|| crc32c_combine(black_box(a), black_box(b_crc), black_box(len)))
-    });
-    g.finish();
-}
-
-/// The content tag every gateway PUT computes over its body, at the
-/// median `gateway_disk` object and at the largest.
-fn bench_etag(c: &mut Criterion) {
-    let buf: Vec<u8> =
-        (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
-    for (name, len) in [("16 KiB", 16usize << 10), ("256 KiB", 256 << 10), ("1 MiB", 1 << 20)] {
-        let mut g = c.benchmark_group("etag");
-        g.throughput(Throughput::BytesDecimal(len as u64));
+    let lens = [("4 KiB", 4u64 << 10), ("256 KiB", 256 << 10), ("1 MiB + 13 B", (1 << 20) + 13)];
+    for (name, len) in lens {
         g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut h = EtagHasher::new();
-                h.update(black_box(&buf[..len]));
-                h.finish()
-            })
+            let (a, b_crc) = (0x1234_5678, 0x9abc_def0);
+            b.iter(|| crc32c_combine(black_box(a), black_box(b_crc), black_box(len)))
         });
-        g.finish();
     }
+    g.finish();
 }
 
 fn bench_monitoring(c: &mut Criterion) {
@@ -606,7 +593,6 @@ criterion_group!(
     bench_alloc,
     bench_chunk_store,
     bench_crc32c,
-    bench_etag,
     bench_monitoring,
     bench_security,
     bench_simulator,

@@ -75,7 +75,7 @@ fn stream_run(total: u64, window: usize) -> Outcome {
         h.feed(block.slice(0..take as usize)).unwrap();
         at += take;
     }
-    let version = h.commit().unwrap();
+    let (version, _) = h.commit().unwrap();
     let write_mbps = total as f64 / 1e6 / start.elapsed().as_secs_f64();
 
     let start = Instant::now();

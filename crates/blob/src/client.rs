@@ -39,7 +39,7 @@ use crate::model::{
 };
 use crate::rpc::{ChunkErr, Msg};
 use crate::services::Env;
-use crate::storage::payload_crc;
+use crate::storage::{crc32c_combine, payload_crc};
 use crate::vmanager::{WriteKind, WriteTicket};
 
 /// One chunk store as it goes on the wire: key, payload, and the
@@ -213,6 +213,9 @@ pub enum OpOutput {
         offset: u64,
         /// Byte length written.
         len: u64,
+        /// CRC-32C of the real bytes the write stored, in order: declared
+        /// zeros never stored and size-only pages add nothing.
+        crc: u32,
     },
     /// Read finished.
     Read {
@@ -652,6 +655,8 @@ struct WriteStreamSess {
     /// `client.stream_buffered_bytes` gauge.
     peak_buffered: u64,
     reallocs: u32,
+    /// CRC-32C of the real bytes cut so far, folded from the page CRCs.
+    crc: u32,
 }
 
 impl WriteStreamSess {
@@ -676,6 +681,7 @@ impl WriteStreamSess {
             fed: 0,
             peak_buffered: 0,
             reallocs: 0,
+            crc: 0,
         }
     }
 
@@ -807,7 +813,8 @@ impl WriteStreamSess {
     /// replica. The slot's descriptor takes the stored length. Each cut
     /// page is counted once in `unacked_bytes` until its last replica
     /// acks, and checksummed once here: every replica, resend and
-    /// re-allocation carries that CRC, and the providers store it.
+    /// re-allocation carries that CRC, and the providers store it. A real
+    /// page's CRC also extends the write's running CRC.
     fn enqueue(&mut self, payload: Payload) {
         let desc = &mut self.chunks[self.next_page as usize];
         if !desc.replicas.is_empty() {
@@ -815,6 +822,9 @@ impl WriteStreamSess {
             self.page_acks[self.next_page as usize] = desc.replicas.len() as u32;
             self.unacked_bytes += desc.size;
             let crc = payload_crc(&payload);
+            if let Payload::Data(b) = &payload {
+                self.crc = crc32c_combine(self.crc, crc, b.len() as u64);
+            }
             for replica in &desc.replicas {
                 self.queued.push_back((*replica, (desc.key, payload.clone(), crc)));
             }
@@ -1562,18 +1572,11 @@ impl Cx {
     }
 
     /// Send one provider's queued chunk stores as one `PutChunkBatch`
-    /// round trip. The items
-    /// are kept in the request's role so an enabled [`RetryPolicy`] can
-    /// re-send them (payloads are refcounted views — no data is copied —
-    /// and their CRCs ride along, so no resend checksums again); the
-    /// policy also arms the per-RPC deadline here.
-    fn put_chunks(
-        &mut self,
-        aw: &mut Awaited,
-        to: NodeId,
-        items: Vec<PutItem>,
-        env: &mut dyn Env,
-    ) {
+    /// round trip. The items are kept in the request's role so an enabled
+    /// [`RetryPolicy`] can re-send them (payloads are refcounted views —
+    /// no data is copied — and their CRCs ride along, so no resend
+    /// checksums again); the policy also arms the per-RPC deadline here.
+    fn put_chunks(&mut self, aw: &mut Awaited, to: NodeId, items: Vec<PutItem>, env: &mut dyn Env) {
         let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts: 1 };
         let req = self.reqs.issue(aw, role);
         env.send(to, Msg::PutChunkBatch { req, client: self.id, items });
@@ -1589,17 +1592,10 @@ impl Cx {
         let window = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
         while aw.reqs.len() < window && !w.queued.is_empty() {
             let target = w.queued.front().expect("non-empty").0;
-            let mut items: Vec<PutItem> = Vec::new();
-            let mut rest = std::collections::VecDeque::new();
-            for (t, item) in w.queued.drain(..) {
-                if t == target {
-                    items.push(item);
-                } else {
-                    rest.push_back((t, item));
-                }
-            }
-            w.queued = rest;
-            self.put_chunks(aw, target, items, env);
+            let (mine, rest): (Vec<_>, Vec<_>) =
+                std::mem::take(&mut w.queued).into_iter().partition(|(t, _)| *t == target);
+            w.queued = rest.into();
+            self.put_chunks(aw, target, mine.into_iter().map(|(_, item)| item).collect(), env);
         }
     }
 
@@ -1915,7 +1911,7 @@ impl Cx {
             (WStreamPhase::Commit, Msg::CommitOk { version, .. }) => {
                 let ticket = w.ticket.as_ref().expect("ticket set");
                 let (offset, len) = (ticket.offset, ticket.len);
-                let written = OpOutput::Written { blob: w.blob, version, offset, len };
+                let written = OpOutput::Written { blob: w.blob, version, offset, len, crc: w.crc };
                 StreamStep::Finish(Ok(written), len)
             }
             (WStreamPhase::Commit, Msg::TicketErr { err, .. }) => StreamStep::Finish(Err(err), 0),
@@ -2818,7 +2814,69 @@ mod tests {
 
         env.sent.push((to, moved));
         let (_, done) = serve(&mut c, &mut env, pages, page, &[], None);
-        assert!(matches!(done[0].result, Ok(OpOutput::Written { .. })), "{:?}", done[0].result);
+        let Ok(OpOutput::Written { crc, .. }) = done[0].result else {
+            panic!("{:?}", done[0].result)
+        };
+        assert_eq!(crc, crate::storage::crc32c(&bytes), "the resends leave the write's CRC alone");
+    }
+
+    /// `Written.crc` is the CRC-32C of the bytes the write stored, in
+    /// order, whatever cut them into pages and however many replicas hold
+    /// each page: a declared-zero tail adds nothing, and an empty object
+    /// reads the CRC of no bytes.
+    #[test]
+    fn written_crc_is_the_crc32c_of_the_stored_bytes() {
+        let page = 8u64;
+        let bytes = Bytes::from((1..=32u8).collect::<Vec<u8>>());
+        let shapes = [
+            ("one-shot", None, 4u64),
+            ("sub-page feeds", Some(vec![0..3, 3..11, 11..20, 20..32]), 4),
+            ("declared-zero tail", Some(vec![0..5, 5..21]), 4),
+            ("empty", Some(vec![]), 1),
+        ];
+        for (shape, feeds, pages) in shapes {
+            let fed = feeds.as_ref().map_or(bytes.len(), |f| f.last().map_or(0, |r| r.end));
+            for replicas in 1..=3 {
+                let (mut env, mut c) = (TestEnv::new(), core());
+                let (entry, data) = match feeds {
+                    None => (Entry::OneShot, Payload::Data(bytes.clone())),
+                    Some(_) => (Entry::Stream, Payload::Sim(pages * page)),
+                };
+                start_write(&mut c, &mut env, entry, data, 1);
+                let (_, Msg::Ticket { req, .. }) = env.take_sent().pop().unwrap() else { panic!() };
+                let ticket = ticket(pages, page, replicas as u32);
+                assert!(c.handle_msg(&mut env, VMAN, Msg::TicketOk { req, ticket }).is_empty());
+                let (_, Msg::Alloc { req, .. }) = env.take_sent().pop().unwrap() else { panic!() };
+                let on = [PROV_A, PROV_B, NodeId(12)][..replicas].to_vec();
+                let placement = vec![on; pages as usize];
+                let mut done = c.handle_msg(&mut env, PMAN, Msg::AllocOk { req, placement });
+                if let Some(feeds) = &feeds {
+                    let Ok(OpOutput::WriteStreamOpened { stream, .. }) = done[0].result else {
+                        panic!("{shape}: {:?}", done[0].result)
+                    };
+                    let zeros = pages * page - fed as u64;
+                    let ops = feeds
+                        .iter()
+                        .map(|r| ClientOp::FeedWriteStream {
+                            stream,
+                            data: Payload::Data(bytes.slice(r.clone())),
+                        })
+                        .chain((zeros > 0).then_some(ClientOp::FeedZeros { stream, len: zeros }))
+                        .chain([ClientOp::CommitWriteStream { stream }]);
+                    for op in ops {
+                        done = c.start_op(&mut env, op, 2);
+                        done.extend(serve(&mut c, &mut env, pages, page, &[], None).1);
+                    }
+                } else {
+                    done = serve(&mut c, &mut env, pages, page, &[], None).1;
+                }
+                let Ok(OpOutput::Written { crc, .. }) = done[0].result else {
+                    panic!("{shape}: {:?}", done[0].result)
+                };
+                let want = crate::storage::crc32c(&bytes[..fed]);
+                assert_eq!(crc, want, "{shape} at replication {replicas}");
+            }
+        }
     }
 
     #[test]

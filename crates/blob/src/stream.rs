@@ -206,11 +206,13 @@ impl BlobWriteHandle {
 
     /// Publish the stream's version. Every declared byte must have been
     /// fed. On success the handle is consumed and the new version id
-    /// returned.
-    pub fn commit(mut self) -> Result<VersionId, BlobError> {
+    /// returned, beside the CRC-32C of the bytes the stream stored
+    /// (declared zeros behind the last fed byte of a page are not
+    /// covered; see [`OpOutput::Written`]).
+    pub fn commit(mut self) -> Result<(VersionId, u32), BlobError> {
         self.done = true;
         match self.sub_op(ClientOp::CommitWriteStream { stream: self.stream })? {
-            OpOutput::Written { version, .. } => Ok(version),
+            OpOutput::Written { version, crc, .. } => Ok((version, crc)),
             _ => Err(BlobError::Protocol("wrong output for commit")),
         }
     }
@@ -465,7 +467,8 @@ mod tests {
         h.feed(data.slice(0..100)).expect("feed 1");
         h.feed(data.slice(100..PAGE as usize + 1)).expect("feed 2");
         h.feed(data.slice(PAGE as usize + 1..data.len())).expect("feed 3");
-        let v = h.commit().expect("commit");
+        let (v, crc) = h.commit().expect("commit");
+        assert_eq!(crc, crate::storage::crc32c(&data));
         let got = client.read(blob, Some(v), 0, data.len() as u64).expect("read");
         assert_eq!(got, data);
         cluster.shutdown();

@@ -131,7 +131,7 @@ proptest! {
         let streamed = c.create(BlobSpec { page_size: PAGE, replication: 1 }).unwrap();
         let mut h = c.open_write_stream(streamed, WriteKind::At(at), len, None).unwrap();
         feed_in_slices(&mut h, &data, &cuts).unwrap();
-        let vs = h.commit().unwrap();
+        let (vs, _) = h.commit().unwrap();
 
         let expect = c.read(whole, Some(vw), 0, at + len).unwrap();
         let got = c.read(streamed, Some(vs), 0, at + len).unwrap();

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sads_blob::runtime::threaded::{ClientHandle, CLIENT_GONE};
+use sads_blob::storage::crc32c_combine;
 use sads_blob::stream::BlobReadHandle;
 use sads_blob::{BlobError, BlobId, BlobSpec, ClientId, VersionId, WriteKind};
 use sads_sim::{SpanClass, SpanKind, SpanRecord, TraceCtx};
@@ -135,11 +136,14 @@ pub struct ObjectInfo {
     pub blob: BlobId,
     /// BLOB version holding the current object data.
     pub version: VersionId,
-    /// Weak content tag of the object's own bytes ([`EtagHasher`]: four
-    /// interleaved word-at-a-time mixes folded with the length; for a
-    /// multipart object, a fold of its parts' tags). Not cryptographic,
-    /// and not stable across releases that change the mix.
-    pub etag: u64,
+    /// CRC-32C (Castagnoli) of the object's own bytes — the checksum S3
+    /// also offers for an object. It costs no pass over the body: the
+    /// write session folds it from the page CRCs it cuts the body with,
+    /// and a multipart object folds its parts' CRCs in part order, so it
+    /// carries the tag a single PUT of the same bytes would. 32 bits and
+    /// not cryptographic: equal tags say "very likely the same bytes",
+    /// and nothing in the gateway compares them.
+    pub etag: u32,
 }
 
 #[derive(Debug)]
@@ -265,8 +269,8 @@ struct Multipart {
     blob: BlobId,
     /// Fixed size of every part except the last (page multiple).
     part_size: u64,
-    /// part number → (length, content tag, publishing version).
-    parts: BTreeMap<u32, (u64, u64, VersionId)>,
+    /// part number → (length, CRC-32C, publishing version).
+    parts: BTreeMap<u32, (u64, u32, VersionId)>,
     /// When the upload last made progress (created, or a part landed) —
     /// the TTL sweep's staleness clock.
     last_touched: Instant,
@@ -276,111 +280,6 @@ fn valid_name(s: &str) -> bool {
     !s.is_empty()
         && s.len() <= 255
         && s.chars().all(|c| c.is_ascii_alphanumeric() || "-._/".contains(c))
-}
-
-/// Incremental weak content tag of an object body, at memory speed.
-///
-/// Four independent xor-rotate-multiply accumulators take one 8-byte word
-/// each of every 32-byte stripe, so the multiplies of a stripe overlap
-/// instead of waiting on one another (a single chain, which this was
-/// until PR 24, hashes at the latency of one multiply per word:
-/// 2.4 GB/s, 108 µs of a 256 KiB PUT); [`finish`](Self::finish) folds the
-/// lanes and the length into one word. Same contract as before: equality
-/// ⇔ same bytes with high probability, not cryptographic, 64 bits.
-/// Split-point independent: a 32-byte carry holds the bytes of an
-/// unfinished stripe between updates, so feeding the same bytes in any
-/// slicing produces the same tag — which is what lets the streaming PUT
-/// path hash slices as they are fed. Any one changed bit changes the
-/// tag: every step is a bijection of the lane it touches.
-#[derive(Debug, Clone)]
-pub struct EtagHasher {
-    lanes: [u64; 4],
-    /// Sub-stripe carry between updates (stream splits are arbitrary).
-    carry: [u8; Self::STRIPE],
-    carry_len: usize,
-    len: u64,
-}
-
-impl Default for EtagHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EtagHasher {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    const STRIPE: usize = 32;
-
-    /// A hasher over no bytes yet.
-    pub fn new() -> Self {
-        EtagHasher {
-            // Distinct per lane, so words that swap lanes change the tag.
-            lanes: [
-                0xcbf2_9ce4_8422_2325,
-                0x9e37_79b9_7f4a_7c15,
-                0xc2b2_ae3d_27d4_eb4f,
-                0x1656_67b1_9e37_79f9,
-            ],
-            carry: [0; Self::STRIPE],
-            carry_len: 0,
-            len: 0,
-        }
-    }
-
-    #[inline(always)]
-    fn mix(h: u64, word: u64) -> u64 {
-        (h ^ word).rotate_left(23).wrapping_mul(Self::K)
-    }
-
-    /// Mix whole stripes; `stripes.len()` is a multiple of the stripe.
-    #[inline]
-    fn mix_stripes(lanes: &mut [u64; 4], stripes: &[u8]) {
-        let word = |s: &[u8], i: usize| {
-            u64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8-byte word"))
-        };
-        // Locals, so the four chains live in registers across the loop.
-        let [mut a, mut b, mut c, mut d] = *lanes;
-        for s in stripes.chunks_exact(Self::STRIPE) {
-            a = Self::mix(a, word(s, 0));
-            b = Self::mix(b, word(s, 1));
-            c = Self::mix(c, word(s, 2));
-            d = Self::mix(d, word(s, 3));
-        }
-        *lanes = [a, b, c, d];
-    }
-
-    /// Hash the next bytes of the body.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.len += data.len() as u64;
-        if self.carry_len > 0 {
-            let take = (Self::STRIPE - self.carry_len).min(data.len());
-            self.carry[self.carry_len..self.carry_len + take].copy_from_slice(&data[..take]);
-            self.carry_len += take;
-            data = &data[take..];
-            if self.carry_len < Self::STRIPE {
-                return;
-            }
-            Self::mix_stripes(&mut self.lanes, &self.carry);
-            self.carry_len = 0;
-        }
-        let whole = data.len() - data.len() % Self::STRIPE;
-        Self::mix_stripes(&mut self.lanes, &data[..whole]);
-        let rest = &data[whole..];
-        self.carry[..rest.len()].copy_from_slice(rest);
-        self.carry_len = rest.len();
-    }
-
-    /// The tag of everything hashed so far.
-    pub fn finish(mut self) -> u64 {
-        if self.carry_len > 0 {
-            // Zero-filled to a stripe; the length below tells a short
-            // tail from one that really ended in zeros.
-            self.carry[self.carry_len..].fill(0);
-            Self::mix_stripes(&mut self.lanes, &self.carry);
-        }
-        let h = self.lanes.iter().fold(self.len, |h, lane| Self::mix(h, *lane));
-        h ^ (h >> 32)
-    }
 }
 
 impl ObjectGateway {
@@ -706,8 +605,8 @@ impl ObjectGateway {
         };
         let size = data.len() as u64;
         // At least one page so empty objects still publish a version.
-        let (version, tag) = self.stream_in(blob, WriteKind::At(0), data, 1, trace)?;
-        let info = ObjectInfo { key: key.to_owned(), size, blob, version, etag: tag };
+        let (version, crc) = self.stream_in(blob, WriteKind::At(0), data, 1, trace)?;
+        let info = ObjectInfo { key: key.to_owned(), size, blob, version, etag: crc };
         let mut b = self.buckets.lock();
         let bucket_ref = b.get_mut(bucket).ok_or(GatewayError::NoSuchBucket)?;
         bucket_ref.objects.insert(key.to_owned(), info.clone());
@@ -721,13 +620,13 @@ impl ObjectGateway {
     /// Stream `data` into `blob` through a bounded-memory write handle:
     /// pages ship through the pipelined chunk path as they are fed (the
     /// client cell never buffers more than `chunk_window × page_size`
-    /// bytes) as views of `data`, and the content tag is hashed over the
-    /// same bytes. A BLOB write covers whole pages, so the rest of the
-    /// last page — a whole page for an empty object, which still has to
-    /// publish a version — is declared zeros rather than supplied: the
-    /// last chunk is stored at the length of the object's tail and reads
-    /// zero-extend it. Returns the published version and the etag of the
-    /// object's own bytes.
+    /// bytes) as views of `data`. A BLOB write covers whole pages, so the
+    /// rest of the last page — a whole page for an empty object, which
+    /// still has to publish a version — is declared zeros rather than
+    /// supplied: the last chunk is stored at the length of the object's
+    /// tail and reads zero-extend it. Returns the published version and
+    /// the CRC-32C of the object's own bytes, which the commit folds from
+    /// its page CRCs: the body is read once.
     fn stream_in(
         &self,
         blob: BlobId,
@@ -735,18 +634,16 @@ impl ObjectGateway {
         data: Bytes,
         min_pages: u64,
         trace: Option<TraceCtx>,
-    ) -> Result<(VersionId, u64), GatewayError> {
+    ) -> Result<(VersionId, u32), GatewayError> {
         let size = data.len() as u64;
         let page = self.cfg.page_size;
         let pages = size.div_ceil(page).max(min_pages);
-        let mut tag = EtagHasher::new();
-        tag.update(&data);
         let mut h = self.client().open_write_stream(blob, kind, pages * page, trace)?;
         h.feed(data)?;
         h.feed_zeros(pages * page - size)?;
-        let version = h.commit()?;
+        let committed = h.commit()?;
         self.clients[0].telemetry().inc("gateway.put_stream_chunks", &[], pages);
-        Ok((version, tag.finish()))
+        Ok(committed)
     }
 
     /// Fetch an object's full contents.
@@ -1046,11 +943,11 @@ impl ObjectGateway {
             // Stream the part into the blob at its slot: a short last part
             // ends in a chunk of its true length (the rest of that page is
             // declared zeros); nothing is buffered in the uploads map.
-            let (version, tag) = self.stream_in(blob, WriteKind::At(offset), data, 0, trace)?;
+            let (version, crc) = self.stream_in(blob, WriteKind::At(offset), data, 0, trace)?;
             let mut u = self.uploads.lock();
             let up = u.get_mut(&upload_id).ok_or(GatewayError::NoSuchUpload)?;
             debug_assert_eq!(up.part_size, part_size);
-            up.parts.insert(part_number, (size, tag, version));
+            up.parts.insert(part_number, (size, crc, version));
             up.last_touched = Instant::now();
             Ok(())
         })
@@ -1079,17 +976,17 @@ impl ObjectGateway {
                 return Err(GatewayError::InvalidPart);
             }
             let mut size = 0u64;
-            let mut tag = 0xcbf2_9ce4_8422_2325u64;
+            let mut crc = 0;
             let mut version = VersionId(0);
-            for (num, (len, part_tag, part_version)) in &up.parts {
+            for (num, (len, part_crc, part_version)) in &up.parts {
                 if *num != n && *len != up.part_size {
                     return Err(GatewayError::InvalidPart);
                 }
                 size += len;
-                tag = tag.rotate_left(13) ^ part_tag;
+                crc = crc32c_combine(crc, *part_crc, *len);
                 version = version.max(*part_version);
             }
-            let info = ObjectInfo { key: up.key.clone(), size, blob: up.blob, version, etag: tag };
+            let info = ObjectInfo { key: up.key.clone(), size, blob: up.blob, version, etag: crc };
             let bucket_ref = b.get_mut(&up.bucket).ok_or(GatewayError::NoSuchBucket)?;
             let up = u.remove(&upload_id).expect("present");
             bucket_ref.objects.insert(up.key, info.clone());

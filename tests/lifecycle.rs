@@ -489,7 +489,7 @@ mod scrub_e2e {
         }
         h.feed_zeros(PAGE).expect("zeros");
         image.resize((PAGES * PAGE) as usize, 0);
-        let version = h.commit().expect("commit");
+        let (version, _) = h.commit().expect("commit");
         let stored = 2 * (PAGES - 1) * TAIL;
         let used = |cluster: &Cluster| {
             cluster.telemetry().snapshot().gauge_total("provider.store_bytes")

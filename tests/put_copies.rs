@@ -15,16 +15,18 @@
 //! * pointer identity: what a ranged GET hands back for either chunk is
 //!   the PUT body's own allocation, so no payload byte was copied at all.
 //!
-//! The etag half: [`EtagHasher`] gives the same tag for the same bytes
-//! however they are sliced into `update` calls, and a different tag when
-//! any one bit differs.
+//! The etag half: the etag is the CRC-32C of the object's bytes, which
+//! the write session folds from the page CRCs it cuts the body with, so
+//! the body is read once. A whole PUT and a multipart upload of the same
+//! bytes carry the same etag, `crc32c(body)`, and a body one bit, one
+//! byte or one zero away carries another.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use sads::blob::runtime::threaded::ClusterBuilder;
-use sads::blob::storage::BackendSpec;
+use sads::blob::storage::{crc32c, BackendSpec};
 use sads::blob::ClientId;
-use sads::gateway::{Acl, EtagHasher, GatewayConfig, ObjectGateway};
+use sads::gateway::{Acl, GatewayConfig, ObjectGateway};
 
 mod common;
 use common::{requested_during, SERIAL};
@@ -34,6 +36,9 @@ static ALLOCATOR: common::Counting = common::Counting;
 
 const PAGE: u64 = 256 * 1024;
 const TAIL: usize = 13;
+/// Page size of the etag cases' gateway: bodies of up to 5 000 B span
+/// up to twenty pages.
+const SMALL_PAGE: u64 = 256;
 
 fn body(len: usize, seed: u8) -> Bytes {
     Bytes::from((0..len).map(|i| (i as u8).wrapping_mul(29) ^ seed | 1).collect::<Vec<u8>>())
@@ -83,36 +88,55 @@ fn a_put_allocates_no_page_and_copies_no_payload() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn etag(slices: &[&[u8]]) -> u64 {
-    let mut h = EtagHasher::new();
-    for s in slices {
-        h.update(s);
-    }
-    h.finish()
+/// Run `f` against a gateway over a fresh in-memory cluster with
+/// 256-byte pages, holding `SERIAL`: the cluster's threads are gone
+/// before the allocation gate above can run.
+fn with_gateway<T>(f: impl FnOnce(&ObjectGateway) -> T) -> T {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cluster =
+        ClusterBuilder::new().data_providers(2).meta_providers(1).provider_capacity(64 << 20).start();
+    let gw = ObjectGateway::new(
+        cluster.client(ClientId(1000)),
+        GatewayConfig { page_size: SMALL_PAGE, replication: 1, ..Default::default() },
+    );
+    gw.create_bucket(ClientId(1), "e", Acl::Private).expect("bucket");
+    let out = f(&gw);
+    cluster.shutdown();
+    out
+}
+
+fn put_etag(gw: &ObjectGateway, data: &[u8]) -> u32 {
+    gw.put_object(ClientId(1), "e", "k", Bytes::from(data.to_vec())).expect("put").etag
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Lengths around the 32-byte stripe and its 8-byte words, cut at
-    /// random points — including empty slices and cuts inside the carry.
+    /// One body PUT whole and uploaded as parts of `pages` pages each
+    /// (the last one short), the parts sent last first: one etag,
+    /// `crc32c(body)`.
     #[test]
     fn etag_is_the_same_however_the_bytes_are_sliced(
-        len in prop_oneof![0usize..100, 100usize..5000],
+        len in prop_oneof![1usize..600, 600usize..5000],
         seed in 0u8..255,
-        cuts in prop::collection::vec(0.0f64..1.0, 0..12),
+        pages in 1u64..6,
     ) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let data = body(len, seed);
-        let mut at: Vec<usize> = cuts.iter().map(|c| (c * (len + 1) as f64) as usize).collect();
-        at.extend([0, len]);
-        at.sort_unstable();
-        let slices: Vec<&[u8]> = at.windows(2).map(|w| &data[w[0]..w[1]]).collect();
-        prop_assert_eq!(etag(&slices), etag(&[&data]), "len {}, cuts {:?}", len, &at);
+        let part = (pages * SMALL_PAGE) as usize;
+        let (whole, multipart) = with_gateway(|gw| {
+            let id = gw.create_multipart(ClientId(1), "e", "m", part as u64).expect("create");
+            for i in (0..len.div_ceil(part)).rev() {
+                let slice = data.slice(i * part..len.min((i + 1) * part));
+                gw.upload_part(ClientId(1), id, i as u32 + 1, slice).expect("part");
+            }
+            (put_etag(gw, &data), gw.complete_multipart(ClientId(1), id).expect("complete").etag)
+        });
+        prop_assert_eq!(whole, crc32c(&data), "len {}", len);
+        prop_assert_eq!(multipart, whole, "len {}, parts of {}", len, part);
     }
 
-    /// Any one flipped bit, a dropped last byte and an appended zero all
-    /// change the tag.
+    /// PUTs of the body with one bit flipped, with its last byte dropped
+    /// and with a zero appended all carry another etag.
     #[test]
     fn etag_differs_when_one_bit_does(
         len in prop_oneof![1usize..100, 100usize..5000],
@@ -120,15 +144,17 @@ proptest! {
         where_ in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let data = body(len, seed).to_vec();
-        let tag = etag(&[&data]);
+        let at = (where_ * len as f64) as usize;
         let mut flipped = data.clone();
-        flipped[(where_ * len as f64) as usize] ^= 1 << bit;
-        prop_assert!(etag(&[&flipped]) != tag, "flip at {} of {len}", (where_ * len as f64) as usize);
-        prop_assert!(etag(&[&data[..len - 1]]) != tag, "dropped last byte of {len}");
+        flipped[at] ^= 1 << bit;
         let mut longer = data.clone();
         longer.push(0);
-        prop_assert!(etag(&[&longer]) != tag, "appended zero to {len}");
+        let [tag, flip, short, long] = with_gateway(|gw| {
+            [&data[..], &flipped, &data[..len - 1], &longer].map(|b| put_etag(gw, b))
+        });
+        prop_assert!(flip != tag, "flip at {at} of {len}");
+        prop_assert!(short != tag, "dropped last byte of {len}");
+        prop_assert!(long != tag, "appended zero to {len}");
     }
 }

@@ -112,7 +112,7 @@ fn streamed_write_publishes_through_a_provider_death() {
     h.feed(data.slice(0..cut)).expect("feed before the crash");
     cluster.kill(cluster.data[1]);
     h.feed(data.slice(cut..data.len())).expect("feed across the crash");
-    let v = h.commit().expect("commit publishes through re-allocation");
+    let (v, _) = h.commit().expect("commit publishes through re-allocation");
 
     let m = cluster.metrics();
     assert!(m.counter("client.rpc_retries") > 0, "same-target retry never ran");
@@ -174,46 +174,15 @@ fn two_hundred_fifty_six_clients_complete_without_deadlock() {
     cluster.shutdown();
 }
 
+/// The simulated twin is bit-for-bit deterministic by seed, the property
+/// every experiment in EXPERIMENTS.md leans on. `tests/golden_wire.rs`
+/// pins it against constants; this replays E1's deployment, small.
 #[test]
 fn deterministic_simulated_twin_runs_identically() {
-    // The simulated deployment is bit-for-bit deterministic by seed —
-    // the property every experiment in EXPERIMENTS.md leans on.
-    use sads::blob::runtime::sim::{BlobRef, ScriptStep};
-    use sads::blob::WriteKind;
-    use sads::{Deployment, DeploymentConfig};
-    use sads_sim::{SimTime, World};
-
-    fn run() -> (u64, Vec<(u64, f64)>) {
-        let mut d = Deployment::build(World::with_seed(12345), DeploymentConfig {
-            data_providers: 8,
-            meta_providers: 2,
-            ..DeploymentConfig::default()
-        });
-        let spec = BlobSpec { page_size: 1 << 20, replication: 2 };
-        for i in 0..4u64 {
-            d.add_client(
-                ClientId(1 + i),
-                vec![
-                    ScriptStep::Create(spec),
-                    ScriptStep::WaitUntil(SimTime(2_000_000_000)),
-                    ScriptStep::Write {
-                        blob: BlobRef::Created(0),
-                        kind: WriteKind::Append,
-                        bytes: 64 << 20,
-                    },
-                ],
-                "c",
-            );
-        }
+    let run = || {
+        let mut d = sads_bench::e1::deploy(8, 12345, 4, false);
         d.world.run_for(SimDuration::from_secs(60), 10_000_000);
-        let series = d
-            .world
-            .metrics()
-            .series("c.write_mbps")
-            .iter()
-            .map(|s| (s.at.as_nanos(), s.value))
-            .collect();
-        (d.world.events_processed(), series)
-    }
+        (d.world.events_processed(), d.world.event_digest())
+    };
     assert_eq!(run(), run());
 }

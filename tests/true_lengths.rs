@@ -25,11 +25,12 @@ use proptest::prelude::*;
 use sads::blob::runtime::sim::{bare, SimEnv};
 use sads::blob::runtime::threaded::{ClientHandle, ClusterBuilder};
 use sads::blob::services::DataProviderService;
+use sads::blob::storage::crc32c;
 use sads::blob::{
     BlobError, BlobId, BlobSpec, ClientConfig, ClientCore, ClientId, ClientOp, Completion,
     OpOutput, Payload, WriteKind,
 };
-use sads::gateway::{Acl, EtagHasher, GatewayConfig, ObjectGateway};
+use sads::gateway::{Acl, GatewayConfig, ObjectGateway};
 use sads_sim::{Actor, Ctx, Message, MessageExt, NodeConfig, NodeId, SimDuration, World};
 
 const PAGE: u64 = 4096;
@@ -92,12 +93,6 @@ fn object_size(which: u8, k: u64) -> usize {
     }) as usize
 }
 
-fn etag_of(data: &[u8]) -> u64 {
-    let mut h = EtagHasher::new();
-    h.update(data);
-    h.finish()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -118,7 +113,7 @@ proptest! {
         let info = gw.put_object(ALICE, BUCKET, &key, data.clone()).unwrap();
         prop_assert_eq!(info.size, size as u64);
         prop_assert_eq!(info.blob, old_info.blob);
-        prop_assert_eq!(info.etag, etag_of(&data));
+        prop_assert_eq!(info.etag, crc32c(&data));
         prop_assert_eq!(gw.head_object(ALICE, BUCKET, &key).unwrap(), info.clone());
 
         // Whole GET, one-shot and streamed.
@@ -316,7 +311,7 @@ proptest! {
                 prop_assert_eq!(h.fed(), at as u64);
             }
             prop_assert_eq!(h.remaining(), 0);
-            versions.push((blob, h.commit().unwrap()));
+            versions.push((blob, h.commit().unwrap().0));
         }
         for (blob, version) in versions {
             let got = c.read(blob, Some(version), 0, declared).unwrap();
@@ -403,7 +398,7 @@ fn declared_zeros_count_toward_the_declared_length_exactly() {
     h.feed_zeros(0).expect("no zeros");
     h.feed(body(13, 1)).expect("feed");
     h.feed_zeros(2 * PAGE - 13).expect("zeros");
-    let v = h.commit().expect("commit");
+    let (v, _) = h.commit().expect("commit");
     let mut want = body(13, 1).to_vec();
     want.resize(2 * PAGE as usize, 0);
     assert_eq!(c.read(blob, Some(v), 0, 2 * PAGE).expect("read"), want);
