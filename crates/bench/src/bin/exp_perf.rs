@@ -5,7 +5,7 @@
 //! 1. **Threaded blob layer** — aggregate write and read throughput with
 //!    1–64 concurrent clients against an 8-provider cluster (real threads,
 //!    real bytes).
-//! 2. **S3 gateway** — aggregate PUT/GET throughput at a fixed concurrency.
+//! 2. **S3 gateway** — aggregate PUT/GET throughput at 1 and 8 clients.
 //! 3. **Simulation engine** — events per wall-clock second replaying the
 //!    E1 intrusiveness workload (§IV-B of the paper) with full monitoring.
 //!
@@ -29,10 +29,11 @@
 //! `"policy": "best"`).
 //!
 //! Each sweep row also records per-round **memory-state attribution**
-//! (`proc.minflt` / `proc.majflt` deltas and the RSS high-water mark read
-//! from `/proc/self/stat`), so a slow round that coincides with a
-//! major-fault spike is identifiable as host paging rather than a code
-//! regression — the mechanism behind the bistable read@256 points.
+//! (`proc.minflt` / `proc.majflt` deltas, so a slow round with a
+//! major-fault spike reads as host paging — the bistable read@256
+//! points — not a code regression; the process RSS before the row, and
+//! the row's live peak: RSS after its writes and after its reads, while
+//! its cluster holds its chunks).
 //!
 //! `--smoke` runs a tiny sweep for CI, writes `results/BENCH_smoke.json`,
 //! exits non-zero if read throughput at 8 clients regressed more than
@@ -84,14 +85,15 @@ fn sample<F: FnMut() -> (f64, f64)>(mut f: F, repeats: usize) -> (Stats, Stats) 
     (summarize(a), summarize(b))
 }
 
-/// Memory-state deltas across one measured run, read from
-/// `/proc/self/stat`: when a point is slow *and* `majflt` moved, the
-/// host was paging — the round's verdict is "memory state", not "code".
+/// Memory state of one measured run, read from `/proc/self`: when a
+/// point is slow *and* `majflt` moved, the host was paging. Heap that
+/// earlier rows left behind shows in `rss_before_mb`, not as the row's.
 #[derive(Clone, Copy, Default)]
 struct ProcDelta {
     minflt: u64,
     majflt: u64,
-    rss_mb: f64,
+    rss_before_mb: f64,
+    rss_live_mb: f64,
 }
 
 /// Aggregate threaded write+read MB/s with `clients` concurrent client
@@ -148,6 +150,7 @@ fn threaded_run(
         }
     }
     let write_mbps = write_bytes / 1e6 / start.elapsed().as_secs_f64();
+    let live_after_writes = sampler.sample().map_or(0, |s| s.rss_bytes);
 
     // Reads: every client reads its blob back in OP_SIZE chunks.
     let start = Instant::now();
@@ -163,12 +166,13 @@ fn threaded_run(
     }
     let read_mbps = read_bytes / 1e6 / start.elapsed().as_secs_f64();
 
-    cluster.shutdown();
     let after = sampler.sample().unwrap_or_default();
+    cluster.shutdown();
     let proc = ProcDelta {
         minflt: after.minflt.saturating_sub(before.minflt),
         majflt: after.majflt.saturating_sub(before.majflt),
-        rss_mb: sampler.rss_hwm_bytes() as f64 / 1e6,
+        rss_before_mb: before.rss_bytes as f64 / 1e6,
+        rss_live_mb: live_after_writes.max(after.rss_bytes) as f64 / 1e6,
     };
     (write_mbps, read_mbps, proc)
 }
@@ -322,7 +326,8 @@ fn threaded_sweep(configs: &[usize], repeats: usize) -> (String, Option<f64>, Op
         "read_med",
         "read_min",
         "majflt",
-        "rss_hwm_MB"
+        "rss_before_MB",
+        "rss_live_MB"
     ]];
     let mut json = String::from("[");
     let mut write_at_8 = None;
@@ -338,7 +343,7 @@ fn threaded_sweep(configs: &[usize], repeats: usize) -> (String, Option<f64>, Op
         // not a code regression — the arrays keep rounds distinguishable.
         let procs = &proc_rounds[i];
         let majflt_max = procs.iter().map(|p| p.majflt).max().unwrap_or(0);
-        let rss_max = procs.iter().map(|p| p.rss_mb).fold(0.0, f64::max);
+        let max = |f: fn(&ProcDelta) -> f64| procs.iter().map(f).fold(0.0, f64::max);
         rows.push(row![
             clients,
             format!("{:.0}", w.best),
@@ -346,7 +351,8 @@ fn threaded_sweep(configs: &[usize], repeats: usize) -> (String, Option<f64>, Op
             format!("{:.0}", r.median),
             format!("{:.0}", r.min),
             majflt_max,
-            format!("{:.0}", rss_max)
+            format!("{:.0}", max(|p| p.rss_before_mb)),
+            format!("{:.0}", max(|p| p.rss_live_mb))
         ]);
         if i > 0 {
             json.push(',');
@@ -358,7 +364,8 @@ fn threaded_sweep(configs: &[usize], repeats: usize) -> (String, Option<f64>, Op
             "\n    {{\"clients\": {clients}, \"write_mbps\": {:.1}, \"read_mbps\": {:.1}, \
              \"write_med\": {:.1}, \"write_min\": {:.1}, \
              \"read_med\": {:.1}, \"read_min\": {:.1}, \
-             \"proc\": {{\"minflt\": [{}], \"majflt\": [{}], \"rss_hwm_mb\": [{}]}}}}",
+             \"proc\": {{\"minflt\": [{}], \"majflt\": [{}], \"rss_before_mb\": [{}], \
+             \"rss_live_mb\": [{}]}}}}",
             w.best,
             r.best,
             w.median,
@@ -367,7 +374,8 @@ fn threaded_sweep(configs: &[usize], repeats: usize) -> (String, Option<f64>, Op
             r.min,
             joined(&|p| p.minflt.to_string()),
             joined(&|p| p.majflt.to_string()),
-            joined(&|p| format!("{:.0}", p.rss_mb)),
+            joined(&|p| format!("{:.0}", p.rss_before_mb)),
+            joined(&|p| format!("{:.0}", p.rss_live_mb)),
         ));
     }
     json.push_str("\n  ]");
@@ -501,11 +509,16 @@ fn main() {
     let (threaded_json, _, _) =
         threaded_sweep(&[1usize, 2, 4, 8, 16, 32, 64, 128, 256], REPEATS);
 
-    let (put, get) = sample(|| gateway_run(8), REPEATS);
-    println!(
-        "\ngateway (8 clients): PUT {:.0} MB/s, GET {:.0} MB/s (med {:.0}, min {:.0})",
-        put.best, get.best, get.median, get.min
-    );
+    let gateway = [1, 8].map(|n| {
+        let (put, get) = sample(|| gateway_run(n), REPEATS);
+        let row = format!(
+            "{{\"clients\": {n}, \"put_mbps\": {:.1}, \"put_med\": {:.1}, \"put_min\": {:.1}, \
+             \"get_mbps\": {:.1}, \"get_med\": {:.1}, \"get_min\": {:.1}}}",
+            put.best, put.median, put.min, get.best, get.median, get.min
+        );
+        println!("\ngateway, MB/s best, median and min: {row}");
+        row
+    });
 
     let eps = {
         let mut xs = Vec::new();
@@ -526,10 +539,9 @@ fn main() {
     let json = format!(
         "{{\n  \"repeats\": {REPEATS}, \"policy\": \"best\",\n  \
          \"threaded\": {threaded_json},\n  \
-         \"gateway\": {{\"clients\": 8, \"put_mbps\": {:.1}, \"get_mbps\": {:.1}, \
-         \"get_med\": {:.1}, \"get_min\": {:.1}}},\n  \
+         \"gateway\": [\n    {}\n  ],\n  \
          \"sim_e1\": {{\"events_per_sec\": {:.0}, \"eps_med\": {:.0}, \"eps_min\": {:.0}}}\n}}\n",
-        put.best, get.best, get.median, get.min, eps.best, eps.median, eps.min
+        gateway.join(",\n    "), eps.best, eps.median, eps.min
     );
     std::fs::write("BENCH_perf.json", &json).expect("write BENCH_perf.json");
     println!("  -> wrote BENCH_perf.json");

@@ -36,8 +36,7 @@ static ALLOCATOR: common::Counting = common::Counting;
 
 const PAGE: u64 = 256 * 1024;
 const TAIL: usize = 13;
-/// Page size of the etag cases' gateway: bodies of up to 5 000 B span
-/// up to twenty pages.
+/// Page size of the etag cases' gateway: 5 000 B span twenty pages.
 const SMALL_PAGE: u64 = 256;
 
 fn body(len: usize, seed: u8) -> Bytes {
@@ -148,8 +147,7 @@ proptest! {
         let at = (where_ * len as f64) as usize;
         let mut flipped = data.clone();
         flipped[at] ^= 1 << bit;
-        let mut longer = data.clone();
-        longer.push(0);
+        let longer = [&data[..], &[0]].concat();
         let [tag, flip, short, long] = with_gateway(|gw| {
             [&data[..], &flipped, &data[..len - 1], &longer].map(|b| put_etag(gw, b))
         });
