@@ -213,8 +213,7 @@ pub enum OpOutput {
         offset: u64,
         /// Byte length written.
         len: u64,
-        /// CRC-32C of the real bytes the write stored, in order: declared
-        /// zeros never stored and size-only pages add nothing.
+        /// CRC-32C of the real bytes stored, in order; declared zeros add nothing.
         crc: u32,
     },
     /// Read finished.
@@ -1592,10 +1591,17 @@ impl Cx {
         let window = if self.cfg.chunk_window == 0 { usize::MAX } else { self.cfg.chunk_window };
         while aw.reqs.len() < window && !w.queued.is_empty() {
             let target = w.queued.front().expect("non-empty").0;
-            let (mine, rest): (Vec<_>, Vec<_>) =
-                std::mem::take(&mut w.queued).into_iter().partition(|(t, _)| *t == target);
-            w.queued = rest.into();
-            self.put_chunks(aw, target, mine.into_iter().map(|(_, item)| item).collect(), env);
+            let mut items: Vec<PutItem> = Vec::new();
+            let mut rest = std::collections::VecDeque::new();
+            for (t, item) in w.queued.drain(..) {
+                if t == target {
+                    items.push(item);
+                } else {
+                    rest.push_back((t, item));
+                }
+            }
+            w.queued = rest;
+            self.put_chunks(aw, target, items, env);
         }
     }
 
@@ -1809,16 +1815,13 @@ impl Cx {
                 }
             }
             (WStreamPhase::Streaming | WStreamPhase::Draining, Msg::PutChunkErr { err, .. }) => {
-                if err == ChunkErr::Blocked {
-                    return fail(parked, BlobError::Blocked(client));
-                }
                 let retry = self.cfg.retry;
+                if err == ChunkErr::Blocked || !retry.enabled() {
+                    return fail(parked, chunk_err(err, client));
+                }
                 let ReqRole::ChunkPut { target, items, attempts } = role else {
                     return fail(parked, chunk_err(err, client));
                 };
-                if !retry.enabled() {
-                    return fail(parked, chunk_err(err, client));
-                }
                 if err != ChunkErr::Full && attempts < retry.max_attempts {
                     env.incr("client.rpc_retries", 1);
                     let role = ReqRole::ChunkPut { target, items, attempts: attempts + 1 };
