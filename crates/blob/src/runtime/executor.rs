@@ -73,6 +73,15 @@ enum Runs {
 
 thread_local! {
     static RUNS: std::cell::Cell<Runs> = const { std::cell::Cell::new(Runs::Nothing) };
+    /// The batch a turn drains its cell's mailbox into, reused by every
+    /// turn the thread runs (turns never nest on one thread).
+    static BATCH: std::cell::RefCell<Vec<Envelope>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Clock readings made on this thread, so tests can count what a turn pays.
+#[cfg(test)]
+thread_local! {
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// What travels between cells.
@@ -83,7 +92,8 @@ pub(crate) enum Envelope {
         /// Causal context of the sender's operation, if tracing is on.
         trace: Option<TraceCtx>,
         /// Wall-clock send time (ns since cluster start), so the receiver
-        /// can attribute mailbox queueing delay to the trace.
+        /// can attribute mailbox queueing delay to the trace: the start of
+        /// the sender's turn, or the exact time when the cluster traces.
         sent_ns: u64,
     },
     Op {
@@ -128,6 +138,10 @@ struct NodeState {
     kind: NodeKind,
     timers: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     rng: SmallRng,
+    /// The time this cell's callbacks see: the latest clock reading of its
+    /// turns, raised to the send time of any envelope it handles, so it
+    /// never runs backwards and never precedes a message's send.
+    clock: u64,
 }
 
 /// One multiplexed node: mailbox + state machine + scheduling flag.
@@ -272,9 +286,32 @@ pub(crate) struct ExecShared {
 }
 
 impl ExecShared {
+    /// `n` shards with no worker yet: [`Executor::start`] spawns them.
+    fn new(
+        n: usize,
+        start: Instant,
+        telem: Arc<TelemetryRegistry>,
+        sink: Option<Arc<SpanSink>>,
+        recorder: Option<Arc<FlightRecorder>>,
+    ) -> Self {
+        ExecShared {
+            slots: RwLock::new(Vec::new()),
+            shards: (0..n).map(|_| Shard::new()).collect(),
+            stats: (0..n).map(|w| ShardStats::new(&telem, w)).collect(),
+            running: AtomicBool::new(true),
+            start,
+            telem,
+            sink,
+            recorder,
+            next_seed: AtomicU64::new(1),
+        }
+    }
+
     /// Wall-clock nanoseconds since the cluster started: the clock every
     /// span and timer of the cluster is stamped with.
     pub(crate) fn now_ns(&self) -> u64 {
+        #[cfg(test)]
+        CLOCK_READS.with(|n| n.set(n.get() + 1));
         self.start.elapsed().as_nanos() as u64
     }
 
@@ -430,8 +467,9 @@ impl ExecShared {
             _ => return false,
         }
         let started = catch_unwind(AssertUnwindSafe(|| {
-            let NodeState { kind, timers, rng } = &mut *state;
+            let NodeState { kind, timers, rng, clock } = &mut *state;
             if let NodeKind::Service(service) = kind {
+                *clock = self.now_ns();
                 let mut env = ExecEnv {
                     id: cell.id,
                     shared: self,
@@ -439,6 +477,7 @@ impl ExecShared {
                     rng,
                     mailbox: &cell.mailbox,
                     current: None,
+                    now_ns: *clock,
                 };
                 service.on_start(&mut env);
             }
@@ -474,6 +513,7 @@ impl ExecShared {
                 kind,
                 timers: BinaryHeap::new(),
                 rng: SmallRng::seed_from_u64(seed),
+                clock: 0,
             }),
         })
     }
@@ -551,21 +591,10 @@ impl Helper<'_> {
         }
     }
 
-    /// Fire the shard's due timers and run its next queued cell; `false`
-    /// when nothing ran (the queue is empty or the worker is awake).
+    /// Run one turn of the shard as its helper; `false` when nothing ran
+    /// (the executor stopped, the queue is empty or the worker is awake).
     fn turn(&self) -> bool {
-        let (shared, w) = (self.shared, self.shard);
-        if !shared.running.load(Ordering::Acquire) {
-            return false;
-        }
-        fire_shard_timers(shared, w);
-        match pop_front(shared, w, true) {
-            Some(cell) => {
-                run_cell(shared, w, &cell);
-                true
-            }
-            None => false,
-        }
+        self.shared.running.load(Ordering::Acquire) && turn(self.shared, self.shard, true)
     }
 }
 
@@ -607,17 +636,7 @@ impl Executor {
         } else {
             shards.min(64)
         };
-        let shared = Arc::new(ExecShared {
-            slots: RwLock::new(Vec::new()),
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            stats: (0..n).map(|w| ShardStats::new(&telem, w)).collect(),
-            running: AtomicBool::new(true),
-            start,
-            telem,
-            sink,
-            recorder,
-            next_seed: AtomicU64::new(1),
-        });
+        let shared = Arc::new(ExecShared::new(n, start, telem, sink, recorder));
         let workers = (0..n)
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -694,6 +713,21 @@ struct ExecEnv<'a> {
     /// Causal context of the callback being handled; outgoing messages
     /// carry it so replies land in the same trace.
     current: Option<TraceCtx>,
+    /// The cell's clock for this callback (its turn's reading).
+    now_ns: u64,
+}
+
+impl ExecEnv<'_> {
+    /// The callback's time: the turn's clock reading, or a fresh one when
+    /// the cluster has a span sink, so span stamps and the stages they
+    /// attribute stay exact.
+    fn clock(&self) -> u64 {
+        if self.shared.sink.is_some() {
+            self.shared.now_ns()
+        } else {
+            self.now_ns
+        }
+    }
 }
 
 impl Env for ExecEnv<'_> {
@@ -701,17 +735,17 @@ impl Env for ExecEnv<'_> {
         self.id
     }
     fn now(&self) -> SimTime {
-        SimTime(self.shared.now_ns())
+        SimTime(self.clock())
     }
     fn send(&mut self, to: NodeId, msg: Msg) {
-        let sent_ns = self.shared.now_ns();
+        let sent_ns = self.clock();
         self.shared.send_to(
             to,
             Envelope::Msg { from: self.id, msg, trace: self.current, sent_ns },
         );
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let deadline = self.shared.now_ns() + delay.as_nanos();
+        let deadline = self.clock() + delay.as_nanos();
         self.timers.push(std::cmp::Reverse((deadline, token)));
     }
     fn rng(&mut self) -> &mut SmallRng {
@@ -776,14 +810,11 @@ fn record_net_span(
     });
 }
 
-/// Schedule every cell whose shard timer is due. The clock is read once,
-/// and only when the heap holds a timer.
-fn fire_shard_timers(shared: &ExecShared, w: usize) {
-    let mut now = None;
+/// Schedule every cell whose shard timer is due at `now_ns`.
+fn fire_shard_timers(shared: &ExecShared, w: usize, now_ns: u64) {
     loop {
         let mut th = shared.shards[w].timers.lock();
         let Some(std::cmp::Reverse(first)) = th.peek() else { return };
-        let now_ns = *now.get_or_insert_with(|| shared.now_ns());
         if first.deadline > now_ns {
             return;
         }
@@ -803,12 +834,7 @@ fn worker_loop(shared: &ExecShared, w: usize) {
     RUNS.set(Runs::Worker);
     let shard = &shared.shards[w];
     while shared.running.load(Ordering::Acquire) {
-        fire_shard_timers(shared, w);
-
-        // Own queue first, then steal from the back of a busier shard.
-        let next = pop_front(shared, w, false).or_else(|| steal(shared, w));
-        if let Some(cell) = next {
-            run_cell(shared, w, &cell);
+        if turn(shared, w, false) {
             continue;
         }
 
@@ -827,6 +853,22 @@ fn worker_loop(shared: &ExecShared, w: usize) {
             q.parked = false;
             shared.stats[w].unparks.inc(1);
         }
+    }
+}
+
+/// One turn on shard `w`: read the clock once, fire the shard's due
+/// timers, then run the front of its run queue — or, for a worker whose
+/// queue is empty, a cell stolen from the back of another shard's — with
+/// that reading. `false` when no cell ran.
+fn turn(shared: &ExecShared, w: usize, helper: bool) -> bool {
+    let now = shared.now_ns();
+    fire_shard_timers(shared, w, now);
+    match pop_front(shared, w, helper).or_else(|| if helper { None } else { steal(shared, w) }) {
+        Some(cell) => {
+            run_cell(shared, w, &cell, now);
+            true
+        }
+        None => false,
     }
 }
 
@@ -867,29 +909,27 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
 }
 
 /// Run one scheduling turn of `cell` on shard `w` (by its worker, a thief,
-/// or a helper): due timers, then batched mailbox drain up to the fairness
-/// cap.
-fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
+/// or a helper), starting at clock reading `now`: due timers, then batched
+/// mailbox drain up to the fairness cap.
+fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) {
     cell.home.store(w, Ordering::Relaxed);
     if cell.dead.load(Ordering::Acquire) {
         cell.scheduled.store(false, Ordering::Release);
         return;
     }
 
-    // The turn's start time is read only for the flight recorder.
-    let turn_start = cell.ring.as_ref().map(|_| shared.now_ns());
     let mut node = cell.node.lock();
-    let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, cell, &mut node)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, cell, &mut node, now)));
     let next_deadline = node.timers.peek().map(|std::cmp::Reverse((d, _))| *d);
     drop(node);
     let panicked = outcome.is_err();
-    let handled = outcome.unwrap_or(0);
+    let (handled, end) = outcome.unwrap_or((0, now));
     shared.stats[w].dispatch_batch.observe(handled as f64);
     if handled > 0 {
-        if let (Some(ring), Some(turn_start)) = (&cell.ring, turn_start) {
+        if let Some(ring) = &cell.ring {
             ring.record(FlightEvent {
-                at_ns: turn_start,
-                dur_ns: shared.now_ns().saturating_sub(turn_start),
+                at_ns: now,
+                dur_ns: end.saturating_sub(now),
                 label: "turn",
                 node: cell.id.0 as u64,
                 a: handled as u64,
@@ -926,32 +966,37 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>) {
     }
 }
 
-/// Returns the number of envelopes handled this turn.
-fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState) -> usize {
-    let NodeState { kind, timers, rng } = node;
-    fire_due_timers(shared, cell, kind, timers, rng);
+/// Returns the number of envelopes handled this turn and the turn's last
+/// clock reading. The clock is read once after each batch, never per
+/// envelope: the batch's callbacks all see the reading before it.
+fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState, now: u64) -> (usize, u64) {
+    let NodeState { kind, timers, rng, clock } = node;
+    *clock = (*clock).max(now);
+    fire_due_timers(shared, cell, kind, timers, rng, *clock);
 
     let mut handled = 0usize;
-    loop {
-        let batch: Vec<Envelope> = {
+    BATCH.with_borrow_mut(|batch| loop {
+        {
             let mut mb = cell.mailbox.lock();
             let n = mb.len().min(DRAIN_BATCH);
-            mb.drain(..n).collect()
-        };
+            batch.extend(mb.drain(..n));
+        }
         if batch.is_empty() {
             break;
         }
         handled += batch.len();
-        for env in batch {
-            handle_envelope(shared, cell, kind, timers, rng, env);
+        // A panicking handler drops the rest of the batch with the drain.
+        for env in batch.drain(..) {
+            handle_envelope(shared, cell, kind, timers, rng, clock, env);
         }
         // Time advanced while handling; fire anything that came due.
-        fire_due_timers(shared, cell, kind, timers, rng);
+        *clock = shared.now_ns();
+        fire_due_timers(shared, cell, kind, timers, rng, *clock);
         if handled >= MAX_PER_RUN {
             break; // Yield the worker; run_cell re-queues us at the back.
         }
-    }
-    handled
+    });
+    (handled, *clock)
 }
 
 fn fire_due_timers(
@@ -960,10 +1005,11 @@ fn fire_due_timers(
     kind: &mut NodeKind,
     timers: &mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     rng: &mut SmallRng,
+    now_ns: u64,
 ) {
     loop {
         let token = match timers.peek() {
-            Some(std::cmp::Reverse((deadline, token))) if *deadline <= shared.now_ns() => *token,
+            Some(std::cmp::Reverse((deadline, token))) if *deadline <= now_ns => *token,
             _ => break,
         };
         timers.pop();
@@ -974,6 +1020,7 @@ fn fire_due_timers(
             rng,
             mailbox: &cell.mailbox,
             current: None,
+            now_ns,
         };
         match kind {
             NodeKind::Service(service) => service.on_timer(&mut env, token),
@@ -1001,10 +1048,12 @@ fn handle_envelope(
     kind: &mut NodeKind,
     timers: &mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
     rng: &mut SmallRng,
+    clock: &mut u64,
     envelope: Envelope,
 ) {
     match envelope {
         Envelope::Msg { from, msg, trace, sent_ns } => {
+            *clock = (*clock).max(sent_ns);
             let traced = match (&shared.sink, trace) {
                 (Some(s), Some(tc)) => {
                     let recv_ns = shared.now_ns();
@@ -1020,6 +1069,7 @@ fn handle_envelope(
                 rng,
                 mailbox: &cell.mailbox,
                 current: trace,
+                now_ns: *clock,
             };
             match kind {
                 NodeKind::Service(service) => {
@@ -1061,6 +1111,7 @@ fn handle_envelope(
                     rng,
                     mailbox: &cell.mailbox,
                     current: trace,
+                    now_ns: *clock,
                 };
                 // Stream sub-operations (a feed with headroom, a close)
                 // can complete synchronously.
@@ -1118,5 +1169,140 @@ mod tests {
         assert!(exec.shared.slots.read()[bad.index()].is_none(), "unrouted");
         assert_eq!(telem.counter_total("runtime.service_panics"), 1);
         assert!(exec.shared.slots.read()[peer.index()].is_some());
+    }
+
+    /// What a [`Probe`] saw: the request, and `now()` before and after a
+    /// 50 µs sleep in the same callback.
+    type Seen = Arc<parking_lot::Mutex<Vec<(u64, u64, u64)>>>;
+
+    /// Logs each `ListBlobs`, arms a timer, forwards the request to `peer`
+    /// and sends itself `req + 1000` for every request below 1000 that is
+    /// a multiple of `echo_every` (none if it is 0).
+    struct Probe {
+        seen: Seen,
+        peer: Option<NodeId>,
+        echo_every: u64,
+    }
+    impl Service for Probe {
+        fn on_msg(&mut self, env: &mut dyn Env, _from: NodeId, msg: Msg) {
+            let Msg::ListBlobs { req } = msg else { return };
+            let before = env.now().0;
+            std::thread::sleep(Duration::from_micros(50));
+            self.seen.lock().push((req, before, env.now().0));
+            env.set_timer(SimDuration::from_secs(10), req);
+            if let Some(peer) = self.peer {
+                env.send(peer, Msg::ListBlobs { req });
+            }
+            if self.echo_every > 0 && req < 1000 && req.is_multiple_of(self.echo_every) {
+                env.send(env.id(), Msg::ListBlobs { req: req + 1000 });
+            }
+        }
+    }
+
+    /// One shard and no worker, so the test thread runs every turn; every
+    /// cell has a flight ring. Returns `n` probe cells, each forwarding to
+    /// the next, with their logs.
+    fn probes(traced: bool, echo_every: u64, n: usize) -> (ExecShared, Vec<(NodeId, Seen)>) {
+        let sink = traced.then(|| Arc::new(SpanSink::new()));
+        let recorder = Some(Arc::new(FlightRecorder::new()));
+        let telem = Arc::new(TelemetryRegistry::new());
+        let shared = ExecShared::new(1, Instant::now(), telem, sink, recorder);
+        let mut cells: Vec<(NodeId, Seen)> = Vec::new();
+        for _ in 0..n {
+            let (seen, peer) = (Seen::default(), cells.last().map(|c| c.0));
+            let probe = Probe { seen: Arc::clone(&seen), peer, echo_every };
+            cells.push((shared.add_node(NodeKind::Service(Box::new(probe))), seen));
+        }
+        cells.reverse();
+        while turn(&shared, 0, false) {}
+        (shared, cells)
+    }
+
+    fn post(shared: &ExecShared, to: NodeId, reqs: std::ops::Range<u64>) {
+        for req in reqs {
+            let msg = Msg::ListBlobs { req };
+            shared.send_to(to, Envelope::Msg { from: to, msg, trace: None, sent_ns: 0 });
+        }
+    }
+
+    fn clock_reads() -> u64 {
+        CLOCK_READS.with(|n| n.get())
+    }
+
+    /// Untraced, a turn's callbacks see one time — the same before and
+    /// after a sleep, across messages — and it moves forward from turn to
+    /// turn and from a sender's turn to its receiver's.
+    #[test]
+    fn an_untraced_turn_shows_its_callbacks_one_time() {
+        let (shared, cells) = probes(false, 0, 2);
+        let [(a, a_seen), (_, b_seen)] = &cells[..] else { unreachable!() };
+        post(&shared, *a, 0..10);
+        assert!(turn(&shared, 0, false), "a's turn");
+        let t = a_seen.lock()[0].1;
+        assert!(a_seen.lock().iter().all(|&(_, before, after)| (before, after) == (t, t)));
+        assert!(turn(&shared, 0, false), "b's turn: the forwards");
+        let u = b_seen.lock()[0].1;
+        assert!(u >= t, "a receiver's time never precedes its sender's");
+        assert!(b_seen.lock().iter().all(|&(_, before, after)| (before, after) == (u, u)));
+        post(&shared, *a, 10..11);
+        assert!(turn(&shared, 0, false));
+        assert!(a_seen.lock()[10].1 > u, "the next turn reads the clock again");
+    }
+
+    /// With a span sink every `now()` reads the clock: spans and the
+    /// stages they attribute keep exact stamps.
+    #[test]
+    fn a_traced_callback_sees_the_clock_move() {
+        let (shared, cells) = probes(true, 0, 1);
+        post(&shared, cells[0].0, 0..3);
+        assert!(turn(&shared, 0, false));
+        let seen = cells[0].1.lock();
+        assert!(seen.iter().all(|&(_, before, after)| after >= before + 50_000));
+        assert!(seen.windows(2).all(|w| w[1].1 >= w[0].2));
+    }
+
+    /// An untraced turn reads the clock twice, whatever its handlers call:
+    /// once as it starts (shard timers, the cell's timers, the flight
+    /// event's start) and once after its one batch (timers that came due,
+    /// the flight event's end). It read five times, plus once per `now`,
+    /// `send` and `set_timer`, when every step read its own.
+    #[test]
+    fn an_untraced_turn_reads_the_clock_twice() {
+        let (shared, cells) = probes(false, 0, 2);
+        let (a, b) = (cells[0].0, cells[1].0);
+        post(&shared, a, 0..5);
+        assert!(turn(&shared, 0, false));
+        assert!(shared.shards[0].next_timer().is_some(), "a shard timer is registered");
+        post(&shared, a, 5..10);
+        for cell in [b, a] {
+            let before = clock_reads();
+            assert!(turn(&shared, 0, false));
+            assert_eq!(clock_reads() - before, 2, "one turn of {cell:?}");
+        }
+        let ring = shared.recorder.as_ref().expect("recorder").ring("service");
+        assert_eq!(ring.snapshot().0.len(), 3, "each turn is recorded");
+    }
+
+    /// More than a batch of queued envelopes, plus self-sends made while
+    /// draining, are handled in arrival order; a turn stops at
+    /// `MAX_PER_RUN` and the cell runs again later.
+    #[test]
+    fn the_drain_is_fifo_and_yields_at_max_per_run() {
+        let (shared, cells) = probes(false, 50, 1);
+        let (c, seen) = &cells[0];
+        let total = MAX_PER_RUN as u64 + DRAIN_BATCH as u64;
+        post(&shared, *c, 0..total);
+        assert!(turn(&shared, 0, false));
+        assert_eq!(seen.lock().len(), MAX_PER_RUN, "the first turn yields");
+        while turn(&shared, 0, false) {}
+        let mut queue: VecDeque<u64> = (0..total).collect();
+        let mut expected = Vec::new();
+        while let Some(req) = queue.pop_front() {
+            expected.push(req);
+            if req < 1000 && req.is_multiple_of(50) {
+                queue.push_back(req + 1000);
+            }
+        }
+        assert_eq!(seen.lock().iter().map(|s| s.0).collect::<Vec<_>>(), expected);
     }
 }

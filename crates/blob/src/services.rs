@@ -27,7 +27,7 @@ use crate::vmanager::{RetentionPolicy, VersionManagerState};
 pub trait Env {
     /// This node's address.
     fn id(&self) -> NodeId;
-    /// Current time (virtual or wall-clock nanoseconds since start).
+    /// Current time in ns since start: the event's (sim) or its turn's (threads, untraced).
     fn now(&self) -> SimTime;
     /// Send a message.
     fn send(&mut self, to: NodeId, msg: Msg);

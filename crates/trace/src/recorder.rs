@@ -66,11 +66,10 @@ pub struct Ring {
 
 impl Ring {
     fn new(service: &'static str, byte_budget: usize) -> Self {
-        Ring {
-            service,
-            byte_budget: byte_budget.max(EVENT_BYTES),
-            inner: Mutex::new(RingInner { events: VecDeque::new(), dropped: 0, total: 0 }),
-        }
+        let byte_budget = byte_budget.max(EVENT_BYTES);
+        let events = VecDeque::with_capacity(byte_budget / EVENT_BYTES);
+        let inner = Mutex::new(RingInner { events, dropped: 0, total: 0 });
+        Ring { service, byte_budget, inner }
     }
 
     /// The service this ring records for.
@@ -83,17 +82,18 @@ impl Ring {
         self.byte_budget
     }
 
-    /// Append one event, evicting oldest events while over budget. After
-    /// this returns the event is in the ring (it can only leave by being
-    /// evicted for *newer* events).
+    /// Append one event, first evicting the oldest if the ring is full, so
+    /// its slots, allocated once, never grow past the budget. After this
+    /// returns the event is in the ring (it can only leave by being evicted
+    /// for *newer* events).
     pub fn record(&self, ev: FlightEvent) {
         let mut inner = self.inner.lock().expect("flight ring poisoned");
         inner.total += 1;
-        inner.events.push_back(ev);
-        while inner.events.len() * EVENT_BYTES > self.byte_budget {
+        if (inner.events.len() + 1) * EVENT_BYTES > self.byte_budget {
             inner.events.pop_front();
             inner.dropped += 1;
         }
+        inner.events.push_back(ev);
     }
 
     /// Retained bytes right now.
@@ -343,6 +343,24 @@ mod tests {
         assert_eq!(total, 10);
         // Oldest evicted first: the retained tail is the newest writes.
         assert_eq!(events.iter().map(|e| e.a).collect::<Vec<_>>(), vec![7, 8, 9]);
+    }
+
+    /// A ring's slots are its budget: a full ring evicts before it pushes,
+    /// so the deque never doubles past it (8 192 slots, 448 KiB, for a
+    /// 256 KiB ring when it pushed first).
+    #[test]
+    fn ring_memory_is_its_byte_budget() {
+        let r = Ring::new("provider", DEFAULT_RING_BYTES);
+        let n = 3 * DEFAULT_RING_BYTES / EVENT_BYTES;
+        for i in 0..n as u64 {
+            r.record(ev(i, i));
+        }
+        let inner = r.inner.lock().unwrap();
+        assert!(inner.events.capacity() * EVENT_BYTES <= r.byte_budget());
+        let kept = r.byte_budget() / EVENT_BYTES;
+        assert_eq!(inner.events.len(), kept);
+        assert_eq!(inner.dropped as usize, n - kept);
+        assert!(inner.events.iter().map(|e| e.a).eq((n - kept) as u64..n as u64), "oldest out");
     }
 
     #[test]
