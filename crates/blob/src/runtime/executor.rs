@@ -968,7 +968,8 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) {
 
 /// Returns the number of envelopes handled this turn and the turn's last
 /// clock reading. The clock is read once after each batch, never per
-/// envelope: the batch's callbacks all see the reading before it.
+/// envelope: a batch's callbacks see the reading taken before it (or the
+/// send time of an envelope sent after that reading).
 fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState, now: u64) -> (usize, u64) {
     let NodeState { kind, timers, rng, clock } = node;
     *clock = (*clock).max(now);
