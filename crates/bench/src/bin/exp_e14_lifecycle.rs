@@ -160,12 +160,12 @@ fn snapshot_pin() -> SnapshotOutcome {
     std::thread::sleep(std::time::Duration::from_millis(2000));
     let pinned = client.read(blob, Some(pin), 0, len as u64).expect("read pin");
     let latest = client.read(blob, None, 0, len as u64).expect("read latest");
-    let m = cluster.metrics();
+    let m = cluster.telemetry();
     let out = SnapshotOutcome {
         pinned_intact: pinned == first,
         latest_intact: latest == last,
-        chunks_reclaimed: m.counter("lifecycle.chunks_reclaimed"),
-        versions_retired: m.counter("lifecycle.versions_retired"),
+        chunks_reclaimed: m.counter_total("lifecycle.chunks_reclaimed"),
+        versions_retired: m.counter_total("lifecycle.versions_retired"),
     };
     cluster.shutdown();
     out

@@ -92,11 +92,10 @@ fn stream_run(total: u64, window: usize) -> Outcome {
     assert_eq!(got, total, "short streamed read");
     let read_mbps = total as f64 / 1e6 / start.elapsed().as_secs_f64();
 
-    let peak_buffered = cluster
-        .metrics()
-        .series("client.stream_buffered_bytes")
-        .iter()
-        .fold(0f64, |acc, s| acc.max(s.value)) as u64;
+    // The gauge holds the stream's high-water mark: it is set only when a
+    // feed passes the stream's previous peak.
+    let peak = cluster.telemetry().snapshot().gauge_max("client.stream_buffered_bytes");
+    let peak_buffered = peak.unwrap_or(0.0) as u64;
     cluster.shutdown();
     Outcome {
         object_gib: total as f64 / (1 << 30) as f64,

@@ -52,6 +52,9 @@ impl Env for SimEnv<'_, '_> {
     fn rng(&mut self) -> &mut rand::rngs::SmallRng {
         self.ctx.rng()
     }
+    fn record(&mut self, name: &str, value: f64) {
+        self.ctx.record(name, value);
+    }
     fn span_sink(&self) -> Option<std::sync::Arc<sads_sim::SpanSink>> {
         self.ctx.span_sink()
     }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use sads_sim::{
-    FlightRecorder, Metrics, NodeConfig, NodeId, ProcSampler, Registry as TelemetryRegistry,
+    FlightRecorder, NodeConfig, NodeId, ProcSampler, Registry as TelemetryRegistry,
     SimDuration, SimTime, SpanSink, TraceCtx,
 };
 
@@ -603,12 +603,6 @@ impl Cluster {
     pub fn restart_data_provider(&mut self, node: NodeId, capacity: u64) -> bool {
         let providers = Providers { capacity, ..self.providers.clone() };
         self.restart_service(node, providers.revive(node, self.service_cfg.clone()))
-    }
-
-    /// A reader over the counters and time series the cluster's nodes
-    /// recorded so far.
-    pub fn metrics(&self) -> Metrics {
-        Metrics::new(Arc::clone(self.telemetry()))
     }
 
     /// Wall-clock time since cluster start, as the cluster's `SimTime`.

@@ -41,12 +41,12 @@ pub trait Env {
     fn set_timer(&mut self, delay: SimDuration, token: u64);
     /// Deterministic RNG.
     fn rng(&mut self) -> &mut SmallRng;
-    /// Record a time-series observation: this node's `name` gauge in the
-    /// registry, and one more sample in the registry's log for `name`.
+    /// Record a time-series observation: set this node's `name` gauge in
+    /// the registry, which keeps no history. The simulated runtime also
+    /// logs the sample in its world, where `sads_sim::Metrics` reads it.
     fn record(&mut self, name: &str, value: f64) {
         let node = NodeLabel::new(self.id().0);
-        let now = self.now().as_nanos();
-        self.telemetry().record(name, &[("node", node.as_str())], now, value);
+        self.telemetry().set(name, &[("node", node.as_str())], value);
     }
     /// Increment this node's `name` counter in the registry.
     fn incr(&mut self, name: &str, delta: u64) {
@@ -67,7 +67,7 @@ pub trait Env {
     /// operation roots and by state machines resumed from timers).
     fn set_trace_ctx(&mut self, _trace: Option<sads_sim::TraceCtx>) {}
     /// The host's live telemetry registry, the one store of every node's
-    /// counters, gauges, histograms and recorded samples.
+    /// current counters, gauges and histograms.
     fn telemetry(&self) -> &Registry;
     /// How far behind this node's ingress path is (seconds of accepted
     /// but not yet handled transfer time), when the runtime can observe
@@ -712,10 +712,6 @@ impl Service for ProviderManagerService {
             if !dead.is_empty() {
                 env.incr("pman.expired", dead.len() as u64);
             }
-            env.record(
-                "pman.data_providers",
-                self.registry.count(ProviderKind::Data) as f64,
-            );
             telemetry_heartbeat(env);
             let reg = env.telemetry();
             reg.set("pool.data_providers", &[], self.registry.count(ProviderKind::Data) as f64);

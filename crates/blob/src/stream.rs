@@ -565,11 +565,8 @@ mod tests {
         h.commit().expect("commit");
         let window = crate::client::ClientConfig::default().chunk_window as u64;
         let cap = window.max(2) * PAGE;
-        let metrics = cluster.metrics();
-        let peak = metrics
-            .series("client.stream_buffered_bytes")
-            .iter()
-            .fold(0f64, |a, s| a.max(s.value));
+        let snap = cluster.telemetry().snapshot();
+        let peak = snap.gauge_max("client.stream_buffered_bytes").unwrap_or(0.0);
         assert!(peak > 0.0, "gauge must record");
         assert!(peak <= cap as f64, "peak {peak} must stay under cap {cap}");
         cluster.shutdown();

@@ -1671,7 +1671,7 @@ mod multipart_tests {
         assert_eq!(gw.abort_multipart(ALICE, id), Err(GatewayError::NoSuchUpload));
         // The abort decommissioned the upload's BLOB: its latest version
         // is no longer a GC root.
-        assert_eq!(cluster.metrics().counter("vman.decommissions"), 1);
+        assert_eq!(cluster.telemetry().counter_total("vman.decommissions"), 1);
         cluster.shutdown();
     }
 
@@ -1685,7 +1685,7 @@ mod multipart_tests {
         assert_eq!(gw.delete_bucket(ALICE, "b"), Err(GatewayError::BucketNotEmpty));
         gw.abort_multipart(ALICE, id).unwrap();
         gw.delete_bucket(ALICE, "b").unwrap();
-        assert_eq!(cluster.metrics().counter("vman.decommissions"), 1);
+        assert_eq!(cluster.telemetry().counter_total("vman.decommissions"), 1);
         cluster.shutdown();
     }
 

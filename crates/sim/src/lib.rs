@@ -10,7 +10,8 @@
 //!   realistic contention (throughput plateaus, DoS ingress saturation),
 //! * timers, runtime node spawning (elasticity) and crash injection,
 //! * a [`Metrics`] reader over the telemetry registry every node's
-//!   counters and time series are recorded into.
+//!   counters are recorded into and the world's log of its nodes' time
+//!   series.
 //!
 //! Determinism: given the same seed and the same actor set, every run
 //! produces the identical event trace, which makes the paper-shaped

@@ -1,17 +1,15 @@
-//! Reading back what a host's nodes recorded.
+//! Reading back what a simulated world's nodes recorded.
 //!
-//! Every counter bump and every time-series observation a node makes —
-//! [`Ctx::incr`](crate::Ctx::incr) / [`Ctx::record`](crate::Ctx::record) in
-//! the simulator, the runtimes' `Env::incr` / `Env::record` on either host
-//! — lands in the host's telemetry [`Registry`]: a counter or a gauge
-//! labeled with the node, and for each observation one more `(time, value)`
-//! sample in the registry's log for that name, in call order. [`Metrics`]
-//! reads them back by name, summed over nodes, for experiment harnesses
-//! and tests. Reading leaves the registry as it was.
+//! A counter bump ([`Ctx::incr`](crate::Ctx::incr)) lands in the world's
+//! telemetry [`Registry`] as a counter labeled with the node. A
+//! time-series observation ([`Ctx::record`](crate::Ctx::record), which the
+//! simulated runtime's `Env::record` calls) sets the node's gauge there
+//! and appends one `(time, value)` sample to the world's log for that
+//! name, in call order; the registry itself keeps only current values.
+//! [`Metrics`] reads counters summed over nodes and series from the log,
+//! for experiment harnesses and tests. Reading leaves both as they were.
 
-use std::sync::Arc;
-
-use sads_telemetry::Registry;
+use sads_telemetry::{FastMap, Registry};
 
 use crate::time::SimTime;
 
@@ -24,25 +22,26 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// A reader over a host's metrics registry (see the module docs).
-#[derive(Clone)]
-pub struct Metrics(Arc<Registry>);
+/// A reader over a world's registry and sample log (see the module docs).
+#[derive(Clone, Copy)]
+pub struct Metrics<'w> {
+    registry: &'w Registry,
+    samples: &'w FastMap<String, Vec<Sample>>,
+}
 
-impl Metrics {
-    /// Read `registry`.
-    pub fn new(registry: Arc<Registry>) -> Self {
-        Metrics(registry)
+impl<'w> Metrics<'w> {
+    pub(crate) fn new(registry: &'w Registry, samples: &'w FastMap<String, Vec<Sample>>) -> Self {
+        Metrics { registry, samples }
     }
 
     /// A counter summed over the nodes that bumped it (0 if none did).
     pub fn counter(&self, name: &str) -> u64 {
-        self.0.counter_total(name)
+        self.registry.counter_total(name)
     }
 
     /// Every observation recorded under `name`, in call order.
-    pub fn series(&self, name: &str) -> Vec<Sample> {
-        let samples = self.0.samples(name).into_iter();
-        samples.map(|(at, value)| Sample { at: SimTime(at), value }).collect()
+    pub fn series(&self, name: &str) -> &'w [Sample] {
+        self.samples.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// Mean of a series' values, or `None` if empty.
@@ -88,28 +87,48 @@ pub fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Actor, Ctx, Message, NodeConfig, NodeId, SimDuration, World};
 
-    fn metrics(samples: &[(u64, f64)]) -> Metrics {
-        let reg = Arc::new(Registry::new());
-        for &(secs, v) in samples {
-            reg.record("tp", &[("node", "1")], secs * 1_000_000_000, v);
+    /// Records the value of each `(secs, value)` of its plan under `tp`,
+    /// `secs` after it starts.
+    struct Recorder(Vec<(u64, f64)>);
+
+    impl Actor for Recorder {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (i, &(secs, _)) in self.0.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_secs(secs), i as u64);
+            }
         }
-        Metrics::new(reg)
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Box<dyn Message>) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            ctx.record("tp", self.0[token as usize].1);
+        }
+    }
+
+    /// A world with one recording node per plan, run to its end.
+    fn world(plans: &[&[(u64, f64)]]) -> World {
+        let mut w = World::with_seed(1);
+        for plan in plans {
+            w.add_node(Box::new(Recorder(plan.to_vec())), NodeConfig::default());
+        }
+        w.run_to_quiescence(1_000);
+        w
     }
 
     #[test]
     fn counters_sum_over_nodes() {
-        let reg = Arc::new(Registry::new());
-        let m = Metrics::new(Arc::clone(&reg));
+        let w = World::with_seed(1);
+        let m = w.metrics();
         assert_eq!(m.counter("x"), 0);
-        reg.inc("x", &[("node", "1")], 2);
-        reg.inc("x", &[("node", "2")], 3);
+        w.telemetry().inc("x", &[("node", "1")], 2);
+        w.telemetry().inc("x", &[("node", "2")], 3);
         assert_eq!(m.counter("x"), 5);
     }
 
     #[test]
     fn series_statistics() {
-        let m = metrics(&[(0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0)]);
+        let w = world(&[&[(0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0)]]);
+        let m = w.metrics();
         assert_eq!(m.mean("tp"), Some(25.0));
         assert_eq!(m.percentile("tp", 0.0), Some(10.0));
         assert_eq!(m.percentile("tp", 100.0), Some(40.0));
@@ -120,7 +139,18 @@ mod tests {
 
     #[test]
     fn binned_mean_averages_within_bins() {
-        let m = metrics(&[(0, 10.0), (1, 20.0), (5, 50.0)]);
-        assert_eq!(m.binned_mean("tp", 2.0), vec![(0.0, 15.0), (4.0, 50.0)]);
+        let w = world(&[&[(0, 10.0), (1, 20.0), (5, 50.0)]]);
+        assert_eq!(w.metrics().binned_mean("tp", 2.0), vec![(0.0, 15.0), (4.0, 50.0)]);
+    }
+
+    #[test]
+    fn records_log_every_sample_in_call_order_across_nodes() {
+        let w = world(&[&[(1, 2.0), (3, 3.0)], &[(2, 1.0)]]);
+        let s = |secs: u64, value| Sample { at: SimTime(secs * 1_000_000_000), value };
+        assert_eq!(w.metrics().series("tp"), [s(1, 2.0), s(2, 1.0), s(3, 3.0)]);
+        assert_eq!(w.metrics().series("absent"), &[]);
+        let snap = w.telemetry().snapshot();
+        assert_eq!(snap.gauge("tp", &[("node", "0")]), Some(3.0), "each node's gauge is its last");
+        assert_eq!(snap.gauge("tp", &[("node", "1")]), Some(1.0));
     }
 }

@@ -12,12 +12,12 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use sads_telemetry::{NodeLabel, Registry};
+use sads_telemetry::{FastMap, NodeLabel, Registry};
 use sads_trace::{FlightEvent, FlightRecorder, SpanKind, SpanRecord, SpanSink, TraceCtx};
 
 use crate::equeue::CalendarQueue;
 use crate::message::Message;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Sample};
 use crate::net::{NetConfig, Network, NodeConfig, NodeId};
 use crate::time::{SimDuration, SimTime};
 
@@ -88,8 +88,9 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// The simulation world: clock, event queue, actors, network, RNG, and
-/// the telemetry registry its nodes record into.
+/// The simulation world: clock, event queue, actors, network, RNG, the
+/// telemetry registry its nodes record into, and the log of their
+/// recorded samples.
 pub struct World {
     now: SimTime,
     seq: u64,
@@ -116,10 +117,12 @@ pub struct World {
     /// transfer arithmetic, so the event schedule is identical with the
     /// sink present or absent (verified by [`World::event_digest`]).
     span_sink: Option<Arc<SpanSink>>,
-    /// The live metrics registry every counter and time series of the
-    /// world lands in. Like tracing it is purely observational — it never
+    /// The live metrics registry every counter and gauge of the world
+    /// lands in. Like tracing it is purely observational — it never
     /// schedules events or draws RNG.
     telemetry: Arc<Registry>,
+    /// What [`Ctx::record`] logged, per name, in call order.
+    samples: FastMap<String, Vec<Sample>>,
     /// Flight recorder, when attached: every dispatched event is mirrored
     /// into the recorder's `"sim"` ring (a cached `Arc` so the per-event
     /// cost is one short mutex hold). Purely observational like the span
@@ -147,6 +150,7 @@ impl World {
             loss: None,
             span_sink: None,
             telemetry: Arc::new(Registry::new()),
+            samples: FastMap::default(),
             flight: None,
             digest: 0xcbf2_9ce4_8422_2325,
         }
@@ -309,8 +313,8 @@ impl World {
     }
 
     /// A reader over the counters and time series recorded so far.
-    pub fn metrics(&self) -> Metrics {
-        Metrics::new(Arc::clone(&self.telemetry))
+    pub fn metrics(&self) -> Metrics<'_> {
+        Metrics::new(&self.telemetry, &self.samples)
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind) {
@@ -570,11 +574,17 @@ impl Ctx<'_> {
     }
 
     /// Record a time-series observation: this node's `name` gauge, and one
-    /// more sample in the registry's log for `name`.
+    /// more sample in the world's log for `name`.
     pub fn record(&mut self, name: &str, value: f64) {
         let node = NodeLabel::new(self.id.0);
-        let now = self.world.now.as_nanos();
-        self.world.telemetry.record(name, &[("node", node.as_str())], now, value);
+        self.world.telemetry.set(name, &[("node", node.as_str())], value);
+        let sample = Sample { at: self.world.now, value };
+        match self.world.samples.get_mut(name) {
+            Some(log) => log.push(sample),
+            None => {
+                self.world.samples.insert(name.to_string(), vec![sample]);
+            }
+        }
     }
 
     /// Increment this node's `name` counter.

@@ -1,15 +1,15 @@
 //! # sads-telemetry — the live telemetry plane
 //!
-//! The one store of a deployment's metrics, live while it runs: the
-//! substrate the paper's self-adaptation loop evaluates its policies
-//! against, and what experiment CSVs are rendered from afterwards.
+//! The one store of a deployment's current metrics, live while it runs:
+//! the substrate the paper's self-adaptation loop evaluates its policies
+//! against, and where experiment counters are read from afterwards.
 //!
 //! * [`Registry`] — a lock-cheap map of `(name, labels)` → counter / gauge /
-//!   histogram cells, plus a per-name log of recorded `(time, value)`
-//!   samples. Every `Env::incr` / `Env::record` of both runtimes is one
-//!   short mutex hold; the hot path through a [`Counter`] or [`Gauge`]
-//!   handle is a single atomic op, through a [`Histogram`] (the shared
-//!   `sads_trace::Histogram`, log-bucketed) a few relaxed ones.
+//!   histogram cells holding current values, no history. Every `Env::incr`
+//!   / `Env::record` of both runtimes is one short mutex hold; the hot path
+//!   through a [`Counter`] or [`Gauge`] handle is a single atomic op,
+//!   through a [`Histogram`] (the shared `sads_trace::Histogram`,
+//!   log-bucketed) a few relaxed ones.
 //! * [`Snapshot`] — a structured point-in-time copy of the registry that the
 //!   introspection layer ingests into its time-series machinery and the SLO
 //!   alert engine evaluates burn-rate rules over.

@@ -23,9 +23,6 @@ type Key = (String, Vec<(String, String)>);
 struct Series {
     state: FoldState,
     by_hash: FastMap<u64, Vec<(Key, Cell)>>,
-    /// What [`Registry::record`] logged, per name: `(time_ns, value)` in
-    /// call order.
-    logs: FastMap<String, Vec<(u64, f64)>>,
 }
 
 /// Run `f` over `labels` sorted, on the stack when there are few.
@@ -229,11 +226,12 @@ impl Histogram {
 ///
 /// Registration (`counter`/`gauge`/`histogram`) interns the `(name, labels)`
 /// key under a mutex and hands back a lock-free handle; the one-shot
-/// methods (`inc`/`set`/`record`/`observe`) pay one mutex hold per call.
-/// Every `Env::incr` and `Env::record` of both runtimes is one such call,
-/// so this is the one store the deployment's counters, gauges and
-/// recorded samples live in. With up to 8 labels, only the first call for
-/// a key allocates: later ones find it from their borrowed arguments.
+/// methods (`inc`/`set`/`observe`) pay one mutex hold per call. Every
+/// `Env::incr` and `Env::record` of both runtimes is one such call, so
+/// this is the one store of the deployment's current counters, gauges and
+/// histograms; it keeps no history. With up to 8 labels, only the first
+/// call for a key allocates: later ones find it from their borrowed
+/// arguments.
 /// Nothing in here touches clocks, RNGs, or event queues — telemetry
 /// cannot perturb a deterministic schedule.
 #[derive(Default)]
@@ -248,17 +246,17 @@ impl Registry {
     }
 
     /// Run `f` on the cell of `(name, labels)`, made by `make` on first
-    /// use, and on the sample logs, under one hold of the lock.
+    /// use, under one hold of the lock.
     fn with_cell<R>(
         &self,
         name: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Cell,
-        f: impl FnOnce(&Cell, &mut FastMap<String, Vec<(u64, f64)>>) -> R,
+        f: impl FnOnce(&Cell) -> R,
     ) -> R {
         with_sorted(labels, |labels| {
             let mut inner = self.inner.lock().expect("telemetry registry poisoned");
-            let Series { state, by_hash, logs } = &mut *inner;
+            let Series { state, by_hash } = &mut *inner;
             let bucket = by_hash.entry(state.hash_one((name, labels))).or_default();
             let found = bucket.iter().position(|((n, ls), _)| {
                 n == name
@@ -270,54 +268,40 @@ impl Registry {
                 bucket.push(((name.to_string(), owned), make()));
                 bucket.len() - 1
             });
-            f(&bucket[i].1, logs)
+            f(&bucket[i].1)
         })
     }
 
     /// Get-or-create a counter. Panics if `(name, labels)` is already
     /// registered as a different kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        Counter(self.with_cell(name, labels, new_counter, |c, _| Arc::clone(c.counter(name))))
+        Counter(self.with_cell(name, labels, new_counter, |c| Arc::clone(c.counter(name))))
     }
 
     /// Get-or-create a gauge. Panics if `(name, labels)` is already
     /// registered as a different kind.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        Gauge(self.with_cell(name, labels, new_gauge, |c, _| Arc::clone(c.gauge(name))))
+        Gauge(self.with_cell(name, labels, new_gauge, |c| Arc::clone(c.gauge(name))))
     }
 
     /// Get-or-create a histogram. Panics if `(name, labels)` is already
     /// registered as a different kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let make = || Cell::Histogram(Arc::default());
-        Histogram(self.with_cell(name, labels, make, |c, _| Arc::clone(c.histogram(name))))
+        Histogram(self.with_cell(name, labels, make, |c| Arc::clone(c.histogram(name))))
     }
 
     /// One-shot counter bump.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], n: u64) {
-        self.with_cell(name, labels, new_counter, |c, _| {
+        self.with_cell(name, labels, new_counter, |c| {
             c.counter(name).fetch_add(n, Ordering::Relaxed);
         });
     }
 
     /// One-shot gauge set.
     pub fn set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.with_cell(name, labels, new_gauge, |c, _| {
+        self.with_cell(name, labels, new_gauge, |c| {
             c.gauge(name).store(v.to_bits(), Ordering::Relaxed);
-        });
-    }
-
-    /// One-shot gauge set that also appends `(at_ns, v)` to the sample log
-    /// of `name`, shared by every label set, under the same lock hold.
-    pub fn record(&self, name: &str, labels: &[(&str, &str)], at_ns: u64, v: f64) {
-        self.with_cell(name, labels, new_gauge, |c, logs| {
-            c.gauge(name).store(v.to_bits(), Ordering::Relaxed);
-            match logs.get_mut(name) {
-                Some(log) => log.push((at_ns, v)),
-                None => {
-                    logs.insert(name.to_string(), vec![(at_ns, v)]);
-                }
-            }
         });
     }
 
@@ -336,13 +320,6 @@ impl Registry {
                 _ => None,
             })
             .sum()
-    }
-
-    /// The samples [`Registry::record`] logged under `name`, in call order,
-    /// as `(time_ns, value)`.
-    pub fn samples(&self, name: &str) -> Vec<(u64, f64)> {
-        let inner = self.inner.lock().expect("telemetry registry poisoned");
-        inner.logs.get(name).cloned().unwrap_or_default()
     }
 
     /// Structured point-in-time copy, sorted by `(name, labels)` for
@@ -475,6 +452,16 @@ impl Snapshot {
             }
         }
         seen.then_some(total)
+    }
+
+    /// The largest value of a gauge family across its label sets; `None`
+    /// if absent.
+    pub fn gauge_max(&self, name: &str) -> Option<f64> {
+        let gauges = self.family(name).filter_map(|s| match s.value {
+            SampleValue::Gauge(g) => Some(g),
+            _ => None,
+        });
+        gauges.reduce(f64::max)
     }
 
     /// All samples of one family.
@@ -611,14 +598,14 @@ mod tests {
     #[test]
     fn record_sets_a_gauge_and_logs_every_sample_in_call_order() {
         let reg = Registry::new();
-        reg.record("lat", &[("node", "2")], 20, 2.0);
-        reg.record("lat", &[("node", "1")], 10, 1.0);
-        reg.record("lat", &[("node", "2")], 30, 3.0);
-        assert_eq!(reg.samples("lat"), vec![(20, 2.0), (10, 1.0), (30, 3.0)]);
-        assert_eq!(reg.samples("absent"), vec![]);
+        reg.set("lat", &[("node", "2")], 2.0);
+        reg.set("lat", &[("node", "1")], 1.0);
+        reg.set("lat", &[("node", "2")], 3.0);
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("lat", &[("node", "2")]), Some(3.0));
         assert_eq!(snap.gauge("lat", &[("node", "1")]), Some(1.0));
+        assert_eq!(snap.gauge_max("lat"), Some(3.0));
+        assert_eq!(snap.gauge_max("absent"), None);
         reg.inc("reads", &[("node", "1")], 4);
         reg.inc("reads", &[("node", "2")], 6);
         assert_eq!(reg.counter_total("reads"), 10);

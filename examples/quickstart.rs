@@ -73,10 +73,10 @@ fn main() {
 
     // The monitoring pipeline has been watching all along.
     std::thread::sleep(std::time::Duration::from_millis(1500));
-    let metrics = cluster.metrics();
+    let metrics = cluster.telemetry();
     println!(
         "monitoring observed: {} records stored across the pipeline",
-        metrics.counter("monstore.records")
+        metrics.counter_total("monstore.records")
     );
 
     cluster.shutdown();

@@ -61,7 +61,7 @@ impl Service for PanicService {
 fn wait_counter(cluster: &Cluster, counter: &str, want: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let n = cluster.metrics().counter(counter);
+        let n = cluster.telemetry().counter_total(counter);
         if n >= want || Instant::now() >= deadline {
             return n;
         }
@@ -154,7 +154,7 @@ fn service_panic_is_isolated_to_its_cell() {
     for _ in 0..5 {
         client.append(blob, Bytes::from(vec![2u8; 64 * 1024])).expect("shard wedged");
     }
-    assert_eq!(cluster.metrics().counter("runtime.service_panics"), 1);
+    assert_eq!(cluster.telemetry().counter_total("runtime.service_panics"), 1);
 
     // The panic killed the cell, so its address is free for a restart.
     assert!(cluster.restart_service(grenade, Box::new(CounterService)));
@@ -193,7 +193,7 @@ fn restart_service_reoccupies_the_same_address() {
     // dropped with the old cell, not replayed into the new one.
     assert_eq!(wait_counter(&cluster, "probe.pings", 4), 4);
     std::thread::sleep(Duration::from_millis(20));
-    assert_eq!(cluster.metrics().counter("probe.pings"), 4);
+    assert_eq!(cluster.telemetry().counter_total("probe.pings"), 4);
 
     cluster.shutdown();
 }

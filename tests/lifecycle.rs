@@ -402,8 +402,8 @@ mod scrub_e2e {
         // reported before that could not be repaired.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            let tracked =
-                cluster.metrics().series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
+            let snap = cluster.telemetry().snapshot();
+            let tracked = snap.gauge_max("repl.tracked_chunks").unwrap_or(0.0);
             if tracked >= PAGES as f64 {
                 break;
             }
@@ -428,9 +428,9 @@ mod scrub_e2e {
         // detection has been quarantined, reported and repaired.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let (quarantined, reports, repairs) = loop {
-            let q = cluster.metrics().counter("provider.quarantined_chunks");
-            let c = cluster.metrics().counter("repl.corrupt_reports");
-            let r = cluster.metrics().counter("repl.repairs");
+            let q = cluster.telemetry().counter_total("provider.quarantined_chunks");
+            let c = cluster.telemetry().counter_total("repl.corrupt_reports");
+            let r = cluster.telemetry().counter_total("repl.repairs");
             if q > 0 && c >= q && r >= c {
                 break (q, c, r);
             }
@@ -443,7 +443,7 @@ mod scrub_e2e {
         assert!(quarantined >= 1, "victim held no replica of the test blob");
         assert_eq!(reports, quarantined, "every quarantine must reach the repl manager");
         assert!(repairs >= reports, "not every corruption was repaired");
-        assert_eq!(cluster.metrics().counter("repl.lost_chunks"), 0, "no chunk may be lost: one replica survived");
+        assert_eq!(cluster.telemetry().counter_total("repl.lost_chunks"), 0, "no chunk may be lost: one replica survived");
 
         // Reads return the original bytes: corrupt replicas were patched
         // out of the leaves and the repaired copies serve.
@@ -496,8 +496,8 @@ mod scrub_e2e {
         };
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         loop {
-            let tracked =
-                cluster.metrics().series("repl.tracked_chunks").last().map(|s| s.value).unwrap_or(0.0);
+            let snap = cluster.telemetry().snapshot();
+            let tracked = snap.gauge_max("repl.tracked_chunks").unwrap_or(0.0);
             if tracked >= PAGES as f64 && used(&cluster) == Some(stored as f64) {
                 break;
             }
@@ -515,8 +515,8 @@ mod scrub_e2e {
         }
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let quarantined = loop {
-            let q = cluster.metrics().counter("provider.quarantined_chunks");
-            let r = cluster.metrics().counter("repl.repairs");
+            let q = cluster.telemetry().counter_total("provider.quarantined_chunks");
+            let r = cluster.telemetry().counter_total("repl.repairs");
             if q > 0 && r >= q && used(&cluster) == Some(stored as f64) {
                 break q;
             }
@@ -528,24 +528,24 @@ mod scrub_e2e {
             std::thread::sleep(std::time::Duration::from_millis(200));
         };
         // Each relayed copy was 13 bytes, or none for the empty chunk.
-        let chunks = cluster.metrics().counter("provider.repair_chunks");
-        let bytes = cluster.metrics().counter("provider.repair_bytes");
+        let chunks = cluster.telemetry().counter_total("provider.repair_chunks");
+        let bytes = cluster.telemetry().counter_total("provider.repair_bytes");
         assert!(chunks >= quarantined);
         assert!(
             bytes == chunks * TAIL || bytes == (chunks - 1) * TAIL,
             "{chunks} repair copies moved {bytes} B"
         );
-        assert_eq!(cluster.metrics().counter("repl.lost_chunks"), 0);
+        assert_eq!(cluster.telemetry().counter_total("repl.lost_chunks"), 0);
 
         // Ten more scrub passes over every provider: nothing new.
-        let scrubbed = cluster.metrics().counter("provider.scrubbed_chunks");
+        let scrubbed = cluster.telemetry().counter_total("provider.scrubbed_chunks");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while cluster.metrics().counter("provider.scrubbed_chunks") < scrubbed + 10 * 2 * PAGES {
+        while cluster.telemetry().counter_total("provider.scrubbed_chunks") < scrubbed + 10 * 2 * PAGES {
             assert!(std::time::Instant::now() < deadline, "scrub stopped walking");
             std::thread::sleep(std::time::Duration::from_millis(200));
         }
         assert_eq!(
-            cluster.metrics().counter("provider.quarantined_chunks"),
+            cluster.telemetry().counter_total("provider.quarantined_chunks"),
             quarantined,
             "scrub flagged a repaired short chunk"
         );
@@ -741,21 +741,21 @@ mod true_lengths_e2e {
         };
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         loop {
-            let reclaimed = cluster.metrics().counter("lifecycle.reclaimed_bytes");
+            let reclaimed = cluster.telemetry().counter_total("lifecycle.reclaimed_bytes");
             if reclaimed >= put - live && used(&cluster) == Some(live as f64) {
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
                 "sweep stalled: reclaimed {} of {} B, stored {:?}, live {live}",
-                cluster.metrics().counter("lifecycle.reclaimed_bytes"),
+                cluster.telemetry().counter_total("lifecycle.reclaimed_bytes"),
                 put - live,
                 used(&cluster)
             );
             std::thread::sleep(std::time::Duration::from_millis(100));
         }
         assert_eq!(
-            cluster.metrics().counter("lifecycle.reclaimed_bytes"),
+            cluster.telemetry().counter_total("lifecycle.reclaimed_bytes"),
             put - live,
             "reclaimed bytes are the stored bytes of the swept chunks"
         );

@@ -72,7 +72,7 @@ fn a_read_allocates_its_result_once_and_a_stream_read_nothing() {
     const LEN: u64 = 4 << 20;
     let (cluster, client, blob, data) = warm_blob(LEN / PAGE);
     let split = two_writes(&client, &data);
-    let copied = || cluster.metrics().counter("client.read_copied_bytes");
+    let copied = || cluster.telemetry().counter_total("client.read_copied_bytes");
     // Warm: metadata cached, allocator arenas grown, executor settled.
     for _ in 0..3 {
         assert_eq!(client.read(blob, None, 0, LEN).expect("warm read"), data);
@@ -109,7 +109,7 @@ fn a_read_allocates_its_result_once_and_a_stream_read_nothing() {
 fn read_copied_bytes_counts_one_shot_assembly_only() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (cluster, client, blob, data) = warm_blob(64);
-    let copied = || cluster.metrics().counter("client.read_copied_bytes");
+    let copied = || cluster.telemetry().counter_total("client.read_copied_bytes");
 
     // A 64-page stream read, a ranged read inside one page and a 16-page
     // read of one write's pages, cut mid-page at both ends, are views.

@@ -180,7 +180,7 @@ fn installed_disk_provider_restarts_and_scales_through_the_cluster() {
     let spec = DeploymentConfig { data_providers: 1, backend, ..Default::default() };
     install(&spec, &mut cluster);
     restart_and_read_back(&mut cluster);
-    assert_eq!(cluster.metrics().counter("provider.repair_bytes"), 0);
+    assert_eq!(cluster.telemetry().counter_total("provider.repair_bytes"), 0);
     cluster.add_data_provider(256 << 20);
     assert!(root.join("provider-0001").is_dir(), "the added provider's own directory");
     cluster.shutdown();
@@ -202,7 +202,7 @@ fn restart_and_read_back(cluster: &mut Cluster) {
     assert!(cluster.restart_data_provider(victim, 256 << 20), "victim restart");
     let back = read_back(|| client.read(blob, None, 0, len));
     assert_eq!(back, data, "recovered payload differs");
-    assert_eq!(cluster.metrics().counter("client.read_copied_bytes"), len, "recovered pages copied");
+    assert_eq!(cluster.telemetry().counter_total("client.read_copied_bytes"), len, "recovered pages copied");
 }
 
 /// Retry `read` every 50 ms until a restarted provider serves it.

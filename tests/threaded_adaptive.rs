@@ -165,9 +165,9 @@ fn threaded_pipeline_detects_and_blocks_unticketed_writers() {
     assert!(back.iter().all(|b| *b == 3));
 
     // The monitoring pipeline stored real records.
-    let metrics = cluster.metrics();
-    assert!(metrics.counter("monstore.records") > 0);
-    assert!(metrics.counter("sec.detections") >= 1);
+    let metrics = cluster.telemetry();
+    assert!(metrics.counter_total("monstore.records") > 0);
+    assert!(metrics.counter_total("sec.detections") >= 1);
     cluster.shutdown();
 }
 
@@ -185,8 +185,8 @@ fn threaded_honest_traffic_is_never_sanctioned() {
     // Give the pipeline time to observe everything.
     std::thread::sleep(Duration::from_secs(3));
     client.write(blob, 0, Bytes::from(vec![9u8; PAGE as usize])).expect("still allowed");
-    let metrics = cluster.metrics();
-    assert_eq!(metrics.counter("sec.detections"), 0, "no false positives");
+    let metrics = cluster.telemetry();
+    assert_eq!(metrics.counter_total("sec.detections"), 0, "no false positives");
     cluster.shutdown();
 }
 

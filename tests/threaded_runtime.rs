@@ -114,9 +114,9 @@ fn streamed_write_publishes_through_a_provider_death() {
     h.feed(data.slice(cut..data.len())).expect("feed across the crash");
     let (v, _) = h.commit().expect("commit publishes through re-allocation");
 
-    let m = cluster.metrics();
-    assert!(m.counter("client.rpc_retries") > 0, "same-target retry never ran");
-    assert!(m.counter("client.reallocs") > 0, "re-allocation never ran");
+    let m = cluster.telemetry();
+    assert!(m.counter_total("client.rpc_retries") > 0, "same-target retry never ran");
+    assert!(m.counter_total("client.reallocs") > 0, "re-allocation never ran");
 
     let got = client.read(blob, Some(v), 0, data.len() as u64).expect("one-shot read");
     assert_eq!(got, data);
