@@ -25,15 +25,11 @@ pub struct Sample {
 /// A reader over a world's registry and sample log (see the module docs).
 #[derive(Clone, Copy)]
 pub struct Metrics<'w> {
-    registry: &'w Registry,
-    samples: &'w FastMap<String, Vec<Sample>>,
+    pub(crate) registry: &'w Registry,
+    pub(crate) samples: &'w FastMap<String, Vec<Sample>>,
 }
 
 impl<'w> Metrics<'w> {
-    pub(crate) fn new(registry: &'w Registry, samples: &'w FastMap<String, Vec<Sample>>) -> Self {
-        Metrics { registry, samples }
-    }
-
     /// A counter summed over the nodes that bumped it (0 if none did).
     pub fn counter(&self, name: &str) -> u64 {
         self.registry.counter_total(name)

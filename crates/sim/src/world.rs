@@ -314,7 +314,7 @@ impl World {
 
     /// A reader over the counters and time series recorded so far.
     pub fn metrics(&self) -> Metrics<'_> {
-        Metrics::new(&self.telemetry, &self.samples)
+        Metrics { registry: &self.telemetry, samples: &self.samples }
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind) {
