@@ -523,67 +523,6 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use rand::Rng;
-    use sads_sim::CalendarQueue;
-
-    // The DES future-event-list shape: a large standing population of
-    // pending events, each pop replaced by a push a short random horizon
-    // ahead (hold model). This is the access pattern `World::run_until`
-    // generates at 10^5+ simulated clients.
-    let mut g = c.benchmark_group("event_queue");
-    for population in [1_000usize, 100_000] {
-        g.throughput(Throughput::Elements(10_000));
-        g.bench_with_input(
-            BenchmarkId::new("binary_heap_hold", population),
-            &population,
-            |b, &population| {
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut q: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-                let mut seq = 0u64;
-                for _ in 0..population {
-                    q.push(Reverse((rng.random_range(0..1_000_000_000u64), seq)));
-                    seq += 1;
-                }
-                b.iter(|| {
-                    for _ in 0..10_000 {
-                        let Reverse((at, _)) = q.pop().unwrap();
-                        q.push(Reverse((at + rng.random_range(0..2_000_000u64), seq)));
-                        seq += 1;
-                    }
-                    seq
-                });
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("calendar_queue_hold", population),
-            &population,
-            |b, &population| {
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut q: CalendarQueue<u64> = CalendarQueue::new();
-                let mut seq = 0u64;
-                for _ in 0..population {
-                    q.push(rng.random_range(0..1_000_000_000u64), seq, seq);
-                    seq += 1;
-                }
-                b.iter(|| {
-                    for _ in 0..10_000 {
-                        let (at, _) = q.peek_key().unwrap();
-                        q.pop().unwrap();
-                        q.push(at + rng.random_range(0..2_000_000u64), seq, seq);
-                        seq += 1;
-                    }
-                    seq
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_tree,
@@ -595,7 +534,6 @@ criterion_group!(
     bench_crc32c,
     bench_monitoring,
     bench_security,
-    bench_simulator,
-    bench_event_queue
+    bench_simulator
 );
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Sharded work-stealing service executor.
+//! Sharded service executor.
 //!
 //! The threaded runtime used to give every actor its own OS thread; past a
 //! few dozen clients the deployment became a few hundred threads fighting
@@ -9,10 +9,10 @@
 //! * every node — service or client core — is a [`Cell`]: a multiplexed
 //!   state machine with its own mailbox, timer heap and RNG,
 //! * cells are owned by `N ≈ cores` **shards**, each with a run queue and
-//!   one worker thread,
+//!   one worker thread; a cell's home shard is its address modulo `N`,
+//!   fixed when the cell is made, and only that shard runs it,
 //! * a sender marks the target cell *scheduled* (one atomic CAS) and pushes
-//!   it onto its home shard's run queue; idle workers **steal** ready cells
-//!   from the back of other shards' queues,
+//!   it onto its home shard's run queue,
 //! * a worker drains a cell's mailbox in **batches** (up to
 //!   [`DRAIN_BATCH`] envelopes per mailbox lock, at most [`MAX_PER_RUN`]
 //!   per scheduling turn) so one hot service cannot starve its shard — the
@@ -65,7 +65,7 @@ const PARK_CAP: Duration = Duration::from_millis(100);
 enum Runs {
     /// None: it may help when it blocks on a client call.
     Nothing,
-    /// Any shard's, for its whole life; a worker never helps.
+    /// Its own shard's, for its whole life; a worker never helps.
     Worker,
     /// Those of this shard, as its one helper, until the helper leaves.
     Helper(usize),
@@ -78,7 +78,7 @@ thread_local! {
     static BATCH: std::cell::RefCell<Vec<Envelope>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Clock readings made on this thread, so tests can count what a turn pays.
+// Clock readings made on this thread, so tests can count what a turn pays.
 #[cfg(test)]
 thread_local! {
     static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -158,9 +158,6 @@ pub(crate) struct Cell {
     /// fires, and without this watermark each turn would push a duplicate
     /// heap entry.
     timer_registered: std::sync::atomic::AtomicU64,
-    /// Shard the cell last ran on; senders enqueue it there (locality),
-    /// thieves migrate it.
-    home: AtomicUsize,
     /// Deepest mailbox ever observed on this cell. The paired gauge
     /// (`runtime.mailbox_hwm{node=…}`) is only written when the watermark
     /// actually rises, so the steady-state send cost is one `fetch_max`.
@@ -199,7 +196,7 @@ impl Ord for ShardTimer {
 }
 
 /// One executor shard: a run queue, its worker's parking lot, the timers
-/// registered by cells that last ran here, and its one helper slot.
+/// its cells registered, and its one helper slot.
 struct Shard {
     runq: StdMutex<RunQueue>,
     cv: Condvar,
@@ -243,8 +240,6 @@ impl Shard {
 struct ShardStats {
     /// `runtime.runq_depth{shard}` — cells queued on the shard right now.
     runq_depth: Gauge,
-    /// `runtime.steals{shard}` — cells this shard's worker stole.
-    steals: Counter,
     /// `runtime.parks{shard}` / `runtime.unparks{shard}` — idle waits.
     parks: Counter,
     unparks: Counter,
@@ -260,7 +255,6 @@ impl ShardStats {
         let labels: &[(&str, &str)] = &[("shard", s.as_str())];
         ShardStats {
             runq_depth: telem.gauge("runtime.runq_depth", labels),
-            steals: telem.counter("runtime.steals", labels),
             parks: telem.counter("runtime.parks", labels),
             unparks: telem.counter("runtime.unparks", labels),
             dispatch_batch: telem.histogram("runtime.dispatch_batch", labels),
@@ -334,6 +328,12 @@ impl ExecShared {
         }
     }
 
+    /// The shard that queues, runs and times `cell`: its address modulo
+    /// the shard count, for its whole life.
+    fn home(&self, cell: &Cell) -> usize {
+        cell.id.index() % self.shards.len()
+    }
+
     fn route(&self, to: NodeId) -> Option<Arc<Cell>> {
         self.slots.read().get(to.index()).cloned().flatten()
     }
@@ -362,7 +362,7 @@ impl ExecShared {
         if cell.scheduled.swap(true, Ordering::AcqRel) {
             return;
         }
-        let home = cell.home.load(Ordering::Relaxed) % self.shards.len();
+        let home = self.home(cell);
         let shard = &self.shards[home];
         let (depth, wake) = {
             let mut q = shard.runq.lock().expect("runq");
@@ -421,7 +421,7 @@ impl ExecShared {
         if RUNS.get() != Runs::Nothing || !self.running.load(Ordering::Acquire) {
             return None;
         }
-        let shard = cell.home.load(Ordering::Relaxed) % self.shards.len();
+        let shard = self.home(cell);
         // An awake worker has a core already: a caller running cells beside
         // it competes with the shards' workers for the host's cores (on two
         // cores, 4 MiB reads at 32–256 clients ran at half their rate).
@@ -502,7 +502,6 @@ impl ExecShared {
             scheduled: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             timer_registered: std::sync::atomic::AtomicU64::new(u64::MAX),
-            home: AtomicUsize::new(id.index() % self.shards.len()),
             mail_hwm: std::sync::atomic::AtomicU64::new(0),
             hwm_gauge: self
                 .telem
@@ -552,8 +551,8 @@ impl ExecShared {
 
 /// A caller thread holding a shard's helper slot: while the shard's worker
 /// sleeps, it runs the shard's cells the way the worker would — due shard
-/// timers, then the next queued cell, on the shard it popped from, so no
-/// cell changes home. Dropping it hands the shard back to the worker.
+/// timers, then the next queued cell. Dropping it hands the shard back to
+/// the worker.
 struct Helper<'a> {
     shared: &'a ExecShared,
     shard: usize,
@@ -857,13 +856,12 @@ fn worker_loop(shared: &ExecShared, w: usize) {
 }
 
 /// One turn on shard `w`: read the clock once, fire the shard's due
-/// timers, then run the front of its run queue — or, for a worker whose
-/// queue is empty, a cell stolen from the back of another shard's — with
-/// that reading. `false` when no cell ran.
+/// timers, then run the front of its run queue with that reading. `false`
+/// when no cell ran.
 fn turn(shared: &ExecShared, w: usize, helper: bool) -> bool {
     let now = shared.now_ns();
     fire_shard_timers(shared, w, now);
-    match pop_front(shared, w, helper).or_else(|| if helper { None } else { steal(shared, w) }) {
+    match pop_front(shared, w, helper) {
         Some(cell) => {
             run_cell(shared, w, &cell, now);
             true
@@ -890,29 +888,10 @@ fn pop_front(shared: &ExecShared, w: usize, helper: bool) -> Option<Arc<Cell>> {
     cell
 }
 
-fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
-    let n = shared.shards.len();
-    for i in 1..n {
-        let v = (w + i) % n;
-        let (cell, depth) = {
-            let mut q = shared.shards[v].runq.lock().expect("runq");
-            let cell = q.cells.pop_back();
-            (cell, q.cells.len())
-        };
-        if cell.is_some() {
-            shared.stats[v].runq_depth.set(depth as f64);
-            shared.stats[w].steals.inc(1);
-            return cell;
-        }
-    }
-    None
-}
-
-/// Run one scheduling turn of `cell` on shard `w` (by its worker, a thief,
-/// or a helper), starting at clock reading `now`: due timers, then batched
-/// mailbox drain up to the fairness cap.
+/// Run one scheduling turn of `cell` on its home shard `w` (by the
+/// shard's worker or helper), starting at clock reading `now`: due timers,
+/// then batched mailbox drain up to the fairness cap.
 fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) {
-    cell.home.store(w, Ordering::Relaxed);
     if cell.dead.load(Ordering::Acquire) {
         cell.scheduled.store(false, Ordering::Release);
         return;
@@ -1305,5 +1284,31 @@ mod tests {
             }
         }
         assert_eq!(seen.lock().iter().map(|s| s.0).collect::<Vec<_>>(), expected);
+    }
+
+    /// Two shards and no worker: a cell runs only on its home shard, its
+    /// address modulo the shard count. A turn of the other shard leaves it
+    /// queued, however often it runs, and its timers register at home.
+    #[test]
+    fn a_cell_runs_only_on_its_home_shard() {
+        let telem = Arc::new(TelemetryRegistry::new());
+        let shared = ExecShared::new(2, Instant::now(), telem, None, None);
+        let add = |seen: &Seen| {
+            let probe = Probe { seen: Arc::clone(seen), peer: None, echo_every: 0 };
+            shared.add_node(NodeKind::Service(Box::new(probe)))
+        };
+        let seen = Seen::default();
+        let (zero, one) = (add(&Seen::default()), add(&seen));
+        assert_eq!((zero.index(), one.index()), (0, 1));
+        while turn(&shared, 0, false) || turn(&shared, 1, false) {}
+        for req in 0..3 {
+            post(&shared, one, req..req + 1);
+            assert!(!turn(&shared, 0, false), "shard 0 never runs shard 1's cell");
+            assert_eq!(seen.lock().len(), req as usize);
+            assert!(turn(&shared, 1, false), "its home shard runs it");
+            assert_eq!(seen.lock().len(), req as usize + 1);
+        }
+        assert!(shared.shards[0].next_timer().is_none());
+        assert!(shared.shards[1].next_timer().is_some(), "the cell's timer is at home");
     }
 }

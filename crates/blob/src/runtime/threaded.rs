@@ -392,8 +392,7 @@ impl ClusterBuilder {
 
     /// Number of executor shards (worker threads) the cluster's nodes are
     /// multiplexed onto. `0` (the default) means one per available core.
-    /// Tests force small fixed counts to exercise stealing and isolation
-    /// deterministically.
+    /// A node's shard is its address modulo the count, for its whole life.
     pub fn executor_shards(mut self, n: usize) -> Self {
         self.executor_shards = n;
         self

@@ -40,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod equeue;
 pub mod fault;
 pub mod message;
 pub mod metrics;
@@ -48,7 +47,6 @@ pub mod net;
 pub mod time;
 pub mod world;
 
-pub use equeue::CalendarQueue;
 pub use fault::{run_with_faults, FaultEvent, FaultKind, FaultPlan};
 pub use message::{Message, MessageExt};
 pub use metrics::{percentile, Metrics, Sample};

@@ -7,6 +7,8 @@
 //! firing — is deterministic given the seed, so experiments are exactly
 //! reproducible.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -15,7 +17,6 @@ use rand::SeedableRng;
 use sads_telemetry::{FastMap, NodeLabel, Registry};
 use sads_trace::{FlightEvent, FlightRecorder, SpanKind, SpanRecord, SpanSink, TraceCtx};
 
-use crate::equeue::CalendarQueue;
 use crate::message::Message;
 use crate::metrics::{Metrics, Sample};
 use crate::net::{NetConfig, Network, NodeConfig, NodeId};
@@ -77,6 +78,24 @@ struct Event {
     kind: EventKind,
 }
 
+// Events order by `(at, seq)`: time, then push order among equal times.
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Event {}
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
 /// Why a `run_*` call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -94,11 +113,9 @@ pub enum RunOutcome {
 pub struct World {
     now: SimTime,
     seq: u64,
-    /// Pending events in a calendar queue: `O(1)` near-future pushes and
-    /// cache-friendly pops at 10^5+ pending events, with the exact
-    /// `(at, seq)` total order a binary heap would produce (so event
-    /// digests are unchanged). See [`crate::equeue`].
-    queue: CalendarQueue<Event>,
+    /// Pending events, earliest `(at, seq)` first: equal times pop in
+    /// push order.
+    queue: BinaryHeap<Reverse<Event>>,
     actors: Vec<Option<Box<dyn Actor>>>,
     /// Per-node incarnation counter, bumped by [`World::crash`]; see
     /// [`Event::epoch`].
@@ -141,7 +158,7 @@ impl World {
         World {
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             actors: Vec::new(),
             epochs: Vec::new(),
             net: Network::new(net_cfg),
@@ -321,7 +338,7 @@ impl World {
         let seq = self.seq;
         self.seq += 1;
         let epoch = self.epoch_of(kind.target());
-        self.queue.push(at.as_nanos(), seq, Event { at, seq, epoch, kind });
+        self.queue.push(Reverse(Event { at, seq, epoch, kind }));
     }
 
     /// Current incarnation of `node` (0 for ids outside the actor table,
@@ -335,10 +352,10 @@ impl World {
     pub fn run_until(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         let mut budget = max_events;
         loop {
-            let Some((head_at, _)) = self.queue.peek_key() else {
+            let Some(Reverse(head)) = self.queue.peek() else {
                 return RunOutcome::Quiescent;
             };
-            if SimTime(head_at) > deadline {
+            if head.at > deadline {
                 self.now = deadline;
                 return RunOutcome::DeadlineReached;
             }
@@ -346,7 +363,7 @@ impl World {
                 return RunOutcome::EventLimit;
             }
             budget -= 1;
-            let ev = self.queue.pop().expect("peeked");
+            let Reverse(ev) = self.queue.pop().expect("peeked");
             debug_assert!(ev.at >= self.now, "time must not go backwards");
             self.now = ev.at;
             self.events_processed += 1;
@@ -683,6 +700,9 @@ mod tests {
                 ctx.set_timer(SimDuration::from_secs(2), 2);
                 ctx.set_timer(SimDuration::from_secs(1), 1);
                 ctx.set_timer(SimDuration::from_secs(3), 3);
+                // Same instant: they fire in the order they were armed.
+                ctx.set_timer(SimDuration::from_secs(4), 5);
+                ctx.set_timer(SimDuration::from_secs(4), 4);
             }
             fn on_message(&mut self, _c: &mut Ctx<'_>, _f: NodeId, _m: Box<dyn Message>) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -694,8 +714,8 @@ mod tests {
         w.add_node(Box::new(T { fired: vec![] }), NodeConfig::default());
         w.run_to_quiescence(100);
         let fired: Vec<f64> = w.metrics().series("fired").iter().map(|s| s.value).collect();
-        assert_eq!(fired, vec![1.0, 2.0, 3.0]);
-        assert_eq!(w.now().as_secs_f64(), 3.0);
+        assert_eq!(fired, vec![1.0, 2.0, 3.0, 5.0, 4.0]);
+        assert_eq!(w.now().as_secs_f64(), 4.0);
     }
 
     #[test]

@@ -143,6 +143,7 @@ fn two_hundred_fifty_six_clients_complete_without_deadlock() {
         .data_providers(8)
         .meta_providers(2)
         .provider_capacity(256 << 20)
+        .executor_shards(4)
         .start();
     let handles: Vec<_> = (0..CLIENTS).map(|i| cluster.client(ClientId(100 + i as u64))).collect();
     let blobs: Vec<_> = handles
