@@ -1,4 +1,4 @@
-//! Sharded service executor.
+//! Sharded work-stealing service executor.
 //!
 //! The threaded runtime used to give every actor its own OS thread; past a
 //! few dozen clients the deployment became a few hundred threads fighting
@@ -10,9 +10,11 @@
 //!   state machine with its own mailbox, timer heap and RNG,
 //! * cells are owned by `N ≈ cores` **shards**, each with a run queue and
 //!   one worker thread; a cell's home shard is its address modulo `N`,
-//!   fixed when the cell is made, and only that shard runs it,
+//!   fixed when the cell is made,
 //! * a sender marks the target cell *scheduled* (one atomic CAS) and pushes
-//!   it onto its home shard's run queue,
+//!   it onto its home shard's run queue; an idle worker **steals** one
+//!   turn of a ready cell from the back of another shard's queue, and the
+//!   cell's home, queue and timers stay where they were,
 //! * a worker drains a cell's mailbox in **batches** (up to
 //!   [`DRAIN_BATCH`] envelopes per mailbox lock, at most [`MAX_PER_RUN`]
 //!   per scheduling turn) so one hot service cannot starve its shard — the
@@ -65,7 +67,7 @@ const PARK_CAP: Duration = Duration::from_millis(100);
 enum Runs {
     /// None: it may help when it blocks on a client call.
     Nothing,
-    /// Its own shard's, for its whole life; a worker never helps.
+    /// Any shard's, for its whole life; a worker never helps.
     Worker,
     /// Those of this shard, as its one helper, until the helper leaves.
     Helper(usize),
@@ -240,6 +242,9 @@ impl Shard {
 struct ShardStats {
     /// `runtime.runq_depth{shard}` — cells queued on the shard right now.
     runq_depth: Gauge,
+    /// `runtime.steals{shard}` — turns this shard's worker ran of other
+    /// shards' cells.
+    steals: Counter,
     /// `runtime.parks{shard}` / `runtime.unparks{shard}` — idle waits.
     parks: Counter,
     unparks: Counter,
@@ -255,6 +260,7 @@ impl ShardStats {
         let labels: &[(&str, &str)] = &[("shard", s.as_str())];
         ShardStats {
             runq_depth: telem.gauge("runtime.runq_depth", labels),
+            steals: telem.counter("runtime.steals", labels),
             parks: telem.counter("runtime.parks", labels),
             unparks: telem.counter("runtime.unparks", labels),
             dispatch_batch: telem.histogram("runtime.dispatch_batch", labels),
@@ -328,8 +334,8 @@ impl ExecShared {
         }
     }
 
-    /// The shard that queues, runs and times `cell`: its address modulo
-    /// the shard count, for its whole life.
+    /// The shard that queues `cell` and holds its timers: its address
+    /// modulo the shard count, for its whole life.
     fn home(&self, cell: &Cell) -> usize {
         cell.id.index() % self.shards.len()
     }
@@ -856,12 +862,13 @@ fn worker_loop(shared: &ExecShared, w: usize) {
 }
 
 /// One turn on shard `w`: read the clock once, fire the shard's due
-/// timers, then run the front of its run queue with that reading. `false`
-/// when no cell ran.
+/// timers, then run the front of its run queue — or, for a worker whose
+/// queue is empty, the back of another shard's — with that reading.
+/// `false` when no cell ran.
 fn turn(shared: &ExecShared, w: usize, helper: bool) -> bool {
     let now = shared.now_ns();
     fire_shard_timers(shared, w, now);
-    match pop_front(shared, w, helper) {
+    match pop_front(shared, w, helper).or_else(|| if helper { None } else { steal(shared, w) }) {
         Some(cell) => {
             run_cell(shared, w, &cell, now);
             true
@@ -888,9 +895,30 @@ fn pop_front(shared: &ExecShared, w: usize, helper: bool) -> Option<Arc<Cell>> {
     cell
 }
 
-/// Run one scheduling turn of `cell` on its home shard `w` (by the
-/// shard's worker or helper), starting at clock reading `now`: due timers,
-/// then batched mailbox drain up to the fairness cap.
+/// Take one turn of another shard's cell, leaving the cell's home as it
+/// is: the thief runs this turn only.
+fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
+    let n = shared.shards.len();
+    for i in 1..n {
+        let v = (w + i) % n;
+        let (cell, depth) = {
+            let mut q = shared.shards[v].runq.lock().expect("runq");
+            let cell = q.cells.pop_back();
+            (cell, q.cells.len())
+        };
+        if cell.is_some() {
+            shared.stats[v].runq_depth.set(depth as f64);
+            shared.stats[w].steals.inc(1);
+            return cell;
+        }
+    }
+    None
+}
+
+/// Run one scheduling turn of `cell` on shard `w` (its home shard's worker
+/// or helper, or a thief), starting at clock reading `now`: due timers,
+/// then batched mailbox drain up to the fairness cap. Its timers register
+/// on its home shard.
 fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) {
     if cell.dead.load(Ordering::Acquire) {
         cell.scheduled.store(false, Ordering::Release);
@@ -926,13 +954,23 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) {
     if let Some(deadline) = next_deadline {
         if deadline < cell.timer_registered.load(Ordering::Acquire) {
             cell.timer_registered.store(deadline, Ordering::Release);
-            let shard = &shared.shards[w];
+            let home = shared.home(cell);
+            let shard = &shared.shards[home];
             let seq = shard.timer_seq.fetch_add(1, Ordering::Relaxed) as u64;
             shard.timers.lock().push(std::cmp::Reverse(ShardTimer {
                 deadline,
                 seq,
                 cell: Arc::downgrade(cell),
             }));
+            // A thief's timer must wake the home worker if it sleeps past it.
+            if home != w {
+                let mut q = shard.runq.lock().expect("runq");
+                if q.parked && deadline < q.park_until {
+                    q.parked = false;
+                    drop(q);
+                    shard.cv.notify_one();
+                }
+            }
         }
     }
 
@@ -1286,13 +1324,13 @@ mod tests {
         assert_eq!(seen.lock().iter().map(|s| s.0).collect::<Vec<_>>(), expected);
     }
 
-    /// Two shards and no worker: a cell runs only on its home shard, its
-    /// address modulo the shard count. A turn of the other shard leaves it
-    /// queued, however often it runs, and its timers register at home.
+    /// Two shards and no worker: a cell's home is its address modulo the
+    /// shard count. The other shard's worker may take its turns, but the
+    /// cell is queued at home each time and its timers register there.
     #[test]
-    fn a_cell_runs_only_on_its_home_shard() {
+    fn a_stolen_turn_leaves_the_cell_at_home() {
         let telem = Arc::new(TelemetryRegistry::new());
-        let shared = ExecShared::new(2, Instant::now(), telem, None, None);
+        let shared = ExecShared::new(2, Instant::now(), Arc::clone(&telem), None, None);
         let add = |seen: &Seen| {
             let probe = Probe { seen: Arc::clone(seen), peer: None, echo_every: 0 };
             shared.add_node(NodeKind::Service(Box::new(probe)))
@@ -1301,13 +1339,15 @@ mod tests {
         let (zero, one) = (add(&Seen::default()), add(&seen));
         assert_eq!((zero.index(), one.index()), (0, 1));
         while turn(&shared, 0, false) || turn(&shared, 1, false) {}
+        let steals = telem.counter_total("runtime.steals");
         for req in 0..3 {
             post(&shared, one, req..req + 1);
-            assert!(!turn(&shared, 0, false), "shard 0 never runs shard 1's cell");
-            assert_eq!(seen.lock().len(), req as usize);
-            assert!(turn(&shared, 1, false), "its home shard runs it");
+            let queued = shared.shards[1].runq.lock().expect("runq").cells.len();
+            assert_eq!(queued, 1, "queued at home");
+            assert!(turn(&shared, 0, false), "shard 0 steals the turn");
             assert_eq!(seen.lock().len(), req as usize + 1);
         }
+        assert_eq!(telem.counter_total("runtime.steals") - steals, 3);
         assert!(shared.shards[0].next_timer().is_none());
         assert!(shared.shards[1].next_timer().is_some(), "the cell's timer is at home");
     }

@@ -454,7 +454,7 @@ impl ObjectGateway {
         }
 
         // The busiest counters — a ten-line traffic sketch of the whole
-        // deployment (requests, chunk ops, parks, faults, …).
+        // deployment (requests, chunk ops, steals, faults, …).
         let mut counters: Vec<(String, u64)> = snap
             .samples
             .iter()

@@ -1,7 +1,7 @@
-//! Lifecycle tests for the sharded executor behind the threaded runtime:
-//! shutdown with mail still queued, panic isolation (a poisoned service
-//! must not wedge its shard), address-preserving service restart, and
-//! callers that run the executor while they wait.
+//! Lifecycle tests for the sharded work-stealing executor behind the
+//! threaded runtime: shutdown with mail still queued, panic isolation
+//! (a poisoned service must not wedge its shard), address-preserving
+//! service restart, and callers that run the executor while they wait.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
