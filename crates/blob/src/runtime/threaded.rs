@@ -392,7 +392,8 @@ impl ClusterBuilder {
 
     /// Number of executor shards (worker threads) the cluster's nodes are
     /// multiplexed onto. `0` (the default) means one per available core.
-    /// A node's shard is its address modulo the count, for its whole life.
+    /// A node's home shard is its address modulo the count, for its whole
+    /// life; an idle worker may run one turn of another shard's node.
     pub fn executor_shards(mut self, n: usize) -> Self {
         self.executor_shards = n;
         self
