@@ -2,7 +2,8 @@
 //! construction and descent, the request path's bookkeeping (metadata
 //! version index, counters), allocation strategies, the
 //! chunk store, a blocking client call's round trip through the threaded
-//! executor, the put path's checksum and the fold that derives a log
+//! executor and one executor hop, a flight-recorder write, the put path's
+//! checksum and the fold that derives a log
 //! frame's and a whole write's CRC from its parts', the monitoring
 //! filters and burst cache, the policy engine, and the raw event rate of
 //! the cluster simulator.
@@ -23,7 +24,8 @@ use sads_blob::provider::ChunkStore;
 use sads_blob::storage::{crc32c, crc32c_combine};
 use sads_monitor::{ActivityKind, ActivityRecord, BurstCache, DataFilter, RateFilter};
 use sads_security::{scan, ActivityHistory, PolicySet, TrustConfig, TrustManager};
-use sads_sim::{NodeId, SimDuration, SimTime};
+use sads_blob::rpc::Msg;
+use sads_sim::{FlightEvent, NodeId, SimDuration, SimTime};
 
 const PAGE: u64 = 8;
 const BLOB: BlobId = BlobId(1);
@@ -317,24 +319,106 @@ fn bench_bookkeeping(c: &mut Criterion) {
     g.finish();
 }
 
+/// Passes `ListBlobs { req }` to its peer as `req - 1` until it reaches 0,
+/// then counts one lap in `laps`.
+struct Hop {
+    peer: std::sync::Arc<std::sync::OnceLock<NodeId>>,
+    laps: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl sads_blob::services::Service for Hop {
+    fn on_msg(&mut self, env: &mut dyn sads_blob::services::Env, _: NodeId, msg: Msg) {
+        match msg {
+            Msg::ListBlobs { req: 0 } => {
+                self.laps.fetch_add(1, std::sync::atomic::Ordering::Release);
+            }
+            Msg::ListBlobs { req } => {
+                env.send(*self.peer.get().unwrap(), Msg::ListBlobs { req: req - 1 })
+            }
+            _ => {}
+        }
+    }
+}
+
 /// One blocking client call on an idle one-shard cluster: a snapshot, the
 /// smallest client → version manager → client round trip, with whatever
-/// hand-off between the calling thread and the executor it costs.
+/// hand-off between the calling thread and the executor it costs. And one
+/// hop: two cells on the one shard pass a message back and forth 1 000
+/// times an iteration, so each hop is a send and the turn that handles it,
+/// with the flight recorder on (the default) and off.
 fn bench_executor(c: &mut Criterion) {
     use sads_blob::runtime::threaded::ClusterBuilder;
+    use std::sync::{atomic::Ordering, Arc, OnceLock};
 
-    let mut cluster =
-        ClusterBuilder::new().data_providers(1).meta_providers(1).executor_shards(1).start();
-    let client = cluster.client(ClientId(1));
-    let blob = client.create(BlobSpec { page_size: 4096, replication: 1 }).expect("create");
-    client.append(blob, bytes::Bytes::from(vec![7u8; 4096])).expect("append");
     let mut g = c.benchmark_group("executor");
-    g.sample_size(20_000);
-    g.bench_function("blocking_snapshot_roundtrip", |b| {
-        b.iter(|| client.snapshot(black_box(blob), None).expect("snapshot"))
+    for recorder in [true, false] {
+        let builder = ClusterBuilder::new().data_providers(1).meta_providers(1).executor_shards(1);
+        let mut cluster = builder.flight_recorder(recorder).start();
+        if recorder {
+            let client = cluster.client(ClientId(1));
+            let blob = client.create(BlobSpec { page_size: 4096, replication: 1 }).expect("create");
+            client.append(blob, bytes::Bytes::from(vec![7u8; 4096])).expect("append");
+            g.sample_size(20_000).throughput(Throughput::Elements(1));
+            g.bench_function("blocking_snapshot_roundtrip", |b| {
+                b.iter(|| client.snapshot(black_box(blob), None).expect("snapshot"))
+            });
+        }
+        let (laps, a_peer, b_peer) = (Arc::default(), Arc::new(OnceLock::new()), OnceLock::new());
+        let a_hop = Hop { peer: Arc::clone(&a_peer), laps: Arc::clone(&laps) };
+        let a = cluster.add_service(Box::new(a_hop));
+        b_peer.set(a).unwrap();
+        let b_hop = Hop { peer: Arc::new(b_peer), laps: Arc::clone(&laps) };
+        a_peer.set(cluster.add_service(Box::new(b_hop))).unwrap();
+        g.sample_size(200).throughput(Throughput::Elements(1000));
+        let name = if recorder { "one_hop_x1000" } else { "one_hop_x1000_recorder_off" };
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let lap = laps.load(Ordering::Acquire);
+                cluster.send(a, Msg::ListBlobs { req: 1000 });
+                while laps.load(Ordering::Acquire) == lap {
+                    std::hint::spin_loop();
+                }
+            })
+        });
+        cluster.shutdown();
+    }
+    g.finish();
+}
+
+/// One flight-recorder event recorded into a default-sized ring, 1 000 an
+/// iteration: what every executor turn pays to be recorded; alone, and
+/// while another thread records into the same ring (two shards' cells of
+/// one service family share a ring).
+fn bench_flight_ring(c: &mut Criterion) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let recorder = sads_sim::FlightRecorder::new();
+    let ring = recorder.ring("bench");
+    let (label, node, trace) = ("turn", 3, 0);
+    let event = |at| FlightEvent { at_ns: at, dur_ns: 900, label, node, a: 1, b: 2, trace };
+    let mut g = c.benchmark_group("flight_ring");
+    g.throughput(Throughput::Elements(1000));
+    let mut at = 0u64;
+    let mut record_x1000 = |b: &mut criterion::Bencher| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                at += 1;
+                ring.record(black_box(event(at)));
+            }
+        })
+    };
+    g.bench_function("record_x1000", &mut record_x1000);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                ring.record(event(0));
+            }
+        });
+        g.bench_function("record_x1000_beside_a_writer", &mut record_x1000);
+        stop.store(true, Ordering::Relaxed);
     });
     g.finish();
-    cluster.shutdown();
 }
 
 fn bench_alloc(c: &mut Criterion) {
@@ -529,6 +613,7 @@ criterion_group!(
     bench_read_path,
     bench_bookkeeping,
     bench_executor,
+    bench_flight_ring,
     bench_alloc,
     bench_chunk_store,
     bench_crc32c,

@@ -22,6 +22,23 @@
 //! * a caller blocked on a client call runs its shard's cells itself while
 //!   the worker sleeps (one helper per shard); only its own sends skip the wake.
 //!
+//! A hop — a send and the turn that handles it — takes seven locks. The
+//! send delivers under the routing table's read guard, then locks the
+//! cell's mailbox and, if the cell was not scheduled, its home run queue.
+//! The turn pops the run queue, locks the cell's node and drains the
+//! mailbox; the drain that finds it empty clears `scheduled` under that
+//! same lock, which ends the turn without losing a sender's wakeup (the
+//! argument is at [`drive`]). Each shard keeps its earliest timer deadline
+//! in an atomic watermark, so a turn locks the shard's timer heap only when
+//! a timer is due. The flight ring takes no lock.
+//!
+//! Untraced, a turn's callbacks see one clock reading, taken as the turn
+//! starts and again after each batch. A turn run right after another on
+//! the same thread starts from that turn's end reading, so it reads the
+//! clock once; a worker that finds nothing to run (and parks) or a helper
+//! that leaves drops the reading. With a span sink every `now()` reads
+//! the clock.
+//!
 //! Lifecycle guarantees the rest of the repo relies on:
 //!
 //! * **Panic isolation** — a handler panic poisons only its own cell: the
@@ -78,12 +95,25 @@ thread_local! {
     /// The batch a turn drains its cell's mailbox into, reused by every
     /// turn the thread runs (turns never nest on one thread).
     static BATCH: std::cell::RefCell<Vec<Envelope>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// The end reading of the turn this thread just ran (0: none), which
+    /// the next turn starts from; a worker that parks or a helper that
+    /// leaves drops it.
+    static LAST_END: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-// Clock readings made on this thread, so tests can count what a turn pays.
+// Clock readings and lock acquisitions made on this thread, so tests can
+// count what a hop pays.
 #[cfg(test)]
 thread_local! {
     static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A lock guard just taken, counted in test builds.
+fn counted<G>(guard: G) -> G {
+    #[cfg(test)]
+    LOCKS.with(|n| n.set(n.get() + 1));
+    guard
 }
 
 /// What travels between cells.
@@ -118,6 +148,14 @@ pub(crate) enum NodeKind {
     },
 }
 
+impl Envelope {
+    fn trace(&self) -> Option<TraceCtx> {
+        match self {
+            Envelope::Msg { trace, .. } | Envelope::Op { trace, .. } => *trace,
+        }
+    }
+}
+
 impl NodeKind {
     pub(crate) fn client(
         client_id: ClientId,
@@ -138,12 +176,38 @@ impl NodeKind {
 /// the cell (guarded by the `scheduled` flag plus this mutex).
 struct NodeState {
     kind: NodeKind,
-    timers: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    rng: SmallRng,
+    local: Local,
     /// The time this cell's callbacks see: the latest clock reading of its
     /// turns, raised to the send time of any envelope it handles, so it
     /// never runs backwards and never precedes a message's send.
     clock: u64,
+}
+
+/// What a cell's callbacks reach through their [`Env`] besides the clock.
+struct Local {
+    timers: CellTimers,
+    rng: SmallRng,
+    /// Registry handles of the `Env::incr` / `Env::record` names the cell
+    /// used, found by the name's address: a bump after the first is one
+    /// atomic op and no registry lookup.
+    counters: Vec<(&'static str, Counter)>,
+    gauges: Vec<(&'static str, Gauge)>,
+}
+
+/// The handle cached for `name`, made by `make` on its first use.
+fn cached<'c, H>(
+    cache: &'c mut Vec<(&'static str, H)>,
+    name: &'static str,
+    make: impl FnOnce() -> H,
+) -> &'c H {
+    let i = match cache.iter().position(|(n, _)| std::ptr::eq(*n, name)) {
+        Some(i) => i,
+        None => {
+            cache.push((name, make()));
+            cache.len() - 1
+        }
+    };
+    &cache[i].1
 }
 
 /// One multiplexed node: mailbox + state machine + scheduling flag.
@@ -203,6 +267,9 @@ struct Shard {
     runq: StdMutex<RunQueue>,
     cv: Condvar,
     timers: Mutex<BinaryHeap<std::cmp::Reverse<ShardTimer>>>,
+    /// The earliest deadline in `timers` (`u64::MAX`: none), written under
+    /// its lock, so a turn locks the heap only when a timer is due.
+    next_deadline: AtomicU64,
     timer_seq: AtomicUsize,
     /// Held by the one caller thread running this shard's cells while it
     /// waits for a reply (see [`ExecShared::wait_reply`]).
@@ -226,6 +293,7 @@ impl Shard {
             runq: StdMutex::new(RunQueue { cells: VecDeque::new(), parked: false, park_until: 0 }),
             cv: Condvar::new(),
             timers: Mutex::new(BinaryHeap::new()),
+            next_deadline: AtomicU64::new(u64::MAX),
             timer_seq: AtomicUsize::new(0),
             helper: AtomicBool::new(false),
         }
@@ -233,7 +301,14 @@ impl Shard {
 
     /// Earliest registered timer deadline, if any.
     fn next_timer(&self) -> Option<u64> {
-        self.timers.lock().peek().map(|std::cmp::Reverse(t)| t.deadline)
+        Some(self.next_deadline.load(Ordering::Acquire)).filter(|&d| d != u64::MAX)
+    }
+
+    /// Set the watermark to the heap's earliest deadline; called with the
+    /// heap's lock held.
+    fn mark(&self, heap: &BinaryHeap<std::cmp::Reverse<ShardTimer>>) {
+        let next = heap.peek().map_or(u64::MAX, |std::cmp::Reverse(t)| t.deadline);
+        self.next_deadline.store(next, Ordering::Release);
     }
 }
 
@@ -327,10 +402,12 @@ impl ExecShared {
         self.recorder.as_ref()
     }
 
-    /// Route an envelope; it is dropped if the slot is dead or unknown.
+    /// Route an envelope; it is dropped if the slot is dead or unknown. It
+    /// is delivered under the routing table's read guard, so no `Arc` of
+    /// the cell is cloned and dropped per send.
     pub(crate) fn send_to(&self, to: NodeId, env: Envelope) {
-        if let Some(cell) = self.route(to) {
-            self.deliver(&cell, env);
+        if let Some(Some(cell)) = counted(self.slots.read()).get(to.index()) {
+            self.deliver(cell, env);
         }
     }
 
@@ -341,12 +418,12 @@ impl ExecShared {
     }
 
     fn route(&self, to: NodeId) -> Option<Arc<Cell>> {
-        self.slots.read().get(to.index()).cloned().flatten()
+        counted(self.slots.read()).get(to.index()).cloned().flatten()
     }
 
     fn deliver(&self, cell: &Arc<Cell>, env: Envelope) {
         let depth = {
-            let mut mb = cell.mailbox.lock();
+            let mut mb = counted(cell.mailbox.lock());
             mb.push_back(env);
             mb.len() as u64
         };
@@ -356,22 +433,27 @@ impl ExecShared {
         self.schedule(cell);
     }
 
-    /// Mark `cell` runnable and hand it to its home shard, waking the
-    /// shard's worker if it sleeps, unless the sender is the shard's helper,
-    /// which will run the cell itself. No-op
-    /// if the cell is already queued or running (the final mailbox
-    /// re-check in [`Executor::run_cell`] covers that race).
+    /// Mark `cell` runnable and hand it to its home shard. No-op if the
+    /// cell is already queued or running: the turn running it clears the
+    /// flag only under the mailbox lock that finds the mailbox empty (see
+    /// [`drive`]).
     fn schedule(&self, cell: &Arc<Cell>) {
         if cell.dead.load(Ordering::Acquire) {
             return;
         }
-        if cell.scheduled.swap(true, Ordering::AcqRel) {
-            return;
+        if !cell.scheduled.swap(true, Ordering::AcqRel) {
+            self.enqueue(cell);
         }
+    }
+
+    /// Queue the scheduled `cell` at its home shard, waking the shard's
+    /// worker if it sleeps, unless the sender is the shard's helper, which
+    /// will run the cell itself.
+    fn enqueue(&self, cell: &Arc<Cell>) {
         let home = self.home(cell);
         let shard = &self.shards[home];
         let (depth, wake) = {
-            let mut q = shard.runq.lock().expect("runq");
+            let mut q = counted(shard.runq.lock().expect("runq"));
             q.cells.push_back(Arc::clone(cell));
             // What the shard's helper schedules, it runs itself or hands
             // back when it leaves; anyone else's send wakes the worker, so
@@ -473,18 +555,10 @@ impl ExecShared {
             _ => return false,
         }
         let started = catch_unwind(AssertUnwindSafe(|| {
-            let NodeState { kind, timers, rng, clock } = &mut *state;
+            let NodeState { kind, local, clock } = &mut *state;
             if let NodeKind::Service(service) = kind {
                 *clock = self.now_ns();
-                let mut env = ExecEnv {
-                    id: cell.id,
-                    shared: self,
-                    timers,
-                    rng,
-                    mailbox: &cell.mailbox,
-                    current: None,
-                    now_ns: *clock,
-                };
+                let mut env = ExecEnv::new(self, &cell, local, None, *clock);
                 service.on_start(&mut env);
             }
         }));
@@ -516,8 +590,12 @@ impl ExecShared {
             mailbox: Mutex::new(VecDeque::new()),
             node: Mutex::new(NodeState {
                 kind,
-                timers: BinaryHeap::new(),
-                rng: SmallRng::seed_from_u64(seed),
+                local: Local {
+                    timers: BinaryHeap::new(),
+                    rng: SmallRng::seed_from_u64(seed),
+                    counters: Vec::new(),
+                    gauges: Vec::new(),
+                },
                 clock: 0,
             }),
         })
@@ -608,6 +686,7 @@ impl Drop for Helper<'_> {
     /// a timer registered while helping falls before it would wake.
     fn drop(&mut self) {
         RUNS.set(Runs::Nothing);
+        LAST_END.set(0);
         let shard = &self.shared.shards[self.shard];
         shard.helper.store(false, Ordering::SeqCst);
         let mut q = shard.runq.lock().unwrap_or_else(PoisonError::into_inner);
@@ -711,8 +790,7 @@ impl Drop for Executor {
 struct ExecEnv<'a> {
     id: NodeId,
     shared: &'a ExecShared,
-    timers: &'a mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    rng: &'a mut SmallRng,
+    local: &'a mut Local,
     /// This cell's own mailbox, for per-node backlog depth.
     mailbox: &'a Mutex<VecDeque<Envelope>>,
     /// Causal context of the callback being handled; outgoing messages
@@ -722,7 +800,17 @@ struct ExecEnv<'a> {
     now_ns: u64,
 }
 
-impl ExecEnv<'_> {
+impl<'a> ExecEnv<'a> {
+    fn new(
+        shared: &'a ExecShared,
+        cell: &'a Cell,
+        local: &'a mut Local,
+        current: Option<TraceCtx>,
+        now_ns: u64,
+    ) -> Self {
+        ExecEnv { id: cell.id, shared, local, mailbox: &cell.mailbox, current, now_ns }
+    }
+
     /// The callback's time: the turn's clock reading, or a fresh one when
     /// the cluster has a span sink, so span stamps and the stages they
     /// attribute stay exact.
@@ -751,10 +839,20 @@ impl Env for ExecEnv<'_> {
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let deadline = self.clock() + delay.as_nanos();
-        self.timers.push(std::cmp::Reverse((deadline, token)));
+        self.local.timers.push(std::cmp::Reverse((deadline, token)));
     }
     fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        &mut self.local.rng
+    }
+    fn record(&mut self, name: &'static str, value: f64) {
+        let (telem, id) = (&self.shared.telem, self.id);
+        let make = || telem.gauge(name, &[("node", NodeLabel::new(id.0).as_str())]);
+        cached(&mut self.local.gauges, name, make).set(value);
+    }
+    fn incr(&mut self, name: &'static str, delta: u64) {
+        let (telem, id) = (&self.shared.telem, self.id);
+        let make = || telem.counter(name, &[("node", NodeLabel::new(id.0).as_str())]);
+        cached(&mut self.local.counters, name, make).inc(delta);
     }
     fn span_sink(&self) -> Option<Arc<SpanSink>> {
         self.shared.sink.clone()
@@ -771,7 +869,7 @@ impl Env for ExecEnv<'_> {
     fn queue_depth_seconds(&self) -> f64 {
         // Age of the oldest envelope still queued for *this* cell: the
         // multiplexed equivalent of "how far behind is my inbox".
-        let mb = self.mailbox.lock();
+        let mb = counted(self.mailbox.lock());
         match mb.front() {
             Some(Envelope::Msg { sent_ns, .. }) => {
                 self.shared.now_ns().saturating_sub(*sent_ns) as f64 / 1e9
@@ -815,16 +913,19 @@ fn record_net_span(
     });
 }
 
-/// Schedule every cell whose shard timer is due at `now_ns`.
+/// Schedule every cell whose shard timer is due at `now_ns`; the heap is
+/// locked only when its watermark says one is.
 fn fire_shard_timers(shared: &ExecShared, w: usize, now_ns: u64) {
-    loop {
-        let mut th = shared.shards[w].timers.lock();
-        let Some(std::cmp::Reverse(first)) = th.peek() else { return };
-        if first.deadline > now_ns {
-            return;
-        }
-        let std::cmp::Reverse(t) = th.pop().expect("peeked");
-        drop(th);
+    let shard = &shared.shards[w];
+    while shard.next_deadline.load(Ordering::Acquire) <= now_ns {
+        let t = {
+            let mut th = counted(shard.timers.lock());
+            let due = th.peek().is_some_and(|std::cmp::Reverse(t)| t.deadline <= now_ns);
+            let t = due.then(|| th.pop().expect("peeked").0);
+            shard.mark(&th);
+            t
+        };
+        let Some(t) = t else { return };
         // How far past its deadline the heap let this timer drift —
         // queueing lag of the timer plane itself.
         shared.stats[w].timer_lag.observe(now_ns.saturating_sub(t.deadline) as f64 / 1e9);
@@ -861,16 +962,21 @@ fn worker_loop(shared: &ExecShared, w: usize) {
     }
 }
 
-/// One turn on shard `w`: read the clock once, fire the shard's due
-/// timers, then run the front of its run queue — or, for a worker whose
-/// queue is empty, the back of another shard's — with that reading.
-/// `false` when no cell ran.
+/// One turn on shard `w`: fire the shard's due timers, then run the front
+/// of its run queue — or, for a worker whose queue is empty, the back of
+/// another shard's — from one clock reading: the end reading of the turn
+/// this thread ran just before, or a fresh one. `false` when no cell ran,
+/// which also drops the reading, so a worker parks and a helper leaves
+/// without one.
 fn turn(shared: &ExecShared, w: usize, helper: bool) -> bool {
-    let now = shared.now_ns();
+    let now = match LAST_END.replace(0) {
+        0 => shared.now_ns(),
+        end => end,
+    };
     fire_shard_timers(shared, w, now);
     match pop_front(shared, w, helper).or_else(|| if helper { None } else { steal(shared, w) }) {
         Some(cell) => {
-            run_cell(shared, w, &cell, now);
+            LAST_END.set(run_cell(shared, w, &cell, now));
             true
         }
         None => false,
@@ -882,7 +988,7 @@ fn turn(shared: &ExecShared, w: usize, helper: bool) -> bool {
 /// never starts a turn beside it.
 fn pop_front(shared: &ExecShared, w: usize, helper: bool) -> Option<Arc<Cell>> {
     let (cell, depth) = {
-        let mut q = shared.shards[w].runq.lock().expect("runq");
+        let mut q = counted(shared.shards[w].runq.lock().expect("runq"));
         if helper && !q.parked {
             return None;
         }
@@ -902,7 +1008,7 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
     for i in 1..n {
         let v = (w + i) % n;
         let (cell, depth) = {
-            let mut q = shared.shards[v].runq.lock().expect("runq");
+            let mut q = counted(shared.shards[v].runq.lock().expect("runq"));
             let cell = q.cells.pop_back();
             (cell, q.cells.len())
         };
@@ -915,131 +1021,150 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
     None
 }
 
+type CellTimers = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
+
+/// What one turn of a cell did.
+struct Turn {
+    /// Envelopes handled.
+    handled: usize,
+    /// The turn's last clock reading.
+    end: u64,
+    /// It stopped at [`MAX_PER_RUN`] with mail left: the cell is still
+    /// scheduled and goes to the back of its home queue.
+    yielded: bool,
+    /// Trace id of the first traced envelope it handled, or 0.
+    trace: u64,
+}
+
 /// Run one scheduling turn of `cell` on shard `w` (its home shard's worker
 /// or helper, or a thief), starting at clock reading `now`: due timers,
 /// then batched mailbox drain up to the fairness cap. Its timers register
-/// on its home shard.
-fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) {
+/// on its home shard. Returns the turn's end reading when it read the
+/// clock after handling mail, else 0.
+fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) -> u64 {
     if cell.dead.load(Ordering::Acquire) {
         cell.scheduled.store(false, Ordering::Release);
-        return;
+        return 0;
     }
 
-    let mut node = cell.node.lock();
-    let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, cell, &mut node, now)));
-    let next_deadline = node.timers.peek().map(|std::cmp::Reverse((d, _))| *d);
+    let mut node = counted(cell.node.lock());
+    let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, w, cell, &mut node, now)));
     drop(node);
-    let panicked = outcome.is_err();
-    let (handled, end) = outcome.unwrap_or((0, now));
-    shared.stats[w].dispatch_batch.observe(handled as f64);
-    if handled > 0 {
-        if let Some(ring) = &cell.ring {
-            ring.record(FlightEvent {
-                at_ns: now,
-                dur_ns: end.saturating_sub(now),
-                label: "turn",
-                node: cell.id.0 as u64,
-                a: handled as u64,
-                b: cell.mail_hwm.load(Ordering::Relaxed),
-            });
-        }
-    }
-
-    if panicked {
+    let Ok(turn) = outcome else {
         shared.poison(cell);
         cell.scheduled.store(false, Ordering::Release);
+        return 0;
+    };
+    shared.stats[w].dispatch_batch.observe(turn.handled as f64);
+    if turn.yielded {
+        shared.enqueue(cell);
+    }
+    if turn.handled == 0 {
+        return 0;
+    }
+    if let Some(ring) = &cell.ring {
+        ring.record(FlightEvent {
+            at_ns: now,
+            dur_ns: turn.end.saturating_sub(now),
+            label: "turn",
+            node: cell.id.0,
+            a: turn.handled as u64,
+            b: cell.mail_hwm.load(Ordering::Relaxed),
+            trace: turn.trace,
+        });
+    }
+    turn.end
+}
+
+/// Register `cell`'s earliest timer on its home shard unless an entry at
+/// or before it is registered already.
+fn register_timer(shared: &ExecShared, w: usize, cell: &Arc<Cell>, timers: &CellTimers) {
+    let Some(&std::cmp::Reverse((deadline, _))) = timers.peek() else { return };
+    if deadline >= cell.timer_registered.load(Ordering::Acquire) {
         return;
     }
-
-    if let Some(deadline) = next_deadline {
-        if deadline < cell.timer_registered.load(Ordering::Acquire) {
-            cell.timer_registered.store(deadline, Ordering::Release);
-            let home = shared.home(cell);
-            let shard = &shared.shards[home];
-            let seq = shard.timer_seq.fetch_add(1, Ordering::Relaxed) as u64;
-            shard.timers.lock().push(std::cmp::Reverse(ShardTimer {
-                deadline,
-                seq,
-                cell: Arc::downgrade(cell),
-            }));
-            // A thief's timer must wake the home worker if it sleeps past it.
-            if home != w {
-                let mut q = shard.runq.lock().expect("runq");
-                if q.parked && deadline < q.park_until {
-                    q.parked = false;
-                    drop(q);
-                    shard.cv.notify_one();
-                }
-            }
-        }
+    cell.timer_registered.store(deadline, Ordering::Release);
+    let home = shared.home(cell);
+    let shard = &shared.shards[home];
+    let seq = shard.timer_seq.fetch_add(1, Ordering::Relaxed) as u64;
+    {
+        let mut th = counted(shard.timers.lock());
+        th.push(std::cmp::Reverse(ShardTimer { deadline, seq, cell: Arc::downgrade(cell) }));
+        shard.mark(&th);
     }
-
-    cell.scheduled.store(false, Ordering::SeqCst);
-    // Re-check after clearing the flag: a sender that pushed while we were
-    // draining (and saw `scheduled == true`) relies on this to not lose
-    // its wakeup.
-    if !cell.mailbox.lock().is_empty() {
-        shared.schedule(cell);
+    // A thief's timer must wake the home worker if it sleeps past it.
+    if home != w {
+        let mut q = shard.runq.lock().expect("runq");
+        if q.parked && deadline < q.park_until {
+            q.parked = false;
+            drop(q);
+            shard.cv.notify_one();
+        }
     }
 }
 
-/// Returns the number of envelopes handled this turn and the turn's last
-/// clock reading. The clock is read once after each batch, never per
+/// Drain `cell`'s mailbox in batches, firing its due timers before and
+/// after each. The clock is read once after each batch, never per
 /// envelope: a batch's callbacks see the reading taken before it (or the
 /// send time of an envelope sent after that reading).
-fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState, now: u64) -> (usize, u64) {
-    let NodeState { kind, timers, rng, clock } = node;
+///
+/// The turn ends under the mailbox lock that finds the mailbox empty: that
+/// lock clears `scheduled` before it is released. No wakeup is lost. A
+/// sender pushes under the same lock and only then swaps `scheduled` to
+/// true. If its push came first, this drain takes the envelope. If it came
+/// after, the clear happened before its push, so its swap reads false and
+/// it queues the cell again. A sender whose push was drained but whose
+/// swap comes after the clear queues one turn that finds no mail.
+fn drive(shared: &ExecShared, w: usize, cell: &Arc<Cell>, node: &mut NodeState, now: u64) -> Turn {
+    let NodeState { kind, local, clock } = node;
     *clock = (*clock).max(now);
-    fire_due_timers(shared, cell, kind, timers, rng, *clock);
+    fire_due_timers(shared, cell, kind, local, *clock);
 
-    let mut handled = 0usize;
+    let mut turn = Turn { handled: 0, end: now, yielded: false, trace: 0 };
     BATCH.with_borrow_mut(|batch| loop {
-        {
-            let mut mb = cell.mailbox.lock();
-            let n = mb.len().min(DRAIN_BATCH);
-            batch.extend(mb.drain(..n));
-        }
-        if batch.is_empty() {
+        register_timer(shared, w, cell, &local.timers);
+        if turn.handled >= MAX_PER_RUN {
+            turn.yielded = true;
             break;
         }
-        handled += batch.len();
+        {
+            let mut mb = counted(cell.mailbox.lock());
+            let n = mb.len().min(DRAIN_BATCH);
+            if n == 0 {
+                cell.scheduled.store(false, Ordering::Release);
+                break;
+            }
+            batch.extend(mb.drain(..n));
+        }
+        turn.handled += batch.len();
         // A panicking handler drops the rest of the batch with the drain.
         for env in batch.drain(..) {
-            handle_envelope(shared, cell, kind, timers, rng, clock, env);
+            if turn.trace == 0 {
+                turn.trace = env.trace().map_or(0, |tc| tc.trace_id);
+            }
+            handle_envelope(shared, cell, kind, local, clock, env);
         }
         // Time advanced while handling; fire anything that came due.
         *clock = shared.now_ns();
-        fire_due_timers(shared, cell, kind, timers, rng, *clock);
-        if handled >= MAX_PER_RUN {
-            break; // Yield the worker; run_cell re-queues us at the back.
-        }
+        turn.end = *clock;
+        fire_due_timers(shared, cell, kind, local, *clock);
     });
-    (handled, *clock)
+    turn
 }
-
 fn fire_due_timers(
     shared: &ExecShared,
-    cell: &Arc<Cell>,
+    cell: &Cell,
     kind: &mut NodeKind,
-    timers: &mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    rng: &mut SmallRng,
+    local: &mut Local,
     now_ns: u64,
 ) {
     loop {
-        let token = match timers.peek() {
+        let token = match local.timers.peek() {
             Some(std::cmp::Reverse((deadline, token))) if *deadline <= now_ns => *token,
             _ => break,
         };
-        timers.pop();
-        let mut env = ExecEnv {
-            id: cell.id,
-            shared,
-            timers,
-            rng,
-            mailbox: &cell.mailbox,
-            current: None,
-            now_ns,
-        };
+        local.timers.pop();
+        let mut env = ExecEnv::new(shared, cell, local, None, now_ns);
         match kind {
             NodeKind::Service(service) => service.on_timer(&mut env, token),
             NodeKind::Client { core, pending, .. } => {
@@ -1062,10 +1187,9 @@ fn deliver(pending: &mut HashMap<u64, Sender<Completion>>, completions: Vec<Comp
 
 fn handle_envelope(
     shared: &ExecShared,
-    cell: &Arc<Cell>,
+    cell: &Cell,
     kind: &mut NodeKind,
-    timers: &mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    rng: &mut SmallRng,
+    local: &mut Local,
     clock: &mut u64,
     envelope: Envelope,
 ) {
@@ -1080,15 +1204,7 @@ fn handle_envelope(
                 }
                 _ => None,
             };
-            let mut env = ExecEnv {
-                id: cell.id,
-                shared,
-                timers,
-                rng,
-                mailbox: &cell.mailbox,
-                current: trace,
-                now_ns: *clock,
-            };
+            let mut env = ExecEnv::new(shared, cell, local, trace, *clock);
             match kind {
                 NodeKind::Service(service) => {
                     service.on_msg(&mut env, from, msg);
@@ -1122,15 +1238,7 @@ fn handle_envelope(
                 let tag = *next_tag;
                 *next_tag += 1;
                 pending.insert(tag, reply);
-                let mut env = ExecEnv {
-                    id: cell.id,
-                    shared,
-                    timers,
-                    rng,
-                    mailbox: &cell.mailbox,
-                    current: trace,
-                    now_ns: *clock,
-                };
+                let mut env = ExecEnv::new(shared, cell, local, trace, *clock);
                 // Stream sub-operations (a feed with headroom, a close)
                 // can complete synchronously.
                 let completions = core.start_op(&mut env, op, tag);
@@ -1279,26 +1387,131 @@ mod tests {
         assert!(seen.windows(2).all(|w| w[1].1 >= w[0].2));
     }
 
-    /// An untraced turn reads the clock twice, whatever its handlers call:
-    /// once as it starts (shard timers, the cell's timers, the flight
-    /// event's start) and once after its one batch (timers that came due,
-    /// the flight event's end). It read five times, plus once per `now`,
-    /// `send` and `set_timer`, when every step read its own.
+    fn locks() -> u64 {
+        LOCKS.with(|n| n.get())
+    }
+
+    /// An untraced turn reads the clock twice whatever its handlers call:
+    /// as it starts (shard timers, the cell's timers, the flight event's
+    /// start) and after its one batch (timers that came due, the flight
+    /// event's end). A turn run right after it on the same thread starts
+    /// from that end reading, so it reads once; a turn that runs nothing
+    /// drops the reading. It read five times, plus once per `now`, `send`
+    /// and `set_timer`, when every step read its own, and twice per turn
+    /// while each turn read its own start.
     #[test]
-    fn an_untraced_turn_reads_the_clock_twice() {
+    fn a_back_to_back_untraced_turn_reads_the_clock_once() {
         let (shared, cells) = probes(false, 0, 2);
         let (a, b) = (cells[0].0, cells[1].0);
-        post(&shared, a, 0..5);
-        assert!(turn(&shared, 0, false));
-        assert!(shared.shards[0].next_timer().is_some(), "a shard timer is registered");
-        post(&shared, a, 5..10);
-        for cell in [b, a] {
+        let reads = |expected: u64, what: &str| {
             let before = clock_reads();
             assert!(turn(&shared, 0, false));
-            assert_eq!(clock_reads() - before, 2, "one turn of {cell:?}");
-        }
+            assert_eq!(clock_reads() - before, expected, "{what}");
+        };
+        post(&shared, a, 0..5);
+        reads(2, "a turn after an idle one");
+        assert!(shared.shards[0].next_timer().is_some(), "a shard timer is registered");
+        post(&shared, a, 5..10);
+        reads(1, "b's turn, right after a's");
+        reads(1, "a's turn, right after b's");
+        reads(1, "b's turn, right after a's");
+        assert!(!turn(&shared, 0, false), "an idle turn");
+        post(&shared, b, 10..11);
+        reads(2, "a turn after an idle one");
         let ring = shared.recorder.as_ref().expect("recorder").ring("service");
-        assert_eq!(ring.snapshot().0.len(), 3, "each turn is recorded");
+        assert_eq!(ring.snapshot().0.len(), 5, "each turn is recorded");
+    }
+
+    /// A hop — a send and the turn that handles it — takes seven locks: the
+    /// routing table's read lock, the mailbox and the run queue to send;
+    /// the run queue, the node, the mailbox to drain and the mailbox again
+    /// to find it empty and end the turn. It took ten while each turn
+    /// locked the shard's timer heap, the flight ring and the mailbox once
+    /// more after clearing `scheduled`.
+    #[test]
+    fn a_hop_takes_seven_locks() {
+        let (shared, cells) = probes(false, 0, 1);
+        let a = cells[0].0;
+        post(&shared, a, 0..1);
+        assert!(turn(&shared, 0, false), "a turn that arms a 10 s timer");
+        let before = locks();
+        post(&shared, a, 1..2);
+        assert_eq!(locks() - before, 3, "a send");
+        assert!(turn(&shared, 0, false));
+        assert_eq!(locks() - before, 7, "a send and its turn");
+    }
+
+    /// Counts what it handles in `seen`: slot `req` for a request sent to
+    /// it, `n + req` for the copy it sends itself, `2n + req` for the
+    /// timer it arms for the request.
+    struct Tally {
+        seen: Arc<Vec<AtomicU64>>,
+        n: u64,
+    }
+    impl Service for Tally {
+        fn on_msg(&mut self, env: &mut dyn Env, _from: NodeId, msg: Msg) {
+            let Msg::ListBlobs { req } = msg else { return };
+            self.seen[req as usize].fetch_add(1, Ordering::Relaxed);
+            if req < self.n {
+                env.send(env.id(), Msg::ListBlobs { req: req + self.n });
+                env.set_timer(SimDuration::from_micros(200), req);
+            }
+        }
+        fn on_timer(&mut self, _env: &mut dyn Env, token: u64) {
+            self.seen[(2 * self.n + token) as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The end-of-turn protocol under load: two shards with workers, four
+    /// cells, four outside senders, a self-send and a timer armed by every
+    /// handled request. The senders send in rounds and wait for each
+    /// round's mail to be handled before the next, so a wakeup lost where a
+    /// turn ends beside a send stalls its round. Every message is handled
+    /// exactly once and every timer fires once, within 2 s.
+    #[test]
+    fn no_wakeup_is_lost_at_the_end_of_a_turn() {
+        const SENDERS: u64 = 4;
+        const ROUNDS: u64 = 400;
+        const BURST: u64 = 4;
+        let n = SENDERS * ROUNDS * BURST;
+        let seen: Arc<Vec<AtomicU64>> = Arc::new((0..3 * n).map(|_| AtomicU64::new(0)).collect());
+        let telem = Arc::new(TelemetryRegistry::new());
+        let exec = Executor::start(2, Instant::now(), telem, None, None);
+        let cells: Vec<NodeId> = (0..4)
+            .map(|_| {
+                let tally = Tally { seen: Arc::clone(&seen), n };
+                exec.shared.add_node(NodeKind::Service(Box::new(tally)))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let once = |i: u64| seen[i as usize].load(Ordering::Relaxed) == 1;
+        let round_done = std::sync::Barrier::new(SENDERS as usize);
+        std::thread::scope(|s| {
+            for t in 0..SENDERS {
+                let (shared, cells, round_done) = (&exec.shared, &cells, &round_done);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let first = (round * SENDERS + t) * BURST;
+                        for req in first..first + BURST {
+                            let (to, msg) = (cells[(req % 4) as usize], Msg::ListBlobs { req });
+                            shared.send_to(to, Envelope::Msg { from: to, msg, trace: None, sent_ns: 0 });
+                        }
+                        let all = round * SENDERS * BURST..(round + 1) * SENDERS * BURST;
+                        while !all.clone().all(|r| once(r) && once(n + r)) {
+                            assert!(Instant::now() < deadline, "round {round} stalled");
+                            std::thread::yield_now();
+                        }
+                        round_done.wait();
+                    }
+                });
+            }
+        });
+        while !(0..n).all(|r| once(2 * n + r)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (i, c) in seen.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "slot {i} of {}", 3 * n);
+        }
     }
 
     /// More than a batch of queued envelopes, plus self-sends made while

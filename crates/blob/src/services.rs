@@ -44,12 +44,12 @@ pub trait Env {
     /// Record a time-series observation: set this node's `name` gauge in
     /// the registry, which keeps no history. The simulated runtime also
     /// logs the sample in its world, where `sads_sim::Metrics` reads it.
-    fn record(&mut self, name: &str, value: f64) {
+    fn record(&mut self, name: &'static str, value: f64) {
         let node = NodeLabel::new(self.id().0);
         self.telemetry().set(name, &[("node", node.as_str())], value);
     }
     /// Increment this node's `name` counter in the registry.
-    fn incr(&mut self, name: &str, delta: u64) {
+    fn incr(&mut self, name: &'static str, delta: u64) {
         let node = NodeLabel::new(self.id().0);
         self.telemetry().inc(name, &[("node", node.as_str())], delta);
     }

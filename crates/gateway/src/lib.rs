@@ -38,7 +38,8 @@ use sads_blob::stream::BlobReadHandle;
 use sads_blob::{BlobError, BlobId, BlobSpec, ClientId, VersionId, WriteKind};
 use sads_sim::{SpanClass, SpanKind, SpanRecord, TraceCtx};
 use sads_telemetry::{
-    derive_health, HealthPolicy, HealthState, SampleValue, Snapshot, HEARTBEAT_GAUGE,
+    derive_health, Counter, HealthPolicy, HealthState, Histogram, SampleValue, Snapshot,
+    HEARTBEAT_GAUGE,
 };
 
 /// Bucket-level access control, after S3's canned ACLs.
@@ -88,18 +89,12 @@ pub enum GatewayError {
 impl std::fmt::Display for GatewayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GatewayError::NoSuchUpload => write!(f, "NoSuchUpload"),
-            GatewayError::InvalidPart => write!(f, "InvalidPart"),
-            GatewayError::NoSuchBucket => write!(f, "NoSuchBucket"),
-            GatewayError::NoSuchKey => write!(f, "NoSuchKey"),
-            GatewayError::BucketAlreadyExists => write!(f, "BucketAlreadyExists"),
-            GatewayError::BucketNotEmpty => write!(f, "BucketNotEmpty"),
-            GatewayError::AccessDenied => write!(f, "AccessDenied"),
-            GatewayError::InvalidName => write!(f, "InvalidName"),
             GatewayError::Unavailable { retry_after_secs } => {
                 write!(f, "ServiceUnavailable (retry after {retry_after_secs}s)")
             }
             GatewayError::Storage(e) => write!(f, "StorageError: {e}"),
+            // Every other variant is a unit variant named as S3 names it.
+            other => write!(f, "{other:?}"),
         }
     }
 }
@@ -180,6 +175,17 @@ impl Default for GatewayConfig {
     }
 }
 
+/// Every op [`ObjectGateway::request`] counts, so each op's handles are
+/// resolved once.
+const OPS: [&str; 14] = [
+    "create_bucket", "delete_bucket", "list_buckets", "list_objects", "put_object", "get_object",
+    "head_object", "snapshot_object", "read_pinned", "delete_object", "create_multipart",
+    "upload_part", "complete_multipart", "abort_multipart",
+];
+
+/// One op's `gateway.requests`, `gateway.errors` and `gateway.op_seconds`.
+struct OpStats(Counter, Counter, Histogram);
+
 /// The S3-compatible front end. Cheap to share behind an `Arc`; all
 /// methods take the acting principal explicitly, as the HTTP layer would
 /// after authentication. When the cluster was built with
@@ -197,6 +203,8 @@ pub struct ObjectGateway {
     buckets: Mutex<BTreeMap<String, Bucket>>,
     uploads: Mutex<BTreeMap<u64, Multipart>>,
     next_upload: std::sync::atomic::AtomicU64,
+    /// Each op's handles, parallel to [`OPS`], made by its first request.
+    ops: [std::sync::OnceLock<OpStats>; OPS.len()],
 }
 
 /// Response of a traced S3 request: the payload plus the trace id the
@@ -302,6 +310,7 @@ impl ObjectGateway {
             buckets: Mutex::new(BTreeMap::new()),
             uploads: Mutex::new(BTreeMap::new()),
             next_upload: std::sync::atomic::AtomicU64::new(1),
+            ops: Default::default(),
         }
     }
 
@@ -318,10 +327,15 @@ impl ObjectGateway {
         op: &'static str,
         f: impl FnOnce(Option<TraceCtx>) -> Result<T, GatewayError>,
     ) -> Result<T, GatewayError> {
-        let cluster = &self.clients[0];
-        let (telemetry, sink) = (cluster.telemetry(), cluster.span_sink());
-        let labels = [("op", op)];
-        telemetry.inc("gateway.requests", &labels, 1);
+        let (cluster, labels) = (&self.clients[0], [("op", op)]);
+        let i = OPS.iter().position(|o| *o == op).expect("a listed op");
+        let OpStats(requests, errors, seconds) = self.ops[i].get_or_init(|| {
+            let t = cluster.telemetry();
+            let (count, seconds) = (|n| t.counter(n, &labels), "gateway.op_seconds");
+            OpStats(count("gateway.requests"), count("gateway.errors"), t.histogram(seconds, &labels))
+        });
+        requests.inc(1);
+        let sink = cluster.span_sink();
         let trace =
             sink.map(|s| TraceCtx { trace_id: s.next_id(), span_id: s.next_id(), parent: 0 });
         let start_ns = cluster.now_ns();
@@ -329,9 +343,9 @@ impl ObjectGateway {
         let end_ns = cluster.now_ns();
         let elapsed_s = end_ns.saturating_sub(start_ns) as f64 / 1e9;
         let trace_id = trace.map_or(0, |tc| tc.trace_id);
-        telemetry.histogram("gateway.op_seconds", &labels).observe_traced(elapsed_s, trace_id);
+        seconds.observe_traced(elapsed_s, trace_id);
         if out.is_err() {
-            telemetry.inc("gateway.errors", &labels, 1);
+            errors.inc(1);
         }
         if let (Some(sink), Some(tc)) = (sink, trace) {
             sink.record(SpanRecord {
@@ -387,14 +401,7 @@ impl ObjectGateway {
         // Health. Heartbeat gauges carry the cluster's own clock, so the
         // freshest beat is the best "now" available to a reader that must
         // not assume which runtime (sim or threaded) wrote them.
-        let now_s = snap
-            .family(HEARTBEAT_GAUGE)
-            .filter_map(|s| match s.value {
-                SampleValue::Gauge(g) => Some(g),
-                _ => None,
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
-        if now_s.is_finite() {
+        if let Some(now_s) = snap.gauge_max(HEARTBEAT_GAUGE) {
             let health = derive_health(&snap, now_s, &HealthPolicy::default());
             let ok = health.iter().filter(|h| h.state == HealthState::Ok).count();
             let degraded = health.iter().filter(|h| h.state == HealthState::Degraded).count();
@@ -428,12 +435,7 @@ impl ObjectGateway {
         ));
         for s in snap.family("alerts.fired") {
             if let SampleValue::Counter(c) = s.value {
-                let rule = s
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "rule")
-                    .map(|(_, v)| v.as_str())
-                    .unwrap_or("?");
+                let rule = s.labels.iter().find(|(k, _)| k == "rule").map_or("?", |(_, v)| v);
                 out.push_str(&format!("  fired {rule}: {c}\n"));
             }
         }
@@ -460,12 +462,9 @@ impl ObjectGateway {
             .iter()
             .filter_map(|s| match s.value {
                 SampleValue::Counter(c) => {
-                    let labels = s
-                        .labels
-                        .iter()
-                        .map(|(k, v)| format!("{k}={v}"))
-                        .collect::<Vec<_>>()
-                        .join(",");
+                    let labels: Vec<String> =
+                        s.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                    let labels = labels.join(",");
                     let key = if labels.is_empty() {
                         s.name.clone()
                     } else {
@@ -1553,6 +1552,61 @@ mod tests {
                 }
             }
         }
+    }
+    /// A gateway over disk-backed providers, traced into `sink`.
+    fn disk_gateway(sink: &Arc<SpanSink>, root: &std::path::Path) -> (Cluster, ObjectGateway) {
+        let backend = sads_blob::BackendSpec::disk(root);
+        let builder = ClusterBuilder::new().data_providers(2).meta_providers(1).backend(backend);
+        let mut cluster = builder.span_sink(Arc::clone(sink)).start();
+        let client = cluster.client(ClientId(1000));
+        let cfg = GatewayConfig { page_size: 64 * 1024, ..Default::default() };
+        (cluster, ObjectGateway::new(client, cfg))
+    }
+
+    /// Once every handle a GET uses is resolved, a GET looks nothing up in
+    /// the registry: the gateway holds its op's handles and each cell its
+    /// `Env::incr` names' (`provider.reads`). The least of five windows
+    /// of 20 GETs is taken, so a heartbeat's gauge sets in one window
+    /// cannot fail it.
+    #[test]
+    fn a_steady_state_get_looks_nothing_up_in_the_registry() {
+        let (cluster, gw) = cluster_and_gateway();
+        gw.create_bucket(ALICE, "b", Acl::Private).unwrap();
+        gw.put_object(ALICE, "b", "k", body(100_000, 3)).unwrap();
+        let get = || assert_eq!(gw.get_object(ALICE, "b", "k").unwrap().len(), 100_000);
+        (0..5).for_each(|_| get());
+        let reg = cluster.telemetry();
+        let window = || {
+            let before = reg.lookups();
+            (0..20).for_each(|_| get());
+            reg.lookups() - before
+        };
+        assert_eq!((0..5).map(|_| window()).min(), Some(0));
+        cluster.shutdown();
+    }
+
+    /// A traced GET over disk-backed providers: the flight-recorder turns
+    /// that handled its messages carry its trace id, in the client's ring
+    /// and in the providers'.
+    #[test]
+    fn a_traced_gets_turns_are_dumped_under_its_trace_id() {
+        let root = std::env::temp_dir().join(format!("sads-gw-flight-{}", std::process::id()));
+        let sink = Arc::new(SpanSink::new());
+        let (cluster, gw) = disk_gateway(&sink, &root);
+        gw.create_bucket(ALICE, "b", Acl::Private).unwrap();
+        gw.put_object(ALICE, "b", "k", body(200_000, 9)).unwrap();
+        let got = gw.get_object_traced(ALICE, "b", "k").unwrap();
+        assert_ne!(got.trace_id, 0);
+        let dump = cluster.flight_recorder().expect("recorder").trigger_dump("test", "", 0);
+        let rings: Vec<&str> = dump
+            .rings
+            .iter()
+            .filter(|r| r.events.iter().any(|e| e.label == "turn" && e.trace == got.trace_id))
+            .map(|r| r.service)
+            .collect();
+        assert!(rings.contains(&"client") && rings.contains(&"provider"), "{rings:?}");
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 

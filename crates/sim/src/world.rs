@@ -123,7 +123,7 @@ pub struct World {
     net: Network,
     rng: SmallRng,
     events_processed: u64,
-    /// Probability that a [`Ctx::send`]/[`Ctx::send_after`] message is
+    /// Probability that a [`Ctx::send`] message is
     /// silently lost, with a dedicated RNG so enabling loss never
     /// perturbs the actors' own random draws. `None` = lossless (the
     /// default); no RNG is consulted at all in that case, keeping
@@ -141,8 +141,8 @@ pub struct World {
     /// What [`Ctx::record`] logged, per name, in call order.
     samples: FastMap<String, Vec<Sample>>,
     /// Flight recorder, when attached: every dispatched event is mirrored
-    /// into the recorder's `"sim"` ring (a cached `Arc` so the per-event
-    /// cost is one short mutex hold). Purely observational like the span
+    /// into the recorder's `"sim"` ring (a cached `Arc`, so the per-event
+    /// cost is one `Ring::record`). Purely observational like the span
     /// sink — the event schedule is byte-identical with it on or off.
     flight: Option<(Arc<FlightRecorder>, Arc<sads_trace::Ring>)>,
     /// Running FNV-style fold over every dispatched event's
@@ -280,7 +280,7 @@ impl World {
         self.push(self.now, EventKind::Start { node });
     }
 
-    /// Make every [`Ctx::send`]/[`Ctx::send_after`] message be lost with
+    /// Make every [`Ctx::send`] message be lost with
     /// probability `prob` (clamped to `[0, 1]`), using a dedicated RNG
     /// seeded with `seed` so the loss pattern is deterministic and
     /// independent of the actors' own random draws. Expedited sends
@@ -379,9 +379,10 @@ impl World {
                         2 => "deliver",
                         _ => "timer",
                     },
-                    node: ev.kind.target().0 as u64,
+                    node: ev.kind.target().0,
                     a: ev.seq,
                     b: ev.kind.tag(),
+                    trace: 0,
                 });
             }
             if ev.epoch != self.epoch_of(ev.kind.target()) {
@@ -403,12 +404,9 @@ impl World {
         self.run_until(SimTime::MAX, max_events)
     }
 
-    /// Advance the clock to `t` if it is in the future (no-op otherwise,
-    /// and `SimTime::MAX` is not a reachable instant). Used by harnesses
-    /// that act on the world at scheduled points — fault injection,
-    /// periodic snapshots — even when the event queue is momentarily
-    /// empty, in which case [`World::run_until`] returns with the clock
-    /// still at the last processed event.
+    /// Advance the clock to `t` if it is in the future and not
+    /// `SimTime::MAX`: fault injection acts at scheduled points even when
+    /// [`World::run_until`] left the clock at the last processed event.
     pub fn advance_to(&mut self, t: SimTime) {
         if t > self.now && t < SimTime::MAX {
             self.now = t;
@@ -436,12 +434,8 @@ impl World {
         if !self.net.is_up(node) {
             return;
         }
-        let Some(slot) = self.actors.get_mut(node.index()) else {
-            return;
-        };
-        let Some(mut actor) = slot.take() else {
-            return;
-        };
+        let Some(slot) = self.actors.get_mut(node.index()) else { return };
+        let Some(mut actor) = slot.take() else { return };
         let mut ctx = Ctx { world: self, id: node, trace };
         f(actor.as_mut(), &mut ctx);
         // A handler may crash its own node; only restore if still up.
@@ -555,24 +549,6 @@ impl Ctx<'_> {
                 ..Default::default()
             };
             self.trace_transfer(msg.as_ref(), now, at, timing);
-            let trace = self.trace;
-            self.world.push(at, EventKind::Deliver { from: self.id, to, msg, trace });
-        }
-    }
-
-    /// Send after first spending `delay` of local processing time (models
-    /// CPU cost before the reply hits the NIC).
-    pub fn send_after(&mut self, delay: SimDuration, to: NodeId, msg: Box<dyn Message>) {
-        if self.world.lose_message() {
-            return;
-        }
-        // Model: occupy nothing locally, just delay the network entry.
-        let size = msg.wire_size();
-        let start = self.world.now + delay;
-        if let Some((at, timing)) =
-            self.world.net.schedule_transfer_timed(start, self.id, to, size)
-        {
-            self.trace_transfer(msg.as_ref(), start, at, timing);
             let trace = self.trace;
             self.world.push(at, EventKind::Deliver { from: self.id, to, msg, trace });
         }
@@ -739,7 +715,6 @@ mod tests {
             fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, _msg: Box<dyn Message>) {
                 ctx.incr("answer.seen", 1);
                 ctx.send(from, Box::new(Tick));
-                ctx.send_after(SimDuration::from_millis(1), from, Box::new(Tick));
                 ctx.send_expedited(from, Box::new(Tick));
             }
         }

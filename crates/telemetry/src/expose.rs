@@ -36,15 +36,9 @@ fn fmt_labels(labels: &[(String, String)], extra: Option<(&str, String)>) -> Str
     if labels.is_empty() && extra.is_none() {
         return String::new();
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| {
-            format!(
-                "{k}=\"{}\"",
-                v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-            )
-        })
-        .collect();
+    let escape = |v: &str| v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+    let mut parts: Vec<String> =
+        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape(v))).collect();
     if let Some((k, v)) = extra {
         parts.push(format!("{k}=\"{v}\""));
     }
@@ -90,11 +84,8 @@ fn render_sample(out: &mut String, pname: &str, s: &Sample) {
                 // OpenMetrics exemplar: `… # {trace_id="…"} value`, linking
                 // the bucket to one concrete (dumpable) trace.
                 if let Some(ex) = h.exemplars.get(i).copied().flatten() {
-                    out.push_str(&format!(
-                        " # {{trace_id=\"{:x}\"}} {}",
-                        ex.trace_id,
-                        fmt_value(ex.value)
-                    ));
+                    let value = fmt_value(ex.value);
+                    out.push_str(&format!(" # {{trace_id=\"{:x}\"}} {value}", ex.trace_id));
                 }
                 out.push('\n');
             }

@@ -23,6 +23,8 @@ type Key = (String, Vec<(String, String)>);
 struct Series {
     state: FoldState,
     by_hash: FastMap<u64, Vec<(Key, Cell)>>,
+    /// Calls that looked a series up, counted for [`Registry::lookups`].
+    lookups: u64,
 }
 
 /// Run `f` over `labels` sorted, on the stack when there are few.
@@ -256,7 +258,8 @@ impl Registry {
     ) -> R {
         with_sorted(labels, |labels| {
             let mut inner = self.inner.lock().expect("telemetry registry poisoned");
-            let Series { state, by_hash } = &mut *inner;
+            let Series { state, by_hash, lookups } = &mut *inner;
+            *lookups += 1;
             let bucket = by_hash.entry(state.hash_one((name, labels))).or_default();
             let found = bucket.iter().position(|((n, ls), _)| {
                 n == name
@@ -308,6 +311,11 @@ impl Registry {
     /// One-shot histogram observation.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.histogram(name, labels).observe(v);
+    }
+
+    /// Series lookups so far: one per registration or one-shot call.
+    pub fn lookups(&self) -> u64 {
+        self.inner.lock().expect("telemetry registry poisoned").lookups
     }
 
     /// The counter family `name` summed over its label sets (0 if absent).
@@ -426,42 +434,29 @@ impl Snapshot {
     /// Sum of a counter family across all label sets; `None` if the family
     /// does not exist at all.
     pub fn counter_total(&self, name: &str) -> Option<u64> {
-        let mut seen = false;
-        let mut total = 0u64;
-        for s in &self.samples {
-            if s.name == name {
-                if let SampleValue::Counter(c) = &s.value {
-                    seen = true;
-                    total += c;
-                }
-            }
-        }
-        seen.then_some(total)
+        let counts = self.family(name).filter_map(|s| match s.value {
+            SampleValue::Counter(c) => Some(c),
+            _ => None,
+        });
+        counts.reduce(|a, b| a + b)
     }
 
     /// Sum of a gauge family across all label sets; `None` if absent.
     pub fn gauge_total(&self, name: &str) -> Option<f64> {
-        let mut seen = false;
-        let mut total = 0.0;
-        for s in &self.samples {
-            if s.name == name {
-                if let SampleValue::Gauge(g) = &s.value {
-                    seen = true;
-                    total += g;
-                }
-            }
-        }
-        seen.then_some(total)
+        self.gauges(name).reduce(|a, b| a + b)
     }
 
     /// The largest value of a gauge family across its label sets; `None`
     /// if absent.
     pub fn gauge_max(&self, name: &str) -> Option<f64> {
-        let gauges = self.family(name).filter_map(|s| match s.value {
+        self.gauges(name).reduce(f64::max)
+    }
+
+    fn gauges<'a>(&'a self, name: &'a str) -> impl Iterator<Item = f64> + 'a {
+        self.family(name).filter_map(|s| match s.value {
             SampleValue::Gauge(g) => Some(g),
             _ => None,
-        });
-        gauges.reduce(f64::max)
+        })
     }
 
     /// All samples of one family.

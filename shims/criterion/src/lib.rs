@@ -151,6 +151,10 @@ impl BenchmarkGroup<'_> {
     }
 
     fn run(&mut self, name: &str, f: &mut dyn FnMut(&mut Bencher)) {
+        let id = format!("{}/{name}", self.name);
+        if self.criterion.filter.as_ref().is_some_and(|want| !id.contains(want.as_str())) {
+            return;
+        }
         let mode = if self.criterion.measure {
             Mode::Measure { sample_size: self.sample_size }
         } else {
@@ -184,14 +188,19 @@ impl BenchmarkGroup<'_> {
 
 /// Benchmark driver. `--bench` in the process arguments (what
 /// `cargo bench` passes to a `harness = false` target) selects measure
-/// mode; otherwise benchmarks run once as smoke tests.
+/// mode; otherwise benchmarks run once as smoke tests. The first argument
+/// that is not a flag (`cargo bench -- executor`) runs only the benchmarks
+/// whose `group/name` contains it.
 pub struct Criterion {
     measure: bool,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { measure: std::env::args().any(|a| a == "--bench") }
+        let mut args = std::env::args().skip(1);
+        let measure = std::env::args().any(|a| a == "--bench");
+        Criterion { measure, filter: args.find(|a| !a.starts_with('-')) }
     }
 }
 
@@ -245,7 +254,7 @@ mod tests {
 
     #[test]
     fn smoke_mode_runs_payload_once() {
-        let mut c = Criterion { measure: false };
+        let mut c = Criterion { measure: false, filter: None };
         let mut runs = 0;
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Elements(1));
@@ -256,7 +265,7 @@ mod tests {
 
     #[test]
     fn measure_mode_samples_and_reports() {
-        let mut c = Criterion { measure: true };
+        let mut c = Criterion { measure: true, filter: None };
         let mut runs = 0u64;
         let mut g = c.benchmark_group("g");
         g.sample_size(5);

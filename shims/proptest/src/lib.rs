@@ -471,7 +471,7 @@ mod tests {
             n in 3u64..9,
             xs in prop::collection::vec((0usize..4, 1u64..3), 1..6),
             opt in prop::option::of(1u32..5),
-            pick in prop_oneof![Just(1u8), Just(2u8), (5u8..7)],
+            pick in prop_oneof![Just(1u8), Just(2u8), 5u8..7],
         ) {
             prop_assert!((3..9).contains(&n), "n = {} out of range", n);
             prop_assert!(!xs.is_empty() && xs.len() < 6);

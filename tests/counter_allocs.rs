@@ -101,11 +101,11 @@ fn env_counters_allocate_nothing_on_threads() {
     // 10^5 records in five windows, each on a new name after one warm
     // call: a log of one window's records would ask for ≥ 0.3 MiB.
     let record = |env: &mut dyn Env| {
-        let mut window = |name: &str| {
+        let mut window = |name: &'static str| {
             env.record(name, 1.0);
             requested_during(|| (0..20_000).for_each(|_| env.record(name, 1.0))).1
         };
-        (0..5).map(|i| window(&format!("probe.level{i}"))).min().unwrap()
+        (0..5).map(|i| window(format!("probe.level{i}").leak())).min().unwrap()
     };
     // `add_service` runs `on_start` on this thread before it returns.
     let id = cluster.add_service(Box::new(Probe(Arc::clone(&seen), record)));

@@ -27,9 +27,10 @@ fn tagged(w: u64, i: u64) -> FlightEvent {
         at_ns: i,
         dur_ns: w,
         label: "turn",
-        node: w,
+        node: w as u32,
         a: i,
         b: w.wrapping_mul(0x9e37_79b9).wrapping_add(i),
+        trace: 0,
     }
 }
 
@@ -45,10 +46,10 @@ fn check_snapshot(
     let mut last_seen: Vec<Option<u64>> = vec![None; writers as usize];
     for ev in events {
         // Torn write ⇒ the checksum field disagrees with the payload.
-        prop_assert!(ev.node < writers, "unknown writer {}", ev.node);
+        prop_assert!(u64::from(ev.node) < writers, "unknown writer {}", ev.node);
         prop_assert_eq!(
             ev.b,
-            ev.node.wrapping_mul(0x9e37_79b9).wrapping_add(ev.a),
+            u64::from(ev.node).wrapping_mul(0x9e37_79b9).wrapping_add(ev.a),
             "torn event: {:?}",
             ev
         );
@@ -140,10 +141,7 @@ proptest! {
         prop_assert_eq!(total, writers * per_writer, "every ack counted");
         prop_assert_eq!(dropped + events.len() as u64, total, "evictions accounted");
         prop_assert!(events.len() * EVENT_BYTES <= budget, "byte budget respected");
-        prop_assert!(
-            !events.is_empty(),
-            "a non-zero budget always retains the newest event"
-        );
+        prop_assert!(!events.is_empty(), "a non-zero budget always retains the newest event");
         check_snapshot(&events, writers, per_writer, true)?;
     }
 }
