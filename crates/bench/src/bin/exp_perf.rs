@@ -36,10 +36,10 @@
 //! its cluster holds its chunks).
 //!
 //! `--smoke` runs a tiny sweep for CI, writes `results/BENCH_smoke.json`,
-//! exits non-zero if read throughput at 8 clients regressed more than
-//! 50% against the checked-in `BENCH_perf.json`, and runs the
-//! **flight-recorder overhead gate**: interleaved A/B rounds at 8 clients
-//! must show the always-on recorder costing ≤ 2% on both paths.
+//! exits non-zero if read@8 fell over 50% below `BENCH_perf.json`, and
+//! runs the **flight-recorder overhead gate**: A/B rounds of 4 MiB writes
+//! and reads at 8 clients must show the recorder costing ≤ 2%. Per small op
+//! it costs more: a `gateway_disk` GET reads 1.027 × on against off.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;

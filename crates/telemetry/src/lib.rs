@@ -5,9 +5,9 @@
 //! against, and where experiment counters are read from afterwards.
 //!
 //! * [`Registry`] — a lock-cheap map of `(name, labels)` → counter / gauge /
-//!   histogram cells holding current values, no history. Every `Env::incr`
-//!   / `Env::record` of both runtimes is one short mutex hold; the hot path
-//!   through a [`Counter`] or [`Gauge`] handle is a single atomic op,
+//!   histogram cells holding current values, no history. A simulated
+//!   `Env::incr` is one short mutex hold (a threaded cell's first only);
+//!   a bump through a [`Counter`] or [`Gauge`] handle is one atomic op,
 //!   through a [`Histogram`] (the shared `sads_trace::Histogram`,
 //!   log-bucketed) a few relaxed ones.
 //! * [`Snapshot`] — a structured point-in-time copy of the registry that the

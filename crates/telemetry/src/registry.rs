@@ -229,8 +229,8 @@ impl Histogram {
 /// Registration (`counter`/`gauge`/`histogram`) interns the `(name, labels)`
 /// key under a mutex and hands back a lock-free handle; the one-shot
 /// methods (`inc`/`set`/`observe`) pay one mutex hold per call. Every
-/// `Env::incr` and `Env::record` of both runtimes is one such call, so
-/// this is the one store of the deployment's current counters, gauges and
+/// `Env::incr` and `Env::record` lands here (a threaded cell holds its
+/// handles), so this is the one store of the deployment's counters, gauges and
 /// histograms; it keeps no history. With up to 8 labels, only the first
 /// call for a key allocates: later ones find it from their borrowed
 /// arguments.
