@@ -39,7 +39,7 @@
 //! exits non-zero if read@8 fell over 50% below `BENCH_perf.json`, and
 //! runs the **flight-recorder overhead gate**: A/B rounds of 4 MiB writes
 //! and reads at 8 clients must show the recorder costing ≤ 2%. Per small op
-//! it costs more: a `gateway_disk` GET reads 1.027 × on against off.
+//! it costs more: a `gateway_disk` GET reads ≈ 1.05 × on against off.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
