@@ -1151,6 +1151,7 @@ fn drive(shared: &ExecShared, w: usize, cell: &Arc<Cell>, node: &mut NodeState, 
     });
     turn
 }
+
 fn fire_due_timers(
     shared: &ExecShared,
     cell: &Cell,
@@ -1494,7 +1495,8 @@ mod tests {
                         let first = (round * SENDERS + t) * BURST;
                         for req in first..first + BURST {
                             let (to, msg) = (cells[(req % 4) as usize], Msg::ListBlobs { req });
-                            shared.send_to(to, Envelope::Msg { from: to, msg, trace: None, sent_ns: 0 });
+                            let envelope = Envelope::Msg { from: to, msg, trace: None, sent_ns: 0 };
+                            shared.send_to(to, envelope);
                         }
                         let all = round * SENDERS * BURST..(round + 1) * SENDERS * BURST;
                         while !all.clone().all(|r| once(r) && once(n + r)) {

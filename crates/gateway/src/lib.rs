@@ -331,8 +331,8 @@ impl ObjectGateway {
         let i = OPS.iter().position(|o| *o == op).expect("a listed op");
         let OpStats(requests, errors, seconds) = self.ops[i].get_or_init(|| {
             let t = cluster.telemetry();
-            let (count, seconds) = (|n| t.counter(n, &labels), "gateway.op_seconds");
-            OpStats(count("gateway.requests"), count("gateway.errors"), t.histogram(seconds, &labels))
+            let (count, secs) = (|n| t.counter(n, &labels), "gateway.op_seconds");
+            OpStats(count("gateway.requests"), count("gateway.errors"), t.histogram(secs, &labels))
         });
         requests.inc(1);
         let sink = cluster.span_sink();

@@ -93,7 +93,6 @@ impl Ring {
     /// The slot of event `seq` — made first if `make`, else `None` if it
     /// is not made yet — and the stamp that says it holds event `seq`.
     fn slot(&self, seq: u64, make: bool) -> Option<(&[AtomicU64; 8], u64)> {
-        // A mask, not a division, at the default budget.
         let n = self.cap;
         let i = (if n.is_power_of_two() { seq & (n - 1) } else { seq % n }) as usize;
         let (c, slots) = (i / CHUNK, CHUNK.min(n as usize - i / CHUNK * CHUNK));
@@ -108,6 +107,8 @@ impl Ring {
     /// its write) gives way to the newer event in its slot, and one that
     /// finds an older writer mid-write waits, so no two fill one slot.
     pub fn record(&self, ev: FlightEvent) {
+        // Checked before the claim: a writer never stops holding a busy stamp.
+        let len = u32::try_from(ev.label.len()).expect("a label under 4 GiB");
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let (slot, whole) = self.slot(seq, true).expect("made");
         let mut stamp = slot[0].load(Ordering::Relaxed);
@@ -127,7 +128,6 @@ impl Ring {
             }
         }
         fence(Ordering::Release);
-        let len = u32::try_from(ev.label.len()).expect("a label under 4 GiB");
         let (label, len_node) = (ev.label.as_ptr() as u64, (len as u64) << 32 | ev.node as u64);
         let event = [ev.at_ns, ev.dur_ns, label, len_node, ev.a, ev.b, ev.trace];
         slot[1..].iter().zip(event).for_each(|(w, v)| w.store(v, Ordering::Relaxed));
