@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sads_sim::{NodeConfig, NodeId, Registry};
+use sads_sim::{FlightRecorder, NodeConfig, NodeId};
 
 use crate::client::ClientConfig;
 use crate::services::{DataProviderService, MetaProviderService, Service, ServiceConfig};
@@ -23,8 +23,8 @@ pub trait Host {
     /// Start `service` as a new node. `nic` is its simulated NIC; real
     /// threads have no NIC model.
     fn start(&mut self, service: Box<dyn Service>, nic: NodeConfig) -> NodeId;
-    /// The metrics registry every node writes (the alert engine reads it).
-    fn registry(&self) -> Arc<Registry>;
+    /// The host's flight recorder, if any (a firing alert rule dumps it).
+    fn flight_recorder(&self) -> Option<Arc<FlightRecorder>>;
     /// Point the host's own clients, and the data providers it adds or
     /// restarts itself (wired by `cfg`), at `blob`.
     fn bind(&mut self, blob: &BlobSeer, cfg: ServiceConfig, client_cfg: ClientConfig);

@@ -149,8 +149,8 @@ impl Host for World {
         add_service(self, service, nic)
     }
 
-    fn registry(&self) -> Arc<Registry> {
-        Arc::clone(self.telemetry())
+    fn flight_recorder(&self) -> Option<Arc<sads_sim::FlightRecorder>> {
+        World::flight_recorder(self).cloned()
     }
 
     /// Nothing to point: simulated clients are scripted actors wired with

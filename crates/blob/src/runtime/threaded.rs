@@ -94,7 +94,6 @@ pub struct OpTicket {
     exec: Arc<ExecShared>,
     node: NodeId,
     timeout: Duration,
-    submitted: Instant,
 }
 
 /// A blocking call's outcome, from what its reply channel yielded.
@@ -112,19 +111,6 @@ impl OpTicket {
     /// `BlobError::Protocol(CLIENT_GONE)`.
     pub fn wait(self) -> Result<OpOutput, BlobError> {
         outcome(self.exec.wait_reply(self.node, None, &self.rx, self.timeout))
-    }
-
-    /// Time since the op was injected into the client cell's mailbox.
-    pub fn elapsed(&self) -> Duration {
-        self.submitted.elapsed()
-    }
-
-    /// [`wait`](OpTicket::wait), also returning the elapsed time from
-    /// submission to the wait returning (the closed-loop op latency).
-    pub fn wait_timed(self) -> (Result<OpOutput, BlobError>, Duration) {
-        let submitted = self.submitted;
-        let out = self.wait();
-        (out, submitted.elapsed())
     }
 }
 
@@ -179,13 +165,7 @@ impl ClientHandle {
     pub fn submit(&self, op: ClientOp, trace: Option<TraceCtx>) -> OpTicket {
         let (tx, rx) = bounded(1);
         self.exec.send_to(self.node, Envelope::Op { op, reply: tx, trace });
-        OpTicket {
-            rx,
-            exec: Arc::clone(&self.exec),
-            node: self.node,
-            timeout: self.op_timeout,
-            submitted: Instant::now(),
-        }
+        OpTicket { rx, exec: Arc::clone(&self.exec), node: self.node, timeout: self.op_timeout }
     }
 
     /// [`append`](ClientHandle::append) without blocking: returns a
@@ -623,8 +603,8 @@ impl Host for Cluster {
         self.add_service(service)
     }
 
-    fn registry(&self) -> Arc<TelemetryRegistry> {
-        Arc::clone(self.telemetry())
+    fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
+        Cluster::flight_recorder(self).cloned()
     }
 
     /// Clients created from now on address `blob`'s managers with

@@ -79,9 +79,9 @@ pub struct DeploymentConfig {
     /// Client tuning for the deployment's clients.
     pub client_cfg: ClientConfig,
     /// Deploy the SLO burn-rate alert engine with these rules. It reads
-    /// the host's metrics registry. Fired alerts are pushed to the
-    /// elasticity controller, the replication manager and the security
-    /// engine — whichever of them are deployed.
+    /// the host's registry and dumps its flight recorder on each firing.
+    /// Fired alerts are pushed to the elasticity controller, the
+    /// replication manager and the security engine, if deployed.
     pub alerts: Option<Vec<BurnRateRule>>,
     /// Chunk-backend family for data providers. `Memory` (the default)
     /// loses all chunks on a crash; `Disk` gives each provider a
@@ -324,7 +324,7 @@ pub fn install(spec: &DeploymentConfig, host: &mut impl Host) -> Nodes {
     n.alert_engine = spec.alerts.clone().map(|rules| {
         let subscribers = [n.elastic, n.repl, n.security].into_iter().flatten().collect();
         let every = SimDuration::from_secs(2);
-        let engine = SloAlertService::new(host.registry(), rules, subscribers, every);
+        let engine = SloAlertService::new(rules, subscribers, every, host.flight_recorder());
         host.start(Box::new(engine), nic)
     });
     n

@@ -22,8 +22,10 @@
 //! The gateway has no observation plane of its own. Each request is
 //! counted, timed and — on a cluster built with a span sink — traced in
 //! the registry, sink and clock of the cluster it fronts, so its
-//! `/metrics` and `statusz` cover that cluster and a request's trace
-//! runs from the S3 call down to the providers.
+//! `/metrics` covers that cluster and a request's trace runs from the S3
+//! call down to the providers. The status page is the introspection
+//! layer's (`sads_introspect::statusz`), rendered from
+//! [`ObjectGateway::metrics_snapshot`] like any host's.
 
 #![warn(missing_docs)]
 
@@ -37,10 +39,7 @@ use sads_blob::storage::crc32c_combine;
 use sads_blob::stream::BlobReadHandle;
 use sads_blob::{BlobError, BlobId, BlobSpec, ClientId, VersionId, WriteKind};
 use sads_sim::{SpanClass, SpanKind, SpanRecord, TraceCtx};
-use sads_telemetry::{
-    derive_health, Counter, HealthPolicy, HealthState, Histogram, SampleValue, Snapshot,
-    HEARTBEAT_GAUGE,
-};
+use sads_telemetry::{Counter, Histogram, Snapshot};
 
 /// Bucket-level access control, after S3's canned ACLs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -385,102 +384,6 @@ impl ObjectGateway {
     /// tests).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.clients[0].telemetry().snapshot()
-    }
-
-    /// Render the plain-text `/statusz` page: uptime, per-node health
-    /// verdicts, active and fired alerts, flight-recorder occupancy and
-    /// the busiest counters. One fact per line — the page an operator
-    /// reads first when paged, before reaching for the full `/metrics`
-    /// firehose.
-    pub fn statusz(&self) -> String {
-        let snap = self.metrics_snapshot();
-        let mut out = String::with_capacity(1024);
-        out.push_str("=== gateway statusz ===\n");
-        out.push_str(&format!("uptime_s: {:.3}\n", self.clients[0].now_ns() as f64 / 1e9));
-
-        // Health. Heartbeat gauges carry the cluster's own clock, so the
-        // freshest beat is the best "now" available to a reader that must
-        // not assume which runtime (sim or threaded) wrote them.
-        if let Some(now_s) = snap.gauge_max(HEARTBEAT_GAUGE) {
-            let health = derive_health(&snap, now_s, &HealthPolicy::default());
-            let ok = health.iter().filter(|h| h.state == HealthState::Ok).count();
-            let degraded = health.iter().filter(|h| h.state == HealthState::Degraded).count();
-            let down = health.iter().filter(|h| h.state == HealthState::Down).count();
-            out.push_str(&format!(
-                "health: {} nodes ok={ok} degraded={degraded} down={down}\n",
-                health.len()
-            ));
-            for h in health.iter().filter(|h| h.state != HealthState::Ok) {
-                out.push_str(&format!(
-                    "  node {}: {:?} (last heartbeat {:.3}s, now {:.3}s)\n",
-                    h.node, h.state, h.last_heartbeat_s, now_s
-                ));
-            }
-        } else {
-            out.push_str("health: no heartbeats recorded\n");
-        }
-
-        // Alerts: which burn-rate rules are burning right now, and how
-        // often each has fired since startup.
-        let mut active: Vec<&str> = snap
-            .family("alerts.active")
-            .filter(|s| matches!(s.value, SampleValue::Gauge(g) if g > 0.0))
-            .filter_map(|s| s.labels.iter().find(|(k, _)| k == "rule").map(|(_, v)| v.as_str()))
-            .collect();
-        active.sort_unstable();
-        out.push_str(&format!(
-            "alerts: active=[{}] fired_total={}\n",
-            active.join(","),
-            snap.counter_total("alerts.fired").unwrap_or(0)
-        ));
-        for s in snap.family("alerts.fired") {
-            if let SampleValue::Counter(c) = s.value {
-                let rule = s.labels.iter().find(|(k, _)| k == "rule").map_or("?", |(_, v)| v);
-                out.push_str(&format!("  fired {rule}: {c}\n"));
-            }
-        }
-
-        // Flight recorder: ring occupancy plus the reason and time of the
-        // most recent auto-capture, if any fired.
-        match self.clients[0].flight_recorder() {
-            Some(rec) => {
-                out.push_str(&rec.summary());
-                if let Some(dump) = rec.last_dump() {
-                    out.push_str(&format!(
-                        "  last dump #{}: {} at {}ns\n",
-                        dump.seq, dump.reason, dump.at_ns
-                    ));
-                }
-            }
-            None => out.push_str("flight recorder: detached\n"),
-        }
-
-        // The busiest counters — a ten-line traffic sketch of the whole
-        // deployment (requests, chunk ops, steals, faults, …).
-        let mut counters: Vec<(String, u64)> = snap
-            .samples
-            .iter()
-            .filter_map(|s| match s.value {
-                SampleValue::Counter(c) => {
-                    let labels: Vec<String> =
-                        s.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    let labels = labels.join(",");
-                    let key = if labels.is_empty() {
-                        s.name.clone()
-                    } else {
-                        format!("{}{{{labels}}}", s.name)
-                    };
-                    Some((key, c))
-                }
-                _ => None,
-            })
-            .collect();
-        counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.push_str("top counters:\n");
-        for (key, v) in counters.iter().take(10) {
-            out.push_str(&format!("  {key} {v}\n"));
-        }
-        out
     }
 
     fn client(&self) -> &ClientHandle {
@@ -1147,39 +1050,6 @@ mod tests {
         assert!(parsed
             .iter()
             .any(|s| s.exemplar.as_ref().is_some_and(|(tid, _)| *tid == format!("{:x}", put.trace_id))));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn statusz_renders_health_alerts_recorder_and_top_counters() {
-        let (cluster, gw) = cluster_and_gateway();
-        let reg = cluster.telemetry();
-        let rec = cluster.flight_recorder().expect("recorder is on by default");
-
-        gw.create_bucket(ALICE, "s", Acl::Private).unwrap();
-        gw.put_object(ALICE, "s", "k", body(4096, 7)).unwrap();
-
-        // Paint a known health/alert picture over whatever the cluster
-        // heartbeats wrote: one fresh node, one long-silent node, one
-        // burning rule.
-        reg.set(HEARTBEAT_GAUGE, &[("node", "9001")], 1_000_000.0);
-        reg.set(HEARTBEAT_GAUGE, &[("node", "9002")], 10.0);
-        reg.set("alerts.active", &[("rule", "read_rate_burn")], 1.0);
-        reg.inc("alerts.fired", &[("rule", "read_rate_burn")], 3);
-        rec.trigger_dump("statusz-test", "synthetic", 123);
-
-        let page = gw.statusz();
-        assert!(page.contains("uptime_s:"), "{page}");
-        assert!(page.contains("health:"), "{page}");
-        assert!(page.contains("node 9002: Down"), "{page}");
-        assert!(page.contains("active=[read_rate_burn]"), "{page}");
-        assert!(page.contains("fired read_rate_burn: 3"), "{page}");
-        assert!(page.contains("flight recorder:"), "{page}");
-        assert!(page.contains("last dump #1: statusz-test"), "{page}");
-        // The PUT left request counters behind; the busiest-counter
-        // sketch must include the gateway family.
-        assert!(page.contains("top counters:"), "{page}");
-        assert!(page.contains("gateway.requests{op=put_object}"), "{page}");
         cluster.shutdown();
     }
 

@@ -1,8 +1,8 @@
 //! SLO burn-rate alerting over live telemetry snapshots.
 //!
 //! The introspection layer's push channel into the self-* components: an
-//! [`SloAlertService`] periodically samples the deployment's metrics
-//! [`Registry`], folds each watched metric into a per-rule rate
+//! [`SloAlertService`] periodically samples the host's metrics registry
+//! (through its [`Env`]), folds each watched metric into a per-rule rate
 //! [`TimeSeries`], and evaluates **multi-window burn rates** — a rule
 //! fires only when both its short window (fast detection) and its long
 //! window (noise suppression) exceed the threshold. Fired [`Alert`]s are
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use sads_blob::services::{Env, Service};
 use sads_blob::{impl_ext_payload, rpc::Msg};
-use sads_sim::{FlightRecorder, NodeId, Registry, SampleValue, SimDuration, SimTime, Snapshot};
+use sads_sim::{FlightRecorder, NodeId, SampleValue, SimDuration, SimTime, Snapshot};
 
 use crate::timeseries::TimeSeries;
 
@@ -105,10 +105,9 @@ struct RuleState {
     last_fired: Option<SimTime>,
 }
 
-/// The SLO alert engine: samples the registry every `every`, evaluates
-/// the burn-rate rules, and pushes [`AlertMsg`]s to subscribers.
+/// The SLO alert engine: samples the host's registry every `every`,
+/// evaluates the burn-rate rules, and pushes [`AlertMsg`]s to subscribers.
 pub struct SloAlertService {
-    registry: Arc<Registry>,
     rules: Vec<BurnRateRule>,
     subscribers: Vec<NodeId>,
     every: SimDuration,
@@ -118,13 +117,15 @@ pub struct SloAlertService {
 }
 
 impl SloAlertService {
-    /// Evaluate `rules` against `registry` every `every`, notifying
-    /// `subscribers` on each firing.
+    /// Evaluate `rules` against the host's registry every `every`,
+    /// notifying `subscribers` on each firing. With a flight `recorder`,
+    /// every firing also triggers a dump whose reason names the rule,
+    /// freezing the last few seconds of runtime events beside the alert.
     pub fn new(
-        registry: Arc<Registry>,
         rules: Vec<BurnRateRule>,
         subscribers: Vec<NodeId>,
         every: SimDuration,
+        recorder: Option<Arc<FlightRecorder>>,
     ) -> Self {
         let state = rules
             .iter()
@@ -135,23 +136,7 @@ impl SloAlertService {
                 last_fired: None,
             })
             .collect();
-        SloAlertService {
-            registry,
-            rules,
-            subscribers,
-            every,
-            state,
-            history: Vec::new(),
-            recorder: None,
-        }
-    }
-
-    /// Attach a flight recorder: every rule firing triggers a dump whose
-    /// reason names the rule, freezing the last few seconds of runtime
-    /// events alongside the alert.
-    pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
+        SloAlertService { rules, subscribers, every, state, history: Vec::new(), recorder }
     }
 
     /// Every alert fired so far, in firing order.
@@ -181,7 +166,7 @@ impl SloAlertService {
 
     fn evaluate(&mut self, env: &mut dyn Env) {
         let now = env.now();
-        let snap = self.registry.snapshot();
+        let snap = env.telemetry().snapshot();
         let dt_s = self.every.as_secs_f64();
         let mut fired: Vec<Alert> = Vec::new();
         for (rule, state) in self.rules.iter().zip(self.state.iter_mut()) {
@@ -203,7 +188,7 @@ impl SloAlertService {
                 (Some(s), Some(l)) => warmed && s > rule.threshold && l > rule.threshold,
                 _ => false,
             };
-            self.registry.set(
+            env.telemetry().set(
                 "alerts.active",
                 &[("rule", rule.name)],
                 if burning { 1.0 } else { 0.0 },
@@ -227,8 +212,7 @@ impl SloAlertService {
             });
         }
         for alert in fired {
-            self.registry.inc("alerts.fired", &[("rule", alert.rule)], 1);
-            env.incr("alerts.fired", 1);
+            env.telemetry().inc("alerts.fired", &[("rule", alert.rule)], 1);
             if let Some(rec) = &self.recorder {
                 rec.trigger_dump(
                     &format!("slo-alert:{}", alert.rule),
@@ -269,6 +253,7 @@ impl Service for SloAlertService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sads_sim::Registry;
 
     fn rule(threshold: f64) -> BurnRateRule {
         BurnRateRule {

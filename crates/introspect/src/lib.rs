@@ -11,7 +11,10 @@
 //!   replication manager and operators query,
 //! * [`SloAlertService`] — multi-window burn-rate rules over live
 //!   telemetry registry snapshots, pushing [`Alert`]s to the self-*
-//!   components,
+//!   components and freezing a flight-recorder dump on each firing,
+//! * [`statusz()`] — the plain-text status page of any host, simulated or
+//!   threaded: health against the host's clock, the alert engine's
+//!   active and fired rules, the flight recorder and the busiest counters,
 //! * [`EwmaAnomalyDetector`] — learns a workload's own throughput
 //!   baseline and trips on relative drops an absolute SLO threshold
 //!   would miss (the bistable-round detector behind `exp_e16_introspect`),
@@ -26,6 +29,7 @@ pub mod alerts;
 pub mod anomaly;
 pub mod service;
 pub mod snapshot;
+pub mod statusz;
 pub mod timeseries;
 pub mod viz;
 
@@ -36,4 +40,5 @@ pub use alerts::{
 pub use anomaly::{Anomaly, EwmaAnomalyDetector};
 pub use service::{IntrospectionService, TOKEN_INTRO_POLL};
 pub use snapshot::{intro_msg, into_intro, BlobView, IntroMsg, ProviderView, SystemSnapshot};
+pub use statusz::statusz;
 pub use timeseries::TimeSeries;

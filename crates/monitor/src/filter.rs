@@ -300,56 +300,6 @@ impl DataFilter for ActivityFilter {
     }
 }
 
-/// Tracks the top-k hottest BLOBs by windowed access volume — the
-/// aggregation the replication manager's heat signal and operators'
-/// dashboards want without shipping every per-BLOB parameter.
-#[derive(Debug)]
-pub struct TopKFilter {
-    k: usize,
-    volume_mb: HashMap<BlobId, f64>,
-    vman: Option<NodeId>,
-}
-
-impl TopKFilter {
-    /// Track the `k` hottest BLOBs per flush window.
-    pub fn new(k: usize) -> Self {
-        TopKFilter { k, volume_mb: HashMap::new(), vman: None }
-    }
-}
-
-impl DataFilter for TopKFilter {
-    fn name(&self) -> &'static str {
-        "top_k"
-    }
-
-    fn ingest(&mut self, origin: NodeId, event: &ProbeEvent, _at: SimTime) {
-        match event {
-            ProbeEvent::ChunkWritten { key, bytes, .. }
-            | ProbeEvent::ChunkRead { key, bytes, hit: true, .. } => {
-                *self.volume_mb.entry(key.blob).or_insert(0.0) += *bytes as f64 / 1e6;
-            }
-            ProbeEvent::VersionPublished { .. } => self.vman = Some(origin),
-            _ => {}
-        }
-    }
-
-    fn flush(&mut self, at: SimTime, _window_secs: f64) -> FilterOutput {
-        let origin = self.vman.unwrap_or(NodeId(0));
-        let mut hot: Vec<(BlobId, f64)> = self.volume_mb.drain().collect();
-        hot.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        hot.truncate(self.k);
-        let params = hot
-            .into_iter()
-            .map(|(blob, mb)| MonRecord {
-                at,
-                key: ParamKey { origin, metric: MetricId::BlobHotMB, blob: Some(blob) },
-                value: mb,
-            })
-            .collect();
-        FilterOutput { params, activity: vec![] }
-    }
-}
-
 /// The default filter stack every monitoring service starts with.
 pub fn default_filters() -> Vec<Box<dyn DataFilter>> {
     vec![
@@ -551,53 +501,5 @@ mod tests {
     fn default_stack_has_four_filters() {
         let names: Vec<&str> = default_filters().iter().map(|f| f.name()).collect();
         assert_eq!(names, vec!["load", "rate", "blob_access", "activity"]);
-    }
-}
-
-#[cfg(test)]
-mod topk_tests {
-    use super::*;
-    use sads_blob::model::{ChunkKey, ClientId, VersionId};
-
-    fn write_to(blob: u64, mb: u64) -> ProbeEvent {
-        ProbeEvent::ChunkWritten {
-            provider: NodeId(1),
-            client: ClientId(9),
-            key: ChunkKey { blob: BlobId(blob), version: VersionId(1), page: 0 },
-            bytes: mb * 1_000_000,
-        }
-    }
-
-    #[test]
-    fn top_k_keeps_only_the_hottest() {
-        let mut f = TopKFilter::new(2);
-        f.ingest(NodeId(1), &write_to(1, 10), SimTime::ZERO);
-        f.ingest(NodeId(1), &write_to(2, 30), SimTime::ZERO);
-        f.ingest(NodeId(1), &write_to(3, 20), SimTime::ZERO);
-        f.ingest(NodeId(1), &write_to(2, 5), SimTime::ZERO);
-        let out = f.flush(SimTime(1_000_000_000), 1.0);
-        assert_eq!(out.params.len(), 2);
-        assert_eq!(out.params[0].key.blob, Some(BlobId(2)));
-        assert!((out.params[0].value - 35.0).abs() < 1e-9);
-        assert_eq!(out.params[1].key.blob, Some(BlobId(3)));
-        // Window resets.
-        assert!(f.flush(SimTime(2_000_000_000), 1.0).params.is_empty());
-    }
-
-    #[test]
-    fn top_k_ignores_misses() {
-        let mut f = TopKFilter::new(4);
-        f.ingest(
-            NodeId(1),
-            &ProbeEvent::ChunkRead {
-                provider: NodeId(1),
-                client: ClientId(9),
-                key: ChunkKey { blob: BlobId(7), version: VersionId(1), page: 0 },
-                bytes: 0,
-                hit: false,
-            },
-            SimTime::ZERO,
-        );
-        assert!(f.flush(SimTime(1_000_000_000), 1.0).params.is_empty());
     }
 }

@@ -27,7 +27,7 @@ pub mod storage;
 pub use cache::BurstCache;
 pub use filter::{
     default_filters, ActivityFilter, BlobAccessFilter, DataFilter, FilterOutput, LoadFilter,
-    RateFilter, TopKFilter,
+    RateFilter,
 };
 pub use record::{
     as_mon, into_mon, mon_msg, ActivityKind, ActivityRecord, MetricId, MonMsg, MonRecord,

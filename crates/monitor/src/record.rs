@@ -33,8 +33,6 @@ pub enum MetricId {
     BlobReadMB,
     /// BLOB size (MB) as of the latest publication seen.
     BlobSizeMB,
-    /// Windowed access volume of one of the top-k hottest BLOBs (MB).
-    BlobHotMB,
 }
 
 impl MetricId {
@@ -53,7 +51,6 @@ impl MetricId {
             MetricId::BlobWriteMB => "blob_write_mb",
             MetricId::BlobReadMB => "blob_read_mb",
             MetricId::BlobSizeMB => "blob_size_mb",
-            MetricId::BlobHotMB => "blob_hot_mb",
         }
     }
 }

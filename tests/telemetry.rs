@@ -5,13 +5,14 @@
 //! * **Coverage**: a live deployment's registry spans the whole system —
 //!   providers, metadata, version manager, pool, per-node heartbeats.
 //! * **Health**: a crashed provider's heartbeat gauge goes stale and the
-//!   health model flags it Down while its peers stay Ok.
+//!   health model and status page flag it Down while its peers stay Ok.
 
 use sads::blob::model::{BlobSpec, ClientId};
 use sads::blob::runtime::sim::{BlobRef, ScriptStep};
 use sads::blob::WriteKind;
+use sads::introspect::statusz;
 use sads::{default_alert_rules, Deployment, DeploymentConfig};
-use sads_sim::{HealthPolicy, HealthState, SimDuration, World, HEARTBEAT_GAUGE};
+use sads_sim::{HealthPolicy, HealthState, NodeId, SimDuration, World, HEARTBEAT_GAUGE};
 
 const MB: u64 = 1_000_000;
 
@@ -55,12 +56,8 @@ fn alerting_deployment_is_repeatable() {
     let a = build();
     let b = build();
     assert_eq!(a.world.event_digest(), b.world.event_digest(), "alerting runs are repeatable");
-    assert!(a.alert_engine().is_some(), "alert engine deployed");
-    assert_eq!(
-        a.alert_engine().unwrap().history(),
-        b.alert_engine().unwrap().history(),
-        "identical fired-alert history"
-    );
+    let fired = |d: &Deployment| d.alert_engine().expect("engine deployed").history().to_vec();
+    assert_eq!(fired(&a), fired(&b), "identical fired-alert history");
 }
 
 #[test]
@@ -109,13 +106,11 @@ fn health_flags_a_crashed_provider() {
     d.world.run_for(SimDuration::from_secs(30), 10_000_000);
 
     let health = d.health(HealthPolicy::for_interval(1.0));
-    assert!(!health.is_empty());
-    let v = health
-        .iter()
-        .find(|h| h.node == victim.0 as u64)
-        .expect("victim heartbeat seen before the crash");
-    assert_eq!(v.state, HealthState::Down, "crashed provider goes Down");
-    let survivor = d.nodes.data[1];
-    let s = health.iter().find(|h| h.node == survivor.0 as u64).expect("survivor present");
-    assert_eq!(s.state, HealthState::Ok, "surviving provider stays Ok");
+    let state = |n: NodeId| health.iter().find(|h| h.node == n.0 as u64).map(|h| h.state);
+    assert_eq!(state(victim), Some(HealthState::Down), "crashed provider goes Down");
+    assert_eq!(state(d.nodes.data[1]), Some(HealthState::Ok), "surviving provider stays Ok");
+    let rec = d.world.flight_recorder().map(|r| &**r);
+    let page = statusz(&d.telemetry().snapshot(), d.world.now(), rec);
+    assert!(page.contains(&format!("node {}: Down", victim.0)), "{page}");
+    assert!(!page.contains(&format!("node {}:", d.nodes.data[1].0)), "{page}");
 }

@@ -12,7 +12,7 @@ use sads::blob::runtime::threaded::{Cluster, ClusterBuilder};
 use sads::blob::services::DataProviderService;
 use sads::blob::storage::{payload_crc, BackendSpec};
 use sads::blob::WriteKind;
-use sads::introspect::{BurnRateRule, RuleSource};
+use sads::introspect::{statusz, BurnRateRule, RuleSource};
 use sads::lifecycle::{LifecycleConfig, ScrubConfig};
 use sads::{default_alert_rules, install, Deployment, DeploymentConfig, Nodes};
 use sads_adaptive::{ElasticityPolicy, ReplicationConfig};
@@ -314,6 +314,11 @@ fn alerting_spec_triggers_a_scan_on_threads() {
         client.read(blob, None, 0, PAGE).expect("read");
         counter(&cluster, "sec.alert_scans") >= 1
     });
+    // The one firing counts once, under its rule, and dumped the recorder.
+    let rec = cluster.flight_recorder().map(|r| &**r);
+    let page = statusz(&cluster.telemetry().snapshot(), cluster.now(), rec);
+    assert!(page.contains("fired_total=1\n") && !page.contains("fired ?"), "{page}");
+    assert!(page.contains("slo-alert:read_rate_burn"), "{page}");
     cluster.shutdown();
 }
 
