@@ -98,7 +98,7 @@ mod tests {
     use sads_sim::{Registry, HEARTBEAT_GAUGE};
 
     #[test]
-    fn statusz_renders_health_alerts_recorder_and_top_counters() {
+    fn renders_health_alerts_recorder_and_top_counters() {
         let (reg, rec) = (Registry::new(), FlightRecorder::new());
         reg.inc("gateway.requests", &[("op", "put_object")], 2);
         // One fresh node, one long-silent node, one burning rule.
