@@ -342,8 +342,10 @@ impl sads_blob::services::Service for Hop {
 
 /// One blocking client call on an idle one-shard cluster: a snapshot, the
 /// smallest client → version manager → client round trip, with whatever
-/// hand-off between the calling thread and the executor it costs. And one
-/// hop: two cells on the one shard pass a message back and forth 1 000
+/// hand-off between the calling thread and the executor it costs; a 4 KiB
+/// read of the latest version, which starts with that round trip, and of a
+/// pinned version, which the client's version cache serves without it (the
+/// difference is the round trip's unit cost). And one hop: two cells on the one shard pass a message back and forth 1 000
 /// times an iteration, so each hop is a send and the turn that handles it,
 /// with the flight recorder on (the default) and off.
 fn bench_executor(c: &mut Criterion) {
@@ -357,11 +359,17 @@ fn bench_executor(c: &mut Criterion) {
         if recorder {
             let client = cluster.client(ClientId(1));
             let blob = client.create(BlobSpec { page_size: 4096, replication: 1 }).expect("create");
-            client.append(blob, bytes::Bytes::from(vec![7u8; 4096])).expect("append");
+            let (v, _) =
+                client.append(blob, bytes::Bytes::from(vec![7u8; 4096])).expect("append");
             g.sample_size(20_000).throughput(Throughput::Elements(1));
             g.bench_function("blocking_snapshot_roundtrip", |b| {
                 b.iter(|| client.snapshot(black_box(blob), None).expect("snapshot"))
             });
+            for (name, version) in [("pinned", Some(v)), ("latest", None)] {
+                g.bench_function(format!("blocking_{name}_read_4k"), |b| {
+                    b.iter(|| client.read(black_box(blob), version, 0, 4096).expect("read"))
+                });
+            }
         }
         let (laps, a_peer, b_peer) = (Arc::default(), Arc::new(OnceLock::new()), OnceLock::new());
         let a_hop = Hop { peer: Arc::clone(&a_peer), laps: Arc::clone(&laps) };

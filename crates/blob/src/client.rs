@@ -29,6 +29,7 @@ use sads_sim::{
     FastMap, FastSet, NodeId, SimDuration, SimTime, SpanClass, SpanKind, SpanRecord, TraceCtx,
 };
 
+use crate::meta::cache::{NodeCache, VersionCache};
 use crate::meta::{
     group_by_partition, partition, Descent, MetaNode, NodeKey, NodeRange, NodeRef,
     PageSource, RangeQuery, TreeBuilder, TreeReader,
@@ -432,59 +433,6 @@ impl Default for ClientConfig {
             retry: RetryPolicy::disabled(),
             meta_range_fetch: true,
         }
-    }
-}
-
-/// Capacity (node count) of the client-side metadata-node cache.
-const META_CACHE_NODES: usize = 4096;
-
-/// Bounded FIFO cache of immutable metadata nodes, at most
-/// [`META_CACHE_NODES`]. Because a `NodeKey` names a node created by
-/// exactly one (never-rewritten) version, any cached entry is valid
-/// forever, and hits skip whole rounds of the tree descent; eviction
-/// exists only to bound memory.
-#[derive(Debug, Default)]
-struct MetaCache {
-    map: FastMap<NodeKey, MetaNode>,
-    order: std::collections::VecDeque<NodeKey>,
-}
-
-impl MetaCache {
-    fn get(&self, k: &NodeKey) -> Option<&MetaNode> {
-        self.map.get(k)
-    }
-
-    fn insert(&mut self, k: NodeKey, n: MetaNode) {
-        if self.map.insert(k, n).is_none() {
-            self.order.push_back(k);
-            while self.map.len() > META_CACHE_NODES {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                }
-            }
-        }
-    }
-
-    /// Run a metadata descent through cached nodes as far as they take
-    /// it, without leaving the client: a warm cache turns the whole
-    /// level-by-level descent into local work. `None` once the descent is
-    /// done, else the keys of the first round the cache holds none of.
-    fn descend(&self, d: &mut impl Descent) -> Option<Vec<NodeKey>> {
-        while !d.done() {
-            let fetches = d.needed();
-            debug_assert!(!fetches.is_empty());
-            let mut hit = false;
-            for k in &fetches {
-                if let Some(n) = self.get(k) {
-                    d.supply(*k, n);
-                    hit = true;
-                }
-            }
-            if !hit {
-                return Some(fetches);
-            }
-        }
-        None
     }
 }
 
@@ -900,12 +848,16 @@ struct ReadStreamSess {
     /// Whether this read already issued its one bulk `GetMetaRange`
     /// broadcast (later descent gaps use the per-node path).
     range_used: bool,
+    /// Whether the read names its version; the version manager's answer
+    /// to it then goes into the client's version cache.
+    pinned: bool,
 }
 
 impl ReadStreamSess {
-    fn new(blob: BlobId, offset: u64, len: u64) -> Self {
+    fn new(blob: BlobId, pinned: bool, offset: u64, len: u64) -> Self {
         ReadStreamSess {
             blob,
+            pinned,
             offset,
             len,
             info: None,
@@ -1160,10 +1112,8 @@ struct Cx {
     pman: NodeId,
     meta_providers: Vec<NodeId>,
     cfg: ClientConfig,
-    /// Metadata nodes seen (fetched or written) by this client. Nodes are
-    /// immutable, so hits skip whole descent rounds with no coherence
-    /// protocol.
-    meta_cache: MetaCache,
+    meta_cache: NodeCache,
+    versions: VersionCache,
     reqs: Requests,
 }
 
@@ -1186,9 +1136,9 @@ impl ClientCore {
         cfg: ClientConfig,
     ) -> Self {
         assert!(!meta_providers.is_empty(), "at least one metadata provider");
-        let meta_cache = MetaCache::default();
+        let (meta_cache, versions) = (NodeCache::default(), VersionCache::default());
         let reqs = Requests { next: 1, roles: FastMap::default() };
-        let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, reqs };
+        let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, versions, reqs };
         ClientCore { cx, sessions: FastMap::default(), next_sid: 1 }
     }
 
@@ -1258,11 +1208,22 @@ impl ClientCore {
             }
         });
         env.set_trace_ctx(trace.as_ref().map(|t| t.ctx));
-        // Every operation opens with one request to the version manager
-        // and parks: the one-shot forms park the operation itself, the
-        // stream forms park their `open`.
+        // A pinned read may find its version, fixed for good, cached.
+        let cached = match &op {
+            ClientOp::Read { blob, version: Some(v), .. }
+            | ClientOp::OpenReadStream { blob, version: Some(v), .. } => {
+                self.cx.versions.get(&(*blob, *v)).copied()
+            }
+            _ => None,
+        };
+        // Every other operation opens with one request to the version
+        // manager and parks: the one-shot forms park the operation itself,
+        // the stream forms park their `open`.
         let mut awaited = Awaited { sid, reqs: FastSet::default() };
-        let req = self.cx.reqs.issue(&mut awaited, ReqRole::Plain);
+        let req = match cached {
+            Some(_) => 0,
+            None => self.cx.reqs.issue(&mut awaited, ReqRole::Plain),
+        };
         let client = self.cx.id;
         let write = |blob, data| SessKind::WriteStream(Box::new(WriteStreamSess::new(blob, data)));
         let (kind, msg) = match op {
@@ -1281,19 +1242,27 @@ impl ClientCore {
                 (write(blob, None), Msg::Ticket { req, client, blob, kind, len })
             }
             ClientOp::Read { blob, version, offset, len }
-            | ClientOp::OpenReadStream { blob, version, offset, len } => (
-                SessKind::ReadStream(Box::new(ReadStreamSess::new(blob, offset, len))),
-                Msg::GetVersion { req, client, blob, version },
-            ),
+            | ClientOp::OpenReadStream { blob, version, offset, len } => {
+                let r = ReadStreamSess::new(blob, version.is_some(), offset, len);
+                (SessKind::ReadStream(Box::new(r)), Msg::GetVersion { req, client, blob, version })
+            }
             _ => unreachable!("stream sub-operations handled above"),
         };
         let waiter = Some(StreamWaiter { tag, started, kind: waiting, bytes: 0 });
         let last_activity = started;
         let sess = Session { started, kind, awaited, trace, waiter, failed: None, last_activity };
-        self.sessions.insert(sid, sess);
-        env.send(self.cx.vman, msg);
-        env.set_trace_ctx(None);
-        vec![]
+        let sess = self.sessions.entry(sid).or_insert(sess);
+        let Some(info) = cached else {
+            env.send(self.cx.vman, msg);
+            env.set_trace_ctx(None);
+            return vec![];
+        };
+        // The cache answers in the version manager's place. A hole-only,
+        // empty or out-of-bounds read completes here.
+        env.incr("client.version_hits", 1);
+        let step = self.cx.rstream_step(sess, ReqRole::Plain, Msg::GetVersionOk { req, info }, env);
+        let now = env.now();
+        self.stream_epilogue(env, sid, "version", step, now)
     }
 
     /// Feed a timer owned by the client core (see [`ClientCore::owns_timer`]).
@@ -2171,6 +2140,9 @@ impl Cx {
         let SessKind::ReadStream(r) = &mut sess.kind else { unreachable!("a read stream") };
         match (r.phase, msg, role) {
             (RStreamPhase::Version, Msg::GetVersionOk { info, .. }, _) => {
+                if r.pinned {
+                    self.versions.insert((r.blob, info.version), info);
+                }
                 if r.len == 0 {
                     // Nothing to resolve: the (empty) plan is complete.
                     r.info = Some(info);
@@ -3448,7 +3420,7 @@ mod tests {
         // `p ^ 2` shares all of it but the parent of its leaf; `p ^ 4` all
         // but the last two levels — as many as there are providers.
         for (version, pg, walked) in [(3, p ^ 2, 1), (4, p ^ 4, 2)] {
-            let root = c.cx.meta_cache.map.keys().filter(|k| k.version.0 == version - 1);
+            let root = c.cx.meta_cache.keys().filter(|k| k.version.0 == version - 1);
             let root = root.max_by_key(|k| k.range.len).expect("the last write's root");
             let root = NodeRef::Node { version: root.version, range: root.range };
             base = BaseSnapshot { version: VersionId(version - 1), size, root: Some(root) };
@@ -3628,6 +3600,66 @@ mod tests {
         assert_eq!(done.len(), 1);
         let Ok(OpOutput::Read { data, .. }) = &done[0].result else { panic!() };
         assert_eq!(data.len(), 0);
+    }
+
+    /// A published version never changes, so a client asks the version
+    /// manager about a pinned version once: a repeat of the first pinned
+    /// read sends no `GetVersion` and fetches the same chunks, a latest
+    /// read always asks, and the next version asks. A repeated pinned
+    /// stream open, its tree cached too, is open when `start_op` returns.
+    #[test]
+    fn a_repeated_pinned_read_skips_the_version_manager() {
+        let (pages, page) = (4u64, 8u64);
+        let (nodes, root) = stored_tree(pages, page, vec![PROV_A]);
+        let (mut env, mut c) = (TestEnv::new(), core());
+        let mut fetched = Vec::new();
+        for (version, asks) in [(Some(1), 1), (Some(1), 0), (None, 1), (None, 1), (Some(2), 1)] {
+            let (blob, version, len) = (BlobId(5), version.map(VersionId), pages * page);
+            let mut done = c.start_op(&mut env, ClientOp::Read { blob, version, offset: 0, len }, 1);
+            let (wire, more) = serve(&mut c, &mut env, pages, page, &nodes, Some(root));
+            done.extend(more);
+            assert_eq!(read_len(&done), len);
+            let asked = wire.iter().filter(|l| l.contains("GetVersion")).count();
+            assert_eq!(asked, asks, "{version:?}: {wire:#?}");
+            let batch = wire.iter().find(|l| l.contains("GetChunkBatch")).expect("a chunk fetch");
+            fetched.push(batch[batch.find("keys").expect("keys")..].to_owned());
+        }
+        assert!(fetched.windows(2).all(|w| w[0] == w[1]), "{fetched:#?}");
+        assert_eq!(env.reg.counter_total("client.version_hits"), 1);
+
+        let (blob, version) = (BlobId(5), Some(VersionId(1)));
+        let open = || ClientOp::OpenReadStream { blob, version, offset: 0, len: pages * page };
+        let done = c.start_op(&mut env, open(), 2);
+        assert!(env.take_sent().is_empty() && done.len() == 1, "{done:?}");
+        let Ok(OpOutput::ReadStreamOpened { stream, .. }) = done[0].result else { panic!() };
+        assert!(c.start_op(&mut env, ClientOp::ReadStreamNext { stream }, 3).is_empty());
+        let (wire, done) = serve(&mut c, &mut env, pages, page, &nodes, Some(root));
+        assert_eq!((wire.len(), read_len(&done)), (1, pages * page), "{wire:#?}");
+    }
+
+    /// Start a pinned zero-length read of version `v`, answer the
+    /// `GetVersion` it sends, if any, and say whether it sent one.
+    fn asks_for(c: &mut ClientCore, env: &mut TestEnv, v: u64) -> bool {
+        let (blob, version) = (BlobId(5), Some(VersionId(v)));
+        let mut done = c.start_op(env, ClientOp::Read { blob, version, offset: 0, len: 0 }, v);
+        let sent = env.take_sent();
+        let asked = !sent.is_empty();
+        for (_, msg) in sent {
+            let Msg::GetVersion { req, .. } = msg else { panic!("{msg:?}") };
+            let info = VersionInfo { version: VersionId(v), size: 8, page_size: 8, root: None };
+            done.extend(c.handle_msg(env, VMAN, Msg::GetVersionOk { req, info }));
+        }
+        assert!(matches!(done[..], [Completion { result: Ok(OpOutput::Read { .. }), .. }]));
+        asked
+    }
+
+    /// The version cache holds 256 versions, first in first out.
+    #[test]
+    fn the_257th_pinned_version_evicts_the_first() {
+        let (mut env, mut c) = (TestEnv::new(), core());
+        assert!((1..=257).all(|v| asks_for(&mut c, &mut env, v)));
+        assert!(!asks_for(&mut c, &mut env, 2), "version 2 is still cached");
+        assert!(asks_for(&mut c, &mut env, 1), "version 1 went first");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Distributed versioned metadata: the segment-tree algorithm
 //! ([`tree`]) and the metadata-provider storage/partitioning ([`store`]).
 
+pub(crate) mod cache;
 pub mod store;
 pub mod tree;
 

@@ -271,57 +271,49 @@ impl ScriptedClient {
 
     fn next_step(&mut self, ctx: &mut Ctx<'_>) {
         while let Some(step) = self.script.pop_front() {
-            match step {
-                ScriptStep::Create(spec) => {
-                    let mut env = SimEnv::new(ctx);
-                    self.core.start_op(&mut env, ClientOp::Create { spec }, 0);
-                    self.waiting_op = true;
-                    return;
-                }
-                ScriptStep::Write { blob, kind, bytes } => {
-                    let Some(blob) = self.resolve(blob) else {
-                        ctx.incr(&self.ops_err_name, 1);
-                        continue;
-                    };
-                    let mut env = SimEnv::new(ctx);
-                    self.core.start_op(
-                        &mut env,
-                        ClientOp::Write { blob, kind, data: Payload::Sim(bytes) },
-                        0,
-                    );
-                    self.waiting_op = true;
-                    return;
-                }
+            let op = match step {
+                ScriptStep::Create(spec) => Some(ClientOp::Create { spec }),
+                ScriptStep::Write { blob, kind, bytes } => self
+                    .resolve(blob)
+                    .map(|blob| ClientOp::Write { blob, kind, data: Payload::Sim(bytes) }),
                 ScriptStep::Read { blob, version, offset, len } => {
-                    let Some(blob) = self.resolve(blob) else {
-                        ctx.incr(&self.ops_err_name, 1);
-                        continue;
-                    };
-                    let mut env = SimEnv::new(ctx);
-                    self.core.start_op(
-                        &mut env,
-                        ClientOp::Read { blob, version, offset, len },
-                        0,
-                    );
-                    self.waiting_op = true;
-                    return;
+                    self.resolve(blob).map(|blob| ClientOp::Read { blob, version, offset, len })
                 }
                 ScriptStep::WaitUntil(at) => {
-                    let delay = at.since(ctx.now());
-                    ctx.set_timer(delay, SCRIPT_TIMER);
+                    ctx.set_timer(at.since(ctx.now()), SCRIPT_TIMER);
                     return;
                 }
                 ScriptStep::Pause(d) => {
                     ctx.set_timer(d, SCRIPT_TIMER);
                     return;
                 }
+            };
+            let Some(op) = op else {
+                ctx.incr(&self.ops_err_name, 1);
+                continue;
+            };
+            // An op can finish inside `start_op` (a read the client's
+            // caches serve whole); the script then goes straight on.
+            let done = self.core.start_op(&mut SimEnv::new(ctx), op, 0);
+            self.waiting_op = done.is_empty();
+            if self.waiting_op {
+                return;
             }
+            self.record(ctx, done);
         }
     }
 
     fn on_completions(&mut self, ctx: &mut Ctx<'_>, completions: Vec<Completion>) {
-        for c in completions {
+        if !completions.is_empty() {
             self.waiting_op = false;
+            self.record(ctx, completions);
+            self.next_step(ctx);
+        }
+    }
+
+    /// Count finished ops into the world metrics.
+    fn record(&mut self, ctx: &mut Ctx<'_>, completions: Vec<Completion>) {
+        for c in completions {
             match &c.result {
                 Ok(out) => {
                     ctx.incr(&self.ops_ok_name, 1);
@@ -354,7 +346,6 @@ impl ScriptedClient {
                     ctx.incr(&format!("{}.err.{}", self.prefix, err_slug(e)), 1);
                 }
             }
-            self.next_step(ctx);
         }
     }
 }
@@ -462,6 +453,32 @@ mod tests {
         assert!(w > 80.0 && w <= 130.0, "write throughput {w} MB/s");
         let r = world.metrics().mean("client.read_mbps").expect("read throughput recorded");
         assert!(r > 80.0 && r <= 130.0, "read throughput {r} MB/s");
+    }
+
+    /// A pinned read of a hole the client read before is served from its
+    /// caches inside `start_op`; the script must still go on past it.
+    #[test]
+    fn a_read_finished_inside_start_op_moves_the_script_on() {
+        let (mut world, vman, pman, meta, _) = deploy(2, 1, 5);
+        let spec = BlobSpec { page_size: MB, replication: 1 };
+        let hole = ScriptStep::Read {
+            blob: BlobRef::Created(0),
+            version: Some(VersionId(1)),
+            offset: 0,
+            len: MB,
+        };
+        let script = vec![
+            ScriptStep::Create(spec),
+            ScriptStep::Write { blob: BlobRef::Created(0), kind: WriteKind::At(2 * MB), bytes: MB },
+            hole.clone(),
+            hole,
+        ];
+        let cfg = ClientConfig::default();
+        let client = ScriptedClient::new(ClientId(1), vman, pman, meta, cfg, script, "client");
+        world.add_node(Box::new(client), NodeConfig::default());
+        world.run_for(SimDuration::from_secs(60), 1_000_000);
+        assert_eq!(world.metrics().counter("client.ops_ok"), 4);
+        assert_eq!(world.metrics().counter("client.version_hits"), 1);
     }
 
     #[test]

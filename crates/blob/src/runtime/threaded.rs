@@ -742,6 +742,34 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// A pinned read served from the client's version cache never meets
+    /// the version manager's block check; the data providers hold the same
+    /// block list (the security engine blocks at both) and refuse it.
+    #[test]
+    fn a_blocked_client_is_refused_on_a_cache_served_read() {
+        let mut cluster = small_cluster();
+        let client = cluster.client(ClientId(67));
+        let blob = client.create(BlobSpec { page_size: PAGE, replication: 1 }).expect("create");
+        let v = client.write(blob, 0, patterned(PAGE as usize, 7)).expect("write");
+        client.read(blob, Some(v), 0, PAGE).expect("the first pinned read asks");
+        for &to in [cluster.vman].iter().chain(&cluster.data) {
+            cluster.send(to, Msg::BlockClient { client: ClientId(67) });
+        }
+        // The block lands asynchronously; retry until it takes effect.
+        let (mut reads, mut blocked) = (0, false);
+        while !blocked && reads < 50 {
+            reads += 1;
+            match client.read(blob, Some(v), 0, PAGE) {
+                Err(BlobError::Blocked(_)) => blocked = true,
+                Ok(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        assert!(blocked, "the cache-served read must be refused");
+        assert_eq!(cluster.telemetry().counter_total("client.version_hits"), reads);
+        cluster.shutdown();
+    }
+
     #[test]
     fn threaded_kill_then_restart_reuses_node_id() {
         let mut cluster = small_cluster();

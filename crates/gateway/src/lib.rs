@@ -140,6 +140,10 @@ pub struct ObjectInfo {
     pub etag: u32,
 }
 
+fn pin(info: &ObjectInfo) -> (BlobId, VersionId, u64) {
+    (info.blob, info.version, info.size)
+}
+
 #[derive(Debug)]
 struct Bucket {
     owner: ClientId,
@@ -567,8 +571,8 @@ impl ObjectGateway {
         key: &str,
     ) -> Result<Traced<Bytes>, GatewayError> {
         self.request("get_object", |trace| {
-            let info = self.head_inner(principal, bucket, key)?;
-            let body = self.read_pinned_inner(&info, 0, u64::MAX, trace)?;
+            let pin = self.head_inner(principal, bucket, key, pin)?;
+            let body = self.read_pinned_inner(pin, 0, u64::MAX, trace)?;
             Ok(Traced { body, trace_id: trace.map_or(0, |tc| tc.trace_id) })
         })
     }
@@ -584,8 +588,8 @@ impl ObjectGateway {
         len: u64,
     ) -> Result<Bytes, GatewayError> {
         self.request("get_object", |trace| {
-            let info = self.head_inner(principal, bucket, key)?;
-            self.read_pinned_inner(&info, offset, len, trace)
+            let pin = self.head_inner(principal, bucket, key, pin)?;
+            self.read_pinned_inner(pin, offset, len, trace)
         })
     }
 
@@ -608,10 +612,9 @@ impl ObjectGateway {
         len: u64,
     ) -> Result<ObjectReader, GatewayError> {
         self.request("get_object", |trace| {
-            let info = self.head_inner(principal, bucket, key)?;
-            let len = if offset >= info.size { 0 } else { len.min(info.size - offset) };
-            let handle =
-                self.client().open_read_stream(info.blob, Some(info.version), offset, len, trace)?;
+            let (blob, version, size) = self.head_inner(principal, bucket, key, pin)?;
+            let len = len.min(size.saturating_sub(offset));
+            let handle = self.client().open_read_stream(blob, Some(version), offset, len, trace)?;
             Ok(ObjectReader { handle })
         })
     }
@@ -625,24 +628,20 @@ impl ObjectGateway {
         offset: u64,
         len: u64,
     ) -> Result<Bytes, GatewayError> {
-        self.request("read_pinned", |trace| self.read_pinned_inner(info, offset, len, trace))
+        self.request("read_pinned", |trace| self.read_pinned_inner(pin(info), offset, len, trace))
     }
 
     fn read_pinned_inner(
         &self,
-        info: &ObjectInfo,
+        (blob, version, size): (BlobId, VersionId, u64),
         offset: u64,
         len: u64,
         trace: Option<TraceCtx>,
     ) -> Result<Bytes, GatewayError> {
-        if offset >= info.size {
-            return Ok(Bytes::new());
+        match len.min(size.saturating_sub(offset)) {
+            0 => Ok(Bytes::new()),
+            len => Ok(self.client().read_traced(blob, Some(version), offset, len, trace)?),
         }
-        let len = len.min(info.size - offset);
-        if len == 0 {
-            return Ok(Bytes::new());
-        }
-        Ok(self.client().read_traced(info.blob, Some(info.version), offset, len, trace)?)
     }
 
     /// Object metadata without the body.
@@ -652,22 +651,23 @@ impl ObjectGateway {
         bucket: &str,
         key: &str,
     ) -> Result<ObjectInfo, GatewayError> {
-        self.request("head_object", |_| self.head_inner(principal, bucket, key))
+        self.request("head_object", |_| self.head_inner(principal, bucket, key, ObjectInfo::clone))
     }
 
     /// [`head_object`](ObjectGateway::head_object) body, outside a
     /// request so the GET paths that call it count as one request, not
-    /// two.
-    fn head_inner(
+    /// two. A read takes only the [`pin`] it needs, not a clone with the key.
+    fn head_inner<T>(
         &self,
         principal: ClientId,
         bucket: &str,
         key: &str,
-    ) -> Result<ObjectInfo, GatewayError> {
+        take: impl FnOnce(&ObjectInfo) -> T,
+    ) -> Result<T, GatewayError> {
         let b = self.buckets.lock();
         let bucket_ref = b.get(bucket).ok_or(GatewayError::NoSuchBucket)?;
         self.check_read(principal, bucket_ref)?;
-        bucket_ref.objects.get(key).cloned().ok_or(GatewayError::NoSuchKey)
+        bucket_ref.objects.get(key).map(take).ok_or(GatewayError::NoSuchKey)
     }
 
     /// Remove an object (S3 `DELETE /objects/{key}`): decommissions the

@@ -318,17 +318,17 @@ mod pin_gap_sim {
         let read = |version| {
             ScriptStep::Read { blob: BlobRef::Id(blob), version, offset: 0, len: 4 * PAGE }
         };
-        d.add_client(ClientId(2), vec![read(Some(v1))], "pinned");
+        d.add_client(ClientId(2), vec![read(Some(v1)), read(Some(v1))], "pinned");
         d.add_client(ClientId(4), vec![read(None)], "latest");
         d.world.run_for(SimDuration::from_secs(5), 10_000_000);
 
         let m = d.world.metrics();
-        if m.counter("vman.snapshots") > 0 {
-            assert_eq!(m.counter("pinned.ops_ok"), 1, "a granted pin must keep v1 readable");
-        }
-        assert_eq!(m.counter("vman.snapshots"), 0, "the pin is refused");
+        assert_eq!(m.counter("vman.snapshots"), 0, "refused, since v1 is no longer readable");
         assert_eq!(m.counter("pin.refused"), 1, "with UnknownVersion");
         assert_eq!(m.counter("latest.ops_ok"), 1, "the latest reads");
+        // Both reads of v1 fail, the second from the client's version cache.
+        let gone = |e| m.counter(&format!("pinned.err.{e}_unavailable"));
+        assert_eq!((m.counter("client.version_hits"), gone("meta") + gone("chunk")), (1, 2));
     }
 }
 
