@@ -3628,8 +3628,8 @@ mod tests {
         assert_eq!(env.reg.counter_total("client.version_hits"), 1);
 
         let (blob, version) = (BlobId(5), Some(VersionId(1)));
-        let open = || ClientOp::OpenReadStream { blob, version, offset: 0, len: pages * page };
-        let done = c.start_op(&mut env, open(), 2);
+        let open = ClientOp::OpenReadStream { blob, version, offset: 0, len: pages * page };
+        let done = c.start_op(&mut env, open, 2);
         assert!(env.take_sent().is_empty() && done.len() == 1, "{done:?}");
         let Ok(OpOutput::ReadStreamOpened { stream, .. }) = done[0].result else { panic!() };
         assert!(c.start_op(&mut env, ClientOp::ReadStreamNext { stream }, 3).is_empty());

@@ -1,8 +1,7 @@
-//! The client's caches of facts that never change once known: metadata
-//! nodes, because a [`NodeKey`] names a node one version created and no
-//! write rewrites it, and published versions, because a version's root,
-//! size and page size are fixed when the version manager publishes it.
-//! Neither needs invalidating; eviction exists only to bound memory.
+//! The client's caches of immutable facts: metadata nodes (a [`NodeKey`]
+//! names a node one version created, never rewritten) and published
+//! versions (publication fixes a version's root, size and page size).
+//! Nothing is invalidated; eviction only bounds memory.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
