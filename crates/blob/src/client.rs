@@ -51,10 +51,6 @@ type PutItem = (ChunkKey, Payload, u32);
 /// actors can route timers.
 pub const CLIENT_TIMER_BIT: u64 = 1 << 63;
 
-/// Secondary namespace bit: per-chunk-RPC deadline tokens (the low bits
-/// carry the request id).
-const CHUNK_TIMEOUT_BIT: u64 = 1 << 62;
-
 /// Secondary namespace bit: deferred-resend tokens armed by the
 /// exponential-backoff retry path (the low bits carry the request id of
 /// the resend that fires when the timer does).
@@ -308,11 +304,7 @@ impl Completion {
     /// Throughput in MB/s (payload bytes over op duration), or 0.
     pub fn throughput_mbps(&self) -> f64 {
         let secs = self.finished.since(self.started).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / 1e6 / secs
-        }
+        if secs > 0.0 { self.bytes as f64 / 1e6 / secs } else { 0.0 }
     }
 }
 
@@ -321,7 +313,7 @@ impl Completion {
 /// With the policy [disabled](RetryPolicy::disabled) (the default) chunk
 /// stores carry no deadline, any `PutChunkErr` fails the operation, and a
 /// read whose every replica failed does not refresh the chunk's leaf. An
-/// [enabled](RetryPolicy::standard) policy arms a deadline on every
+/// [enabled](RetryPolicy::standard) policy sets a deadline on every
 /// chunk store; a timed-out or refused store is re-sent to the *same*
 /// provider after a bounded exponential backoff (`backoff_base · 2ᵏ`,
 /// capped at `backoff_max`), and once `max_attempts` sends are exhausted
@@ -647,14 +639,9 @@ impl WriteStreamSess {
     /// window cap — so the *next* feed cannot push `buffered()` past
     /// `chunk_window × page_size`.
     fn feed_ready(&self, window: usize) -> bool {
-        if !self.queued.is_empty() {
-            return false;
-        }
-        if window == 0 {
-            return true;
-        }
         let cap = (window as u64).max(2) * self.page_size();
-        self.unacked_bytes == 0 || self.buffered() + self.page_size() <= cap
+        let headroom = self.unacked_bytes == 0 || self.buffered() + self.page_size() <= cap;
+        self.queued.is_empty() && (window == 0 || headroom)
     }
 
     /// The byte length the stream was opened with.
@@ -1050,9 +1037,9 @@ enum ReqRole {
     Plain,
     /// One provider's batch of chunk fetches, each on its own replica
     /// walk: window slots grouped by the replica chosen for each chunk,
-    /// or one walk's next try. A single deadline guards the whole batch;
-    /// a failed or unanswered fetch walks on from its own state.
-    ChunkGet(Vec<ChunkFetch>),
+    /// or one walk's next try. One deadline guards the whole batch; a
+    /// failed or unanswered fetch walks on from its own state.
+    ChunkGet(Vec<ChunkFetch>, SimTime),
     /// A metadata fetch carrying the requested keys (during resolve).
     MetaGet,
     /// One provider's slice of a session's bulk metadata range query
@@ -1067,6 +1054,7 @@ enum ReqRole {
         target: NodeId,
         items: Vec<PutItem>,
         attempts: u32,
+        due: SimTime,
     },
     /// A replacement-placement request for chunk stores that exhausted
     /// their target (`failed`); `items` are re-sent to the new placement.
@@ -1115,6 +1103,8 @@ struct Cx {
     meta_cache: NodeCache,
     versions: VersionCache,
     reqs: Requests,
+    /// Instants of the pending deadline timers, the earliest last.
+    armed: Vec<SimTime>,
 }
 
 /// The embeddable client core. Drive it with `start_op`, feed it every
@@ -1136,9 +1126,9 @@ impl ClientCore {
         cfg: ClientConfig,
     ) -> Self {
         assert!(!meta_providers.is_empty(), "at least one metadata provider");
-        let (meta_cache, versions) = (NodeCache::default(), VersionCache::default());
+        let (meta_cache, versions, armed) = (NodeCache::default(), VersionCache::default(), vec![]);
         let reqs = Requests { next: 1, roles: FastMap::default() };
-        let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, versions, reqs };
+        let cx = Cx { id, vman, pman, meta_providers, cfg, meta_cache, versions, reqs, armed };
         ClientCore { cx, sessions: FastMap::default(), next_sid: 1 }
     }
 
@@ -1182,7 +1172,7 @@ impl ClientCore {
         let sid = self.next_sid;
         self.next_sid += 1;
         let started = env.now();
-        env.set_timer(self.cx.cfg.op_timeout, CLIENT_TIMER_BIT | sid);
+        self.cx.arm(env, started + self.cx.cfg.op_timeout);
         let (op_name, waiting) = match &op {
             ClientOp::Create { .. } => ("create", WaiterKind::Op),
             ClientOp::Write { .. } => ("write", WaiterKind::Op),
@@ -1269,58 +1259,62 @@ impl ClientCore {
     pub fn handle_timer(&mut self, env: &mut dyn Env, token: u64) -> Vec<Completion> {
         if token & RETRY_TIMER_BIT != 0 {
             // A backoff expired: the deferred resend registered under this
-            // request id goes out now. Stale timers (op already finished)
-            // fall out at the request-table lookup.
+            // request id goes out now, under a fresh deadline. Stale timers
+            // (op already finished) fall out at the request-table lookup.
             let req = token & !(CLIENT_TIMER_BIT | RETRY_TIMER_BIT);
-            self.fire_deferred_resend(env, req);
+            let deadline = env.now() + self.cx.cfg.retry.put_timeout;
+            let Some((sid, ReqRole::ChunkPut { target, items, due, .. })) =
+                self.cx.reqs.roles.get_mut(&req)
+            else {
+                return vec![];
+            };
+            *due = deadline;
+            let msg = Msg::PutChunkBatch { req, client: self.cx.id, items: items.clone() };
+            // The resend belongs to the operation's causal tree.
+            let tc = self.sessions.get(sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
+            env.set_trace_ctx(tc);
+            env.send(*target, msg);
+            env.set_trace_ctx(None);
+            self.cx.arm(env, deadline);
             return vec![];
         }
-        if token & CHUNK_TIMEOUT_BIT != 0 {
-            // A chunk RPC went unanswered (provider crashed or drowned in
-            // backlog): synthesize the matching error locally so the
-            // normal failover/retry path handles timeouts and explicit
-            // refusals identically. Stale timers (request already
-            // answered) fall out at the request-table lookup.
-            let req = token & !(CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT);
+        // The deadline timer (see [`Cx::arm`]): time out each due request,
+        // then each due session (see [`Session::deadline`]), in id order,
+        // and re-arm. An unanswered chunk RPC gets the error a refusal
+        // brings, so failover and retry treat both alike.
+        let (now, op_timeout) = (env.now(), self.cx.cfg.op_timeout);
+        // A chunk transfer's deadline once it is sent under one; never else.
+        let deadline = |(_, role): &(u64, ReqRole)| match role {
+            ReqRole::ChunkGet(_, due) | ReqRole::ChunkPut { due, .. } => *due,
+            _ => SimTime::MAX,
+        };
+        let roles = self.cx.reqs.roles.iter().filter(|(_, r)| deadline(r) <= now);
+        let mut due: Vec<u64> = roles.map(|(req, _)| *req).collect();
+        due.sort_unstable();
+        let mut out = Vec::new();
+        for req in due {
             let msg = match self.cx.reqs.roles.get(&req) {
                 Some((_, ReqRole::ChunkPut { .. })) => {
                     Msg::PutChunkErr { req, err: ChunkErr::Unreachable }
                 }
                 Some(_) => Msg::GetChunkErr { req, err: ChunkErr::NotFound },
-                None => return vec![],
+                None => continue, // its session ended earlier in the sweep
             };
-            return self.handle_msg(env, NodeId::EXTERNAL, msg);
+            out.extend(self.handle_msg(env, NodeId::EXTERNAL, msg));
         }
-        // The session deadline (see [`Session::deadline`]). A session
-        // outlives its sub-operations, so the deadline may have moved
-        // since this timer was armed: re-arm for the remainder then.
-        let sid = token & !CLIENT_TIMER_BIT;
-        let Some(sess) = self.sessions.get(&sid) else { return vec![] };
-        let (deadline, now) = (sess.deadline(self.cx.cfg.op_timeout), env.now());
-        if deadline > now {
-            env.set_timer(deadline.since(now), CLIENT_TIMER_BIT | sid);
-            return vec![];
+        let sessions = self.sessions.iter().filter(|(_, s)| s.deadline(op_timeout) <= now);
+        let mut due: Vec<u64> = sessions.map(|(sid, _)| *sid).collect();
+        due.sort_unstable();
+        for sid in due {
+            let parked = self.end_session(env, sid);
+            out.extend(parked.map(|wt| wt.complete(Err(BlobError::Timeout), 0, now)));
         }
-        let parked = self.end_session(env, sid);
-        parked.map(|wt| wt.complete(Err(BlobError::Timeout), 0, now)).into_iter().collect()
-    }
-
-    /// Send the chunk store registered for a deferred (backed-off) resend
-    /// under request id `req`, arming a fresh RPC deadline. No-op if the
-    /// operation finished (or timed out) while the backoff ran.
-    fn fire_deferred_resend(&mut self, env: &mut dyn Env, req: u64) {
-        let Some((sid, ReqRole::ChunkPut { target, items, .. })) = self.cx.reqs.roles.get(&req)
-        else {
-            return;
-        };
-        let msg = Msg::PutChunkBatch { req, client: self.cx.id, items: items.clone() };
-        // The resend belongs to the operation's causal tree.
-        let tc = self.sessions.get(sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
-        env.set_trace_ctx(tc);
-        env.send(*target, msg);
-        env.set_trace_ctx(None);
-        let put_timeout = self.cx.cfg.retry.put_timeout;
-        env.set_timer(put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+        // Dropped only now, the fired timers kept the sweep from arming.
+        self.cx.armed.retain(|&t| t > now);
+        let reqs = self.cx.reqs.roles.values().map(deadline);
+        let next = reqs.chain(self.sessions.values().map(|s| s.deadline(op_timeout))).min();
+        self.cx.arm(env, next.unwrap_or(SimTime::MAX));
+        out
     }
 
     /// Feed an incoming message. Returns any operations that completed.
@@ -1419,12 +1413,9 @@ impl ClientCore {
         // Handles are half-duplex, so no sub-operation should be parked
         // here — but a racing caller gets a clean error, not silence.
         let parked = self.end_session(env, sid);
-        let mut out: Vec<Completion> = parked
-            .map(|wt| wt.complete(Err(BlobError::Protocol("stream closed")), 0, now))
-            .into_iter()
-            .collect();
-        out.push(instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid })));
-        out
+        let closed = instant(tag, now, Ok(OpOutput::StreamClosed { stream: sid }));
+        let err = Err(BlobError::Protocol("stream closed"));
+        parked.map(|wt| wt.complete(err, 0, now)).into_iter().chain([closed]).collect()
     }
 
     /// The one way a session ends — publish acknowledged, eof delivered,
@@ -1543,13 +1534,23 @@ impl Cx {
     /// round trip. The items are kept in the request's role so an enabled
     /// [`RetryPolicy`] can re-send them (payloads are refcounted views —
     /// no data is copied — and their CRCs ride along, so no resend
-    /// checksums again); the policy also arms the per-RPC deadline here.
+    /// checksums again); the policy also sets the per-RPC deadline here.
     fn put_chunks(&mut self, aw: &mut Awaited, to: NodeId, items: Vec<PutItem>, env: &mut dyn Env) {
-        let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts: 1 };
+        let retry = self.cfg.retry;
+        let due = if retry.enabled() { env.now() + retry.put_timeout } else { SimTime::MAX };
+        let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts: 1, due };
         let req = self.reqs.issue(aw, role);
         env.send(to, Msg::PutChunkBatch { req, client: self.id, items });
-        if self.cfg.retry.enabled() {
-            env.set_timer(self.cfg.retry.put_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+        self.arm(env, due);
+    }
+
+    /// Have a timer fire at `due` unless a pending one fires no later: one
+    /// timer, for the earliest deadline, sweeps them all (see
+    /// [`ClientCore::handle_timer`]).
+    fn arm(&mut self, env: &mut dyn Env, due: SimTime) {
+        if due < self.armed.last().copied().unwrap_or(SimTime::MAX) {
+            self.armed.push(due);
+            env.set_timer(due.since(env.now()), CLIENT_TIMER_BIT);
         }
     }
 
@@ -1788,12 +1789,13 @@ impl Cx {
                 if err == ChunkErr::Blocked || !retry.enabled() {
                     return fail(parked, chunk_err(err, client));
                 }
-                let ReqRole::ChunkPut { target, items, attempts } = role else {
+                let ReqRole::ChunkPut { target, items, attempts, .. } = role else {
                     return fail(parked, chunk_err(err, client));
                 };
                 if err != ChunkErr::Full && attempts < retry.max_attempts {
                     env.incr("client.rpc_retries", 1);
-                    let role = ReqRole::ChunkPut { target, items, attempts: attempts + 1 };
+                    let due = SimTime::MAX; // set when the backoff fires
+                    let role = ReqRole::ChunkPut { target, items, attempts: attempts + 1, due };
                     let req = self.reqs.issue(aw, role);
                     let backoff = retry.backoff(attempts);
                     env.set_timer(backoff, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
@@ -1984,9 +1986,10 @@ impl Cx {
     fn get_chunks(&mut self, aw: &mut Awaited, fetches: Vec<ChunkFetch>, env: &mut dyn Env) {
         let to = fetches[0].target();
         let keys = fetches.iter().map(|f| f.desc.key).collect();
-        let req = self.reqs.issue(aw, ReqRole::ChunkGet(fetches));
+        let due = env.now() + self.cfg.chunk_timeout;
+        let req = self.reqs.issue(aw, ReqRole::ChunkGet(fetches, due));
         env.send(to, Msg::GetChunkBatch { req, client: self.id, keys });
-        env.set_timer(self.cfg.chunk_timeout, CLIENT_TIMER_BIT | CHUNK_TIMEOUT_BIT | req);
+        self.arm(env, due);
     }
 
     /// Walk a failed chunk fetch on to the next replica or — once every
@@ -2179,7 +2182,7 @@ impl Cx {
             (
                 RStreamPhase::Fetching,
                 reply @ (Msg::GetChunkBatchOk { .. } | Msg::GetChunkErr { .. }),
-                ReqRole::ChunkGet(fetches),
+                ReqRole::ChunkGet(fetches, _),
             ) => {
                 // A whole-request refusal or an unanswered deadline fails
                 // every fetch; a reply, in request order, only its misses.
@@ -2326,11 +2329,7 @@ enum StreamStep {
 /// Route a fatal session error: to the parked (sub-)operation if one is
 /// waiting, stored for the next sub-operation otherwise.
 fn fail(parked: bool, err: BlobError) -> StreamStep {
-    if parked {
-        StreamStep::Finish(Err(err), 0)
-    } else {
-        StreamStep::Fatal(err)
-    }
+    if parked { StreamStep::Finish(Err(err), 0) } else { StreamStep::Fatal(err) }
 }
 
 /// Extract the correlation id of a reply message.
@@ -2380,7 +2379,10 @@ mod tests {
     struct TestEnv {
         now: SimTime,
         sent: Vec<(NodeId, Msg)>,
+        /// Every timer armed, as `(delay, token)`.
         timers: Vec<(SimDuration, u64)>,
+        /// The armed timers not yet fired, as `(due, token)`.
+        pending: Vec<(SimTime, u64)>,
         rng: SmallRng,
         reg: sads_sim::Registry,
     }
@@ -2391,12 +2393,27 @@ mod tests {
                 now: SimTime::ZERO,
                 sent: vec![],
                 timers: vec![],
+                pending: vec![],
                 rng: SmallRng::seed_from_u64(0),
                 reg: sads_sim::Registry::new(),
             }
         }
         fn take_sent(&mut self) -> Vec<(NodeId, Msg)> {
             std::mem::take(&mut self.sent)
+        }
+        /// Advance the clock to the earliest pending timer whose token
+        /// `which` accepts, and fire it into `c`.
+        fn fire(&mut self, c: &mut ClientCore, which: fn(u64) -> bool) -> Vec<Completion> {
+            let mine = self.pending.iter().enumerate().filter(|(_, t)| which(t.1));
+            let (i, &(due, token)) = mine.min_by_key(|(_, t)| t.0).expect("a timer armed");
+            self.pending.remove(i);
+            assert!(ClientCore::owns_timer(token));
+            self.now = self.now.max(due);
+            c.handle_timer(self, token)
+        }
+        /// Advance to the client's deadline timer and fire it.
+        fn fire_deadline(&mut self, c: &mut ClientCore) -> Vec<Completion> {
+            self.fire(c, |token| token & RETRY_TIMER_BIT == 0)
         }
     }
 
@@ -2415,6 +2432,7 @@ mod tests {
         }
         fn set_timer(&mut self, delay: SimDuration, token: u64) {
             self.timers.push((delay, token));
+            self.pending.push((self.now + delay, token));
         }
         fn rng(&mut self) -> &mut SmallRng {
             &mut self.rng
@@ -2759,14 +2777,10 @@ mod tests {
 
         // No answer: the put deadline fires, the backoff runs out, and
         // the same target gets the same envelope again.
-        let timer = |env: &TestEnv, bit: u64| {
-            env.timers.iter().rev().map(|t| t.1).find(|t| t & bit != 0).expect("timer armed")
-        };
-        let deadline = timer(&env, CHUNK_TIMEOUT_BIT);
-        assert!(c.handle_timer(&mut env, deadline).is_empty());
+        assert!(env.fire_deadline(&mut c).is_empty());
+        assert_eq!(env.now, SimTime::ZERO + RetryPolicy::standard().put_timeout);
         assert!(env.take_sent().is_empty(), "the resend waits out its backoff");
-        let backoff = timer(&env, RETRY_TIMER_BIT);
-        assert!(c.handle_timer(&mut env, backoff).is_empty());
+        assert!(env.fire(&mut c, |token| token & RETRY_TIMER_BIT != 0).is_empty());
         let (to, resend) = env.take_sent().pop().expect("deadline resend");
         assert_eq!(to, PROV_A);
         assert_eq!(envelope(&put_items(&resend)), envelope(&cut));
@@ -3127,11 +3141,10 @@ mod tests {
             assert!(first_target == PROV_A || first_target == PROV_B);
             let Msg::GetChunkBatch { keys, .. } = msg else { panic!("{msg:?}") };
             assert_eq!(keys.len(), 1);
-            let (_, token) = *env.timers.last().unwrap();
-            assert!(ClientCore::owns_timer(token));
-            // The replica never answers: the chunk timer fires and the
+            // The replica never answers: the deadline timer fires and the
             // client retries another replica.
-            assert!(c.handle_timer(&mut env, token).is_empty());
+            assert!(env.fire_deadline(&mut c).is_empty());
+            assert_eq!(env.now, SimTime::ZERO + ClientConfig::default().chunk_timeout);
             let (second_target, msg) = env.take_sent().pop().unwrap();
             let Msg::GetChunkBatch { req, keys, .. } = msg else { panic!("{msg:?}") };
             assert_ne!(second_target, first_target, "failover goes to the other replica");
@@ -3140,6 +3153,88 @@ mod tests {
             assert_eq!(read_len(&done), 8, "{entry:?}");
             assert_eq!(c.active_ops(), 0);
         }
+    }
+
+    /// The client arms one timer, for its earliest deadline, not one per
+    /// op and per chunk fetch: 10 000 one-shot write + read rounds (an op
+    /// deadline each, a fetch deadline per read) arm two timers in all,
+    /// for the first op's deadline and the first fetch's.
+    #[test]
+    fn a_client_arms_one_deadline_timer_however_many_ops() {
+        let (mut env, mut c) = (TestEnv::new(), core());
+        let (nodes, root) = stored_tree(1, 8, vec![PROV_A]);
+        for round in 0..10_000u64 {
+            // A round a millisecond: 10 s in all, short of every deadline.
+            env.now = SimTime(round * 1_000_000);
+            start_write(&mut c, &mut env, Entry::OneShot, Payload::Sim(8), 1);
+            let (_, written) = serve(&mut c, &mut env, 1, 8, &nodes, Some(root));
+            start_read(&mut c, &mut env, Entry::OneShot, 8, 2);
+            let (wire, read) = serve(&mut c, &mut env, 1, 8, &nodes, Some(root));
+            assert!(wire.iter().any(|l| l.contains("GetChunkBatch")), "{wire:?}");
+            assert!(written[0].result.is_ok() && read[0].result.is_ok(), "round {round}");
+        }
+        assert_eq!(c.active_ops(), 0);
+        assert!(env.timers.len() <= 2, "{} timers armed", env.timers.len());
+        assert!(c.cx.armed.len() <= 2);
+    }
+
+    /// Every timeout fires at its own deadline, neither earlier nor later,
+    /// whichever deadline the one timer was armed for.
+    #[test]
+    fn timeouts_fire_at_their_own_deadlines() {
+        let cfg = ClientConfig::default();
+        let (op_timeout, chunk_timeout) = (cfg.op_timeout, cfg.chunk_timeout);
+        let tick = SimDuration(1);
+        // An op the version manager never answers times out at exactly
+        // its start + `op_timeout`.
+        let (mut env, mut c) = (TestEnv::new(), core());
+        env.now = SimTime::from_secs(5);
+        start_read(&mut c, &mut env, Entry::OneShot, 8, 1);
+        let due = env.now + op_timeout;
+        env.now = SimTime(due.as_nanos() - tick.as_nanos());
+        assert!(c.handle_timer(&mut env, CLIENT_TIMER_BIT).is_empty());
+        assert_eq!(c.active_ops(), 1, "not before its deadline");
+        let done = env.fire_deadline(&mut c);
+        assert_eq!(env.now, due);
+        assert!(matches!(done[..], [Completion { tag: 1, result: Err(BlobError::Timeout), .. }]));
+
+        // A chunk fetch fails over at exactly its send + `chunk_timeout`.
+        let (mut env, mut c) = (TestEnv::new(), core());
+        env.now = SimTime::from_secs(3);
+        let (nodes, root) = stored_tree(1, 8, vec![PROV_A, PROV_B]);
+        open_read(&mut c, &mut env, Entry::OneShot, 1, 8, nodes, root);
+        let (first, _) = env.take_sent().pop().unwrap();
+        let due = env.now + chunk_timeout;
+        env.now = SimTime(due.as_nanos() - tick.as_nanos());
+        assert!(c.handle_timer(&mut env, CLIENT_TIMER_BIT).is_empty());
+        assert!(env.take_sent().is_empty(), "no failover before the deadline");
+        assert!(env.fire_deadline(&mut c).is_empty());
+        assert_eq!(env.now, due);
+        let sent = env.take_sent();
+        assert!(matches!(sent[..], [(to, Msg::GetChunkBatch { .. })] if to != first), "{sent:?}");
+
+        // Sessions due at one instant time out in session-id order.
+        let (mut env, mut c) = (TestEnv::new(), core());
+        for tag in 1..=8 {
+            start_read(&mut c, &mut env, Entry::OneShot, 8, tag);
+        }
+        let done = env.fire_deadline(&mut c);
+        assert_eq!(env.now, SimTime::ZERO + op_timeout);
+        assert_eq!(done.iter().map(|d| d.tag).collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+
+        // A stream whose idle deadline moved is reaped at the moved
+        // instant: the timer armed for the old one finds nothing due.
+        let (mut env, mut c) = (TestEnv::new(), core());
+        start_write(&mut c, &mut env, Entry::Stream, Payload::Sim(16), 1);
+        let (_, done) = serve(&mut c, &mut env, 2, 8, &[], None);
+        let Ok(OpOutput::WriteStreamOpened { stream, .. }) = done[0].result else { panic!() };
+        env.now = SimTime::from_secs(10);
+        let feed = ClientOp::FeedWriteStream { stream, data: Payload::Sim(8) };
+        assert!(matches!(c.start_op(&mut env, feed, 2)[0].result, Ok(OpOutput::Fed { .. })));
+        assert!(env.fire_deadline(&mut c).is_empty());
+        assert_eq!((env.now, c.active_ops()), (SimTime::ZERO + op_timeout, 1));
+        assert!(env.fire_deadline(&mut c).is_empty(), "nothing parked to complete");
+        assert_eq!((env.now, c.active_ops()), (SimTime::from_secs(10) + op_timeout, 0));
     }
 
     /// Build (locally) the stored tree of a `pages`-page blob at version
@@ -3483,11 +3578,9 @@ mod tests {
             let Msg::GetChunkBatch { keys, .. } = &sent[0].1 else { panic!("{:?}", sent[0].1) };
             assert_eq!(keys.len(), 2);
             let timers_before = env.timers.len();
-            let (_, token) = *env.timers.last().unwrap();
-            assert!(ClientCore::owns_timer(token));
             // The provider never answers: the batch deadline fires once and
             // every item re-enters the per-chunk replica walk on its own.
-            assert!(c.handle_timer(&mut env, token).is_empty());
+            assert!(env.fire_deadline(&mut c).is_empty());
             let sent = env.take_sent();
             assert_eq!(sent.len(), 2, "per-item resubmission: {sent:?}");
             let reqs: Vec<(u64, ChunkKey)> = sent
@@ -3501,9 +3594,11 @@ mod tests {
                 .collect();
             assert_eq!(
                 env.timers.len(),
-                timers_before + 2,
-                "each resubmission arms its own deadline"
+                timers_before + 1,
+                "one timer stands for both resubmissions' deadlines"
             );
+            let due = env.pending.iter().map(|t| t.0).min();
+            assert_eq!(due, Some(env.now + ClientConfig::default().chunk_timeout));
             let mut done = vec![];
             for (req, key) in reqs {
                 done = c.handle_msg(&mut env, PROV_A, got(req, key, page));
