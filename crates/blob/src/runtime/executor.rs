@@ -7,7 +7,7 @@
 //! with a **bounded pool of event-loop workers**:
 //!
 //! * every node — service or client core — is a [`Cell`]: a multiplexed
-//!   state machine with its own mailbox, timer heap and RNG,
+//!   state machine with its own mailbox and RNG,
 //! * cells are owned by `N ≈ cores` **shards**, each with a run queue and
 //!   one worker thread; a cell's home shard is its address modulo `N`,
 //!   fixed when the cell is made,
@@ -28,9 +28,12 @@
 //! The turn pops the run queue, locks the cell's node and drains the
 //! mailbox; the drain that finds it empty clears `scheduled` under that
 //! same lock, which ends the turn without losing a sender's wakeup (the
-//! argument is at [`drive`]). Each shard keeps its earliest timer deadline
-//! in an atomic watermark, so a turn locks the shard's timer heap only when
-//! a timer is due. The flight ring takes no lock.
+//! argument is at [`drive`]). A timer waits in its cell's home shard's
+//! heap; when it is due, the shard's next turn delivers it into the cell's
+//! mailbox as an [`Envelope::Timer`] through the same path, so the argument
+//! covers timers too. Each shard keeps its earliest timer deadline in an
+//! atomic watermark, so a turn locks the heap only when a timer is due. The
+//! flight ring takes no lock.
 //!
 //! Untraced, a turn's callbacks see one clock reading, taken as the turn
 //! starts and again after each batch. A turn run right after another on
@@ -48,7 +51,8 @@
 //! * **Observability survives multiplexing** — envelopes still carry
 //!   `sent_ns`, so `Net` spans keep attributing mailbox wait as `queue_ns`,
 //!   and [`Env::queue_depth_seconds`] reports the age of the oldest queued
-//!   envelope of *this* cell (not of the whole shard).
+//!   envelope of *this* cell (not of the whole shard): a message's from its
+//!   send, a timer's from its deadline.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,6 +139,8 @@ pub(crate) enum Envelope {
         /// gateway's per-request span), if tracing is on.
         trace: Option<TraceCtx>,
     },
+    /// A timer the cell set, delivered when its home shard found it due.
+    Timer { token: u64, deadline: u64 },
 }
 
 /// What a cell multiplexes: a service, or a client core with its
@@ -152,6 +158,7 @@ impl Envelope {
     fn trace(&self) -> Option<TraceCtx> {
         match self {
             Envelope::Msg { trace, .. } | Envelope::Op { trace, .. } => *trace,
+            Envelope::Timer { .. } => None,
         }
     }
 }
@@ -185,7 +192,6 @@ struct NodeState {
 
 /// What a cell's callbacks reach through their [`Env`] besides the clock.
 struct Local {
-    timers: CellTimers,
     rng: SmallRng,
     /// Registry handles of the `Env::incr` / `Env::record` names the cell
     /// used, found by the name's address: a bump after the first is one
@@ -219,11 +225,6 @@ pub(crate) struct Cell {
     scheduled: AtomicBool,
     /// Dead cells (killed or panicked) drop their mail and never run again.
     dead: AtomicBool,
-    /// Earliest deadline currently registered in a shard timer heap
-    /// (`u64::MAX` = none): hot cells run thousands of turns between timer
-    /// fires, and without this watermark each turn would push a duplicate
-    /// heap entry.
-    timer_registered: std::sync::atomic::AtomicU64,
     /// Deepest mailbox ever observed on this cell. The paired gauge
     /// (`runtime.mailbox_hwm{node=…}`) is only written when the watermark
     /// actually rises, so the steady-state send cost is one `fetch_max`.
@@ -236,12 +237,14 @@ pub(crate) struct Cell {
     node: Mutex<NodeState>,
 }
 
-/// Timer registration on a shard: wake at `deadline` and reschedule the
-/// cell (stale entries — cell already ran, or died — are skipped).
+/// A timer on its cell's home shard: at `deadline`, `token` goes into the
+/// cell's mailbox. A cell that is gone by then gets nothing; one killed
+/// meanwhile drops it like any mail.
 struct ShardTimer {
     deadline: u64,
     seq: u64,
     cell: Weak<Cell>,
+    token: u64,
 }
 
 impl PartialEq for ShardTimer {
@@ -261,8 +264,8 @@ impl Ord for ShardTimer {
     }
 }
 
-/// One executor shard: a run queue, its worker's parking lot, the timers
-/// its cells registered, and its one helper slot.
+/// One executor shard: a run queue, its worker's parking lot, its cells'
+/// timers, and its one helper slot.
 struct Shard {
     runq: StdMutex<RunQueue>,
     cv: Condvar,
@@ -325,7 +328,8 @@ struct ShardStats {
     unparks: Counter,
     /// `runtime.dispatch_batch{shard}` — envelopes handled per turn.
     dispatch_batch: Histogram,
-    /// `runtime.timer_lag_seconds{shard}` — how late shard timers fire.
+    /// `runtime.timer_lag_seconds{shard}` — how late the shard's timers
+    /// are handled, past their deadlines.
     timer_lag: Histogram,
 }
 
@@ -446,6 +450,32 @@ impl ExecShared {
         }
     }
 
+    /// Push `cell`'s timer onto its home shard's heap. A timer that becomes
+    /// the shard's earliest wakes the parked worker if it would sleep past
+    /// it, unless the caller is the shard's helper, which checks as it
+    /// leaves (see [`Helper`]'s `drop`).
+    fn set_timer(&self, cell: &Arc<Cell>, deadline: u64, token: u64) {
+        let home = self.home(cell);
+        let shard = &self.shards[home];
+        let earliest = {
+            let mut heap = counted(shard.timers.lock());
+            let seq = shard.timer_seq.fetch_add(1, Ordering::Relaxed) as u64;
+            let cell = Arc::downgrade(cell);
+            heap.push(std::cmp::Reverse(ShardTimer { deadline, seq, cell, token }));
+            let earliest = shard.next_timer().is_none_or(|t| deadline < t);
+            shard.mark(&heap);
+            earliest
+        };
+        if earliest && RUNS.get() != Runs::Helper(home) {
+            let mut q = counted(shard.runq.lock().expect("runq"));
+            if q.parked && deadline < q.park_until {
+                q.parked = false;
+                drop(q);
+                shard.cv.notify_one();
+            }
+        }
+    }
+
     /// Queue the scheduled `cell` at its home shard, waking the shard's
     /// worker if it sleeps, unless the sender is the shard's helper, which
     /// will run the cell itself.
@@ -545,8 +575,7 @@ impl ExecShared {
     /// its peer's mailbox ahead of anything the caller sends afterwards.
     /// The node lock is taken before the slot becomes routable: a worker
     /// that picks the cell up for early mail waits for `on_start` to
-    /// finish. The closing `schedule` is the turn that registers the
-    /// timers `on_start` set.
+    /// finish.
     pub(crate) fn reinstall(&self, node: NodeId, kind: NodeKind) -> bool {
         let cell = self.new_cell(node, kind);
         let mut state = cell.node.lock();
@@ -563,9 +592,8 @@ impl ExecShared {
             }
         }));
         drop(state);
-        match started {
-            Ok(()) => self.schedule(&cell),
-            Err(_) => self.poison(&cell),
+        if started.is_err() {
+            self.poison(&cell);
         }
         true
     }
@@ -581,7 +609,6 @@ impl ExecShared {
             id,
             scheduled: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            timer_registered: std::sync::atomic::AtomicU64::new(u64::MAX),
             mail_hwm: std::sync::atomic::AtomicU64::new(0),
             hwm_gauge: self
                 .telem
@@ -591,7 +618,6 @@ impl ExecShared {
             node: Mutex::new(NodeState {
                 kind,
                 local: Local {
-                    timers: BinaryHeap::new(),
                     rng: SmallRng::seed_from_u64(seed),
                     counters: Vec::new(),
                     gauges: Vec::new(),
@@ -634,9 +660,9 @@ impl ExecShared {
 }
 
 /// A caller thread holding a shard's helper slot: while the shard's worker
-/// sleeps, it runs the shard's cells the way the worker would — due shard
-/// timers, then the next queued cell. Dropping it hands the shard back to
-/// the worker.
+/// sleeps, it runs the shard's cells the way the worker would — delivers
+/// due shard timers, then runs the next queued cell. Dropping it hands the
+/// shard back to the worker.
 struct Helper<'a> {
     shared: &'a ExecShared,
     shard: usize,
@@ -683,7 +709,7 @@ impl Helper<'_> {
 
 impl Drop for Helper<'_> {
     /// Free the slot, then wake the parked worker if cells are queued or
-    /// a timer registered while helping falls before it would wake.
+    /// a timer set while helping falls before it would wake.
     fn drop(&mut self) {
         RUNS.set(Runs::Nothing);
         LAST_END.set(0);
@@ -788,11 +814,9 @@ impl Drop for Executor {
 
 /// The [`Env`] a multiplexed node sees during one callback.
 struct ExecEnv<'a> {
-    id: NodeId,
+    cell: &'a Arc<Cell>,
     shared: &'a ExecShared,
     local: &'a mut Local,
-    /// This cell's own mailbox, for per-node backlog depth.
-    mailbox: &'a Mutex<VecDeque<Envelope>>,
     /// Causal context of the callback being handled; outgoing messages
     /// carry it so replies land in the same trace.
     current: Option<TraceCtx>,
@@ -803,12 +827,12 @@ struct ExecEnv<'a> {
 impl<'a> ExecEnv<'a> {
     fn new(
         shared: &'a ExecShared,
-        cell: &'a Cell,
+        cell: &'a Arc<Cell>,
         local: &'a mut Local,
         current: Option<TraceCtx>,
         now_ns: u64,
     ) -> Self {
-        ExecEnv { id: cell.id, shared, local, mailbox: &cell.mailbox, current, now_ns }
+        ExecEnv { cell, shared, local, current, now_ns }
     }
 
     /// The callback's time: the turn's clock reading, or a fresh one when
@@ -825,7 +849,7 @@ impl<'a> ExecEnv<'a> {
 
 impl Env for ExecEnv<'_> {
     fn id(&self) -> NodeId {
-        self.id
+        self.cell.id
     }
     fn now(&self) -> SimTime {
         SimTime(self.clock())
@@ -834,23 +858,22 @@ impl Env for ExecEnv<'_> {
         let sent_ns = self.clock();
         self.shared.send_to(
             to,
-            Envelope::Msg { from: self.id, msg, trace: self.current, sent_ns },
+            Envelope::Msg { from: self.cell.id, msg, trace: self.current, sent_ns },
         );
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let deadline = self.clock() + delay.as_nanos();
-        self.local.timers.push(std::cmp::Reverse((deadline, token)));
+        self.shared.set_timer(self.cell, self.clock() + delay.as_nanos(), token);
     }
     fn rng(&mut self) -> &mut SmallRng {
         &mut self.local.rng
     }
     fn record(&mut self, name: &'static str, value: f64) {
-        let (telem, id) = (&self.shared.telem, self.id);
+        let (telem, id) = (&self.shared.telem, self.cell.id);
         let make = || telem.gauge(name, &[("node", NodeLabel::new(id.0).as_str())]);
         cached(&mut self.local.gauges, name, make).set(value);
     }
     fn incr(&mut self, name: &'static str, delta: u64) {
-        let (telem, id) = (&self.shared.telem, self.id);
+        let (telem, id) = (&self.shared.telem, self.cell.id);
         let make = || telem.counter(name, &[("node", NodeLabel::new(id.0).as_str())]);
         cached(&mut self.local.counters, name, make).inc(delta);
     }
@@ -869,13 +892,12 @@ impl Env for ExecEnv<'_> {
     fn queue_depth_seconds(&self) -> f64 {
         // Age of the oldest envelope still queued for *this* cell: the
         // multiplexed equivalent of "how far behind is my inbox".
-        let mb = counted(self.mailbox.lock());
-        match mb.front() {
-            Some(Envelope::Msg { sent_ns, .. }) => {
-                self.shared.now_ns().saturating_sub(*sent_ns) as f64 / 1e9
-            }
-            _ => 0.0,
-        }
+        let mb = counted(self.cell.mailbox.lock());
+        let since = match mb.front() {
+            Some(Envelope::Msg { sent_ns: at, .. } | Envelope::Timer { deadline: at, .. }) => *at,
+            _ => return 0.0,
+        };
+        self.shared.now_ns().saturating_sub(since) as f64 / 1e9
     }
     fn spawn(&mut self, service: Box<dyn Service>) -> NodeId {
         self.shared.add_node(NodeKind::Service(service))
@@ -913,8 +935,8 @@ fn record_net_span(
     });
 }
 
-/// Schedule every cell whose shard timer is due at `now_ns`; the heap is
-/// locked only when its watermark says one is.
+/// Deliver every timer of shard `w` due at `now_ns` into its cell's
+/// mailbox; the heap is locked only when its watermark says one is due.
 fn fire_shard_timers(shared: &ExecShared, w: usize, now_ns: u64) {
     let shard = &shared.shards[w];
     while shard.next_deadline.load(Ordering::Acquire) <= now_ns {
@@ -926,12 +948,8 @@ fn fire_shard_timers(shared: &ExecShared, w: usize, now_ns: u64) {
             t
         };
         let Some(t) = t else { return };
-        // How far past its deadline the heap let this timer drift —
-        // queueing lag of the timer plane itself.
-        shared.stats[w].timer_lag.observe(now_ns.saturating_sub(t.deadline) as f64 / 1e9);
         if let Some(cell) = t.cell.upgrade() {
-            cell.timer_registered.store(u64::MAX, Ordering::Release);
-            shared.schedule(&cell);
+            shared.deliver(&cell, Envelope::Timer { token: t.token, deadline: t.deadline });
         }
     }
 }
@@ -962,7 +980,7 @@ fn worker_loop(shared: &ExecShared, w: usize) {
     }
 }
 
-/// One turn on shard `w`: fire the shard's due timers, then run the front
+/// One turn on shard `w`: deliver the shard's due timers, then run the front
 /// of its run queue — or, for a worker whose queue is empty, the back of
 /// another shard's — from one clock reading: the end reading of the turn
 /// this thread ran just before, or a fresh one. `false` when no cell ran,
@@ -1021,8 +1039,6 @@ fn steal(shared: &ExecShared, w: usize) -> Option<Arc<Cell>> {
     None
 }
 
-type CellTimers = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
-
 /// What one turn of a cell did.
 struct Turn {
     /// Envelopes handled.
@@ -1037,10 +1053,9 @@ struct Turn {
 }
 
 /// Run one scheduling turn of `cell` on shard `w` (its home shard's worker
-/// or helper, or a thief), starting at clock reading `now`: due timers,
-/// then batched mailbox drain up to the fairness cap. Its timers register
-/// on its home shard. Returns the turn's end reading when it read the
-/// clock after handling mail, else 0.
+/// or helper, or a thief), starting at clock reading `now`: a batched
+/// mailbox drain up to the fairness cap. Returns the turn's end reading
+/// when it read the clock after handling mail, else 0.
 fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) -> u64 {
     if cell.dead.load(Ordering::Acquire) {
         cell.scheduled.store(false, Ordering::Release);
@@ -1048,7 +1063,7 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) -> u64 {
     }
 
     let mut node = counted(cell.node.lock());
-    let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, w, cell, &mut node, now)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| drive(shared, cell, &mut node, now)));
     drop(node);
     let Ok(turn) = outcome else {
         shared.poison(cell);
@@ -1076,37 +1091,10 @@ fn run_cell(shared: &ExecShared, w: usize, cell: &Arc<Cell>, now: u64) -> u64 {
     turn.end
 }
 
-/// Register `cell`'s earliest timer on its home shard unless an entry at
-/// or before it is registered already.
-fn register_timer(shared: &ExecShared, w: usize, cell: &Arc<Cell>, timers: &CellTimers) {
-    let Some(&std::cmp::Reverse((deadline, _))) = timers.peek() else { return };
-    if deadline >= cell.timer_registered.load(Ordering::Acquire) {
-        return;
-    }
-    cell.timer_registered.store(deadline, Ordering::Release);
-    let home = shared.home(cell);
-    let shard = &shared.shards[home];
-    let seq = shard.timer_seq.fetch_add(1, Ordering::Relaxed) as u64;
-    {
-        let mut th = counted(shard.timers.lock());
-        th.push(std::cmp::Reverse(ShardTimer { deadline, seq, cell: Arc::downgrade(cell) }));
-        shard.mark(&th);
-    }
-    // A thief's timer must wake the home worker if it sleeps past it.
-    if home != w {
-        let mut q = shard.runq.lock().expect("runq");
-        if q.parked && deadline < q.park_until {
-            q.parked = false;
-            drop(q);
-            shard.cv.notify_one();
-        }
-    }
-}
-
-/// Drain `cell`'s mailbox in batches, firing its due timers before and
-/// after each. The clock is read once after each batch, never per
+/// Drain `cell`'s mailbox — its mail and its due timers, in arrival order —
+/// in batches. The clock is read once after each batch, never per
 /// envelope: a batch's callbacks see the reading taken before it (or the
-/// send time of an envelope sent after that reading).
+/// send time or deadline of an envelope stamped after that reading).
 ///
 /// The turn ends under the mailbox lock that finds the mailbox empty: that
 /// lock clears `scheduled` before it is released. No wakeup is lost. A
@@ -1114,15 +1102,13 @@ fn register_timer(shared: &ExecShared, w: usize, cell: &Arc<Cell>, timers: &Cell
 /// true. If its push came first, this drain takes the envelope. If it came
 /// after, the clear happened before its push, so its swap reads false and
 /// it queues the cell again. A sender whose push was drained but whose
-/// swap comes after the clear queues one turn that finds no mail.
-fn drive(shared: &ExecShared, w: usize, cell: &Arc<Cell>, node: &mut NodeState, now: u64) -> Turn {
+/// swap comes after the clear queues one turn that finds no mail. A due
+/// timer is a send by the shard turn that pops it, so the same holds.
+fn drive(shared: &ExecShared, cell: &Arc<Cell>, node: &mut NodeState, now: u64) -> Turn {
     let NodeState { kind, local, clock } = node;
     *clock = (*clock).max(now);
-    fire_due_timers(shared, cell, kind, local, *clock);
-
     let mut turn = Turn { handled: 0, end: now, yielded: false, trace: 0 };
     BATCH.with_borrow_mut(|batch| loop {
-        register_timer(shared, w, cell, &local.timers);
         if turn.handled >= MAX_PER_RUN {
             turn.yielded = true;
             break;
@@ -1144,38 +1130,10 @@ fn drive(shared: &ExecShared, w: usize, cell: &Arc<Cell>, node: &mut NodeState, 
             }
             handle_envelope(shared, cell, kind, local, clock, env);
         }
-        // Time advanced while handling; fire anything that came due.
         *clock = shared.now_ns();
         turn.end = *clock;
-        fire_due_timers(shared, cell, kind, local, *clock);
     });
     turn
-}
-
-fn fire_due_timers(
-    shared: &ExecShared,
-    cell: &Cell,
-    kind: &mut NodeKind,
-    local: &mut Local,
-    now_ns: u64,
-) {
-    loop {
-        let token = match local.timers.peek() {
-            Some(std::cmp::Reverse((deadline, token))) if *deadline <= now_ns => *token,
-            _ => break,
-        };
-        local.timers.pop();
-        let mut env = ExecEnv::new(shared, cell, local, None, now_ns);
-        match kind {
-            NodeKind::Service(service) => service.on_timer(&mut env, token),
-            NodeKind::Client { core, pending, .. } => {
-                if ClientCore::owns_timer(token) {
-                    let completions = core.handle_timer(&mut env, token);
-                    deliver(pending, completions);
-                }
-            }
-        }
-    }
 }
 
 fn deliver(pending: &mut HashMap<u64, Sender<Completion>>, completions: Vec<Completion>) {
@@ -1188,7 +1146,7 @@ fn deliver(pending: &mut HashMap<u64, Sender<Completion>>, completions: Vec<Comp
 
 fn handle_envelope(
     shared: &ExecShared,
-    cell: &Cell,
+    cell: &Arc<Cell>,
     kind: &mut NodeKind,
     local: &mut Local,
     clock: &mut u64,
@@ -1244,6 +1202,19 @@ fn handle_envelope(
                 // can complete synchronously.
                 let completions = core.start_op(&mut env, op, tag);
                 deliver(pending, completions);
+            }
+        }
+        Envelope::Timer { token, deadline } => {
+            *clock = (*clock).max(deadline);
+            let lag = (*clock - deadline) as f64 / 1e9;
+            shared.stats[shared.home(cell)].timer_lag.observe(lag);
+            let mut env = ExecEnv::new(shared, cell, local, None, *clock);
+            match kind {
+                NodeKind::Service(service) => service.on_timer(&mut env, token),
+                NodeKind::Client { core, pending, .. } if ClientCore::owns_timer(token) => {
+                    deliver(pending, core.handle_timer(&mut env, token));
+                }
+                NodeKind::Client { .. } => {}
             }
         }
     }
@@ -1428,18 +1399,63 @@ mod tests {
     /// the run queue, the node, the mailbox to drain and the mailbox again
     /// to find it empty and end the turn. It took ten while each turn
     /// locked the shard's timer heap, the flight ring and the mailbox once
-    /// more after clearing `scheduled`.
+    /// more after clearing `scheduled`. A handler's `set_timer` takes one
+    /// more, the home shard's heap (and the run queue when the timer is
+    /// the shard's earliest, to wake a worker that sleeps past it).
     #[test]
     fn a_hop_takes_seven_locks() {
+        let hop = |shared: &ExecShared, to: NodeId, req: u64| {
+            let before = locks();
+            post(shared, to, req..req + 1);
+            assert_eq!(locks() - before, 3, "a send");
+            assert!(turn(shared, 0, false));
+            locks() - before
+        };
+        let shared = ExecShared::new(1, Instant::now(), Arc::default(), None, None);
+        let quiet = shared.add_node(NodeKind::Service(Box::new(OnStart::Nothing)));
+        hop(&shared, quiet, 0);
+        assert_eq!(hop(&shared, quiet, 1), 7, "a send and its turn");
+
         let (shared, cells) = probes(false, 0, 1);
-        let a = cells[0].0;
-        post(&shared, a, 0..1);
-        assert!(turn(&shared, 0, false), "a turn that arms a 10 s timer");
-        let before = locks();
-        post(&shared, a, 1..2);
-        assert_eq!(locks() - before, 3, "a send");
-        assert!(turn(&shared, 0, false));
-        assert_eq!(locks() - before, 7, "a send and its turn");
+        hop(&shared, cells[0].0, 0);
+        assert!(shared.shards[0].next_timer().is_some(), "the first hop armed a 10 s timer");
+        assert_eq!(hop(&shared, cells[0].0, 1), 8, "a hop whose handler arms a later timer");
+    }
+
+    /// Arms `token` `delay` after its start and logs each timer it gets.
+    struct Alarm {
+        delay: SimDuration,
+        token: u64,
+        fired: Arc<parking_lot::Mutex<Vec<u64>>>,
+    }
+    impl Service for Alarm {
+        fn on_start(&mut self, env: &mut dyn Env) {
+            env.set_timer(self.delay, self.token);
+        }
+        fn on_msg(&mut self, _env: &mut dyn Env, _from: NodeId, _msg: Msg) {}
+        fn on_timer(&mut self, _env: &mut dyn Env, token: u64) {
+            self.fired.lock().push(token);
+        }
+    }
+
+    /// A timer belongs to the cell that set it, not to its address: a node
+    /// killed with a timer pending and reinstalled at the same address
+    /// never hands the timer to its successor, which gets its own.
+    #[test]
+    fn a_reinstalled_address_never_receives_its_predecessors_timer() {
+        let shared = ExecShared::new(1, Instant::now(), Arc::default(), None, None);
+        let alarm = |token: u64, fired: &Arc<parking_lot::Mutex<Vec<u64>>>| {
+            let delay = SimDuration::from_millis(1);
+            NodeKind::Service(Box::new(Alarm { delay, token, fired: Arc::clone(fired) }))
+        };
+        let (old, new) = (Arc::default(), Arc::default());
+        let node = shared.add_node(alarm(1, &old));
+        shared.kill(node);
+        assert!(shared.reinstall(node, alarm(2, &new)));
+        std::thread::sleep(Duration::from_millis(2));
+        while turn(&shared, 0, false) {}
+        assert!(shared.shards[0].next_timer().is_none(), "both timers left the heap");
+        assert_eq!((old.lock().clone(), new.lock().clone()), (vec![], vec![2]));
     }
 
     /// Counts what it handles in `seen`: slot `req` for a request sent to
