@@ -51,11 +51,6 @@ type PutItem = (ChunkKey, Payload, u32);
 /// actors can route timers.
 pub const CLIENT_TIMER_BIT: u64 = 1 << 63;
 
-/// Secondary namespace bit: deferred-resend tokens armed by the
-/// exponential-backoff retry path (the low bits carry the request id of
-/// the resend that fires when the timer does).
-const RETRY_TIMER_BIT: u64 = 1 << 61;
-
 /// An operation a client can perform.
 #[derive(Debug)]
 pub enum ClientOp {
@@ -1050,11 +1045,14 @@ enum ReqRole {
     },
     /// One provider's batch of chunk stores, kept so a timed-out or
     /// refused store can be re-sent (same target, then a replacement).
+    /// `due` is the sent batch's deadline, or, until a resend is `sent`,
+    /// the end of its backoff, when the deadline sweep sends it.
     ChunkPut {
         target: NodeId,
         items: Vec<PutItem>,
         attempts: u32,
         due: SimTime,
+        sent: bool,
     },
     /// A replacement-placement request for chunk stores that exhausted
     /// their target (`failed`); `items` are re-sent to the new placement.
@@ -1256,32 +1254,12 @@ impl ClientCore {
     }
 
     /// Feed a timer owned by the client core (see [`ClientCore::owns_timer`]).
-    pub fn handle_timer(&mut self, env: &mut dyn Env, token: u64) -> Vec<Completion> {
-        if token & RETRY_TIMER_BIT != 0 {
-            // A backoff expired: the deferred resend registered under this
-            // request id goes out now, under a fresh deadline. Stale timers
-            // (op already finished) fall out at the request-table lookup.
-            let req = token & !(CLIENT_TIMER_BIT | RETRY_TIMER_BIT);
-            let deadline = env.now() + self.cx.cfg.retry.put_timeout;
-            let Some((sid, ReqRole::ChunkPut { target, items, due, .. })) =
-                self.cx.reqs.roles.get_mut(&req)
-            else {
-                return vec![];
-            };
-            *due = deadline;
-            let msg = Msg::PutChunkBatch { req, client: self.cx.id, items: items.clone() };
-            // The resend belongs to the operation's causal tree.
-            let tc = self.sessions.get(sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
-            env.set_trace_ctx(tc);
-            env.send(*target, msg);
-            env.set_trace_ctx(None);
-            self.cx.arm(env, deadline);
-            return vec![];
-        }
+    pub fn handle_timer(&mut self, env: &mut dyn Env, _token: u64) -> Vec<Completion> {
         // The deadline timer (see [`Cx::arm`]): time out each due request,
         // then each due session (see [`Session::deadline`]), in id order,
         // and re-arm. An unanswered chunk RPC gets the error a refusal
-        // brings, so failover and retry treat both alike.
+        // brings, so failover and retry treat both alike; a resend whose
+        // backoff ended goes out under a fresh deadline.
         let (now, op_timeout) = (env.now(), self.cx.cfg.op_timeout);
         // A chunk transfer's deadline once it is sent under one; never else.
         let deadline = |(_, role): &(u64, ReqRole)| match role {
@@ -1293,7 +1271,17 @@ impl ClientCore {
         due.sort_unstable();
         let mut out = Vec::new();
         for req in due {
-            let msg = match self.cx.reqs.roles.get(&req) {
+            let msg = match self.cx.reqs.roles.get_mut(&req) {
+                Some((sid, ReqRole::ChunkPut { target, items, due, sent: sent @ false, .. })) => {
+                    (*sent, *due) = (true, now + self.cx.cfg.retry.put_timeout);
+                    let msg = Msg::PutChunkBatch { req, client: self.cx.id, items: items.clone() };
+                    // The resend belongs to the operation's causal tree.
+                    let tc = self.sessions.get(sid).and_then(|s| s.trace.as_ref().map(|t| t.ctx));
+                    env.set_trace_ctx(tc);
+                    env.send(*target, msg);
+                    env.set_trace_ctx(None);
+                    continue;
+                }
                 Some((_, ReqRole::ChunkPut { .. })) => {
                     Msg::PutChunkErr { req, err: ChunkErr::Unreachable }
                 }
@@ -1538,7 +1526,8 @@ impl Cx {
     fn put_chunks(&mut self, aw: &mut Awaited, to: NodeId, items: Vec<PutItem>, env: &mut dyn Env) {
         let retry = self.cfg.retry;
         let due = if retry.enabled() { env.now() + retry.put_timeout } else { SimTime::MAX };
-        let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts: 1, due };
+        let (attempts, sent) = (1, true);
+        let role = ReqRole::ChunkPut { target: to, items: items.clone(), attempts, due, sent };
         let req = self.reqs.issue(aw, role);
         env.send(to, Msg::PutChunkBatch { req, client: self.id, items });
         self.arm(env, due);
@@ -1794,11 +1783,10 @@ impl Cx {
                 };
                 if err != ChunkErr::Full && attempts < retry.max_attempts {
                     env.incr("client.rpc_retries", 1);
-                    let due = SimTime::MAX; // set when the backoff fires
-                    let role = ReqRole::ChunkPut { target, items, attempts: attempts + 1, due };
-                    let req = self.reqs.issue(aw, role);
-                    let backoff = retry.backoff(attempts);
-                    env.set_timer(backoff, CLIENT_TIMER_BIT | RETRY_TIMER_BIT | req);
+                    let due = env.now() + retry.backoff(attempts);
+                    let (attempts, sent) = (attempts + 1, false);
+                    self.reqs.issue(aw, ReqRole::ChunkPut { target, items, attempts, due, sent });
+                    self.arm(env, due);
                     return StreamStep::Park;
                 }
                 if w.reallocs < retry.max_reallocs {
@@ -2413,7 +2401,7 @@ mod tests {
         }
         /// Advance to the client's deadline timer and fire it.
         fn fire_deadline(&mut self, c: &mut ClientCore) -> Vec<Completion> {
-            self.fire(c, |token| token & RETRY_TIMER_BIT == 0)
+            self.fire(c, |_| true)
         }
     }
 
@@ -2780,7 +2768,7 @@ mod tests {
         assert!(env.fire_deadline(&mut c).is_empty());
         assert_eq!(env.now, SimTime::ZERO + RetryPolicy::standard().put_timeout);
         assert!(env.take_sent().is_empty(), "the resend waits out its backoff");
-        assert!(env.fire(&mut c, |token| token & RETRY_TIMER_BIT != 0).is_empty());
+        assert!(env.fire_deadline(&mut c).is_empty(), "the backoff ends");
         let (to, resend) = env.take_sent().pop().expect("deadline resend");
         assert_eq!(to, PROV_A);
         assert_eq!(envelope(&put_items(&resend)), envelope(&cut));

@@ -28,12 +28,10 @@ use sads_sim::{FaultPlan, SimDuration, SimTime, World};
 const PAGE: u64 = 1_000_000;
 
 /// `World::event_digest()` of the scenario since each client arms one
-/// deadline timer, for its earliest deadline, instead of one per op and
-/// per chunk RPC: every message delivery and every other timer is where
-/// it was, and the 86 chunk-deadline timer pops became 16 pops of the
-/// one timer (`0xfec8_4007_9526_0e53` and 17 282 events before).
-/// `0xcf07_50e2_dcb8_d553` while a lone chunk travelled as `PutChunk` /
-/// `GetChunk`, with the event count of the batched wire.
+/// deadline timer for its earliest deadline (`0xfec8_4007_9526_0e53` and
+/// 17 282 events with one per op and chunk RPC; the backoff resends moved
+/// into its sweep without moving an event). `0xcf07_50e2_dcb8_d553` while
+/// a lone chunk travelled as `PutChunk` / `GetChunk`.
 const GOLDEN_DIGEST: u64 = 0x66de_3f51_7820_032c;
 /// `World::events_processed()` of the same run.
 const GOLDEN_EVENTS: u64 = 17_212;
