@@ -174,6 +174,8 @@ impl SloAlertService {
                 state.series.push(now, v);
                 state.first_sample.get_or_insert(now);
             }
+            // No window reaches further back than the long one.
+            state.series.retain_since(now - rule.long_window);
             // Window means: [now - w, now + 1ns) so the sample stamped at
             // `now` is included.
             let upper = now + SimDuration::from_nanos(1);
@@ -292,6 +294,70 @@ mod tests {
         // Missing family: no sample at all.
         let r2 = BurnRateRule { metric: "absent", ..r };
         assert_eq!(SloAlertService::sample(&r2, &mut st, &reg.snapshot(), 1.0), None);
+    }
+
+    /// The clock, the registry and the alerts sent: all an alert engine
+    /// touches.
+    struct TestEnv {
+        now: SimTime,
+        reg: Registry,
+        sent: usize,
+        rng: rand::rngs::SmallRng,
+    }
+    impl Env for TestEnv {
+        fn id(&self) -> NodeId {
+            NodeId(1)
+        }
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn send(&mut self, _to: NodeId, _msg: Msg) {
+            self.sent += 1;
+        }
+        fn set_timer(&mut self, _delay: SimDuration, _token: u64) {}
+        fn rng(&mut self) -> &mut rand::rngs::SmallRng {
+            &mut self.rng
+        }
+        fn telemetry(&self) -> &Registry {
+            &self.reg
+        }
+        fn spawn(&mut self, _: Box<dyn Service>) -> NodeId {
+            unreachable!("the alert engine starts no node")
+        }
+        fn power_off(&mut self, _: NodeId) {
+            unreachable!("the alert engine powers no node off")
+        }
+    }
+
+    /// A rule's series keeps only what its long window reads: after ten
+    /// long windows of one-second ticks each holds at most
+    /// `long_window / every + 1` points, and the alerts (two counter bursts
+    /// and one gauge plateau) are the ones fired when it kept every point.
+    #[test]
+    fn a_rule_keeps_only_its_long_window() {
+        use rand::SeedableRng;
+        let (name, metric, source) = ("gauge", "q", RuleSource::GaugeMax);
+        let gauge = BurnRateRule { name, metric, source, ..rule(1.0) };
+        let every = SimDuration::from_secs(1);
+        let mut svc = SloAlertService::new(vec![rule(1.0), gauge], vec![NodeId(7)], every, None);
+        let rng = rand::rngs::SmallRng::seed_from_u64(0);
+        let mut env = TestEnv { now: SimTime::ZERO, reg: Registry::new(), sent: 0, rng };
+        svc.on_start(&mut env);
+        for tick in 1..=100u64 {
+            if (20..40).contains(&tick) || (70..80).contains(&tick) {
+                env.reg.inc("m", &[("node", "1")], 5);
+            }
+            let q = if (50..65).contains(&tick) { 3.0 } else { 0.0 };
+            env.reg.set("q", &[("node", "1")], q);
+            env.now = SimTime::from_secs(tick);
+            svc.on_timer(&mut env, TOKEN_ALERT_TICK);
+            for state in &svc.state {
+                assert!(state.series.len() <= 11, "tick {tick}: {} points", state.series.len());
+            }
+        }
+        let fired: Vec<_> = svc.history().iter().map(|a| (a.rule, a.at.as_secs_f64())).collect();
+        assert_eq!(fired, [("test_burn", 31.0), ("gauge", 53.0), ("test_burn", 72.0)]);
+        assert_eq!(env.sent, fired.len());
     }
 
     #[test]

@@ -32,6 +32,12 @@ impl TimeSeries {
         }
     }
 
+    /// Drop the points stamped before `from`.
+    pub fn retain_since(&mut self, from: SimTime) {
+        let old = self.points.partition_point(|(t, _)| *t < from);
+        self.points.drain(..old);
+    }
+
     /// Raw points.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
