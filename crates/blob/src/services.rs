@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 
 use rand::rngs::SmallRng;
-use sads_sim::{NodeId, NodeLabel, Registry, SimDuration, SimTime};
+use sads_sim::{HealthPolicy, NodeId, NodeLabel, Registry, SimDuration, SimTime};
 
 use crate::model::{BlobId, ChunkKey, ClientId, Payload, VersionId};
 use crate::pmanager::{AllocationStrategy, ProviderKind, ProviderLoad, ProviderRegistry};
@@ -613,8 +613,6 @@ impl Service for MetaProviderService {
 pub struct ProviderManagerService {
     registry: ProviderRegistry,
     strategy: Box<dyn AllocationStrategy>,
-    /// Heartbeat expiry: providers silent for this long are expelled.
-    expiry: SimDuration,
     sweep_every: SimDuration,
 }
 
@@ -624,7 +622,6 @@ impl ProviderManagerService {
         ProviderManagerService {
             registry: ProviderRegistry::new(),
             strategy,
-            expiry: SimDuration::from_secs(5),
             sweep_every: SimDuration::from_secs(2),
         }
     }
@@ -708,7 +705,9 @@ impl Service for ProviderManagerService {
 
     fn on_timer(&mut self, env: &mut dyn Env, token: u64) {
         if token == TOKEN_EXPIRE {
-            let dead = self.registry.expire(env.now(), self.expiry);
+            // A provider the health model calls down is expelled.
+            let expiry = SimDuration::from_secs_f64(HealthPolicy::default().down_after_s);
+            let dead = self.registry.expire(env.now(), expiry);
             if !dead.is_empty() {
                 env.incr("pman.expired", dead.len() as u64);
             }
