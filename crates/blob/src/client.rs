@@ -1261,7 +1261,7 @@ impl ClientCore {
         // brings, so failover and retry treat both alike; a resend whose
         // backoff ended goes out under a fresh deadline.
         let (now, op_timeout) = (env.now(), self.cx.cfg.op_timeout);
-        // A chunk transfer's deadline once it is sent under one; never else.
+        // A chunk transfer's deadline, or a resend's backoff end; never else.
         let deadline = |(_, role): &(u64, ReqRole)| match role {
             ReqRole::ChunkGet(_, due) | ReqRole::ChunkPut { due, .. } => *due,
             _ => SimTime::MAX,
@@ -2389,19 +2389,15 @@ mod tests {
         fn take_sent(&mut self) -> Vec<(NodeId, Msg)> {
             std::mem::take(&mut self.sent)
         }
-        /// Advance the clock to the earliest pending timer whose token
-        /// `which` accepts, and fire it into `c`.
-        fn fire(&mut self, c: &mut ClientCore, which: fn(u64) -> bool) -> Vec<Completion> {
-            let mine = self.pending.iter().enumerate().filter(|(_, t)| which(t.1));
-            let (i, &(due, token)) = mine.min_by_key(|(_, t)| t.0).expect("a timer armed");
+        /// Advance the clock to the client's earliest pending deadline
+        /// timer and fire it.
+        fn fire_deadline(&mut self, c: &mut ClientCore) -> Vec<Completion> {
+            let timers = self.pending.iter().enumerate();
+            let (i, &(due, token)) = timers.min_by_key(|(_, t)| t.0).expect("a timer armed");
             self.pending.remove(i);
             assert!(ClientCore::owns_timer(token));
             self.now = self.now.max(due);
             c.handle_timer(self, token)
-        }
-        /// Advance to the client's deadline timer and fire it.
-        fn fire_deadline(&mut self, c: &mut ClientCore) -> Vec<Completion> {
-            self.fire(c, |_| true)
         }
     }
 
