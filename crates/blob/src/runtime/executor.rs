@@ -1422,15 +1422,14 @@ mod tests {
         assert_eq!(hop(&shared, cells[0].0, 1), 8, "a hop whose handler arms a later timer");
     }
 
-    /// Arms `token` `delay` after its start and logs each timer it gets.
+    /// Arms `token`, due at once, as it starts and logs each timer it gets.
     struct Alarm {
-        delay: SimDuration,
         token: u64,
         fired: Arc<parking_lot::Mutex<Vec<u64>>>,
     }
     impl Service for Alarm {
         fn on_start(&mut self, env: &mut dyn Env) {
-            env.set_timer(self.delay, self.token);
+            env.set_timer(SimDuration::ZERO, self.token);
         }
         fn on_msg(&mut self, _env: &mut dyn Env, _from: NodeId, _msg: Msg) {}
         fn on_timer(&mut self, _env: &mut dyn Env, token: u64) {
@@ -1445,14 +1444,12 @@ mod tests {
     fn a_reinstalled_address_never_receives_its_predecessors_timer() {
         let shared = ExecShared::new(1, Instant::now(), Arc::default(), None, None);
         let alarm = |token: u64, fired: &Arc<parking_lot::Mutex<Vec<u64>>>| {
-            let delay = SimDuration::from_millis(1);
-            NodeKind::Service(Box::new(Alarm { delay, token, fired: Arc::clone(fired) }))
+            NodeKind::Service(Box::new(Alarm { token, fired: Arc::clone(fired) }))
         };
         let (old, new) = (Arc::default(), Arc::default());
         let node = shared.add_node(alarm(1, &old));
         shared.kill(node);
         assert!(shared.reinstall(node, alarm(2, &new)));
-        std::thread::sleep(Duration::from_millis(2));
         while turn(&shared, 0, false) {}
         assert!(shared.shards[0].next_timer().is_none(), "both timers left the heap");
         assert_eq!((old.lock().clone(), new.lock().clone()), (vec![], vec![2]));
@@ -1529,6 +1526,24 @@ mod tests {
         }
         for (i, c) in seen.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "slot {i} of {}", 3 * n);
+        }
+    }
+
+    /// A timer set off the home shard's worker — here by `on_start` on the
+    /// test thread — that falls before the parked worker's wake-up wakes
+    /// it, so it fires well inside the park cap.
+    #[test]
+    fn an_earlier_timer_wakes_the_parked_worker() {
+        let exec = Executor::start(1, Instant::now(), Arc::default(), None, None);
+        while !exec.shared.shards[0].runq.lock().expect("runq").parked {
+            std::thread::yield_now();
+        }
+        let (t0, fired) = (Instant::now(), Arc::<parking_lot::Mutex<Vec<u64>>>::default());
+        let alarm = Alarm { token: 1, fired: Arc::clone(&fired) };
+        exec.shared.add_node(NodeKind::Service(Box::new(alarm)));
+        while fired.lock().is_empty() {
+            assert!(t0.elapsed() < PARK_CAP / 2, "the timer waited for the park cap");
+            std::thread::yield_now();
         }
     }
 
